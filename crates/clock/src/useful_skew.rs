@@ -47,10 +47,12 @@ pub fn optimize_useful_skew(
     step: Ps,
 ) -> Result<UsefulSkewResult> {
     let mut cons = cons.clone();
-    let base = Sta::new(nl, lib, stack, &cons).run()?;
-    let wns_before = base.wns();
+    // The report of the current `cons`: replaced only when a trial is
+    // kept, so each move costs one STA run (the trial), not two.
+    let mut report = Sta::new(nl, lib, stack, &cons).run()?;
+    let wns_before = report.wns();
     let mut cur_wns = wns_before;
-    let hold_floor = base.hold_wns();
+    let hold_floor = report.hold_wns();
     let mut moves = Vec::new();
     // Plateau handling: many endpoints often sit within a step of the
     // WNS. A single move then fixes one endpoint without moving the
@@ -61,7 +63,6 @@ pub fn optimize_useful_skew(
         std::collections::HashSet::new();
 
     for _ in 0..max_moves {
-        let report = Sta::new(nl, lib, stack, &cons).run()?;
         if report.wns() >= Ps::ZERO {
             break;
         }
@@ -96,6 +97,7 @@ pub fn optimize_useful_skew(
             }
             cur_wns = after.wns();
             cons = trial;
+            report = after;
             moves.push((flop, step));
         }
     }

@@ -9,7 +9,6 @@ use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::{Netlist, PinRef};
-use tc_sta::pba::worst_paths;
 use tc_sta::{Constraints, CriticalPath, Sta};
 
 /// Which fix a transform belongs to (Fig 1's ordering).
@@ -58,33 +57,11 @@ pub struct FixOutcome {
     pub edits: usize,
 }
 
-/// Vt-swap pass: walk the worst `k` paths, swapping their cells one Vt
-/// step faster, skipping cells already at ULVT. A `veto` callback lets
-/// the caller enforce MinIA awareness (return `false` to block a swap).
-///
-/// # Errors
-///
-/// Propagates STA failures.
-pub fn vt_swap_pass(
-    nl: &mut Netlist,
-    lib: &Library,
-    stack: &BeolStack,
-    cons: &Constraints,
-    k_paths: usize,
-    budget: usize,
-    veto: impl FnMut(tc_core::ids::CellId) -> bool,
-) -> Result<FixOutcome> {
-    let sta = Sta::new(nl, lib, stack, cons);
-    let paths = worst_paths(&sta, k_paths)?;
-    let plan = plan_vt_swaps(nl, lib, &paths, budget, veto);
-    for &(cell, master) in &plan {
-        nl.swap_master(lib, cell, master)?;
-    }
-    Ok(FixOutcome { edits: plan.len() })
-}
-
-/// Plans the Vt-swap pass over already-extracted worst paths — what the
-/// incremental flow calls with the persistent timer's path list.
+/// Plans the Vt-swap pass over already-extracted worst paths (the flow
+/// passes the persistent timer's path list): walk the paths, swapping
+/// their cells one Vt step faster, skipping cells already at ULVT. A
+/// `veto` callback lets the caller enforce MinIA awareness (return
+/// `false` to block a swap).
 pub fn plan_vt_swaps(
     nl: &Netlist,
     lib: &Library,
@@ -115,30 +92,8 @@ pub fn plan_vt_swaps(
     plan
 }
 
-/// Sizing pass: upsize the slowest stages (largest gate delay) of the
-/// worst paths one drive step.
-///
-/// # Errors
-///
-/// Propagates STA failures.
-pub fn sizing_pass(
-    nl: &mut Netlist,
-    lib: &Library,
-    stack: &BeolStack,
-    cons: &Constraints,
-    k_paths: usize,
-    budget: usize,
-) -> Result<FixOutcome> {
-    let sta = Sta::new(nl, lib, stack, cons);
-    let paths = worst_paths(&sta, k_paths)?;
-    let plan = plan_sizing(nl, lib, &paths, budget);
-    for &(cell, master) in &plan {
-        nl.swap_master(lib, cell, master)?;
-    }
-    Ok(FixOutcome { edits: plan.len() })
-}
-
-/// Plans the sizing pass over already-extracted worst paths.
+/// Plans the sizing pass over already-extracted worst paths: upsize the
+/// slowest stages (largest gate delay) of each one drive step.
 pub fn plan_sizing(
     nl: &Netlist,
     lib: &Library,
@@ -167,26 +122,6 @@ pub fn plan_sizing(
         }
     }
     plan
-}
-
-/// Buffering pass: split the longest net of each violating path with a
-/// strong buffer; both halves get half the original length.
-///
-/// # Errors
-///
-/// Propagates STA failures.
-pub fn buffering_pass(
-    nl: &mut Netlist,
-    lib: &Library,
-    stack: &BeolStack,
-    cons: &Constraints,
-    k_paths: usize,
-    budget: usize,
-) -> Result<FixOutcome> {
-    let sta = Sta::new(nl, lib, stack, cons);
-    let paths = worst_paths(&sta, k_paths)?;
-    let plan = plan_buffering(nl, &paths, budget);
-    apply_buffering(nl, lib, &plan).map(|edits| FixOutcome { edits })
 }
 
 /// Plans the buffering pass: the longest net (>120 µm) of each violating
@@ -245,32 +180,9 @@ pub fn apply_buffering(nl: &mut Netlist, lib: &Library, plan: &[NetId]) -> Resul
     Ok(edits)
 }
 
-/// NDR pass: promote the longest nets of violating paths to the
-/// double-width/double-spacing rule.
-///
-/// # Errors
-///
-/// Propagates STA failures.
-pub fn ndr_pass(
-    nl: &mut Netlist,
-    lib: &Library,
-    stack: &BeolStack,
-    cons: &Constraints,
-    k_paths: usize,
-    budget: usize,
-) -> Result<FixOutcome> {
-    let sta = Sta::new(nl, lib, stack, cons);
-    let paths = worst_paths(&sta, k_paths)?;
-    let plan = plan_ndr(nl, &paths, budget);
-    let edits = plan.len();
-    for net in plan {
-        nl.set_route_class(net, 2);
-    }
-    Ok(FixOutcome { edits })
-}
-
 /// Plans the NDR pass: long (>80 µm) default-rule nets on violating
-/// paths, deduplicated, up to `budget` nets.
+/// paths, deduplicated, up to `budget` nets, to be promoted to the
+/// double-width/double-spacing rule.
 pub fn plan_ndr(nl: &Netlist, paths: &[CriticalPath], budget: usize) -> Vec<NetId> {
     let mut plan = Vec::new();
     let mut seen = HashSet::new();
@@ -396,6 +308,7 @@ mod tests {
     use super::*;
     use tc_liberty::{LibConfig, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
+    use tc_sta::worst_paths;
 
     fn env() -> (Library, BeolStack, Netlist, Constraints) {
         let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
@@ -412,12 +325,26 @@ mod tests {
         Sta::new(nl, lib, stack, cons).run().unwrap().wns().value()
     }
 
+    fn critical(
+        nl: &Netlist,
+        lib: &Library,
+        stack: &BeolStack,
+        cons: &Constraints,
+        k: usize,
+    ) -> Vec<CriticalPath> {
+        worst_paths(&Sta::new(nl, lib, stack, cons), k).unwrap()
+    }
+
     #[test]
     fn vt_swap_improves_wns() {
         let (lib, stack, mut nl, cons) = env();
         let before = wns(&nl, &lib, &stack, &cons);
-        let out = vt_swap_pass(&mut nl, &lib, &stack, &cons, 10, 50, |_| true).unwrap();
-        assert!(out.edits > 0);
+        let paths = critical(&nl, &lib, &stack, &cons, 10);
+        let plan = plan_vt_swaps(&nl, &lib, &paths, 50, |_| true);
+        assert!(!plan.is_empty());
+        for &(cell, master) in &plan {
+            nl.swap_master(&lib, cell, master).unwrap();
+        }
         let after = wns(&nl, &lib, &stack, &cons);
         assert!(after > before, "vt swap: {before} → {after}");
         nl.validate(&lib).unwrap();
@@ -425,17 +352,20 @@ mod tests {
 
     #[test]
     fn veto_blocks_vt_swaps() {
-        let (lib, stack, mut nl, cons) = env();
-        let out = vt_swap_pass(&mut nl, &lib, &stack, &cons, 10, 50, |_| false).unwrap();
-        assert_eq!(out.edits, 0);
+        let (lib, stack, nl, cons) = env();
+        let paths = critical(&nl, &lib, &stack, &cons, 10);
+        assert!(plan_vt_swaps(&nl, &lib, &paths, 50, |_| false).is_empty());
     }
 
     #[test]
     fn sizing_improves_wns() {
         let (lib, stack, mut nl, cons) = env();
         let before = wns(&nl, &lib, &stack, &cons);
-        let out = sizing_pass(&mut nl, &lib, &stack, &cons, 10, 30).unwrap();
-        assert!(out.edits > 0);
+        let plan = plan_sizing(&nl, &lib, &critical(&nl, &lib, &stack, &cons, 10), 30);
+        assert!(!plan.is_empty());
+        for &(cell, master) in &plan {
+            nl.swap_master(&lib, cell, master).unwrap();
+        }
         let after = wns(&nl, &lib, &stack, &cons);
         assert!(after > before, "sizing: {before} → {after}");
     }
@@ -462,8 +392,8 @@ mod tests {
         let cons = Constraints::single_clock(5_000.0 - r.wns().value() - 30.0);
         let before = wns(&nl, &lib, &stack, &cons);
         let cells_before = nl.cell_count();
-        let out = buffering_pass(&mut nl, &lib, &stack, &cons, 5, 5).unwrap();
-        assert!(out.edits > 0);
+        let plan = plan_buffering(&nl, &critical(&nl, &lib, &stack, &cons, 5), 5);
+        assert!(apply_buffering(&mut nl, &lib, &plan).unwrap() > 0);
         assert!(nl.cell_count() > cells_before);
         let after = wns(&nl, &lib, &stack, &cons);
         assert!(after > before, "buffering: {before} → {after}");
@@ -471,18 +401,19 @@ mod tests {
     }
 
     #[test]
-    fn ndr_pass_reclasses_long_nets() {
+    fn ndr_reclasses_long_nets() {
         let (lib, stack, mut nl, cons) = env();
-        let sta = Sta::new(&nl, &lib, &stack, &cons);
-        let paths = worst_paths(&sta, 3).unwrap();
-        for p in &paths {
+        for p in &critical(&nl, &lib, &stack, &cons, 3) {
             for &net in &p.nets {
                 nl.set_wire_length(net, 300.0);
             }
         }
         let before = wns(&nl, &lib, &stack, &cons);
-        let out = ndr_pass(&mut nl, &lib, &stack, &cons, 5, 10).unwrap();
-        assert!(out.edits > 0);
+        let plan = plan_ndr(&nl, &critical(&nl, &lib, &stack, &cons, 5), 10);
+        assert!(!plan.is_empty());
+        for net in plan {
+            nl.set_route_class(net, 2);
+        }
         let after = wns(&nl, &lib, &stack, &cons);
         assert!(after > before, "ndr: {before} → {after}");
     }

@@ -5,11 +5,10 @@ use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::Netlist;
-use tc_sta::{Constraints, Sta, Timer, TimingReport};
+use tc_sta::{Constraints, Timer, TimingReport};
 
 use crate::fixes::{
-    apply_buffering, buffering_pass, ndr_pass, plan_buffering, plan_ndr, plan_sizing,
-    plan_vt_swaps, sizing_pass, vt_swap_pass, FixKind, FixOutcome,
+    apply_buffering, plan_buffering, plan_ndr, plan_sizing, plan_vt_swaps, FixKind, FixOutcome,
 };
 
 /// Loop configuration.
@@ -28,18 +27,6 @@ pub struct ClosureConfig {
     pub skew_step: Ps,
     /// Days charged per iteration in the schedule model.
     pub days_per_iteration: f64,
-    /// Drive the loop from the persistent incremental [`Timer`] (the
-    /// default): fixes are evaluated by re-timing only their dirty cones
-    /// and rejected fixes roll back in O(cone). `false` falls back to
-    /// one full STA run per speculative fix — same results (the two
-    /// engines are bit-identical), much more work.
-    pub use_incremental: bool,
-    /// Run full-STA passes with level-synchronous parallel propagation
-    /// on a `TC_PAR_THREADS`-sized pool. Results are bit-identical to
-    /// the sequential path (see `tc_par`); only the full-propagation
-    /// flow uses it — the incremental timer's dirty-cone worklist is
-    /// inherently ordered and stays sequential.
-    pub parallel_sta: bool,
     /// Run the `tc-lint` static passes before the first STA iteration
     /// (the default). Error-severity findings abort the run with
     /// [`tc_core::error::Error::InvalidInput`] — a design with
@@ -58,8 +45,6 @@ impl Default for ClosureConfig {
             ordering: FixKind::RECOMMENDED.to_vec(),
             skew_step: Ps::new(10.0),
             days_per_iteration: 3.0,
-            use_incremental: true,
-            parallel_sta: false,
             preflight_lint: true,
         }
     }
@@ -135,21 +120,12 @@ impl<'a> ClosureFlow<'a> {
         ClosureFlow { lib, stack, config }
     }
 
-    /// A full-propagation STA engine honoring [`ClosureConfig::parallel_sta`].
-    fn sta<'n>(&self, nl: &'n Netlist, cons: &'n Constraints) -> Sta<'n>
-    where
-        'a: 'n,
-    {
-        let sta = Sta::new(nl, self.lib, self.stack, cons);
-        if self.config.parallel_sta {
-            sta.with_parallel(tc_par::Pool::from_env())
-        } else {
-            sta
-        }
-    }
-
     /// Runs the loop, editing `nl` (and the clock tree inside the
-    /// returned constraints) in place.
+    /// returned constraints) in place. One persistent [`Timer`] lives
+    /// across all iterations; each speculative fix is applied through
+    /// the journaled ECO mutators, re-timed over its dirty cone, and —
+    /// if it regressed WNS — rolled back on both the netlist and the
+    /// timer in O(cone).
     ///
     /// # Errors
     ///
@@ -162,41 +138,6 @@ impl<'a> ClosureFlow<'a> {
         } else {
             Vec::new()
         };
-        let mut out = if self.config.use_incremental {
-            self.run_incremental(nl, cons)
-        } else {
-            self.run_full(nl, cons)
-        }?;
-        out.lint_findings = lint_findings;
-        Ok(out)
-    }
-
-    /// The pre-flight lint gate: runs the graph-side `tc-lint` passes
-    /// (cycles, dangling nets, constraint coverage) and rejects the run
-    /// on any error-severity finding, returning the warnings.
-    fn preflight(&self, nl: &Netlist, cons: &Constraints) -> Result<Vec<tc_lint::Diagnostic>> {
-        let _span = tc_obs::span("closure.preflight");
-        let mut ctx = tc_lint::LintContext::new(nl, self.lib);
-        ctx.constraints = Some(cons);
-        let findings = tc_lint::run_lint(&tc_par::Pool::from_env(), &ctx);
-        let (errors, warnings): (Vec<_>, Vec<_>) = findings
-            .into_iter()
-            .partition(|d| d.severity == tc_lint::Severity::Error);
-        if let Some(first) = errors.first() {
-            return Err(tc_core::error::Error::invalid_input(format!(
-                "preflight lint: {} error(s), first: {}",
-                errors.len(),
-                first.render()
-            )));
-        }
-        Ok(warnings)
-    }
-
-    /// The incremental loop: one persistent [`Timer`] lives across all
-    /// iterations; each speculative fix is applied through the journaled
-    /// ECO mutators, re-timed over its dirty cone, and — if it regressed
-    /// WNS — rolled back on both the netlist and the timer in O(cone).
-    fn run_incremental(&mut self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
         let _run_span = tc_obs::span("closure.run");
         let edits_counter = tc_obs::counter("closure.edits");
         let mut timer = {
@@ -223,7 +164,7 @@ impl<'a> ClosureFlow<'a> {
                 let t_cp = timer.checkpoint();
                 let outcome = {
                     let _fix = tc_obs::span(&format!("closure.fix.{}", kind.label()));
-                    self.apply_fix_incremental(kind, nl, &mut timer)?
+                    self.plan_and_apply(kind, nl, &mut timer)?
                 };
                 if outcome.edits == 0 {
                     fixes.push((kind, 0));
@@ -281,13 +222,34 @@ impl<'a> ClosureFlow<'a> {
             constraints: timer.constraints().clone(),
             closed,
             days,
-            lint_findings: Vec::new(),
+            lint_findings,
         })
     }
 
+    /// The pre-flight lint gate: runs the graph-side `tc-lint` passes
+    /// (cycles, dangling nets, constraint coverage) and rejects the run
+    /// on any error-severity finding, returning the warnings.
+    fn preflight(&self, nl: &Netlist, cons: &Constraints) -> Result<Vec<tc_lint::Diagnostic>> {
+        let _span = tc_obs::span("closure.preflight");
+        let mut ctx = tc_lint::LintContext::new(nl, self.lib);
+        ctx.constraints = Some(cons);
+        let findings = tc_lint::run_lint(&tc_par::Pool::from_env(), &ctx);
+        let (errors, warnings): (Vec<_>, Vec<_>) = findings
+            .into_iter()
+            .partition(|d| d.severity == tc_lint::Severity::Error);
+        if let Some(first) = errors.first() {
+            return Err(tc_core::error::Error::invalid_input(format!(
+                "preflight lint: {} error(s), first: {}",
+                errors.len(),
+                first.render()
+            )));
+        }
+        Ok(warnings)
+    }
+
     /// Plans a fix from the timer's cached worst paths and applies it
-    /// through the journaled ECO mutators — no full STA run anywhere.
-    fn apply_fix_incremental(
+    /// through the journaled ECO mutators — no STA run of its own.
+    fn plan_and_apply(
         &self,
         kind: FixKind,
         nl: &mut Netlist,
@@ -345,102 +307,6 @@ impl<'a> ClosureFlow<'a> {
         }
     }
 
-    /// The legacy loop: a from-scratch STA run per speculative fix and a
-    /// whole-netlist clone per rollback point.
-    fn run_full(&mut self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
-        let _run_span = tc_obs::span("closure.run");
-        let edits_counter = tc_obs::counter("closure.edits");
-        let mut cons = cons;
-        let mut iterations = Vec::new();
-        for it in 1..=self.config.max_iterations {
-            let iter_start = std::time::Instant::now();
-            let counters_before = tc_obs::is_enabled().then(tc_obs::snapshot);
-            let iter_span = tc_obs::span("closure.iteration");
-            let before = {
-                let _sta = tc_obs::span("closure.sta");
-                self.sta(nl, &cons).run()?
-            };
-            if before.is_clean() {
-                break;
-            }
-            let wns_before = before.wns();
-            let mut fixes = Vec::new();
-            let mut wns_running = wns_before;
-            for &kind in &self.config.ordering.clone() {
-                // Incremental-timing discipline: apply the pass, verify
-                // it helped, roll back otherwise (a fix that regresses
-                // timing is the ping-pong effect of §2.3).
-                let snapshot_nl = nl.clone();
-                let snapshot_cons = cons.clone();
-                let outcome = {
-                    let _fix = tc_obs::span(&format!("closure.fix.{}", kind.label()));
-                    self.apply_fix(kind, nl, &mut cons)?
-                };
-                if outcome.edits == 0 {
-                    fixes.push((kind, 0));
-                    continue;
-                }
-                let check = {
-                    let _sta = tc_obs::span("closure.sta");
-                    self.sta(nl, &cons).run()?
-                };
-                if check.wns() >= wns_running {
-                    wns_running = check.wns();
-                    edits_counter.add(outcome.edits as u64);
-                    fixes.push((kind, outcome.edits));
-                } else {
-                    *nl = snapshot_nl;
-                    cons = snapshot_cons;
-                    fixes.push((kind, 0));
-                }
-            }
-            let after = {
-                let _sta = tc_obs::span("closure.sta");
-                self.sta(nl, &cons).run()?
-            };
-            drop(iter_span);
-            let (counter_deltas, span_ns_deltas) =
-                counters_before.map_or_else(Default::default, |before| {
-                    let now = tc_obs::snapshot();
-                    (now.counter_deltas(&before), now.span_ns_deltas(&before))
-                });
-            iterations.push(IterationRecord {
-                iteration: it,
-                wns_before,
-                wns_after: after.wns(),
-                tns_after: after.tns(),
-                violations_after: after.setup_violations(),
-                fixes,
-                elapsed_ms: iter_start.elapsed().as_secs_f64() * 1e3,
-                counter_deltas,
-                span_ns_deltas,
-            });
-            // Ping-pong guard: a fully unproductive iteration means the
-            // remaining violations need different medicine — stop rather
-            // than thrash (§2.3's "without ping-pong effects").
-            if after.wns() <= wns_before + Ps::new(1e-9)
-                && iterations.len() >= 2
-                && fixes_were_empty(&iterations[iterations.len() - 1])
-            {
-                break;
-            }
-        }
-        let final_report = {
-            let _sta = tc_obs::span("closure.sta");
-            self.sta(nl, &cons).run()?
-        };
-        let closed = final_report.is_clean();
-        let days = iterations.len() as f64 * self.config.days_per_iteration;
-        Ok(ClosureOutcome {
-            iterations,
-            final_report,
-            constraints: cons,
-            closed,
-            days,
-            lint_findings: Vec::new(),
-        })
-    }
-
     /// Packages a finished run as a schema-versioned [`tc_obs::RunArtifact`]:
     /// the config knobs that shaped the loop, one JSON record per
     /// iteration (WNS/TNS trajectory, fix edits, wall clock, engine
@@ -452,8 +318,6 @@ impl<'a> ClosureFlow<'a> {
         use tc_obs::JsonValue;
         let wall_ms: f64 = out.iterations.iter().map(|r| r.elapsed_ms).sum();
         let mut artifact = tc_obs::RunArtifact::new(workload)
-            .knob("use_incremental", self.config.use_incremental)
-            .knob("parallel_sta", self.config.parallel_sta)
             .knob("max_iterations", self.config.max_iterations)
             .knob("k_paths", self.config.k_paths)
             .knob("budget_per_pass", self.config.budget_per_pass)
@@ -521,34 +385,6 @@ impl<'a> ClosureFlow<'a> {
         // from uninstrumented runs stay byte-stable.
         artifact.capture_memory()
     }
-
-    fn apply_fix(
-        &self,
-        kind: FixKind,
-        nl: &mut Netlist,
-        cons: &mut Constraints,
-    ) -> Result<FixOutcome> {
-        let (k, b) = (self.config.k_paths, self.config.budget_per_pass);
-        match kind {
-            FixKind::VtSwap => vt_swap_pass(nl, self.lib, self.stack, cons, k, b, |_| true),
-            FixKind::Sizing => sizing_pass(nl, self.lib, self.stack, cons, k, b),
-            FixKind::Buffering => buffering_pass(nl, self.lib, self.stack, cons, k, b / 6),
-            FixKind::Ndr => ndr_pass(nl, self.lib, self.stack, cons, k, b / 3),
-            FixKind::UsefulSkew => {
-                let res = tc_clock::optimize_useful_skew(
-                    nl,
-                    self.lib,
-                    self.stack,
-                    cons,
-                    b / 10,
-                    self.config.skew_step,
-                )?;
-                let edits = res.moves.len();
-                *cons = res.constraints;
-                Ok(FixOutcome { edits })
-            }
-        }
-    }
 }
 
 fn fixes_were_empty(rec: &IterationRecord) -> bool {
@@ -585,6 +421,7 @@ mod tests {
     use super::*;
     use tc_liberty::{LibConfig, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
+    use tc_sta::Sta;
 
     fn env(margin: f64) -> (Library, BeolStack, Netlist, Constraints) {
         let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
@@ -641,29 +478,20 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_full_flows_agree() {
-        // The two engines share evaluation code paths, so the whole loop
-        // — plans, accept/reject decisions, final WNS — must agree.
-        let (lib, stack, nl, cons) = env(-40.0);
-        let run = |use_incremental: bool| {
-            let mut nl2 = nl.clone();
-            let cfg = ClosureConfig {
-                max_iterations: 2,
-                use_incremental,
-                ..Default::default()
-            };
-            let mut flow = ClosureFlow::new(&lib, &stack, cfg);
-            flow.run(&mut nl2, cons.clone()).unwrap()
+    fn outcome_matches_a_from_scratch_run_on_the_edited_netlist() {
+        // The loop only ever re-times dirty cones; its final report must
+        // still be what a fresh analysis of the edited design computes.
+        let (lib, stack, mut nl, cons) = env(-40.0);
+        let cfg = ClosureConfig {
+            max_iterations: 2,
+            ..Default::default()
         };
-        let inc = run(true);
-        let full = run(false);
-        assert_eq!(inc.final_report.wns(), full.final_report.wns());
-        assert_eq!(inc.final_report.tns(), full.final_report.tns());
-        assert_eq!(inc.closed, full.closed);
-        for (a, b) in inc.iterations.iter().zip(&full.iterations) {
-            assert_eq!(a.fixes, b.fixes, "iteration {} fix records", a.iteration);
-            assert_eq!(a.wns_after, b.wns_after);
-        }
+        let out = ClosureFlow::new(&lib, &stack, cfg)
+            .run(&mut nl, cons)
+            .unwrap();
+        assert!(out.iterations.iter().any(|r| !fixes_were_empty(r)));
+        let fresh = Sta::new(&nl, &lib, &stack, &out.constraints).run().unwrap();
+        assert_eq!(fresh.endpoints, out.final_report.endpoints);
     }
 
     #[test]
@@ -684,9 +512,7 @@ mod tests {
             let report_before = timer.report(&nl);
             let states_before = timer.states().to_vec();
 
-            let out = flow
-                .apply_fix_incremental(kind, &mut nl, &mut timer)
-                .unwrap();
+            let out = flow.plan_and_apply(kind, &mut nl, &mut timer).unwrap();
             timer.update(&nl).unwrap();
             // Unconditionally reject, regardless of what the fix did.
             nl.undo_to(nl_cp).unwrap();
@@ -781,12 +607,7 @@ mod tests {
         let Some(tc_obs::JsonValue::Obj(knobs)) = get("knobs") else {
             panic!("artifact has no knobs object");
         };
-        for knob in [
-            "use_incremental",
-            "parallel_sta",
-            "max_iterations",
-            "TC_PAR_THREADS",
-        ] {
+        for knob in ["max_iterations", "k_paths", "TC_PAR_THREADS"] {
             assert!(knobs.iter().any(|(k, _)| k == knob), "missing knob {knob}");
         }
         let Some(tc_obs::JsonValue::Arr(iters)) = get("iterations") else {

@@ -4,8 +4,8 @@
 //!
 //! A [`RunArtifact`] captures everything needed to attribute a
 //! performance delta after the fact: the workload id, the config knobs
-//! that shaped the run (`TC_PAR_THREADS`, `parallel_sta`,
-//! `use_incremental`, …), wall clock, per-iteration records, the full
+//! that shaped the run (`TC_PAR_THREADS`, `max_iterations`,
+//! `k_paths`, …), wall clock, per-iteration records, the full
 //! metrics [`Snapshot`], and any harness-specific extras (fingerprints,
 //! speedups). The schema is versioned ([`RUN_ARTIFACT_SCHEMA_VERSION`])
 //! so `tcdiff` can refuse cross-version comparisons instead of

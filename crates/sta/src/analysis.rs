@@ -6,6 +6,9 @@
 //! the slack distribution", §1.3 footnote). AOCV in GBA uses the
 //! conservative depth bound of 1 stage — the pessimism PBA then recovers.
 
+use std::mem;
+use std::sync::{Arc, OnceLock};
+
 use tc_core::error::{Error, Result};
 use tc_core::ids::{CellId, NetId};
 use tc_core::units::{Ff, Ps};
@@ -17,7 +20,7 @@ use tc_netlist::Netlist;
 use crate::constraints::Constraints;
 use crate::report::{Endpoint, EndpointTiming, TimingReport};
 use crate::si::coupling_delta;
-use crate::timer::TimingGraph;
+use crate::timer::{Frontier, TimingGraph};
 
 /// One propagated arrival bound (late or early).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -48,9 +51,9 @@ impl Arr {
 
 /// Per-net propagation state.
 ///
-/// Full propagation and the incremental [`Timer`](crate::Timer) write
-/// these through the *same* per-cell evaluation code path, which is what
-/// makes incremental results bit-identical to a from-scratch run.
+/// From-scratch propagation and the incremental [`Timer`](crate::Timer)
+/// write these through the *same* rank sweep ([`Sta::sweep`]), which is
+/// what makes incremental results bit-identical to a from-scratch run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NetState {
     /// Late (max-delay) arrival bound at the net.
@@ -73,17 +76,32 @@ pub struct Sta<'a> {
     pub(crate) cons: &'a Constraints,
     pub(crate) beol_corner: BeolCorner,
     pub(crate) beol_sample: Option<&'a BeolSample>,
-    /// Level-synchronous parallel propagation pool; `None` (the
-    /// default) keeps GBA on the sequential reference path. The
-    /// incremental [`Timer`](crate::Timer) never sets this — dirty-cone
-    /// worklists are inherently ordered.
+    /// The sweep's executor: rank batches of at least [`PAR_RANK_MIN`]
+    /// cells run on this pool, everything else (and everything when
+    /// `None`, the default) inline. Orthogonal to the frontier; the
+    /// incremental [`Timer`](crate::Timer) passes none.
     pub(crate) par: Option<tc_par::Pool>,
+    /// The netlist's timing structure, built on first use (the netlist
+    /// is borrowed immutably, so it cannot go stale) or handed in.
+    pub(crate) graph: OnceLock<Arc<TimingGraph>>,
 }
 
-/// Ranks smaller than this run inline even when a parallel pool is
-/// configured: spawning a scope costs more than evaluating a handful of
-/// cells.
-const PAR_RANK_MIN: usize = 64;
+/// Rank batches smaller than this run inline even when a parallel pool
+/// is configured: spawning a scope costs more than evaluating a handful
+/// of cells.
+pub(crate) const PAR_RANK_MIN: usize = 64;
+
+/// What one [`Sta::sweep`] did. Callers flush these into their own
+/// counters once per propagation, not per arc.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SweepCounts {
+    /// Cells evaluated.
+    pub(crate) cells: u64,
+    /// Timing arcs evaluated.
+    pub(crate) arcs: u64,
+    /// Output-net states written.
+    pub(crate) writes: u64,
+}
 
 /// Per-task net count for parallel wire-timing extraction (one atomic
 /// claim per chunk, not per net).
@@ -253,7 +271,25 @@ impl<'a> Sta<'a> {
             beol_corner: BeolCorner::Typical,
             beol_sample: None,
             par: None,
+            graph: OnceLock::new(),
         }
+    }
+
+    /// Uses an already-built timing structure of this netlist instead
+    /// of deriving one on first use.
+    pub(crate) fn with_graph(mut self, graph: Arc<TimingGraph>) -> Self {
+        self.graph = OnceLock::from(graph);
+        self
+    }
+
+    /// The netlist's timing structure, built on the first call (which
+    /// fails on combinational loops).
+    pub(crate) fn graph(&self) -> Result<&TimingGraph> {
+        if let Some(graph) = self.graph.get() {
+            return Ok(graph);
+        }
+        let built = Arc::new(TimingGraph::build(self.nl, self.lib)?);
+        Ok(self.graph.get_or_init(|| built))
     }
 
     /// Selects a BEOL extraction corner.
@@ -268,11 +304,11 @@ impl<'a> Sta<'a> {
         self
     }
 
-    /// Enables level-synchronous parallel propagation on the given
-    /// pool: cells within one levelization rank are evaluated
-    /// concurrently, ranks form barriers, and per-rank results are
-    /// applied in order — bit-identical to the sequential path at any
-    /// worker count (see `tc_par`'s determinism contract).
+    /// Runs the rank sweep's batches on the given pool: cells within
+    /// one levelization rank are evaluated concurrently, ranks form
+    /// barriers, and per-rank results are applied in order position —
+    /// bit-identical to inline execution at any worker count (see
+    /// `tc_par`'s determinism contract).
     pub fn with_parallel(mut self, pool: tc_par::Pool) -> Self {
         self.par = Some(pool);
         self
@@ -499,18 +535,15 @@ impl<'a> Sta<'a> {
     }
 
     /// Evaluates one cell's output-net state from its inputs' current
-    /// states — the single evaluation code path shared by full
-    /// propagation and the incremental worklist (bit-identity between
-    /// the two engines follows from this sharing). Returns the new state
-    /// (default/unreached if no arrival reaches the cell) and the arc
-    /// count evaluated.
-    pub(crate) fn eval_cell(
+    /// states. Returns the new state (default/unreached if no arrival
+    /// reaches the cell) and the arc count evaluated.
+    fn eval_cell(
         &self,
         cid: CellId,
-        graph: &TimingGraph,
         wires: &WireTable,
         state: &[NetState],
     ) -> Result<(NetState, u64)> {
+        let graph = self.graph()?;
         let cell = self.nl.cell(cid);
         let master = self.lib.cell(cell.master);
         let out = cell.output;
@@ -619,77 +652,88 @@ impl<'a> Sta<'a> {
         Ok((ns, arcs_evaluated))
     }
 
-    /// Runs graph-based analysis, returning per-net states plus wire
-    /// timings (the raw material for reports and PBA).
+    /// The one arrival-propagation loop. Per levelization rank it takes
+    /// the `frontier`'s cells as one batch, evaluates it (on the pool
+    /// when one is set and the batch has [`PAR_RANK_MIN`] cells, else
+    /// inline), then applies the results in order position: an output
+    /// state is written only when it changed, and each write — net,
+    /// overwritten state, the frontier to grow — goes to `on_write`.
+    /// Cells of one rank are mutually independent (an arc a→b forces
+    /// depth(b) > depth(a)), so every executor writes the same bytes in
+    /// the same order. `batch` is the dirty frontier's per-rank buffer.
+    pub(crate) fn sweep(
+        &self,
+        wires: &WireTable,
+        state: &mut [NetState],
+        mut frontier: Frontier<'_>,
+        batch: &mut Vec<CellId>,
+        mut on_write: impl FnMut(NetId, NetState, &mut Frontier<'_>),
+    ) -> Result<SweepCounts> {
+        let graph = self.graph()?;
+        let pool = self.par.filter(|p| p.workers() > 1);
+        // From scratch every output slot is still unreached, so "changed"
+        // is `reached` and needs no load of the old state.
+        let from_scratch = matches!(frontier, Frontier::Full);
+        let mut counts = SweepCounts::default();
+        for rank in &graph.ranks {
+            let cells: &[CellId] = match &mut frontier {
+                Frontier::Full => &graph.order[rank.clone()],
+                // Cone boundary reached everywhere: nothing left to visit.
+                Frontier::Dirty(worklist) if worklist.is_empty() => break,
+                Frontier::Dirty(worklist) => {
+                    worklist.pop_below(rank.end, batch);
+                    batch
+                }
+            };
+            let mut pooled = pool.filter(|_| cells.len() >= PAR_RANK_MIN).map(|p| {
+                p.scope_map(cells, |_, &cid| self.eval_cell(cid, wires, state))
+                    .into_iter()
+            });
+            for &cid in cells {
+                let (ns, arcs) = match &mut pooled {
+                    Some(results) => results.next().expect("one result per batch cell"),
+                    None => self.eval_cell(cid, wires, state),
+                }?;
+                counts.arcs += arcs;
+                let out = self.nl.cell(cid).output;
+                let changed = if from_scratch {
+                    ns.reached
+                } else {
+                    ns != state[out.index()]
+                };
+                if changed {
+                    let prev = mem::replace(&mut state[out.index()], ns);
+                    counts.writes += 1;
+                    on_write(out, prev, &mut frontier);
+                }
+            }
+            counts.cells += cells.len() as u64;
+        }
+        Ok(counts)
+    }
+
+    /// Runs graph-based analysis from scratch, returning per-net states
+    /// plus wire timings (the raw material for reports and PBA).
     ///
     /// # Errors
     ///
     /// Propagates levelization failures (combinational loops) and
     /// interconnect estimation errors.
     pub fn propagate(&self) -> Result<(Vec<NetState>, WireTable)> {
-        let graph = TimingGraph::build(self.nl, self.lib)?;
-        self.propagate_with(&graph)
-    }
-
-    /// Runs graph-based analysis over a prebuilt [`TimingGraph`] (the
-    /// persistent timer and shared-structure MCMM runs skip the
-    /// per-call rebuild).
-    pub(crate) fn propagate_with(&self, graph: &TimingGraph) -> Result<(Vec<NetState>, WireTable)> {
+        self.graph()?; // built (once) outside the propagation span
         let _span = tc_obs::span("sta.gba");
-        // Accumulated locally and flushed once: one atomic add per
-        // propagation, not per arc.
-        let mut arcs_evaluated = 0u64;
-        let mut nets_propagated = 0u64;
         let wires = self.wire_timings()?;
         let mut state = vec![NetState::default(); self.nl.net_count()];
         self.seed_primary_inputs(&mut state);
-
-        match self.par.filter(|p| p.workers() > 1) {
-            Some(pool) => {
-                // Level-synchronous parallel propagation: cells within a
-                // levelization rank are mutually independent (an arc a→b
-                // forces depth(b) > depth(a)), so each rank's evaluations
-                // read only lower-rank state. Results are applied in
-                // rank-internal index order, making the written bytes
-                // identical to the sequential path at any worker count.
-                for rank in &graph.ranks {
-                    let cells = &graph.order[rank.clone()];
-                    if cells.len() < PAR_RANK_MIN {
-                        for &cid in cells {
-                            let (ns, arcs) = self.eval_cell(cid, graph, &wires, &state)?;
-                            arcs_evaluated += arcs;
-                            if ns.reached {
-                                nets_propagated += 1;
-                                state[self.nl.cell(cid).output.index()] = ns;
-                            }
-                        }
-                        continue;
-                    }
-                    let results =
-                        pool.scope_map(cells, |_, &cid| self.eval_cell(cid, graph, &wires, &state));
-                    for (i, res) in results.into_iter().enumerate() {
-                        let (ns, arcs) = res?;
-                        arcs_evaluated += arcs;
-                        if ns.reached {
-                            nets_propagated += 1;
-                            state[self.nl.cell(cells[i]).output.index()] = ns;
-                        }
-                    }
-                }
-            }
-            None => {
-                for &cid in &graph.order {
-                    let (ns, arcs) = self.eval_cell(cid, graph, &wires, &state)?;
-                    arcs_evaluated += arcs;
-                    if ns.reached {
-                        nets_propagated += 1;
-                        state[self.nl.cell(cid).output.index()] = ns;
-                    }
-                }
-            }
-        }
-        tc_obs::counter("sta.arcs_evaluated").add(arcs_evaluated);
-        tc_obs::counter("sta.nets_propagated").add(nets_propagated);
+        let counts = self.sweep(
+            &wires,
+            &mut state,
+            Frontier::Full,
+            &mut Vec::new(),
+            |_, _, _| {},
+        )?;
+        tc_obs::counter("sta.arcs_evaluated").add(counts.arcs);
+        tc_obs::counter("sta.nets_propagated").add(counts.writes);
         Ok((state, wires))
     }
 
@@ -716,13 +760,7 @@ impl<'a> Sta<'a> {
         if !ns.reached {
             return Ok(None);
         }
-        let si = self
-            .nl
-            .net(d_net)
-            .sinks
-            .iter()
-            .position(|s| s.cell == fid && s.pin == 0)
-            .ok_or_else(|| Error::internal("flop D not a sink of its net"))?;
+        let si = self.graph()?.sink_pos(self.nl, fid, 0);
         let wire = wires.delay(d_net.index(), si);
         let si_delta = wires.si_delta(d_net.index());
         let (wl, wvl, we, wve) = self.wire_terms(wire);

@@ -22,7 +22,7 @@ use tc_netlist::Netlist;
 use crate::analysis::Sta;
 use crate::constraints::Constraints;
 use crate::report::{Endpoint, TimingReport};
-use crate::timer::{Timer, TimingGraph};
+use crate::timer::TimingGraph;
 
 /// One analysis scenario: a mode's constraints at a PVT corner (baked
 /// into the library) and a BEOL extraction corner.
@@ -168,15 +168,11 @@ pub fn run_scenarios_shared_on(
     let graph = Arc::new(TimingGraph::build(nl, &first.lib)?);
     pool.scope_map(scenarios, |_, s| {
         let _span = tc_obs::span(&format!("corner.{}", s.name));
-        let timer = Timer::with_structure(
-            nl,
-            &s.lib,
-            stack,
-            s.constraints.clone(),
-            s.beol,
-            Arc::clone(&graph),
-        )?;
-        Ok((s.name.clone(), timer.report(nl)))
+        let report = Sta::new(nl, &s.lib, stack, &s.constraints)
+            .with_beol_corner(s.beol)
+            .with_graph(Arc::clone(&graph))
+            .run()?;
+        Ok((s.name.clone(), report))
     })
     .into_iter()
     .collect()

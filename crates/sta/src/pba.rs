@@ -195,6 +195,7 @@ fn extract_path_from_net(
 ) -> Result<(Vec<PathStage>, Option<CellId>)> {
     let nl = sta.nl;
     let lib = sta.lib;
+    let graph = sta.graph()?;
     let mut stages = Vec::new();
     let mut net = start_net;
     let mut guard = 0;
@@ -217,12 +218,7 @@ fn extract_path_from_net(
         let in_net = cell.inputs[pred];
         // Reconstruct the GBA evaluation of this stage.
         let load = wires.driver_load(cell.output.index()).value();
-        let sink_idx = nl
-            .net(in_net)
-            .sinks
-            .iter()
-            .position(|s| s.cell == driver && s.pin == pred)
-            .ok_or_else(|| Error::internal("sink lookup failed in pba"))?;
+        let sink_idx = graph.sink_pos(nl, driver, pred);
         let wire = wires.delay(in_net.index(), sink_idx).value();
         let pin_slew = state[in_net.index()].late.slew + 0.25 * wire;
         let pin_name = master.input_pins()[pred];

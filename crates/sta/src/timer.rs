@@ -8,11 +8,11 @@
 //! re-propagates only the *dirty cones*: the fanout of each touched cell
 //! and net, walked in levelized order until arrivals stop changing.
 //!
-//! Results are **bit-identical** to a from-scratch [`Sta`] run: both
-//! engines share the same per-cell evaluation, wire-timing and endpoint
-//! code paths, and the dirty-cone worklist visits cells in the same
-//! topological order full propagation uses (see the invariants note in
-//! `DESIGN.md`).
+//! Results are **bit-identical** to a from-scratch [`Sta`] run: there is
+//! one propagation loop, which [`Timer::update`] drives over each rank's
+//! dirty cells where `Sta::propagate` drives it over every cell, and the
+//! wire-timing and endpoint code paths are shared too (see the invariants
+//! note in `DESIGN.md`). A failed update rolls itself back.
 //!
 //! The timer also supports O(cone) speculative editing: take a
 //! [`TimerCheckpoint`], apply + evaluate a candidate fix, and
@@ -35,7 +35,7 @@ use tc_liberty::{CellKind, Library};
 use tc_netlist::level::levelize;
 use tc_netlist::{Netlist, NetlistEdit};
 
-use crate::analysis::{NetState, NetWire, Sta, WireEvalScratch, WireTable};
+use crate::analysis::{NetState, NetWire, Sta, SweepCounts, WireEvalScratch, WireTable};
 use crate::constraints::Constraints;
 use crate::pba::{self, CriticalPath};
 use crate::report::{EndpointTiming, TimingReport};
@@ -46,7 +46,7 @@ use crate::report::{EndpointTiming, TimingReport};
 ///
 /// Structure only changes on *structural* edits (buffer insertion,
 /// rewiring); value edits (Vt-swap, resize, wirelength, NDR) reuse it
-/// as-is. MCMM corner timers share one graph via `Arc` — corners differ
+/// as-is. MCMM corner runs share one graph via `Arc` — corners differ
 /// in libraries and constraints, not connectivity.
 #[derive(Clone, Debug)]
 pub struct TimingGraph {
@@ -202,18 +202,77 @@ impl MarkSet {
     }
 }
 
+/// The dirty cells still to visit, keyed by order position so each rank's
+/// share pops in evaluation order. A cell is queued at most once per
+/// round.
+#[derive(Debug, Default)]
+pub(crate) struct Worklist {
+    heap: BinaryHeap<Reverse<(usize, usize)>>,
+    queued: MarkSet,
+}
+
+impl Worklist {
+    /// Starts a new round over cell ids `0..cells`, dropping anything a
+    /// failed round left behind.
+    fn begin(&mut self, cells: usize) {
+        self.heap.clear();
+        self.queued.begin(cells);
+    }
+
+    pub(crate) fn push(&mut self, order_pos: &[usize], cell: usize) {
+        if self.queued.insert(cell) {
+            self.heap.push(Reverse((order_pos[cell], cell)));
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Moves every queued cell positioned before `end` into `batch`
+    /// (cleared first), ascending in order position.
+    pub(crate) fn pop_below(&mut self, end: usize, batch: &mut Vec<CellId>) {
+        batch.clear();
+        while let Some(&Reverse((pos, cell))) = self.heap.peek() {
+            if pos >= end {
+                break;
+            }
+            self.heap.pop();
+            batch.push(CellId::new(cell));
+        }
+    }
+}
+
+/// Which cells of each levelization rank one sweep visits.
+pub(crate) enum Frontier<'w> {
+    /// Every cell: timing from scratch.
+    Full,
+    /// The rank's dirty cells, popped from the worklist; writes grow it.
+    Dirty(&'w mut Worklist),
+}
+
+impl Frontier<'_> {
+    /// Adds a cell to the frontier (from scratch every cell is already
+    /// on it).
+    fn push(&mut self, order_pos: &[usize], cell: usize) {
+        if let Frontier::Dirty(worklist) = self {
+            worklist.push(order_pos, cell);
+        }
+    }
+}
+
 /// Reusable buffers for one incremental update: dirty-set marks, the
-/// levelized worklist, and the wire-evaluation arena. Owned by the
-/// [`Timer`] so the ~10⁵ transient allocations a per-update rebuild
-/// would cost are paid once per timer instead.
+/// worklist and its per-rank batch, and the wire-evaluation arena. Owned
+/// by the [`Timer`] so the ~10⁵ transient allocations a per-update
+/// rebuild would cost are paid once per timer instead.
 #[derive(Debug, Default)]
 struct UpdateScratch {
     dirty_nets: MarkSet,
     seed_cells: MarkSet,
     dirty_flop_eps: MarkSet,
     dirty_po_eps: MarkSet,
-    queued: MarkSet,
-    heap: BinaryHeap<Reverse<(usize, usize)>>,
+    worklist: Worklist,
+    batch: Vec<CellId>,
     wire: WireEvalScratch,
 }
 
@@ -315,32 +374,22 @@ pub struct Timer<'a> {
     scratch: UpdateScratch,
 }
 
-fn enqueue(
-    heap: &mut BinaryHeap<Reverse<(usize, usize)>>,
-    queued: &mut MarkSet,
-    order_pos: &[usize],
-    cell: usize,
-) {
-    if queued.insert(cell) {
-        heap.push(Reverse((order_pos[cell], cell)));
-    }
-}
-
-/// Classifies one touched sink pin: flop D pins dirty their endpoint
-/// check, combinational pins seed the worklist.
+/// Classifies one sink pin whose arrival changed: flop D pins dirty
+/// their endpoint check (CK pins follow the ideal clock model),
+/// combinational pins join the frontier.
 fn mark_sink_dirty(
     lib: &Library,
     nl: &Netlist,
     s: tc_netlist::PinRef,
-    seed_cells: &mut MarkSet,
     dirty_flop_eps: &mut MarkSet,
+    mut enqueue: impl FnMut(usize),
 ) {
     if lib.cell(nl.cell(s.cell).master).kind == CellKind::Flop {
         if s.pin == 0 {
             dirty_flop_eps.insert(s.cell.index());
         }
     } else {
-        seed_cells.insert(s.cell.index());
+        enqueue(s.cell.index());
     }
 }
 
@@ -373,19 +422,6 @@ impl<'a> Timer<'a> {
         corner: BeolCorner,
     ) -> Result<Self> {
         let structure = Arc::new(TimingGraph::build(nl, lib)?);
-        Self::with_structure(nl, lib, stack, cons, corner, structure)
-    }
-
-    /// Builds a timer over an existing shared graph — how MCMM corner
-    /// timers avoid re-levelizing per corner.
-    pub(crate) fn with_structure(
-        nl: &Netlist,
-        lib: &'a Library,
-        stack: &'a BeolStack,
-        cons: Constraints,
-        corner: BeolCorner,
-        structure: Arc<TimingGraph>,
-    ) -> Result<Self> {
         let mut t = Timer {
             lib,
             stack,
@@ -404,42 +440,27 @@ impl<'a> Timer<'a> {
         Ok(t)
     }
 
+    /// The analysis engine over this timer's environment and graph.
     fn sta<'b>(&'b self, nl: &'b Netlist) -> Sta<'b> {
-        Sta {
-            nl,
-            lib: self.lib,
-            stack: self.stack,
-            cons: &self.cons,
-            beol_corner: self.beol_corner,
-            beol_sample: None,
-            par: None,
-        }
+        Sta::new(nl, self.lib, self.stack, &self.cons)
+            .with_beol_corner(self.beol_corner)
+            .with_graph(Arc::clone(&self.structure))
     }
 
-    /// Full propagation into the cached vectors (initial build and
-    /// constraint changes; edits go through the incremental path).
+    /// From-scratch propagation into the cached vectors (initial build
+    /// and constraint changes; edits go through the incremental path).
     fn refresh_all(&mut self, nl: &Netlist) -> Result<()> {
-        let graph = Arc::clone(&self.structure);
-        let sta = Sta {
-            nl,
-            lib: self.lib,
-            stack: self.stack,
-            cons: &self.cons,
-            beol_corner: self.beol_corner,
-            beol_sample: None,
-            par: None,
-        };
-        let (state, wires) = sta.propagate_with(&graph)?;
-        self.state = state;
-        self.wires = wires;
-        self.flop_ep = vec![None; nl.cell_count()];
-        self.po_ep = vec![None; nl.net_count()];
+        let sta = self.sta(nl);
+        let (state, wires) = sta.propagate()?;
+        let mut flop_ep = vec![None; nl.cell_count()];
+        let mut po_ep = vec![None; nl.net_count()];
         for fid in nl.flops(self.lib) {
-            self.flop_ep[fid.index()] = sta.flop_endpoint(fid, &self.state, &self.wires)?;
+            flop_ep[fid.index()] = sta.flop_endpoint(fid, &state, &wires)?;
         }
         for po in nl.primary_outputs() {
-            self.po_ep[po.index()] = sta.po_endpoint(po, &self.state);
+            po_ep[po.index()] = sta.po_endpoint(po, &state);
         }
+        (self.state, self.wires, self.flop_ep, self.po_ep) = (state, wires, flop_ep, po_ep);
         self.cursor = nl.journal_len();
         Ok(())
     }
@@ -448,15 +469,24 @@ impl<'a> Timer<'a> {
     /// dirty cones. No-op when the timer is already current.
     ///
     /// Results are bit-identical to a from-scratch run over the edited
-    /// netlist: same evaluation code path, same topological visit order.
+    /// netlist: it is the same rank sweep, visiting only dirty cells.
     ///
     /// # Errors
     ///
     /// Fails if the netlist was rolled back *past* the timer's cursor
     /// (use [`Timer::rollback_to`] with the paired checkpoint instead),
     /// on combinational loops after structural edits, and on
-    /// interconnect estimation errors.
+    /// interconnect estimation errors. A failed update is rolled back
+    /// before it returns — states, wires, endpoint checks, undo log and
+    /// cursor are as on entry — so the caller can `Netlist::undo_to` the
+    /// offending edits and carry on.
     pub fn update(&mut self, nl: &Netlist) -> Result<()> {
+        self.update_on(nl, None)
+    }
+
+    /// [`Timer::update`] with the sweep's executor as a parameter (the
+    /// timer itself passes no pool).
+    fn update_on(&mut self, nl: &Netlist, par: Option<tc_par::Pool>) -> Result<()> {
         let journal_len = nl.journal_len();
         if self.cursor > journal_len {
             return Err(Error::invalid_input(format!(
@@ -470,17 +500,34 @@ impl<'a> Timer<'a> {
         }
         let _span = tc_obs::span("sta.incremental");
 
+        let entry = self.checkpoint();
+        let swept = self.retime_dirty(nl, par);
+        if swept.is_err() {
+            self.rollback_to(entry)?;
+        }
+        let counts = swept?;
+
+        self.cursor = journal_len;
+        tc_obs::histogram("sta.dirty_cone_size").record(counts.cells as f64);
+        tc_obs::counter("sta.arcs_recomputed").add(counts.arcs);
+        tc_obs::counter("sta.arcs_reused")
+            .add(self.structure.arc_count.saturating_sub(counts.arcs));
+        Ok(())
+    }
+
+    /// The body of an update: journal scan, structure rebuild, wire
+    /// recompute, dirty sweep, endpoint refresh. Every write is on the
+    /// undo log, so the caller can roll an `Err` back.
+    fn retime_dirty(&mut self, nl: &Netlist, par: Option<tc_par::Pool>) -> Result<SweepCounts> {
         // All dirty-set, worklist and wire-eval buffers live in the
         // timer-owned scratch arena, so a steady-state update performs
-        // no transient allocations. Taken for the duration of the call;
-        // an early `?` drops the warm buffers, which only costs
-        // re-warming them on the next update.
-        let mut scr = mem::take(&mut self.scratch);
+        // no transient allocations.
+        let scr = &mut self.scratch;
         scr.dirty_nets.begin(nl.net_count());
         scr.seed_cells.begin(nl.cell_count());
         scr.dirty_flop_eps.begin(nl.cell_count());
         scr.dirty_po_eps.begin(nl.net_count());
-        scr.queued.begin(nl.cell_count());
+        scr.worklist.begin(nl.cell_count());
 
         // Phase 1: scan the unconsumed journal suffix into dirty sets.
         let mut structural = false;
@@ -522,13 +569,9 @@ impl<'a> Timer<'a> {
                     scr.dirty_nets.insert(buffer_out.index());
                     scr.seed_cells.insert(buffer.index());
                     for (s, _) in moved_sinks {
-                        mark_sink_dirty(
-                            self.lib,
-                            nl,
-                            *s,
-                            &mut scr.seed_cells,
-                            &mut scr.dirty_flop_eps,
-                        );
+                        mark_sink_dirty(self.lib, nl, *s, &mut scr.dirty_flop_eps, |c| {
+                            scr.seed_cells.insert(c);
+                        });
                     }
                 }
                 NetlistEdit::RewireInput {
@@ -540,13 +583,9 @@ impl<'a> Timer<'a> {
                     structural = true;
                     scr.dirty_nets.insert(old_net.index());
                     scr.dirty_nets.insert(new_net.index());
-                    mark_sink_dirty(
-                        self.lib,
-                        nl,
-                        *sink,
-                        &mut scr.seed_cells,
-                        &mut scr.dirty_flop_eps,
-                    );
+                    mark_sink_dirty(self.lib, nl, *sink, &mut scr.dirty_flop_eps, |c| {
+                        scr.seed_cells.insert(c);
+                    });
                 }
             }
         }
@@ -569,22 +608,17 @@ impl<'a> Timer<'a> {
             self.structure = Arc::new(TimingGraph::build(nl, self.lib)?);
         }
 
-        let graph = Arc::clone(&self.structure);
-        let sta = Sta {
-            nl,
-            lib: self.lib,
-            stack: self.stack,
-            cons: &self.cons,
-            beol_corner: self.beol_corner,
-            beol_sample: None,
-            par: None,
-        };
+        // Borrows fields, not `self`: the cached vectors stay writable.
+        let mut sta = Sta::new(nl, self.lib, self.stack, &self.cons)
+            .with_beol_corner(self.beol_corner)
+            .with_graph(Arc::clone(&self.structure));
+        sta.par = par;
+        let order_pos = &sta.graph()?.order_pos;
         // Dirty sets iterate in sorted id order so update order (and
         // thus the undo log and any accumulated float state) is
-        // deterministic — the same order the old sort-a-HashSet code
-        // produced.
+        // deterministic.
         for &c in scr.seed_cells.sorted_items() {
-            enqueue(&mut scr.heap, &mut scr.queued, &graph.order_pos, c as usize);
+            scr.worklist.push(order_pos, c as usize);
         }
 
         // Phase 3: recompute dirty wire timings into the pooled arena.
@@ -607,71 +641,42 @@ impl<'a> Timer<'a> {
             self.undo.push(UndoOp::NetWire { net: n, prev });
             let net = nl.net(NetId::new(n));
             if let Some(drv) = net.driver {
-                enqueue(
-                    &mut scr.heap,
-                    &mut scr.queued,
-                    &graph.order_pos,
-                    drv.index(),
-                );
+                scr.worklist.push(order_pos, drv.index());
             }
-            for s in net.sinks {
-                if self.lib.cell(nl.cell(s.cell).master).kind == CellKind::Flop {
-                    if s.pin == 0 {
-                        // The D-pin wire feeds the setup/hold check
-                        // directly; CK pins follow the ideal clock model.
-                        scr.dirty_flop_eps.insert(s.cell.index());
-                    }
-                } else {
-                    enqueue(
-                        &mut scr.heap,
-                        &mut scr.queued,
-                        &graph.order_pos,
-                        s.cell.index(),
-                    );
-                }
+            for &s in net.sinks {
+                mark_sink_dirty(self.lib, nl, s, &mut scr.dirty_flop_eps, |c| {
+                    scr.worklist.push(order_pos, c);
+                });
             }
         }
 
-        // Phase 4: levelized worklist sweep. Flops order before all comb
-        // cells and every comb cell after its drivers, so popping in
-        // order position evaluates each cell at most once, after all its
-        // inputs have settled — exactly what full propagation would have
-        // computed. Propagation stops where arrivals stop changing.
-        let mut cells_evaluated = 0u64;
-        let mut arcs_recomputed = 0u64;
-        while let Some(Reverse((_, c))) = scr.heap.pop() {
-            let cid = CellId::new(c);
-            let (ns, arcs) = sta.eval_cell(cid, &graph, &self.wires, &self.state)?;
-            cells_evaluated += 1;
-            arcs_recomputed += arcs;
-            let out = nl.cell(cid).output;
-            if ns == self.state[out.index()] {
-                continue; // cone boundary: downstream is already exact
-            }
-            let prev = mem::replace(&mut self.state[out.index()], ns);
-            self.undo.push(UndoOp::NetState {
-                net: out.index(),
-                prev,
-            });
-            let net = nl.net(out);
-            if net.is_output {
-                scr.dirty_po_eps.insert(out.index());
-            }
-            for s in net.sinks {
-                if self.lib.cell(nl.cell(s.cell).master).kind == CellKind::Flop {
-                    if s.pin == 0 {
-                        scr.dirty_flop_eps.insert(s.cell.index());
-                    }
-                } else {
-                    enqueue(
-                        &mut scr.heap,
-                        &mut scr.queued,
-                        &graph.order_pos,
-                        s.cell.index(),
-                    );
+        // Phase 4: the rank sweep over the dirty frontier. Flops order
+        // before all comb cells and every comb cell after its drivers,
+        // so each cell is evaluated at most once, after all its inputs
+        // have settled — exactly what a from-scratch sweep computes.
+        // Propagation stops where arrivals stop changing.
+        let (lib, undo) = (self.lib, &mut self.undo);
+        let counts = sta.sweep(
+            &self.wires,
+            &mut self.state,
+            Frontier::Dirty(&mut scr.worklist),
+            &mut scr.batch,
+            |out, prev, frontier| {
+                undo.push(UndoOp::NetState {
+                    net: out.index(),
+                    prev,
+                });
+                let net = nl.net(out);
+                if net.is_output {
+                    scr.dirty_po_eps.insert(out.index());
                 }
-            }
-        }
+                for &s in net.sinks {
+                    mark_sink_dirty(lib, nl, s, &mut scr.dirty_flop_eps, |c| {
+                        frontier.push(order_pos, c);
+                    });
+                }
+            },
+        )?;
 
         // Phase 5: refresh dirty endpoint checks.
         for &c in scr.dirty_flop_eps.sorted_items() {
@@ -695,14 +700,7 @@ impl<'a> Timer<'a> {
                 self.undo.push(UndoOp::PoEp { net: n, prev });
             }
         }
-
-        self.cursor = journal_len;
-        self.scratch = scr;
-        tc_obs::histogram("sta.dirty_cone_size").record(cells_evaluated as f64);
-        tc_obs::counter("sta.arcs_recomputed").add(arcs_recomputed);
-        tc_obs::counter("sta.arcs_reused")
-            .add(self.structure.arc_count.saturating_sub(arcs_recomputed));
-        Ok(())
+        Ok(counts)
     }
 
     /// Marks the current state for later [`Timer::rollback_to`]. Cheap
@@ -868,6 +866,18 @@ mod tests {
         );
     }
 
+    /// Moves every sink of the widest-fanout driven net behind a buffer.
+    fn buffer_fattest_net(nl: &mut Netlist, lib: &Library) {
+        let fat = (0..nl.net_count())
+            .map(NetId::new)
+            .filter(|&n| nl.net(n).driver.is_some())
+            .max_by_key(|&n| nl.net(n).sinks.len())
+            .unwrap();
+        let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
+        let sinks = nl.net(fat).sinks.to_vec();
+        nl.insert_buffer(lib, fat, &sinks, buf).unwrap();
+    }
+
     #[test]
     fn fresh_timer_matches_full_sta() {
         let (lib, stack) = env();
@@ -908,15 +918,7 @@ mod tests {
         let cons = Constraints::single_clock(900.0);
         let mut timer = Timer::new(&nl, &lib, &stack, cons).unwrap();
 
-        // Buffer the widest-fanout net.
-        let fat = (0..nl.net_count())
-            .filter(|&n| nl.net(NetId::new(n)).driver.is_some())
-            .max_by_key(|&n| nl.net(NetId::new(n)).sinks.len())
-            .unwrap();
-        let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
-        let sinks = nl.net(NetId::new(fat)).sinks.to_vec();
-        nl.insert_buffer(&lib, NetId::new(fat), &sinks, buf)
-            .unwrap();
+        buffer_fattest_net(&mut nl, &lib);
         timer.update(&nl).unwrap();
         assert_matches_full(&timer, &nl, &lib, &stack);
     }
@@ -933,14 +935,7 @@ mod tests {
         let nl_cp = nl.journal_len();
         let t_cp = timer.checkpoint();
         // A structural + a value edit, then reject both.
-        let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
-        let fat = (0..nl.net_count())
-            .filter(|&n| nl.net(NetId::new(n)).driver.is_some())
-            .max_by_key(|&n| nl.net(NetId::new(n)).sinks.len())
-            .unwrap();
-        let sinks = nl.net(NetId::new(fat)).sinks.to_vec();
-        nl.insert_buffer(&lib, NetId::new(fat), &sinks, buf)
-            .unwrap();
+        buffer_fattest_net(&mut nl, &lib);
         nl.set_wire_length(NetId::new(1), 400.0);
         timer.update(&nl).unwrap();
         assert_ne!(timer.states().len(), before_states.len());
@@ -954,6 +949,79 @@ mod tests {
         nl.set_wire_length(NetId::new(2), 150.0);
         timer.update(&nl).unwrap();
         assert_matches_full(&timer, &nl, &lib, &stack);
+    }
+
+    #[test]
+    fn failed_update_leaves_the_timer_untouched() {
+        let (lib, stack) = env();
+        let mut nl = generate(&lib, BenchProfile::tiny(), 9).unwrap();
+        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+        let states = timer.states().to_vec();
+        let wires = timer.wires().clone();
+        let report = timer.report(&nl);
+        let (cursor, undo_len) = (timer.cursor(), timer.undo.len());
+
+        // One batch: a legal buffer insertion, then a rewire that feeds a
+        // gate from its own fanout — levelization must reject it after
+        // the update has already grown the vectors and logged undo ops.
+        let nl_cp = nl.journal_len();
+        let is_comb = |c: CellId| lib.cell(nl.cell(c).master).kind != CellKind::Flop;
+        let (a, b) = (0..nl.cell_count())
+            .map(CellId::new)
+            .filter(|&a| is_comb(a))
+            .find_map(|a| {
+                let sinks = nl.net(nl.cell(a).output).sinks;
+                sinks.iter().find(|s| is_comb(s.cell)).map(|s| (a, s.cell))
+            })
+            .unwrap();
+        let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
+        let sinks = nl.net(nl.cell(a).output).sinks.to_vec();
+        nl.insert_buffer(&lib, nl.cell(a).output, &sinks, buf)
+            .unwrap();
+        nl.rewire_input(tc_netlist::PinRef { cell: a, pin: 0 }, nl.cell(b).output);
+        assert!(timer.update(&nl).is_err());
+
+        assert_eq!(timer.states(), &states[..]);
+        assert_eq!(timer.wires(), &wires);
+        assert_eq!(timer.report(&nl).endpoints, report.endpoints);
+        assert_eq!((timer.cursor(), timer.undo.len()), (cursor, undo_len));
+
+        // The caller drops the bad edits and carries on.
+        nl.undo_to(nl_cp).unwrap();
+        nl.set_wire_length(NetId::new(2), 150.0);
+        timer.update(&nl).unwrap();
+        assert_matches_full(&timer, &nl, &lib, &stack);
+    }
+
+    #[test]
+    fn dirty_frontier_on_a_pool_matches_inline() {
+        let (lib, stack) = env();
+        let mut nl = generate(&lib, BenchProfile::c5315(), 11).unwrap();
+        let cons = Constraints::single_clock(900.0);
+        let mut inline = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
+        let mut pooled = Timer::new(&nl, &lib, &stack, cons).unwrap();
+        let before = inline.states().to_vec();
+        let cp = (inline.checkpoint(), pooled.checkpoint());
+
+        // Every net's wire changes, so every cell is dirty and the wide
+        // ranks' batches go to the pool.
+        let widest = inline.graph().ranks.iter().map(|r| r.len()).max().unwrap();
+        assert!(widest >= crate::analysis::PAR_RANK_MIN, "widest {widest}");
+        for i in 0..nl.net_count() {
+            nl.set_wire_length(NetId::new(i), 15.0 + (i % 40) as f64);
+        }
+        inline.update(&nl).unwrap();
+        pooled.update_on(&nl, Some(tc_par::Pool::new(4))).unwrap();
+        assert_ne!(inline.states(), &before[..]);
+        assert_eq!(pooled.states(), inline.states());
+        assert_eq!(pooled.wires(), inline.wires());
+        assert_matches_full(&pooled, &nl, &lib, &stack);
+
+        inline.rollback_to(cp.0).unwrap();
+        pooled.rollback_to(cp.1).unwrap();
+        assert_eq!(pooled.states(), &before[..]);
+        assert_eq!(pooled.states(), inline.states());
+        assert_eq!(pooled.wires(), inline.wires());
     }
 
     #[test]
