@@ -6,22 +6,15 @@
 //! (Vt-swap first, then sizing, buffering, NDR, useful skew), plus the
 //! schedule model (three-day iterations). Runs under tc-obs with the
 //! flight recorder armed: the per-phase timing report is printed after
-//! the table, the whole run lands in a JSON sidecar
-//! (`fig01_closure_loop.json`), a schema-versioned run artifact in
-//! `RUN_fig01_closure_loop.json`, the per-event trace in
-//! `fig01_closure_loop.trace.json` / `.folded`, and the reduced span
-//! profile in `PROF_fig01_closure_loop.json` (directory
-//! `$TC_BENCH_OUT`, default `artifacts/`).
+//! the table, and the whole run lands in the `fig01_closure_loop`
+//! sidecars (see [`tc_bench::emit`]).
 
-use tc_bench::{
-    fmt, print_table, standard_env, write_json_sidecar, write_prof_sidecar, write_run_artifact,
-    write_trace_sidecars,
-};
+use tc_bench::{emit, fmt, print_table, standard_env};
 use tc_closure::flow::{ClosureConfig, ClosureFlow};
 use tc_obs::JsonValue;
 use tc_sta::{Constraints, Sta};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     tc_obs::enable();
     tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
     let (lib, stack) = standard_env();
@@ -154,26 +147,9 @@ fn main() {
         ("iterations", JsonValue::Arr(iterations)),
         ("observability", snapshot.to_json_value()),
     ]);
-    match write_json_sidecar("fig01_closure_loop", &doc.render()) {
-        Ok(path) => println!("sidecar: {}", path.display()),
-        Err(e) => eprintln!("sidecar write failed: {e}"),
-    }
 
     let artifact = flow
         .run_artifact("fig01_closure_loop soc_block", &out)
         .extra("final_cells", JsonValue::from(nl.cell_count()));
-    match write_run_artifact("fig01_closure_loop", &artifact) {
-        Ok(path) => println!("run artifact: {}", path.display()),
-        Err(e) => eprintln!("run artifact write failed: {e}"),
-    }
-    match write_trace_sidecars("fig01_closure_loop") {
-        Ok(Some(path)) => println!("trace: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("trace write failed: {e}"),
-    }
-    match write_prof_sidecar("fig01_closure_loop", "fig01_closure_loop soc_block") {
-        Ok(Some(path)) => println!("profile: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("profile write failed: {e}"),
-    }
+    emit("fig01_closure_loop", &doc, &artifact)
 }

@@ -5,19 +5,18 @@
 //!
 //! Runtime attribution comes from tc-obs span stats (`sta.gba` /
 //! `sta.pba`) instead of ad-hoc stopwatches, and the table plus the
-//! observability snapshot land in a JSON sidecar (`tbl_gba_pba.json`)
-//! next to a schema-versioned `RUN_gba_pba.json` run artifact
-//! (directory `$TC_BENCH_OUT` or `.`).
+//! observability snapshot land in the `gba_pba` sidecars (see
+//! [`tc_bench::emit`]).
 
 use std::time::Instant;
 
-use tc_bench::{fmt, print_table, standard_env, write_json_sidecar, write_run_artifact};
+use tc_bench::{emit, fmt, print_table, standard_env};
 use tc_liberty::{AocvTable, DerateModel};
 use tc_obs::JsonValue;
 use tc_sta::pba::pba_worst_endpoints;
 use tc_sta::{Constraints, Sta};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let run_start = Instant::now();
     let (lib, stack) = standard_env();
     let nl = tc_bench::bench_netlist(&lib, "c5315", 2015);
@@ -110,10 +109,6 @@ fn main() {
         ("endpoints", JsonValue::Arr(endpoints)),
         ("observability", snapshot.to_json_value()),
     ]);
-    match write_json_sidecar("tbl_gba_pba", &doc.render()) {
-        Ok(path) => println!("sidecar: {}", path.display()),
-        Err(e) => eprintln!("sidecar write failed: {e}"),
-    }
 
     let artifact = tc_obs::RunArtifact::new("tbl_gba_pba GBA-vs-PBA pessimism recovery")
         .knob("profile", "c5315")
@@ -125,8 +120,5 @@ fn main() {
         .extra("total_recovered_ps", JsonValue::from(total_rec))
         .metrics(snapshot)
         .capture_memory();
-    match write_run_artifact("gba_pba", &artifact) {
-        Ok(path) => println!("run artifact: {}", path.display()),
-        Err(e) => eprintln!("run artifact write failed: {e}"),
-    }
+    emit("gba_pba", &doc, &artifact)
 }

@@ -9,18 +9,13 @@
 //! wirelength changes) on the Fig 1 workload (`soc_block`, constrained
 //! 500 ps beyond natural Fmax) and times both answers per edit,
 //! asserting they agree bit-for-bit on WNS/TNS at every step. Results
-//! land in a `BENCH_incremental_sta.json` sidecar, a
-//! `RUN_tbl_incremental_sta.json` run artifact, and — with the flight
-//! recorder armed — `tbl_incremental_sta.trace.json` / `.folded` trace
-//! exports plus the `PROF_tbl_incremental_sta.json` span profile
-//! (directory `$TC_BENCH_OUT`, default `artifacts/`).
+//! land in the `incremental_sta` sidecars (see [`tc_bench::emit`];
+//! `BENCH_incremental_sta.json` is gated in CI against the committed
+//! baseline).
 
 use std::time::Instant;
 
-use tc_bench::{
-    fmt, print_table, standard_env, write_json_sidecar, write_prof_sidecar, write_run_artifact,
-    write_trace_sidecars,
-};
+use tc_bench::{emit, fmt, print_table, standard_env};
 use tc_core::ids::{CellId, NetId};
 use tc_core::rng::Rng;
 use tc_liberty::CellKind;
@@ -94,7 +89,7 @@ struct KindStats {
     incr_ns: f64,
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let run_start = Instant::now();
     tc_obs::enable();
     tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
@@ -236,12 +231,8 @@ fn main() {
         ("wns_bit_identical", JsonValue::Bool(true)),
         ("arcs_recomputed", JsonValue::from(recomputed)),
         ("arcs_reused", JsonValue::from(reused)),
-        ("per_fix_kind", JsonValue::Arr(kind_rows)),
+        ("per_fix_kind", JsonValue::Arr(kind_rows.clone())),
     ]);
-    match write_json_sidecar("BENCH_incremental_sta", &doc.render()) {
-        Ok(path) => println!("sidecar: {}", path.display()),
-        Err(e) => eprintln!("sidecar write failed: {e}"),
-    }
 
     let mut artifact = tc_obs::RunArtifact::new("tbl_incremental_sta soc_block ECO replay")
         .knob("ecos", EDITS)
@@ -251,32 +242,8 @@ fn main() {
         .extra("arcs_reused", JsonValue::from(reused))
         .extra("period_ps", JsonValue::from(period))
         .metrics(tc_obs::snapshot());
-    for k in kinds.iter().filter(|k| k.count > 0) {
-        artifact = artifact.iteration(JsonValue::obj([
-            ("fix", JsonValue::str(k.label)),
-            ("edits", JsonValue::from(k.count)),
-            (
-                "mean_full_us",
-                JsonValue::from(k.full_ns / k.count as f64 / 1_000.0),
-            ),
-            (
-                "mean_incremental_us",
-                JsonValue::from(k.incr_ns / k.count as f64 / 1_000.0),
-            ),
-        ]));
+    for row in kind_rows {
+        artifact = artifact.iteration(row);
     }
-    match write_run_artifact("tbl_incremental_sta", &artifact) {
-        Ok(path) => println!("run artifact: {}", path.display()),
-        Err(e) => eprintln!("run artifact write failed: {e}"),
-    }
-    match write_trace_sidecars("tbl_incremental_sta") {
-        Ok(Some(path)) => println!("trace: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("trace write failed: {e}"),
-    }
-    match write_prof_sidecar("tbl_incremental_sta", "tbl_incremental_sta soc_block") {
-        Ok(Some(path)) => println!("profile: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("profile write failed: {e}"),
-    }
+    emit("incremental_sta", &doc, &artifact)
 }

@@ -13,20 +13,16 @@
 //! allocator-call counts — the O(graph) scratch canary).
 //!
 //! Profiles come from `TC_LINT_PROFILES` (comma-separated, default
-//! `50k,200k`). Outputs (directory `$TC_BENCH_OUT`, default
-//! `artifacts/`):
-//! * `BENCH_lint.json` — per-profile wall/heap documents (not CI-gated;
-//!   EXPERIMENTS.md records representative numbers).
-//! * `PROF_lint.json` — span profile over the whole ladder, with
-//!   per-worker lane utilization for the pooled registry sweep.
-//! * `RUN_lint.json` — run artifact with the `lint.*` span/counter
-//!   taxonomy and the memory section.
+//! `50k,200k`). Outputs are the `lint` sidecars (see
+//! [`tc_bench::emit`]): per-profile wall/heap documents in
+//! `BENCH_lint.json` (not CI-gated; EXPERIMENTS.md records
+//! representative numbers), the `lint.*` span/counter taxonomy and the
+//! memory section in `RUN_lint.json`, and per-worker lane utilization
+//! for the pooled registry sweep in `PROF_lint.json`.
 
 use std::time::Instant;
 
-use tc_bench::{
-    fmt, print_table, standard_env, write_json_sidecar, write_prof_sidecar, write_run_artifact,
-};
+use tc_bench::{emit, fmt, print_table, standard_env};
 use tc_core::ids::NetId;
 use tc_interconnect::estimate::WireModel;
 use tc_interconnect::spef::NetParasitics;
@@ -102,7 +98,7 @@ fn profile_names() -> Vec<String> {
         .collect()
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let run_start = Instant::now();
     tc_obs::enable();
     tc_obs::enable_memory();
@@ -205,10 +201,6 @@ fn main() {
         ("table", JsonValue::str("lint")),
         ("profiles", JsonValue::Arr(profile_docs)),
     ]);
-    match write_json_sidecar("BENCH_lint", &doc.render()) {
-        Ok(path) => println!("sidecar: {}", path.display()),
-        Err(e) => eprintln!("sidecar write failed: {e}"),
-    }
 
     let artifact = tc_obs::RunArtifact::new("tbl_lint ladder")
         .knob("profiles", profiles.join(","))
@@ -216,13 +208,5 @@ fn main() {
         .wall_ms(run_start.elapsed().as_secs_f64() * 1e3)
         .metrics(tc_obs::snapshot())
         .capture_memory();
-    match write_run_artifact("lint", &artifact) {
-        Ok(path) => println!("run artifact: {}", path.display()),
-        Err(e) => eprintln!("run artifact write failed: {e}"),
-    }
-    match write_prof_sidecar("lint", "tbl_lint ladder") {
-        Ok(Some(path)) => println!("profile: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("profile write failed: {e}"),
-    }
+    emit("lint", &doc, &artifact)
 }

@@ -7,12 +7,10 @@
 //! (`soc_block`, constrained 500 ps beyond natural Fmax) at
 //! {1, 2, 4, 8} pool workers, asserts the merged report is
 //! bit-identical at every width, and records the wall clock per width.
-//! Results land in a `BENCH_parallel_corners.json` sidecar, a
-//! `RUN_tbl_parallel_corners.json` run artifact, and — with the flight
-//! recorder armed — `tbl_parallel_corners.trace.json` / `.folded`
-//! trace exports plus the `PROF_tbl_parallel_corners.json` span
-//! profile with per-worker lane utilization (directory
-//! `$TC_BENCH_OUT`, default `artifacts/`).
+//! Results land in the `parallel_corners` sidecars (see
+//! [`tc_bench::emit`]): `BENCH_parallel_corners.json` is gated in CI,
+//! and `PROF_parallel_corners.json` carries per-worker lane
+//! utilization.
 //!
 //! Speedup is only meaningful when the host exposes real parallelism;
 //! the sidecar records `host_threads` so a single-core CI runner's
@@ -21,10 +19,7 @@
 
 use std::time::Instant;
 
-use tc_bench::{
-    fmt, print_table, standard_env, write_json_sidecar, write_prof_sidecar, write_run_artifact,
-    write_trace_sidecars,
-};
+use tc_bench::{emit, fmt, print_table, standard_env};
 use tc_interconnect::beol::BeolCorner;
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_obs::JsonValue;
@@ -93,7 +88,7 @@ fn scenarios(period_ps: f64) -> Vec<Scenario> {
     ]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let run_start = Instant::now();
     tc_obs::enable();
     tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
@@ -202,12 +197,8 @@ fn main() {
         ("reps", JsonValue::from(REPS)),
         ("bit_identical_across_worker_counts", JsonValue::Bool(true)),
         ("merged_fingerprint", JsonValue::str(format!("{hash:016x}"))),
-        ("grid", JsonValue::Arr(grid)),
+        ("grid", JsonValue::Arr(grid.clone())),
     ]);
-    match write_json_sidecar("BENCH_parallel_corners", &doc.render()) {
-        Ok(path) => println!("sidecar: {}", path.display()),
-        Err(e) => eprintln!("sidecar write failed: {e}"),
-    }
 
     let mut artifact = tc_obs::RunArtifact::new("tbl_parallel_corners soc_block 8-corner MCMM")
         .knob("reps", REPS)
@@ -216,28 +207,8 @@ fn main() {
         .extra("corners", JsonValue::from(scenarios.len()))
         .extra("period_ps", JsonValue::from(period))
         .metrics(tc_obs::snapshot());
-    for (&w, &ms) in WORKER_COUNTS.iter().zip(&wall_ms) {
-        artifact = artifact.iteration(JsonValue::obj([
-            ("workers", JsonValue::from(w)),
-            ("wall_ms", JsonValue::from(ms)),
-            ("speedup_vs_1", JsonValue::from(wall_ms[0] / ms)),
-        ]));
+    for row in grid {
+        artifact = artifact.iteration(row);
     }
-    match write_run_artifact("tbl_parallel_corners", &artifact) {
-        Ok(path) => println!("run artifact: {}", path.display()),
-        Err(e) => eprintln!("run artifact write failed: {e}"),
-    }
-    match write_trace_sidecars("tbl_parallel_corners") {
-        Ok(Some(path)) => println!("trace: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("trace write failed: {e}"),
-    }
-    match write_prof_sidecar(
-        "tbl_parallel_corners",
-        "tbl_parallel_corners soc_block 8-corner",
-    ) {
-        Ok(Some(path)) => println!("profile: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("profile write failed: {e}"),
-    }
+    emit("parallel_corners", &doc, &artifact)
 }

@@ -16,21 +16,17 @@
 //! 50k,200k,1m`) and deliberately not run in CI — it needs ~2 GB and
 //! minutes of wall clock; CI gates the 50k rung only.
 //!
-//! Outputs (directory `$TC_BENCH_OUT`, default `artifacts/`):
-//! * `BENCH_scale.json` — all profiles run this invocation.
-//! * `BENCH_scale_<profile>.json` — one per profile, so CI can gate a
-//!   subset of the ladder against its committed baseline.
-//! * `PROF_scale_<profile>.json` — per-rung span profile (the flight
-//!   recorder is cleared between rungs, so each profile covers exactly
-//!   one rung); `tc_prof diff` gates the 50k rung in CI.
-//! * `RUN_scale.json` — schema-versioned run artifact with the memory
-//!   section and per-span heap attribution.
+//! Every rung leaves its own `scale_<profile>` sidecars (see
+//! [`tc_bench::emit`]), so CI can gate a subset of the ladder against
+//! its committed baselines: `BENCH_scale_50k.json` under `tcdiff
+//! --mem-strict`, `PROF_scale_50k.json` under `tcdiff --timing-strict`.
+//! The flight recorder is cleared between rungs, so each span profile
+//! covers exactly one rung; the RUN artifact's metrics and memory
+//! section are process-cumulative up to that rung.
 
 use std::time::Instant;
 
-use tc_bench::{
-    fmt, print_table, standard_env, write_json_sidecar, write_prof_sidecar, write_run_artifact,
-};
+use tc_bench::{emit, fmt, print_table, standard_env};
 use tc_core::ids::NetId;
 use tc_core::rng::Rng;
 use tc_obs::JsonValue;
@@ -92,8 +88,7 @@ fn profile_names() -> Vec<String> {
         .collect()
 }
 
-fn main() {
-    let run_start = Instant::now();
+fn main() -> std::io::Result<()> {
     tc_obs::enable();
     tc_obs::enable_memory();
     tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
@@ -104,11 +99,11 @@ fn main() {
     println!("scale ladder: {}", profiles.join(", "));
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut profile_docs: Vec<JsonValue> = Vec::new();
     for name in &profiles {
         // Each rung gets its own span profile: start from an empty ring
         // so PROF_scale_<profile> attributes exactly this rung's work.
         tc_obs::clear_trace();
+        let rung_start = Instant::now();
         let (gen_phase, nl) = measured("scale.generate", || {
             tc_bench::bench_netlist(&lib, name, 2015)
         });
@@ -205,24 +200,16 @@ fn main() {
                 vm_rss.map_or(JsonValue::Null, JsonValue::from),
             ),
         ]);
-        let single = JsonValue::obj([
+        let table = JsonValue::obj([
             ("table", JsonValue::str("scale")),
-            ("profiles", JsonValue::Arr(vec![doc.clone()])),
+            ("profiles", JsonValue::Arr(vec![doc])),
         ]);
-        let short = name.trim_start_matches("scale_");
-        match write_json_sidecar(&format!("BENCH_scale_{short}"), &single.render()) {
-            Ok(path) => println!("sidecar: {}", path.display()),
-            Err(e) => eprintln!("sidecar write failed: {e}"),
-        }
-        match write_prof_sidecar(
-            &format!("scale_{short}"),
-            &format!("tbl_scale {name} rung ({cells} cells)"),
-        ) {
-            Ok(Some(path)) => println!("profile: {}", path.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("profile write failed: {e}"),
-        }
-        profile_docs.push(doc);
+        let artifact = tc_obs::RunArtifact::new(format!("tbl_scale {name} rung ({cells} cells)"))
+            .knob("ecos", ECOS)
+            .wall_ms(rung_start.elapsed().as_secs_f64() * 1e3)
+            .metrics(tc_obs::snapshot())
+            .capture_memory();
+        emit(name, &table, &artifact)?;
         // `nl`/`timer` drop here: each rung starts from the previous
         // rung's live floor, not its transient peak.
     }
@@ -242,24 +229,5 @@ fn main() {
         &rows,
     );
     println!("\nall rungs: incremental WNS/TNS bit-identical to full STA after {ECOS} ECOs each");
-
-    let doc = JsonValue::obj([
-        ("table", JsonValue::str("scale")),
-        ("profiles", JsonValue::Arr(profile_docs)),
-    ]);
-    match write_json_sidecar("BENCH_scale", &doc.render()) {
-        Ok(path) => println!("sidecar: {}", path.display()),
-        Err(e) => eprintln!("sidecar write failed: {e}"),
-    }
-
-    let artifact = tc_obs::RunArtifact::new("tbl_scale capacity ladder")
-        .knob("profiles", profiles.join(","))
-        .knob("ecos", ECOS)
-        .wall_ms(run_start.elapsed().as_secs_f64() * 1e3)
-        .metrics(tc_obs::snapshot())
-        .capture_memory();
-    match write_run_artifact("scale", &artifact) {
-        Ok(path) => println!("run artifact: {}", path.display()),
-        Err(e) => eprintln!("run artifact write failed: {e}"),
-    }
+    Ok(())
 }

@@ -7,16 +7,20 @@
 //! std-only benchmarks in `benches/engines.rs`. This library holds the
 //! shared formatting, timing, and experiment-setup helpers so every
 //! harness prints consistent, diffable tables (recorded in
-//! `EXPERIMENTS.md`) and can emit machine-readable JSON sidecars.
+//! `EXPERIMENTS.md`), and [`emit`] — the one call through which a
+//! harness leaves its machine-readable sidecars (BENCH table, RUN
+//! artifact, and, with the flight recorder armed, trace + folded stacks
+//! + PROF span profile).
 
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, generate_streamed, BenchProfile};
 use tc_netlist::Netlist;
+use tc_obs::{JsonValue, RunArtifact};
 
 /// Prints a fixed-width table: header row, rule, then rows.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -191,74 +195,50 @@ pub fn out_dir() -> PathBuf {
     std::env::var_os("TC_BENCH_OUT").map_or_else(|| PathBuf::from("artifacts"), PathBuf::from)
 }
 
-/// Writes a figure harness's JSON sidecar next to the human-readable
-/// table: `<name>.json` in [`out_dir`].
+/// Leaves everything a harness measured in [`out_dir`], under one
+/// name: `BENCH_<name>.json` (the `table` the harness printed, for
+/// `tcdiff` against a committed baseline), `RUN_<name>.json` (the run
+/// artifact) and — when the flight recorder holds events —
+/// `<name>.trace.json` (Chrome `trace_event`; load in `chrome://tracing`
+/// or Perfetto), `<name>.folded` (folded stacks for `flamegraph.pl`)
+/// and `PROF_<name>.json` (the span profile, labelled with the
+/// artifact's workload). Prints each path.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
-pub fn write_json_sidecar(name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// Writes the current flight-recorder contents as two sidecars next to
-/// the figure output: `<name>.trace.json` (Chrome `trace_event` — load
-/// in `chrome://tracing` or Perfetto) and `<name>.folded` (folded
-/// stacks for `flamegraph.pl`). No-op returning `None` when tracing is
-/// off or nothing was recorded.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_trace_sidecars(name: &str) -> std::io::Result<Option<PathBuf>> {
+/// Filesystem errors, naming the file. A harness returns them from
+/// `main`: a sidecar that was not written is a failed run, not a
+/// warning for the gate step to rediscover as a missing file.
+pub fn emit(name: &str, table: &JsonValue, artifact: &RunArtifact) -> std::io::Result<()> {
+    let mut files = vec![
+        (format!("BENCH_{name}.json"), table.render()),
+        (format!("RUN_{name}.json"), artifact.render()),
+    ];
     let snap = tc_obs::trace_snapshot();
-    if snap.events.is_empty() {
-        return Ok(None);
+    if !snap.events.is_empty() {
+        let profile = tc_prof::Profile::from_trace(&snap).workload(artifact.workload());
+        if profile.dropped_events > 0 {
+            eprintln!(
+                "warning: PROF_{name}: {} trace event(s) dropped to ring overflow — profile is \
+                 truncated and will not pass a tcdiff gate",
+                profile.dropped_events
+            );
+        }
+        files.push((format!("{name}.trace.json"), snap.to_chrome_trace()));
+        files.push((format!("{name}.folded"), snap.to_folded()));
+        files.push((format!("PROF_{name}.json"), profile.render_json()));
     }
     let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let trace = dir.join(format!("{name}.trace.json"));
-    std::fs::write(&trace, snap.to_chrome_trace())?;
-    std::fs::write(dir.join(format!("{name}.folded")), snap.to_folded())?;
-    Ok(Some(trace))
-}
-
-/// Reduces the current flight-recorder contents to a span profile and
-/// writes it as `PROF_<name>.json` in [`out_dir`], for `tc_prof`
-/// reporting and differential gating. No-op returning `None` when
-/// tracing is off or nothing was recorded.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_prof_sidecar(name: &str, workload: &str) -> std::io::Result<Option<PathBuf>> {
-    let snap = tc_obs::trace_snapshot();
-    if snap.events.is_empty() {
-        return Ok(None);
+    let at = |path: &Path, e: std::io::Error| {
+        std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+    };
+    std::fs::create_dir_all(&dir).map_err(|e| at(&dir, e))?;
+    for (file, text) in files {
+        let path = dir.join(file);
+        std::fs::write(&path, text).map_err(|e| at(&path, e))?;
+        println!("sidecar: {}", path.display());
     }
-    let profile = tc_prof::Profile::from_trace(&snap).workload(workload);
-    if profile.dropped_events > 0 {
-        eprintln!(
-            "warning: PROF_{name}: {} trace event(s) dropped to ring overflow — profile is \
-             truncated and will not pass a tc_prof gate",
-            profile.dropped_events
-        );
-    }
-    write_json_sidecar(&format!("PROF_{name}"), &profile.render_json()).map(Some)
-}
-
-/// Writes a [`tc_obs::RunArtifact`] as `RUN_<name>.json` in
-/// [`out_dir`], for `tcdiff` gating.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_run_artifact(name: &str, artifact: &tc_obs::RunArtifact) -> std::io::Result<PathBuf> {
-    write_json_sidecar(&format!("RUN_{name}"), &artifact.render())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -292,12 +272,16 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_lands_in_tc_bench_out() {
-        let dir = std::env::temp_dir().join("tc_bench_sidecar_test");
+    fn emit_lands_in_tc_bench_out() {
+        let dir = std::env::temp_dir().join(format!("tc_bench_emit_{}", std::process::id()));
+        let table = JsonValue::obj([("ok", JsonValue::from(true))]);
         std::env::set_var("TC_BENCH_OUT", &dir);
-        let path = write_json_sidecar("probe", "{\"ok\":true}").unwrap();
+        emit("probe", &table, &RunArtifact::new("emit probe")).expect("writable directory");
         std::env::remove_var("TC_BENCH_OUT");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}");
-        let _ = std::fs::remove_file(&path);
+        let bench = std::fs::read_to_string(dir.join("BENCH_probe.json")).unwrap();
+        assert_eq!(bench, "{\"ok\":true}");
+        let run = std::fs::read_to_string(dir.join("RUN_probe.json")).unwrap();
+        assert!(run.contains("emit probe"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,6 @@
 use tc_interconnect::beol::BeolCorner;
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
-use tc_obs::JsonValue;
 use tc_par::Pool;
 use tc_signoff::corners::run_corner_set_on;
 use tc_sta::mcmm::Scenario;
@@ -57,44 +56,15 @@ fn corner_sweep_on_two_workers_records_a_two_thread_trace() {
         "every claimed corner emits a par.task scope"
     );
 
-    let text = snap.to_chrome_trace();
-    let doc = JsonValue::parse(&text).expect("chrome trace is valid JSON");
-    let JsonValue::Obj(pairs) = &doc else {
-        panic!("trace document is not an object");
-    };
-    let Some((_, JsonValue::Arr(events))) = pairs.iter().find(|(k, _)| k == "traceEvents") else {
-        panic!("no traceEvents array");
-    };
-    let mut depth = std::collections::BTreeMap::new();
-    let mut last_ts = std::collections::BTreeMap::new();
-    for ev in events {
-        let JsonValue::Obj(fields) = ev else {
-            panic!("event is not an object")
-        };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let Some(JsonValue::Str(ph)) = get("ph") else {
-            panic!("event without ph")
-        };
-        let Some(JsonValue::Num(ts)) = get("ts") else {
-            panic!("event without ts")
-        };
-        let Some(JsonValue::Num(tid)) = get("tid") else {
-            panic!("event without tid")
-        };
-        let tid = *tid as u64;
-        if let Some(prev) = last_ts.insert(tid, *ts) {
-            assert!(*ts >= prev, "ts regressed on tid {tid}");
-        }
-        let d = depth.entry(tid).or_insert(0i64);
-        match ph.as_str() {
-            "B" => *d += 1,
-            "E" => {
-                *d -= 1;
-                assert!(*d >= 0, "unmatched E on tid {tid}");
-            }
-            _ => {}
-        }
-    }
-    assert!(depth.len() >= 2, "exported trace spans >=2 tids");
-    assert!(depth.values().all(|&d| d == 0), "unbalanced B/E: {depth:?}");
+    // The exported trace reads back through the workspace's one
+    // Chrome-trace reader — which rejects malformed events and
+    // per-thread timestamp regressions — balanced and two lanes wide.
+    let profile = tc_prof::Profile::from_chrome_trace(&snap.to_chrome_trace())
+        .expect("exported trace is well-formed");
+    assert_eq!(
+        (profile.unmatched_ends, profile.open_spans),
+        (0, 0),
+        "unbalanced B/E"
+    );
+    assert!(profile.lanes.len() >= 2, "exported trace spans >=2 tids");
 }

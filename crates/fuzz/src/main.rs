@@ -9,8 +9,9 @@
 //! Campaign mode mutates writer-generated corpora and drives the chosen
 //! parsers; every violation (panic, context-free error, round-trip
 //! break) is deduplicated, shrunk, and — with `--corpus-out` — written
-//! to `DIR/<target>/` as a regression corpus entry. Exit code 1 means
-//! findings, 0 means a clean run, 2 means usage error.
+//! to `DIR/<target>/` as a regression corpus entry. Exit codes follow
+//! the shared [`tc_obs::cli`] contract: 1 means findings, 0 a clean
+//! run, 2 a usage or I/O error.
 //!
 //! Replay mode re-runs one file (or every file under a directory, with
 //! the target inferred from the containing directory's name) and prints
@@ -20,83 +21,36 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tc_fuzz::{run, shrink, Env, FuzzConfig, TargetKind, Verdict};
+use tc_obs::cli::{self, Args, Outcome};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tc_fuzz [--seed S1,S2,..] [--iters N] [--target NAME|all] \
-         [--corpus-out DIR] [--verbose]\n       tc_fuzz --replay PATH [--target NAME]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "\
+usage: tc_fuzz [--seed S1,S2,..] [--iters N] [--target NAME|all] [--corpus-out DIR] [--verbose]
+       tc_fuzz --replay PATH [--target NAME]";
 
 fn main() -> ExitCode {
-    let mut seeds: Vec<u64> = vec![1];
-    let mut iters: u64 = 1000;
-    let mut targets: Vec<TargetKind> = TargetKind::ALL.to_vec();
-    let mut corpus_out: Option<PathBuf> = None;
-    let mut replay: Option<PathBuf> = None;
-    let mut verbose = false;
+    cli::run("tc_fuzz", USAGE, fuzz)
+}
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need_value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--seed" => {
-                let Some(v) = need_value(i) else {
-                    return usage();
-                };
-                match v.split(',').map(|s| s.trim().parse::<u64>()).collect() {
-                    Ok(s) => seeds = s,
-                    Err(_) => return usage(),
-                }
-                i += 2;
-            }
-            "--iters" => {
-                let Some(v) = need_value(i) else {
-                    return usage();
-                };
-                match v.parse() {
-                    Ok(n) => iters = n,
-                    Err(_) => return usage(),
-                }
-                i += 2;
-            }
-            "--target" => {
-                let Some(v) = need_value(i) else {
-                    return usage();
-                };
-                if v == "all" {
-                    targets = TargetKind::ALL.to_vec();
-                } else {
-                    match TargetKind::from_name(v) {
-                        Some(t) => targets = vec![t],
-                        None => return usage(),
-                    }
-                }
-                i += 2;
-            }
-            "--corpus-out" => {
-                let Some(v) = need_value(i) else {
-                    return usage();
-                };
-                corpus_out = Some(PathBuf::from(v));
-                i += 2;
-            }
-            "--replay" => {
-                let Some(v) = need_value(i) else {
-                    return usage();
-                };
-                replay = Some(PathBuf::from(v));
-                i += 2;
-            }
-            "--verbose" => {
-                verbose = true;
-                i += 1;
-            }
-            _ => return usage(),
-        }
-    }
+fn fuzz(mut args: Args) -> Result<Outcome, String> {
+    let seeds = match args.value::<String>("--seed")? {
+        None => vec![1],
+        Some(list) => list
+            .split(',')
+            .map(|s| s.trim().parse::<u64>())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("--seed: cannot parse `{list}`"))?,
+    };
+    let iters = args.value("--iters")?.unwrap_or(1000u64);
+    let targets = match args.value::<String>("--target")? {
+        None => TargetKind::ALL.to_vec(),
+        Some(name) if name == "all" => TargetKind::ALL.to_vec(),
+        Some(name) => vec![TargetKind::from_name(&name)
+            .ok_or_else(|| format!("unknown target `{name}`\n{USAGE}"))?],
+    };
+    let corpus_out: Option<PathBuf> = args.value("--corpus-out")?;
+    let replay: Option<PathBuf> = args.value("--replay")?;
+    let verbose = args.flag("--verbose");
+    let [] = args.exactly()?;
 
     // Parsers under fuzz panic on purpose; keep the default hook from
     // spraying a backtrace per caught panic.
@@ -127,20 +81,16 @@ fn main() -> ExitCode {
         println!("  {:?}", String::from_utf8_lossy(&f.input));
         if let Some(dir) = &corpus_out {
             let tdir = dir.join(f.target.name());
-            if let Err(e) = std::fs::create_dir_all(&tdir) {
-                eprintln!("cannot create {}: {e}", tdir.display());
-                continue;
-            }
             let file = tdir.join(format!(
                 "{}-s{}-i{}.bin",
                 f.violation.kind(),
                 f.seed,
                 f.iter
             ));
-            match std::fs::write(&file, &f.input) {
-                Ok(()) => println!("  wrote {}", file.display()),
-                Err(e) => eprintln!("cannot write {}: {e}", file.display()),
-            }
+            std::fs::create_dir_all(&tdir)
+                .and_then(|()| std::fs::write(&file, &f.input))
+                .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
+            println!("  wrote {}", file.display());
         }
     }
     let iters_total = cfg.iters * cfg.seeds.len() as u64 * cfg.targets.len() as u64;
@@ -150,42 +100,25 @@ fn main() -> ExitCode {
         cfg.targets.len(),
         findings.len()
     );
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(Outcome::clean_if(findings.is_empty()))
 }
 
-fn replay_mode(env: &Env, path: &Path, targets: Vec<TargetKind>) -> ExitCode {
+fn replay_mode(env: &Env, path: &Path, targets: Vec<TargetKind>) -> Result<Outcome, String> {
     let mut files: Vec<(TargetKind, PathBuf)> = Vec::new();
     if path.is_dir() {
-        if let Err(e) = collect_dir(path, &targets, &mut files) {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+        collect_dir(path, &targets, &mut files)?;
     } else {
-        let target = infer_target(path).or(if targets.len() == 1 {
-            Some(targets[0])
-        } else {
-            None
-        });
-        let Some(target) = target else {
-            eprintln!("cannot infer target for {}; pass --target", path.display());
-            return ExitCode::from(2);
-        };
+        let one = (targets.len() == 1).then(|| targets[0]);
+        let target = infer_target(path)
+            .or(one)
+            .ok_or_else(|| format!("cannot infer target for {}; pass --target", path.display()))?;
         files.push((target, path.to_path_buf()));
     }
 
     let mut violations = 0usize;
     for (target, file) in files {
-        let input = match std::fs::read(&file) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        };
+        let input =
+            std::fs::read(&file).map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         match env.check(target, &input) {
             Verdict::Accepted => println!("[{}] {}: accepted", target.name(), file.display()),
             Verdict::Rejected => {
@@ -213,11 +146,7 @@ fn replay_mode(env: &Env, path: &Path, targets: Vec<TargetKind>) -> ExitCode {
             }
         }
     }
-    if violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(Outcome::clean_if(violations == 0))
 }
 
 /// `corpus/<target>/entry` layout: the parent directory names the target.

@@ -29,7 +29,8 @@ pub enum TargetKind {
     Json,
     /// ECO journal text (`decode_journal` + transactional replay).
     Journal,
-    /// tcdiff sidecar loading (`JsonValue::parse` + `diff` + `check_trace`).
+    /// tcdiff sidecar loading (`JsonValue::parse` + `diff`, field-wise and
+    /// span-wise, + `check_trace`).
     Tcdiff,
     /// Lint waiver/baseline files (`decode_waivers` + `render_waivers`).
     Waiver,
@@ -132,13 +133,14 @@ pub fn has_position(msg: &str) -> bool {
 
 /// Document-level errors that legitimately have no offset: they describe
 /// the whole input, not a location in it.
-const DOC_LEVEL_OK: [&str; 4] = [
-    "trace document is not an object",
-    "no traceEvents array",
-    // check_trace's ring-overflow hard finding describes the document.
-    "dropped event(s)",
+const DOC_LEVEL_OK: [&str; 3] = [
+    // tc-prof's trace reader and tcdiff's check_trace predicate over it
+    // (no traceEvents array, ring overflow, unbalanced B/E).
+    "trace document",
     // tc-prof envelope errors all open with this prefix.
     "profile document",
+    // tcdiff refusing to compare across schema revisions.
+    "schema_version mismatch",
 ];
 
 fn err_verdict(msg: String) -> Verdict {
@@ -260,6 +262,7 @@ impl Env {
             TargetKind::Tcdiff => vec![
                 self.base_doc.clone().into_bytes(),
                 trace_doc().render().into_bytes(),
+                prof_doc().render_json().into_bytes(),
             ],
             TargetKind::Prof => vec![
                 prof_doc().render_json().into_bytes(),
@@ -462,18 +465,37 @@ impl Env {
             Err(e) => return err_verdict(e),
             Ok(doc) => doc,
         };
-        let base = JsonValue::parse(&self.base_doc).expect("base artifact parses");
+        // Span profiles take the differ's name-keyed path; give them a
+        // profile to be compared against so that path is what runs.
+        let is_profile = text.contains(tc_prof::PROF_KIND);
+        let base = if is_profile {
+            prof_doc().to_json()
+        } else {
+            JsonValue::parse(&self.base_doc).expect("base artifact parses")
+        };
         let opts = tcdiff::DiffOptions::default();
         // The diff engine itself must digest any parsed document without
-        // panicking, and a self-diff must always be clean.
-        let report = tcdiff::diff(&base, &doc, &opts);
-        let _ = report.render(true);
-        let self_diff = tcdiff::diff(&doc, &doc, &opts);
-        if !self_diff.ok() {
-            return Verdict::Violation(Violation::RoundtripMismatch(format!(
-                "self-diff not clean: {}",
-                self_diff.render(false)
-            )));
+        // panicking; what it refuses to compare (a schema mismatch, a
+        // profile that fails validation) it must refuse with context.
+        match tcdiff::diff(&base, &doc, &opts) {
+            Ok(report) => drop(report.render(true)),
+            Err(e) => return err_verdict(e),
+        }
+        // A self-diff must always be clean — except for a profile that
+        // records ring overflow, which gates nothing, not even itself.
+        match tcdiff::diff(&doc, &doc, &opts) {
+            Err(e) => return err_verdict(e),
+            Ok(self_diff) => {
+                let unclean = self_diff.rows.iter().any(|r| {
+                    r.status == tcdiff::RowStatus::Regression && r.path != "dropped_events"
+                });
+                if unclean {
+                    return Verdict::Violation(Violation::RoundtripMismatch(format!(
+                        "self-diff not clean: {}",
+                        self_diff.render(false)
+                    )));
+                }
+            }
         }
         // Trace validation applies only to trace-shaped documents (an
         // artifact sidecar has no traceEvents and is already fully
@@ -609,6 +631,11 @@ fn trace_doc() -> JsonValue {
             ("ts", JsonValue::from(ts)),
             ("tid", JsonValue::from(tid)),
             ("name", JsonValue::str(name)),
+            // Only counter events read it; the reader requires it there.
+            (
+                "args",
+                JsonValue::obj([("value", JsonValue::from(4096u64))]),
+            ),
         ])
     };
     JsonValue::obj([

@@ -8,8 +8,8 @@
 //! tc_lint --rules
 //! ```
 //!
-//! Exit codes follow the `tcdiff` gate contract: `0` — clean (no
-//! unwaived findings); `1` — findings remain after waivers; `2` —
+//! Exit codes follow the shared [`tc_obs::cli`] contract: `0` — clean
+//! (no unwaived findings); `1` — findings remain after waivers; `2` —
 //! usage, I/O, or parse error with nothing actionable to report.
 //! When the source scan already explains why a parse failed (a
 //! multi-driven or undriven net), the findings are the diagnosis and
@@ -21,187 +21,94 @@ use tc_interconnect::{parse_spef, BeolStack};
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_lint::{apply_waivers, decode_waivers, render_text, run_lint, LintContext, Severity, RULES};
 use tc_netlist::{decode_journal, parse_verilog};
+use tc_obs::cli::{self, Args, Outcome};
 use tc_obs::JsonValue;
 use tc_par::Pool;
 use tc_sta::constraints::Constraints;
 
-fn usage() -> &'static str {
-    "usage: tc_lint --verilog design.v [--spef design.spef] [--liberty lib.lib]\n\
-     \x20      [--journal eco.tcj] [--waivers baseline.tcw]\n\
-     \x20      [--clock-period PS] [--no-clock] [--json] [--quiet]\n\
-     \x20      tc_lint --rules\n\
-     \n\
-     Static design-rule analysis: connectivity, clocking, SPEF/netlist\n\
-     cross-checks, Liberty table sanity, ECO-journal liveness. Runs no\n\
-     timing. Exit 0 = clean, 1 = unwaived findings, 2 = usage/IO error.\n\
-     --no-clock skips the constraint rules; --clock-period sets the\n\
-     single-clock period used for them (default 500 ps). --rules prints\n\
-     the rule catalog."
-}
+const USAGE: &str = "\
+usage: tc_lint --verilog design.v [--spef design.spef] [--liberty lib.lib]
+       [--journal eco.tcj] [--waivers baseline.tcw]
+       [--clock-period PS] [--no-clock] [--json] [--quiet]
+       tc_lint --rules
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("tc_lint: {msg}");
-    ExitCode::from(2)
-}
-
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
+Static design-rule analysis: connectivity, clocking, SPEF/netlist
+cross-checks, Liberty table sanity, ECO-journal liveness. Runs no
+timing. Exit 0 = clean, 1 = unwaived findings, 2 = usage/IO error.
+--no-clock skips the constraint rules; --clock-period sets the
+single-clock period used for them (default 500 ps). --rules prints
+the rule catalog.";
 
 /// Trailing path component, used as the findings' source label.
 fn label(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
 }
 
-struct Args {
-    verilog: Option<String>,
-    spef: Option<String>,
-    liberty: Option<String>,
-    journal: Option<String>,
+/// How [`report`] renders what survives the waivers.
+struct Output {
     waivers: Option<String>,
-    clock_period: f64,
-    no_clock: bool,
     json: bool,
     quiet: bool,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        verilog: None,
-        spef: None,
-        liberty: None,
-        journal: None,
-        waivers: None,
-        clock_period: 500.0,
-        no_clock: false,
-        json: false,
-        quiet: false,
-    };
-    fn path_arg(argv: &[String], i: usize) -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{} needs a path", argv[i]))
-    }
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--verilog" => {
-                args.verilog = Some(path_arg(argv, i)?);
-                i += 2;
-            }
-            "--spef" => {
-                args.spef = Some(path_arg(argv, i)?);
-                i += 2;
-            }
-            "--liberty" => {
-                args.liberty = Some(path_arg(argv, i)?);
-                i += 2;
-            }
-            "--journal" => {
-                args.journal = Some(path_arg(argv, i)?);
-                i += 2;
-            }
-            "--waivers" => {
-                args.waivers = Some(path_arg(argv, i)?);
-                i += 2;
-            }
-            "--clock-period" => {
-                args.clock_period = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|p: &f64| *p > 0.0)
-                    .ok_or_else(|| "--clock-period needs a positive number of ps".to_string())?;
-                i += 2;
-            }
-            "--no-clock" => {
-                args.no_clock = true;
-                i += 1;
-            }
-            "--json" => {
-                args.json = true;
-                i += 1;
-            }
-            "--quiet" => {
-                args.quiet = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
-        }
-    }
-    Ok(args)
+fn main() -> ExitCode {
+    cli::run("tc_lint", USAGE, lint)
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return ExitCode::from(if argv.is_empty() { 2 } else { 0 });
-    }
-    if argv.iter().any(|a| a == "--rules") {
+fn lint(mut args: Args) -> Result<Outcome, String> {
+    if args.flag("--rules") {
         for r in RULES {
             println!("{} {:7} {}", r.code, r.severity.label(), r.title);
         }
-        return ExitCode::SUCCESS;
+        return Ok(Outcome::Clean);
     }
-
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
+    let verilog: Option<String> = args.value("--verilog")?;
+    let spef: Option<String> = args.value("--spef")?;
+    let liberty: Option<String> = args.value("--liberty")?;
+    let journal: Option<String> = args.value("--journal")?;
+    let clock_period = match args.value::<f64>("--clock-period")? {
+        Some(p) if p > 0.0 => p,
+        Some(_) => return Err("--clock-period needs a positive number of ps".to_string()),
+        None => 500.0,
     };
-    let Some(vpath) = args.verilog.as_deref() else {
-        return fail(&format!("--verilog is required\n{}", usage()));
+    let no_clock = args.flag("--no-clock");
+    let output = Output {
+        waivers: args.value("--waivers")?,
+        json: args.flag("--json"),
+        quiet: args.flag("--quiet"),
     };
-    let vtext = match read(vpath) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
+    let [] = args.exactly()?;
+    let vpath = verilog.ok_or_else(|| format!("--verilog is required\n{USAGE}"))?;
+    let vtext = cli::read(&vpath)?;
 
     let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
 
     // The source scan runs before the parse: if the parse then fails
     // because of a defect the scan already explains, the findings are
     // the report and the exit is 1.
-    let source_findings = tc_lint::lint_verilog_source(&vtext, label(vpath));
+    let source_findings = tc_lint::lint_verilog_source(&vtext, label(&vpath));
     let netlist = match parse_verilog(&vtext, &lib) {
         Ok(nl) => nl,
+        Err(e) if source_findings.is_empty() => return Err(format!("{vpath}: {e}")),
         Err(e) => {
-            if source_findings.is_empty() {
-                return fail(&format!("{vpath}: {e}"));
-            }
             eprintln!("tc_lint: note: {vpath} does not parse ({e}); reporting the scan findings");
-            return report(source_findings, &args);
+            return report(source_findings, &output);
         }
     };
 
-    let spef = match args.spef.as_deref() {
-        None => None,
-        Some(p) => match read(p)
-            .and_then(|t| parse_spef(&t, &BeolStack::n20()).map_err(|e| format!("{p}: {e}")))
-        {
-            Ok(s) => Some(s),
-            Err(e) => return fail(&e),
-        },
-    };
-    let liberty = match args.liberty.as_deref() {
-        None => None,
-        Some(p) => match read(p) {
-            Ok(t) => Some((t, label(p).to_string())),
-            Err(e) => return fail(&e),
-        },
-    };
-    let journal = match args.journal.as_deref() {
-        None => None,
-        Some(p) => {
-            match read(p).and_then(|t| decode_journal(&t).map_err(|e| format!("{p}: {e}"))) {
-                Ok(j) => Some(j),
-                Err(e) => return fail(&e),
-            }
-        }
-    };
-    let constraints = (!args.no_clock).then(|| Constraints::single_clock(args.clock_period));
+    let spef = spef
+        .map(|p| parse_spef(&cli::read(&p)?, &BeolStack::n20()).map_err(|e| format!("{p}: {e}")))
+        .transpose()?;
+    let liberty = liberty
+        .map(|p| cli::read(&p).map(|t| (t, label(&p).to_string())))
+        .transpose()?;
+    let journal = journal
+        .map(|p| decode_journal(&cli::read(&p)?).map_err(|e| format!("{p}: {e}")))
+        .transpose()?;
+    let constraints = (!no_clock).then(|| Constraints::single_clock(clock_period));
 
     let mut ctx = LintContext::new(&netlist, &lib);
-    ctx.verilog = Some((&vtext, label(vpath)));
+    ctx.verilog = Some((&vtext, label(&vpath)));
     ctx.constraints = constraints.as_ref();
     ctx.spef = spef.as_deref();
     ctx.liberty = liberty.as_ref().map(|(t, l)| (t.as_str(), l.as_str()));
@@ -209,21 +116,15 @@ fn main() -> ExitCode {
 
     // `run_lint` re-runs the source pass; feed it through the engine so
     // ordering and telemetry stay uniform, not the pre-scan copy.
-    let findings = run_lint(&Pool::from_env(), &ctx);
-    report(findings, &args)
+    report(run_lint(&Pool::from_env(), &ctx), &output)
 }
 
 /// Applies waivers, prints the report, and maps findings to the exit
 /// code.
-fn report(findings: Vec<tc_lint::Diagnostic>, args: &Args) -> ExitCode {
+fn report(findings: Vec<tc_lint::Diagnostic>, args: &Output) -> Result<Outcome, String> {
     let waivers = match args.waivers.as_deref() {
         None => Vec::new(),
-        Some(p) => {
-            match read(p).and_then(|t| decode_waivers(&t).map_err(|e| format!("{p}: {e}"))) {
-                Ok(w) => w,
-                Err(e) => return fail(&e),
-            }
-        }
+        Some(p) => decode_waivers(&cli::read(p)?).map_err(|e| format!("{p}: {e}"))?,
     };
     let outcome = apply_waivers(findings, &waivers);
 
@@ -262,9 +163,5 @@ fn report(findings: Vec<tc_lint::Diagnostic>, args: &Args) -> ExitCode {
             outcome.unused.len()
         );
     }
-    if outcome.active.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    Ok(Outcome::clean_if(outcome.active.is_empty()))
 }

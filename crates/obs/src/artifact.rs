@@ -62,6 +62,11 @@ impl RunArtifact {
         a.knob("host_threads", host.to_string())
     }
 
+    /// The workload id this artifact was created for.
+    pub fn workload(&self) -> &str {
+        &self.workload
+    }
+
     /// Records a config knob as a string (knobs are compared exactly by
     /// `tcdiff`, so two runs with different knobs fail fast).
     #[must_use]

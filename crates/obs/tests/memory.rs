@@ -3,15 +3,22 @@
 //! counting here cannot perturb the other suites), and the tests
 //! serialize on a lock because deltas are process-wide.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static MEM_LOCK: Mutex<()> = Mutex::new(());
+
+/// The lock guards no data, so a poisoned one is still good: one
+/// failing test must report as one failure, not take the rest down with
+/// `PoisonError`.
+fn serialize() -> MutexGuard<'static, ()> {
+    MEM_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const MIB: usize = 1 << 20;
 
 #[test]
 fn alloc_and_free_are_accounted() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     tc_obs::enable_memory();
     let before = tc_obs::memory_stats();
     let mark = tc_obs::heap_mark();
@@ -22,9 +29,12 @@ fn alloc_and_free_are_accounted() {
         mid.allocated_bytes >= before.allocated_bytes + (4 * MIB) as u64,
         "allocated bytes cover the buffer"
     );
+    // The live balance is process-wide, and libtest's main thread frees
+    // finished-test bookkeeping while we hold the buffer: only the
+    // monotone totals above are exact, the net gets 1 MiB of slack.
     assert!(
-        mark.delta().net_bytes >= (4 * MIB) as i64,
-        "net live bytes grew by at least the buffer"
+        mark.delta().net_bytes >= (3 * MIB) as i64,
+        "net live bytes grew by about the buffer"
     );
     drop(buf);
     let after = tc_obs::memory_stats();
@@ -44,7 +54,7 @@ fn alloc_and_free_are_accounted() {
 
 #[test]
 fn peak_is_monotonic_across_alloc_and_free() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     tc_obs::enable_memory();
     let p0 = tc_obs::memory_stats().peak_bytes;
     let buf = vec![1u8; 8 * MIB];
@@ -59,8 +69,8 @@ fn peak_is_monotonic_across_alloc_and_free() {
     let big = vec![2u8; 16 * MIB];
     let p3 = tc_obs::memory_stats().peak_bytes;
     assert!(
-        p3 >= live + (16 * MIB) as u64,
-        "peak covers live + burst: peak {p3}, live-before {live}"
+        p3 + MIB as u64 >= live + (16 * MIB) as u64,
+        "peak covers live + burst (to 1 MiB of concurrent frees): peak {p3}, live-before {live}"
     );
     drop(big);
     tc_obs::disable_memory();
@@ -68,7 +78,7 @@ fn peak_is_monotonic_across_alloc_and_free() {
 
 #[test]
 fn disabled_counting_moves_nothing() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     tc_obs::disable_memory();
     let before = tc_obs::memory_stats();
     let buf = vec![3u8; 2 * MIB];
@@ -79,7 +89,7 @@ fn disabled_counting_moves_nothing() {
 
 #[test]
 fn spans_attribute_heap_to_the_right_subtree() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     tc_obs::reset();
     tc_obs::enable();
     tc_obs::enable_memory();
@@ -98,8 +108,9 @@ fn spans_attribute_heap_to_the_right_subtree() {
     let inner = snap
         .span("t_mem.outer/t_mem.inner")
         .expect("inner nested under outer");
+    // Process-wide balance again: 1 MiB of slack for concurrent frees.
     assert!(
-        outer.net_bytes >= (4 * MIB) as i64,
+        outer.net_bytes >= (3 * MIB) as i64,
         "outer keeps its held buffer: net {}",
         outer.net_bytes
     );
@@ -118,7 +129,7 @@ fn spans_attribute_heap_to_the_right_subtree() {
 
 #[test]
 fn vm_probes_agree_with_the_platform() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     if cfg!(target_os = "linux") {
         let hwm = tc_obs::vm_hwm_bytes().expect("VmHWM readable on Linux");
         let rss = tc_obs::vm_rss_bytes().expect("VmRSS readable on Linux");
@@ -132,7 +143,7 @@ fn vm_probes_agree_with_the_platform() {
 
 #[test]
 fn run_artifact_carries_the_memory_section() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     tc_obs::enable_memory();
     let _buf = vec![9u8; MIB];
     let art = tc_obs::RunArtifact::new("t_mem_artifact")
@@ -170,7 +181,7 @@ fn run_artifact_carries_the_memory_section() {
 
 #[test]
 fn disabled_artifact_capture_is_a_no_op() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = serialize();
     tc_obs::disable_memory();
     let text = tc_obs::RunArtifact::new("t_mem_absent")
         .capture_memory()

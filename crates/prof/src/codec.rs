@@ -91,32 +91,41 @@ impl Profile {
     pub fn parse(text: &str) -> Result<Profile, String> {
         let doc =
             JsonValue::parse(text).map_err(|e| format!("profile document parse error: {e}"))?;
+        Profile::from_json(&doc)
+    }
+
+    /// [`Profile::parse`] over an already-parsed document.
+    ///
+    /// # Errors
+    ///
+    /// As [`Profile::parse`], minus the JSON syntax errors.
+    pub fn from_json(doc: &JsonValue) -> Result<Profile, String> {
         let JsonValue::Obj(top) = doc else {
             return Err("profile document is not an object".to_string());
         };
-        let version = req_u64(&top, "schema_version", "profile document")?;
+        let version = req_u64(top, "schema_version", "profile document")?;
         if version != PROF_SCHEMA_VERSION {
             return Err(format!(
                 "profile document schema_version {version} unsupported (expected {PROF_SCHEMA_VERSION})"
             ));
         }
-        let kind = req_str(&top, "kind", "profile document")?;
+        let kind = req_str(top, "kind", "profile document")?;
         if kind != PROF_KIND {
             return Err(format!(
                 "profile document kind \"{kind}\" is not \"{PROF_KIND}\""
             ));
         }
-        let workload = req_str(&top, "workload", "profile document")?;
-        let wall_ns = req_u64(&top, "wall_ns", "profile document")?;
-        let attributed_ns = req_u64(&top, "attributed_ns", "profile document")?;
+        let workload = req_str(top, "workload", "profile document")?;
+        let wall_ns = req_u64(top, "wall_ns", "profile document")?;
+        let attributed_ns = req_u64(top, "attributed_ns", "profile document")?;
         if attributed_ns > wall_ns {
             return Err("profile document attributed_ns exceeds wall_ns".to_string());
         }
-        let dropped_events = req_u64(&top, "dropped_events", "profile document")?;
-        let unmatched_ends = req_u64(&top, "unmatched_ends", "profile document")?;
-        let open_spans = req_u64(&top, "open_spans", "profile document")?;
+        let dropped_events = req_u64(top, "dropped_events", "profile document")?;
+        let unmatched_ends = req_u64(top, "unmatched_ends", "profile document")?;
+        let open_spans = req_u64(top, "open_spans", "profile document")?;
 
-        let raw_spans = req_arr(&top, "spans", "profile document")?;
+        let raw_spans = req_arr(top, "spans", "profile document")?;
         let mut spans = Vec::with_capacity(raw_spans.len());
         for (i, entry) in raw_spans.iter().enumerate() {
             let ctx = format!("profile spans entry {i}");
@@ -163,7 +172,7 @@ impl Profile {
             spans.push(s);
         }
 
-        let raw_lanes = req_arr(&top, "lanes", "profile document")?;
+        let raw_lanes = req_arr(top, "lanes", "profile document")?;
         let mut lanes = Vec::with_capacity(raw_lanes.len());
         for (i, entry) in raw_lanes.iter().enumerate() {
             let ctx = format!("profile lanes entry {i}");
@@ -185,7 +194,7 @@ impl Profile {
             lanes.push(l);
         }
 
-        let raw_chain = req_arr(&top, "critical_chain", "profile document")?;
+        let raw_chain = req_arr(top, "critical_chain", "profile document")?;
         let mut critical_chain = Vec::with_capacity(raw_chain.len());
         for (i, entry) in raw_chain.iter().enumerate() {
             let ctx = format!("profile critical_chain entry {i}");
@@ -206,7 +215,7 @@ impl Profile {
             }
             critical_chain.push(link);
         }
-        let critical_chain_ns = req_u64(&top, "critical_chain_ns", "profile document")?;
+        let critical_chain_ns = req_u64(top, "critical_chain_ns", "profile document")?;
         let chain_sum: u64 = critical_chain.iter().map(|l| l.self_ns).sum();
         if chain_sum != critical_chain_ns {
             return Err(

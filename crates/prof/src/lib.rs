@@ -20,10 +20,10 @@
 //! Profiles serialize to a schema-versioned `PROF_*.json` sidecar
 //! ([`Profile::render_json`] / [`Profile::parse`], kind
 //! [`PROF_KIND`]) that the benchmark harnesses emit next to their
-//! `BENCH_*`/`RUN_*` documents, and [`diff`](diff::diff) compares two
-//! profiles span-by-span under a relative tolerance so CI can gate a
-//! committed baseline: a hot-path regression surfaces as a *named span
-//! with a percentage*, not a silent wall-clock drift.
+//! `BENCH_*`/`RUN_*` documents. `tcdiff` — the workspace's one differ —
+//! compares two of them span-by-span under a relative tolerance so CI
+//! can gate a committed baseline: a hot-path regression surfaces as a
+//! *named span with a percentage*, not a silent wall-clock drift.
 //!
 //! Self-time accounting mirrors [`TraceSnapshot::to_folded`]'s
 //! tolerance for imbalance: an `End` with no open matching frame is
@@ -31,16 +31,14 @@
 //! open at the last timestamp are closed there and counted in
 //! [`Profile::open_spans`]. A non-zero [`Profile::dropped_events`]
 //! (ring overflow) is a **hard finding** — truncated rings skew
-//! self-time, so `tc_prof report` and `tc_prof diff` refuse to treat
-//! such a profile as gateable.
+//! self-time, so `tc_prof report` and `tcdiff` refuse to treat such a
+//! profile as gateable.
 //!
 //! [`TraceSnapshot::to_folded`]: tc_obs::TraceSnapshot::to_folded
 
 pub mod codec;
-pub mod diff;
 pub mod profile;
 
-pub use diff::{diff, DiffOptions, DiffReport};
 pub use profile::{ChainLink, Lane, Profile, SpanProfile};
 
 /// Schema version stamped into every `PROF_*.json` document.

@@ -414,11 +414,15 @@ impl Profile {
 /// [`TraceSnapshot::to_chrome_trace`]. `M`/`thread_name` metadata
 /// repopulates `thread_names`, `otherData.dropped_events` repopulates
 /// `dropped`, and counter events recover their per-event `delta` from
-/// `args` (falling back to `value` for gauges).
+/// `args` (falling back to `value` for gauges). This is the workspace's
+/// only Chrome-trace reader, so it is also the validator: a timestamp
+/// that runs backwards on its thread is an error, not something to sort
+/// away into a plausible profile.
 ///
 /// # Errors
 ///
-/// Positioned `trace event N: …` messages for malformed events.
+/// Positioned `trace event N: …` messages for malformed events and for
+/// per-thread timestamp regressions.
 pub fn chrome_to_snapshot(text: &str) -> Result<TraceSnapshot, String> {
     let doc = JsonValue::parse(text).map_err(|e| format!("trace parse error: {e}"))?;
     let JsonValue::Obj(top) = doc else {
@@ -440,6 +444,7 @@ pub fn chrome_to_snapshot(text: &str) -> Result<TraceSnapshot, String> {
     }
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut thread_names: Vec<(u64, String)> = Vec::new();
+    let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, ev) in raw_events.iter().enumerate() {
         let JsonValue::Obj(fields) = ev else {
             return Err(format!("trace event {i}: not an object"));
@@ -469,6 +474,13 @@ pub fn chrome_to_snapshot(text: &str) -> Result<TraceSnapshot, String> {
             _ => return Err(format!("trace event {i}: missing or negative ts")),
         };
         let ts_ns = (ts_us * 1e3).round() as u64;
+        if let Some(prev) = last_ts.insert(tid, ts_ns) {
+            if ts_ns < prev {
+                return Err(format!(
+                    "trace event {i}: timestamp {ts_ns}ns regresses below {prev}ns on tid {tid}"
+                ));
+            }
+        }
         let (kind, delta) = match ph.as_str() {
             "B" => (TraceEventKind::Begin, 0),
             "E" => (TraceEventKind::End, 0),
@@ -505,7 +517,8 @@ pub fn chrome_to_snapshot(text: &str) -> Result<TraceSnapshot, String> {
             delta,
         });
     }
-    events.sort_by_key(|e| (e.tid, e.ts_ns));
+    // Stable: groups the lanes, keeps each lane's (monotone) file order.
+    events.sort_by_key(|e| e.tid);
     thread_names.sort_by_key(|(tid, _)| *tid);
     thread_names.dedup_by_key(|(tid, _)| *tid);
     Ok(TraceSnapshot {

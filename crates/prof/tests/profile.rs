@@ -1,5 +1,5 @@
 //! Profile-construction edge cases on hand-built timelines: recursion,
-//! imbalance, forced closes, heap bracketing, and the diff gate. These
+//! imbalance, forced closes, heap bracketing, and the trace reader. These
 //! build [`TraceSnapshot`]s directly, so no global recorder state is
 //! involved and the expected numbers can be checked exactly.
 
@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use tc_obs::trace::{TraceEvent, TraceEventKind};
 use tc_obs::TraceSnapshot;
-use tc_prof::{diff, DiffOptions, Profile};
+use tc_prof::profile::chrome_to_snapshot;
+use tc_prof::Profile;
 
 fn ev(kind: TraceEventKind, name: &str, tid: u64, ts_ns: u64, delta: u64) -> TraceEvent {
     TraceEvent {
@@ -139,60 +140,6 @@ fn multi_lane_profile_reports_utilization_and_parallelism() {
     assert!((p.parallelism() - 1.5).abs() < 1e-12);
 }
 
-fn one_span_profile(name: &str, end_ns: u64) -> Profile {
-    use TraceEventKind::{Begin, End};
-    Profile::from_trace(&snap(vec![
-        ev(Begin, name, 0, 0, 0),
-        ev(End, name, 0, end_ns, 0),
-    ]))
-    .workload("diff fixture")
-}
-
-#[test]
-fn diff_is_clean_against_itself_and_catches_a_slowed_span() {
-    let base = one_span_profile("hot", 1_000);
-    let same = diff(&base, &base.clone(), &DiffOptions::default());
-    assert!(same.is_clean(), "regressions: {:?}", same.regressions);
-
-    let slowed = one_span_profile("hot", 3_000);
-    let report = diff(&base, &slowed, &DiffOptions::default());
-    assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
-    assert!(report.regressions[0].contains("span hot"));
-    assert!(report.regressions[0].contains("+200.0%"));
-
-    // Improvements are notes, never gates.
-    let improved = diff(&slowed, &base, &DiffOptions::default());
-    assert!(improved.is_clean());
-    assert!(improved.notes.iter().any(|n| n.contains("improved")));
-}
-
-#[test]
-fn diff_gates_structure_and_respects_count_demotion() {
-    use TraceEventKind::{Begin, End};
-    let base = one_span_profile("hot", 1_000);
-    let renamed = one_span_profile("warm", 1_000);
-    let report = diff(&base, &renamed, &DiffOptions::default());
-    assert!(report.regressions.iter().any(|r| r.contains("missing")));
-    assert!(report.regressions.iter().any(|r| r.contains("new in")));
-
-    let twice = Profile::from_trace(&snap(vec![
-        ev(Begin, "hot", 0, 0, 0),
-        ev(End, "hot", 0, 400, 0),
-        ev(Begin, "hot", 0, 500, 0),
-        ev(End, "hot", 0, 1_000, 0),
-    ]))
-    .workload("diff fixture");
-    let strict = diff(&base, &twice, &DiffOptions::default());
-    assert!(strict.regressions.iter().any(|r| r.contains("count")));
-    let lax = DiffOptions {
-        counts_informational: true,
-        ..Default::default()
-    };
-    let demoted = diff(&base, &twice, &lax);
-    assert!(demoted.is_clean(), "{:?}", demoted.regressions);
-    assert!(demoted.notes.iter().any(|n| n.contains("count")));
-}
-
 #[test]
 fn dropped_events_make_a_profile_ungateable() {
     let mut s = snap(vec![
@@ -203,9 +150,28 @@ fn dropped_events_make_a_profile_ungateable() {
     let p = Profile::from_trace(&s);
     assert_eq!(p.dropped_events, 7);
     assert!(p.render_text(10).contains("WARNING"));
-    let report = diff(&p, &p.clone(), &DiffOptions::default());
-    assert_eq!(report.regressions.len(), 2, "both sides are truncated");
-    assert!(report.regressions[0].contains("dropped"));
+}
+
+#[test]
+fn chrome_reader_rejects_a_timestamp_that_runs_backwards() {
+    // The reader used to sort events by (tid, ts), which turned this
+    // trace into a plausible one-span profile instead of reporting it.
+    let backwards = r#"{"traceEvents":[
+        {"name":"a","ph":"B","ts":5.0,"pid":1,"tid":0},
+        {"name":"b","ph":"B","ts":1.0,"pid":1,"tid":1},
+        {"name":"a","ph":"E","ts":1.0,"pid":1,"tid":0},
+        {"name":"b","ph":"E","ts":2.0,"pid":1,"tid":1}
+    ]}"#;
+    let err = chrome_to_snapshot(backwards).expect_err("regressing ts on tid 0");
+    assert!(
+        err.contains("trace event 2") && err.contains("regresses") && err.contains("tid 0"),
+        "{err}"
+    );
+    assert!(Profile::from_chrome_trace(backwards).is_err());
+    // Lanes interleave freely: monotonicity is per thread, not global.
+    let interleaved =
+        backwards.replace(r#""ts":1.0,"pid":1,"tid":0"#, r#""ts":6.0,"pid":1,"tid":0"#);
+    assert!(chrome_to_snapshot(&interleaved).is_ok());
 }
 
 #[test]

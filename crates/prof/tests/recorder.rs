@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use tc_prof::{diff, DiffOptions, Profile};
+use tc_prof::Profile;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -45,7 +45,7 @@ fn span_open_across_a_reset_epoch_becomes_an_unmatched_end() {
 }
 
 #[test]
-fn ring_overflow_marks_the_profile_truncated_and_ungateable() {
+fn ring_overflow_marks_the_profile_truncated() {
     let _guard = TRACE_LOCK.lock().unwrap();
     tc_obs::enable();
     tc_obs::clear_trace();
@@ -59,11 +59,6 @@ fn ring_overflow_marks_the_profile_truncated_and_ungateable() {
     let p = Profile::from_rings();
     assert!(p.dropped_events > 0, "drops must surface in the profile");
     assert!(p.render_text(10).contains("WARNING"));
-    let report = diff(&p, &p.clone(), &DiffOptions::default());
-    assert!(
-        !report.is_clean(),
-        "a truncated profile must never gate clean"
-    );
 
     tc_obs::disable_trace();
     tc_obs::clear_trace();
@@ -111,7 +106,7 @@ fn worker_count_changes_lanes_but_not_span_structure() {
 
     // Between two pooled widths the whole profile — every span name
     // and count, tc_par internals included — is structurally identical,
-    // so the differential gate passes with counts compared exactly.
+    // which is what tcdiff's span rule compares exactly.
     let p2 = run(2);
     let names = |p: &Profile| -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> = p.spans.iter().map(|s| (s.name.clone(), s.count)).collect();
@@ -119,13 +114,4 @@ fn worker_count_changes_lanes_but_not_span_structure() {
         v
     };
     assert_eq!(names(&p2), names(&p4));
-    let report = diff(
-        &p2,
-        &p4,
-        &DiffOptions {
-            tol: 100.0,
-            ..Default::default()
-        },
-    );
-    assert!(report.is_clean(), "regressions: {:?}", report.regressions);
 }

@@ -1,13 +1,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! # tcdiff — the regression gate for run artifacts and BENCH sidecars
+//! # tcdiff — the regression gate for every sidecar a harness leaves
 //!
-//! The workspace's harnesses commit `BENCH_*.json` sidecars and emit
-//! [`tc_obs::RunArtifact`] documents, but a sidecar nobody diffs is
-//! write-only telemetry: a perf or determinism regression ships
-//! silently. This crate compares two such JSON documents field by
-//! field and exits nonzero on regression, with two field classes:
+//! The workspace's harnesses commit `BENCH_*.json` and `PROF_*.json`
+//! sidecars and emit [`tc_obs::RunArtifact`] documents, but a sidecar
+//! nobody diffs is write-only telemetry: a perf or determinism
+//! regression ships silently. [`diff`] is the one function that
+//! compares two such documents for a gate. It works field by field,
+//! with these field classes:
 //!
 //! * **Exact fields** — everything that must be bit-stable across
 //!   machines and worker counts: fingerprints, WNS/TNS and other
@@ -15,15 +16,19 @@
 //!   strings. Any difference is a regression.
 //! * **Timing fields** — wall-clock measurements (`*_ms`, `*_us`,
 //!   `*_ns`, `wall*`, `speedup*`, `elapsed*`, `idle*`): compared under
-//!   a configurable relative tolerance, and downgradeable to
-//!   informational (`--timing-informational`) for shared CI runners
-//!   whose wall clock proves nothing.
+//!   a relative tolerance (`--tol`), informational unless
+//!   `--timing-strict` — shared CI runners' wall clock proves nothing.
 //! * **Memory fields** — allocator telemetry (`*_bytes`, `*_allocs`,
 //!   `*_frees`): tolerance-gated like timing but under their own,
 //!   wider knob (`--mem-tol`), because allocator behaviour — arena
 //!   growth policy, thread count, even libc version — moves the counts
 //!   between perfectly healthy runs. They are **never** compared
-//!   bit-exactly, and `--timing-informational` downgrades them too.
+//!   bit-exactly; `--mem-strict` gates them while timing stays
+//!   informational.
+//!
+//! Every tolerance is **relative to the baseline value**:
+//! `|candidate − baseline| / |baseline|`, so `--tol 3.0` admits up to
+//! 4x the baseline.
 //!
 //! The unit suffix carries the distinction: `ms`/`us`/`ns` name *wall
 //! clock* (host-dependent), while `ps` names *simulated time* — a
@@ -33,11 +38,23 @@
 //! (`host_threads`, the `knobs.*` block) are informational: shown in
 //! the table, never gating.
 //!
-//! [`check_trace`] additionally validates a Chrome `trace_event`
-//! export: well-formed JSON, per-thread monotonic timestamps, balanced
-//! B/E events, and a minimum thread count.
+//! **Span profiles.** When both documents are `PROF_*.json`
+//! ([`tc_prof::PROF_KIND`]) the comparison is by span *name* — spans
+//! are sorted by self time, so positions mean nothing — under the span
+//! rule: a span appearing or disappearing, a changed `count`, or
+//! `dropped_events > 0` on either side is a regression; `self_ns`
+//! growth beyond `--tol` on a span holding at least [`MIN_SHARE`] of
+//! wall in either document is a timing row (gating under
+//! `--timing-strict`); improvements, wall and heap drift are
+//! informational. Lanes, percentiles and the critical chain are not
+//! compared: they legitimately differ between worker counts.
+//!
+//! [`check_trace`] validates a Chrome `trace_event` export through
+//! [`tc_prof`]'s reader: well-formed, per-thread monotonic timestamps,
+//! balanced B/E events, no ring overflow, a minimum thread count.
 
 use tc_obs::JsonValue;
+use tc_prof::Profile;
 
 /// How a flattened field participates in the comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,19 +104,19 @@ pub struct DiffRow {
 /// Options controlling [`diff`].
 #[derive(Clone, Copy, Debug)]
 pub struct DiffOptions {
-    /// Relative tolerance for timing fields (fraction, not percent).
+    /// Tolerance for timing fields, as a fraction of the baseline value.
     pub tol: f64,
-    /// Relative tolerance for memory fields (fraction, not percent).
+    /// Tolerance for memory fields, as a fraction of the baseline value.
     /// Wider than `tol` by default: allocator counts are stable within
     /// a host but not across libc versions or thread schedules.
     pub mem_tol: f64,
-    /// Downgrade out-of-tolerance timing *and memory* fields from
-    /// regression to drift (for shared CI runners).
-    pub timing_informational: bool,
+    /// Gate out-of-tolerance timing *and memory* fields. Off by
+    /// default: on a shared CI runner they are drift, not regressions.
+    pub timing_strict: bool,
     /// Gate memory fields even when timing is informational: an
     /// out-of-tolerance `*_bytes`/`*_allocs`/`*_frees` field is a
-    /// regression regardless of `timing_informational`. Heap telemetry
-    /// is host-stable in a way wall clock is not, so CI can hold the
+    /// regression regardless of `timing_strict`. Heap telemetry is
+    /// host-stable in a way wall clock is not, so CI can hold the
     /// memory line while ignoring runner-speed noise.
     pub mem_strict: bool,
 }
@@ -109,11 +126,16 @@ impl Default for DiffOptions {
         DiffOptions {
             tol: 0.25,
             mem_tol: 0.5,
-            timing_informational: true,
+            timing_strict: false,
             mem_strict: false,
         }
     }
 }
+
+/// Share of wall a span's self time must hold, in either profile,
+/// before its timing is compared at all — scheduling jitter on
+/// microsecond spans must never fail a build.
+pub const MIN_SHARE: f64 = 0.02;
 
 /// The full comparison result.
 #[derive(Clone, Debug, Default)]
@@ -320,258 +342,241 @@ pub fn check_schema(a: &JsonValue, b: &JsonValue) -> Result<(), (f64, f64)> {
     }
 }
 
-/// Compares two parsed documents. `a` is the baseline, `b` the
-/// candidate.
-pub fn diff(a: &JsonValue, b: &JsonValue, opts: &DiffOptions) -> DiffReport {
+/// Compares two parsed documents for a gate. `a` is the baseline, `b`
+/// the candidate. Two `PROF_*.json` documents are compared under the
+/// span rule (see the crate docs), anything else field by field.
+///
+/// # Errors
+///
+/// Documents that cannot be compared at all: differing
+/// `schema_version`s, or a `PROF_*.json` that fails
+/// [`Profile::from_json`]'s validation.
+pub fn diff(a: &JsonValue, b: &JsonValue, opts: &DiffOptions) -> Result<DiffReport, String> {
+    if let Err((va, vb)) = check_schema(a, b) {
+        return Err(format!(
+            "schema_version mismatch: baseline {va} vs candidate {vb}"
+        ));
+    }
+    let is_profile = |v: &JsonValue| {
+        matches!(v, JsonValue::Obj(pairs) if pairs.iter().any(
+            |(k, v)| k == "kind" && matches!(v, JsonValue::Str(s) if s == tc_prof::PROF_KIND)))
+    };
+    let mut report = DiffReport::default();
+    if is_profile(a) && is_profile(b) {
+        let base = Profile::from_json(a).map_err(|e| format!("baseline: {e}"))?;
+        let cand = Profile::from_json(b).map_err(|e| format!("candidate: {e}"))?;
+        diff_profiles(&base, &cand, opts, &mut report);
+    } else {
+        diff_fields(a, b, opts, &mut report);
+    }
+    Ok(report)
+}
+
+/// Drift of `b` from the baseline `a` as a signed fraction of `|a|` —
+/// the one definition every tolerance and every delta column uses.
+/// Infinite when only the baseline is zero.
+fn drift(a: f64, b: f64) -> f64 {
+    if a == b {
+        0.0
+    } else {
+        (b - a) / a.abs()
+    }
+}
+
+impl DiffOptions {
+    /// What an out-of-tolerance field of `class` amounts to.
+    fn beyond_tolerance(&self, class: FieldClass) -> RowStatus {
+        if self.timing_strict || (class == FieldClass::Memory && self.mem_strict) {
+            RowStatus::Regression
+        } else {
+            RowStatus::Drift
+        }
+    }
+}
+
+/// Appends one row (an absent side renders as `—`) and tallies it.
+fn push(
+    report: &mut DiffReport,
+    path: &str,
+    class: FieldClass,
+    a: Option<Flat>,
+    b: Option<Flat>,
+    status: RowStatus,
+) {
+    let render = |v: &Option<Flat>| v.as_ref().map_or_else(|| "—".to_string(), Flat::render);
+    match status {
+        RowStatus::Regression => report.regressions += 1,
+        RowStatus::Drift => report.drifts += 1,
+        RowStatus::Match | RowStatus::Info => {}
+    }
+    report.rows.push(DiffRow {
+        path: path.to_string(),
+        class,
+        baseline: render(&a),
+        candidate: render(&b),
+        delta_pct: match (a, b) {
+            (Some(Flat::Num(a)), Some(Flat::Num(b))) => {
+                Some(100.0 * drift(a, b)).filter(|d| d.is_finite())
+            }
+            _ => None,
+        },
+        status,
+    });
+}
+
+fn diff_fields(a: &JsonValue, b: &JsonValue, opts: &DiffOptions, report: &mut DiffReport) {
     let fa = flatten(a);
     let fb = flatten(b);
-    let mut report = DiffReport::default();
     let index_b: std::collections::BTreeMap<&str, &Flat> =
         fb.iter().map(|(p, v)| (p.as_str(), v)).collect();
+    // A field on one side only is a structural difference.
+    let one_sided = |class| match class {
+        FieldClass::Info => RowStatus::Info,
+        _ => RowStatus::Regression,
+    };
     let mut seen = std::collections::BTreeSet::new();
     for (path, va) in &fa {
         seen.insert(path.as_str());
         let class = classify(path);
-        let row = match index_b.get(path.as_str()) {
-            None => DiffRow {
-                path: path.clone(),
-                class,
-                baseline: va.render(),
-                candidate: "—".to_string(),
-                delta_pct: None,
-                status: if class == FieldClass::Info {
-                    RowStatus::Info
-                } else {
-                    RowStatus::Regression
-                },
-            },
-            Some(vb) => compare(path, class, va, vb, opts),
-        };
-        tally(&mut report, row);
+        let vb = index_b.get(path.as_str()).copied();
+        let status = vb.map_or_else(|| one_sided(class), |vb| compare(class, va, vb, opts));
+        push(report, path, class, Some(va.clone()), vb.cloned(), status);
     }
     for (path, vb) in &fb {
-        if seen.contains(path.as_str()) {
-            continue;
-        }
-        let class = classify(path);
-        tally(
-            &mut report,
-            DiffRow {
-                path: path.clone(),
+        if !seen.contains(path.as_str()) {
+            let class = classify(path);
+            push(
+                report,
+                path,
                 class,
-                baseline: "—".to_string(),
-                candidate: vb.render(),
-                delta_pct: None,
-                status: if class == FieldClass::Info {
-                    RowStatus::Info
-                } else {
-                    RowStatus::Regression
-                },
-            },
-        );
+                None,
+                Some(vb.clone()),
+                one_sided(class),
+            );
+        }
     }
-    report
 }
 
-fn tally(report: &mut DiffReport, row: DiffRow) {
-    match row.status {
-        RowStatus::Regression => report.regressions += 1,
-        RowStatus::Drift => report.drifts += 1,
-        _ => {}
+fn compare(class: FieldClass, va: &Flat, vb: &Flat, opts: &DiffOptions) -> RowStatus {
+    let matches = match (class, va, vb) {
+        (FieldClass::Info, ..) => return RowStatus::Info,
+        // Exact numbers compare by bit pattern of the parsed f64 (so
+        // -0.0 vs 0.0 and NaN-as-null stay visible).
+        (FieldClass::Exact, Flat::Num(a), Flat::Num(b)) => a.to_bits() == b.to_bits(),
+        (FieldClass::Memory, Flat::Num(a), Flat::Num(b)) => drift(*a, *b).abs() <= opts.mem_tol,
+        (FieldClass::Timing, Flat::Num(a), Flat::Num(b)) => drift(*a, *b).abs() <= opts.tol,
+        (_, a, b) => a == b,
+    };
+    if matches {
+        RowStatus::Match
+    } else if class == FieldClass::Exact {
+        RowStatus::Regression
+    } else {
+        opts.beyond_tolerance(class)
     }
-    report.rows.push(row);
 }
 
-fn compare(path: &str, class: FieldClass, va: &Flat, vb: &Flat, opts: &DiffOptions) -> DiffRow {
-    let delta_pct = match (va, vb) {
-        (Flat::Num(a), Flat::Num(b)) => {
-            let denom = a.abs().max(b.abs());
-            (denom > 0.0).then(|| 100.0 * (b - a) / denom)
-        }
-        _ => None,
-    };
-    let status = match class {
-        FieldClass::Info => RowStatus::Info,
-        FieldClass::Exact => {
-            let equal = match (va, vb) {
-                // Exact numbers compare by bit pattern of the parsed
-                // f64 (so -0.0 vs 0.0 and NaN-as-null stay visible).
-                (Flat::Num(a), Flat::Num(b)) => a.to_bits() == b.to_bits(),
-                (a, b) => a == b,
-            };
-            if equal {
-                RowStatus::Match
-            } else {
-                RowStatus::Regression
-            }
-        }
-        FieldClass::Timing | FieldClass::Memory => {
-            let tol = if class == FieldClass::Memory {
-                opts.mem_tol
-            } else {
-                opts.tol
-            };
-            let within = match (va, vb) {
-                (Flat::Num(a), Flat::Num(b)) => {
-                    let denom = a.abs().max(b.abs());
-                    denom == 0.0 || ((b - a).abs() / denom) <= tol
-                }
-                (a, b) => a == b,
-            };
-            if within {
-                RowStatus::Match
-            } else if class == FieldClass::Memory && opts.mem_strict {
-                RowStatus::Regression
-            } else if opts.timing_informational {
-                RowStatus::Drift
-            } else {
-                RowStatus::Regression
-            }
-        }
-    };
-    DiffRow {
-        path: path.to_string(),
-        class,
-        baseline: va.render(),
-        candidate: vb.render(),
-        delta_pct,
+/// The span rule: two profiles compared by span name.
+fn diff_profiles(base: &Profile, cand: &Profile, opts: &DiffOptions, report: &mut DiffReport) {
+    use FieldClass::{Exact, Memory, Timing};
+    use RowStatus::{Info, Match, Regression};
+    let num = |x: u64| Some(Flat::Num(x as f64));
+    let text = |s: &str| Some(Flat::Str(s.to_string()));
+    let share = |self_ns: u64, wall_ns: u64| self_ns as f64 / (wall_ns as f64).max(1.0);
+
+    // Ring overflow truncates self time: such a profile gates nothing.
+    let (da, db) = (base.dropped_events, cand.dropped_events);
+    let status = if da > 0 || db > 0 { Regression } else { Match };
+    push(report, "dropped_events", Exact, num(da), num(db), status);
+    let (la, lb) = (&base.workload, &cand.workload);
+    let status = if la == lb { Match } else { Info };
+    push(
+        report,
+        "workload",
+        FieldClass::Info,
+        text(la),
+        text(lb),
         status,
+    );
+    let (wa, wb) = (base.wall_ns, cand.wall_ns);
+    push(report, "wall_ns", Timing, num(wa), num(wb), Info);
+
+    for b in &base.spans {
+        let at = |field: &str| format!("spans[{}]{field}", b.name);
+        let Some(c) = cand.span(&b.name) else {
+            push(report, &at(""), Exact, text("present"), None, Regression);
+            continue;
+        };
+        let status = if b.count == c.count {
+            Match
+        } else {
+            Regression
+        };
+        push(
+            report,
+            &at(".count"),
+            Exact,
+            num(b.count),
+            num(c.count),
+            status,
+        );
+
+        let weight = share(b.self_ns, wa).max(share(c.self_ns, wb));
+        let growth = drift(b.self_ns as f64, c.self_ns as f64);
+        let status = if weight < MIN_SHARE || growth.abs() <= opts.tol {
+            Match
+        } else if growth < 0.0 {
+            Info // an improvement never gates
+        } else {
+            opts.beyond_tolerance(Timing)
+        };
+        let (sa, sb) = (num(b.self_ns), num(c.self_ns));
+        push(report, &at(".self_ns"), Timing, sa, sb, status);
+
+        let (ha, hb) = (b.net_bytes as f64, c.net_bytes as f64);
+        let moved = (hb - ha).abs() > (1u64 << 20) as f64 && drift(ha, hb).abs() > opts.mem_tol;
+        let status = if moved { Info } else { Match };
+        let (ha, hb) = (Some(Flat::Num(ha)), Some(Flat::Num(hb)));
+        push(report, &at(".net_bytes"), Memory, ha, hb, status);
+    }
+    for c in cand.spans.iter().filter(|c| base.span(&c.name).is_none()) {
+        let path = format!("spans[{}]", c.name);
+        push(report, &path, Exact, None, text("present"), Regression);
     }
 }
 
-/// Summary statistics of a validated Chrome trace.
-#[derive(Clone, Debug)]
-pub struct TraceCheck {
-    /// Total events.
-    pub events: usize,
-    /// Distinct thread ids.
-    pub threads: usize,
-    /// Deepest B-nesting seen on any thread.
-    pub max_depth: usize,
-    /// `otherData.dropped_events`, if present.
-    pub dropped: u64,
-}
-
-/// Validates a Chrome `trace_event` JSON document: parseable, every
-/// event carries `ph`/`ts`/`tid`, per-thread timestamps are monotonic
-/// (non-decreasing), and B/E events balance per thread. `M` metadata
-/// records (`thread_name`) are accepted anywhere and affect neither
-/// depth nor the timestamp order of their lane. Ring-overflow traces
-/// (`dropped_events > 0`) are a **hard finding**: drops orphan events
-/// and silently truncate any profile derived from the trace, so a
-/// gating check must fail them, not forgive the imbalance they cause.
+/// Validates a Chrome `trace_event` JSON document through the
+/// workspace's one trace reader, [`Profile::from_chrome_trace`]:
+/// well-formed events, per-thread monotonic timestamps, balanced B/E
+/// events, and at least `min_threads` recorded threads. Ring-overflow
+/// traces (`dropped_events > 0`) are a **hard finding**: drops orphan
+/// events and silently truncate any profile derived from the trace, so
+/// a gating check must fail them, not forgive the imbalance they cause.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation.
-pub fn check_trace(text: &str, min_threads: usize) -> Result<TraceCheck, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let JsonValue::Obj(pairs) = &doc else {
-        return Err("trace document is not an object".to_string());
-    };
-    let events = pairs
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("traceEvents", JsonValue::Arr(items)) => Some(items),
-            _ => None,
-        })
-        .ok_or("no traceEvents array")?;
-    let dropped = pairs
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("otherData", JsonValue::Obj(inner)) => {
-                inner.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                    ("dropped_events", JsonValue::Num(x)) => Some(*x as u64),
-                    _ => None,
-                })
-            }
-            _ => None,
-        })
-        .unwrap_or(0);
-    if dropped > 0 {
-        return Err(format!(
-            "trace records {dropped} dropped event(s) — ring overflow truncates span \
-             accounting; re-record with a larger enable_trace capacity"
-        ));
+pub fn check_trace(text: &str, min_threads: usize) -> Result<Profile, String> {
+    let p = Profile::from_chrome_trace(text)?;
+    if p.dropped_events > 0 {
+        Err(format!(
+            "trace document records {} dropped event(s) — ring overflow truncates span \
+             accounting; re-record with a larger enable_trace capacity",
+            p.dropped_events
+        ))
+    } else if p.unmatched_ends > 0 || p.open_spans > 0 {
+        Err(format!(
+            "trace document is unbalanced: {} E event(s) match no B, {} B event(s) never end",
+            p.unmatched_ends, p.open_spans
+        ))
+    } else if p.lanes.len() < min_threads {
+        Err(format!(
+            "trace document has {} thread(s), expected >= {min_threads}",
+            p.lanes.len()
+        ))
+    } else {
+        Ok(p)
     }
-    let field = |ev: &JsonValue, name: &str| -> Option<JsonValue> {
-        match ev {
-            JsonValue::Obj(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone()),
-            _ => None,
-        }
-    };
-    let mut last_ts: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-    let mut depth: std::collections::BTreeMap<u64, i64> = std::collections::BTreeMap::new();
-    let mut max_depth = 0usize;
-    for (i, ev) in events.iter().enumerate() {
-        let ph = match field(ev, "ph") {
-            Some(JsonValue::Str(s)) => s,
-            _ => return Err(format!("event {i}: missing ph")),
-        };
-        if ph == "M" {
-            // Metadata records name threads/processes; they carry ts 0
-            // regardless of position, so they stay out of the
-            // monotonicity and balance bookkeeping.
-            if field(ev, "name").is_none() {
-                return Err(format!("event {i}: metadata record missing name"));
-            }
-            continue;
-        }
-        let ts = match field(ev, "ts") {
-            Some(JsonValue::Num(x)) if x.is_finite() && x >= 0.0 => x,
-            _ => return Err(format!("event {i}: missing/invalid ts")),
-        };
-        let tid = match field(ev, "tid") {
-            Some(JsonValue::Num(x)) if x >= 0.0 => x as u64,
-            _ => return Err(format!("event {i}: missing/invalid tid")),
-        };
-        if field(ev, "name").is_none() {
-            return Err(format!("event {i}: missing name"));
-        }
-        if let Some(&prev) = last_ts.get(&tid) {
-            if ts < prev {
-                return Err(format!(
-                    "event {i}: timestamp {ts} regresses below {prev} on tid {tid}"
-                ));
-            }
-        }
-        last_ts.insert(tid, ts);
-        let d = depth.entry(tid).or_insert(0);
-        match ph.as_str() {
-            "B" => {
-                *d += 1;
-                max_depth = max_depth.max(*d as usize);
-            }
-            "E" => {
-                *d -= 1;
-                if *d < 0 {
-                    return Err(format!("event {i}: unmatched E on tid {tid}"));
-                }
-            }
-            "C" => {}
-            other => return Err(format!("event {i}: unexpected ph `{other}`")),
-        }
-    }
-    for (tid, d) in &depth {
-        if *d != 0 {
-            return Err(format!("tid {tid}: {d} unbalanced B event(s)"));
-        }
-    }
-    let threads = last_ts.len();
-    if threads < min_threads {
-        return Err(format!(
-            "trace has {threads} thread(s), expected >= {min_threads}"
-        ));
-    }
-    Ok(TraceCheck {
-        events: events.len(),
-        threads,
-        max_depth,
-        dropped,
-    })
 }
 
 #[cfg(test)]
@@ -580,6 +585,10 @@ mod tests {
 
     fn parse(s: &str) -> JsonValue {
         JsonValue::parse(s).expect("test doc parses")
+    }
+
+    fn diff(a: &JsonValue, b: &JsonValue, opts: &DiffOptions) -> DiffReport {
+        super::diff(a, b, opts).expect("comparable documents")
     }
 
     #[test]
@@ -637,7 +646,7 @@ mod tests {
         let strict = DiffOptions {
             tol: 0.25,
             mem_tol: 0.5,
-            timing_informational: false,
+            timing_strict: true,
             mem_strict: false,
         };
         // 40% growth sits inside mem_tol=0.5 even though tol=0.25
@@ -647,7 +656,7 @@ mod tests {
         let rep = diff(&a, &c, &strict);
         assert!(!rep.ok(), "3x peak fails the strict memory gate");
         let informational = DiffOptions {
-            timing_informational: true,
+            timing_strict: false,
             ..strict
         };
         let rep = diff(&a, &c, &informational);
@@ -680,7 +689,7 @@ mod tests {
         let strict = DiffOptions {
             tol: 0.0,
             mem_tol: 0.01,
-            timing_informational: false,
+            timing_strict: true,
             mem_strict: false,
         };
         let rep = diff(&a, &b, &strict);
@@ -711,12 +720,12 @@ mod tests {
         let a = parse(r#"{"wall_ms":100.0}"#);
         let b = parse(r#"{"wall_ms":200.0}"#);
         let strict = DiffOptions {
-            timing_informational: false,
+            timing_strict: true,
             ..DiffOptions::default()
         };
         assert!(!diff(&a, &b, &strict).ok(), "2x slower fails strict gate");
         let informational = DiffOptions {
-            timing_informational: true,
+            timing_strict: false,
             ..DiffOptions::default()
         };
         let rep = diff(&a, &b, &informational);
@@ -739,6 +748,7 @@ mod tests {
         let a = parse(r#"{"schema_version":1,"x":1}"#);
         let b = parse(r#"{"schema_version":2,"x":1}"#);
         assert_eq!(check_schema(&a, &b), Err((1.0, 2.0)));
+        assert!(super::diff(&a, &b, &DiffOptions::default()).is_err());
         assert_eq!(check_schema(&a, &a), Ok(()));
         // Documents without a version (BENCH sidecars) are accepted.
         let c = parse(r#"{"x":1}"#);
@@ -756,10 +766,10 @@ mod tests {
             {"name":"c","ph":"C","ts":2.0,"pid":1,"tid":1,"args":{"value":3}},
             {"name":"t","ph":"E","ts":2.5,"pid":1,"tid":1}
         ],"otherData":{"dropped_events":0}}"#;
-        let check = check_trace(good, 2).expect("valid trace");
-        assert_eq!(check.threads, 2);
-        assert_eq!(check.max_depth, 2);
-        assert_eq!(check.events, 7);
+        let profile = check_trace(good, 2).expect("valid trace");
+        assert_eq!(profile.lanes.len(), 2);
+        assert_eq!(profile.span("b").map(|s| s.count), Some(1));
+        assert!(check_trace(good, 3).is_err(), "thread floor");
 
         let unbalanced = r#"{"traceEvents":[
             {"name":"a","ph":"B","ts":1.0,"pid":1,"tid":0}
@@ -801,9 +811,8 @@ mod tests {
             {"name":"b","ph":"B","ts":1.0,"pid":1,"tid":1},
             {"name":"b","ph":"E","ts":2.0,"pid":1,"tid":1}
         ],"otherData":{"dropped_events":0}}"#;
-        let check = check_trace(with_meta, 2).expect("metadata accepted");
-        assert_eq!(check.threads, 2, "threads counted from real events");
-        assert_eq!(check.events, 6, "metadata records count as events");
+        let profile = check_trace(with_meta, 2).expect("metadata accepted");
+        assert_eq!(profile.lanes[1].name, "tc-par-0", "metadata names the lane");
 
         let nameless_meta = r#"{"traceEvents":[
             {"ph":"M","ts":0,"pid":1,"tid":0}

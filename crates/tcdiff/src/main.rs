@@ -1,5 +1,5 @@
-//! The `tcdiff` CLI: compare two run artifacts / `BENCH_*.json`
-//! sidecars, or validate a Chrome trace export.
+//! The `tcdiff` CLI: compare two run artifacts, `BENCH_*.json` sidecars
+//! or `PROF_*.json` span profiles, or validate a Chrome trace export.
 //!
 //! ```text
 //! tcdiff <baseline.json> <candidate.json> [--tol 0.25] [--mem-tol 0.5]
@@ -7,166 +7,90 @@
 //! tcdiff --check-trace <trace.json> [--min-threads N]
 //! ```
 //!
-//! Exit codes: `0` — documents agree (timing within tolerance or
-//! informational); `1` — regression (fingerprint/exact mismatch, or
-//! out-of-tolerance timing under `--timing-strict`); `2` — usage, I/O,
-//! parse, or schema-version error.
+//! Exit codes (the [`tc_obs::cli`] contract): `0` — documents agree
+//! (timing within tolerance or informational); `1` — regression
+//! (fingerprint/exact mismatch, or out-of-tolerance timing under
+//! `--timing-strict`); `2` — usage, I/O, parse, or schema-version
+//! error.
 
 use std::process::ExitCode;
 
+use tc_obs::cli::{self, Args, Outcome};
 use tc_obs::JsonValue;
-use tcdiff::{check_schema, check_trace, diff, DiffOptions};
+use tcdiff::{check_trace, diff, DiffOptions};
 
-fn usage() -> &'static str {
-    "usage: tcdiff <baseline.json> <candidate.json> [--tol FRACTION] [--mem-tol FRACTION]\n\
-     \x20      [--timing-strict] [--mem-strict] [--verbose]\n\
-     \x20      tcdiff --check-trace <trace.json> [--min-threads N]\n\
-     \n\
-     Compares two run artifacts or BENCH_*.json sidecars field by field.\n\
-     Fingerprint/result fields must match exactly; wall-clock fields\n\
-     (*_ms/*_us/*_ns/wall*/speedup*/elapsed*/idle*) are tolerance-gated\n\
-     (default 25% relative); allocator fields (*_bytes/*_allocs/*_frees)\n\
-     gate under --mem-tol (default 50%, never bit-exact). Both classes\n\
-     are informational unless --timing-strict; --mem-strict gates the\n\
-     memory class alone, keeping wall clock informational.\n\
-     --check-trace validates a Chrome trace_event export instead:\n\
-     JSON parse, per-thread monotonic timestamps, balanced B/E events\n\
-     (M/thread_name metadata records accepted)."
+const USAGE: &str = "\
+usage: tcdiff <baseline.json> <candidate.json> [--tol FRACTION] [--mem-tol FRACTION]
+       [--timing-strict] [--mem-strict] [--verbose]
+       tcdiff --check-trace <trace.json> [--min-threads N]
+
+Compares two run artifacts or BENCH_*.json sidecars field by field.
+Fingerprint/result fields must match exactly; wall-clock fields
+(*_ms/*_us/*_ns/wall*/speedup*/elapsed*/idle*) are tolerance-gated
+(default 25% of the baseline value); allocator fields
+(*_bytes/*_allocs/*_frees) gate under --mem-tol (default 50%, never
+bit-exact). Both classes are informational unless --timing-strict;
+--mem-strict gates the memory class alone.
+Two PROF_*.json span profiles are compared by span name instead: span
+set, counts and dropped_events exactly, self-time growth under --tol
+for spans holding at least 2% of wall.
+--check-trace validates a Chrome trace_event export instead:
+well-formed events, per-thread monotonic timestamps, balanced B/E
+events, no dropped events.";
+
+/// A tolerance flag: a non-negative fraction.
+fn tolerance(args: &mut Args, name: &str, default: f64) -> Result<f64, String> {
+    match args.value::<f64>(name)? {
+        Some(t) if t.is_nan() || t < 0.0 => Err(format!("{name} must be >= 0")),
+        Some(t) => Ok(t),
+        None => Ok(default),
+    }
 }
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("tcdiff: {msg}");
-    ExitCode::from(2)
+fn trace_mode(mut args: Args) -> Result<Outcome, String> {
+    let min_threads = args.value("--min-threads")?.unwrap_or(1usize);
+    let [path] = args.exactly()?;
+    match check_trace(&cli::read(&path)?, min_threads) {
+        Ok(p) => {
+            println!(
+                "{path}: valid Chrome trace — {} span name(s) on {} thread(s), wall {}",
+                p.spans.len(),
+                p.lanes.len(),
+                tc_prof::fmt_ns(p.wall_ns)
+            );
+            Ok(Outcome::Clean)
+        }
+        Err(e) => {
+            eprintln!("tcdiff: {path}: {e}");
+            Ok(Outcome::Findings)
+        }
+    }
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+fn diff_mode(mut args: Args) -> Result<Outcome, String> {
+    let defaults = DiffOptions::default();
+    let opts = DiffOptions {
+        tol: tolerance(&mut args, "--tol", defaults.tol)?,
+        mem_tol: tolerance(&mut args, "--mem-tol", defaults.mem_tol)?,
+        timing_strict: args.flag("--timing-strict"),
+        mem_strict: args.flag("--mem-strict"),
+    };
+    let verbose = args.flag("--verbose");
+    let [base, cand] = args.exactly()?;
+    let load = |path: &str| JsonValue::parse(&cli::read(path)?).map_err(|e| format!("{path}: {e}"));
+    let report = diff(&load(&base)?, &load(&cand)?, &opts)?;
+    print!("{}", report.render(verbose));
+    let verdict = if report.ok() { "PASS" } else { "FAIL" };
+    println!("{verdict}: {base} vs {cand}");
+    Ok(Outcome::clean_if(report.ok()))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
-        println!("{}", usage());
-        return ExitCode::from(if args.is_empty() { 2 } else { 0 });
-    }
-
-    if args[0] == "--check-trace" {
-        let Some(path) = args.get(1) else {
-            return fail(usage());
-        };
-        let mut min_threads = 1usize;
-        let mut i = 2;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--min-threads" => {
-                    let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                        return fail("--min-threads needs an integer");
-                    };
-                    min_threads = n;
-                    i += 2;
-                }
-                other => return fail(&format!("unknown flag `{other}`\n{}", usage())),
-            }
+    cli::run("tcdiff", USAGE, |mut args| {
+        if args.flag("--check-trace") {
+            trace_mode(args)
+        } else {
+            diff_mode(args)
         }
-        let text = match read(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&e),
-        };
-        return match check_trace(&text, min_threads) {
-            Ok(c) => {
-                println!(
-                    "{path}: valid Chrome trace — {} events on {} thread(s), max depth {}, {} dropped",
-                    c.events, c.threads, c.max_depth, c.dropped
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("tcdiff: {path}: {e}");
-                ExitCode::from(1)
-            }
-        };
-    }
-
-    let mut paths = Vec::new();
-    let mut opts = DiffOptions::default();
-    let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tol" => {
-                let Some(t) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    return fail("--tol needs a fraction, e.g. --tol 0.25");
-                };
-                if t.is_nan() || t < 0.0 {
-                    return fail("--tol must be >= 0");
-                }
-                opts.tol = t;
-                i += 2;
-            }
-            "--mem-tol" => {
-                let Some(t) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    return fail("--mem-tol needs a fraction, e.g. --mem-tol 0.5");
-                };
-                if t.is_nan() || t < 0.0 {
-                    return fail("--mem-tol must be >= 0");
-                }
-                opts.mem_tol = t;
-                i += 2;
-            }
-            "--timing-strict" => {
-                opts.timing_informational = false;
-                i += 1;
-            }
-            "--mem-strict" => {
-                opts.mem_strict = true;
-                i += 1;
-            }
-            "--timing-informational" => {
-                opts.timing_informational = true;
-                i += 1;
-            }
-            "--verbose" => {
-                verbose = true;
-                i += 1;
-            }
-            other if other.starts_with("--") => {
-                return fail(&format!("unknown flag `{other}`\n{}", usage()))
-            }
-            path => {
-                paths.push(path.to_string());
-                i += 1;
-            }
-        }
-    }
-    if paths.len() != 2 {
-        return fail(usage());
-    }
-
-    let (ta, tb) = match (read(&paths[0]), read(&paths[1])) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return fail(&e),
-    };
-    let a = match JsonValue::parse(&ta) {
-        Ok(v) => v,
-        Err(e) => return fail(&format!("{}: {e}", paths[0])),
-    };
-    let b = match JsonValue::parse(&tb) {
-        Ok(v) => v,
-        Err(e) => return fail(&format!("{}: {e}", paths[1])),
-    };
-    if let Err((va, vb)) = check_schema(&a, &b) {
-        return fail(&format!(
-            "schema_version mismatch: baseline {va} vs candidate {vb}"
-        ));
-    }
-
-    let report = diff(&a, &b, &opts);
-    print!("{}", report.render(verbose));
-    if report.ok() {
-        println!("PASS: {} vs {}", paths[0], paths[1]);
-        ExitCode::SUCCESS
-    } else {
-        println!("FAIL: {} vs {}", paths[0], paths[1]);
-        ExitCode::from(1)
-    }
+    })
 }

@@ -53,11 +53,7 @@ fn perturbed_fingerprint_fails_the_gate() {
     let perturbed = text.replace("9dd7ec524030f9c4", "0000000000000000");
     let candidate = tmp_file("perturbed.json", &perturbed);
 
-    let out = run(&[
-        baseline.to_str().unwrap(),
-        candidate.to_str().unwrap(),
-        "--timing-informational",
-    ]);
+    let out = run(&[baseline.to_str().unwrap(), candidate.to_str().unwrap()]);
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -216,6 +212,21 @@ fn check_trace_mode_validates_and_gates() {
     let out = run(&["--check-trace", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "unmatched E gates");
     std::fs::remove_file(bad).ok();
+
+    let backwards = tmp_file(
+        "trace_backwards.json",
+        r#"{"traceEvents":[
+            {"name":"a","ph":"B","ts":5.0,"pid":1,"tid":0},
+            {"name":"a","ph":"E","ts":1.0,"pid":1,"tid":0}
+        ]}"#,
+    );
+    let out = run(&["--check-trace", backwards.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "regressing timestamp gates");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("regresses"),
+        "the finding names the cause"
+    );
+    std::fs::remove_file(backwards).ok();
 
     // thread_name metadata records pass validation untouched.
     let with_meta = tmp_file(
