@@ -13,17 +13,17 @@
 //! | target    | parser                                           |
 //! |-----------|--------------------------------------------------|
 //! | `spef`    | `tc_interconnect::parse_spef_from`               |
-//! | `verilog` | `tc_netlist::parse_verilog_from`                 |
-//! | `liberty` | `tc_liberty::parse_liberty`                      |
+//! | `verilog` | `tc_netlist::parse_verilog_from` + `tc_lint::lint_verilog_source` |
+//! | `liberty` | `tc_liberty::parse_liberty` + `tc_lint::lint_liberty_source` |
 //! | `json`    | `tc_obs::JsonValue::parse`                       |
-//! | `journal` | `tc_netlist::decode_journal` + `replay_journal`  |
+//! | `journal` | `tc_netlist::decode_journal` + `replay_journal` + `tc_lint`'s `check_journal` |
 //! | `tcdiff`  | sidecar load: `JsonValue::parse` + `diff` + `check_trace` |
 //! | `waiver`  | `tc_lint::decode_waivers` + `render_waivers`     |
 //! | `prof`    | `tc_prof::Profile::parse` (span-profile sidecars) |
 //!
 //! The harness seeds its corpus from the repo's **own writers** (the
 //! Verilog/SPEF/Liberty emitters, `RunArtifact` JSON, journal export),
-//! applies seeded byte- and token-level mutators, and asserts three
+//! applies seeded byte- and token-level mutators, and asserts four
 //! invariants on every input:
 //!
 //! 1. **Never panic** — every entry point is driven under
@@ -34,6 +34,9 @@
 //!    and reparsing it must be a fixpoint (`emit(parse(emit(parse(x))))
 //!    == emit(parse(x))`), and replayed journals must leave the netlist
 //!    valid (or, on failure, exactly rolled back).
+//! 4. **Consumer agreement** — where a parser and a lint pass read the
+//!    same bytes through one shared reader (Verilog, Liberty, journal
+//!    references), neither may contradict the other.
 //!
 //! Randomness comes exclusively from `tc_core::rng::Rng` streams, so a
 //! `(seed, target)` pair replays bit-identically on any machine. Found

@@ -3,12 +3,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use tc_core::error::Error;
 use tc_interconnect::beol::BeolStack;
 use tc_interconnect::estimate::{NdrClass, WireModel};
 use tc_interconnect::spef::{parse_spef_from, write_spef, NetParasitics};
 use tc_liberty::libfile::{parse_liberty, write_liberty};
 use tc_liberty::{LibConfig, Library, PvtCorner};
-use tc_lint::{decode_waivers, render_waivers, Waiver};
+use tc_lint::graph_rules::check_journal;
+use tc_lint::{decode_waivers, lint_liberty_source, lint_verilog_source, render_waivers, Waiver};
 use tc_netlist::gen::{generate, BenchProfile};
 use tc_netlist::{
     decode_journal, parse_verilog_from, render_cmds, replay_journal, write_journal, write_verilog,
@@ -21,13 +23,16 @@ use tc_obs::{JsonValue, RunArtifact};
 pub enum TargetKind {
     /// Sensitivity-SPEF parasitics (`parse_spef_from`).
     Spef,
-    /// Structural Verilog (`parse_verilog_from`).
+    /// Structural Verilog (`parse_verilog_from`, and `tc-lint`'s source
+    /// scan over the same bytes).
     Verilog,
-    /// Liberty subset (`parse_liberty`).
+    /// Liberty subset (`parse_liberty`, and `tc-lint`'s table rules over
+    /// the same bytes).
     Liberty,
     /// JSON documents (`JsonValue::parse`).
     Json,
-    /// ECO journal text (`decode_journal` + transactional replay).
+    /// ECO journal text (`decode_journal` + transactional replay, and
+    /// `tc-lint`'s `TCL0501` over the same commands).
     Journal,
     /// tcdiff sidecar loading (`JsonValue::parse` + `diff`, field-wise and
     /// span-wise, + `check_trace`).
@@ -81,6 +86,9 @@ pub enum Violation {
     /// An accepted input failed the emit→reparse fixpoint (or a replay
     /// left the netlist inconsistent).
     RoundtripMismatch(String),
+    /// The parser and the lint pass that read the same bytes through
+    /// the same reader drew contradictory conclusions.
+    ConsumerDisagreement(String),
 }
 
 impl Violation {
@@ -90,6 +98,7 @@ impl Violation {
             Violation::Panic(_) => "panic",
             Violation::ContextFreeError(_) => "context-free-error",
             Violation::RoundtripMismatch(_) => "roundtrip-mismatch",
+            Violation::ConsumerDisagreement(_) => "consumer-disagreement",
         }
     }
 
@@ -98,7 +107,8 @@ impl Violation {
         match self {
             Violation::Panic(m)
             | Violation::ContextFreeError(m)
-            | Violation::RoundtripMismatch(m) => m,
+            | Violation::RoundtripMismatch(m)
+            | Violation::ConsumerDisagreement(m) => m,
         }
     }
 }
@@ -308,16 +318,28 @@ impl Env {
         }
         nl.set_wire_length(NetId::new(3), 41.25);
         nl.set_route_class(NetId::new(3), 2);
-        let buf = self
+        // Buffer the first loaded net, then touch the buffer and its
+        // output net the way a closure pass does: later entries that
+        // name the cell and net this entry appended.
+        let bufs: Vec<_> = self
             .lib
             .cells()
             .iter()
-            .find(|c| c.input_pins().len() == 1 && c.is_buffer_like())
-            .map(|c| self.lib.id_of(&c.name).expect("listed cell resolves"));
-        if let Some(buf) = buf {
-            let victim = NetId::new(3);
-            if let Some(&sink) = nl.net(victim).sinks.first() {
-                let _ = nl.insert_buffer(&self.lib, victim, &[sink], buf);
+            .filter(|c| c.input_pins().len() == 1 && c.is_buffer_like())
+            .map(|c| self.lib.id_of(&c.name).expect("listed cell resolves"))
+            .collect();
+        let victim = (0..nl.net_count())
+            .map(NetId::new)
+            .find(|&n| !nl.net(n).sinks.is_empty());
+        if let (Some(&buf), Some(victim)) = (bufs.first(), victim) {
+            let sink = nl.net(victim).sinks[0];
+            let inserted = nl
+                .insert_buffer(&self.lib, victim, &[sink], buf)
+                .expect("a sink of the net moves behind a buffer");
+            nl.set_wire_length(nl.cell(inserted).output, 12.5);
+            if let Some(&other) = bufs.get(1) {
+                nl.swap_master(&self.lib, inserted, other)
+                    .expect("buffers share a pin interface");
             }
         }
     }
@@ -374,8 +396,31 @@ impl Env {
     }
 
     fn check_verilog(&self, input: &[u8]) -> Verdict {
+        // The source scan reads the same bytes through the parser's own
+        // statement reader, so it must name the defect whenever the
+        // parser rejects a duplicate or undriven net, and find nothing
+        // of the kind in a file the parser accepts.
+        let scan = lint_verilog_source(&String::from_utf8_lossy(input), "fuzz.v");
+        let scan_has = |code: &str| scan.iter().any(|d| d.code == code);
         let reader = std::io::BufReader::with_capacity(17, input);
-        match tc_netlist::parse_verilog_from(reader, &self.lib) {
+        let parsed = tc_netlist::parse_verilog_from(reader, &self.lib);
+        let disagreement = match &parsed {
+            Ok(_) => scan
+                .iter()
+                .find(|d| d.code == "TCL0102" || d.code == "TCL0103")
+                .map(|d| format!("parser accepts, scan reports {} on {}", d.code, d.subject)),
+            Err(Error::InvalidInput(m)) if m.contains(": duplicate net ") => {
+                (!scan_has("TCL0102")).then(|| format!("no TCL0102 for parser error: {m}"))
+            }
+            Err(Error::NotFound(m)) if m.contains(": net ") || m.contains(": output net ") => {
+                (!scan_has("TCL0103")).then(|| format!("no TCL0103 for parser error: {m}"))
+            }
+            Err(_) => None,
+        };
+        if let Some(msg) = disagreement {
+            return Verdict::Violation(Violation::ConsumerDisagreement(msg));
+        }
+        match parsed {
             Err(e) => err_verdict(e.to_string()),
             Ok(nl) => {
                 if let Err(e) = nl.validate(&self.lib) {
@@ -405,10 +450,23 @@ impl Env {
 
     fn check_liberty(&self, input: &[u8]) -> Verdict {
         // No emitter exists for ParsedLibrary, so liberty checks the
-        // panic and positioned-error invariants only.
+        // panic and positioned-error invariants, plus agreement with the
+        // table lint over the same reader: an axis `Lut2::new` refuses
+        // is an axis the lint reports.
         let text = String::from_utf8_lossy(input);
+        let scan = lint_liberty_source(&text, "fuzz.lib");
         match parse_liberty(&text) {
-            Err(e) => err_verdict(e.to_string()),
+            Err(e) => {
+                let msg = e.to_string();
+                if msg.contains("axis must be strictly increasing")
+                    && !scan.iter().any(|d| d.code == "TCL0401")
+                {
+                    return Verdict::Violation(Violation::ConsumerDisagreement(format!(
+                        "no TCL0401 for parser error: {msg}"
+                    )));
+                }
+                err_verdict(msg)
+            }
             Ok(_) => Verdict::Accepted,
         }
     }
@@ -433,9 +491,27 @@ impl Env {
                         }
                     }
                 }
+                // TCL0501 resolves references with the resolver replay
+                // uses: a replay that succeeds lints clean, and one that
+                // dies on a reference lints dirty.
+                let dead = check_journal(&self.base, &self.lib, &cmds);
                 let mut nl = self.base.clone();
                 let cp = nl.journal_len();
-                match replay_journal(&mut nl, &self.lib, &cmds) {
+                let replayed = replay_journal(&mut nl, &self.lib, &cmds);
+                let lint_must_be_clean = match &replayed {
+                    Ok(_) => Some(true),
+                    Err(Error::NotFound(_)) => Some(false),
+                    Err(Error::InvalidInput(m)) if m.contains(": duplicate sink ") => Some(false),
+                    Err(_) => None,
+                };
+                if lint_must_be_clean.is_some_and(|clean| clean != dead.is_empty()) {
+                    return Verdict::Violation(Violation::ConsumerDisagreement(format!(
+                        "replay says {:?}, TCL0501 says {:?}",
+                        replayed.map_err(|e| e.to_string()),
+                        dead.iter().map(|d| &d.message).collect::<Vec<_>>()
+                    )));
+                }
+                match replayed {
                     Ok(_) => {
                         if let Err(e) = nl.validate(&self.lib) {
                             Verdict::Violation(Violation::RoundtripMismatch(format!(

@@ -142,6 +142,150 @@ pub struct ParsedLibrary {
     pub cells: HashMap<String, ParsedCell>,
 }
 
+/// Table groups the subset knows; a `values` belongs to the most recent
+/// one opened.
+const TABLE_KINDS: [&str; 4] = [
+    "cell_rise",
+    "rise_transition",
+    "ocv_sigma_cell_rise",
+    "ocv_sigma_cell_fall",
+];
+
+/// One construct of the Liberty subset — a line, or a run of lines
+/// spliced at trailing `\` — classified, with its numbers parsed.
+/// Names borrow from the reader.
+#[derive(Debug, PartialEq)]
+pub enum LibertyStmt<'a> {
+    /// `library (NAME) {`.
+    Library(&'a str),
+    /// `cell (NAME) {`.
+    Cell(&'a str),
+    /// `pin (NAME) {`.
+    Pin(&'a str),
+    /// `timing () {`.
+    Timing,
+    /// `related_pin : "NAME";`.
+    RelatedPin(&'a str),
+    /// `area : V;`, `cell_leakage_power : V;` or `capacitance : V;`: the
+    /// attribute name and its (finite) value.
+    Attr(&'static str, f64),
+    /// A table group opens; the payload is its kind (`cell_rise`, …).
+    Table(&'static str),
+    /// `index_1 ("…")` / `index_2 ("…")`: which axis (1 or 2) and its
+    /// values as written — finite, but not checked for order, which is
+    /// what `Lut2::new` rejects and `tc-lint` reports as `TCL0401`.
+    Index(u8, Vec<f64>),
+    /// `values ("…", "…")`: one row per quoted group, as written.
+    Values(Vec<Vec<f64>>),
+    /// A lone `}`.
+    Close,
+    /// Anything else (units, nominal conditions, directions, blanks).
+    Other,
+}
+
+/// The one reader of the Liberty subset, shared by [`parse_liberty`] and
+/// `tc-lint`'s table rules: splices `\`-continued lines and hands `visit`
+/// each construct, classified and with its numbers parsed, with the line
+/// it started on. One whose numbers do not parse reaches `visit` as an
+/// `Err` naming its line: the parser returns it and reading stops, the
+/// lint scan returns `Ok` and reading goes on. Returns the line count.
+///
+/// # Errors
+///
+/// The first `Err` from `visit`.
+pub fn read_liberty(
+    text: &str,
+    mut visit: impl FnMut(usize, Result<LibertyStmt<'_>>) -> Result<()>,
+) -> Result<usize> {
+    // The writer emits one construct per line except `values`, which may
+    // continue with `\`-terminated lines; splice those first, remembering
+    // the line each spliced statement started on.
+    let mut pending = String::new();
+    let mut pending_line = 0usize;
+    let mut lines = 0usize;
+    for line in text.lines() {
+        lines += 1;
+        let trimmed = line.trim_end();
+        if trimmed.ends_with('\\') {
+            if pending.is_empty() {
+                pending_line = lines;
+            }
+            pending.push_str(trimmed.trim_end_matches('\\'));
+        } else if pending.is_empty() {
+            visit(lines, classify(trimmed, lines))?;
+        } else {
+            pending.push_str(trimmed);
+            visit(pending_line, classify(&pending, pending_line))?;
+            pending.clear();
+        }
+    }
+    if !pending.is_empty() {
+        // A trailing `\` with no continuation line.
+        visit(pending_line, classify(&pending, pending_line))?;
+    }
+    Ok(lines)
+}
+
+fn classify(line: &str, lineno: usize) -> Result<LibertyStmt<'_>> {
+    let l = line.trim();
+    fn group_name(rest: &str) -> &str {
+        rest.split(')').next().unwrap_or("")
+    }
+    fn quoted(l: &str) -> Option<&str> {
+        l.split('"').nth(1)
+    }
+    // Every number in a quoted, comma-separated list.
+    let floats = |list: &str, what: &str| -> Result<Vec<f64>> {
+        list.split(',')
+            .map(|v| {
+                v.trim()
+                    .parse::<f64>()
+                    .map_err(|e| Error::invalid_input(format!("line {lineno}: bad {what}: {e}")))
+            })
+            .collect()
+    };
+    Ok(if let Some(rest) = l.strip_prefix("library (") {
+        LibertyStmt::Library(group_name(rest))
+    } else if let Some(rest) = l.strip_prefix("cell (") {
+        LibertyStmt::Cell(group_name(rest))
+    } else if let Some(rest) = l.strip_prefix("pin (") {
+        LibertyStmt::Pin(group_name(rest))
+    } else if l.starts_with("timing ") {
+        LibertyStmt::Timing
+    } else if l.starts_with("related_pin") {
+        LibertyStmt::RelatedPin(quoted(l).unwrap_or(""))
+    } else if let Some(name) = ["area", "cell_leakage_power", "capacitance"]
+        .into_iter()
+        .find(|a| l.strip_prefix(a).is_some_and(|rest| rest.starts_with(" :")))
+    {
+        LibertyStmt::Attr(name, attr_value(l, lineno)?)
+    } else if let Some(kind) = TABLE_KINDS.iter().find(|k| l.starts_with(**k)) {
+        LibertyStmt::Table(kind)
+    } else if l.starts_with("index_1") || l.starts_with("index_2") {
+        let inner = quoted(l)
+            .ok_or_else(|| Error::invalid_input(format!("line {lineno}: axis missing quotes")))?;
+        let axis = floats(inner, "axis value")?;
+        if let Some(x) = axis.iter().find(|x| !x.is_finite()) {
+            return Err(Error::invalid_input(format!(
+                "line {lineno}: axis value must be finite, got {x}"
+            )));
+        }
+        LibertyStmt::Index(if l.starts_with("index_1") { 1 } else { 2 }, axis)
+    } else if l.starts_with("values (") {
+        LibertyStmt::Values(
+            l.split('"')
+                .skip(1)
+                .step_by(2)
+                .map(|row| floats(row, "value"))
+                .collect::<Result<_>>()?,
+        )
+    } else if l == "}" {
+        LibertyStmt::Close
+    } else {
+        LibertyStmt::Other
+    })
+}
+
 /// Parses the Liberty subset produced by [`write_liberty`].
 ///
 /// # Errors
@@ -154,171 +298,96 @@ pub fn parse_liberty(text: &str) -> Result<ParsedLibrary> {
     let mut cur_cell: Option<ParsedCell> = None;
     let mut cur_arc: Option<ParsedArc> = None;
     let mut cur_pin: Option<String> = None;
-    let mut table_kind: Option<String> = None;
+    let mut table_kind: Option<&str> = None;
     let mut index1: Option<Vec<f64>> = None;
     let mut index2: Option<Vec<f64>> = None;
     let mut depth = 0i32;
-    let mut last_line = 0usize;
 
-    // The writer emits one construct per line except `values`, which may
-    // continue with `\`-terminated lines; splice those first, remembering
-    // the line each spliced statement started on.
-    let mut spliced: Vec<(usize, String)> = Vec::new();
-    let mut pending = String::new();
-    let mut pending_line = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        last_line = lineno;
-        let trimmed = line.trim_end();
-        if trimmed.ends_with('\\') {
-            if pending.is_empty() {
-                pending_line = lineno;
+    let last_line = read_liberty(text, |lineno, stmt| {
+        match stmt? {
+            LibertyStmt::Library(name) => {
+                lib.name = name.to_string();
+                depth += 1;
             }
-            pending.push_str(trimmed.trim_end_matches('\\'));
-        } else if pending.is_empty() {
-            spliced.push((lineno, trimmed.to_string()));
-        } else {
-            pending.push_str(trimmed);
-            spliced.push((pending_line, std::mem::take(&mut pending)));
-        }
-    }
-    if !pending.is_empty() {
-        // A trailing `\` with no continuation line.
-        spliced.push((pending_line, pending));
-    }
-
-    let parse_quoted_axis = |line: &str, lineno: usize| -> Result<Vec<f64>> {
-        let inner = line
-            .split('"')
-            .nth(1)
-            .ok_or_else(|| Error::invalid_input(format!("line {lineno}: axis missing quotes")))?;
-        inner
-            .split(',')
-            .map(|v| {
-                let x = v.trim().parse::<f64>().map_err(|e| {
-                    Error::invalid_input(format!("line {lineno}: bad axis value: {e}"))
+            LibertyStmt::Cell(name) => {
+                cur_cell = Some(ParsedCell {
+                    name: name.to_string(),
+                    ..Default::default()
+                });
+                depth += 1;
+            }
+            LibertyStmt::Pin(name) => {
+                cur_pin = Some(name.to_string());
+                depth += 1;
+            }
+            LibertyStmt::Timing => {
+                cur_arc = Some(ParsedArc::default());
+                depth += 1;
+            }
+            LibertyStmt::RelatedPin(pin) => {
+                if let Some(arc) = cur_arc.as_mut() {
+                    arc.related_pin = pin.to_string();
+                }
+            }
+            LibertyStmt::Attr(name, v) => match (name, cur_cell.as_mut(), cur_pin.as_ref()) {
+                ("area", Some(c), _) => c.area = v,
+                ("cell_leakage_power", Some(c), _) => c.leakage = v,
+                ("capacitance", Some(c), Some(pin)) => {
+                    c.pin_caps.insert(pin.clone(), v);
+                }
+                _ => {}
+            },
+            LibertyStmt::Table(kind) => {
+                table_kind = Some(kind);
+                index1 = None;
+                index2 = None;
+                depth += 1;
+            }
+            LibertyStmt::Index(1, axis) => index1 = Some(axis),
+            LibertyStmt::Index(_, axis) => index2 = Some(axis),
+            LibertyStmt::Values(grid) => {
+                let kind = table_kind.ok_or_else(|| {
+                    Error::invalid_input(format!("line {lineno}: values outside a table"))
                 })?;
-                if !x.is_finite() {
+                let rows_axis = index1.clone().ok_or_else(|| {
+                    Error::invalid_input(format!("line {lineno}: values before index_1"))
+                })?;
+                let cols_axis = index2.clone().ok_or_else(|| {
+                    Error::invalid_input(format!("line {lineno}: values before index_2"))
+                })?;
+                let lut = Lut2::new(rows_axis, cols_axis, grid)
+                    .map_err(|e| Error::invalid_input(format!("line {lineno}: {e}")))?;
+                if let Some(arc) = cur_arc.as_mut() {
+                    arc.tables.push(ParsedTable {
+                        kind: kind.to_string(),
+                        lut,
+                    });
+                }
+            }
+            LibertyStmt::Close => {
+                depth -= 1;
+                if depth < 0 {
                     return Err(Error::invalid_input(format!(
-                        "line {lineno}: axis value must be finite, got {}",
-                        v.trim()
+                        "line {lineno}: unexpected closing brace"
                     )));
                 }
-                Ok(x)
-            })
-            .collect()
-    };
-
-    for &(lineno, ref line) in &spliced {
-        let l = line.trim();
-        if l.starts_with("library (") {
-            lib.name = l
-                .trim_start_matches("library (")
-                .split(')')
-                .next()
-                .unwrap_or("")
-                .to_string();
-            depth += 1;
-        } else if l.starts_with("cell (") {
-            let name = l
-                .trim_start_matches("cell (")
-                .split(')')
-                .next()
-                .unwrap_or("");
-            cur_cell = Some(ParsedCell {
-                name: name.to_string(),
-                ..Default::default()
-            });
-            depth += 1;
-        } else if l.starts_with("pin (") {
-            cur_pin = Some(
-                l.trim_start_matches("pin (")
-                    .split(')')
-                    .next()
-                    .unwrap_or("")
-                    .to_string(),
-            );
-            depth += 1;
-        } else if l.starts_with("timing ") {
-            cur_arc = Some(ParsedArc::default());
-            depth += 1;
-        } else if l.starts_with("related_pin") {
-            if let Some(arc) = cur_arc.as_mut() {
-                arc.related_pin = l.split('"').nth(1).unwrap_or("").to_string();
-            }
-        } else if l.starts_with("area :") {
-            if let Some(c) = cur_cell.as_mut() {
-                c.area = attr_value(l, lineno)?;
-            }
-        } else if l.starts_with("cell_leakage_power :") {
-            if let Some(c) = cur_cell.as_mut() {
-                c.leakage = attr_value(l, lineno)?;
-            }
-        } else if l.starts_with("capacitance :") {
-            if let (Some(c), Some(pin)) = (cur_cell.as_mut(), cur_pin.as_ref()) {
-                c.pin_caps.insert(pin.clone(), attr_value(l, lineno)?);
-            }
-        } else if l.starts_with("cell_rise")
-            || l.starts_with("rise_transition")
-            || l.starts_with("ocv_sigma_cell_rise")
-            || l.starts_with("ocv_sigma_cell_fall")
-        {
-            table_kind = Some(l.split_whitespace().next().unwrap_or("").to_string());
-            index1 = None;
-            index2 = None;
-            depth += 1;
-        } else if l.starts_with("index_1") {
-            index1 = Some(parse_quoted_axis(l, lineno)?);
-        } else if l.starts_with("index_2") {
-            index2 = Some(parse_quoted_axis(l, lineno)?);
-        } else if l.starts_with("values (") {
-            let kind = table_kind.clone().ok_or_else(|| {
-                Error::invalid_input(format!("line {lineno}: values outside a table"))
-            })?;
-            let rows_axis = index1.clone().ok_or_else(|| {
-                Error::invalid_input(format!("line {lineno}: values before index_1"))
-            })?;
-            let cols_axis = index2.clone().ok_or_else(|| {
-                Error::invalid_input(format!("line {lineno}: values before index_2"))
-            })?;
-            let mut grid = Vec::new();
-            for row_str in l.split('"').skip(1).step_by(2) {
-                let row: Result<Vec<f64>> = row_str
-                    .split(',')
-                    .map(|v| {
-                        v.trim().parse::<f64>().map_err(|e| {
-                            Error::invalid_input(format!("line {lineno}: bad value: {e}"))
-                        })
-                    })
-                    .collect();
-                grid.push(row?);
-            }
-            let lut = Lut2::new(rows_axis, cols_axis, grid)
-                .map_err(|e| Error::invalid_input(format!("line {lineno}: {e}")))?;
-            if let Some(arc) = cur_arc.as_mut() {
-                arc.tables.push(ParsedTable { kind, lut });
-            }
-        } else if l == "}" {
-            depth -= 1;
-            if depth < 0 {
-                return Err(Error::invalid_input(format!(
-                    "line {lineno}: unexpected closing brace"
-                )));
-            }
-            // Close the innermost open construct.
-            if table_kind.take().is_some() {
-                // table closed
-            } else if let Some(arc) = cur_arc.take() {
-                if let Some(c) = cur_cell.as_mut() {
-                    c.arcs.push(arc);
+                // Close the innermost open construct.
+                if table_kind.take().is_some() {
+                    // table closed
+                } else if let Some(arc) = cur_arc.take() {
+                    if let Some(c) = cur_cell.as_mut() {
+                        c.arcs.push(arc);
+                    }
+                } else if cur_pin.take().is_some() {
+                    // pin closed
+                } else if let Some(c) = cur_cell.take() {
+                    lib.cells.insert(c.name.clone(), c);
                 }
-            } else if cur_pin.take().is_some() {
-                // pin closed
-            } else if let Some(c) = cur_cell.take() {
-                lib.cells.insert(c.name.clone(), c);
             }
+            LibertyStmt::Other => {}
         }
-    }
+        Ok(())
+    })?;
     if depth != 0 {
         return Err(Error::invalid_input(format!(
             "line {last_line}: unbalanced braces: depth {depth} at end of file"

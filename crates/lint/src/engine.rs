@@ -192,25 +192,4 @@ mod tests {
         assert_eq!(seq, par);
         assert!(seq.iter().any(|d| d.code == "TCL0201"));
     }
-
-    #[test]
-    fn telemetry_counts_findings_by_severity() {
-        obs::enable();
-        let lib = lib();
-        let nl = generate(&lib, BenchProfile::c5315(), 7).unwrap();
-        let mut cons = Constraints::single_clock(500.0);
-        cons.clocks.clear();
-        let mut ctx = LintContext::new(&nl, &lib);
-        ctx.constraints = Some(&cons);
-        let before = obs::snapshot().counter("lint.errors");
-        let diags = run_lint(&Pool::sequential(), &ctx);
-        let snap = obs::snapshot();
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == crate::diag::Severity::Error)
-            .count() as u64;
-        assert!(errors >= 1);
-        assert_eq!(snap.counter("lint.errors") - before, errors);
-        assert!(snap.span("lint.run").is_some());
-    }
 }

@@ -8,9 +8,10 @@
 
 use tc_interconnect::spef::NetParasitics;
 use tc_liberty::{CellKind, Library};
-use tc_netlist::{combinational_sccs, describe_scc, JournalCmd, Netlist};
+use tc_netlist::{combinational_sccs, describe_scc, JournalCmd, JournalRefs, Netlist};
 use tc_sta::constraints::Constraints;
 
+use tc_core::error::Error;
 use tc_core::ids::{CellId, NetId};
 
 use crate::diag::{finding, Diagnostic};
@@ -231,69 +232,33 @@ pub fn check_spef(nl: &Netlist, spef: &[NetParasitics]) -> Vec<Diagnostic> {
 }
 
 /// `TCL0501`: ECO-journal reference liveness, checked *without*
-/// replaying the journal. Positions use the journal entry index (the
+/// replaying the journal, by the resolver replay itself uses
+/// ([`JournalRefs`]) — so a reference lints dead exactly when replay
+/// would refuse it, including references to the cell and net an earlier
+/// `BUF` entry appends. Positions use the journal entry index (the
 /// `entry N` convention the journal decoder itself reports).
 pub fn check_journal(nl: &Netlist, lib: &Library, cmds: &[JournalCmd]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut bad = |entry: usize, message: String| {
+    let mut refs = JournalRefs::new(nl);
+    for (i, cmd) in cmds.iter().enumerate() {
+        let Err(Error::NotFound(what) | Error::InvalidInput(what)) = refs.resolve(nl, lib, cmd)
+        else {
+            continue;
+        };
+        let verb = match cmd {
+            JournalCmd::Swap { .. } => "SWAP",
+            JournalCmd::SetWireLength { .. } => "WIRELEN",
+            JournalCmd::SetRouteClass { .. } => "ROUTE",
+            JournalCmd::InsertBuffer { .. } => "BUF",
+            JournalCmd::Rewire { .. } => "REWIRE",
+        };
         out.push(finding(
             "TCL0501",
-            format!("entry {entry}"),
-            message,
+            format!("entry {i}"),
+            format!("{verb} references {what}"),
             "journal",
-            Some(entry),
+            Some(i),
         ));
-    };
-    let cell_ok = |c: usize| c < nl.cell_count();
-    let net_ok = |n: usize| n < nl.net_count();
-    for (i, cmd) in cmds.iter().enumerate() {
-        match cmd {
-            JournalCmd::Swap { cell, new_master } => {
-                if !cell_ok(*cell) {
-                    bad(i, format!("SWAP references dead cell #{cell}"));
-                } else if lib.id_of(new_master).is_none() {
-                    bad(i, format!("SWAP references unknown master {new_master}"));
-                }
-            }
-            JournalCmd::SetWireLength { net, .. } => {
-                if !net_ok(*net) {
-                    bad(i, format!("WIRELEN references dead net #{net}"));
-                }
-            }
-            JournalCmd::SetRouteClass { net, .. } => {
-                if !net_ok(*net) {
-                    bad(i, format!("ROUTE references dead net #{net}"));
-                }
-            }
-            JournalCmd::InsertBuffer {
-                src_net,
-                master,
-                sinks,
-            } => {
-                if !net_ok(*src_net) {
-                    bad(i, format!("BUF references dead net #{src_net}"));
-                } else if lib.id_of(master).is_none() {
-                    bad(i, format!("BUF references unknown master {master}"));
-                } else {
-                    for &(c, p) in sinks {
-                        if !cell_ok(c) {
-                            bad(i, format!("BUF sink references dead cell #{c}"));
-                        } else if p >= nl.cell(CellId::new(c)).inputs.len() {
-                            bad(i, format!("BUF sink pin {p} out of range for cell #{c}"));
-                        }
-                    }
-                }
-            }
-            JournalCmd::Rewire { cell, pin, net } => {
-                if !cell_ok(*cell) {
-                    bad(i, format!("REWIRE references dead cell #{cell}"));
-                } else if !net_ok(*net) {
-                    bad(i, format!("REWIRE references dead net #{net}"));
-                } else if *pin >= nl.cell(CellId::new(*cell)).inputs.len() {
-                    bad(i, format!("REWIRE pin {pin} out of range"));
-                }
-            }
-        }
     }
     out
 }

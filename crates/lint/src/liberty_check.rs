@@ -3,9 +3,10 @@
 //! [`tc_core::lut::Lut2`] rejects non-increasing axes at construction,
 //! so `parse_liberty` can only report a bad axis as an opaque parse
 //! failure — and it cannot see physics violations at all, because a
-//! non-monotone delay table is structurally valid. This pass scans the
-//! Liberty *text* (same `\` splicing and line numbering as the real
-//! parser) so both defects surface as positioned, waivable findings:
+//! non-monotone delay table is structurally valid. This pass reads the
+//! Liberty text through the parser's own reader ([`read_liberty`]) — which hands
+//! over axes and rows as written, before `Lut2::new` can reject them —
+//! so both defects surface as positioned, waivable findings:
 //!
 //! * `TCL0401` — an `index_1`/`index_2` axis is not strictly increasing.
 //! * `TCL0402` — a `cell_rise`/`rise_transition` table row decreases
@@ -15,90 +16,44 @@
 //!
 //! Sigma (`ocv_sigma_*`) and constraint tables are exempt from the
 //! monotonicity rule — hold constraints legitimately fall with data
-//! slew.
+//! slew. A construct whose numbers do not parse is the parser's error
+//! to report; the scan skips it.
+
+use tc_liberty::libfile::{read_liberty, LibertyStmt};
 
 use crate::diag::{finding, Diagnostic};
 
 /// Table kinds whose rows must be non-decreasing along the load axis.
 const MONOTONE_KINDS: [&str; 2] = ["cell_rise", "rise_transition"];
 
-/// All table kinds the Liberty writer emits (a `values` group belongs
-/// to the most recent one of these).
-const TABLE_KINDS: [&str; 4] = [
-    "cell_rise",
-    "rise_transition",
-    "ocv_sigma_cell_rise",
-    "ocv_sigma_cell_fall",
-];
-
 /// Scans Liberty text for axis-ordering and monotonicity defects.
 /// `label` names the stream in the findings (`lib.lib`).
 pub fn lint_liberty_source(text: &str, label: &str) -> Vec<Diagnostic> {
-    // Splice `\`-continued lines exactly like `parse_liberty`, keeping
-    // the line each spliced statement started on.
-    let mut spliced: Vec<(usize, String)> = Vec::new();
-    let mut pending = String::new();
-    let mut pending_line = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let trimmed = line.trim_end();
-        if trimmed.ends_with('\\') {
-            if pending.is_empty() {
-                pending_line = lineno;
-            }
-            pending.push_str(trimmed.trim_end_matches('\\'));
-        } else if pending.is_empty() {
-            spliced.push((lineno, trimmed.to_string()));
-        } else {
-            pending.push_str(trimmed);
-            spliced.push((pending_line, std::mem::take(&mut pending)));
-        }
-    }
-    if !pending.is_empty() {
-        spliced.push((pending_line, pending));
-    }
-
     let mut out = Vec::new();
     let mut cell = String::new();
     let mut related = String::new();
-    let mut kind: Option<String> = None;
+    let mut kind: Option<&str> = None;
     let mut axes_ok = true;
 
-    let quoted_floats = |l: &str| -> Option<Vec<f64>> {
-        let inner = l.split('"').nth(1)?;
-        inner
-            .split(',')
-            .map(|v| v.trim().parse::<f64>().ok())
-            .collect()
-    };
-
-    for &(lineno, ref line) in &spliced {
-        let l = line.trim();
-        if let Some(rest) = l.strip_prefix("cell (") {
-            cell = rest.split(')').next().unwrap_or("").to_string();
-            related.clear();
-        } else if l.starts_with("related_pin") {
-            related = l.split('"').nth(1).unwrap_or("").to_string();
-        } else if let Some(k) = TABLE_KINDS.iter().find(|k| l.starts_with(**k)) {
-            kind = Some((*k).to_string());
-            axes_ok = true;
-        } else if l.starts_with("index_1") || l.starts_with("index_2") {
-            let which = if l.starts_with("index_1") {
-                "index_1"
-            } else {
-                "index_2"
-            };
-            // An unparsable axis is the parser's problem; ours is an
-            // axis that parses but is not strictly increasing.
-            if let Some(axis) = quoted_floats(l) {
+    let scanned = read_liberty(text, |lineno, stmt| {
+        match stmt {
+            Ok(LibertyStmt::Cell(name)) => {
+                cell = name.to_string();
+                related.clear();
+            }
+            Ok(LibertyStmt::RelatedPin(pin)) => related = pin.to_string(),
+            Ok(LibertyStmt::Table(k)) => {
+                kind = Some(k);
+                axes_ok = true;
+            }
+            Ok(LibertyStmt::Index(which, axis)) => {
                 if let Some(i) = axis.windows(2).position(|w| w[1] <= w[0]) {
                     axes_ok = false;
-                    let k = kind.as_deref().unwrap_or("?");
                     out.push(finding(
                         "TCL0401",
-                        table_subject(&cell, &related, k),
+                        table_subject(&cell, &related, kind.unwrap_or("?")),
                         format!(
-                            "{which} not strictly increasing: {} then {} at position {}",
+                            "index_{which} not strictly increasing: {} then {} at position {}",
                             axis[i],
                             axis[i + 1],
                             i + 1
@@ -108,37 +63,36 @@ pub fn lint_liberty_source(text: &str, label: &str) -> Vec<Diagnostic> {
                     ));
                 }
             }
-        } else if l.starts_with("values (") {
-            let Some(k) = kind.as_deref() else { continue };
-            // Monotonicity over an unordered axis is meaningless; the
-            // TCL0401 finding already covers that table.
-            if !axes_ok || !MONOTONE_KINDS.contains(&k) {
-                continue;
-            }
-            for (row_idx, row_str) in l.split('"').skip(1).step_by(2).enumerate() {
-                let parsed: Option<Vec<f64>> = row_str
-                    .split(',')
-                    .map(|v| v.trim().parse::<f64>().ok())
-                    .collect();
-                let Some(row) = parsed else { continue };
-                if let Some(c) = row.windows(2).position(|w| w[1] < w[0] - 1e-9) {
+            Ok(LibertyStmt::Values(rows)) => {
+                // Monotonicity over an unordered axis is meaningless; the
+                // TCL0401 finding already covers that table.
+                // One finding per table is enough to act on.
+                let dip = kind
+                    .filter(|k| axes_ok && MONOTONE_KINDS.contains(k))
+                    .and_then(|k| {
+                        rows.iter().enumerate().find_map(|(r, row)| {
+                            let c = row.windows(2).position(|w| w[1] < w[0] - 1e-9)?;
+                            Some((k, r, c, row[c], row[c + 1]))
+                        })
+                    });
+                if let Some((k, row_idx, c, a, b)) = dip {
                     out.push(finding(
                         "TCL0402",
                         table_subject(&cell, &related, k),
                         format!(
-                            "row {row_idx} decreases along the load axis at column {}: {} then {}",
-                            c + 1,
-                            row[c],
-                            row[c + 1]
+                            "row {row_idx} decreases along the load axis at column {}: {a} then {b}",
+                            c + 1
                         ),
                         label,
                         Some(lineno),
                     ));
-                    break; // one finding per table is enough to act on
                 }
             }
+            Ok(_) | Err(_) => {}
         }
-    }
+        Ok(())
+    });
+    debug_assert!(scanned.is_ok(), "the visitor never fails: {scanned:?}");
     out
 }
 

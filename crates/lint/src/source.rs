@@ -5,10 +5,13 @@
 //! validates single drivers, so a multi-driven or undriven net can never
 //! exist *after* ingest — `parse_verilog` rejects such files outright
 //! with a bare "duplicate net" / "not found" error. Admission control
-//! wants more than rejection: this pass scans the source text itself,
-//! statement by statement (same `;`-splitting and line accounting as the
-//! real parser), and reports *positioned* findings naming every driver
-//! of the offending net, before any parse is attempted.
+//! wants more than rejection: this pass reads the source through the
+//! parser's own reader ([`read_statements`]) — so statement boundaries, start
+//! lines and connection splitting are the parser's by construction —
+//! and reports *positioned* findings naming every driver of the
+//! offending net, before any parse is attempted. A statement the reader
+//! rejects is skipped: it is the parser's error to report, and the rest
+//! of the file still gets scanned.
 //!
 //! The scan is master-agnostic: it follows the workspace convention that
 //! `.Y(net)` is the (single) output connection of an instance and every
@@ -17,17 +20,18 @@
 
 use std::collections::HashMap;
 
+use tc_netlist::verilog::{read_statements, Statement};
+
 use crate::diag::{finding, Diagnostic};
 
 /// Everything the scan learned about one net name.
 #[derive(Default)]
 struct NetUse {
-    /// Line of the `input` declaration, if any.
-    declared_input: Option<usize>,
+    /// Everything that drives the net, in source order: `(who, line)`,
+    /// `who` being `inst.Y` or an `input` declaration.
+    drivers: Vec<(String, usize)>,
     /// Line of the `output` declaration, if any.
     declared_output: Option<usize>,
-    /// Output-pin connections: `(instance name, line)`.
-    drivers: Vec<(String, usize)>,
     /// Line of the first input-pin reference, and total count.
     first_sink: Option<usize>,
     sink_count: usize,
@@ -35,9 +39,9 @@ struct NetUse {
 
 /// Scans structural-Verilog text for connectivity defects.
 ///
-/// Emits `TCL0102` for every net with more than one driver (two `.Y`
-/// connections, or a `.Y` onto a declared `input`), positioned at the
-/// extra driver, and `TCL0103` for every net that is referenced by an
+/// Emits `TCL0102` for every net with more than one driver (`.Y`
+/// connections and `input` declarations both count), positioned at the
+/// second driver, and `TCL0103` for every net that is referenced by an
 /// input pin or `output` declaration but never driven, positioned at the
 /// first reference. `label` names the stream in the findings
 /// (`design.v`).
@@ -56,104 +60,47 @@ pub fn lint_verilog_source(text: &str, label: &str) -> Vec<Diagnostic> {
         i
     };
 
-    // Statement accumulation mirrors `parse_verilog_from`: strip `//`
-    // comments, join continuation lines, split on `;`, and remember the
-    // line each statement began on.
-    let mut buf = String::new();
-    let mut stmt_line = 1usize;
-    let mut statements: Vec<(usize, String)> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let code = raw.split("//").next().unwrap_or("").trim_end();
-        if buf.is_empty() {
-            stmt_line = lineno;
-        } else {
-            buf.push(' ');
-        }
-        buf.push_str(code);
-        while let Some(pos) = buf.find(';') {
-            statements.push((stmt_line, buf[..pos].to_string()));
-            buf.drain(..=pos);
-            stmt_line = lineno;
-        }
-    }
-    if !buf.trim().is_empty() {
-        statements.push((stmt_line, std::mem::take(&mut buf)));
-    }
-
-    for (line, stmt) in &statements {
-        let line = *line;
-        let stmt = stmt.trim();
-        if stmt.is_empty() || stmt == "endmodule" || stmt.starts_with("module ") {
-            continue;
-        }
-        if let Some(rest) = stmt.strip_prefix("input ") {
-            for n in rest.split(',') {
-                let n = n.trim();
-                if !n.is_empty() {
+    let scanned = read_statements(text.as_bytes(), |line, stmt| {
+        match stmt {
+            Ok(Statement::Input(names)) => {
+                for n in names {
                     let s = slot(n, &mut order, &mut slots);
-                    slots[s].declared_input.get_or_insert(line);
+                    slots[s]
+                        .drivers
+                        .push(("input declaration".to_string(), line));
                 }
             }
-        } else if let Some(rest) = stmt.strip_prefix("output ") {
-            for n in rest.split(',') {
-                let n = n.trim();
-                if !n.is_empty() {
+            Ok(Statement::Output(names)) => {
+                for n in names {
                     let s = slot(n, &mut order, &mut slots);
                     slots[s].declared_output.get_or_insert(line);
                 }
             }
-        } else if stmt.strip_prefix("wire ").is_some() {
-            // Wires are implied by drivers; the declaration adds nothing.
-        } else if let Some(open) = stmt.find('(') {
-            // Instance: `MASTER name (.PIN(net), ...)`.
-            let inst = stmt[..open]
-                .split_whitespace()
-                .nth(1)
-                .unwrap_or("?")
-                .to_string();
-            let close = match stmt.rfind(')') {
-                Some(c) if c > open => c,
-                _ => stmt.len(),
-            };
-            for conn in stmt[open + 1..close].split(',') {
-                let conn = conn.trim().trim_start_matches('.');
-                let Some((pin, net)) = conn.split_once('(') else {
-                    continue; // malformed connection: the parser's problem
-                };
-                let net = net.trim_end_matches(')').trim();
-                if net.is_empty() {
-                    continue;
-                }
-                let s = slot(net, &mut order, &mut slots);
-                if pin.trim() == "Y" {
-                    slots[s].drivers.push((inst.clone(), line));
-                } else {
-                    slots[s].first_sink.get_or_insert(line);
-                    slots[s].sink_count += 1;
+            Ok(Statement::Instance { name, conns, .. }) => {
+                for (pin, net) in conns {
+                    let s = slot(net, &mut order, &mut slots);
+                    if pin == "Y" {
+                        slots[s].drivers.push((format!("{name}.Y"), line));
+                    } else {
+                        slots[s].first_sink.get_or_insert(line);
+                        slots[s].sink_count += 1;
+                    }
                 }
             }
+            Ok(Statement::Module(_)) | Err(_) => {}
         }
-    }
+        Ok(())
+    });
+    debug_assert!(scanned.is_ok(), "a str reads without error: {scanned:?}");
 
     let mut out = Vec::new();
-    for name in &order {
-        let u = &slots[uses[name]];
-        let from_input = usize::from(u.declared_input.is_some());
-        if u.drivers.len() + from_input > 1 {
-            // Position at the first *extra* driver; name them all.
-            let extra = &u.drivers[usize::from(from_input == 0)];
-            let mut who: Vec<String> = u
+    for (name, u) in order.iter().zip(&slots) {
+        if let [_, extra, ..] = u.drivers.as_slice() {
+            let who: Vec<String> = u
                 .drivers
                 .iter()
-                .map(|(i, l)| format!("{i}.Y (line {l})"))
+                .map(|(w, l)| format!("{w} (line {l})"))
                 .collect();
-            if from_input == 1 {
-                who.insert(
-                    0,
-                    format!("input declaration (line {})", u.declared_input.unwrap_or(0)),
-                );
-            }
             out.push(finding(
                 "TCL0102",
                 name.as_str(),
@@ -161,7 +108,7 @@ pub fn lint_verilog_source(text: &str, label: &str) -> Vec<Diagnostic> {
                 label,
                 Some(extra.1),
             ));
-        } else if u.drivers.is_empty() && u.declared_input.is_none() {
+        } else if u.drivers.is_empty() {
             let referenced = u.sink_count > 0 || u.declared_output.is_some();
             if referenced {
                 let line = u.first_sink.or(u.declared_output);

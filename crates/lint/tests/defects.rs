@@ -3,6 +3,7 @@
 //! fire — while the committed clean corpus and the generated benchmark
 //! designs lint to zero findings.
 
+use tc_closure::{ClosureConfig, ClosureFlow, FixKind};
 use tc_core::ids::{CellId, NetId};
 use tc_core::units::Ps;
 use tc_interconnect::spef::NetParasitics;
@@ -10,7 +11,9 @@ use tc_interconnect::{parse_spef, BeolStack, WireModel};
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_lint::{decode_waivers, lint_liberty_source, lint_verilog_source, run_lint, LintContext};
 use tc_netlist::gen::{generate, generate_streamed, BenchProfile};
-use tc_netlist::{decode_journal, parse_verilog, Netlist, PinRef};
+use tc_netlist::{
+    decode_journal, parse_verilog, replay_journal, write_journal, JournalCmd, Netlist, PinRef,
+};
 use tc_par::Pool;
 use tc_sta::constraints::{Clock, Constraints};
 
@@ -288,6 +291,88 @@ fn seeded_dead_journal_ref_fires_tcl0501_only() {
     let diags = run_lint(&Pool::sequential(), &ctx);
     exactly_one(&diags, "TCL0501");
     assert!(diags[0].message.contains("999999"), "{}", diags[0].message);
+}
+
+/// Lints `cmds` against `nl` with nothing else attached.
+fn lint_journal(nl: &Netlist, lib: &Library, cmds: &[JournalCmd]) -> Vec<tc_lint::Diagnostic> {
+    let mut ctx = LintContext::new(nl, lib);
+    ctx.journal = Some(cmds);
+    let diags = run_lint(&Pool::sequential(), &ctx);
+    diags.into_iter().filter(|d| d.code == "TCL0501").collect()
+}
+
+#[test]
+fn journal_may_reference_the_cell_and_net_an_earlier_buf_appends() {
+    // The lint check and the replay used to carry their own range
+    // checks, and only replay knew that a BUF grows the design: this
+    // journal replayed Ok but linted "SWAP references dead cell".
+    let lib = lib();
+    let mut nl = parse_verilog(&corpus("clean/small.v"), &lib).unwrap();
+    let (new_cell, new_net) = (nl.cell_count(), nl.net_count());
+    let victim = nl
+        .nets()
+        .position(|n| n.driver.is_some() && !n.sinks.is_empty())
+        .unwrap();
+    let sink = nl.net(NetId::new(victim)).sinks[0];
+    let text = format!(
+        "*TCJ 1\nBUF net {victim} master BUF_X2_SVT sinks {}:{}\n\
+         SWAP cell {new_cell} master BUF_X4_SVT\nWIRELEN net {new_net} um 12.5\n",
+        sink.cell.index(),
+        sink.pin
+    );
+    let cmds = decode_journal(&text).unwrap();
+    let diags = lint_journal(&nl, &lib, &cmds);
+    assert!(diags.is_empty(), "{diags:?}");
+    assert_eq!(replay_journal(&mut nl, &lib, &cmds).unwrap(), 3);
+
+    // One past what the BUF appended is still dead, for both.
+    let dead = format!("{text}SWAP cell {} master BUF_X4_SVT\n", new_cell + 1);
+    let cmds = decode_journal(&dead).unwrap();
+    let mut fresh = parse_verilog(&corpus("clean/small.v"), &lib).unwrap();
+    let diags = lint_journal(&fresh, &lib, &cmds);
+    assert_eq!(exactly_one(&diags, "TCL0501"), "entry 3");
+    let err = replay_journal(&mut fresh, &lib, &cmds).unwrap_err();
+    assert!(err.to_string().contains("entry 3"), "{err}");
+}
+
+#[test]
+fn journal_exported_from_a_closure_run_lints_clean_and_replays() {
+    let lib = lib();
+    let stack = BeolStack::n20();
+    let mut nl = generate(&lib, BenchProfile::c5315(), 7).unwrap();
+    let before = nl.clone();
+    let cp = nl.journal_len();
+    let probe = Constraints::single_clock(5_000.0);
+    let wns = tc_sta::Sta::new(&nl, &lib, &stack, &probe)
+        .run()
+        .unwrap()
+        .wns();
+    let cons = Constraints::single_clock(5_000.0 - wns.value() - 600.0);
+    // Buffers first, so the sizing passes get to resize them.
+    let config = ClosureConfig {
+        ordering: vec![FixKind::Buffering, FixKind::Sizing],
+        ..ClosureConfig::default()
+    };
+    let out = ClosureFlow::new(&lib, &stack, config)
+        .run(&mut nl, cons)
+        .unwrap();
+    let applied = |kind| {
+        out.iterations
+            .iter()
+            .flat_map(|i| &i.fixes)
+            .filter(|(k, _)| *k == kind)
+            .map(|&(_, n)| n)
+            .sum::<usize>()
+    };
+    assert!(applied(FixKind::Buffering) > 0, "the run must buffer");
+    assert!(applied(FixKind::Sizing) > 0, "the run must size");
+
+    let cmds = decode_journal(&write_journal(&nl, &lib, cp)).unwrap();
+    let diags = lint_journal(&before, &lib, &cmds);
+    assert!(diags.is_empty(), "{diags:?}");
+    let mut copy = before;
+    replay_journal(&mut copy, &lib, &cmds).unwrap();
+    assert_eq!(copy.cell_count(), nl.cell_count());
 }
 
 // ------------------------------------------------------ scale telemetry

@@ -211,6 +211,10 @@ const PLACEHOLDER_SINK: PinRef = PinRef {
     pin: 0,
 };
 
+/// What an input pin holds between [`Netlist::push_cell`] and its
+/// [`Netlist::connect`]; never visible outside the crate.
+const UNCONNECTED: NetId = NetId::new(u32::MAX as usize);
+
 /// A gate-level netlist bound to a [`Library`]'s master ids.
 ///
 /// Invariants (checked by [`Netlist::validate`]):
@@ -312,29 +316,48 @@ impl Netlist {
                 inputs.len()
             )));
         }
-        if self
-            .cell_name_index
-            .lookup(&self.cell_names, &name)
-            .is_some()
-        {
-            return Err(Error::invalid_input(format!(
-                "duplicate instance name {name}"
-            )));
+        let (cell, out) = self
+            .push_cell(&name, master, want)
+            .ok_or_else(|| Error::invalid_input(format!("duplicate instance name {name}")))?;
+        for (pin, &net) in inputs.iter().enumerate() {
+            self.connect(PinRef { cell, pin }, net);
+        }
+        Ok((cell, out))
+    }
+
+    /// The construction primitive under [`Netlist::add_cell`] and the
+    /// Verilog reader: appends a cell and the net it drives, with its
+    /// `n_inputs` pins on no net yet — the caller [`Netlist::connect`]s
+    /// every one of them before the netlist leaves this crate. `None`
+    /// if the instance name is taken.
+    pub(crate) fn push_cell(
+        &mut self,
+        name: &str,
+        master: LibCellId,
+        n_inputs: usize,
+    ) -> Option<(CellId, NetId)> {
+        if self.cell_named(name).is_some() {
+            return None;
         }
         let cell_id = CellId::new(self.cell_master.len());
-        let out_name = format!("{name}_out");
-        let out = self.push_net(&out_name, Some(cell_id));
-        for (pin, &net) in inputs.iter().enumerate() {
-            self.sink_push(net, PinRef { cell: cell_id, pin });
-        }
-        self.cell_names.push(&name);
+        let out = self.push_net(&format!("{name}_out"), Some(cell_id));
+        self.cell_names.push(name);
         self.cell_name_index.insert_last(&self.cell_names);
         self.cell_master.push(master);
         self.cell_output.push(out);
-        self.cell_input_nets.extend_from_slice(inputs);
-        self.cell_input_offsets
-            .push(self.cell_input_nets.len() as u32);
-        Ok((cell_id, out))
+        let pins = self.cell_input_nets.len() + n_inputs;
+        self.cell_input_nets.resize(pins, UNCONNECTED);
+        self.cell_input_offsets.push(pins as u32);
+        Some((cell_id, out))
+    }
+
+    /// Puts input pin `sink` of a cell under construction on `net`. Not
+    /// an ECO: nothing is journaled and there is no old net to detach
+    /// from (that is [`Netlist::rewire_input`]).
+    pub(crate) fn connect(&mut self, sink: PinRef, net: NetId) {
+        debug_assert_eq!(self.cell_inputs(sink.cell)[sink.pin], UNCONNECTED);
+        self.set_cell_input(sink, net);
+        self.sink_push(net, sink);
     }
 
     /// Marks a net as a primary output.
@@ -660,8 +683,12 @@ impl Netlist {
         });
     }
 
-    /// The full edit journal (construction edits excluded — see
-    /// [`NetlistEdit`]).
+    /// Every journaled edit since the netlist was created. Empty for a
+    /// design fresh out of [`crate::parse_verilog`], which builds what
+    /// it reads; *not* empty for one fresh out of [`crate::gen`], whose
+    /// generators close flop feedback with `rewire_input` and annotate
+    /// lengths with `set_wire_length`. Take [`Netlist::journal_len`] as
+    /// "time zero" instead of assuming 0 (see [`NetlistEdit`]).
     pub fn journal(&self) -> &[NetlistEdit] {
         &self.journal
     }

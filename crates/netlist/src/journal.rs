@@ -22,9 +22,13 @@ use crate::graph::PinRef;
 ///
 /// Every ECO mutator on [`Netlist`](crate::Netlist) appends exactly one
 /// entry. Construction-time calls (`add_cell`, `add_input`,
-/// `mark_output`) are *not* journaled: the journal describes the delta
-/// against the built design, and [`Netlist::journal_len`] taken after
-/// construction is the natural "time zero" checkpoint.
+/// `mark_output`) are *not* journaled, so a parsed design starts with
+/// an empty journal. The generators in [`crate::gen`] finish their
+/// designs with ECO mutators (`rewire_input` on flop D pins,
+/// `set_wire_length` on every net), so a generated design starts with
+/// those entries in it. Either way the journal describes a delta, and
+/// [`Netlist::journal_len`] taken once construction is over is the
+/// "time zero" checkpoint.
 ///
 /// [`Netlist::journal_len`]: crate::Netlist::journal_len
 #[derive(Clone, Debug, PartialEq)]

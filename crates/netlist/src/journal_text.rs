@@ -32,7 +32,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use tc_core::error::{Error, Result};
-use tc_core::ids::{CellId, NetId};
+use tc_core::ids::{CellId, LibCellId, NetId};
 use tc_liberty::Library;
 
 use crate::graph::{Netlist, PinRef};
@@ -292,49 +292,97 @@ pub fn replay_journal(nl: &mut Netlist, lib: &Library, cmds: &[JournalCmd]) -> R
     result
 }
 
-fn apply_cmds(nl: &mut Netlist, lib: &Library, cmds: &[JournalCmd]) -> Result<usize> {
-    for (i, cmd) in cmds.iter().enumerate() {
-        let cell_id = |idx: usize| -> Result<CellId> {
-            if idx >= nl.cell_count() {
-                return Err(Error::not_found(format!(
-                    "journal entry {i}: cell {idx} (netlist has {})",
-                    nl.cell_count()
-                )));
+/// A [`JournalCmd`] whose every reference resolved: typed ids, ready to
+/// apply.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ResolvedCmd {
+    /// [`JournalCmd::Swap`].
+    Swap(CellId, LibCellId),
+    /// [`JournalCmd::SetWireLength`].
+    SetWireLength(NetId, f64),
+    /// [`JournalCmd::SetRouteClass`].
+    SetRouteClass(NetId, u8),
+    /// [`JournalCmd::InsertBuffer`]: split net, buffer master, moved sinks.
+    InsertBuffer(NetId, LibCellId, Vec<PinRef>),
+    /// [`JournalCmd::Rewire`].
+    Rewire(PinRef, NetId),
+}
+
+/// The one resolver of journal references (cell, net and pin indices in
+/// range, masters known, no sink listed twice), shared by
+/// [`replay_journal`], which applies each command it resolves, and
+/// `tc-lint`'s `TCL0501`, which applies nothing. It counts the cell and
+/// the net each earlier `BUF` appends, so both see the same design size
+/// at every entry.
+#[derive(Debug)]
+pub struct JournalRefs {
+    cells: usize,
+    nets: usize,
+}
+
+impl JournalRefs {
+    /// References as they stand before the journal's first entry.
+    pub fn new(nl: &Netlist) -> Self {
+        JournalRefs {
+            cells: nl.cell_count(),
+            nets: nl.net_count(),
+        }
+    }
+
+    /// Resolves the next entry. `nl` is the design [`JournalRefs::new`]
+    /// saw, with or without the entries resolved so far applied.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotFound`] for the first reference that names nothing,
+    /// [`Error::InvalidInput`] for a sink listed twice. The message
+    /// completes "`cmd` references …"; callers add the entry position.
+    pub fn resolve(
+        &mut self,
+        nl: &Netlist,
+        lib: &Library,
+        cmd: &JournalCmd,
+    ) -> Result<ResolvedCmd> {
+        let live = |what: &str, index: usize, count: usize| {
+            if index < count {
+                Ok(index)
+            } else {
+                Err(Error::not_found(format!(
+                    "dead {what} #{index} (netlist has {count})"
+                )))
             }
-            Ok(CellId::new(idx))
         };
-        let net_id = |idx: usize| -> Result<NetId> {
-            if idx >= nl.net_count() {
-                return Err(Error::not_found(format!(
-                    "journal entry {i}: net {idx} (netlist has {})",
-                    nl.net_count()
-                )));
-            }
-            Ok(NetId::new(idx))
-        };
+        let (cells, nets) = (self.cells, self.nets);
+        let cell_id = |cell: usize| live("cell", cell, cells).map(CellId::new);
+        let net_id = |net: usize| live("net", net, nets).map(NetId::new);
         let master_id = |name: &str| {
             lib.id_of(name)
-                .ok_or_else(|| Error::not_found(format!("journal entry {i}: master {name}")))
+                .ok_or_else(|| Error::not_found(format!("unknown master {name}")))
         };
-        match cmd {
+        let pin_ref = |cell: usize, pin: usize| {
+            let id = cell_id(cell)?;
+            // A cell the design does not have yet is a buffer an earlier
+            // entry appends: one input.
+            let inputs = if cell < nl.cell_count() {
+                nl.cell_inputs(id).len()
+            } else {
+                1
+            };
+            if pin < inputs {
+                Ok(PinRef { cell: id, pin })
+            } else {
+                Err(Error::not_found(format!(
+                    "pin {pin} out of range for cell #{cell} ({inputs} inputs)"
+                )))
+            }
+        };
+        Ok(match cmd {
             JournalCmd::Swap { cell, new_master } => {
-                let cell = cell_id(*cell)?;
-                let master = master_id(new_master)?;
-                nl.swap_master(lib, cell, master)
-                    .map_err(|e| Error::invalid_input(format!("journal entry {i}: {e}")))?;
+                ResolvedCmd::Swap(cell_id(*cell)?, master_id(new_master)?)
             }
-            JournalCmd::SetWireLength { net, um } => {
-                // Decode already rejects these, but commands can also be
-                // built programmatically.
-                if !um.is_finite() || *um < 0.0 {
-                    return Err(Error::invalid_input(format!(
-                        "journal entry {i}: length must be finite and non-negative, got {um}"
-                    )));
-                }
-                nl.set_wire_length(net_id(*net)?, *um);
-            }
+            JournalCmd::SetWireLength { net, um } => ResolvedCmd::SetWireLength(net_id(*net)?, *um),
             JournalCmd::SetRouteClass { net, class } => {
-                nl.set_route_class(net_id(*net)?, *class);
+                ResolvedCmd::SetRouteClass(net_id(*net)?, *class)
             }
             JournalCmd::InsertBuffer {
                 src_net,
@@ -345,37 +393,58 @@ fn apply_cmds(nl: &mut Netlist, lib: &Library, cmds: &[JournalCmd]) -> Result<us
                 let master = master_id(master)?;
                 let mut seen = HashSet::new();
                 let mut moved = Vec::with_capacity(sinks.len());
-                for &(c, p) in sinks {
-                    let cell = cell_id(c)?;
-                    if p >= nl.cell_inputs(cell).len() {
-                        return Err(Error::not_found(format!(
-                            "journal entry {i}: pin {p} on cell {c} ({} inputs)",
-                            nl.cell_inputs(cell).len()
-                        )));
+                for &(cell, pin) in sinks {
+                    moved.push(pin_ref(cell, pin)?);
+                    if !seen.insert((cell, pin)) {
+                        return Err(Error::invalid_input(format!("duplicate sink {cell}:{pin}")));
                     }
-                    if !seen.insert((c, p)) {
-                        return Err(Error::invalid_input(format!(
-                            "journal entry {i}: duplicate sink {c}:{p}"
-                        )));
-                    }
-                    moved.push(PinRef { cell, pin: p });
                 }
-                nl.insert_buffer(lib, net, &moved, master)
-                    .map_err(|e| Error::invalid_input(format!("journal entry {i}: {e}")))?;
+                self.cells += 1;
+                self.nets += 1;
+                ResolvedCmd::InsertBuffer(net, master, moved)
             }
             JournalCmd::Rewire { cell, pin, net } => {
-                let cell = cell_id(*cell)?;
-                let net = net_id(*net)?;
-                if *pin >= nl.cell_inputs(cell).len() {
-                    return Err(Error::not_found(format!(
-                        "journal entry {i}: pin {pin} on cell {} ({} inputs)",
-                        cell.index(),
-                        nl.cell_inputs(cell).len()
-                    )));
-                }
-                nl.rewire_input(PinRef { cell, pin: *pin }, net);
+                ResolvedCmd::Rewire(pin_ref(*cell, *pin)?, net_id(*net)?)
             }
-        }
+        })
+    }
+}
+
+fn apply_cmds(nl: &mut Netlist, lib: &Library, cmds: &[JournalCmd]) -> Result<usize> {
+    let mut refs = JournalRefs::new(nl);
+    for (i, cmd) in cmds.iter().enumerate() {
+        let at = |m: &dyn std::fmt::Display| format!("journal entry {i}: {m}");
+        let resolved = refs.resolve(nl, lib, cmd).map_err(|e| match e {
+            Error::NotFound(m) => Error::not_found(at(&m)),
+            Error::InvalidInput(m) => Error::invalid_input(at(&m)),
+            other => other,
+        })?;
+        let applied = match resolved {
+            ResolvedCmd::Swap(cell, master) => nl.swap_master(lib, cell, master),
+            // Decode already rejects these, but commands can also be
+            // built programmatically.
+            ResolvedCmd::SetWireLength(_, um) if !um.is_finite() || um < 0.0 => {
+                return Err(Error::invalid_input(at(&format_args!(
+                    "length must be finite and non-negative, got {um}"
+                ))));
+            }
+            ResolvedCmd::SetWireLength(net, um) => {
+                nl.set_wire_length(net, um);
+                Ok(())
+            }
+            ResolvedCmd::SetRouteClass(net, class) => {
+                nl.set_route_class(net, class);
+                Ok(())
+            }
+            ResolvedCmd::InsertBuffer(net, master, moved) => {
+                nl.insert_buffer(lib, net, &moved, master).map(|_| ())
+            }
+            ResolvedCmd::Rewire(sink, net) => {
+                nl.rewire_input(sink, net);
+                Ok(())
+            }
+        };
+        applied.map_err(|e| Error::invalid_input(at(&e)))?;
     }
     Ok(cmds.len())
 }

@@ -39,7 +39,9 @@ pub mod verilog;
 
 pub use graph::{CellRef, NetRef, Netlist, PinRef};
 pub use journal::NetlistEdit;
-pub use journal_text::{decode_journal, render_cmds, replay_journal, write_journal, JournalCmd};
+pub use journal_text::{
+    decode_journal, render_cmds, replay_journal, write_journal, JournalCmd, JournalRefs,
+};
 pub use level::Levelization;
 pub use scc::{combinational_sccs, describe_scc};
 pub use verilog::{parse_verilog, parse_verilog_from, write_verilog};

@@ -22,7 +22,7 @@ use tc_core::error::{Error, Result};
 use tc_core::ids::{CellId, NetId};
 use tc_liberty::Library;
 
-use crate::graph::Netlist;
+use crate::graph::{Netlist, PinRef};
 
 /// Verilog-2005 keywords that a sanitized name must not collide with —
 /// an instance or wire called `wire` or `module` would make the emitted
@@ -169,184 +169,49 @@ pub fn write_verilog(nl: &Netlist, lib: &Library) -> String {
     out
 }
 
-/// Streaming parser state: instances are created as their statements
-/// arrive (placeholder inputs, since a pin may name a net declared
-/// later); the recorded rewires resolve once the whole file has gone by.
-struct Parser<'a> {
-    lib: &'a Library,
-    nl: Netlist,
-    nets: HashMap<String, NetId>,
-    inst_names: HashSet<String>,
-    outputs: Vec<(String, usize)>,
-    scratch: Option<NetId>,
-    pending: Vec<(CellId, usize, String, usize)>,
+/// One `;`-terminated statement of the structural subset, split into
+/// its parts. Names borrow from the reader's statement buffer.
+#[derive(Debug, PartialEq)]
+pub enum Statement<'a> {
+    /// `module NAME (ports)`: the module name.
+    Module(&'a str),
+    /// `input a, b`: the declared names.
+    Input(Vec<&'a str>),
+    /// `output a, b`: the declared names.
+    Output(Vec<&'a str>),
+    /// `MASTER name (.PIN(net), ...)`.
+    Instance {
+        /// Library master name.
+        master: &'a str,
+        /// Instance name.
+        name: &'a str,
+        /// `(pin, net)` per connection, in source order; neither is empty.
+        conns: Vec<(&'a str, &'a str)>,
+    },
 }
 
-impl<'a> Parser<'a> {
-    fn new(lib: &'a Library) -> Self {
-        Parser {
-            lib,
-            nl: Netlist::new("parsed"),
-            nets: HashMap::new(),
-            inst_names: HashSet::new(),
-            outputs: Vec::new(),
-            scratch: None,
-            pending: Vec::new(),
-        }
-    }
-
-    fn statement(&mut self, stmt: &str, line: usize) -> Result<()> {
-        let stmt = stmt.trim();
-        if stmt.is_empty() || stmt == "endmodule" {
-            return Ok(());
-        }
-        if let Some(rest) = stmt.strip_prefix("module ") {
-            let name = rest.split('(').next().unwrap_or("parsed").trim();
-            self.nl.name = name.to_string();
-        } else if let Some(rest) = stmt.strip_prefix("input ") {
-            for n in rest.split(',') {
-                let n = n.trim();
-                if !n.is_empty() {
-                    // Re-declaring a name would silently shadow the
-                    // earlier net and corrupt every connection that
-                    // resolved to it.
-                    if self.nets.contains_key(n) {
-                        return Err(Error::invalid_input(format!(
-                            "line {line}: duplicate net {n}"
-                        )));
-                    }
-                    let id = self.nl.add_input(n);
-                    self.nets.insert(n.to_string(), id);
-                }
-            }
-        } else if let Some(rest) = stmt.strip_prefix("output ") {
-            for n in rest.split(',') {
-                self.outputs.push((n.trim().to_string(), line));
-            }
-        } else if stmt.strip_prefix("wire ").is_some() {
-            // Wires are implied by driver outputs; nothing to pre-create.
-        } else {
-            self.instance(stmt, line)?;
-        }
-        Ok(())
-    }
-
-    /// Instance: `MASTER name (.PIN(net), ...)`. Created immediately
-    /// with placeholder inputs; real wiring is deferred to `finish`.
-    fn instance(&mut self, stmt: &str, line: usize) -> Result<()> {
-        let open = stmt
-            .find('(')
-            .ok_or_else(|| Error::invalid_input(format!("line {line}: bad statement: {stmt}")))?;
-        let head: Vec<&str> = stmt[..open].split_whitespace().collect();
-        if head.len() != 2 {
-            return Err(Error::invalid_input(format!(
-                "line {line}: bad instance head: {stmt}"
-            )));
-        }
-        let (master_name, inst_name) = (head[0], head[1]);
-        let master = self
-            .lib
-            .id_of(master_name)
-            .ok_or_else(|| Error::not_found(format!("line {line}: master {master_name}")))?;
-        let pins = self.lib.cell(master).input_pins();
-
-        // The closing paren must come after the opening one: on input
-        // like `X) Y(;` a naive `rfind` slice would panic with an
-        // inverted range instead of reporting the malformed statement.
-        let close = match stmt.rfind(')') {
-            Some(c) if c > open => c,
-            Some(_) => {
-                return Err(Error::invalid_input(format!(
-                    "line {line}: unterminated connection list: {stmt}"
-                )))
-            }
-            None => stmt.len(),
-        };
-        let conns_str = &stmt[open + 1..close];
-        let mut conns: Vec<(&str, &str)> = Vec::with_capacity(pins.len() + 1);
-        for c in conns_str.split(',') {
-            let c = c.trim().trim_start_matches('.');
-            let (pin, net) = c
-                .split_once('(')
-                .ok_or_else(|| Error::invalid_input(format!("line {line}: bad connection: {c}")))?;
-            conns.push((pin.trim(), net.trim_end_matches(')').trim()));
-        }
-
-        if !self.inst_names.insert(inst_name.to_string()) {
-            return Err(Error::invalid_input(format!(
-                "line {line}: duplicate instance {inst_name}"
-            )));
-        }
-        let scratch = match self.scratch {
-            Some(s) => s,
-            None => {
-                let s = self
-                    .nl
-                    .primary_inputs()
-                    .first()
-                    .copied()
-                    .unwrap_or_else(|| self.nl.add_input("__scratch__"));
-                self.scratch = Some(s);
-                s
-            }
-        };
-        let placeholder = vec![scratch; pins.len()];
-        let (cid, out_net) =
-            self.nl
-                .add_cell(inst_name.to_string(), self.lib, master, &placeholder)?;
-        // The instance's Y connection names its output net.
-        let y = conns.iter().find(|(p, _)| *p == "Y").ok_or_else(|| {
-            Error::invalid_input(format!("line {line}: {inst_name}: no Y connection"))
-        })?;
-        if self.nets.contains_key(y.1) {
-            return Err(Error::invalid_input(format!(
-                "line {line}: duplicate net {}",
-                y.1
-            )));
-        }
-        self.nets.insert(y.1.to_string(), out_net);
-        for (idx, pin) in pins.iter().enumerate() {
-            let conn = conns.iter().find(|(p, _)| p == pin).ok_or_else(|| {
-                Error::invalid_input(format!("line {line}: {inst_name}: missing pin {pin}"))
-            })?;
-            self.pending.push((cid, idx, conn.1.to_string(), line));
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<Netlist> {
-        for (cid, pin, net_name, line) in std::mem::take(&mut self.pending) {
-            let net = *self
-                .nets
-                .get(&net_name)
-                .ok_or_else(|| Error::not_found(format!("line {line}: net {net_name}")))?;
-            self.nl
-                .rewire_input(crate::graph::PinRef { cell: cid, pin }, net);
-        }
-        for (o, line) in std::mem::take(&mut self.outputs) {
-            let net = *self
-                .nets
-                .get(&o)
-                .ok_or_else(|| Error::not_found(format!("line {line}: output net {o}")))?;
-            self.nl.mark_output(net);
-        }
-        self.nl.compact();
-        Ok(self.nl)
-    }
-}
-
-/// Parses the structural subset produced by [`write_verilog`] from any
-/// buffered reader, one `;`-terminated statement at a time — the file is
-/// never held in memory as a whole.
+/// The one reader of the structural subset, shared by [`parse_verilog_from`]
+/// and `tc-lint`'s source scan: strips `//` comments, joins continuation
+/// lines, splits on `;` and hands `visit` each statement with the line
+/// it started on, one at a time (the file is never held). Blank
+/// statements, `endmodule` and `wire` declarations (wires are implied by
+/// their drivers) are skipped. A malformed statement reaches `visit` as
+/// an `Err` naming its line: the parser returns it and reading stops, a
+/// scan that wants every finding returns `Ok` and reading goes on.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidInput`] for unknown masters, undeclared nets,
-/// missing pins, or syntax outside the supported subset; I/O errors are
-/// wrapped as [`Error::InvalidInput`]. Every error reports the line the
-/// offending statement started on.
-pub fn parse_verilog_from<R: BufRead>(mut reader: R, lib: &Library) -> Result<Netlist> {
-    let mut parser = Parser::new(lib);
+/// The first `Err` from `visit`, or a read error (I/O, invalid UTF-8)
+/// as [`Error::InvalidInput`] naming its line.
+pub fn read_statements<R: BufRead>(
+    mut reader: R,
+    mut visit: impl FnMut(usize, Result<Statement<'_>>) -> Result<()>,
+) -> Result<()> {
+    let mut report = |stmt: &str, line: usize| match stmt.trim() {
+        "" | "endmodule" => Ok(()),
+        stmt if stmt.starts_with("wire ") => Ok(()),
+        stmt => visit(line, classify(stmt, line)),
+    };
     let mut line = String::new();
     let mut buf = String::new();
     let mut lineno = 0usize;
@@ -365,19 +230,230 @@ pub fn parse_verilog_from<R: BufRead>(mut reader: R, lib: &Library) -> Result<Ne
         let code = line.split("//").next().unwrap_or("").trim_end();
         if buf.is_empty() {
             stmt_line = lineno;
-        }
-        if !buf.is_empty() {
+        } else {
             buf.push(' ');
         }
         buf.push_str(code);
         while let Some(pos) = buf.find(';') {
-            parser.statement(&buf[..pos], stmt_line)?;
+            report(&buf[..pos], stmt_line)?;
             buf.drain(..=pos);
             // Whatever trails the `;` came from the current line.
             stmt_line = lineno;
         }
     }
-    parser.statement(&buf, stmt_line)?;
+    report(&buf, stmt_line)
+}
+
+fn classify(stmt: &str, line: usize) -> Result<Statement<'_>> {
+    fn names(list: &str) -> Vec<&str> {
+        list.split(',')
+            .map(str::trim)
+            .filter(|n| !n.is_empty())
+            .collect()
+    }
+    if let Some(rest) = stmt.strip_prefix("module ") {
+        Ok(Statement::Module(
+            rest.split('(').next().unwrap_or("").trim(),
+        ))
+    } else if let Some(rest) = stmt.strip_prefix("input ") {
+        Ok(Statement::Input(names(rest)))
+    } else if let Some(rest) = stmt.strip_prefix("output ") {
+        Ok(Statement::Output(names(rest)))
+    } else {
+        instance(stmt, line)
+    }
+}
+
+fn instance(stmt: &str, line: usize) -> Result<Statement<'_>> {
+    let open = stmt
+        .find('(')
+        .ok_or_else(|| Error::invalid_input(format!("line {line}: bad statement: {stmt}")))?;
+    let mut head = stmt[..open].split_whitespace();
+    let (Some(master), Some(name), None) = (head.next(), head.next(), head.next()) else {
+        return Err(Error::invalid_input(format!(
+            "line {line}: bad instance head: {stmt}"
+        )));
+    };
+    // The closing paren must come after the opening one: on input like
+    // `X) Y(;` a naive `rfind` slice would panic with an inverted range
+    // instead of reporting the malformed statement.
+    let close = match stmt.rfind(')') {
+        Some(c) if c > open => c,
+        Some(_) => {
+            return Err(Error::invalid_input(format!(
+                "line {line}: unterminated connection list: {stmt}"
+            )))
+        }
+        None => stmt.len(),
+    };
+    let conns = stmt[open + 1..close]
+        .split(',')
+        .map(|c| {
+            let c = c.trim().trim_start_matches('.');
+            c.split_once('(')
+                .map(|(pin, net)| (pin.trim(), net.trim_end_matches(')').trim()))
+                .filter(|(pin, net)| !pin.is_empty() && !net.is_empty())
+                .ok_or_else(|| Error::invalid_input(format!("line {line}: bad connection: {c}")))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Statement::Instance {
+        master,
+        name,
+        conns,
+    })
+}
+
+/// Netlist construction over the statement stream. Cells and nets are
+/// created as their statements arrive; only the input pins wait for the
+/// end of the file, because a pin may name a net driven further down.
+#[derive(Default)]
+struct Parser {
+    nl: Netlist,
+    /// Net name → symbol: a name is hashed and stored once, however
+    /// many pins mention it.
+    symbols: HashMap<String, usize>,
+    /// Per symbol: the net its `input` declaration or driving instance
+    /// created, and the line of the first pin that reads it.
+    nets: Vec<(Option<NetId>, usize)>,
+    /// The symbol on every input pin, in cell then pin order.
+    pins: Vec<usize>,
+    outputs: Vec<(usize, usize)>,
+}
+
+impl Parser {
+    fn symbol(&mut self, name: &str) -> usize {
+        if let Some(&s) = self.symbols.get(name) {
+            return s;
+        }
+        self.symbols.insert(name.to_string(), self.nets.len());
+        self.nets.push((None, 0));
+        self.nets.len() - 1
+    }
+
+    /// Binds `name` to the net that carries it. Re-declaring a name
+    /// would silently shadow the earlier net and corrupt every
+    /// connection that resolved to it.
+    fn define(&mut self, name: &str, net: NetId, line: usize) -> Result<()> {
+        let s = self.symbol(name);
+        if self.nets[s].0.replace(net).is_some() {
+            return Err(Error::invalid_input(format!(
+                "line {line}: duplicate net {name}"
+            )));
+        }
+        Ok(())
+    }
+
+    fn statement(&mut self, lib: &Library, stmt: Statement<'_>, line: usize) -> Result<()> {
+        match stmt {
+            Statement::Module(name) => self.nl.name = name.to_string(),
+            Statement::Input(names) => {
+                for n in names {
+                    let id = self.nl.add_input(n);
+                    self.define(n, id, line)?;
+                }
+            }
+            Statement::Output(names) => {
+                for n in names {
+                    let s = self.symbol(n);
+                    self.outputs.push((s, line));
+                }
+            }
+            Statement::Instance {
+                master,
+                name,
+                conns,
+            } => self.instance(lib, master, name, &conns, line)?,
+        }
+        Ok(())
+    }
+
+    fn instance(
+        &mut self,
+        lib: &Library,
+        master_name: &str,
+        name: &str,
+        conns: &[(&str, &str)],
+        line: usize,
+    ) -> Result<()> {
+        let master = lib
+            .id_of(master_name)
+            .ok_or_else(|| Error::not_found(format!("line {line}: master {master_name}")))?;
+        let pins = lib.cell(master).input_pins();
+        let (_, out_net) = self.nl.push_cell(name, master, pins.len()).ok_or_else(|| {
+            Error::invalid_input(format!("line {line}: duplicate instance {name}"))
+        })?;
+        let net_on = |pin: &str, what: &str| {
+            conns
+                .iter()
+                .find(|(p, _)| *p == pin)
+                .map(|&(_, net)| net)
+                .ok_or_else(|| Error::invalid_input(format!("line {line}: {name}: {what}")))
+        };
+        // The instance's Y connection names its output net.
+        self.define(net_on("Y", "no Y connection")?, out_net, line)?;
+        for pin in &pins {
+            let s = self.symbol(net_on(pin, &format!("missing pin {pin}"))?);
+            if self.nets[s].1 == 0 {
+                self.nets[s].1 = line;
+            }
+            self.pins.push(s);
+        }
+        // Y and every master pin were found, so one connection more than
+        // that is a repeated pin or one the master does not have: a net
+        // the file mentions and the netlist would silently drop.
+        if conns.len() != pins.len() + 1 {
+            return Err(Error::invalid_input(format!(
+                "line {line}: {name}: {} connections, but {master_name} has only Y and {}",
+                conns.len(),
+                pins.join(", ")
+            )));
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<Netlist> {
+        let net_of = |s: usize, line: usize, what: &str| {
+            self.nets[s].0.ok_or_else(|| {
+                let name = self.symbols.iter().find(|(_, &v)| v == s).map(|(n, _)| n);
+                Error::not_found(format!(
+                    "line {line}: {what} {}",
+                    name.map_or("", String::as_str)
+                ))
+            })
+        };
+        let mut pins = self.pins.iter();
+        for c in 0..self.nl.cell_count() {
+            let cell = CellId::new(c);
+            for pin in 0..self.nl.cell_inputs(cell).len() {
+                let &s = pins.next().expect("one symbol per pin of every cell");
+                let net = net_of(s, self.nets[s].1, "net")?;
+                self.nl.connect(PinRef { cell, pin }, net);
+            }
+        }
+        for &(s, line) in &self.outputs {
+            let net = net_of(s, line, "output net")?;
+            self.nl.mark_output(net);
+        }
+        self.nl.compact();
+        Ok(self.nl)
+    }
+}
+
+/// Parses the structural subset produced by [`write_verilog`] from any
+/// buffered reader, one `;`-terminated statement at a time — the file is
+/// never held in memory as a whole. The design is built, not edited: a
+/// parsed netlist has an empty ECO journal.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidInput`] for unknown masters, undeclared nets,
+/// missing, repeated or unknown pins, or syntax outside the supported
+/// subset; I/O errors are wrapped as [`Error::InvalidInput`]. Every
+/// error reports the line the offending statement started on.
+pub fn parse_verilog_from<R: BufRead>(reader: R, lib: &Library) -> Result<Netlist> {
+    let mut parser = Parser::default();
+    parser.nl.name = "parsed".to_string();
+    read_statements(reader, |line, stmt| parser.statement(lib, stmt?, line))?;
     parser.finish()
 }
 
@@ -514,6 +590,65 @@ mod tests {
                         INV_X1_SVT u1 (.A(a), .Y(y));\nendmodule";
         let err = parse_verilog(dup_inst, &lib).unwrap_err().to_string();
         assert!(err.contains("duplicate instance"), "got: {err}");
+    }
+
+    #[test]
+    fn instances_before_the_input_line_add_no_phantom_input() {
+        // Instances used to be created on a scratch net and rewired; with
+        // no input declared yet, the scratch net was a made-up primary
+        // input that stayed in the design.
+        let lib = lib();
+        let text = "module m (a, b, q);\n\
+                    NAND2_X1_SVT u1 (.A(a), .B(b), .Y(n1));\n\
+                    INV_X1_SVT u2 (.A(n1), .Y(q));\n\
+                    input a, b;\noutput q;\nendmodule\n";
+        let nl = parse_verilog(text, &lib).unwrap();
+        nl.validate(&lib).unwrap();
+        let inputs: Vec<&str> = nl
+            .primary_inputs()
+            .iter()
+            .map(|&n| nl.net(n).name)
+            .collect();
+        assert_eq!(inputs, ["a", "b"]);
+        assert_eq!(nl.net_count(), 4);
+        assert!(nl.nets().all(|n| n.name != "__scratch__"));
+        assert_eq!(nl.journal_len(), 0, "construction is not an ECO");
+    }
+
+    #[test]
+    fn connections_the_master_does_not_have_are_rejected() {
+        let lib = lib();
+        for conns in [".A(a), .Z(a), .Y(x)", ".A(a), .A(a), .Y(x)"] {
+            let bad = format!("module m (a);\ninput a;\nINV_X1_SVT u1 ({conns});\nendmodule");
+            let err = parse_verilog(&bad, &lib).unwrap_err().to_string();
+            assert!(err.contains("line 3"), "{conns}: {err}");
+        }
+    }
+
+    #[test]
+    fn reader_reports_malformed_statements_and_reads_on() {
+        let text = "module m (a);\n  input a; // clk\n  bogus;\n  INV_X1_SVT u1\n    (.A(a), .Y(x));\nendmodule\n";
+        // Statements borrow from the reader, so keep their debug text.
+        let mut seen = Vec::new();
+        read_statements(text.as_bytes(), |line, stmt| {
+            seen.push((line, format!("{stmt:?}")));
+            Ok(())
+        })
+        .unwrap();
+        let instance = Statement::Instance {
+            master: "INV_X1_SVT",
+            name: "u1",
+            conns: vec![("A", "a"), ("Y", "x")],
+        };
+        assert_eq!(seen.len(), 4, "{seen:?}");
+        assert_eq!(seen[0], (1, format!("Ok({:?})", Statement::Module("m"))));
+        assert_eq!(
+            seen[1],
+            (2, format!("Ok({:?})", Statement::Input(vec!["a"])))
+        );
+        assert!(seen[2].0 == 3 && seen[2].1.starts_with("Err("), "{seen:?}");
+        assert!(seen[2].1.contains("line 3"), "{seen:?}");
+        assert_eq!(seen[3], (4, format!("Ok({instance:?})")));
     }
 
     #[test]

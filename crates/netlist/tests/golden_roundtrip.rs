@@ -12,7 +12,7 @@ use tc_core::ids::{CellId, NetId};
 use tc_core::rng::Rng;
 use tc_liberty::{CellKind, LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, generate_streamed, BenchProfile};
-use tc_netlist::{parse_verilog_from, write_verilog, Netlist};
+use tc_netlist::{parse_verilog, parse_verilog_from, write_verilog, Netlist};
 
 const C5315_LEN: usize = 205_685;
 const C5315_HASH: u64 = 0xbb28_7a68_3c1a_7303;
@@ -134,6 +134,46 @@ fn c5315_verilog_parse_roundtrip_is_byte_stable() {
     let parsed = parse_verilog_from(reader, &lib).unwrap();
     let v = write_verilog(&parsed, &lib);
     assert_same_text(&v, golden, "parse→write round-trip");
+}
+
+/// Cell by cell (master, input net ids) and net by net (driver, sinks).
+/// `sinks_in_order` also compares each net's sink *order*, which the
+/// Verilog text does not carry: the reader always produces cell-then-pin
+/// order, the generators (which wire flop D pins last) do not.
+fn assert_same_structure(a: &Netlist, b: &Netlist, sinks_in_order: bool) {
+    assert_eq!(a.cell_count(), b.cell_count());
+    assert_eq!(a.net_count(), b.net_count());
+    assert_eq!(a.primary_inputs(), b.primary_inputs());
+    for (x, y) in a.cells().zip(b.cells()) {
+        assert_eq!((x.name, x.master), (y.name, y.master));
+        assert_eq!((x.inputs, x.output), (y.inputs, y.output), "{}", y.name);
+    }
+    for (x, y) in a.nets().zip(b.nets()) {
+        assert_eq!(
+            (x.name, x.driver, x.is_output),
+            (y.name, y.driver, y.is_output)
+        );
+        let (mut xs, mut ys) = (x.sinks.to_vec(), y.sinks.to_vec());
+        if !sinks_in_order {
+            xs.sort_by_key(|s| (s.cell, s.pin));
+            ys.sort_by_key(|s| (s.cell, s.pin));
+        }
+        assert_eq!(xs, ys, "sinks of {}", y.name);
+    }
+}
+
+#[test]
+fn c5315_parse_rebuilds_the_netlist_it_reads_without_edits() {
+    let lib = lib();
+    let generated = generate(&lib, BenchProfile::c5315(), 2015).unwrap();
+    let parsed = parse_verilog(&write_verilog(&generated, &lib), &lib).unwrap();
+    parsed.validate(&lib).unwrap();
+    assert_eq!(parsed.journal_len(), 0, "construction is not an ECO");
+    assert_same_structure(&parsed, &generated, false);
+    // From a parsed design on, the round trip is the identity.
+    let again = parse_verilog(&write_verilog(&parsed, &lib), &lib).unwrap();
+    assert_eq!(again.journal_len(), 0);
+    assert_same_structure(&again, &parsed, true);
 }
 
 #[test]

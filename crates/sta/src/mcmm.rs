@@ -111,7 +111,8 @@ impl MergedReport {
     }
 }
 
-/// Runs every scenario and merges.
+/// Runs every scenario (over one shared timing graph, see
+/// [`run_scenarios_shared`]) and merges.
 ///
 /// # Errors
 ///
@@ -121,11 +122,7 @@ pub fn run_and_merge(
     stack: &BeolStack,
     scenarios: &[Scenario],
 ) -> Result<MergedReport> {
-    let mut reports = Vec::with_capacity(scenarios.len());
-    for s in scenarios {
-        reports.push((s.name.clone(), s.run(nl, stack)?));
-    }
-    Ok(merge_reports(&reports))
+    Ok(merge_reports(&run_scenarios_shared(nl, stack, scenarios)?))
 }
 
 /// Runs every scenario over one shared [`TimingGraph`]: the design's
@@ -176,19 +173,6 @@ pub fn run_scenarios_shared_on(
     })
     .into_iter()
     .collect()
-}
-
-/// [`run_and_merge`] over one shared timing graph.
-///
-/// # Errors
-///
-/// Propagates the first failing scenario run.
-pub fn run_and_merge_shared(
-    nl: &Netlist,
-    stack: &BeolStack,
-    scenarios: &[Scenario],
-) -> Result<MergedReport> {
-    Ok(merge_reports(&run_scenarios_shared(nl, stack, scenarios)?))
 }
 
 /// A total order on endpoints (kind, then id) used as the merge-sort
