@@ -14,8 +14,8 @@
 //!   `tc-placement` placement, producing the latency model `tc-sta`
 //!   consumes; multi-corner skew reporting.
 //! * [`jitter`] — flat vs cycle-to-cycle jitter margining.
-//! * [`useful_skew`] — greedy STA-in-the-loop leaf-latency adjustment
-//!   (the "useful skew" fix).
+//! * [`useful_skew`] — greedy leaf-latency adjustment (the "useful
+//!   skew" fix), each move a speculative edit of `tc-sta`'s timer.
 //!
 //! # Examples
 //!
@@ -39,4 +39,4 @@ pub mod useful_skew;
 
 pub use cts::ClockTree;
 pub use jitter::JitterModel;
-pub use useful_skew::optimize_useful_skew;
+pub use useful_skew::{optimize_useful_skew, skew_on_timer};

@@ -1,5 +1,5 @@
-//! Useful-skew optimization: greedy, STA-in-the-loop leaf-latency
-//! adjustment.
+//! Useful-skew optimization: greedy leaf-latency adjustment, each move
+//! tried as a speculative edit of the incremental timer.
 //!
 //! Delaying a capture flop's clock buys its incoming (setup-critical)
 //! path time at the expense of paths it launches — "borrowing" slack
@@ -10,11 +10,12 @@
 //! regress timing (ping-pong protection, §2.3).
 
 use tc_core::error::Result;
+use tc_core::ids::CellId;
 use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::Netlist;
-use tc_sta::{Constraints, Endpoint, Sta};
+use tc_sta::{Constraints, Endpoint, Timer};
 
 /// Outcome of the optimization.
 #[derive(Clone, Debug)]
@@ -24,7 +25,7 @@ pub struct UsefulSkewResult {
     /// WNS after the accepted moves.
     pub wns_after: Ps,
     /// Accepted (flop, delta) moves.
-    pub moves: Vec<(tc_core::ids::CellId, Ps)>,
+    pub moves: Vec<(CellId, Ps)>,
     /// The adjusted constraint set (clock tree updated).
     pub constraints: Constraints,
 }
@@ -46,67 +47,80 @@ pub fn optimize_useful_skew(
     max_moves: usize,
     step: Ps,
 ) -> Result<UsefulSkewResult> {
-    let mut cons = cons.clone();
-    // The report of the current `cons`: replaced only when a trial is
-    // kept, so each move costs one STA run (the trial), not two.
-    let mut report = Sta::new(nl, lib, stack, &cons).run()?;
-    let wns_before = report.wns();
-    let mut cur_wns = wns_before;
-    let hold_floor = report.hold_wns();
+    let mut timer = Timer::new(nl, lib, stack, cons.clone())?;
+    let wns_before = worst_slacks(&timer, nl).0;
+    let moves = skew_on_timer(&mut timer, nl, max_moves, step)?;
+    Ok(UsefulSkewResult {
+        wns_before,
+        wns_after: worst_slacks(&timer, nl).0,
+        moves,
+        constraints: timer.constraints().clone(),
+    })
+}
+
+/// The greedy loop on a caller's up-to-date timer: each trial is
+/// checkpoint → [`Timer::skew_clock`] → read the cached endpoint checks →
+/// keep or [`Timer::rollback_to`]. Returns the kept moves, left applied.
+///
+/// # Errors
+///
+/// Fails if the timer is stale, and on propagation errors.
+pub fn skew_on_timer(
+    timer: &mut Timer<'_>,
+    nl: &Netlist,
+    max_moves: usize,
+    step: Ps,
+) -> Result<Vec<(CellId, Ps)>> {
+    let (mut cur_wns, hold_floor) = worst_slacks(timer, nl);
     let mut moves = Vec::new();
     // Plateau handling: many endpoints often sit within a step of the
     // WNS. A single move then fixes one endpoint without moving the
     // design WNS; keep working the plateau (accept WNS-neutral moves
     // that improve their own endpoint) but never touch the same flop
     // twice without global progress.
-    let mut tried: std::collections::HashSet<tc_core::ids::CellId> =
-        std::collections::HashSet::new();
+    let mut tried: Vec<CellId> = Vec::new();
 
     for _ in 0..max_moves {
-        if report.wns() >= Ps::ZERO {
+        if cur_wns >= Ps::ZERO {
             break;
         }
         // The worst endpoint whose flop we have not yet tried this
-        // plateau.
-        let Some((flop, own_slack)) = report
-            .worst_endpoints(report.endpoints.len())
-            .iter()
-            .find_map(|e| match e.endpoint {
-                Endpoint::FlopD(f) if !tried.contains(&f) => Some((f, e.setup_slack)),
-                _ => None,
-            })
-        else {
+        // plateau (of equals, the first in report order).
+        let untried = timer.endpoints(nl).filter_map(|e| match e.endpoint {
+            Endpoint::FlopD(f) if !tried.contains(&f) => Some((f, e.setup_slack)),
+            _ => None,
+        });
+        let worst = untried.min_by(|a, b| a.1.value().total_cmp(&b.1.value()));
+        let Some((flop, own_slack)) = worst else {
             break;
         };
-        tried.insert(flop);
-        let mut trial = cons.clone();
-        trial.clock_tree.skew_by(flop, step);
-        let after = Sta::new(nl, lib, stack, &trial).run()?;
-        let own_after = after
-            .endpoints
-            .iter()
-            .find(|e| e.endpoint == Endpoint::FlopD(flop))
-            .map(|e| e.setup_slack)
-            .unwrap_or(own_slack);
-        let no_regress = after.wns() >= cur_wns - Ps::new(1e-9);
-        let hold_safe = after.hold_wns() >= hold_floor.min(Ps::ZERO);
+        tried.push(flop);
+        let cp = timer.checkpoint();
+        timer.skew_clock(nl, flop, step)?;
+        let (wns, hold_wns) = worst_slacks(timer, nl);
+        let own_row = timer.flop_endpoint(flop);
+        let own_after = own_row.map_or(own_slack, |e| e.setup_slack);
+        let no_regress = wns >= cur_wns - Ps::new(1e-9);
+        let hold_safe = hold_wns >= hold_floor.min(Ps::ZERO);
         if no_regress && hold_safe && own_after > own_slack {
-            if after.wns() > cur_wns + Ps::new(1e-9) {
+            if wns > cur_wns + Ps::new(1e-9) {
                 // Global progress: the plateau moved; retry everyone.
                 tried.clear();
             }
-            cur_wns = after.wns();
-            cons = trial;
-            report = after;
+            cur_wns = wns;
             moves.push((flop, step));
+        } else {
+            timer.rollback_to(cp)?;
         }
     }
+    Ok(moves)
+}
 
-    Ok(UsefulSkewResult {
-        wns_before,
-        wns_after: cur_wns,
-        moves,
-        constraints: cons,
+/// `(WNS, hold WNS)` over the timer's cached endpoint checks.
+fn worst_slacks(timer: &Timer<'_>, nl: &Netlist) -> (Ps, Ps) {
+    let inf = Ps::new(f64::INFINITY);
+    timer.endpoints(nl).fold((inf, inf), |(setup, hold), e| {
+        (setup.min(e.setup_slack), hold.min(e.hold_slack))
     })
 }
 
@@ -116,6 +130,7 @@ mod tests {
     use tc_core::ids::NetId;
     use tc_device::VtClass;
     use tc_liberty::{LibConfig, PvtCorner};
+    use tc_sta::Sta;
 
     /// A 2-stage pipeline with an unbalanced middle: ff0 → 6 gates → ff1
     /// → 1 gate → ff2. Skewing ff1 later borrows time for the long first

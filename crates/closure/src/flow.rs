@@ -150,7 +150,9 @@ impl<'a> ClosureFlow<'a> {
             let counters_before = tc_obs::is_enabled().then(tc_obs::snapshot);
             let iter_span = tc_obs::span("closure.iteration");
             let before = timer.report(nl);
-            if before.is_clean() {
+            // No fix kind repairs hold: iterate only while there is setup
+            // work (`closed` below still demands both).
+            if before.setup_violations() == 0 {
                 break;
             }
             let wns_before = before.wns();
@@ -247,8 +249,9 @@ impl<'a> ClosureFlow<'a> {
         Ok(warnings)
     }
 
-    /// Plans a fix from the timer's cached worst paths and applies it
-    /// through the journaled ECO mutators — no STA run of its own.
+    /// Plans a fix from the timer's cached results and applies it through
+    /// the journaled ECO mutators (useful skew: through the timer's own
+    /// clock edit) — no STA run of its own.
     fn plan_and_apply(
         &self,
         kind: FixKind,
@@ -257,17 +260,13 @@ impl<'a> ClosureFlow<'a> {
     ) -> Result<FixOutcome> {
         let (k, b) = (self.config.k_paths, self.config.budget_per_pass);
         match kind {
-            FixKind::VtSwap => {
+            FixKind::VtSwap | FixKind::Sizing => {
                 let paths = timer.worst_paths(nl, k)?;
-                let plan = plan_vt_swaps(nl, self.lib, &paths, b, |_| true);
-                for &(cell, master) in &plan {
-                    nl.swap_master(self.lib, cell, master)?;
-                }
-                Ok(FixOutcome { edits: plan.len() })
-            }
-            FixKind::Sizing => {
-                let paths = timer.worst_paths(nl, k)?;
-                let plan = plan_sizing(nl, self.lib, &paths, b);
+                let plan = if kind == FixKind::VtSwap {
+                    plan_vt_swaps(nl, self.lib, &paths, b, |_| true)
+                } else {
+                    plan_sizing(nl, self.lib, &paths, b)
+                };
                 for &(cell, master) in &plan {
                     nl.swap_master(self.lib, cell, master)?;
                 }
@@ -288,21 +287,10 @@ impl<'a> ClosureFlow<'a> {
                 Ok(FixOutcome { edits })
             }
             FixKind::UsefulSkew => {
-                let res = tc_clock::optimize_useful_skew(
-                    nl,
-                    self.lib,
-                    self.stack,
-                    timer.constraints(),
-                    b / 10,
-                    self.config.skew_step,
-                )?;
-                let edits = res.moves.len();
-                if edits > 0 {
-                    // Constraint changes touch every path: the timer
-                    // re-propagates fully, but stays checkpointable.
-                    timer.set_constraints(nl, res.constraints)?;
-                }
-                Ok(FixOutcome { edits })
+                // Timer edits, not netlist edits: each trial re-times its
+                // own cone; kept moves stay on the timer's undo log.
+                let moves = tc_clock::skew_on_timer(timer, nl, b / 10, self.config.skew_step)?;
+                Ok(FixOutcome { edits: moves.len() })
             }
         }
     }
@@ -475,6 +463,56 @@ mod tests {
         assert!(out.closed);
         assert!(out.iterations.is_empty());
         assert_eq!(out.days, 0.0);
+    }
+
+    #[test]
+    fn hold_only_design_takes_zero_iterations_and_stays_open() {
+        // ff0 → ff1 directly, capture clock 60 ps late: a hold violation
+        // and nothing else. No fix kind repairs hold, so the loop has no
+        // work to do and must not charge schedule for trying.
+        let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+        let stack = BeolStack::n20();
+        let mut nl = Netlist::new("holdcase");
+        let clk = nl.add_input("clk");
+        let d = nl.add_input("d");
+        let dff = lib.variant("DFF", tc_device::VtClass::Svt, 1.0).unwrap();
+        let (_, q) = nl.add_cell("ff0", &lib, dff, &[d, clk]).unwrap();
+        let (ff1, q1) = nl.add_cell("ff1", &lib, dff, &[q, clk]).unwrap();
+        nl.mark_output(q1);
+        let mut cons = Constraints::single_clock(2_000.0);
+        cons.clock_tree.skew_by(ff1, Ps::new(60.0));
+
+        let out = ClosureFlow::new(&lib, &stack, ClosureConfig::default())
+            .run(&mut nl, cons)
+            .unwrap();
+        let r = &out.final_report;
+        assert_eq!((r.setup_violations(), r.hold_violations()), (0, 1));
+        assert!(out.iterations.is_empty());
+        assert_eq!(out.days, 0.0);
+        assert!(!out.closed);
+    }
+
+    #[test]
+    fn skew_moves_kept_by_the_loop_match_a_from_scratch_run() {
+        // Useful skew alone: every kept move is a timer edit re-timed
+        // over its own cone, and the returned constraints carry it.
+        let (lib, stack, mut nl, cons) = env(-40.0);
+        let cfg = ClosureConfig {
+            max_iterations: 2,
+            ordering: vec![FixKind::UsefulSkew],
+            ..Default::default()
+        };
+        let journal_len = nl.journal_len();
+        let out = ClosureFlow::new(&lib, &stack, cfg)
+            .run(&mut nl, cons)
+            .unwrap();
+        assert_eq!(nl.journal_len(), journal_len, "no netlist edit");
+        let kept: usize = out.iterations.iter().map(|r| r.fixes[0].1).sum();
+        assert!(kept > 0, "the loop must keep at least one skew move");
+        let skewed: Ps = out.constraints.clock_tree.leaf.values().copied().sum();
+        assert_eq!(skewed, Ps::new(10.0 * kept as f64), "one step per move");
+        let fresh = Sta::new(&nl, &lib, &stack, &out.constraints).run().unwrap();
+        assert_eq!(fresh.endpoints, out.final_report.endpoints);
     }
 
     #[test]

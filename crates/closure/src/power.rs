@@ -73,37 +73,37 @@ pub fn recover_leakage(
     });
 
     let mut swaps = 0;
+    let mut wns_after = base.wns();
     let mut idx = 0;
     let mut cur_batch = batch.max(1);
     while idx < candidates.len() {
         // Try a batch.
-        let mut applied: Vec<(CellId, tc_core::ids::LibCellId)> = Vec::new();
+        let nl_cp = nl.journal_len();
+        let mut applied = 0;
         let start_idx = idx;
-        while applied.len() < cur_batch && idx < candidates.len() {
+        while applied < cur_batch && idx < candidates.len() {
             let c = candidates[idx];
             idx += 1;
             if !placement_veto(c) {
                 continue;
             }
             if let Some(slower) = lib.vt_slower(nl.cell(c).master) {
-                let old = nl.cell(c).master;
                 nl.swap_master(lib, c, slower)?;
-                applied.push((c, old));
+                applied += 1;
             }
         }
-        if applied.is_empty() {
+        if applied == 0 {
             break;
         }
         let report = Sta::new(nl, lib, stack, cons).run()?;
         if report.is_clean() {
-            swaps += applied.len();
+            swaps += applied;
+            wns_after = report.wns();
         } else {
             // Roll the batch back. A failed large batch often hides many
             // individually-safe swaps: halve the batch and retry the same
             // candidates; only stop once single swaps fail.
-            for &(c, old) in applied.iter().rev() {
-                nl.swap_master(lib, c, old)?;
-            }
+            nl.undo_to(nl_cp)?;
             if cur_batch == 1 {
                 break;
             }
@@ -112,12 +112,12 @@ pub fn recover_leakage(
         }
     }
 
-    let final_report = Sta::new(nl, lib, stack, cons).run()?;
+    // Rejected batches were undone, so the last clean report stands.
     Ok(LeakageRecovery {
         swaps,
         leakage_before_uw,
         leakage_after_uw: nl.total_leakage_uw(lib),
-        wns_after: final_report.wns(),
+        wns_after,
     })
 }
 
@@ -166,6 +166,22 @@ mod tests {
             rec_tight.saving()
         );
         assert!(rec_tight.wns_after >= Ps::ZERO);
+    }
+
+    #[test]
+    fn rejected_batch_leaves_no_journal_entries() {
+        let (lib, stack, mut nl) = env();
+        let probe = Constraints::single_clock(5_000.0);
+        let r = Sta::new(&nl, &lib, &stack, &probe).run().unwrap();
+        // Met by 1 ps: a 20-cell batch breaks timing and is rejected.
+        let tight = Constraints::single_clock(5_000.0 - r.wns().value() + 1.0);
+        let journal_len = nl.journal_len();
+        let rec = recover_leakage(&mut nl, &lib, &stack, &tight, 20, |_| true).unwrap();
+        assert!(rec.wns_after >= Ps::ZERO);
+        // Every rejected batch (20, 10, .. 1) was undone, not re-swapped:
+        // the journal grew by exactly the kept swaps.
+        assert_eq!(nl.journal_len(), journal_len + rec.swaps);
+        assert!(rec.swaps < 20, "the first batch must have been rejected");
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct Sta<'a> {
     /// The sweep's executor: rank batches of at least [`PAR_RANK_MIN`]
     /// cells run on this pool, everything else (and everything when
     /// `None`, the default) inline. Orthogonal to the frontier; the
-    /// incremental [`Timer`](crate::Timer) passes none.
+    /// incremental [`Timer`](crate::Timer) sets none.
     pub(crate) par: Option<tc_par::Pool>,
     /// The netlist's timing structure, built on first use (the netlist
     /// is borrowed immutably, so it cannot go stale) or handed in.
@@ -219,13 +219,6 @@ impl WireTable {
     /// Restores a previously popped entry (rollback).
     pub(crate) fn restore(&mut self, net: usize, entry: NetWire) {
         self.entries[net] = entry;
-    }
-
-    /// Heap bytes held by the table (entries + pool), for memory
-    /// accounting.
-    pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<NetWire>()
-            + self.pool.capacity() * std::mem::size_of::<Ps>()
     }
 }
 

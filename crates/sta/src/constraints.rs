@@ -71,15 +71,16 @@ impl ClockTreeModel {
         self.leaf.get(&flop).copied().unwrap_or(self.default_leaf)
     }
 
-    /// Adjusts one flop's leaf latency by `delta` (useful skew).
-    pub fn skew_by(&mut self, flop: CellId, delta: Ps) {
+    /// Adjusts one flop's leaf latency by `delta` (useful skew),
+    /// returning its previous map entry (`None` if it sat on the default).
+    pub fn skew_by(&mut self, flop: CellId, delta: Ps) -> Option<Ps> {
         let cur = self.leaf_of(flop);
-        self.leaf.insert(flop, cur + delta);
+        self.leaf.insert(flop, cur + delta)
     }
 }
 
 /// The full constraint set for one analysis mode.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Constraints {
     /// Clocks (index 0 is the default clock for all flops).
     pub clocks: Vec<Clock>,

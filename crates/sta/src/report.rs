@@ -87,11 +87,10 @@ impl TimingReport {
 
     /// Total negative setup slack (sum over violating endpoints).
     pub fn tns(&self) -> Ps {
-        self.endpoints
-            .iter()
-            .filter(|e| e.setup_slack < Ps::ZERO)
-            .map(|e| e.setup_slack)
-            .sum()
+        let violating = self.endpoints.iter().map(|e| e.setup_slack);
+        // `Sum` over nothing is IEEE −0.0; `+ 0.0` makes it +0.0 and
+        // leaves every non-zero sum's bits alone.
+        violating.filter(|&s| s < Ps::ZERO).sum::<Ps>() + Ps::ZERO
     }
 
     /// Worst hold slack.
@@ -104,11 +103,8 @@ impl TimingReport {
 
     /// Total negative hold slack.
     pub fn hold_tns(&self) -> Ps {
-        self.endpoints
-            .iter()
-            .filter(|e| e.hold_slack < Ps::ZERO)
-            .map(|e| e.hold_slack)
-            .sum()
+        let violating = self.endpoints.iter().map(|e| e.hold_slack);
+        violating.filter(|&s| s < Ps::ZERO).sum::<Ps>() + Ps::ZERO
     }
 
     /// Number of setup-violating endpoints.
@@ -256,6 +252,7 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(r.tns(), Ps::ZERO);
         assert!(r.summary().contains("WNS 5.0"));
+        assert!(r.summary().contains("TNS 0.0 ps"), "{}", r.summary());
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::sync::Arc;
 
 use tc_core::error::{Error, Result};
 use tc_core::ids::{CellId, NetId};
+use tc_core::units::Ps;
 use tc_interconnect::beol::{BeolCorner, BeolStack};
 use tc_liberty::{CellKind, Library};
 use tc_netlist::level::levelize;
@@ -143,11 +144,6 @@ impl TimingGraph {
     #[inline]
     pub(crate) fn sink_pos(&self, nl: &Netlist, cell: CellId, pin: usize) -> usize {
         self.sink_pos[nl.pin_base(cell) + pin] as usize
-    }
-
-    /// Number of cells in the evaluation order.
-    pub fn cell_count(&self) -> usize {
-        self.order.len()
     }
 
     /// Total timing-arc count of the design.
@@ -310,17 +306,9 @@ enum UndoOp {
     /// old lengths. Pushed *before* the value ops of the same update, so
     /// popping restores values first and truncates last.
     Lens { cells: usize, nets: usize },
-    /// A constraint change forced a full re-propagation; restore the
-    /// complete prior state.
-    Full(Box<FullSnapshot>),
-}
-
-struct FullSnapshot {
-    cons: Constraints,
-    state: Vec<NetState>,
-    wires: WireTable,
-    flop_ep: Vec<Option<EndpointTiming>>,
-    po_ep: Vec<Option<EndpointTiming>>,
+    /// A flop's clock-leaf latency was written; `prev` is its previous
+    /// map entry (`None`: absent, the flop sat on the default leaf).
+    ClockLeaf { flop: CellId, prev: Option<Ps> },
 }
 
 /// The persistent incremental timer.
@@ -328,7 +316,10 @@ struct FullSnapshot {
 /// Build one with [`Timer::new`], edit the netlist through its journaled
 /// ECO mutators, then call [`Timer::update`] to re-time just the dirty
 /// cones. [`Timer::report`] and [`Timer::worst_paths`] read the cached
-/// results without re-propagating anything.
+/// results without re-propagating anything. [`Timer::skew_clock`] is the
+/// one edit made on the timer itself ([`Constraints`] are timer-owned):
+/// same dirty sweep, logged on the undo log instead of the netlist journal,
+/// so [`Timer::rollback_to`] alone undoes it — no netlist checkpoint to pair.
 ///
 /// # Examples
 ///
@@ -372,6 +363,8 @@ pub struct Timer<'a> {
     cursor: usize,
     undo: Vec<UndoOp>,
     scratch: UpdateScratch,
+    /// The dirty sweep's executor; product code runs it inline (`None`).
+    par: Option<tc_par::Pool>,
 }
 
 /// Classifies one sink pin whose arrival changed: flop D pins dirty
@@ -435,6 +428,7 @@ impl<'a> Timer<'a> {
             cursor: 0,
             undo: Vec::new(),
             scratch: UpdateScratch::default(),
+            par: None,
         };
         t.refresh_all(nl)?;
         Ok(t)
@@ -447,8 +441,8 @@ impl<'a> Timer<'a> {
             .with_graph(Arc::clone(&self.structure))
     }
 
-    /// From-scratch propagation into the cached vectors (initial build
-    /// and constraint changes; edits go through the incremental path).
+    /// From-scratch propagation into the cached vectors (the initial
+    /// build; every edit goes through the incremental path).
     fn refresh_all(&mut self, nl: &Netlist) -> Result<()> {
         let sta = self.sta(nl);
         let (state, wires) = sta.propagate()?;
@@ -481,12 +475,6 @@ impl<'a> Timer<'a> {
     /// cursor are as on entry — so the caller can `Netlist::undo_to` the
     /// offending edits and carry on.
     pub fn update(&mut self, nl: &Netlist) -> Result<()> {
-        self.update_on(nl, None)
-    }
-
-    /// [`Timer::update`] with the sweep's executor as a parameter (the
-    /// timer itself passes no pool).
-    fn update_on(&mut self, nl: &Netlist, par: Option<tc_par::Pool>) -> Result<()> {
         let journal_len = nl.journal_len();
         if self.cursor > journal_len {
             return Err(Error::invalid_input(format!(
@@ -498,29 +486,48 @@ impl<'a> Timer<'a> {
         if self.cursor == journal_len {
             return Ok(());
         }
-        let _span = tc_obs::span("sta.incremental");
-
-        let entry = self.checkpoint();
-        let swept = self.retime_dirty(nl, par);
-        if swept.is_err() {
-            self.rollback_to(entry)?;
-        }
-        let counts = swept?;
-
-        self.cursor = journal_len;
-        tc_obs::histogram("sta.dirty_cone_size").record(counts.cells as f64);
-        tc_obs::counter("sta.arcs_recomputed").add(counts.arcs);
-        tc_obs::counter("sta.arcs_reused")
-            .add(self.structure.arc_count.saturating_sub(counts.arcs));
-        Ok(())
+        self.retime(nl, |t| t.scan_journal(nl))
     }
 
-    /// The body of an update: journal scan, structure rebuild, wire
-    /// recompute, dirty sweep, endpoint refresh. Every write is on the
-    /// undo log, so the caller can roll an `Err` back.
-    fn retime_dirty(&mut self, nl: &Netlist, par: Option<tc_par::Pool>) -> Result<SweepCounts> {
+    /// Moves one flop's clock-leaf latency by `delta` (useful skew) and
+    /// re-times what that dirties: the flop's own D-pin check (its capture
+    /// edge moved) and the launch cone from its Q. The constraint write is
+    /// on the undo log: rollback restores the leaf entry, absent included.
+    ///
+    /// # Errors
+    ///
+    /// Fails, leaving the timer as it was, if it is stale (call
+    /// [`Timer::update`] first), if `flop` is not a flop of `nl`, or on
+    /// propagation errors.
+    pub fn skew_clock(&mut self, nl: &Netlist, flop: CellId, delta: Ps) -> Result<()> {
+        if self.cursor != nl.journal_len() {
+            return Err(Error::invalid_input(
+                "skew_clock requires an up-to-date timer: call update first",
+            ));
+        }
+        let id = flop.index();
+        if id >= nl.cell_count() || self.lib.cell(nl.cell(flop).master).kind != CellKind::Flop {
+            return Err(Error::invalid_input(format!(
+                "skew_clock: cell {id} is not a flop"
+            )));
+        }
+        self.retime(nl, |t| {
+            let prev = t.cons.clock_tree.skew_by(flop, delta);
+            t.undo.push(UndoOp::ClockLeaf { flop, prev });
+            t.scratch.seed_cells.insert(id);
+            t.scratch.dirty_flop_eps.insert(id);
+            false
+        })
+    }
+
+    /// One failure-atomic round on the dirty sweep: `seed` fills the
+    /// emptied dirty sets and says whether the structure changed; every
+    /// write is on the undo log, so an `Err` is rolled back first.
+    fn retime(&mut self, nl: &Netlist, seed: impl FnOnce(&mut Self) -> bool) -> Result<()> {
+        let _span = tc_obs::span("sta.incremental");
+        let entry = self.checkpoint();
         // All dirty-set, worklist and wire-eval buffers live in the
-        // timer-owned scratch arena, so a steady-state update performs
+        // timer-owned scratch arena, so a steady-state round performs
         // no transient allocations.
         let scr = &mut self.scratch;
         scr.dirty_nets.begin(nl.net_count());
@@ -528,8 +535,25 @@ impl<'a> Timer<'a> {
         scr.dirty_flop_eps.begin(nl.cell_count());
         scr.dirty_po_eps.begin(nl.net_count());
         scr.worklist.begin(nl.cell_count());
+        let structural = seed(self);
+        let swept = self.sweep_dirty(nl, structural);
+        if swept.is_err() {
+            self.rollback_to(entry)?;
+        }
+        let counts = swept?;
 
-        // Phase 1: scan the unconsumed journal suffix into dirty sets.
+        self.cursor = nl.journal_len();
+        tc_obs::histogram("sta.dirty_cone_size").record(counts.cells as f64);
+        tc_obs::counter("sta.arcs_recomputed").add(counts.arcs);
+        tc_obs::counter("sta.arcs_reused")
+            .add(self.structure.arc_count.saturating_sub(counts.arcs));
+        Ok(())
+    }
+
+    /// Phase 1 of an update: scans the unconsumed journal suffix into the
+    /// dirty sets. Returns whether any edit was structural.
+    fn scan_journal(&mut self, nl: &Netlist) -> bool {
+        let scr = &mut self.scratch;
         let mut structural = false;
         for edit in &nl.journal()[self.cursor..] {
             match edit {
@@ -589,6 +613,13 @@ impl<'a> Timer<'a> {
                 }
             }
         }
+        structural
+    }
+
+    /// Phases 2–5, shared by every seeder: structure rebuild, wire
+    /// recompute, the dirty sweep from the seeded cells, endpoint refresh.
+    fn sweep_dirty(&mut self, nl: &Netlist, structural: bool) -> Result<SweepCounts> {
+        let scr = &mut self.scratch;
 
         // Phase 2: structural edits invalidate the levelization and the
         // sink-index map; rebuild once for the whole batch and grow the
@@ -612,7 +643,7 @@ impl<'a> Timer<'a> {
         let mut sta = Sta::new(nl, self.lib, self.stack, &self.cons)
             .with_beol_corner(self.beol_corner)
             .with_graph(Arc::clone(&self.structure));
-        sta.par = par;
+        sta.par = self.par;
         let order_pos = &sta.graph()?.order_pos;
         // Dirty sets iterate in sorted id order so update order (and
         // thus the undo log and any accumulated float state) is
@@ -738,12 +769,12 @@ impl<'a> Timer<'a> {
                     self.po_ep.truncate(nets);
                     self.flop_ep.truncate(cells);
                 }
-                UndoOp::Full(snap) => {
-                    self.cons = snap.cons;
-                    self.state = snap.state;
-                    self.wires = snap.wires;
-                    self.flop_ep = snap.flop_ep;
-                    self.po_ep = snap.po_ep;
+                UndoOp::ClockLeaf { flop, prev } => {
+                    let leaf = &mut self.cons.clock_tree.leaf;
+                    match prev {
+                        Some(latency) => leaf.insert(flop, latency),
+                        None => leaf.remove(&flop),
+                    };
                 }
             }
         }
@@ -751,48 +782,28 @@ impl<'a> Timer<'a> {
         Ok(())
     }
 
-    /// Replaces the constraint set (e.g. after useful-skew moved clock
-    /// arrivals) and re-propagates everything — constraints touch every
-    /// path, so there is no cone to exploit. The change is still
-    /// checkpointable: rollback restores the old constraints and state.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the timer is stale (call [`Timer::update`] first) or on
-    /// propagation errors.
-    pub fn set_constraints(&mut self, nl: &Netlist, cons: Constraints) -> Result<()> {
-        if self.cursor != nl.journal_len() {
-            return Err(Error::invalid_input(
-                "set_constraints requires an up-to-date timer: call update first",
-            ));
-        }
-        let snap = FullSnapshot {
-            cons: mem::replace(&mut self.cons, cons),
-            state: self.state.clone(),
-            wires: self.wires.clone(),
-            flop_ep: self.flop_ep.clone(),
-            po_ep: self.po_ep.clone(),
-        };
-        self.undo.push(UndoOp::Full(Box::new(snap)));
-        self.refresh_all(nl)
-    }
-
     /// Assembles the timing report from the cached endpoint checks —
     /// same endpoint order as [`Sta::run`] (flops in cell-id order, then
     /// primary outputs in net-id order), no propagation.
     pub fn report(&self, nl: &Netlist) -> TimingReport {
         let mut endpoints = Vec::new();
-        for fid in nl.flops(self.lib) {
-            if let Some(ep) = &self.flop_ep[fid.index()] {
-                endpoints.push(ep.clone());
-            }
-        }
-        for po in nl.primary_outputs() {
-            if let Some(ep) = &self.po_ep[po.index()] {
-                endpoints.push(ep.clone());
-            }
-        }
+        // `for_each`, not `collect`: the chain folds, it is not stepped.
+        self.endpoints(nl).for_each(|e| endpoints.push(e.clone()));
         TimingReport::from_endpoints(endpoints, self.cons.default_clock().period)
+    }
+
+    /// The cached endpoint checks in report order, borrowed: what a
+    /// speculative-trial loop scans instead of cloning a report per trial.
+    pub fn endpoints<'t>(&'t self, nl: &'t Netlist) -> impl Iterator<Item = &'t EndpointTiming> {
+        let flops = nl.flops(self.lib).map(|f| &self.flop_ep[f.index()]);
+        let outputs = nl.primary_outputs().map(|po| &self.po_ep[po.index()]);
+        flops.chain(outputs).flatten()
+    }
+
+    /// The cached check at one flop's D pin (`None` for a false-path or
+    /// unreached flop, or a cell that is not one).
+    pub fn flop_endpoint(&self, flop: CellId) -> Option<&EndpointTiming> {
+        self.flop_ep.get(flop.index())?.as_ref()
     }
 
     /// Extracts the worst paths from the cached propagation state (the
@@ -826,17 +837,11 @@ impl<'a> Timer<'a> {
     pub fn cursor(&self) -> usize {
         self.cursor
     }
-
-    /// The shared timing structure.
-    pub fn graph(&self) -> &TimingGraph {
-        &self.structure
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_core::units::Ps;
     use tc_device::VtClass;
     use tc_liberty::{LibConfig, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
@@ -1005,13 +1010,20 @@ mod tests {
 
         // Every net's wire changes, so every cell is dirty and the wide
         // ranks' batches go to the pool.
-        let widest = inline.graph().ranks.iter().map(|r| r.len()).max().unwrap();
+        let widest = inline
+            .structure
+            .ranks
+            .iter()
+            .map(|r| r.len())
+            .max()
+            .unwrap();
         assert!(widest >= crate::analysis::PAR_RANK_MIN, "widest {widest}");
         for i in 0..nl.net_count() {
             nl.set_wire_length(NetId::new(i), 15.0 + (i % 40) as f64);
         }
         inline.update(&nl).unwrap();
-        pooled.update_on(&nl, Some(tc_par::Pool::new(4))).unwrap();
+        pooled.par = Some(tc_par::Pool::new(4));
+        pooled.update(&nl).unwrap();
         assert_ne!(inline.states(), &before[..]);
         assert_eq!(pooled.states(), inline.states());
         assert_eq!(pooled.wires(), inline.wires());
@@ -1022,26 +1034,6 @@ mod tests {
         assert_eq!(pooled.states(), &before[..]);
         assert_eq!(pooled.states(), inline.states());
         assert_eq!(pooled.wires(), inline.wires());
-    }
-
-    #[test]
-    fn set_constraints_repropagates_and_rolls_back() {
-        let (lib, stack) = env();
-        let nl = generate(&lib, BenchProfile::tiny(), 3).unwrap();
-        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
-        let before = timer.report(&nl);
-        let cp = timer.checkpoint();
-
-        timer
-            .set_constraints(&nl, Constraints::single_clock(500.0))
-            .unwrap();
-        assert_eq!(timer.constraints().default_clock().period, Ps::new(500.0));
-        assert!(timer.report(&nl).wns() < before.wns());
-        assert_matches_full(&timer, &nl, &lib, &stack);
-
-        timer.rollback_to(cp).unwrap();
-        assert_eq!(timer.constraints().default_clock().period, Ps::new(900.0));
-        assert_eq!(timer.report(&nl).endpoints, before.endpoints);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! from-scratch `Sta` run on the edited netlist. This test drives that
 //! contract with seeded random edit sequences (master swaps up/down the
 //! size and Vt ladders, wirelength and route-class changes, buffer
-//! insertions, pin rewires) on three benchmark profiles, interleaving
-//! checkpoint/rollback cycles so the undo log is exercised under the same
-//! randomness.
+//! insertions, pin rewires) and clock-leaf skews (`Timer::skew_clock`,
+//! the one edit that lives on the timer instead of in the journal) on
+//! three benchmark profiles, interleaving checkpoint/rollback cycles so
+//! the undo log is exercised under the same randomness.
 
 use timing_closure::core::ids::{CellId, NetId};
 use timing_closure::core::rng::Rng;
+use timing_closure::core::units::Ps;
 use timing_closure::device::VtClass;
 use timing_closure::interconnect::beol::BeolStack;
 use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
@@ -50,11 +52,11 @@ fn acyclic_safe_nets(nl: &Netlist, lib: &Library) -> Vec<NetId> {
     safe
 }
 
-/// Applies one random journaled ECO edit. Returns `false` if the drawn
-/// edit was inapplicable (e.g. no sized-up variant exists) so the caller
-/// can redraw.
-fn random_edit(rng: &mut Rng, nl: &mut Netlist, lib: &Library) -> bool {
-    match rng.below(6) {
+/// Applies one random edit: a journaled ECO on the netlist, or a clock
+/// skew on the timer. Returns `false` if the drawn edit was inapplicable
+/// (e.g. no sized-up variant exists) so the caller can redraw.
+fn random_edit(rng: &mut Rng, nl: &mut Netlist, lib: &Library, timer: &mut Timer<'_>) -> bool {
+    match rng.below(7) {
         0 => {
             // Wirelength change on a random net.
             let net = NetId::new(rng.below(nl.net_count()));
@@ -107,6 +109,19 @@ fn random_edit(rng: &mut Rng, nl: &mut Netlist, lib: &Library) -> bool {
             nl.insert_buffer(lib, net, &moved, buf).unwrap();
             true
         }
+        5 => {
+            // Skew a random flop's clock by ±step. A timer edit, so the
+            // pending netlist edits are consumed first.
+            let flops: Vec<CellId> = nl.flops(lib).collect();
+            let step = if rng.chance(0.5) {
+                SKEW_STEP
+            } else {
+                -SKEW_STEP
+            };
+            timer.update(nl).unwrap();
+            timer.skew_clock(nl, *rng.choose(&flops), step).unwrap();
+            true
+        }
         _ => {
             // Rewire a random sink onto a cycle-safe net.
             let safe = acyclic_safe_nets(nl, lib);
@@ -122,10 +137,12 @@ fn random_edit(rng: &mut Rng, nl: &mut Netlist, lib: &Library) -> bool {
     }
 }
 
+const SKEW_STEP: Ps = Ps::new(10.0);
+
 /// Draws edits until one applies (bounded redraws keep the stream moving).
-fn apply_edit(rng: &mut Rng, nl: &mut Netlist, lib: &Library) {
+fn apply_edit(rng: &mut Rng, nl: &mut Netlist, lib: &Library, timer: &mut Timer<'_>) {
     for _ in 0..32 {
-        if random_edit(rng, nl, lib) {
+        if random_edit(rng, nl, lib, timer) {
             return;
         }
     }
@@ -142,7 +159,7 @@ fn run_sequence(profile: BenchProfile, gen_seed: u64, edit_seed: u64, edits: usi
     assert_matches_full(&timer, &nl, &lib, &stack);
 
     for i in 0..edits {
-        apply_edit(&mut rng, &mut nl, &lib);
+        apply_edit(&mut rng, &mut nl, &lib, &mut timer);
         timer.update(&nl).unwrap();
         assert_matches_full(&timer, &nl, &lib, &stack);
 
@@ -153,13 +170,19 @@ fn run_sequence(profile: BenchProfile, gen_seed: u64, edit_seed: u64, edits: usi
             let states_before = timer.states().to_vec();
             let wires_before = timer.wires().clone();
             let report_before = timer.report(&nl);
+            let cons_before = timer.constraints().clone();
             let nl_cp = nl.journal_len();
             let t_cp = timer.checkpoint();
-            apply_edit(&mut rng, &mut nl, &lib);
-            apply_edit(&mut rng, &mut nl, &lib);
+            apply_edit(&mut rng, &mut nl, &lib, &mut timer);
+            apply_edit(&mut rng, &mut nl, &lib, &mut timer);
             timer.update(&nl).unwrap();
             nl.undo_to(nl_cp).unwrap();
             timer.rollback_to(t_cp).unwrap();
+            assert_eq!(
+                timer.constraints(),
+                &cons_before,
+                "rollback lost constraints"
+            );
             assert_eq!(
                 timer.states(),
                 &states_before[..],
@@ -189,4 +212,87 @@ fn incremental_matches_full_on_c5315_random_ecos() {
 #[test]
 fn incremental_matches_full_on_c7552_random_ecos() {
     run_sequence(BenchProfile::c7552(), 23, 0xC7552, 10);
+}
+
+/// A tiny design on a fresh timer, for the skew-specific cases.
+fn tiny() -> (Library, BeolStack, Netlist) {
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let nl = generate(&lib, BenchProfile::tiny(), 17).unwrap();
+    (lib, BeolStack::n20(), nl)
+}
+
+#[test]
+fn skews_interleaved_with_ecos_roll_back_exactly() {
+    let (lib, stack, mut nl) = tiny();
+    let cons = Constraints::single_clock(1_100.0);
+    let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
+    let flops: Vec<CellId> = nl.flops(&lib).collect();
+    let states = timer.states().to_vec();
+    let wires = timer.wires().clone();
+    let report = timer.report(&nl);
+
+    let nl_cp = nl.journal_len();
+    let t_cp = timer.checkpoint();
+    timer.skew_clock(&nl, flops[0], SKEW_STEP).unwrap();
+    assert_matches_full(&timer, &nl, &lib, &stack);
+    nl.set_wire_length(NetId::new(3), 320.0);
+    let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
+    let q = nl.cell(flops[1]).output;
+    let sinks = nl.net(q).sinks.to_vec();
+    nl.insert_buffer(&lib, q, &sinks, buf).unwrap();
+    timer.update(&nl).unwrap();
+    timer.skew_clock(&nl, flops[1], -SKEW_STEP).unwrap();
+    // The same flop twice: the second undo entry carries `Some(prev)`.
+    timer.skew_clock(&nl, flops[0], SKEW_STEP).unwrap();
+    assert_matches_full(&timer, &nl, &lib, &stack);
+    let leaf = &timer.constraints().clock_tree;
+    assert_eq!(leaf.leaf_of(flops[0]), SKEW_STEP + SKEW_STEP);
+    assert_eq!(leaf.leaf_of(flops[1]), -SKEW_STEP);
+    assert_ne!(timer.report(&nl).endpoints, report.endpoints);
+
+    nl.undo_to(nl_cp).unwrap();
+    timer.rollback_to(t_cp).unwrap();
+    assert_eq!(timer.states(), &states[..]);
+    assert_eq!(timer.wires(), &wires);
+    assert_eq!(timer.report(&nl).endpoints, report.endpoints);
+    assert_eq!(timer.constraints(), &cons);
+    assert!(timer.constraints().clock_tree.leaf.is_empty());
+    assert_matches_full(&timer, &nl, &lib, &stack);
+}
+
+#[test]
+fn bad_skew_is_an_error_that_leaves_the_timer_unchanged() {
+    let (lib, stack, mut nl) = tiny();
+    let cons = Constraints::single_clock(1_100.0);
+    let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
+    let states = timer.states().to_vec();
+    let report = timer.report(&nl);
+    let unchanged = |timer: &Timer<'_>, nl: &Netlist| {
+        assert_eq!(timer.states(), &states[..]);
+        assert_eq!(timer.report(nl).endpoints, report.endpoints);
+        assert_eq!(timer.constraints(), &cons);
+        assert_eq!(timer.cursor(), nl.journal_len());
+    };
+
+    let comb = (0..nl.cell_count())
+        .map(CellId::new)
+        .find(|&c| lib.cell(nl.cell(c).master).kind != CellKind::Flop)
+        .unwrap();
+    assert!(timer.skew_clock(&nl, comb, SKEW_STEP).is_err());
+    assert!(timer
+        .skew_clock(&nl, CellId::new(nl.cell_count()), SKEW_STEP)
+        .is_err());
+    unchanged(&timer, &nl);
+
+    // Stale: the netlist moved on and the timer has not consumed it.
+    let flop = nl.flops(&lib).next().unwrap();
+    let nl_cp = nl.journal_len();
+    nl.set_wire_length(NetId::new(0), 250.0);
+    assert!(timer.skew_clock(&nl, flop, SKEW_STEP).is_err());
+    nl.undo_to(nl_cp).unwrap();
+    unchanged(&timer, &nl);
+
+    // And the timer still takes a good skew afterwards.
+    timer.skew_clock(&nl, flop, SKEW_STEP).unwrap();
+    assert_matches_full(&timer, &nl, &lib, &stack);
 }
