@@ -72,9 +72,9 @@ fn main() -> std::io::Result<()> {
         "violations among analyzed endpoints: GBA {viol_gba} → PBA {viol_pba} | total recovered {total_rec:.1} ps"
     );
 
-    // Span-based runtime attribution: `sta.gba` covers every graph
-    // propagation (the PBA entry point reruns it), `sta.pba` only the
-    // path extraction + re-derating on top.
+    // Span-based runtime attribution: `sta.gba` covers the one graph
+    // propagation (`run` fills the analysis' cache, PBA reads it),
+    // `sta.pba` only the path extraction + re-derating on top.
     let gba_ms = snapshot.span("sta.gba").map_or(0.0, |s| s.total_ms());
     let pba_ms = snapshot.span("sta.pba").map_or(0.0, |s| s.total_ms());
     println!(

@@ -24,7 +24,7 @@ use tc_interconnect::beol::BeolCorner;
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_obs::JsonValue;
 use tc_par::Pool;
-use tc_signoff::corners::{run_corner_set, run_corner_set_on};
+use tc_signoff::corners::run_corner_set_on;
 use tc_sta::mcmm::{MergedReport, Scenario};
 use tc_sta::{Constraints, Sta};
 
@@ -150,7 +150,8 @@ fn main() -> std::io::Result<()> {
     // pinned pool width; its fingerprint hash goes into the sidecar so a
     // CI job can diff two runs at different env values.
     let reference = reference.expect("at least one sweep ran");
-    let env_merged = run_corner_set(&nl, &stack, &scenarios).expect("corner sweep (env pool)");
+    let env_merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios)
+        .expect("corner sweep (env pool)");
     assert_eq!(
         fingerprint(&env_merged),
         reference,

@@ -64,11 +64,13 @@
 //! | `lint.run` | span | one full lint registry sweep (`tc_lint::run_lint`) |
 //! | `lint.rule.*` | span | one rule pass (a root span when run on pool worker threads) |
 //! | `lint.findings` / `lint.errors` / `lint.warnings` | counter | findings per sweep, split by severity |
-//! | `sta.gba` | span | one graph-based analysis ([`Sta::run`]) |
-//! | `sta.pba` | span | one path-based re-analysis pass |
+//! | `sta.gba` | span | one graph propagation (at most one per [`Sta`]) |
+//! | `sta.pba` | span | one PBA re-derating pass over it |
+//! | `sta.worst_paths` | span | one worst-path extraction (an `Sta` or the timer) |
 //! | `sta.arcs_evaluated` | counter | timing arcs evaluated in GBA |
 //! | `sta.nets_propagated` | counter | nets levelized + propagated |
 //! | `sta.pba.paths` / `sta.pba.stages` | counter | PBA path/stage volume |
+//! | `sta.paths.extracted` / `sta.paths.stages` | counter | extracted path/stage volume |
 //! | `sta.incremental` | span | one [`Timer::update`] dirty-cone pass |
 //! | `sta.dirty_cone_size` | histogram | cells re-evaluated per update |
 //! | `sta.arcs_recomputed` | counter | arcs inside dirty cones |
@@ -95,7 +97,7 @@
 //! time, not resettable event counts.
 //!
 //! [`ClosureFlow::run`]: ../tc_closure/flow/struct.ClosureFlow.html
-//! [`Sta::run`]: ../tc_sta/struct.Sta.html
+//! [`Sta`]: ../tc_sta/struct.Sta.html
 //! [`Timer::update`]: ../tc_sta/timer/struct.Timer.html
 //!
 //! # Examples

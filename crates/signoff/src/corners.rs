@@ -160,23 +160,12 @@ impl CornerSpace {
 ///
 /// All corners share one timing-graph structure (levelization and
 /// sink-index maps are corner-invariant), so the per-corner cost is pure
-/// propagation — see `tc_sta::mcmm::run_scenarios_shared`.
+/// propagation — see `tc_sta::mcmm::run_scenarios_shared_on`.
 ///
-/// # Errors
-///
-/// Propagates the first failing scenario run.
-pub fn run_corner_set(
-    nl: &Netlist,
-    stack: &BeolStack,
-    scenarios: &[Scenario],
-) -> Result<MergedReport> {
-    run_corner_set_on(tc_par::Pool::from_env(), nl, stack, scenarios)
-}
-
-/// [`run_corner_set`] on an explicit worker pool (tests pin the worker
-/// count this way instead of mutating `TC_PAR_THREADS`). Per-corner
-/// `corner.<name>` spans keep their `signoff.corners` parent even when
-/// the corner runs on a pool worker.
+/// Corners run as tasks of `pool` (`Pool::from_env()` for the
+/// environment's width; tests pin the worker count instead of mutating
+/// `TC_PAR_THREADS`). Per-corner `corner.<name>` spans keep their
+/// `signoff.corners` parent even when the corner runs on a pool worker.
 ///
 /// # Errors
 ///
@@ -226,6 +215,7 @@ mod tests {
     use tc_interconnect::BeolStack;
     use tc_liberty::{LibConfig, Library};
     use tc_netlist::gen::{generate, BenchProfile};
+    use tc_par::Pool;
     use tc_sta::mcmm::{run_and_merge, Scenario};
     use tc_sta::Constraints;
 
@@ -276,7 +266,7 @@ mod tests {
             },
         ];
         tc_obs::enable();
-        let merged = run_corner_set(&nl, &stack, &scenarios).unwrap();
+        let merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios).unwrap();
         let expected = run_and_merge(&nl, &stack, &scenarios).unwrap();
         assert_eq!(merged.wns(), expected.wns());
 
@@ -332,7 +322,8 @@ mod tests {
         ];
         tc_obs::enable();
         let before = tc_obs::snapshot().counter("mcmm.empty_reports");
-        let merged = run_corner_set(&nl, &BeolStack::n20(), &scenarios).unwrap();
+        let merged =
+            run_corner_set_on(Pool::from_env(), &nl, &BeolStack::n20(), &scenarios).unwrap();
         // The healthy corner's slacks survive untouched; the degenerate
         // corner contributes nothing and is counted, not propagated.
         assert!(merged.wns().value().is_finite());

@@ -67,8 +67,10 @@ pub struct NetState {
     pub reached: bool,
 }
 
-/// The STA engine, borrowing the design and its environment.
-#[derive(Clone, Debug)]
+/// The STA engine, borrowing the design and its environment. It
+/// propagates at most once ([`Sta::propagate`]); a clone or an input
+/// builder keeps the graph and drops the propagation.
+#[derive(Debug)]
 pub struct Sta<'a> {
     pub(crate) nl: &'a Netlist,
     pub(crate) lib: &'a Library,
@@ -84,6 +86,20 @@ pub struct Sta<'a> {
     /// The netlist's timing structure, built on first use (the netlist
     /// is borrowed immutably, so it cannot go stale) or handed in.
     pub(crate) graph: OnceLock<Arc<TimingGraph>>,
+    /// Per-net states and wire timings, propagated on first use.
+    pub(crate) propagated: OnceLock<(Vec<NetState>, WireTable)>,
+}
+
+/// A derived analysis (`Sta { cons, ..sta.clone() }`) must not inherit
+/// arrivals propagated under the original's inputs.
+impl Clone for Sta<'_> {
+    fn clone(&self) -> Self {
+        Sta {
+            graph: self.graph.clone(),
+            propagated: OnceLock::new(),
+            ..*self
+        }
+    }
 }
 
 /// Rank batches smaller than this run inline even when a parallel pool
@@ -265,12 +281,14 @@ impl<'a> Sta<'a> {
             beol_sample: None,
             par: None,
             graph: OnceLock::new(),
+            propagated: OnceLock::new(),
         }
     }
 
     /// Uses an already-built timing structure of this netlist instead
-    /// of deriving one on first use.
-    pub(crate) fn with_graph(mut self, graph: Arc<TimingGraph>) -> Self {
+    /// of deriving one on first use — how runs over one design (MCMM
+    /// corners, Monte Carlo trials) share a single graph.
+    pub fn with_graph(mut self, graph: Arc<TimingGraph>) -> Self {
         self.graph = OnceLock::from(graph);
         self
     }
@@ -285,16 +303,22 @@ impl<'a> Sta<'a> {
         Ok(self.graph.get_or_init(|| built))
     }
 
-    /// Selects a BEOL extraction corner.
-    pub fn with_beol_corner(mut self, corner: BeolCorner) -> Self {
-        self.beol_corner = corner;
-        self
+    /// Selects a BEOL extraction corner (a clone: any propagation so far
+    /// was at the old corner).
+    pub fn with_beol_corner(self, corner: BeolCorner) -> Self {
+        Sta {
+            beol_corner: corner,
+            ..self.clone()
+        }
     }
 
-    /// Applies a Monte Carlo per-layer BEOL variation sample.
-    pub fn with_beol_sample(mut self, sample: &'a BeolSample) -> Self {
-        self.beol_sample = Some(sample);
-        self
+    /// Applies a Monte Carlo per-layer BEOL variation sample (a clone,
+    /// like [`with_beol_corner`](Self::with_beol_corner)).
+    pub fn with_beol_sample(self, sample: &'a BeolSample) -> Self {
+        Sta {
+            beol_sample: Some(sample),
+            ..self.clone()
+        }
     }
 
     /// Runs the rank sweep's batches on the given pool: cells within
@@ -705,14 +729,18 @@ impl<'a> Sta<'a> {
         Ok(counts)
     }
 
-    /// Runs graph-based analysis from scratch, returning per-net states
-    /// plus wire timings (the raw material for reports and PBA).
+    /// The analysis' per-net states and wire timings (the raw material for
+    /// reports, PBA and path extraction): propagated on the first call,
+    /// borrowed from the cache on every later one.
     ///
     /// # Errors
     ///
     /// Propagates levelization failures (combinational loops) and
     /// interconnect estimation errors.
-    pub fn propagate(&self) -> Result<(Vec<NetState>, WireTable)> {
+    pub fn propagate(&self) -> Result<(&[NetState], &WireTable)> {
+        if let Some((state, wires)) = self.propagated.get() {
+            return Ok((state, wires));
+        }
         self.graph()?; // built (once) outside the propagation span
         let _span = tc_obs::span("sta.gba");
         let wires = self.wire_timings()?;
@@ -727,6 +755,7 @@ impl<'a> Sta<'a> {
         )?;
         tc_obs::counter("sta.arcs_evaluated").add(counts.arcs);
         tc_obs::counter("sta.nets_propagated").add(counts.writes);
+        let (state, wires) = self.propagated.get_or_init(|| (state, wires));
         Ok((state, wires))
     }
 
@@ -848,7 +877,7 @@ impl<'a> Sta<'a> {
         ))
     }
 
-    /// Runs the full analysis and builds the timing report.
+    /// Builds the timing report from the analysis' propagation.
     ///
     /// # Errors
     ///
@@ -856,7 +885,7 @@ impl<'a> Sta<'a> {
     /// interconnect estimation errors.
     pub fn run(&self) -> Result<TimingReport> {
         let (state, wires) = self.propagate()?;
-        self.report_from(&state, &wires)
+        self.report_from(state, wires)
     }
 }
 
@@ -1009,6 +1038,47 @@ mod tests {
             .unwrap()
             .wns();
         assert!(rcw < typ);
+    }
+
+    #[test]
+    fn a_derived_analysis_recomputes() {
+        let (lib, stack) = env();
+        let mut nl = generate(&lib, BenchProfile::tiny(), 5).unwrap();
+        for i in 0..nl.net_count() {
+            nl.set_wire_length(NetId::new(i), 150.0);
+        }
+        let cons = Constraints::single_clock(1_500.0);
+        let flat = cons.clone().with_derate(DerateModel::None);
+        let fresh = || Sta::new(&nl, &lib, &stack, &cons);
+        let endpoints = |sta: &Sta<'_>| sta.run().unwrap().endpoints;
+
+        // Every derivation starts from an analysis that has propagated.
+        let sta = fresh();
+        let typ = endpoints(&sta);
+        assert_eq!(endpoints(&sta.clone()), typ);
+
+        let rcw = endpoints(&fresh().with_beol_corner(BeolCorner::RcWorst));
+        assert_ne!(
+            rcw, typ,
+            "the corner must move timing for this check to bite"
+        );
+        assert_eq!(
+            endpoints(&sta.clone().with_beol_corner(BeolCorner::RcWorst)),
+            rcw
+        );
+
+        let sample = stack.sample(&mut tc_core::rng::Rng::seed_from(7));
+        let sampled = endpoints(&fresh().with_beol_sample(&sample));
+        assert_ne!(sampled, typ);
+        assert_eq!(endpoints(&sta.clone().with_beol_sample(&sample)), sampled);
+
+        let derated = endpoints(&Sta::new(&nl, &lib, &stack, &flat));
+        assert_ne!(derated, typ);
+        let derived = Sta {
+            cons: &flat,
+            ..sta.clone()
+        };
+        assert_eq!(endpoints(&derived), derated);
     }
 
     #[test]

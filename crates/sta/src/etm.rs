@@ -69,8 +69,7 @@ impl Etm {
     ///
     /// Propagates STA failures.
     pub fn extract(sta: &Sta<'_>, name: impl Into<String>) -> Result<Etm> {
-        let report = sta.run()?;
-        let period = report.period;
+        let period = sta.cons.default_clock().period;
 
         // Input requirements need *input-launched* path visibility, but
         // GBA keeps only the single worst arrival per node — usually a
@@ -79,9 +78,11 @@ impl Etm {
         // reach; the assumed arrival cancels out of the published
         // requirement (slack = required − (input_delay + interior), so
         // requirement = period − slack − input_delay is
-        // arrival-independent).
+        // arrival-independent). The boosted analysis is a clone: it
+        // shares the graph and propagates its own arrivals.
         let mut boosted = sta.cons.clone();
         boosted.input_delay = period;
+        sta.graph()?;
         let sta_boost = Sta {
             cons: &boosted,
             ..sta.clone()
@@ -127,7 +128,7 @@ impl Etm {
         }
 
         let mut outputs = HashMap::new();
-        for e in &report.endpoints {
+        for e in &sta.run()?.endpoints {
             let Endpoint::Output(net) = e.endpoint else {
                 continue;
             };
@@ -259,6 +260,22 @@ mod tests {
             etm_slack,
             flat_worst_input_launched
         );
+    }
+
+    #[test]
+    fn extraction_after_run_equals_extraction_on_a_fresh_analysis() {
+        // The boosted analysis is derived from one that has already
+        // propagated: it must recompute, not inherit un-boosted arrivals.
+        let (lib, stack, nl) = block(5);
+        let cons = Constraints::single_clock(1_200.0);
+        let fresh = Etm::extract(&Sta::new(&nl, &lib, &stack, &cons), "blk").unwrap();
+        let sta = Sta::new(&nl, &lib, &stack, &cons);
+        sta.run().unwrap();
+        let after_run = Etm::extract(&sta, "blk").unwrap();
+        assert!(fresh.worst_input_requirement().is_some());
+        assert_eq!(after_run.period, fresh.period);
+        assert_eq!(after_run.inputs, fresh.inputs);
+        assert_eq!(after_run.outputs, fresh.outputs);
     }
 
     #[test]

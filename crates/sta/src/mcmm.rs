@@ -112,7 +112,7 @@ impl MergedReport {
 }
 
 /// Runs every scenario (over one shared timing graph, see
-/// [`run_scenarios_shared`]) and merges.
+/// [`run_scenarios_shared_on`]) on the environment's pool and merges.
 ///
 /// # Errors
 ///
@@ -122,7 +122,8 @@ pub fn run_and_merge(
     stack: &BeolStack,
     scenarios: &[Scenario],
 ) -> Result<MergedReport> {
-    Ok(merge_reports(&run_scenarios_shared(nl, stack, scenarios)?))
+    let reports = run_scenarios_shared_on(tc_par::Pool::from_env(), nl, stack, scenarios)?;
+    Ok(merge_reports(&reports))
 }
 
 /// Runs every scenario over one shared [`TimingGraph`]: the design's
@@ -131,22 +132,11 @@ pub fn run_and_merge(
 /// fix for the corner super-explosion's *analysis* cost (§2.3). Each
 /// corner runs under a `corner.<name>` tracing span.
 ///
-/// # Errors
-///
-/// Propagates the first failing scenario run.
-pub fn run_scenarios_shared(
-    nl: &Netlist,
-    stack: &BeolStack,
-    scenarios: &[Scenario],
-) -> Result<Vec<(String, TimingReport)>> {
-    run_scenarios_shared_on(tc_par::Pool::from_env(), nl, stack, scenarios)
-}
-
-/// [`run_scenarios_shared`] on an explicit worker pool: corners are
-/// independent given the shared structure, so each runs as one pool
-/// task. Results come back in scenario order regardless of completion
-/// order, and the first failing corner (in scenario order) wins error
-/// reporting — identical behavior to the sequential loop.
+/// Corners are independent given the shared structure, so each runs as
+/// one task of `pool`. Results come back in scenario order regardless
+/// of completion order, and the first failing corner (in scenario
+/// order) wins error reporting — identical behavior to the sequential
+/// loop.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Path-based analysis (PBA).
+//! Path-based analysis (PBA) and worst-path extraction.
 //!
 //! GBA's arrival at each node is a bound over *all* paths, so per-stage
 //! derates must assume the worst path shape (depth 1 for AOCV). PBA
@@ -6,17 +6,21 @@
 //! with exact knowledge — true stage count for AOCV, exact RSS for
 //! POCV/LVF — recovering pessimism at the cost of path enumeration
 //! (the runtime/licensing tradeoff of §1.3).
+//!
+//! Both are overlays on a propagation that already exists: an [`Sta`]
+//! lends its cached one, the [`Timer`](crate::Timer) its persistent
+//! state, and the same backtrack reads either.
 
 use tc_core::error::{Error, Result};
-use tc_core::ids::CellId;
+use tc_core::ids::{CellId, NetId};
 use tc_core::units::Ps;
 use tc_liberty::{CellKind, DerateModel};
 
-use crate::analysis::Sta;
-use crate::report::{Endpoint, EndpointTiming};
+use crate::analysis::{NetState, Sta, WireTable};
+use crate::report::{k_worst, Endpoint, EndpointTiming};
 
 /// One extracted path stage (endpoint side first).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PathStage {
     /// The driving cell of this stage.
     pub cell: CellId,
@@ -29,7 +33,7 @@ pub struct PathStage {
 }
 
 /// PBA result for one endpoint.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PbaEndpoint {
     /// Which endpoint.
     pub endpoint: Endpoint,
@@ -48,7 +52,8 @@ impl PbaEndpoint {
     }
 }
 
-/// Runs PBA on the `k` worst setup endpoints of a GBA run.
+/// Runs PBA on the `k` worst setup flop endpoints of the analysis
+/// (primary outputs have no launch-to-capture path to re-derate).
 ///
 /// # Errors
 ///
@@ -56,24 +61,26 @@ impl PbaEndpoint {
 /// inconsistent predecessor chain (an internal bug).
 pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> {
     let (state, wires) = sta.propagate()?;
-    let report = sta.report_from(&state, &wires)?;
+    let report = sta.report_from(state, wires)?;
     let _span = tc_obs::span("sta.pba");
     let k_sigma = sta.k_sigma();
+    let flops = report
+        .endpoints
+        .iter()
+        .filter(|e| matches!(e.endpoint, Endpoint::FlopD(_)));
 
     let mut stages_total = 0u64;
     let mut out = Vec::new();
-    for ep in worst_flop_endpoints(&report, k) {
-        let Endpoint::FlopD(fid) = ep.endpoint else {
-            continue;
-        };
-        let (path, launch_flop) = extract_path(sta, &state, &wires, fid)?;
-        let pba_slack = reevaluate(sta, ep, &path, launch_flop, &wires, k_sigma)?;
-        stages_total += path.len() as u64 + 1;
+    for ep in k_worst(flops, k) {
+        let path = backtrack(sta, state, wires, ep)?;
+        let pba_slack = reevaluate(sta, ep, &path, wires, k_sigma)?;
+        let stages = path.stages.len() + 1; // + the launch c2q stage
+        stages_total += stages as u64;
         out.push(PbaEndpoint {
             endpoint: ep.endpoint,
             gba_slack: ep.setup_slack,
             pba_slack,
-            stages: path.len() + 1, // + the launch c2q stage
+            stages,
         });
     }
     tc_obs::counter("sta.pba.paths").add(out.len() as u64);
@@ -84,7 +91,7 @@ pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> 
 /// A worst path to an endpoint: the stage list (endpoint-first) plus the
 /// nets the path traverses — the raw material of the closure fix engine
 /// (which cell to swap/upsize, which net to buffer or NDR).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CriticalPath {
     /// The endpoint this path feeds.
     pub endpoint: Endpoint,
@@ -93,7 +100,7 @@ pub struct CriticalPath {
     /// Path stages, endpoint side first.
     pub stages: Vec<PathStage>,
     /// Nets traversed (endpoint side first, including the endpoint net).
-    pub nets: Vec<tc_core::ids::NetId>,
+    pub nets: Vec<NetId>,
     /// Launching flop, if the path starts at one.
     pub launch_flop: Option<CellId>,
 }
@@ -102,115 +109,63 @@ pub struct CriticalPath {
 ///
 /// # Errors
 ///
-/// Propagates propagation failures.
-/// The `k` worst *flop* endpoints (primary outputs have no sequential
-/// endpoint to backtrack from and are excluded).
-fn worst_flop_endpoints(report: &crate::report::TimingReport, k: usize) -> Vec<&EndpointTiming> {
-    let mut v: Vec<&EndpointTiming> = report
-        .endpoints
-        .iter()
-        .filter(|e| matches!(e.endpoint, Endpoint::FlopD(_)))
-        .collect();
-    v.sort_by(|a, b| a.setup_slack.value().total_cmp(&b.setup_slack.value()));
-    v.truncate(k);
-    v
-}
-
-/// Extracts the worst path to each of the `k` worst setup endpoints —
-/// the work list of the closure fix engine.
-///
-/// # Errors
-///
-/// Propagates propagation failures.
+/// Propagates propagation failures; errors if backtracking hits an
+/// inconsistent predecessor chain.
 pub fn worst_paths(sta: &Sta<'_>, k: usize) -> Result<Vec<CriticalPath>> {
     let (state, wires) = sta.propagate()?;
-    let report = sta.report_from(&state, &wires)?;
-    worst_paths_from(sta, &report, &state, &wires, k)
+    let report = sta.report_from(state, wires)?;
+    paths_to(sta, state, wires, report.worst_endpoints(k))
 }
 
-/// [`worst_paths`] over already-propagated state — how the persistent
-/// timer extracts paths without re-running STA.
-///
-/// # Errors
-///
-/// Errors if backtracking hits an inconsistent predecessor chain.
-pub(crate) fn worst_paths_from(
+/// The worst path to each of `endpoints` over lent propagated state — an
+/// [`Sta`]'s cache or the [`Timer`](crate::Timer)'s persistent vectors.
+pub(crate) fn paths_to(
     sta: &Sta<'_>,
-    report: &crate::report::TimingReport,
-    state: &[crate::analysis::NetState],
-    wires: &crate::analysis::WireTable,
-    k: usize,
+    state: &[NetState],
+    wires: &WireTable,
+    endpoints: Vec<&EndpointTiming>,
 ) -> Result<Vec<CriticalPath>> {
-    let _span = tc_obs::span("sta.pba");
-    let mut out = Vec::new();
-    for ep in report.worst_endpoints(k) {
-        let start_net = match ep.endpoint {
-            Endpoint::FlopD(fid) => sta.nl.cell(fid).inputs[0],
-            Endpoint::Output(net) => net,
-        };
-        let (stages, launch_flop) = extract_path_from_net(sta, state, wires, start_net)?;
-        // Reconstruct the net list by replaying the same backtrack: each
-        // stage's cell drives the current net through its recorded
-        // predecessor pin.
-        let mut nets = vec![start_net];
-        let mut net = start_net;
-        for st in &stages {
-            let pred = state[net.index()]
-                .late_pred_pin
-                .ok_or_else(|| Error::internal("stage without predecessor"))?;
-            let in_net = sta.nl.cell(st.cell).inputs[pred];
-            nets.push(in_net);
-            net = in_net;
-        }
-        out.push(CriticalPath {
-            endpoint: ep.endpoint,
-            slack: ep.setup_slack,
-            stages,
-            nets,
-            launch_flop,
-        });
-    }
-    tc_obs::counter("sta.pba.paths").add(out.len() as u64);
-    tc_obs::counter("sta.pba.stages").add(out.iter().map(|p| p.stages.len() as u64 + 1).sum());
-    Ok(out)
+    let _span = tc_obs::span("sta.worst_paths");
+    let paths = endpoints
+        .into_iter()
+        .map(|ep| backtrack(sta, state, wires, ep))
+        .collect::<Result<Vec<_>>>()?;
+    tc_obs::counter("sta.paths.extracted").add(paths.len() as u64);
+    tc_obs::counter("sta.paths.stages").add(paths.iter().map(|p| p.stages.len() as u64 + 1).sum());
+    Ok(paths)
 }
 
-/// Walks the late-predecessor breadcrumbs from a flop's D pin back to the
-/// launch point. Returns stages (endpoint-first) and the launching flop
-/// (None if the path starts at a primary input).
-fn extract_path(
+/// Walks the late-predecessor breadcrumbs from an endpoint back to its
+/// launch point, re-deriving each stage's GBA evaluation on the way. The
+/// path ends at the launching flop, or at a primary input (no flop).
+fn backtrack(
     sta: &Sta<'_>,
-    state: &[crate::analysis::NetState],
-    wires: &crate::analysis::WireTable,
-    endpoint_flop: CellId,
-) -> Result<(Vec<PathStage>, Option<CellId>)> {
-    extract_path_from_net(sta, state, wires, sta.nl.cell(endpoint_flop).inputs[0])
-}
-
-fn extract_path_from_net(
-    sta: &Sta<'_>,
-    state: &[crate::analysis::NetState],
-    wires: &crate::analysis::WireTable,
-    start_net: tc_core::ids::NetId,
-) -> Result<(Vec<PathStage>, Option<CellId>)> {
-    let nl = sta.nl;
-    let lib = sta.lib;
+    state: &[NetState],
+    wires: &WireTable,
+    ep: &EndpointTiming,
+) -> Result<CriticalPath> {
+    let (nl, lib) = (sta.nl, sta.lib);
     let graph = sta.graph()?;
-    let mut stages = Vec::new();
-    let mut net = start_net;
-    let mut guard = 0;
-    loop {
-        guard += 1;
-        if guard > nl.cell_count() + 2 {
-            return Err(Error::internal("pba backtrack did not terminate"));
-        }
+    let mut net = match ep.endpoint {
+        Endpoint::FlopD(fid) => nl.cell(fid).inputs[0],
+        Endpoint::Output(net) => net,
+    };
+    let mut path = CriticalPath {
+        endpoint: ep.endpoint,
+        slack: ep.setup_slack,
+        stages: Vec::new(),
+        nets: vec![net],
+        launch_flop: None,
+    };
+    for _ in 0..nl.cell_count() + 2 {
         let Some(driver) = nl.net(net).driver else {
-            return Ok((stages, None)); // primary input startpoint
+            return Ok(path); // primary input startpoint
         };
         let cell = nl.cell(driver);
         let master = lib.cell(cell.master);
         if master.kind == CellKind::Flop {
-            return Ok((stages, Some(driver)));
+            path.launch_flop = Some(driver);
+            return Ok(path);
         }
         let pred = state[net.index()]
             .late_pred_pin
@@ -224,7 +179,7 @@ fn extract_path_from_net(
         let pin_name = master.input_pins()[pred];
         let arc = master
             .arc_from(pin_name)
-            .ok_or_else(|| Error::internal("missing arc in pba"))?;
+            .ok_or_else(|| Error::internal("missing arc on critical path"))?;
         let gate_delay = arc.delay.eval(pin_slew, load);
         let sigma = match &sta.cons.derate {
             DerateModel::Pocv { sigma, .. } => sigma.late * gate_delay,
@@ -235,35 +190,32 @@ fn extract_path_from_net(
                 .unwrap_or(master.pocv.late * gate_delay),
             _ => 0.0,
         };
-        stages.push(PathStage {
+        path.stages.push(PathStage {
             cell: driver,
             gate_delay,
             sigma,
             wire_delay: wire,
         });
+        path.nets.push(in_net);
         net = in_net;
     }
+    Err(Error::internal("path backtrack did not terminate"))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Re-derates one extracted path with its true depth and RSS variance.
 fn reevaluate(
     sta: &Sta<'_>,
     ep: &EndpointTiming,
-    path: &[PathStage],
-    launch_flop: Option<CellId>,
-    wires: &crate::analysis::WireTable,
+    path: &CriticalPath,
+    wires: &WireTable,
     k: f64,
 ) -> Result<Ps> {
-    let depth = path.len() + 1;
-    let wire_late_factor = match &sta.cons.derate {
-        DerateModel::Pocv { .. } | DerateModel::Lvf { .. } => 1.0,
-        _ => sta.cons.wire_derate.0,
-    };
+    let depth = path.stages.len() + 1;
 
     // Launch clock + c2q of the launching flop.
     let mut t;
     let mut var = 0.0;
-    match launch_flop {
+    match path.launch_flop {
         Some(f) => {
             let (ck_late, _) = sta.clock_arrivals(f);
             let master = sta.lib.cell(sta.nl.cell(f).master);
@@ -288,17 +240,20 @@ fn reevaluate(
     }
 
     // Stages were collected endpoint-first; accumulate from launch side.
-    for st in path.iter().rev() {
+    // Wires take GBA's derate terms: `(late ps, late variance, ..)`.
+    let wire = |w: f64| sta.wire_terms(Ps::new(w));
+    for st in path.stages.iter().rev() {
         let (d, v) = derate_stage(sta, st.gate_delay, depth, || st.sigma);
-        t += st.wire_delay * wire_late_factor + d;
-        var += v + pocv_wire_var(sta, st.wire_delay);
+        let (wl, wv, _, _) = wire(st.wire_delay);
+        t += wl + d;
+        var += v + wv;
     }
     // Final hop into the endpoint D pin: the difference between the
-    // endpoint's total wire time and the path-internal wire segments.
-    let path_wire: f64 = path.iter().map(|s| s.wire_delay * wire_late_factor).sum();
+    // endpoint's total (derated) wire time and the path-internal segments.
+    let path_wire: f64 = path.stages.iter().map(|s| wire(s.wire_delay).0).sum();
     let last_wire = (ep.wire_ps - path_wire).max(0.0);
     t += last_wire;
-    var += pocv_wire_var(sta, last_wire);
+    var += wire(last_wire).1;
 
     let arrival = t + k * var.sqrt();
     let required = ep.required.value();
@@ -319,16 +274,6 @@ fn derate_stage(
             let s = sigma_of();
             (raw, s * s)
         }
-    }
-}
-
-fn pocv_wire_var(sta: &Sta<'_>, wire: f64) -> f64 {
-    match &sta.cons.derate {
-        DerateModel::Pocv { .. } | DerateModel::Lvf { .. } => {
-            let s = 0.05 * wire;
-            s * s
-        }
-        _ => 0.0,
     }
 }
 
@@ -401,5 +346,32 @@ mod tests {
         for r in &results {
             assert!(r.stages >= 1 && r.stages < 100, "stages {}", r.stages);
         }
+    }
+
+    #[test]
+    fn overlays_after_run_equal_overlays_on_a_fresh_analysis() {
+        let (lib, stack) = env();
+        let nl = generate(&lib, BenchProfile::tiny(), 11).unwrap();
+        let cons = Constraints::single_clock(900.0)
+            .with_derate(DerateModel::Aocv(AocvTable::from_stage_sigma(0.06)));
+        let fresh = || Sta::new(&nl, &lib, &stack, &cons);
+        let slack_bits = |r: Vec<PbaEndpoint>| -> Vec<_> {
+            r.iter()
+                .map(|p| (p.endpoint, p.pba_slack.value().to_bits(), p.stages))
+                .collect()
+        };
+
+        let sta = fresh();
+        sta.run().unwrap();
+        let after_run = pba_worst_endpoints(&sta, 10).unwrap();
+        assert!(!after_run.is_empty());
+        assert_eq!(
+            slack_bits(after_run),
+            slack_bits(pba_worst_endpoints(&fresh(), 10).unwrap())
+        );
+        assert_eq!(
+            worst_paths(&sta, 10).unwrap(),
+            worst_paths(&fresh(), 10).unwrap()
+        );
     }
 }

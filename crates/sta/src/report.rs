@@ -130,10 +130,7 @@ impl TimingReport {
 
     /// The `k` worst setup endpoints, most critical first.
     pub fn worst_endpoints(&self, k: usize) -> Vec<&EndpointTiming> {
-        let mut v: Vec<&EndpointTiming> = self.endpoints.iter().collect();
-        v.sort_by(|a, b| a.setup_slack.value().total_cmp(&b.setup_slack.value()));
-        v.truncate(k);
-        v
+        k_worst(self.endpoints.iter(), k)
     }
 
     /// Classifies a violating endpoint's dominant cause.
@@ -187,6 +184,19 @@ impl TimingReport {
             self.endpoints.len()
         )
     }
+}
+
+/// The `k` worst setup endpoints among `endpoints`, most critical first
+/// (stable: equal slacks keep report order). Reports, PBA and the
+/// timer's path extraction all select through this one function.
+pub(crate) fn k_worst<'e>(
+    endpoints: impl Iterator<Item = &'e EndpointTiming>,
+    k: usize,
+) -> Vec<&'e EndpointTiming> {
+    let mut v: Vec<&EndpointTiming> = endpoints.collect();
+    v.sort_by(|a, b| a.setup_slack.value().total_cmp(&b.setup_slack.value()));
+    v.truncate(k);
+    v
 }
 
 #[cfg(test)]

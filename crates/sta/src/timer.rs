@@ -39,7 +39,7 @@ use tc_netlist::{Netlist, NetlistEdit};
 use crate::analysis::{NetState, NetWire, Sta, SweepCounts, WireEvalScratch, WireTable};
 use crate::constraints::Constraints;
 use crate::pba::{self, CriticalPath};
-use crate::report::{EndpointTiming, TimingReport};
+use crate::report::{k_worst, EndpointTiming, TimingReport};
 
 /// The static structure STA needs about a netlist, derived once and
 /// reused across runs: the levelized evaluation order and the position
@@ -442,18 +442,20 @@ impl<'a> Timer<'a> {
     }
 
     /// From-scratch propagation into the cached vectors (the initial
-    /// build; every edit goes through the incremental path).
+    /// build; every edit goes through the incremental path). The timer
+    /// takes the analysis' propagation over instead of copying it.
     fn refresh_all(&mut self, nl: &Netlist) -> Result<()> {
         let sta = self.sta(nl);
         let (state, wires) = sta.propagate()?;
         let mut flop_ep = vec![None; nl.cell_count()];
         let mut po_ep = vec![None; nl.net_count()];
         for fid in nl.flops(self.lib) {
-            flop_ep[fid.index()] = sta.flop_endpoint(fid, &state, &wires)?;
+            flop_ep[fid.index()] = sta.flop_endpoint(fid, state, wires)?;
         }
         for po in nl.primary_outputs() {
-            po_ep[po.index()] = sta.po_endpoint(po, &state);
+            po_ep[po.index()] = sta.po_endpoint(po, state);
         }
+        let (state, wires) = sta.propagated.into_inner().expect("propagated above");
         (self.state, self.wires, self.flop_ep, self.po_ep) = (state, wires, flop_ep, po_ep);
         self.cursor = nl.journal_len();
         Ok(())
@@ -807,15 +809,15 @@ impl<'a> Timer<'a> {
     }
 
     /// Extracts the worst paths from the cached propagation state (the
-    /// closure fix engine's work list) without re-running STA.
+    /// closure fix engine's work list): the reader [`crate::worst_paths`]
+    /// uses, over the cached rows — no propagation, no report.
     ///
     /// # Errors
     ///
     /// Propagates path-backtracking failures.
     pub fn worst_paths(&self, nl: &Netlist, k: usize) -> Result<Vec<CriticalPath>> {
-        let sta = self.sta(nl);
-        let report = self.report(nl);
-        pba::worst_paths_from(&sta, &report, &self.state, &self.wires, k)
+        let worst = k_worst(self.endpoints(nl), k);
+        pba::paths_to(&self.sta(nl), &self.state, &self.wires, worst)
     }
 
     /// The active constraint set.
@@ -861,9 +863,9 @@ mod tests {
     fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &BeolStack) {
         let sta = Sta::new(nl, lib, stack, timer.constraints());
         let (state, wires) = sta.propagate().unwrap();
-        assert_eq!(timer.states(), &state[..], "net states diverged");
-        assert_eq!(timer.wires(), &wires, "wire timings diverged");
-        let fresh = sta.report_from(&state, &wires).unwrap();
+        assert_eq!(timer.states(), state, "net states diverged");
+        assert_eq!(timer.wires(), wires, "wire timings diverged");
+        let fresh = sta.run().unwrap();
         assert_eq!(
             timer.report(nl).endpoints,
             fresh.endpoints,

@@ -302,7 +302,8 @@ const MEMORY_TOKENS: [&str; 3] = ["bytes", "allocs", "frees"];
 /// under `knobs.` is machine description (informational).
 pub fn classify(path: &str) -> FieldClass {
     let leaf = path.rsplit('.').next().unwrap_or(path);
-    let leaf = leaf.split('[').next().unwrap_or(leaf);
+    // A quoted segment (`counters."mem.allocs"`) ends in its quote.
+    let leaf = leaf.split('[').next().unwrap_or(leaf).trim_end_matches('"');
     if leaf == "host_threads" || path.starts_with("knobs.") || path.contains(".knobs.") {
         return FieldClass::Info;
     }
@@ -637,6 +638,11 @@ mod tests {
         assert_eq!(classify("memory.vm_hwm_bytes"), FieldClass::Memory);
         assert_eq!(classify("metrics.spans[0].net_bytes"), FieldClass::Memory);
         assert_eq!(classify("profiles[1].build.peak_bytes"), FieldClass::Memory);
+        // Snapshot counter names contain dots, so they flatten quoted.
+        let counter = |name| format!("observability.counters.\"{name}\"");
+        assert_eq!(classify(&counter("mem.vm_hwm_bytes")), FieldClass::Memory);
+        assert_eq!(classify(&counter("mem.allocs")), FieldClass::Memory);
+        assert_eq!(classify(&counter("sta.arcs_evaluated")), FieldClass::Exact);
     }
 
     #[test]

@@ -27,7 +27,11 @@ fn tmp_file(name: &str, contents: &str) -> PathBuf {
 
 #[test]
 fn self_compare_of_committed_bench_passes() {
-    for bench in ["BENCH_parallel_corners.json", "BENCH_incremental_sta.json"] {
+    for bench in [
+        "BENCH_parallel_corners.json",
+        "BENCH_incremental_sta.json",
+        "BENCH_gba_pba.json",
+    ] {
         let p = bench_path(bench);
         let p = p.to_str().unwrap();
         let out = run(&[p, p]);

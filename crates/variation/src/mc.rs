@@ -1,6 +1,8 @@
 //! Monte Carlo engines: path-level local variation and netlist-level
 //! BEOL variation.
 
+use std::sync::Arc;
+
 use tc_core::error::Result;
 use tc_core::rng::Rng;
 use tc_core::stats::{tail_sigmas, TailSigmas};
@@ -8,7 +10,7 @@ use tc_core::units::Ps;
 use tc_interconnect::beol::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::Netlist;
-use tc_sta::{Constraints, Sta};
+use tc_sta::{Constraints, Sta, TimingGraph};
 
 /// Samples per RNG stream in chunked Monte Carlo. Fixed (not derived
 /// from the worker count) so the drawn sequence is a pure function of
@@ -105,31 +107,17 @@ impl PathModel {
 
 /// Per-endpoint worst-slack samples from a netlist-level BEOL Monte
 /// Carlo: each trial draws one per-layer variation sample and re-runs
-/// STA. Returns the WNS of each trial.
+/// STA, as one task of `pool`. Returns the WNS of each trial.
 ///
 /// Each trial draws its BEOL sample from its own `(seed, trial)` RNG
 /// stream, so the trial sequence is a pure function of `(trials, seed)`
-/// and the sweep parallelizes without reordering results.
+/// and the sweep parallelizes without reordering results. The trials
+/// vary the wires, not the connectivity, so they share one timing graph.
 ///
 /// # Errors
 ///
-/// Propagates STA failures (first failing trial in trial order).
-pub fn beol_monte_carlo_wns(
-    nl: &Netlist,
-    lib: &Library,
-    stack: &BeolStack,
-    cons: &Constraints,
-    trials: usize,
-    seed: u64,
-) -> Result<Vec<Ps>> {
-    beol_monte_carlo_wns_on(tc_par::Pool::from_env(), nl, lib, stack, cons, trials, seed)
-}
-
-/// [`beol_monte_carlo_wns`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates STA failures (first failing trial in trial order).
+/// Propagates STA failures (a combinational loop before any trial,
+/// otherwise the first failing trial in trial order).
 pub fn beol_monte_carlo_wns_on(
     pool: tc_par::Pool,
     nl: &Netlist,
@@ -139,11 +127,13 @@ pub fn beol_monte_carlo_wns_on(
     trials: usize,
     seed: u64,
 ) -> Result<Vec<Ps>> {
+    let graph = Arc::new(TimingGraph::build(nl, lib)?);
     let trial_ids: Vec<u64> = (0..trials as u64).collect();
     pool.scope_map(&trial_ids, |_, &trial| {
         let mut rng = Rng::stream_from(seed, trial);
         let sample = stack.sample(&mut rng);
         let report = Sta::new(nl, lib, stack, cons)
+            .with_graph(Arc::clone(&graph))
             .with_beol_sample(&sample)
             .run()?;
         Ok(report.wns())
@@ -213,7 +203,9 @@ mod tests {
         }
         let stack = BeolStack::n20();
         let cons = Constraints::single_clock(1_200.0);
-        let wns = beol_monte_carlo_wns(&nl, &lib, &stack, &cons, 20, 7).unwrap();
+        let wns =
+            beol_monte_carlo_wns_on(tc_par::Pool::from_env(), &nl, &lib, &stack, &cons, 20, 7)
+                .unwrap();
         let vals: Vec<f64> = wns.iter().map(|p| p.value()).collect();
         let s = Summary::of(&vals);
         assert!(

@@ -2,8 +2,8 @@
 //!
 //! The contract of `tc_sta::Timer` is *bit-identity*: after any journaled
 //! ECO sequence, `Timer::update` must leave the cached net states, wire
-//! timings, and endpoint reports exactly equal — every `f64` bit — to a
-//! from-scratch `Sta` run on the edited netlist. This test drives that
+//! timings, endpoint reports and worst paths exactly equal — every `f64`
+//! bit — to a from-scratch `Sta` run on the edited netlist. This test drives that
 //! contract with seeded random edit sequences (master swaps up/down the
 //! size and Vt ladders, wirelength and route-class changes, buffer
 //! insertions, pin rewires) and clock-leaf skews (`Timer::skew_clock`,
@@ -19,23 +19,25 @@ use timing_closure::interconnect::beol::BeolStack;
 use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
 use timing_closure::netlist::{Netlist, PinRef};
-use timing_closure::sta::{Constraints, Sta, Timer};
+use timing_closure::sta::{worst_paths, Constraints, Sta, Timer};
 
 /// Asserts the timer's cached world is bit-identical to a fresh full STA.
 fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &BeolStack) {
     let sta = Sta::new(nl, lib, stack, timer.constraints());
     let (state, wires) = sta.propagate().unwrap();
-    assert_eq!(
-        timer.states(),
-        &state[..],
-        "net states diverged from full STA"
-    );
-    assert_eq!(timer.wires(), &wires, "wire timings diverged from full STA");
+    assert_eq!(timer.states(), state, "net states diverged from full STA");
+    assert_eq!(timer.wires(), wires, "wire timings diverged from full STA");
     let fresh = sta.run().unwrap();
     let incr = timer.report(nl);
     assert_eq!(incr.endpoints, fresh.endpoints, "endpoint reports diverged");
     assert_eq!(incr.wns(), fresh.wns());
     assert_eq!(incr.tns(), fresh.tns());
+    // The path reader over the timer's rows and over the fresh cache.
+    assert_eq!(
+        timer.worst_paths(nl, 25).unwrap(),
+        worst_paths(&sta, 25).unwrap(),
+        "worst paths diverged from full STA"
+    );
 }
 
 /// Nets that can always absorb a rewired sink without creating a

@@ -97,7 +97,7 @@ fn closure_run_produces_spans_and_engine_counters() {
         assert!(it.elapsed_ms > 0.0);
         let engine_work = it.counter_delta("sta.arcs_recomputed")
             + it.counter_delta("sta.arcs_evaluated")
-            + it.counter_delta("sta.pba.stages");
+            + it.counter_delta("sta.paths.stages");
         assert!(engine_work > 0, "iteration must do engine work");
         arcs_delta += it.counter_delta("sta.arcs_recomputed");
     }
