@@ -15,6 +15,7 @@ use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::Netlist;
+use tc_sta::report::{hold_wns, wns};
 use tc_sta::{Constraints, Endpoint, Timer};
 
 /// Outcome of the optimization.
@@ -48,11 +49,11 @@ pub fn optimize_useful_skew(
     step: Ps,
 ) -> Result<UsefulSkewResult> {
     let mut timer = Timer::new(nl, lib, stack, cons.clone())?;
-    let wns_before = worst_slacks(&timer, nl).0;
+    let wns_before = wns(timer.endpoints());
     let moves = skew_on_timer(&mut timer, nl, max_moves, step)?;
     Ok(UsefulSkewResult {
         wns_before,
-        wns_after: worst_slacks(&timer, nl).0,
+        wns_after: wns(timer.endpoints()),
         moves,
         constraints: timer.constraints().clone(),
     })
@@ -71,7 +72,7 @@ pub fn skew_on_timer(
     max_moves: usize,
     step: Ps,
 ) -> Result<Vec<(CellId, Ps)>> {
-    let (mut cur_wns, hold_floor) = worst_slacks(timer, nl);
+    let (mut cur_wns, hold_floor) = (wns(timer.endpoints()), hold_wns(timer.endpoints()));
     let mut moves = Vec::new();
     // Plateau handling: many endpoints often sit within a step of the
     // WNS. A single move then fixes one endpoint without moving the
@@ -86,7 +87,7 @@ pub fn skew_on_timer(
         }
         // The worst endpoint whose flop we have not yet tried this
         // plateau (of equals, the first in report order).
-        let untried = timer.endpoints(nl).filter_map(|e| match e.endpoint {
+        let untried = timer.endpoints().filter_map(|e| match e.endpoint {
             Endpoint::FlopD(f) if !tried.contains(&f) => Some((f, e.setup_slack)),
             _ => None,
         });
@@ -97,31 +98,23 @@ pub fn skew_on_timer(
         tried.push(flop);
         let cp = timer.checkpoint();
         timer.skew_clock(nl, flop, step)?;
-        let (wns, hold_wns) = worst_slacks(timer, nl);
+        let setup_now = wns(timer.endpoints());
         let own_row = timer.flop_endpoint(flop);
         let own_after = own_row.map_or(own_slack, |e| e.setup_slack);
-        let no_regress = wns >= cur_wns - Ps::new(1e-9);
-        let hold_safe = hold_wns >= hold_floor.min(Ps::ZERO);
+        let no_regress = setup_now >= cur_wns - Ps::new(1e-9);
+        let hold_safe = hold_wns(timer.endpoints()) >= hold_floor.min(Ps::ZERO);
         if no_regress && hold_safe && own_after > own_slack {
-            if wns > cur_wns + Ps::new(1e-9) {
+            if setup_now > cur_wns + Ps::new(1e-9) {
                 // Global progress: the plateau moved; retry everyone.
                 tried.clear();
             }
-            cur_wns = wns;
+            cur_wns = setup_now;
             moves.push((flop, step));
         } else {
             timer.rollback_to(cp)?;
         }
     }
     Ok(moves)
-}
-
-/// `(WNS, hold WNS)` over the timer's cached endpoint checks.
-fn worst_slacks(timer: &Timer<'_>, nl: &Netlist) -> (Ps, Ps) {
-    let inf = Ps::new(f64::INFINITY);
-    timer.endpoints(nl).fold((inf, inf), |(setup, hold), e| {
-        (setup.min(e.setup_slack), hold.min(e.hold_slack))
-    })
 }
 
 #[cfg(test)]

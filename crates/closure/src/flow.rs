@@ -5,6 +5,7 @@ use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::Netlist;
+use tc_sta::report::{setup_violations, tns, wns};
 use tc_sta::{Constraints, Timer, TimingReport};
 
 use crate::fixes::{
@@ -149,13 +150,12 @@ impl<'a> ClosureFlow<'a> {
             let iter_start = std::time::Instant::now();
             let counters_before = tc_obs::is_enabled().then(tc_obs::snapshot);
             let iter_span = tc_obs::span("closure.iteration");
-            let before = timer.report(nl);
             // No fix kind repairs hold: iterate only while there is setup
             // work (`closed` below still demands both).
-            if before.setup_violations() == 0 {
+            if setup_violations(timer.endpoints()) == 0 {
                 break;
             }
-            let wns_before = before.wns();
+            let wns_before = wns(timer.endpoints());
             let mut fixes = Vec::new();
             let mut wns_running = wns_before;
             for &kind in &self.config.ordering.clone() {
@@ -175,10 +175,10 @@ impl<'a> ClosureFlow<'a> {
                 let check = {
                     let _sta = tc_obs::span("closure.sta");
                     timer.update(nl)?;
-                    timer.report(nl)
+                    wns(timer.endpoints())
                 };
-                if check.wns() >= wns_running {
-                    wns_running = check.wns();
+                if check >= wns_running {
+                    wns_running = check;
                     edits_counter.add(outcome.edits as u64);
                     fixes.push((kind, outcome.edits));
                 } else {
@@ -187,7 +187,9 @@ impl<'a> ClosureFlow<'a> {
                     fixes.push((kind, 0));
                 }
             }
-            let after = timer.report(nl);
+            let wns_after = wns(timer.endpoints());
+            let tns_after = tns(timer.endpoints());
+            let violations_after = setup_violations(timer.endpoints());
             drop(iter_span);
             let (counter_deltas, span_ns_deltas) =
                 counters_before.map_or_else(Default::default, |before| {
@@ -197,9 +199,9 @@ impl<'a> ClosureFlow<'a> {
             iterations.push(IterationRecord {
                 iteration: it,
                 wns_before,
-                wns_after: after.wns(),
-                tns_after: after.tns(),
-                violations_after: after.setup_violations(),
+                wns_after,
+                tns_after,
+                violations_after,
                 fixes,
                 elapsed_ms: iter_start.elapsed().as_secs_f64() * 1e3,
                 counter_deltas,
@@ -208,7 +210,7 @@ impl<'a> ClosureFlow<'a> {
             // Ping-pong guard: a fully unproductive iteration means the
             // remaining violations need different medicine — stop rather
             // than thrash (§2.3's "without ping-pong effects").
-            if after.wns() <= wns_before + Ps::new(1e-9)
+            if wns_after <= wns_before + Ps::new(1e-9)
                 && iterations.len() >= 2
                 && fixes_were_empty(&iterations[iterations.len() - 1])
             {
@@ -537,7 +539,8 @@ mod tests {
         use tc_sta::Timer;
         // Evaluate-and-reject every fix kind against a *clean* design:
         // each pass plans nothing or the rejection path must restore the
-        // exact pre-fix netlist + timer state (journal length, WNS/TNS).
+        // exact pre-fix netlist + timer state (journal length, graph, net
+        // states, wire timings, endpoint rows).
         let (lib, stack, mut nl, cons) = env(-40.0);
         let cfg = ClosureConfig::default();
         let flow = ClosureFlow::new(&lib, &stack, cfg.clone());
@@ -547,8 +550,7 @@ mod tests {
             let nl_cp = nl.journal_len();
             let t_cp = timer.checkpoint();
             let cells_before = nl.cell_count();
-            let report_before = timer.report(&nl);
-            let states_before = timer.states().to_vec();
+            let before = timer.state().clone();
 
             let out = flow.plan_and_apply(kind, &mut nl, &mut timer).unwrap();
             timer.update(&nl).unwrap();
@@ -559,18 +561,7 @@ mod tests {
             assert_eq!(nl.journal_len(), nl_cp, "{kind:?}: journal restored");
             assert_eq!(nl.cell_count(), cells_before, "{kind:?}: cells restored");
             assert_eq!(timer.cursor(), nl.journal_len(), "{kind:?}: cursor synced");
-            assert_eq!(
-                timer.states(),
-                &states_before[..],
-                "{kind:?}: net states restored"
-            );
-            let report_after = timer.report(&nl);
-            assert_eq!(report_after.wns(), report_before.wns(), "{kind:?}: WNS");
-            assert_eq!(report_after.tns(), report_before.tns(), "{kind:?}: TNS");
-            assert_eq!(
-                report_after.endpoints, report_before.endpoints,
-                "{kind:?}: endpoints restored"
-            );
+            assert!(timer.state() == &before, "{kind:?}: timing state restored");
             // The fix kinds must actually exercise the rollback path at
             // least for the edit-producing passes.
             if out.edits > 0 {

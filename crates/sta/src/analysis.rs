@@ -86,8 +86,46 @@ pub struct Sta<'a> {
     /// The netlist's timing structure, built on first use (the netlist
     /// is borrowed immutably, so it cannot go stale) or handed in.
     pub(crate) graph: OnceLock<Arc<TimingGraph>>,
-    /// Per-net states and wire timings, propagated on first use.
-    pub(crate) propagated: OnceLock<(Vec<NetState>, WireTable)>,
+    /// The timing state, filled on first use.
+    pub(crate) propagated: OnceLock<TimingState>,
+}
+
+/// One analysis' timing state: the graph it was propagated over, the
+/// per-net states and wire timings, and one endpoint row per graph
+/// endpoint in report order (`None`: a false-path or unreached
+/// endpoint). An [`Sta`] fills it once and lends it; the
+/// [`Timer`](crate::Timer) takes it over and edits it in place.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TimingState {
+    pub(crate) graph: Arc<TimingGraph>,
+    pub(crate) nets: Vec<NetState>,
+    pub(crate) wires: WireTable,
+    pub(crate) rows: Vec<Option<EndpointTiming>>,
+}
+
+impl TimingState {
+    /// One row per endpoint of the graph, in report order.
+    pub fn rows(&self) -> &[Option<EndpointTiming>] {
+        &self.rows
+    }
+
+    /// The checked endpoints, in report order.
+    pub fn endpoints(&self) -> impl Iterator<Item = &EndpointTiming> {
+        self.rows.iter().flatten()
+    }
+
+    /// The row of one endpoint (`None` as well when the graph has no
+    /// such endpoint).
+    pub fn row(&self, ep: Endpoint) -> Option<&EndpointTiming> {
+        self.rows[self.graph.slot(ep)?].as_ref()
+    }
+
+    /// An owned report of the checked endpoints.
+    pub(crate) fn report(&self, period: Ps) -> TimingReport {
+        let mut endpoints = Vec::with_capacity(self.rows.len());
+        endpoints.extend(self.endpoints().cloned());
+        TimingReport::from_endpoints(endpoints, period)
+    }
 }
 
 /// A derived analysis (`Sta { cons, ..sta.clone() }`) must not inherit
@@ -155,16 +193,6 @@ pub struct WireTable {
 }
 
 impl WireTable {
-    /// Number of nets covered.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no nets are covered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The POD entry of one net.
     pub fn entry(&self, net: usize) -> NetWire {
         self.entries[net]
@@ -226,15 +254,11 @@ impl WireTable {
         self.pool.truncate(len);
     }
 
-    /// Installs `entry` for `net`, returning the previous entry (whose
-    /// span remains valid in the pool for undo).
+    /// Installs `entry` for `net` (a recomputed span, or a popped one on
+    /// rollback), returning the previous entry (whose span remains valid
+    /// in the pool for undo).
     pub(crate) fn install(&mut self, net: usize, entry: NetWire) -> NetWire {
         std::mem::replace(&mut self.entries[net], entry)
-    }
-
-    /// Restores a previously popped entry (rollback).
-    pub(crate) fn restore(&mut self, net: usize, entry: NetWire) {
-        self.entries[net] = entry;
     }
 }
 
@@ -295,7 +319,7 @@ impl<'a> Sta<'a> {
 
     /// The netlist's timing structure, built on the first call (which
     /// fails on combinational loops).
-    pub(crate) fn graph(&self) -> Result<&TimingGraph> {
+    pub(crate) fn graph(&self) -> Result<&Arc<TimingGraph>> {
         if let Some(graph) = self.graph.get() {
             return Ok(graph);
         }
@@ -729,40 +753,84 @@ impl<'a> Sta<'a> {
         Ok(counts)
     }
 
-    /// The analysis' per-net states and wire timings (the raw material for
-    /// reports, PBA and path extraction): propagated on the first call,
-    /// borrowed from the cache on every later one.
+    /// The analysis' timing state (the raw material for reports, PBA and
+    /// path extraction): the sweep and one check per graph endpoint on
+    /// the first call, borrowed on every later one.
     ///
     /// # Errors
     ///
     /// Propagates levelization failures (combinational loops) and
     /// interconnect estimation errors.
-    pub fn propagate(&self) -> Result<(&[NetState], &WireTable)> {
-        if let Some((state, wires)) = self.propagated.get() {
-            return Ok((state, wires));
+    pub fn propagate(&self) -> Result<&TimingState> {
+        if let Some(st) = self.propagated.get() {
+            return Ok(st);
         }
-        self.graph()?; // built (once) outside the propagation span
+        let graph = Arc::clone(self.graph()?); // built (once) outside the propagation span
         let _span = tc_obs::span("sta.gba");
         let wires = self.wire_timings()?;
-        let mut state = vec![NetState::default(); self.nl.net_count()];
-        self.seed_primary_inputs(&mut state);
+        let mut nets = vec![NetState::default(); self.nl.net_count()];
+        self.seed_primary_inputs(&mut nets);
         let counts = self.sweep(
             &wires,
-            &mut state,
+            &mut nets,
             Frontier::Full,
             &mut Vec::new(),
             |_, _, _| {},
         )?;
+        let rows = graph
+            .endpoints
+            .iter()
+            .map(|&ep| self.endpoint_row(ep, &nets, &wires))
+            .collect::<Result<Vec<_>>>()?;
         tc_obs::counter("sta.arcs_evaluated").add(counts.arcs);
         tc_obs::counter("sta.nets_propagated").add(counts.writes);
-        let (state, wires) = self.propagated.get_or_init(|| (state, wires));
-        Ok((state, wires))
+        tc_obs::counter("sta.endpoint_checks").add(rows.len() as u64);
+        let st = TimingState {
+            graph,
+            nets,
+            wires,
+            rows,
+        };
+        Ok(self.propagated.get_or_init(|| st))
     }
 
-    /// Computes the setup/hold check at one flop's D pin from propagated
-    /// states — shared by full report assembly and incremental endpoint
-    /// refresh. `None` for false-path flops and unreached D pins.
-    pub(crate) fn flop_endpoint(
+    /// The check at one endpoint from propagated states — shared by the
+    /// fill and the timer's endpoint refresh. At a primary output it is
+    /// setup-style, `None` when no arrival reaches it.
+    pub(crate) fn endpoint_row(
+        &self,
+        ep: Endpoint,
+        state: &[NetState],
+        wires: &WireTable,
+    ) -> Result<Option<EndpointTiming>> {
+        let po = match ep {
+            Endpoint::FlopD(fid) => return self.flop_endpoint(fid, state, wires),
+            Endpoint::Output(po) => po,
+        };
+        let ns = state[po.index()];
+        if !ns.reached {
+            return Ok(None);
+        }
+        let k = self.k_sigma();
+        let period = self.cons.default_clock().period.value();
+        let required = period - self.cons.output_delay.value();
+        let setup_slack = required - ns.late.late_criterion(k);
+        Ok(Some(EndpointTiming {
+            endpoint: ep,
+            setup_slack: Ps::new(setup_slack),
+            hold_slack: Ps::new(f64::INFINITY),
+            arrival: Ps::new(ns.late.t),
+            required: Ps::new(required),
+            depth: ns.late.depth,
+            gate_ps: ns.late.gate_ps,
+            wire_ps: ns.late.wire_ps,
+            data_slew: ns.late.slew,
+        }))
+    }
+
+    /// Computes the setup/hold check at one flop's D pin. `None` for
+    /// false-path flops and unreached D pins.
+    fn flop_endpoint(
         &self,
         fid: CellId,
         state: &[NetState],
@@ -828,64 +896,14 @@ impl<'a> Sta<'a> {
         }))
     }
 
-    /// Computes the setup-style check at a primary output; `None` if no
-    /// arrival reaches it.
-    pub(crate) fn po_endpoint(&self, po: NetId, state: &[NetState]) -> Option<EndpointTiming> {
-        let ns = state[po.index()];
-        if !ns.reached {
-            return None;
-        }
-        let k = self.k_sigma();
-        let period = self.cons.default_clock().period.value();
-        let required = period - self.cons.output_delay.value();
-        let setup_slack = required - ns.late.late_criterion(k);
-        Some(EndpointTiming {
-            endpoint: Endpoint::Output(po),
-            setup_slack: Ps::new(setup_slack),
-            hold_slack: Ps::new(f64::INFINITY),
-            arrival: Ps::new(ns.late.t),
-            required: Ps::new(required),
-            depth: ns.late.depth,
-            gate_ps: ns.late.gate_ps,
-            wire_ps: ns.late.wire_ps,
-            data_slew: ns.late.slew,
-        })
-    }
-
-    /// Assembles the timing report from propagated states: flop D
-    /// endpoints in cell-id order, then primary outputs in net-id order
-    /// (the incremental timer reproduces this exact order).
-    pub(crate) fn report_from(
-        &self,
-        state: &[NetState],
-        wires: &WireTable,
-    ) -> Result<TimingReport> {
-        let mut endpoints = Vec::new();
-        for fid in self.nl.flops(self.lib) {
-            if let Some(ep) = self.flop_endpoint(fid, state, wires)? {
-                endpoints.push(ep);
-            }
-        }
-        for po in self.nl.primary_outputs() {
-            if let Some(ep) = self.po_endpoint(po, state) {
-                endpoints.push(ep);
-            }
-        }
-        Ok(TimingReport::from_endpoints(
-            endpoints,
-            self.cons.default_clock().period,
-        ))
-    }
-
-    /// Builds the timing report from the analysis' propagation.
+    /// Builds the timing report from the analysis' timing state.
     ///
     /// # Errors
     ///
     /// Propagates levelization failures (combinational loops) and
     /// interconnect estimation errors.
     pub fn run(&self) -> Result<TimingReport> {
-        let (state, wires) = self.propagate()?;
-        self.report_from(state, wires)
+        Ok(self.propagate()?.report(self.cons.default_clock().period))
     }
 }
 

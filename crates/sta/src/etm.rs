@@ -87,8 +87,8 @@ impl Etm {
             cons: &boosted,
             ..sta.clone()
         };
-        let boost_report = sta_boost.run()?;
-        let paths = crate::pba::worst_paths(&sta_boost, boost_report.endpoints.len())?;
+        let boost = sta_boost.propagate()?;
+        let paths = crate::pba::worst_paths(&sta_boost, usize::MAX)?;
         let mut worst_req: Option<InputRequirement> = None;
         for p in &paths {
             if p.launch_flop.is_some() {
@@ -97,11 +97,7 @@ impl Etm {
             let Endpoint::FlopD(_) = p.endpoint else {
                 continue;
             };
-            let ep = boost_report
-                .endpoints
-                .iter()
-                .find(|e| e.endpoint == p.endpoint)
-                .expect("path endpoint exists in report");
+            let ep = boost.row(p.endpoint).expect("a path ends at a row");
             let cand = InputRequirement {
                 setup_to_clock: Ps::new(
                     period.value() - (boosted.input_delay.value() + ep.setup_slack.value()),
@@ -128,7 +124,7 @@ impl Etm {
         }
 
         let mut outputs = HashMap::new();
-        for e in &sta.run()?.endpoints {
+        for e in sta.propagate()?.endpoints() {
             let Endpoint::Output(net) = e.endpoint else {
                 continue;
             };

@@ -13,7 +13,8 @@
 //!   model selection.
 //! * [`analysis`] — graph-based analysis (GBA): levelized late/early
 //!   arrival propagation with slews, POCV/LVF variance accumulation,
-//!   setup/hold checks at flop D pins and primary outputs.
+//!   setup/hold checks at flop D pins and primary outputs, all held in
+//!   one [`TimingState`].
 //! * [`report`] — WNS/TNS, slack histograms and the *failure breakdown*
 //!   the manual-fix step of Fig 1 consumes (weak drive vs long wire vs
 //!   deep path).
@@ -59,7 +60,7 @@ pub mod report;
 pub mod si;
 pub mod timer;
 
-pub use analysis::Sta;
+pub use analysis::{Sta, TimingState};
 pub use constraints::{Clock, ClockTreeModel, Constraints, Exceptions};
 pub use etm::Etm;
 pub use mcmm::{merge_reports, Scenario};

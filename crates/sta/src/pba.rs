@@ -7,16 +7,16 @@
 //! POCV/LVF — recovering pessimism at the cost of path enumeration
 //! (the runtime/licensing tradeoff of §1.3).
 //!
-//! Both are overlays on a propagation that already exists: an [`Sta`]
-//! lends its cached one, the [`Timer`](crate::Timer) its persistent
-//! state, and the same backtrack reads either.
+//! Both are overlays on a timing state that already exists: an [`Sta`]
+//! lends the one it filled, the [`Timer`](crate::Timer) the one it
+//! edits, and the same backtrack reads either.
 
 use tc_core::error::{Error, Result};
 use tc_core::ids::{CellId, NetId};
 use tc_core::units::Ps;
 use tc_liberty::{CellKind, DerateModel};
 
-use crate::analysis::{NetState, Sta, WireTable};
+use crate::analysis::{Sta, TimingState, WireTable};
 use crate::report::{k_worst, Endpoint, EndpointTiming};
 
 /// One extracted path stage (endpoint side first).
@@ -60,20 +60,18 @@ impl PbaEndpoint {
 /// Propagates propagation failures; errors if path backtracking hits an
 /// inconsistent predecessor chain (an internal bug).
 pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> {
-    let (state, wires) = sta.propagate()?;
-    let report = sta.report_from(state, wires)?;
+    let st = sta.propagate()?;
     let _span = tc_obs::span("sta.pba");
     let k_sigma = sta.k_sigma();
-    let flops = report
-        .endpoints
-        .iter()
+    let flops = st
+        .endpoints()
         .filter(|e| matches!(e.endpoint, Endpoint::FlopD(_)));
 
     let mut stages_total = 0u64;
     let mut out = Vec::new();
     for ep in k_worst(flops, k) {
-        let path = backtrack(sta, state, wires, ep)?;
-        let pba_slack = reevaluate(sta, ep, &path, wires, k_sigma)?;
+        let path = backtrack(sta, st, ep)?;
+        let pba_slack = reevaluate(sta, ep, &path, &st.wires, k_sigma)?;
         let stages = path.stages.len() + 1; // + the launch c2q stage
         stages_total += stages as u64;
         out.push(PbaEndpoint {
@@ -112,23 +110,21 @@ pub struct CriticalPath {
 /// Propagates propagation failures; errors if backtracking hits an
 /// inconsistent predecessor chain.
 pub fn worst_paths(sta: &Sta<'_>, k: usize) -> Result<Vec<CriticalPath>> {
-    let (state, wires) = sta.propagate()?;
-    let report = sta.report_from(state, wires)?;
-    paths_to(sta, state, wires, report.worst_endpoints(k))
+    let st = sta.propagate()?;
+    paths_to(sta, st, k_worst(st.endpoints(), k))
 }
 
-/// The worst path to each of `endpoints` over lent propagated state — an
-/// [`Sta`]'s cache or the [`Timer`](crate::Timer)'s persistent vectors.
+/// The worst path to each of `endpoints` over a lent timing state — an
+/// [`Sta`]'s or the [`Timer`](crate::Timer)'s.
 pub(crate) fn paths_to(
     sta: &Sta<'_>,
-    state: &[NetState],
-    wires: &WireTable,
+    st: &TimingState,
     endpoints: Vec<&EndpointTiming>,
 ) -> Result<Vec<CriticalPath>> {
     let _span = tc_obs::span("sta.worst_paths");
     let paths = endpoints
         .into_iter()
-        .map(|ep| backtrack(sta, state, wires, ep))
+        .map(|ep| backtrack(sta, st, ep))
         .collect::<Result<Vec<_>>>()?;
     tc_obs::counter("sta.paths.extracted").add(paths.len() as u64);
     tc_obs::counter("sta.paths.stages").add(paths.iter().map(|p| p.stages.len() as u64 + 1).sum());
@@ -138,14 +134,9 @@ pub(crate) fn paths_to(
 /// Walks the late-predecessor breadcrumbs from an endpoint back to its
 /// launch point, re-deriving each stage's GBA evaluation on the way. The
 /// path ends at the launching flop, or at a primary input (no flop).
-fn backtrack(
-    sta: &Sta<'_>,
-    state: &[NetState],
-    wires: &WireTable,
-    ep: &EndpointTiming,
-) -> Result<CriticalPath> {
+fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<CriticalPath> {
     let (nl, lib) = (sta.nl, sta.lib);
-    let graph = sta.graph()?;
+    let (state, wires) = (&st.nets, &st.wires);
     let mut net = match ep.endpoint {
         Endpoint::FlopD(fid) => nl.cell(fid).inputs[0],
         Endpoint::Output(net) => net,
@@ -173,7 +164,7 @@ fn backtrack(
         let in_net = cell.inputs[pred];
         // Reconstruct the GBA evaluation of this stage.
         let load = wires.driver_load(cell.output.index()).value();
-        let sink_idx = graph.sink_pos(nl, driver, pred);
+        let sink_idx = st.graph.sink_pos(nl, driver, pred);
         let wire = wires.delay(in_net.index(), sink_idx).value();
         let pin_slew = state[in_net.index()].late.slew + 0.25 * wire;
         let pin_name = master.input_pins()[pred];

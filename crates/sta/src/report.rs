@@ -5,8 +5,9 @@ use tc_core::ids::{CellId, NetId};
 use tc_core::stats::Histogram;
 use tc_core::units::Ps;
 
-/// A timing endpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// A timing endpoint. Ordered as reports list endpoints: flop D pins by
+/// cell id, then primary outputs by net id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Endpoint {
     /// Setup/hold check at a flop's D pin.
     FlopD(CellId),
@@ -79,40 +80,22 @@ impl TimingReport {
     /// Worst negative (setup) slack — the headline number of every
     /// closure iteration. Positive if timing is met.
     pub fn wns(&self) -> Ps {
-        self.endpoints
-            .iter()
-            .map(|e| e.setup_slack)
-            .fold(Ps::new(f64::INFINITY), Ps::min)
+        wns(self.endpoints.iter())
     }
 
     /// Total negative setup slack (sum over violating endpoints).
     pub fn tns(&self) -> Ps {
-        let violating = self.endpoints.iter().map(|e| e.setup_slack);
-        // `Sum` over nothing is IEEE −0.0; `+ 0.0` makes it +0.0 and
-        // leaves every non-zero sum's bits alone.
-        violating.filter(|&s| s < Ps::ZERO).sum::<Ps>() + Ps::ZERO
+        tns(self.endpoints.iter())
     }
 
     /// Worst hold slack.
     pub fn hold_wns(&self) -> Ps {
-        self.endpoints
-            .iter()
-            .map(|e| e.hold_slack)
-            .fold(Ps::new(f64::INFINITY), Ps::min)
-    }
-
-    /// Total negative hold slack.
-    pub fn hold_tns(&self) -> Ps {
-        let violating = self.endpoints.iter().map(|e| e.hold_slack);
-        violating.filter(|&s| s < Ps::ZERO).sum::<Ps>() + Ps::ZERO
+        hold_wns(self.endpoints.iter())
     }
 
     /// Number of setup-violating endpoints.
     pub fn setup_violations(&self) -> usize {
-        self.endpoints
-            .iter()
-            .filter(|e| e.setup_slack < Ps::ZERO)
-            .count()
+        setup_violations(self.endpoints.iter())
     }
 
     /// Number of hold-violating endpoints.
@@ -135,14 +118,11 @@ impl TimingReport {
 
     /// Classifies a violating endpoint's dominant cause.
     pub fn classify(&self, e: &EndpointTiming) -> FailureClass {
-        let max_depth = self.endpoints.iter().map(|x| x.depth).max().unwrap_or(1);
-        if e.wire_fraction() > 0.45 {
-            FailureClass::LongWire
-        } else if e.depth * 10 >= max_depth * 8 {
-            FailureClass::DeepPath
-        } else {
-            FailureClass::WeakDrive
-        }
+        class_of(e, self.max_depth())
+    }
+
+    fn max_depth(&self) -> usize {
+        self.endpoints.iter().map(|x| x.depth).max().unwrap_or(1)
     }
 
     /// Failure breakdown: violating-endpoint count per cause class.
@@ -152,8 +132,9 @@ impl TimingReport {
             (FailureClass::DeepPath, 0),
             (FailureClass::WeakDrive, 0),
         ];
+        let max_depth = self.max_depth();
         for e in self.endpoints.iter().filter(|e| e.setup_slack < Ps::ZERO) {
-            let c = self.classify(e);
+            let c = class_of(e, max_depth);
             for entry in counts.iter_mut() {
                 if entry.0 == c {
                     entry.1 += 1;
@@ -184,6 +165,43 @@ impl TimingReport {
             self.endpoints.len()
         )
     }
+}
+
+/// A violating endpoint's dominant cause, against the design's deepest
+/// endpoint.
+fn class_of(e: &EndpointTiming, max_depth: usize) -> FailureClass {
+    if e.wire_fraction() > 0.45 {
+        FailureClass::LongWire
+    } else if e.depth * 10 >= max_depth * 8 {
+        FailureClass::DeepPath
+    } else {
+        FailureClass::WeakDrive
+    }
+}
+
+/// Worst setup slack over `endpoints` (+∞ over none). Reports, the
+/// timer's borrowed rows and the closure and skew loops all reduce
+/// through this one definition (and its siblings below).
+pub fn wns<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> Ps {
+    endpoints.fold(Ps::new(f64::INFINITY), |w, e| w.min(e.setup_slack))
+}
+
+/// Worst hold slack over `endpoints` (+∞ over none).
+pub fn hold_wns<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> Ps {
+    endpoints.fold(Ps::new(f64::INFINITY), |w, e| w.min(e.hold_slack))
+}
+
+/// Total negative setup slack over `endpoints`.
+pub fn tns<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> Ps {
+    let violating = endpoints.map(|e| e.setup_slack).filter(|&s| s < Ps::ZERO);
+    // `Sum` over nothing is IEEE −0.0; `+ 0.0` makes it +0.0 and leaves
+    // every non-zero sum's bits alone.
+    violating.sum::<Ps>() + Ps::ZERO
+}
+
+/// Number of setup-violating endpoints.
+pub fn setup_violations<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> usize {
+    endpoints.filter(|e| e.setup_slack < Ps::ZERO).count()
 }
 
 /// The `k` worst setup endpoints among `endpoints`, most critical first

@@ -1,9 +1,10 @@
 //! The persistent incremental timing engine.
 //!
-//! A [`Timer`] owns a long-lived [`TimingGraph`] plus the full propagated
-//! state of the design (per-net arrivals, per-net wire timings, per-
-//! endpoint checks). Instead of re-timing the whole design after every
-//! ECO edit — the dominant cost of the paper's Fig 1 closure loop — it
+//! A [`Timer`] owns the [`TimingState`](crate::analysis::TimingState) of
+//! its initial analysis (a long-lived [`TimingGraph`], per-net arrivals
+//! and wire timings, one row per endpoint) and edits it in place. Instead
+//! of re-timing the whole design after every ECO edit — the dominant
+//! cost of the paper's Fig 1 closure loop — it
 //! consumes the netlist's typed edit journal ([`NetlistEdit`]) and
 //! re-propagates only the *dirty cones*: the fanout of each touched cell
 //! and net, walked in levelized order until arrivals stop changing.
@@ -36,10 +37,10 @@ use tc_liberty::{CellKind, Library};
 use tc_netlist::level::levelize;
 use tc_netlist::{Netlist, NetlistEdit};
 
-use crate::analysis::{NetState, NetWire, Sta, SweepCounts, WireEvalScratch, WireTable};
+use crate::analysis::{NetState, NetWire, Sta, SweepCounts, TimingState, WireEvalScratch};
 use crate::constraints::Constraints;
 use crate::pba::{self, CriticalPath};
-use crate::report::{k_worst, EndpointTiming, TimingReport};
+use crate::report::{k_worst, Endpoint, EndpointTiming, TimingReport};
 
 /// The static structure STA needs about a netlist, derived once and
 /// reused across runs: the levelized evaluation order and the position
@@ -49,7 +50,7 @@ use crate::report::{k_worst, EndpointTiming, TimingReport};
 /// rewiring); value edits (Vt-swap, resize, wirelength, NDR) reuse it
 /// as-is. MCMM corner runs share one graph via `Arc` — corners differ
 /// in libraries and constraints, not connectivity.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimingGraph {
     /// Cells in levelized evaluation order (flops first, then
     /// combinational cells, every cell strictly after all its drivers).
@@ -71,6 +72,10 @@ pub struct TimingGraph {
     /// `depth(b) ≥ depth(a) + 1`), so a rank may be evaluated in any
     /// order — including in parallel — with bit-identical results.
     pub(crate) ranks: Vec<std::ops::Range<usize>>,
+    /// Every timing endpoint in report order — flop D pins by cell id,
+    /// then primary outputs by net id, i.e. sorted by [`Endpoint`]'s
+    /// order. This is the one place that order is written.
+    pub(crate) endpoints: Vec<Endpoint>,
 }
 
 impl TimingGraph {
@@ -106,13 +111,16 @@ impl TimingGraph {
             )));
         }
         let mut arc_count = 0u64;
-        for cell in nl.cells() {
-            arc_count += if lib.cell(cell.master).kind == CellKind::Flop {
-                1
+        let mut endpoints = Vec::new();
+        for (i, cell) in nl.cells().enumerate() {
+            if lib.cell(cell.master).kind == CellKind::Flop {
+                arc_count += 1;
+                endpoints.push(Endpoint::FlopD(CellId::new(i)));
             } else {
-                cell.inputs.len() as u64
-            };
+                arc_count += cell.inputs.len() as u64;
+            }
         }
+        endpoints.extend(nl.primary_outputs().map(Endpoint::Output));
         // Group the order into equal-depth ranks. Levelization's FIFO
         // sweep enqueues depth-k cells only while processing depth-k−1
         // cells, so `order` is depth-sorted and ranks are contiguous.
@@ -137,7 +145,13 @@ impl TimingGraph {
             sink_pos,
             arc_count,
             ranks,
+            endpoints,
         })
+    }
+
+    /// The report-order slot of one endpoint, by binary search.
+    pub(crate) fn slot(&self, ep: Endpoint) -> Option<usize> {
+        self.endpoints.binary_search(&ep).ok()
     }
 
     /// Index of `(cell, pin)` in its driving net's sink list.
@@ -290,22 +304,21 @@ enum UndoOp {
     NetState { net: usize, prev: NetState },
     /// A per-net wire timing was overwritten.
     NetWire { net: usize, prev: NetWire },
-    /// A flop endpoint check was overwritten.
-    FlopEp {
-        cell: usize,
+    /// An endpoint row was overwritten.
+    Row {
+        slot: usize,
         prev: Option<EndpointTiming>,
     },
-    /// A primary-output endpoint check was overwritten.
-    PoEp {
-        net: usize,
-        prev: Option<EndpointTiming>,
+    /// A structural edit replaced the timing graph (and, when the new
+    /// graph lists other endpoints, re-laid the rows: `rows` holds the
+    /// old vector) and grew the per-net vectors from `nets` entries.
+    /// Pushed *before* the value ops of the same update, so popping
+    /// restores values first.
+    Structure {
+        graph: Arc<TimingGraph>,
+        rows: Option<Vec<Option<EndpointTiming>>>,
+        nets: usize,
     },
-    /// A structural edit replaced the timing graph.
-    Structure { prev: Arc<TimingGraph> },
-    /// A structural edit grew the per-net/per-cell vectors; restore the
-    /// old lengths. Pushed *before* the value ops of the same update, so
-    /// popping restores values first and truncates last.
-    Lens { cells: usize, nets: usize },
     /// A flop's clock-leaf latency was written; `prev` is its previous
     /// map entry (`None`: absent, the flop sat on the default leaf).
     ClockLeaf { flop: CellId, prev: Option<Ps> },
@@ -354,11 +367,8 @@ pub struct Timer<'a> {
     stack: &'a BeolStack,
     cons: Constraints,
     beol_corner: BeolCorner,
-    structure: Arc<TimingGraph>,
-    state: Vec<NetState>,
-    wires: WireTable,
-    flop_ep: Vec<Option<EndpointTiming>>,
-    po_ep: Vec<Option<EndpointTiming>>,
+    /// The initial analysis' timing state, taken over and edited in place.
+    st: TimingState,
     /// How many journal entries have been consumed.
     cursor: usize,
     undo: Vec<UndoOp>,
@@ -414,51 +424,22 @@ impl<'a> Timer<'a> {
         cons: Constraints,
         corner: BeolCorner,
     ) -> Result<Self> {
-        let structure = Arc::new(TimingGraph::build(nl, lib)?);
-        let mut t = Timer {
+        // The only from-scratch fill; every edit goes through the
+        // incremental path. The timer takes the state over, not a copy.
+        let sta = Sta::new(nl, lib, stack, &cons).with_beol_corner(corner);
+        sta.propagate()?;
+        let st = sta.propagated.into_inner().expect("propagated above");
+        Ok(Timer {
             lib,
             stack,
             cons,
             beol_corner: corner,
-            structure,
-            state: Vec::new(),
-            wires: WireTable::default(),
-            flop_ep: Vec::new(),
-            po_ep: Vec::new(),
-            cursor: 0,
+            st,
+            cursor: nl.journal_len(),
             undo: Vec::new(),
             scratch: UpdateScratch::default(),
             par: None,
-        };
-        t.refresh_all(nl)?;
-        Ok(t)
-    }
-
-    /// The analysis engine over this timer's environment and graph.
-    fn sta<'b>(&'b self, nl: &'b Netlist) -> Sta<'b> {
-        Sta::new(nl, self.lib, self.stack, &self.cons)
-            .with_beol_corner(self.beol_corner)
-            .with_graph(Arc::clone(&self.structure))
-    }
-
-    /// From-scratch propagation into the cached vectors (the initial
-    /// build; every edit goes through the incremental path). The timer
-    /// takes the analysis' propagation over instead of copying it.
-    fn refresh_all(&mut self, nl: &Netlist) -> Result<()> {
-        let sta = self.sta(nl);
-        let (state, wires) = sta.propagate()?;
-        let mut flop_ep = vec![None; nl.cell_count()];
-        let mut po_ep = vec![None; nl.net_count()];
-        for fid in nl.flops(self.lib) {
-            flop_ep[fid.index()] = sta.flop_endpoint(fid, state, wires)?;
-        }
-        for po in nl.primary_outputs() {
-            po_ep[po.index()] = sta.po_endpoint(po, state);
-        }
-        let (state, wires) = sta.propagated.into_inner().expect("propagated above");
-        (self.state, self.wires, self.flop_ep, self.po_ep) = (state, wires, flop_ep, po_ep);
-        self.cursor = nl.journal_len();
-        Ok(())
+        })
     }
 
     /// Consumes journal entries past the cursor and re-propagates the
@@ -542,13 +523,13 @@ impl<'a> Timer<'a> {
         if swept.is_err() {
             self.rollback_to(entry)?;
         }
-        let counts = swept?;
+        let (counts, checks) = swept?;
 
         self.cursor = nl.journal_len();
         tc_obs::histogram("sta.dirty_cone_size").record(counts.cells as f64);
         tc_obs::counter("sta.arcs_recomputed").add(counts.arcs);
-        tc_obs::counter("sta.arcs_reused")
-            .add(self.structure.arc_count.saturating_sub(counts.arcs));
+        tc_obs::counter("sta.arcs_reused").add(self.st.graph.arc_count.saturating_sub(counts.arcs));
+        tc_obs::counter("sta.endpoint_checks").add(checks);
         Ok(())
     }
 
@@ -620,33 +601,43 @@ impl<'a> Timer<'a> {
 
     /// Phases 2–5, shared by every seeder: structure rebuild, wire
     /// recompute, the dirty sweep from the seeded cells, endpoint refresh.
-    fn sweep_dirty(&mut self, nl: &Netlist, structural: bool) -> Result<SweepCounts> {
+    /// Returns the sweep's counts and the endpoint checks made.
+    fn sweep_dirty(&mut self, nl: &Netlist, structural: bool) -> Result<(SweepCounts, u64)> {
         let scr = &mut self.scratch;
 
         // Phase 2: structural edits invalidate the levelization and the
         // sink-index map; rebuild once for the whole batch and grow the
-        // per-net/per-cell vectors (ids are append-only).
+        // per-net vectors (ids are append-only). A graph listing other
+        // endpoints (a flop <-> comb swap) gets the rows re-laid by
+        // endpoint key. An endpoint new to it starts empty: only a swap
+        // to a flop master adds one, and the swap dirtied its check.
         if structural {
-            self.undo.push(UndoOp::Lens {
-                cells: self.flop_ep.len(),
-                nets: self.state.len(),
+            let graph = Arc::new(TimingGraph::build(nl, self.lib)?);
+            let rows = (graph.endpoints != self.st.graph.endpoints).then(|| {
+                let old = &self.st;
+                let relaid = graph.endpoints.iter().map(|&ep| {
+                    let slot = old.graph.slot(ep);
+                    slot.and_then(|s| old.rows[s].clone())
+                });
+                let relaid = relaid.collect();
+                mem::replace(&mut self.st.rows, relaid)
             });
             self.undo.push(UndoOp::Structure {
-                prev: Arc::clone(&self.structure),
+                graph: mem::replace(&mut self.st.graph, graph),
+                rows,
+                nets: self.st.nets.len(),
             });
-            self.state.resize(nl.net_count(), NetState::default());
-            self.wires.resize(nl.net_count());
-            self.po_ep.resize(nl.net_count(), None);
-            self.flop_ep.resize(nl.cell_count(), None);
-            self.structure = Arc::new(TimingGraph::build(nl, self.lib)?);
+            self.st.nets.resize(nl.net_count(), NetState::default());
+            self.st.wires.resize(nl.net_count());
         }
 
         // Borrows fields, not `self`: the cached vectors stay writable.
         let mut sta = Sta::new(nl, self.lib, self.stack, &self.cons)
             .with_beol_corner(self.beol_corner)
-            .with_graph(Arc::clone(&self.structure));
+            .with_graph(Arc::clone(&self.st.graph));
         sta.par = self.par;
-        let order_pos = &sta.graph()?.order_pos;
+        let graph = sta.graph()?;
+        let order_pos = &graph.order_pos;
         // Dirty sets iterate in sorted id order so update order (and
         // thus the undo log and any accumulated float state) is
         // deterministic.
@@ -658,19 +649,20 @@ impl<'a> Timer<'a> {
         // A changed wire dirties its driver (load changed) and every
         // sink (arrival changed); an unchanged recomputation is trimmed
         // back off the end of the pool.
+        let wires = &mut self.st.wires;
         for &n in scr.dirty_nets.sorted_items() {
             let n = n as usize;
-            let start = self.wires.pool_len();
-            let cand = sta.net_wire_entry(NetId::new(n), &mut scr.wire, self.wires.pool_mut())?;
-            let old = self.wires.entry(n);
+            let start = wires.pool_len();
+            let cand = sta.net_wire_entry(NetId::new(n), &mut scr.wire, wires.pool_mut())?;
+            let old = wires.entry(n);
             if old.driver_load == cand.driver_load
                 && old.si_delta == cand.si_delta
-                && self.wires.delays(n) == self.wires.pool_slice(start, cand.len as usize)
+                && wires.delays(n) == wires.pool_slice(start, cand.len as usize)
             {
-                self.wires.pool_truncate(start);
+                wires.pool_truncate(start);
                 continue;
             }
-            let prev = self.wires.install(n, cand);
+            let prev = wires.install(n, cand);
             self.undo.push(UndoOp::NetWire { net: n, prev });
             let net = nl.net(NetId::new(n));
             if let Some(drv) = net.driver {
@@ -690,8 +682,8 @@ impl<'a> Timer<'a> {
         // Propagation stops where arrivals stop changing.
         let (lib, undo) = (self.lib, &mut self.undo);
         let counts = sta.sweep(
-            &self.wires,
-            &mut self.state,
+            &self.st.wires,
+            &mut self.st.nets,
             Frontier::Dirty(&mut scr.worklist),
             &mut scr.batch,
             |out, prev, frontier| {
@@ -711,29 +703,27 @@ impl<'a> Timer<'a> {
             },
         )?;
 
-        // Phase 5: refresh dirty endpoint checks.
-        for &c in scr.dirty_flop_eps.sorted_items() {
-            let c = c as usize;
-            let cid = CellId::new(c);
-            let new_ep = if self.lib.cell(nl.cell(cid).master).kind == CellKind::Flop {
-                sta.flop_endpoint(cid, &self.state, &self.wires)?
-            } else {
-                None // swapped away from a flop master
+        // Phase 5: rewrite the dirty endpoint rows in place, in report
+        // order. A dirty cell the graph lists no endpoint for was swapped
+        // away from a flop master; its row went with the re-lay.
+        let flops = scr.dirty_flop_eps.sorted_items().iter();
+        let outputs = scr.dirty_po_eps.sorted_items().iter();
+        let dirty = flops
+            .map(|&c| Endpoint::FlopD(CellId::new(c as usize)))
+            .chain(outputs.map(|&n| Endpoint::Output(NetId::new(n as usize))));
+        let mut checks = 0u64;
+        for ep in dirty {
+            let Some(slot) = graph.slot(ep) else {
+                continue;
             };
-            if new_ep != self.flop_ep[c] {
-                let prev = mem::replace(&mut self.flop_ep[c], new_ep);
-                self.undo.push(UndoOp::FlopEp { cell: c, prev });
+            checks += 1;
+            let row = sta.endpoint_row(ep, &self.st.nets, &self.st.wires)?;
+            if row != self.st.rows[slot] {
+                let prev = mem::replace(&mut self.st.rows[slot], row);
+                self.undo.push(UndoOp::Row { slot, prev });
             }
         }
-        for &n in scr.dirty_po_eps.sorted_items() {
-            let n = n as usize;
-            let new_ep = sta.po_endpoint(NetId::new(n), &self.state);
-            if new_ep != self.po_ep[n] {
-                let prev = mem::replace(&mut self.po_ep[n], new_ep);
-                self.undo.push(UndoOp::PoEp { net: n, prev });
-            }
-        }
-        Ok(counts)
+        Ok((counts, checks))
     }
 
     /// Marks the current state for later [`Timer::rollback_to`]. Cheap
@@ -760,16 +750,18 @@ impl<'a> Timer<'a> {
         }
         while self.undo.len() > cp.undo_len {
             match self.undo.pop().expect("length checked") {
-                UndoOp::NetState { net, prev } => self.state[net] = prev,
-                UndoOp::NetWire { net, prev } => self.wires.restore(net, prev),
-                UndoOp::FlopEp { cell, prev } => self.flop_ep[cell] = prev,
-                UndoOp::PoEp { net, prev } => self.po_ep[net] = prev,
-                UndoOp::Structure { prev } => self.structure = prev,
-                UndoOp::Lens { cells, nets } => {
-                    self.state.truncate(nets);
-                    self.wires.truncate(nets);
-                    self.po_ep.truncate(nets);
-                    self.flop_ep.truncate(cells);
+                UndoOp::NetState { net, prev } => self.st.nets[net] = prev,
+                UndoOp::NetWire { net, prev } => {
+                    self.st.wires.install(net, prev);
+                }
+                UndoOp::Row { slot, prev } => self.st.rows[slot] = prev,
+                UndoOp::Structure { graph, rows, nets } => {
+                    self.st.graph = graph;
+                    if let Some(rows) = rows {
+                        self.st.rows = rows;
+                    }
+                    self.st.nets.truncate(nets);
+                    self.st.wires.truncate(nets);
                 }
                 UndoOp::ClockLeaf { flop, prev } => {
                     let leaf = &mut self.cons.clock_tree.leaf;
@@ -784,31 +776,26 @@ impl<'a> Timer<'a> {
         Ok(())
     }
 
-    /// Assembles the timing report from the cached endpoint checks —
-    /// same endpoint order as [`Sta::run`] (flops in cell-id order, then
-    /// primary outputs in net-id order), no propagation.
-    pub fn report(&self, nl: &Netlist) -> TimingReport {
-        let mut endpoints = Vec::new();
-        // `for_each`, not `collect`: the chain folds, it is not stepped.
-        self.endpoints(nl).for_each(|e| endpoints.push(e.clone()));
-        TimingReport::from_endpoints(endpoints, self.cons.default_clock().period)
+    /// An owned copy of the cached endpoint rows — same rows, same order
+    /// as [`Sta::run`], no propagation. For a caller that keeps a report
+    /// across later edits; [`Timer::endpoints`] borrows instead.
+    pub fn report(&self, _nl: &Netlist) -> TimingReport {
+        self.st.report(self.cons.default_clock().period)
     }
 
     /// The cached endpoint checks in report order, borrowed: what a
     /// speculative-trial loop scans instead of cloning a report per trial.
-    pub fn endpoints<'t>(&'t self, nl: &'t Netlist) -> impl Iterator<Item = &'t EndpointTiming> {
-        let flops = nl.flops(self.lib).map(|f| &self.flop_ep[f.index()]);
-        let outputs = nl.primary_outputs().map(|po| &self.po_ep[po.index()]);
-        flops.chain(outputs).flatten()
+    pub fn endpoints(&self) -> impl Iterator<Item = &EndpointTiming> {
+        self.st.endpoints()
     }
 
     /// The cached check at one flop's D pin (`None` for a false-path or
     /// unreached flop, or a cell that is not one).
     pub fn flop_endpoint(&self, flop: CellId) -> Option<&EndpointTiming> {
-        self.flop_ep.get(flop.index())?.as_ref()
+        self.st.row(Endpoint::FlopD(flop))
     }
 
-    /// Extracts the worst paths from the cached propagation state (the
+    /// Extracts the worst paths from the cached timing state (the
     /// closure fix engine's work list): the reader [`crate::worst_paths`]
     /// uses, over the cached rows — no propagation, no report.
     ///
@@ -816,8 +803,8 @@ impl<'a> Timer<'a> {
     ///
     /// Propagates path-backtracking failures.
     pub fn worst_paths(&self, nl: &Netlist, k: usize) -> Result<Vec<CriticalPath>> {
-        let worst = k_worst(self.endpoints(nl), k);
-        pba::paths_to(&self.sta(nl), &self.state, &self.wires, worst)
+        let sta = Sta::new(nl, self.lib, self.stack, &self.cons).with_beol_corner(self.beol_corner);
+        pba::paths_to(&sta, &self.st, k_worst(self.endpoints(), k))
     }
 
     /// The active constraint set.
@@ -825,14 +812,10 @@ impl<'a> Timer<'a> {
         &self.cons
     }
 
-    /// Cached per-net propagation states (net-id indexed).
-    pub fn states(&self) -> &[NetState] {
-        &self.state
-    }
-
-    /// Cached per-net wire timings (net-id indexed).
-    pub fn wires(&self) -> &WireTable {
-        &self.wires
+    /// The cached timing state: per-net states, wire timings and
+    /// endpoint rows.
+    pub fn state(&self) -> &TimingState {
+        &self.st
     }
 
     /// How many journal entries the timer has consumed.
@@ -862,15 +845,7 @@ mod tests {
 
     fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &BeolStack) {
         let sta = Sta::new(nl, lib, stack, timer.constraints());
-        let (state, wires) = sta.propagate().unwrap();
-        assert_eq!(timer.states(), state, "net states diverged");
-        assert_eq!(timer.wires(), wires, "wire timings diverged");
-        let fresh = sta.run().unwrap();
-        assert_eq!(
-            timer.report(nl).endpoints,
-            fresh.endpoints,
-            "reports diverged"
-        );
+        assert!(timer.state() == sta.propagate().unwrap(), "state diverged");
     }
 
     /// Moves every sink of the widest-fanout driven net behind a buffer.
@@ -936,8 +911,7 @@ mod tests {
         let mut nl = generate(&lib, BenchProfile::tiny(), 9).unwrap();
         let cons = Constraints::single_clock(900.0);
         let mut timer = Timer::new(&nl, &lib, &stack, cons).unwrap();
-        let before_states = timer.states().to_vec();
-        let before_report = timer.report(&nl);
+        let before = timer.state().clone();
 
         let nl_cp = nl.journal_len();
         let t_cp = timer.checkpoint();
@@ -945,12 +919,11 @@ mod tests {
         buffer_fattest_net(&mut nl, &lib);
         nl.set_wire_length(NetId::new(1), 400.0);
         timer.update(&nl).unwrap();
-        assert_ne!(timer.states().len(), before_states.len());
+        assert_ne!(timer.st.nets.len(), before.nets.len());
 
         nl.undo_to(nl_cp).unwrap();
         timer.rollback_to(t_cp).unwrap();
-        assert_eq!(timer.states(), &before_states[..]);
-        assert_eq!(timer.report(&nl).endpoints, before_report.endpoints);
+        assert!(timer.state() == &before);
         assert_eq!(timer.cursor(), nl.journal_len());
         // And the rolled-back timer still updates correctly afterwards.
         nl.set_wire_length(NetId::new(2), 150.0);
@@ -963,9 +936,7 @@ mod tests {
         let (lib, stack) = env();
         let mut nl = generate(&lib, BenchProfile::tiny(), 9).unwrap();
         let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
-        let states = timer.states().to_vec();
-        let wires = timer.wires().clone();
-        let report = timer.report(&nl);
+        let before = timer.state().clone();
         let (cursor, undo_len) = (timer.cursor(), timer.undo.len());
 
         // One batch: a legal buffer insertion, then a rewire that feeds a
@@ -988,9 +959,7 @@ mod tests {
         nl.rewire_input(tc_netlist::PinRef { cell: a, pin: 0 }, nl.cell(b).output);
         assert!(timer.update(&nl).is_err());
 
-        assert_eq!(timer.states(), &states[..]);
-        assert_eq!(timer.wires(), &wires);
-        assert_eq!(timer.report(&nl).endpoints, report.endpoints);
+        assert!(timer.state() == &before);
         assert_eq!((timer.cursor(), timer.undo.len()), (cursor, undo_len));
 
         // The caller drops the bad edits and carries on.
@@ -1007,18 +976,12 @@ mod tests {
         let cons = Constraints::single_clock(900.0);
         let mut inline = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
         let mut pooled = Timer::new(&nl, &lib, &stack, cons).unwrap();
-        let before = inline.states().to_vec();
+        let before = inline.state().clone();
         let cp = (inline.checkpoint(), pooled.checkpoint());
 
         // Every net's wire changes, so every cell is dirty and the wide
         // ranks' batches go to the pool.
-        let widest = inline
-            .structure
-            .ranks
-            .iter()
-            .map(|r| r.len())
-            .max()
-            .unwrap();
+        let widest = before.graph.ranks.iter().map(|r| r.len()).max().unwrap();
         assert!(widest >= crate::analysis::PAR_RANK_MIN, "widest {widest}");
         for i in 0..nl.net_count() {
             nl.set_wire_length(NetId::new(i), 15.0 + (i % 40) as f64);
@@ -1026,16 +989,14 @@ mod tests {
         inline.update(&nl).unwrap();
         pooled.par = Some(tc_par::Pool::new(4));
         pooled.update(&nl).unwrap();
-        assert_ne!(inline.states(), &before[..]);
-        assert_eq!(pooled.states(), inline.states());
-        assert_eq!(pooled.wires(), inline.wires());
+        assert!(inline.state() != &before);
+        assert!(pooled.state() == inline.state());
         assert_matches_full(&pooled, &nl, &lib, &stack);
 
         inline.rollback_to(cp.0).unwrap();
         pooled.rollback_to(cp.1).unwrap();
-        assert_eq!(pooled.states(), &before[..]);
-        assert_eq!(pooled.states(), inline.states());
-        assert_eq!(pooled.wires(), inline.wires());
+        assert!(pooled.state() == &before);
+        assert!(pooled.state() == inline.state());
     }
 
     #[test]

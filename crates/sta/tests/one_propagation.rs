@@ -1,6 +1,7 @@
 //! One `Sta` answers its report, PBA and worst-path queries from a single
-//! propagation. Span counts live in tc-obs's process-global registry, so
-//! this is the only test in its process.
+//! timing state: one propagation and one check per endpoint. Span counts
+//! and counters live in tc-obs's process-global registry, so this is the
+//! only test in its process.
 
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
@@ -25,6 +26,10 @@ fn report_pba_and_worst_paths_share_one_propagation() {
 
     let count = |span: &str| snap.span(span).map_or(0, |s| s.count);
     assert_eq!(count("sta.gba"), 1, "one propagation for all three");
+    // One check per endpoint of the graph (every flop, every output).
+    let endpoints = nl.flops(&lib).count() + nl.primary_outputs().count();
+    assert_eq!(sta.propagate().unwrap().rows().len(), endpoints);
+    assert_eq!(snap.counter("sta.endpoint_checks"), endpoints as u64);
     // Each overlay is attributed to its own span and counters.
     assert_eq!(count("sta.pba"), 1);
     assert_eq!(count("sta.worst_paths"), 1);

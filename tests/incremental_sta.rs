@@ -11,28 +11,26 @@
 //! three benchmark profiles, interleaving checkpoint/rollback cycles so
 //! the undo log is exercised under the same randomness.
 
-use timing_closure::core::ids::{CellId, NetId};
+use timing_closure::core::ids::{CellId, LibCellId, NetId};
 use timing_closure::core::rng::Rng;
 use timing_closure::core::units::Ps;
 use timing_closure::device::VtClass;
 use timing_closure::interconnect::beol::BeolStack;
 use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
+use timing_closure::netlist::level::levelize;
 use timing_closure::netlist::{Netlist, PinRef};
 use timing_closure::sta::{worst_paths, Constraints, Sta, Timer};
 
-/// Asserts the timer's cached world is bit-identical to a fresh full STA.
+/// Asserts the timer's cached world — graph, net states, wire timings,
+/// endpoint rows — is bit-identical to a fresh full STA's.
 fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &BeolStack) {
     let sta = Sta::new(nl, lib, stack, timer.constraints());
-    let (state, wires) = sta.propagate().unwrap();
-    assert_eq!(timer.states(), state, "net states diverged from full STA");
-    assert_eq!(timer.wires(), wires, "wire timings diverged from full STA");
-    let fresh = sta.run().unwrap();
-    let incr = timer.report(nl);
-    assert_eq!(incr.endpoints, fresh.endpoints, "endpoint reports diverged");
-    assert_eq!(incr.wns(), fresh.wns());
-    assert_eq!(incr.tns(), fresh.tns());
-    // The path reader over the timer's rows and over the fresh cache.
+    assert!(
+        timer.state() == sta.propagate().unwrap(),
+        "timing state diverged from full STA"
+    );
+    // The path reader over the timer's rows and over the fresh state.
     assert_eq!(
         timer.worst_paths(nl, 25).unwrap(),
         worst_paths(&sta, 25).unwrap(),
@@ -169,9 +167,7 @@ fn run_sequence(profile: BenchProfile, gen_seed: u64, edit_seed: u64, edits: usi
         // checkpoint and reject them, verifying the rollback restores the
         // exact pre-speculation world.
         if i % 5 == 4 {
-            let states_before = timer.states().to_vec();
-            let wires_before = timer.wires().clone();
-            let report_before = timer.report(&nl);
+            let before = timer.state().clone();
             let cons_before = timer.constraints().clone();
             let nl_cp = nl.journal_len();
             let t_cp = timer.checkpoint();
@@ -185,17 +181,7 @@ fn run_sequence(profile: BenchProfile, gen_seed: u64, edit_seed: u64, edits: usi
                 &cons_before,
                 "rollback lost constraints"
             );
-            assert_eq!(
-                timer.states(),
-                &states_before[..],
-                "rollback lost net state"
-            );
-            assert_eq!(timer.wires(), &wires_before, "rollback lost wire state");
-            assert_eq!(
-                timer.report(&nl).endpoints,
-                report_before.endpoints,
-                "rollback lost endpoints"
-            );
+            assert!(timer.state() == &before, "rollback lost timing state");
             assert_matches_full(&timer, &nl, &lib, &stack);
         }
     }
@@ -229,9 +215,7 @@ fn skews_interleaved_with_ecos_roll_back_exactly() {
     let cons = Constraints::single_clock(1_100.0);
     let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
     let flops: Vec<CellId> = nl.flops(&lib).collect();
-    let states = timer.states().to_vec();
-    let wires = timer.wires().clone();
-    let report = timer.report(&nl);
+    let before = timer.state().clone();
 
     let nl_cp = nl.journal_len();
     let t_cp = timer.checkpoint();
@@ -250,13 +234,11 @@ fn skews_interleaved_with_ecos_roll_back_exactly() {
     let leaf = &timer.constraints().clock_tree;
     assert_eq!(leaf.leaf_of(flops[0]), SKEW_STEP + SKEW_STEP);
     assert_eq!(leaf.leaf_of(flops[1]), -SKEW_STEP);
-    assert_ne!(timer.report(&nl).endpoints, report.endpoints);
+    assert!(timer.state().rows() != before.rows());
 
     nl.undo_to(nl_cp).unwrap();
     timer.rollback_to(t_cp).unwrap();
-    assert_eq!(timer.states(), &states[..]);
-    assert_eq!(timer.wires(), &wires);
-    assert_eq!(timer.report(&nl).endpoints, report.endpoints);
+    assert!(timer.state() == &before);
     assert_eq!(timer.constraints(), &cons);
     assert!(timer.constraints().clock_tree.leaf.is_empty());
     assert_matches_full(&timer, &nl, &lib, &stack);
@@ -267,11 +249,9 @@ fn bad_skew_is_an_error_that_leaves_the_timer_unchanged() {
     let (lib, stack, mut nl) = tiny();
     let cons = Constraints::single_clock(1_100.0);
     let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
-    let states = timer.states().to_vec();
-    let report = timer.report(&nl);
+    let before = timer.state().clone();
     let unchanged = |timer: &Timer<'_>, nl: &Netlist| {
-        assert_eq!(timer.states(), &states[..]);
-        assert_eq!(timer.report(nl).endpoints, report.endpoints);
+        assert!(timer.state() == &before);
         assert_eq!(timer.constraints(), &cons);
         assert_eq!(timer.cursor(), nl.journal_len());
     };
@@ -296,5 +276,92 @@ fn bad_skew_is_an_error_that_leaves_the_timer_unchanged() {
 
     // And the timer still takes a good skew afterwards.
     timer.skew_clock(&nl, flop, SKEW_STEP).unwrap();
+    assert_matches_full(&timer, &nl, &lib, &stack);
+}
+
+/// c5315 plus the DFF and NAND2 masters: both take two input pins, so
+/// `swap_master` accepts a flop <-> combinational swap, and the timer
+/// sees a structural edit that changes the design's endpoint set.
+fn c5315_with_swap_masters() -> (Library, BeolStack, Netlist, LibCellId, LibCellId) {
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let nl = generate(&lib, BenchProfile::c5315(), 21).unwrap();
+    let dff = lib.variant("DFF", VtClass::Svt, 1.0).unwrap();
+    let nand2 = lib.variant("NAND2", VtClass::Svt, 1.0).unwrap();
+    (lib, BeolStack::n20(), nl, dff, nand2)
+}
+
+/// Whether swapping `flop` to `comb` closes a combinational loop, with
+/// levelization of the swapped netlist as the oracle. Leaves `nl` as it
+/// was.
+fn swap_closes_loop(nl: &mut Netlist, lib: &Library, flop: CellId, comb: LibCellId) -> bool {
+    let cp = nl.journal_len();
+    nl.swap_master(lib, flop, comb).unwrap();
+    let looped = levelize(nl, lib).is_err();
+    nl.undo_to(cp).unwrap();
+    looped
+}
+
+#[test]
+fn flop_master_swaps_relay_endpoint_rows_and_roll_back_exactly() {
+    let (lib, stack, mut nl, dff, nand2) = c5315_with_swap_masters();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(1_100.0)).unwrap();
+    let before = timer.state().clone();
+    let (nl_cp, t_cp) = (nl.journal_len(), timer.checkpoint());
+
+    // Combinational -> DFF: one endpoint more.
+    let comb = (0..nl.cell_count())
+        .map(CellId::new)
+        .find(|&c| {
+            let cell = nl.cell(c);
+            lib.cell(cell.master).kind != CellKind::Flop
+                && cell.inputs.len() == 2
+                && !nl.net(cell.output).sinks.is_empty()
+        })
+        .unwrap();
+    nl.swap_master(&lib, comb, dff).unwrap();
+    timer.update(&nl).unwrap();
+    assert_eq!(timer.state().rows().len(), before.rows().len() + 1);
+    assert_matches_full(&timer, &nl, &lib, &stack);
+
+    // DFF -> combinational on a flop off every feedback loop: one fewer.
+    let flops: Vec<CellId> = nl.flops(&lib).filter(|&f| f != comb).collect();
+    let flop = *flops
+        .iter()
+        .find(|&&f| !swap_closes_loop(&mut nl, &lib, f, nand2))
+        .unwrap();
+    nl.swap_master(&lib, flop, nand2).unwrap();
+    timer.update(&nl).unwrap();
+    assert_eq!(timer.state().rows().len(), before.rows().len());
+    assert_matches_full(&timer, &nl, &lib, &stack);
+
+    nl.undo_to(nl_cp).unwrap();
+    timer.rollback_to(t_cp).unwrap();
+    assert!(timer.state() == &before, "rollback lost timing state");
+}
+
+#[test]
+fn flop_swap_that_closes_a_loop_is_an_error_that_leaves_the_timer_unchanged() {
+    let (lib, stack, mut nl, _, nand2) = c5315_with_swap_masters();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(1_100.0)).unwrap();
+    let flops: Vec<CellId> = nl.flops(&lib).collect();
+    let flop = *flops
+        .iter()
+        .find(|&&f| swap_closes_loop(&mut nl, &lib, f, nand2))
+        .expect("c5315 has a flop on a feedback loop");
+    let before = timer.state().clone();
+    let nl_cp = nl.journal_len();
+
+    nl.swap_master(&lib, flop, nand2).unwrap();
+    assert!(timer.update(&nl).is_err());
+    assert!(
+        timer.state() == &before,
+        "a failed update changed the state"
+    );
+    assert_eq!(timer.cursor(), nl_cp);
+
+    // The caller drops the edit and carries on.
+    nl.undo_to(nl_cp).unwrap();
+    nl.set_wire_length(NetId::new(2), 150.0);
+    timer.update(&nl).unwrap();
     assert_matches_full(&timer, &nl, &lib, &stack);
 }
