@@ -1,6 +1,8 @@
 //! §1 / §1.3 — the "last set of several hundred manual noise and DRC
-//! fixes": glitch-noise closure at the Cc-worst corner and hold padding,
-//! the two fix categories that land after setup closure.
+//! fixes": glitch-noise violations per BEOL corner on a wire-stressed
+//! c5315, then glitch-noise closure at the Cc-worst corner with spacing
+//! NDRs and driver upsizes. Hold padding, the other fix category that
+//! lands after setup closure, runs in `examples/tapeout_march.rs`.
 
 use tc_bench::{fmt, print_table, standard_env};
 use tc_closure::fixes::noise_fix_pass;

@@ -9,7 +9,8 @@ use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::{Netlist, PinRef};
-use tc_sta::{Constraints, CriticalPath, Sta};
+use tc_sta::report::{hold_wns, wns};
+use tc_sta::{CriticalPath, Endpoint, Timer};
 
 /// Which fix a transform belongs to (Fig 1's ordering).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -204,20 +205,18 @@ pub fn plan_ndr(nl: &Netlist, paths: &[CriticalPath], budget: usize) -> Vec<NetI
 }
 
 /// Hold-fix pass: pad hold-violating endpoints with slow delay buffers
-/// on their D pins. Part of the paper's "last set of manual fixes" —
-/// hold padding is done after setup closure because every pad also eats
-/// setup slack.
+/// on their D pins, planned from the timer's cached hold rows. Part of
+/// the paper's "last set of manual fixes" — done after setup closure
+/// because every pad also eats setup slack, so each round (every
+/// violating flop padded once) is one [`tc_sta::Trial`], kept only if
+/// hold WNS improves and setup WNS stays ≥ `min(setup WNS before, 0)`;
+/// a rejected round ends the pass. The timer is brought up to date first.
 ///
 /// # Errors
 ///
-/// Propagates STA failures.
-pub fn hold_fix_pass(
-    nl: &mut Netlist,
-    lib: &Library,
-    stack: &BeolStack,
-    cons: &Constraints,
-    budget: usize,
-) -> Result<FixOutcome> {
+/// Propagates edit and STA failures, the failing round rolled back.
+pub fn hold_fix_pass(timer: &mut Timer<'_>, nl: &mut Netlist, budget: usize) -> Result<FixOutcome> {
+    let lib = timer.library();
     // The slowest single-input cell available: an HVT X1 buffer.
     let Some(pad) = lib
         .variant("BUF", tc_device::VtClass::Hvt, 1.0)
@@ -225,37 +224,41 @@ pub fn hold_fix_pass(
     else {
         return Ok(FixOutcome::default());
     };
+    timer.update(nl)?;
     let mut edits = 0;
-    // Iterate: each pass pads every currently-violating endpoint once.
     for _round in 0..4 {
-        if edits >= budget {
-            break;
-        }
-        let report = Sta::new(nl, lib, stack, cons).run()?;
-        let violating: Vec<tc_core::ids::CellId> = report
-            .endpoints
-            .iter()
+        let violating: Vec<CellId> = timer
+            .endpoints()
             .filter(|e| e.hold_slack < Ps::ZERO)
             .filter_map(|e| match e.endpoint {
-                tc_sta::Endpoint::FlopD(f) => Some(f),
+                Endpoint::FlopD(f) => Some(f),
                 _ => None,
             })
+            .take(budget - edits)
             .collect();
         if violating.is_empty() {
             break;
         }
-        for flop in violating {
-            if edits >= budget {
-                break;
-            }
+        let (setup_before, hold_before) = (wns(timer.endpoints()), hold_wns(timer.endpoints()));
+        let mut trial = timer.trial(nl)?;
+        let nl = trial.netlist();
+        for &flop in &violating {
             let d_net = nl.cell(flop).inputs[0];
             let sink = PinRef { cell: flop, pin: 0 };
             let buf = nl.insert_buffer(lib, d_net, &[sink], pad)?;
             // The pad sits next to the flop: negligible new wire.
             let buf_out = nl.cell(buf).output;
             nl.set_wire_length(buf_out, 2.0);
-            edits += 1;
         }
+        trial.update()?;
+        let after = trial.timer();
+        let hold_improved = hold_wns(after.endpoints()) > hold_before;
+        let setup_held = wns(after.endpoints()) >= setup_before.min(Ps::ZERO);
+        if !(hold_improved && setup_held) {
+            break;
+        }
+        trial.commit();
+        edits += violating.len();
     }
     Ok(FixOutcome { edits })
 }
@@ -308,7 +311,7 @@ mod tests {
     use super::*;
     use tc_liberty::{LibConfig, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
-    use tc_sta::worst_paths;
+    use tc_sta::{worst_paths, Constraints, Sta};
 
     fn env() -> (Library, BeolStack, Netlist, Constraints) {
         let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
@@ -426,37 +429,42 @@ mod hold_noise_tests {
     use tc_core::units::Ps;
     use tc_liberty::{LibConfig, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
+    use tc_sta::{Constraints, Sta};
+
+    /// A direct flop→flop connection with the capture clock 60 ps late:
+    /// the textbook hold violation, constrained at `period` ps.
+    fn hold_case(lib: &Library, period: f64) -> (Netlist, Constraints) {
+        let mut nl = Netlist::new("holdcase");
+        let clk = nl.add_input("clk");
+        let d = nl.add_input("d");
+        let dff = lib.variant("DFF", tc_device::VtClass::Svt, 1.0).unwrap();
+        let (_ff0, q) = nl.add_cell("ff0", lib, dff, &[d, clk]).unwrap();
+        let (ff1, _q1) = nl.add_cell("ff1", lib, dff, &[q, clk]).unwrap();
+        for i in 0..nl.net_count() {
+            nl.set_wire_length(NetId::new(i), 4.0);
+        }
+        let mut cons = Constraints::single_clock(period);
+        cons.clock_tree.skew_by(ff1, Ps::new(60.0));
+        (nl, cons)
+    }
 
     #[test]
     fn hold_fix_pads_violating_endpoints() {
         let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
         let stack = BeolStack::n20();
-        // A direct flop→flop connection with heavy capture-clock skew:
-        // the textbook hold violation.
-        let mut nl = Netlist::new("holdcase");
-        let clk = nl.add_input("clk");
-        let d = nl.add_input("d");
-        let dff = lib.variant("DFF", tc_device::VtClass::Svt, 1.0).unwrap();
-        let (_ff0, q) = nl.add_cell("ff0", &lib, dff, &[d, clk]).unwrap();
-        let (ff1, _q1) = nl.add_cell("ff1", &lib, dff, &[q, clk]).unwrap();
-        for i in 0..nl.net_count() {
-            nl.set_wire_length(NetId::new(i), 4.0);
-        }
-        let mut cons = Constraints::single_clock(2_000.0);
-        cons.clock_tree.skew_by(ff1, Ps::new(-60.0)); // capture clock early
-                                                      // Negative leaf latency means the *launch* side is late relative
-                                                      // to capture; flip sign to make capture late instead.
-        cons.clock_tree.skew_by(ff1, Ps::new(120.0)); // net +60 ps late capture
-
+        let (mut nl, cons) = hold_case(&lib, 2_000.0);
         let before = Sta::new(&nl, &lib, &stack, &cons).run().unwrap();
         assert!(
             before.hold_wns().value() < 0.0,
             "setup of the experiment must violate hold: {}",
             before.summary()
         );
-        let out = hold_fix_pass(&mut nl, &lib, &stack, &cons, 10).unwrap();
+        let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
+        let out = hold_fix_pass(&mut timer, &mut nl, 10).unwrap();
         assert!(out.edits > 0);
-        let after = Sta::new(&nl, &lib, &stack, &cons).run().unwrap();
+        let after = Sta::new(&nl, &lib, &stack, &cons);
+        assert!(timer.state() == after.propagate().unwrap());
+        let after = after.run().unwrap();
         assert!(
             after.hold_wns() > before.hold_wns(),
             "padding must improve hold: {} → {}",
@@ -464,6 +472,27 @@ mod hold_noise_tests {
             after.hold_wns()
         );
         nl.validate(&lib).unwrap();
+    }
+
+    #[test]
+    fn hold_pad_that_would_break_setup_is_rejected() {
+        let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+        let stack = BeolStack::n20();
+        // Setup met by 2 ps at ff1 (the input → ff0 path is not under
+        // test): any pad delay turns it into a violation, so the round
+        // must be rolled back.
+        let (mut nl, mut cons) = hold_case(&lib, 2_000.0);
+        cons.exceptions.false_path_to(CellId::new(0));
+        let r = Sta::new(&nl, &lib, &stack, &cons).run().unwrap();
+        cons = cons.with_period(2_000.0 - r.wns().value() + 2.0);
+        let mut timer = Timer::new(&nl, &lib, &stack, cons).unwrap();
+        assert!(hold_wns(timer.endpoints()) < Ps::ZERO);
+        assert!(wns(timer.endpoints()) >= Ps::ZERO);
+        let (before, journal_len) = (timer.state().clone(), nl.journal_len());
+        let out = hold_fix_pass(&mut timer, &mut nl, 10).unwrap();
+        assert_eq!(out.edits, 0);
+        assert!(timer.state() == &before);
+        assert_eq!(nl.journal_len(), journal_len);
     }
 
     #[test]

@@ -123,16 +123,17 @@ impl<'a> ClosureFlow<'a> {
 
     /// Runs the loop, editing `nl` (and the clock tree inside the
     /// returned constraints) in place. One persistent [`Timer`] lives
-    /// across all iterations; each speculative fix is applied through
-    /// the journaled ECO mutators, re-timed over its dirty cone, and —
-    /// if it regressed WNS — rolled back on both the netlist and the
-    /// timer in O(cone).
+    /// across all iterations; each fix pass is one [`tc_sta::Trial`]:
+    /// applied through the journaled ECO mutators, re-timed over its
+    /// dirty cone, and — if it regressed WNS — dropped, which rolls back
+    /// the netlist and the timer in O(cone).
     ///
     /// # Errors
     ///
-    /// Propagates STA failures. With [`ClosureConfig::preflight_lint`]
-    /// on, returns [`tc_core::error::Error::InvalidInput`] before any
-    /// timing runs if the lint gate finds error-severity defects.
+    /// Propagates STA failures; the pass that failed is rolled back
+    /// first. With [`ClosureConfig::preflight_lint`] on, returns
+    /// [`tc_core::error::Error::InvalidInput`] before any timing runs if
+    /// the lint gate finds error-severity defects.
     pub fn run(&mut self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
         let lint_findings = if self.config.preflight_lint {
             self.preflight(nl, &cons)?
@@ -158,15 +159,16 @@ impl<'a> ClosureFlow<'a> {
             let wns_before = wns(timer.endpoints());
             let mut fixes = Vec::new();
             let mut wns_running = wns_before;
-            for &kind in &self.config.ordering.clone() {
-                // Incremental-timing discipline: checkpoint, apply the
-                // pass, re-time the dirty cone, keep it only if WNS did
-                // not regress (the ping-pong guard of §2.3).
-                let nl_cp = nl.journal_len();
-                let t_cp = timer.checkpoint();
+            for &kind in &self.config.ordering {
+                // One trial per pass: apply it, re-time the dirty cone,
+                // keep it only if WNS did not regress (the ping-pong guard
+                // of §2.3). Dropping the trial — a rejection or an `Err` —
+                // rolls back netlist and timer together.
+                let mut trial = timer.trial(nl)?;
                 let outcome = {
                     let _fix = tc_obs::span(&format!("closure.fix.{}", kind.label()));
-                    self.plan_and_apply(kind, nl, &mut timer)?
+                    let (nl, timer) = trial.parts();
+                    self.plan_and_apply(kind, nl, timer)?
                 };
                 if outcome.edits == 0 {
                     fixes.push((kind, 0));
@@ -174,16 +176,15 @@ impl<'a> ClosureFlow<'a> {
                 }
                 let check = {
                     let _sta = tc_obs::span("closure.sta");
-                    timer.update(nl)?;
-                    wns(timer.endpoints())
+                    trial.update()?;
+                    wns(trial.timer().endpoints())
                 };
                 if check >= wns_running {
                     wns_running = check;
                     edits_counter.add(outcome.edits as u64);
                     fixes.push((kind, outcome.edits));
+                    trial.commit();
                 } else {
-                    nl.undo_to(nl_cp)?;
-                    timer.rollback_to(t_cp)?;
                     fixes.push((kind, 0));
                 }
             }
@@ -548,15 +549,15 @@ mod tests {
 
         for &kind in &FixKind::RECOMMENDED {
             let nl_cp = nl.journal_len();
-            let t_cp = timer.checkpoint();
             let cells_before = nl.cell_count();
             let before = timer.state().clone();
 
-            let out = flow.plan_and_apply(kind, &mut nl, &mut timer).unwrap();
-            timer.update(&nl).unwrap();
+            let mut trial = timer.trial(&mut nl).unwrap();
+            let (trial_nl, trial_timer) = trial.parts();
+            let out = flow.plan_and_apply(kind, trial_nl, trial_timer).unwrap();
+            trial.update().unwrap();
             // Unconditionally reject, regardless of what the fix did.
-            nl.undo_to(nl_cp).unwrap();
-            timer.rollback_to(t_cp).unwrap();
+            drop(trial);
 
             assert_eq!(nl.journal_len(), nl_cp, "{kind:?}: journal restored");
             assert_eq!(nl.cell_count(), cells_before, "{kind:?}: cells restored");

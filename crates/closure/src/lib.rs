@@ -11,7 +11,7 @@
 //!
 //! * [`fixes`] — the five fix transforms, each operating on the netlist
 //!   ECO surface (`swap_master`, `insert_buffer`, `set_route_class`) or
-//!   the clock tree, guided by the worst paths from `tc-sta`'s PBA.
+//!   the clock tree, guided by the worst GBA paths in the timer's cache.
 //! * [`flow`] — the iteration driver with per-iteration fix budgets,
 //!   convergence records, ping-pong detection, and configurable fix
 //!   ordering (for the ablation comparing the paper's recommended order
@@ -19,6 +19,9 @@
 //! * [`power`] — post-closure leakage recovery: walking high-slack cells
 //!   back down the Vt ladder, optionally under a MinIA-awareness veto
 //!   (the §2.4 interference).
+//!
+//! Every keep-or-reject — fix pass, hold-padding round, leakage batch —
+//! is one [`tc_sta::Trial`]; the crate runs no STA of its own.
 //!
 //! # Examples
 //!

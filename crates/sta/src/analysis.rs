@@ -80,8 +80,9 @@ pub struct Sta<'a> {
     pub(crate) beol_sample: Option<&'a BeolSample>,
     /// The sweep's executor: rank batches of at least [`PAR_RANK_MIN`]
     /// cells run on this pool, everything else (and everything when
-    /// `None`, the default) inline. Orthogonal to the frontier; the
-    /// incremental [`Timer`](crate::Timer) sets none.
+    /// `None`, the default) inline. Set by [`Sta::with_parallel`] for a
+    /// from-scratch propagation; the incremental [`Timer`](crate::Timer)
+    /// sweeps its dirty frontier inline.
     pub(crate) par: Option<tc_par::Pool>,
     /// The netlist's timing structure, built on first use (the netlist
     /// is borrowed immutably, so it cannot go stale) or handed in.

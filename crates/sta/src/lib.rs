@@ -29,9 +29,9 @@
 //!   timing structure once across all corners.
 //! * [`timer`] — the persistent incremental timer: a long-lived
 //!   [`TimingGraph`](timer::TimingGraph) plus dirty-cone re-propagation
-//!   driven by the netlist's ECO edit journal, with O(cone)
-//!   checkpoint/rollback for speculative fixes. Bit-identical to a
-//!   from-scratch run.
+//!   driven by the netlist's ECO edit journal, and the [`Trial`] that
+//!   speculates a fix on netlist and timer together and undoes both in
+//!   O(cone). Bit-identical to a from-scratch run.
 //!
 //! # Examples
 //!
@@ -67,4 +67,4 @@ pub use mcmm::{merge_reports, Scenario};
 pub use noise::{noise_check, NoiseConfig, NoiseViolation};
 pub use pba::{pba_worst_endpoints, worst_paths, CriticalPath, PathStage, PbaEndpoint};
 pub use report::{Endpoint, EndpointTiming, FailureClass, TimingReport};
-pub use timer::{Timer, TimerCheckpoint, TimingGraph};
+pub use timer::{Timer, TimerCheckpoint, TimingGraph, Trial};

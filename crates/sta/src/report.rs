@@ -100,15 +100,12 @@ impl TimingReport {
 
     /// Number of hold-violating endpoints.
     pub fn hold_violations(&self) -> usize {
-        self.endpoints
-            .iter()
-            .filter(|e| e.hold_slack < Ps::ZERO)
-            .count()
+        hold_violations(self.endpoints.iter())
     }
 
     /// `true` if every endpoint meets both setup and hold.
     pub fn is_clean(&self) -> bool {
-        self.setup_violations() == 0 && self.hold_violations() == 0
+        is_clean(self.endpoints.iter())
     }
 
     /// The `k` worst setup endpoints, most critical first.
@@ -202,6 +199,16 @@ pub fn tns<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> Ps {
 /// Number of setup-violating endpoints.
 pub fn setup_violations<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> usize {
     endpoints.filter(|e| e.setup_slack < Ps::ZERO).count()
+}
+
+/// Number of hold-violating endpoints.
+pub fn hold_violations<'e>(endpoints: impl Iterator<Item = &'e EndpointTiming>) -> usize {
+    endpoints.filter(|e| e.hold_slack < Ps::ZERO).count()
+}
+
+/// `true` if no endpoint violates setup or hold.
+pub fn is_clean<'e>(mut endpoints: impl Iterator<Item = &'e EndpointTiming>) -> bool {
+    !endpoints.any(|e| e.setup_slack < Ps::ZERO || e.hold_slack < Ps::ZERO)
 }
 
 /// The `k` worst setup endpoints among `endpoints`, most critical first

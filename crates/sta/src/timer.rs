@@ -15,14 +15,12 @@
 //! wire-timing and endpoint code paths are shared too (see the invariants
 //! note in `DESIGN.md`). A failed update rolls itself back.
 //!
-//! The timer also supports O(cone) speculative editing: take a
-//! [`TimerCheckpoint`], apply + evaluate a candidate fix, and
-//! [`Timer::rollback_to`] the checkpoint if the fix is rejected. Every
-//! state write during an update pushes its previous value onto an undo
-//! log, so rollback restores exactly the bytes the update overwrote —
-//! pairing with [`Netlist::undo_to`] on the netlist side.
-//!
-//! [`Netlist::undo_to`]: tc_netlist::Netlist::undo_to
+//! The timer also supports O(cone) speculative editing: open a [`Trial`]
+//! on the netlist and the timer together, apply + evaluate a candidate
+//! fix through it, and [`Trial::commit`] it or drop it. Every state write
+//! during an update pushes its previous value onto an undo log, so a
+//! dropped trial restores exactly the bytes the update overwrote, and
+//! undoes the netlist journal with them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -288,13 +286,18 @@ struct UpdateScratch {
 
 /// A point in a timer's history that [`Timer::rollback_to`] can restore.
 ///
-/// Pair it with the netlist-side checkpoint (`Netlist::journal_len`)
-/// taken at the same moment: rolling back the netlist without rolling
-/// back the timer (or vice versa) desynchronizes the two.
+/// Raw checkpoints are for timer-only edits ([`Timer::skew_clock`]) and
+/// for callers that drive the netlist journal themselves, such as the
+/// repo benchmark; a netlist ECO is speculated with a [`Trial`], which
+/// undoes both halves together. Committing an outermost trial empties the
+/// undo log, so every checkpoint taken before that commit is refused
+/// whole by `rollback_to`.
 #[derive(Clone, Copy, Debug)]
 pub struct TimerCheckpoint {
     cursor: usize,
     undo_len: usize,
+    /// Outermost trial commits before this checkpoint.
+    commits: u64,
 }
 
 /// One reversible write the incremental update performed. Pushed in
@@ -331,8 +334,8 @@ enum UndoOp {
 /// cones. [`Timer::report`] and [`Timer::worst_paths`] read the cached
 /// results without re-propagating anything. [`Timer::skew_clock`] is the
 /// one edit made on the timer itself ([`Constraints`] are timer-owned):
-/// same dirty sweep, logged on the undo log instead of the netlist journal,
-/// so [`Timer::rollback_to`] alone undoes it — no netlist checkpoint to pair.
+/// same dirty sweep, logged on the undo log instead of the netlist journal.
+/// A speculative edit of either kind goes through a [`Timer::trial`].
 ///
 /// # Examples
 ///
@@ -340,6 +343,7 @@ enum UndoOp {
 /// use tc_interconnect::BeolStack;
 /// use tc_liberty::{LibConfig, Library, PvtCorner};
 /// use tc_netlist::gen::{generate, BenchProfile};
+/// use tc_sta::report::wns;
 /// use tc_sta::{Constraints, Timer};
 ///
 /// let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
@@ -348,17 +352,15 @@ enum UndoOp {
 /// let cons = Constraints::single_clock(900.0);
 ///
 /// let mut timer = Timer::new(&nl, &lib, &stack, cons)?;
-/// let before = timer.report(&nl).wns();
+/// let before = wns(timer.endpoints());
 ///
 /// // Speculative fix: lengthen one net, re-time just its cone, reject.
-/// let nl_cp = nl.journal_len();
-/// let t_cp = timer.checkpoint();
-/// nl.set_wire_length(tc_core::ids::NetId::new(0), 250.0);
-/// timer.update(&nl)?;
-/// let after = timer.report(&nl).wns();
-/// nl.undo_to(nl_cp)?;
-/// timer.rollback_to(t_cp)?;
-/// assert_eq!(timer.report(&nl).wns(), before);
+/// let mut trial = timer.trial(&mut nl)?;
+/// trial.netlist().set_wire_length(tc_core::ids::NetId::new(0), 250.0);
+/// trial.update()?;
+/// let after = wns(trial.timer().endpoints());
+/// drop(trial); // netlist and timer roll back together
+/// assert_eq!(wns(timer.endpoints()), before);
 /// # let _ = after;
 /// # Ok::<(), tc_core::Error>(())
 /// ```
@@ -372,9 +374,84 @@ pub struct Timer<'a> {
     /// How many journal entries have been consumed.
     cursor: usize,
     undo: Vec<UndoOp>,
+    /// Open trials; the outermost one's commit empties `undo`.
+    trials: usize,
+    /// Outermost trial commits so far: the checkpoints they invalidated.
+    commits: u64,
     scratch: UpdateScratch,
-    /// The dirty sweep's executor; product code runs it inline (`None`).
-    par: Option<tc_par::Pool>,
+}
+
+/// A speculative edit of a netlist and its [`Timer`] together — the one
+/// keep-or-reject unit of the closure flow.
+///
+/// Opened by [`Timer::trial`], it borrows both halves until it ends. Edit
+/// the netlist through [`Trial::netlist`] (timer-only edits such as
+/// [`Timer::skew_clock`] through [`Trial::parts`]), re-time with
+/// [`Trial::update`], judge from [`Trial::timer`]'s cached rows, and
+/// [`Trial::commit`] to keep. Dropping an uncommitted trial — a rejection,
+/// or an `Err` returned with `?` from inside it — undoes the netlist
+/// journal and rolls the timer back to where both stood when it began.
+///
+/// Trials nest: open one on a trial's [`parts`](Trial::parts). A nested
+/// commit keeps its undo entries for the enclosing trial; the outermost
+/// commit empties the undo log, so the log is bounded by what is being
+/// speculated, not by how long the timer has lived.
+pub struct Trial<'t, 'a> {
+    nl: &'t mut Netlist,
+    timer: &'t mut Timer<'a>,
+    nl_cp: usize,
+    t_cp: TimerCheckpoint,
+    committed: bool,
+}
+
+impl<'a> Trial<'_, 'a> {
+    /// The netlist, for journaled ECO edits.
+    pub fn netlist(&mut self) -> &mut Netlist {
+        self.nl
+    }
+
+    /// The timer, for reading the cached results.
+    pub fn timer(&self) -> &Timer<'a> {
+        self.timer
+    }
+
+    /// Both halves at once, for a routine that edits the timer itself
+    /// (useful skew) or opens a nested trial.
+    pub fn parts(&mut self) -> (&mut Netlist, &mut Timer<'a>) {
+        (self.nl, self.timer)
+    }
+
+    /// Re-times the edits made so far ([`Timer::update`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Timer::update`]; the trial stays open, and dropping it undoes
+    /// the edits.
+    pub fn update(&mut self) -> Result<()> {
+        self.timer.update(self.nl)
+    }
+
+    /// Keeps the edits. The outermost commit empties the timer's undo log.
+    pub fn commit(mut self) {
+        self.committed = true;
+        if self.timer.trials == 1 {
+            self.timer.undo.clear();
+            self.timer.commits += 1;
+        }
+    }
+}
+
+impl Drop for Trial<'_, '_> {
+    fn drop(&mut self) {
+        self.timer.trials -= 1;
+        if !self.committed {
+            // Both restores check their target before writing anything,
+            // and an open trial's own checkpoints stay valid.
+            let restored = self.nl.undo_to(self.nl_cp);
+            let restored = restored.and_then(|()| self.timer.rollback_to(self.t_cp));
+            debug_assert!(restored.is_ok(), "trial rollback: {restored:?}");
+        }
+    }
 }
 
 /// Classifies one sink pin whose arrival changed: flop D pins dirty
@@ -437,8 +514,9 @@ impl<'a> Timer<'a> {
             st,
             cursor: nl.journal_len(),
             undo: Vec::new(),
+            trials: 0,
+            commits: 0,
             scratch: UpdateScratch::default(),
-            par: None,
         })
     }
 
@@ -451,12 +529,12 @@ impl<'a> Timer<'a> {
     /// # Errors
     ///
     /// Fails if the netlist was rolled back *past* the timer's cursor
-    /// (use [`Timer::rollback_to`] with the paired checkpoint instead),
-    /// on combinational loops after structural edits, and on
-    /// interconnect estimation errors. A failed update is rolled back
-    /// before it returns — states, wires, endpoint checks, undo log and
-    /// cursor are as on entry — so the caller can `Netlist::undo_to` the
-    /// offending edits and carry on.
+    /// (speculate with a [`Trial`], which rolls both back together), on
+    /// combinational loops after structural edits, and on interconnect
+    /// estimation errors. A failed update is rolled back before it
+    /// returns — states, wires, endpoint checks, undo log and cursor are
+    /// as on entry — so a trial dropped on the error leaves netlist and
+    /// timer as they were before the offending edits.
     pub fn update(&mut self, nl: &Netlist) -> Result<()> {
         let journal_len = nl.journal_len();
         if self.cursor > journal_len {
@@ -483,11 +561,7 @@ impl<'a> Timer<'a> {
     /// [`Timer::update`] first), if `flop` is not a flop of `nl`, or on
     /// propagation errors.
     pub fn skew_clock(&mut self, nl: &Netlist, flop: CellId, delta: Ps) -> Result<()> {
-        if self.cursor != nl.journal_len() {
-            return Err(Error::invalid_input(
-                "skew_clock requires an up-to-date timer: call update first",
-            ));
-        }
+        self.ensure_current(nl, "skew_clock")?;
         let id = flop.index();
         if id >= nl.cell_count() || self.lib.cell(nl.cell(flop).master).kind != CellKind::Flop {
             return Err(Error::invalid_input(format!(
@@ -501,6 +575,33 @@ impl<'a> Timer<'a> {
             t.scratch.dirty_flop_eps.insert(id);
             false
         })
+    }
+
+    /// Opens a [`Trial`] on `nl` and this timer: a speculative edit of
+    /// both that a drop undoes.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the timer is stale (call [`Timer::update`] first).
+    pub fn trial<'t>(&'t mut self, nl: &'t mut Netlist) -> Result<Trial<'t, 'a>> {
+        self.ensure_current(nl, "a trial")?;
+        self.trials += 1;
+        Ok(Trial {
+            nl_cp: nl.journal_len(),
+            t_cp: self.checkpoint(),
+            nl,
+            timer: self,
+            committed: false,
+        })
+    }
+
+    fn ensure_current(&self, nl: &Netlist, what: &str) -> Result<()> {
+        if self.cursor == nl.journal_len() {
+            return Ok(());
+        }
+        Err(Error::invalid_input(format!(
+            "{what} requires an up-to-date timer: call update first"
+        )))
     }
 
     /// One failure-atomic round on the dirty sweep: `seed` fills the
@@ -632,10 +733,9 @@ impl<'a> Timer<'a> {
         }
 
         // Borrows fields, not `self`: the cached vectors stay writable.
-        let mut sta = Sta::new(nl, self.lib, self.stack, &self.cons)
+        let sta = Sta::new(nl, self.lib, self.stack, &self.cons)
             .with_beol_corner(self.beol_corner)
             .with_graph(Arc::clone(&self.st.graph));
-        sta.par = self.par;
         let graph = sta.graph()?;
         let order_pos = &graph.order_pos;
         // Dirty sets iterate in sorted id order so update order (and
@@ -727,11 +827,13 @@ impl<'a> Timer<'a> {
     }
 
     /// Marks the current state for later [`Timer::rollback_to`]. Cheap
-    /// (two integers); take one together with `Netlist::journal_len`.
+    /// (three integers); see [`TimerCheckpoint`] for when to take one
+    /// instead of opening a [`Trial`].
     pub fn checkpoint(&self) -> TimerCheckpoint {
         TimerCheckpoint {
             cursor: self.cursor,
             undo_len: self.undo.len(),
+            commits: self.commits,
         }
     }
 
@@ -740,9 +842,15 @@ impl<'a> Timer<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if `cp` is newer than the timer's current state (rollback
-    /// only goes backwards).
+    /// Fails, changing nothing, if `cp` is newer than the timer's current
+    /// state (rollback only goes backwards) or was taken before an
+    /// outermost trial commit emptied the undo log.
     pub fn rollback_to(&mut self, cp: TimerCheckpoint) -> Result<()> {
+        if cp.commits != self.commits {
+            return Err(Error::invalid_input(
+                "checkpoint predates a trial commit, which emptied the undo log",
+            ));
+        }
         if cp.undo_len > self.undo.len() || cp.cursor > self.cursor {
             return Err(Error::invalid_input(
                 "checkpoint is newer than the timer state",
@@ -810,6 +918,11 @@ impl<'a> Timer<'a> {
     /// The active constraint set.
     pub fn constraints(&self) -> &Constraints {
         &self.cons
+    }
+
+    /// The library the design is timed against.
+    pub fn library(&self) -> &'a Library {
+        self.lib
     }
 
     /// The cached timing state: per-net states, wire timings and
@@ -970,33 +1083,49 @@ mod tests {
     }
 
     #[test]
-    fn dirty_frontier_on_a_pool_matches_inline() {
+    fn outermost_commit_empties_the_undo_log() {
         let (lib, stack) = env();
-        let mut nl = generate(&lib, BenchProfile::c5315(), 11).unwrap();
-        let cons = Constraints::single_clock(900.0);
-        let mut inline = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
-        let mut pooled = Timer::new(&nl, &lib, &stack, cons).unwrap();
-        let before = inline.state().clone();
-        let cp = (inline.checkpoint(), pooled.checkpoint());
-
-        // Every net's wire changes, so every cell is dirty and the wide
-        // ranks' batches go to the pool.
-        let widest = before.graph.ranks.iter().map(|r| r.len()).max().unwrap();
-        assert!(widest >= crate::analysis::PAR_RANK_MIN, "widest {widest}");
-        for i in 0..nl.net_count() {
-            nl.set_wire_length(NetId::new(i), 15.0 + (i % 40) as f64);
+        let mut nl = generate(&lib, BenchProfile::tiny(), 3).unwrap();
+        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+        // Taken on an empty log: only the commit count can refuse it.
+        let stale = timer.checkpoint();
+        for _ in 0..1_000 {
+            let mut trial = timer.trial(&mut nl).unwrap();
+            buffer_fattest_net(trial.netlist(), &lib);
+            trial.update().unwrap();
+            assert!(!trial.timer().undo.is_empty(), "a structural round logs");
+            trial.commit();
+            assert!(timer.undo.is_empty());
         }
-        inline.update(&nl).unwrap();
-        pooled.par = Some(tc_par::Pool::new(4));
-        pooled.update(&nl).unwrap();
-        assert!(inline.state() != &before);
-        assert!(pooled.state() == inline.state());
-        assert_matches_full(&pooled, &nl, &lib, &stack);
+        assert_matches_full(&timer, &nl, &lib, &stack);
 
-        inline.rollback_to(cp.0).unwrap();
-        pooled.rollback_to(cp.1).unwrap();
-        assert!(pooled.state() == &before);
-        assert!(pooled.state() == inline.state());
+        // A checkpoint older than a commit is refused whole.
+        let (before, cursor) = (timer.state().clone(), timer.cursor());
+        assert!(timer.rollback_to(stale).is_err());
+        assert!(timer.state() == &before);
+        assert_eq!(timer.cursor(), cursor);
+
+        // A nested commit — a netlist edit, then a skew with no netlist
+        // half — keeps its entries for the enclosing trial, whose drop
+        // undoes both.
+        let journal_len = nl.journal_len();
+        let flop = nl.flops(&lib).next().unwrap();
+        let mut outer = timer.trial(&mut nl).unwrap();
+        {
+            let (nl, timer) = outer.parts();
+            let mut inner = timer.trial(nl).unwrap();
+            inner.netlist().set_wire_length(NetId::new(2), 150.0);
+            inner.update().unwrap();
+            let (nl, timer) = inner.parts();
+            timer.skew_clock(nl, flop, Ps::new(10.0)).unwrap();
+            inner.commit();
+        }
+        assert!(!outer.timer().undo.is_empty());
+        assert!(outer.timer().state() != &before);
+        drop(outer);
+        assert!(timer.state() == &before);
+        assert!(timer.constraints().clock_tree.leaf.is_empty());
+        assert_eq!((nl.journal_len(), timer.cursor()), (journal_len, cursor));
     }
 
     #[test]

@@ -17,7 +17,8 @@ use timing_closure::liberty::{LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
 use timing_closure::placement::minia::{fix_violations, violation_count, MinIaRule};
 use timing_closure::placement::rows::Placement;
-use timing_closure::sta::{noise_check, Constraints, NoiseConfig, Sta};
+use timing_closure::sta::report::{hold_violations, hold_wns};
+use timing_closure::sta::{noise_check, Constraints, NoiseConfig, Sta, Timer};
 
 fn main() -> Result<(), tc_core::Error> {
     let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
@@ -63,19 +64,20 @@ fn main() -> Result<(), tc_core::Error> {
     );
 
     // ---- 3. Hold padding ----
-    let r = Sta::new(&nl, &lib, &stack, &cons).run()?;
+    // One timer from here to signoff: later steps re-time on it instead
+    // of running STA again.
+    let mut timer = Timer::new(&nl, &lib, &stack, cons)?;
+    let violations = hold_violations(timer.endpoints());
     println!(
-        "\n[3] hold: WNS {:.1} ps, {} violations",
-        r.hold_wns().value(),
-        r.hold_violations()
+        "\n[3] hold: WNS {:.1} ps, {violations} violations",
+        hold_wns(timer.endpoints()).value(),
     );
-    if r.hold_violations() > 0 {
-        let pads = hold_fix_pass(&mut nl, &lib, &stack, &cons, 200)?;
-        let r2 = Sta::new(&nl, &lib, &stack, &cons).run()?;
+    if violations > 0 {
+        let pads = hold_fix_pass(&mut timer, &mut nl, 200)?;
         println!(
             "    padded {} endpoints → hold WNS {:.1} ps",
             pads.edits,
-            r2.hold_wns().value()
+            hold_wns(timer.endpoints()).value()
         );
     } else {
         println!("    clean — no pads needed");
@@ -91,8 +93,8 @@ fn main() -> Result<(), tc_core::Error> {
         report.after, report.vt_swaps, report.moves
     );
 
-    // ---- 5. Leakage recovery ----
-    let rec = recover_leakage(&mut nl, &lib, &stack, &cons, 40, |_| true)?;
+    // ---- 5. Leakage recovery (re-times the MinIA swaps first) ----
+    let rec = recover_leakage(&mut timer, &mut nl, 40, |_| true)?;
     println!(
         "\n[5] leakage recovery: {:.1} µW → {:.1} µW ({:.1}% saved, {} downswaps)",
         rec.leakage_before_uw,
@@ -102,7 +104,7 @@ fn main() -> Result<(), tc_core::Error> {
     );
 
     // ---- Final signoff ----
-    let final_report = Sta::new(&nl, &lib, &stack, &cons).run()?;
+    let final_report = timer.report(&nl);
     let ndr_nets = (0..nl.net_count())
         .filter(|&i| nl.net(NetId::new(i)).route_class > 0)
         .count();

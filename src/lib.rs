@@ -63,7 +63,7 @@ use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
 use tc_netlist::Netlist;
 use tc_placement::rows::Placement;
-use tc_sta::{Constraints, Sta, TimingReport};
+use tc_sta::{Constraints, Timer, TimingReport};
 
 /// The end-to-end flow: place → CTS → closure loop → leakage recovery.
 ///
@@ -133,24 +133,18 @@ impl SignoffFlow {
         let mut flow = ClosureFlow::new(&self.lib, &self.stack, self.config.clone());
         let outcome = flow.run(&mut self.netlist, cons)?;
 
-        // Post-closure power recovery (no-op unless clean).
-        let recovery = recover_leakage(
-            &mut self.netlist,
-            &self.lib,
-            &self.stack,
-            &outcome.constraints,
-            25,
-            |_| true,
-        )?;
+        // Post-closure power recovery (no-op unless clean), then signoff,
+        // on one timer.
+        let mut timer = Timer::new(&self.netlist, &self.lib, &self.stack, outcome.constraints)?;
+        let recovery = recover_leakage(&mut timer, &mut self.netlist, 25, |_| true)?;
 
-        let final_report =
-            Sta::new(&self.netlist, &self.lib, &self.stack, &outcome.constraints).run()?;
+        let final_report = timer.report(&self.netlist);
         Ok(FlowOutcome {
             closed: final_report.is_clean(),
             iterations: outcome.iterations.len(),
             leakage_saving: recovery.saving(),
             final_report,
-            constraints: outcome.constraints,
+            constraints: timer.constraints().clone(),
         })
     }
 }

@@ -8,12 +8,14 @@
 //! size and Vt ladders, wirelength and route-class changes, buffer
 //! insertions, pin rewires) and clock-leaf skews (`Timer::skew_clock`,
 //! the one edit that lives on the timer instead of in the journal) on
-//! three benchmark profiles, interleaving checkpoint/rollback cycles so
-//! the undo log is exercised under the same randomness.
+//! three benchmark profiles, interleaving dropped trials (`Timer::trial`)
+//! and raw checkpoint/rollback cycles so the undo log is exercised under
+//! the same randomness.
 
 use timing_closure::core::ids::{CellId, LibCellId, NetId};
 use timing_closure::core::rng::Rng;
 use timing_closure::core::units::Ps;
+use timing_closure::core::Error;
 use timing_closure::device::VtClass;
 use timing_closure::interconnect::beol::BeolStack;
 use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
@@ -163,19 +165,20 @@ fn run_sequence(profile: BenchProfile, gen_seed: u64, edit_seed: u64, edits: usi
         timer.update(&nl).unwrap();
         assert_matches_full(&timer, &nl, &lib, &stack);
 
-        // Every few edits, speculate a couple of extra edits behind a
-        // checkpoint and reject them, verifying the rollback restores the
-        // exact pre-speculation world.
+        // Every few edits, speculate a couple of extra edits in a trial
+        // and drop it, verifying the rollback restores the exact
+        // pre-speculation world.
         if i % 5 == 4 {
             let before = timer.state().clone();
             let cons_before = timer.constraints().clone();
-            let nl_cp = nl.journal_len();
-            let t_cp = timer.checkpoint();
-            apply_edit(&mut rng, &mut nl, &lib, &mut timer);
-            apply_edit(&mut rng, &mut nl, &lib, &mut timer);
-            timer.update(&nl).unwrap();
-            nl.undo_to(nl_cp).unwrap();
-            timer.rollback_to(t_cp).unwrap();
+            let journal_len = nl.journal_len();
+            let mut trial = timer.trial(&mut nl).unwrap();
+            let (trial_nl, trial_timer) = trial.parts();
+            apply_edit(&mut rng, trial_nl, &lib, trial_timer);
+            apply_edit(&mut rng, trial_nl, &lib, trial_timer);
+            trial.update().unwrap();
+            drop(trial);
+            assert_eq!(nl.journal_len(), journal_len, "rollback lost the journal");
             assert_eq!(
                 timer.constraints(),
                 &cons_before,
@@ -351,16 +354,23 @@ fn flop_swap_that_closes_a_loop_is_an_error_that_leaves_the_timer_unchanged() {
     let before = timer.state().clone();
     let nl_cp = nl.journal_len();
 
-    nl.swap_master(&lib, flop, nand2).unwrap();
-    assert!(timer.update(&nl).is_err());
+    // The swap inside a trial; `?` returns the update's `Err` and drops
+    // the trial, which undoes the swap on the netlist too.
+    let swap = |timer: &mut Timer<'_>, nl: &mut Netlist| -> Result<(), Error> {
+        let mut trial = timer.trial(nl)?;
+        trial.netlist().swap_master(&lib, flop, nand2)?;
+        trial.update()?;
+        trial.commit();
+        Ok(())
+    };
+    assert!(swap(&mut timer, &mut nl).is_err());
     assert!(
         timer.state() == &before,
         "a failed update changed the state"
     );
-    assert_eq!(timer.cursor(), nl_cp);
+    assert_eq!((nl.journal_len(), timer.cursor()), (nl_cp, nl_cp));
 
-    // The caller drops the edit and carries on.
-    nl.undo_to(nl_cp).unwrap();
+    // And both carry on.
     nl.set_wire_length(NetId::new(2), 150.0);
     timer.update(&nl).unwrap();
     assert_matches_full(&timer, &nl, &lib, &stack);
