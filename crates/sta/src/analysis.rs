@@ -105,6 +105,11 @@ pub struct TimingState {
 }
 
 impl TimingState {
+    /// The timing graph the state was propagated over.
+    pub fn graph(&self) -> &TimingGraph {
+        &self.graph
+    }
+
     /// One row per endpoint of the graph, in report order.
     pub fn rows(&self) -> &[Option<EndpointTiming>] {
         &self.rows
@@ -184,9 +189,10 @@ pub struct NetWire {
 /// The pool is **append-only**: recomputing a net writes a fresh span and
 /// repoints the entry, leaving the old span in place. That is what makes
 /// the incremental timer's undo log sound — a popped [`NetWire`] entry
-/// still addresses valid bytes. The retired spans are reclaimed only when
-/// the table is rebuilt from scratch (a full propagation), mirroring how
-/// the timer's own undo log grows until a fresh build.
+/// still addresses valid bytes. A timer rollback restores every entry
+/// installed since its checkpoint, so it truncates the pool back to the
+/// checkpoint's length; the spans a kept edit retires stay until the
+/// table is rebuilt from scratch (a full propagation).
 #[derive(Clone, Debug, Default)]
 pub struct WireTable {
     entries: Vec<NetWire>,
@@ -697,11 +703,11 @@ impl<'a> Sta<'a> {
     /// The one arrival-propagation loop. Per levelization rank it takes
     /// the `frontier`'s cells as one batch, evaluates it (on the pool
     /// when one is set and the batch has [`PAR_RANK_MIN`] cells, else
-    /// inline), then applies the results in order position: an output
+    /// inline), then applies the results in cell-id order: an output
     /// state is written only when it changed, and each write — net,
     /// overwritten state, the frontier to grow — goes to `on_write`.
     /// Cells of one rank are mutually independent (an arc a→b forces
-    /// depth(b) > depth(a)), so every executor writes the same bytes in
+    /// level(b) > level(a)), so every executor writes the same bytes in
     /// the same order. `batch` is the dirty frontier's per-rank buffer.
     pub(crate) fn sweep(
         &self,
@@ -717,13 +723,13 @@ impl<'a> Sta<'a> {
         // is `reached` and needs no load of the old state.
         let from_scratch = matches!(frontier, Frontier::Full);
         let mut counts = SweepCounts::default();
-        for rank in &graph.ranks {
+        for (level, rank) in graph.ranks.iter().enumerate() {
             let cells: &[CellId] = match &mut frontier {
-                Frontier::Full => &graph.order[rank.clone()],
+                Frontier::Full => rank,
                 // Cone boundary reached everywhere: nothing left to visit.
                 Frontier::Dirty(worklist) if worklist.is_empty() => break,
                 Frontier::Dirty(worklist) => {
-                    worklist.pop_below(rank.end, batch);
+                    worklist.pop_level(level as u32, batch);
                     batch
                 }
             };

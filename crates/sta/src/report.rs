@@ -214,14 +214,28 @@ pub fn is_clean<'e>(mut endpoints: impl Iterator<Item = &'e EndpointTiming>) -> 
 /// The `k` worst setup endpoints among `endpoints`, most critical first
 /// (stable: equal slacks keep report order). Reports, PBA and the
 /// timer's path extraction all select through this one function.
+///
+/// A partial selection on (setup slack, report position), then a sort of
+/// the `k` picked: the key is total, so the result is the stable full
+/// sort's first `k`.
 pub(crate) fn k_worst<'e>(
     endpoints: impl Iterator<Item = &'e EndpointTiming>,
     k: usize,
 ) -> Vec<&'e EndpointTiming> {
-    let mut v: Vec<&EndpointTiming> = endpoints.collect();
-    v.sort_by(|a, b| a.setup_slack.value().total_cmp(&b.setup_slack.value()));
-    v.truncate(k);
-    v
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut v: Vec<(usize, &EndpointTiming)> = endpoints.enumerate().collect();
+    let key = |a: &(usize, &EndpointTiming), b: &(usize, &EndpointTiming)| {
+        let slack = a.1.setup_slack.value().total_cmp(&b.1.setup_slack.value());
+        slack.then(a.0.cmp(&b.0))
+    };
+    if k < v.len() {
+        v.select_nth_unstable_by(k - 1, key);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(key);
+    v.into_iter().map(|(_, e)| e).collect()
 }
 
 #[cfg(test)]
@@ -288,6 +302,24 @@ mod tests {
         assert_eq!(r.tns(), Ps::ZERO);
         assert!(r.summary().contains("WNS 5.0"));
         assert!(r.summary().contains("TNS 0.0 ps"), "{}", r.summary());
+    }
+
+    #[test]
+    fn k_worst_equals_the_stable_full_sort_with_ties() {
+        // Few distinct slacks among many endpoints: every selection
+        // boundary falls inside a tie.
+        let eps: Vec<EndpointTiming> = (0..200)
+            .map(|i| EndpointTiming {
+                endpoint: Endpoint::FlopD(CellId::new(i)),
+                ..ep(((i * 7) % 5) as f64 - 2.0, 0.0, 3, 1.0, 1.0)
+            })
+            .collect();
+        let mut full: Vec<&EndpointTiming> = eps.iter().collect();
+        full.sort_by(|a, b| a.setup_slack.value().total_cmp(&b.setup_slack.value()));
+        for k in [0, 1, 25, 39, 40, 41, 199, 200, 500] {
+            let picked = k_worst(eps.iter(), k);
+            assert_eq!(picked, full[..k.min(eps.len())], "k = {k}");
+        }
     }
 
     #[test]

@@ -15,12 +15,19 @@
 //! wire-timing and endpoint code paths are shared too (see the invariants
 //! note in `DESIGN.md`). A failed update rolls itself back.
 //!
+//! A structural edit (buffer insertion, rewiring, a flop ↔ combinational
+//! master swap) repairs the graph in place: the levels of the cells it
+//! rewired are re-derived and relaxed along the fanout whose level
+//! changes, and only the touched nets' sink positions and the swapped
+//! cells' endpoint slots are rewritten. The repaired graph equals
+//! [`TimingGraph::build`] of the edited netlist.
+//!
 //! The timer also supports O(cone) speculative editing: open a [`Trial`]
 //! on the netlist and the timer together, apply + evaluate a candidate
 //! fix through it, and [`Trial::commit`] it or drop it. Every state write
-//! during an update pushes its previous value onto an undo log, so a
-//! dropped trial restores exactly the bytes the update overwrote, and
-//! undoes the netlist journal with them.
+//! during an update — the graph repair included — pushes its previous
+//! value onto an undo log, so a dropped trial restores exactly the bytes
+//! the update overwrote, and undoes the netlist journal with them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -33,28 +40,39 @@ use tc_core::units::Ps;
 use tc_interconnect::beol::{BeolCorner, BeolStack};
 use tc_liberty::{CellKind, Library};
 use tc_netlist::level::levelize;
-use tc_netlist::{Netlist, NetlistEdit};
+use tc_netlist::{Netlist, NetlistEdit, PinRef};
 
 use crate::analysis::{NetState, NetWire, Sta, SweepCounts, TimingState, WireEvalScratch};
 use crate::constraints::Constraints;
 use crate::pba::{self, CriticalPath};
 use crate::report::{k_worst, Endpoint, EndpointTiming, TimingReport};
 
-/// The static structure STA needs about a netlist, derived once and
-/// reused across runs: the levelized evaluation order and the position
-/// of every sink pin in its net's sink list.
+/// The static structure STA needs about a netlist: every cell's logic
+/// level, the cells of each level, the position of every sink pin in its
+/// net's sink list, and the endpoint list.
 ///
-/// Structure only changes on *structural* edits (buffer insertion,
-/// rewiring); value edits (Vt-swap, resize, wirelength, NDR) reuse it
-/// as-is. MCMM corner runs share one graph via `Arc` — corners differ
-/// in libraries and constraints, not connectivity.
+/// It is a pure function of the netlist's connectivity and cell kinds,
+/// in one canonical order — cells by `(level, cell id)` — so two graphs
+/// of the same netlist compare equal however they were reached.
+/// [`TimingGraph::build`] derives it from scratch; the [`Timer`] repairs
+/// its own copy in place after a structural edit (buffer insertion,
+/// rewiring, a flop ↔ combinational master swap), touching only the
+/// cells whose level changes. Value edits (Vt-swap, resize, wirelength,
+/// NDR) reuse it as-is. MCMM corner runs share one graph via `Arc` —
+/// corners differ in libraries and constraints, not connectivity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimingGraph {
-    /// Cells in levelized evaluation order (flops first, then
-    /// combinational cells, every cell strictly after all its drivers).
-    pub(crate) order: Vec<CellId>,
-    /// Inverse of `order`: position of each cell, indexed by cell id.
-    pub(crate) order_pos: Vec<usize>,
+    /// Logic level of each cell, indexed by cell id: 0 for a flop (a
+    /// launch point), and for a combinational cell one more than the
+    /// highest level among its combinational drivers (1 when it has
+    /// none). An arc between combinational cells `a → b` forces
+    /// `level(b) > level(a)`.
+    pub(crate) level: Vec<u32>,
+    /// Levelization ranks: rank `l` holds the cells of level `l` in
+    /// ascending id, and the last rank is never empty. Cells within a
+    /// rank are mutually independent, so a rank may be evaluated in any
+    /// order — including in parallel — with bit-identical results.
+    pub(crate) ranks: Vec<Vec<CellId>>,
     /// Dense per-pin sink positions: slot `Netlist::pin_base(cell) + pin`
     /// holds that input pin's index in its driving net's sink list — the
     /// lookup arrival evaluation needs to pick the right per-sink wire
@@ -64,12 +82,6 @@ pub struct TimingGraph {
     /// Total timing-arc count of the design (1 per flop, 1 per
     /// combinational input pin) — the denominator of arc-reuse metrics.
     pub(crate) arc_count: u64,
-    /// Levelization ranks: contiguous index ranges of `order` holding
-    /// cells of equal logic depth. Cells within a rank are mutually
-    /// independent (an arc from `a` to `b` forces
-    /// `depth(b) ≥ depth(a) + 1`), so a rank may be evaluated in any
-    /// order — including in parallel — with bit-identical results.
-    pub(crate) ranks: Vec<std::ops::Range<usize>>,
     /// Every timing endpoint in report order — flop D pins by cell id,
     /// then primary outputs by net id, i.e. sorted by [`Endpoint`]'s
     /// order. This is the one place that order is written.
@@ -84,9 +96,15 @@ impl TimingGraph {
     /// Fails on combinational loops (levelization is impossible).
     pub fn build(nl: &Netlist, lib: &Library) -> Result<Self> {
         let lv = levelize(nl, lib)?;
-        let mut order_pos = vec![0usize; nl.cell_count()];
-        for (p, &c) in lv.order.iter().enumerate() {
-            order_pos[c.index()] = p;
+        let level: Vec<u32> = lv.depth.iter().map(|&d| d as u32).collect();
+        // Counting sort into ranks: ids ascend within each level.
+        let mut sizes = vec![0usize; level.iter().max().map_or(0, |&m| m as usize + 1)];
+        for &l in &level {
+            sizes[l as usize] += 1;
+        }
+        let mut ranks: Vec<Vec<CellId>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (i, &l) in level.iter().enumerate() {
+            ranks[l as usize].push(CellId::new(i));
         }
         // Dense per-pin sink positions, written net by net. Start from
         // an invalid sentinel so the dense-id invariant is checkable.
@@ -110,41 +128,48 @@ impl TimingGraph {
         }
         let mut arc_count = 0u64;
         let mut endpoints = Vec::new();
-        for (i, cell) in nl.cells().enumerate() {
-            if lib.cell(cell.master).kind == CellKind::Flop {
-                arc_count += 1;
-                endpoints.push(Endpoint::FlopD(CellId::new(i)));
-            } else {
-                arc_count += cell.inputs.len() as u64;
+        for i in 0..nl.cell_count() {
+            let c = CellId::new(i);
+            arc_count += arcs_of(nl, lib, c);
+            if is_flop(nl, lib, c) {
+                endpoints.push(Endpoint::FlopD(c));
             }
         }
         endpoints.extend(nl.primary_outputs().map(Endpoint::Output));
-        // Group the order into equal-depth ranks. Levelization's FIFO
-        // sweep enqueues depth-k cells only while processing depth-k−1
-        // cells, so `order` is depth-sorted and ranks are contiguous.
-        let mut ranks = Vec::new();
-        let mut start = 0usize;
-        for p in 1..=lv.order.len() {
-            if p == lv.order.len()
-                || lv.depth[lv.order[p].index()] != lv.depth[lv.order[start].index()]
-            {
-                debug_assert!(
-                    p == lv.order.len()
-                        || lv.depth[lv.order[p].index()] > lv.depth[lv.order[start].index()],
-                    "levelized order must be depth-sorted"
-                );
-                ranks.push(start..p);
-                start = p;
-            }
-        }
         Ok(TimingGraph {
-            order: lv.order,
-            order_pos,
+            level,
+            ranks,
             sink_pos,
             arc_count,
-            ranks,
             endpoints,
         })
+    }
+
+    /// Moves `cell` between ranks: out of rank `from` and into rank `to`
+    /// (`None`: no rank), keeping ids ascending and the last rank
+    /// non-empty. The caller writes `level`.
+    fn rerank(&mut self, cell: CellId, from: Option<u32>, to: Option<u32>) {
+        if let Some(l) = from {
+            let rank = &mut self.ranks[l as usize];
+            let at = rank
+                .binary_search(&cell)
+                .expect("a cell sits in its level's rank");
+            rank.remove(at);
+        }
+        if let Some(l) = to {
+            let l = l as usize;
+            if self.ranks.len() <= l {
+                self.ranks.resize_with(l + 1, Vec::new);
+            }
+            let rank = &mut self.ranks[l];
+            let at = rank
+                .binary_search(&cell)
+                .expect_err("a cell sits in one rank");
+            rank.insert(at, cell);
+        }
+        while self.ranks.last().is_some_and(Vec::is_empty) {
+            self.ranks.pop();
+        }
     }
 
     /// The report-order slot of one endpoint, by binary search.
@@ -164,13 +189,26 @@ impl TimingGraph {
     }
 }
 
+fn is_flop(nl: &Netlist, lib: &Library, c: CellId) -> bool {
+    lib.cell(nl.cell(c).master).kind == CellKind::Flop
+}
+
+/// Timing arcs of one cell: 1 for a flop (CK → Q), one per input pin
+/// for a combinational cell.
+fn arcs_of(nl: &Netlist, lib: &Library, c: CellId) -> u64 {
+    if is_flop(nl, lib, c) {
+        1
+    } else {
+        nl.cell_inputs(c).len() as u64
+    }
+}
+
 /// An epoch-marked dense set over small integer ids (cells, nets).
 ///
 /// `insert` is one load + one store — no hashing, and no allocation once
-/// the mark vector is warm. `begin` resets in O(1) by bumping the epoch
-/// instead of clearing. Replaces the HashSet-then-sort dirty-cone
-/// collection: the sorted id iteration order is identical, so update
-/// order (and the undo log) is byte-for-byte unchanged.
+/// the mark vector is warm (it grows to the largest id marked). `begin`
+/// resets in O(1) by bumping the epoch instead of clearing. Iterated in
+/// sorted id order, so update order (and the undo log) is deterministic.
 #[derive(Debug, Default)]
 struct MarkSet {
     mark: Vec<u32>,
@@ -179,11 +217,8 @@ struct MarkSet {
 }
 
 impl MarkSet {
-    /// Starts a new collection round over ids `0..n`.
-    fn begin(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
+    /// Starts a new collection round.
+    fn begin(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // One wrap every 2^32 rounds: clear and restart.
@@ -195,6 +230,9 @@ impl MarkSet {
 
     /// Marks `i`; returns `true` on first insertion this round.
     fn insert(&mut self, i: usize) -> bool {
+        if i >= self.mark.len() {
+            self.mark.resize(i + 1, 0);
+        }
         if self.mark[i] == self.epoch {
             return false;
         }
@@ -210,26 +248,25 @@ impl MarkSet {
     }
 }
 
-/// The dirty cells still to visit, keyed by order position so each rank's
-/// share pops in evaluation order. A cell is queued at most once per
-/// round.
+/// The dirty cells still to visit, keyed by `(level, cell id)` — the
+/// graph's evaluation order — so each rank's share pops in order. A cell
+/// is queued at most once per round.
 #[derive(Debug, Default)]
 pub(crate) struct Worklist {
-    heap: BinaryHeap<Reverse<(usize, usize)>>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
     queued: MarkSet,
 }
 
 impl Worklist {
-    /// Starts a new round over cell ids `0..cells`, dropping anything a
-    /// failed round left behind.
-    fn begin(&mut self, cells: usize) {
+    /// Starts a new round, dropping anything a failed round left behind.
+    fn begin(&mut self) {
         self.heap.clear();
-        self.queued.begin(cells);
+        self.queued.begin();
     }
 
-    pub(crate) fn push(&mut self, order_pos: &[usize], cell: usize) {
+    pub(crate) fn push(&mut self, level: &[u32], cell: usize) {
         if self.queued.insert(cell) {
-            self.heap.push(Reverse((order_pos[cell], cell)));
+            self.heap.push(Reverse((level[cell], cell as u32)));
         }
     }
 
@@ -237,16 +274,16 @@ impl Worklist {
         self.heap.is_empty()
     }
 
-    /// Moves every queued cell positioned before `end` into `batch`
-    /// (cleared first), ascending in order position.
-    pub(crate) fn pop_below(&mut self, end: usize, batch: &mut Vec<CellId>) {
+    /// Moves every queued cell of level `l` or below into `batch`
+    /// (cleared first), in evaluation order.
+    pub(crate) fn pop_level(&mut self, l: u32, batch: &mut Vec<CellId>) {
         batch.clear();
-        while let Some(&Reverse((pos, cell))) = self.heap.peek() {
-            if pos >= end {
+        while let Some(&Reverse((level, cell))) = self.heap.peek() {
+            if level > l {
                 break;
             }
             self.heap.pop();
-            batch.push(CellId::new(cell));
+            batch.push(CellId::new(cell as usize));
         }
     }
 }
@@ -262,17 +299,235 @@ pub(crate) enum Frontier<'w> {
 impl Frontier<'_> {
     /// Adds a cell to the frontier (from scratch every cell is already
     /// on it).
-    fn push(&mut self, order_pos: &[usize], cell: usize) {
+    fn push(&mut self, level: &[u32], cell: usize) {
         if let Frontier::Dirty(worklist) = self {
-            worklist.push(order_pos, cell);
+            worklist.push(level, cell);
         }
     }
 }
 
+/// What a structural batch touched, collected by the journal scan: the
+/// input pins whose driving arc may be new, the nets whose sink lists
+/// changed, and the cells swapped across the flop / combinational line.
+/// A handful per round, so sorted vectors, not id-indexed marks.
+#[derive(Debug, Default)]
+struct StructEdits {
+    pins: Vec<PinRef>,
+    nets: Vec<NetId>,
+    swaps: Vec<CellId>,
+}
+
+fn pin_key(s: &PinRef) -> (CellId, usize) {
+    (s.cell, s.pin)
+}
+
+impl StructEdits {
+    fn clear(&mut self) {
+        self.pins.clear();
+        self.nets.clear();
+        self.swaps.clear();
+    }
+
+    /// Sorts and deduplicates what the scan pushed.
+    fn finish(&mut self) {
+        self.pins.sort_unstable_by_key(pin_key);
+        self.pins.dedup();
+        self.nets.sort_unstable();
+        self.nets.dedup();
+        self.swaps.sort_unstable();
+        self.swaps.dedup();
+    }
+
+    /// Whether the arc into `s` is one the batch may have added and has
+    /// not yet joined: re-levelization joins `pins` in order and has
+    /// joined the first `joined`.
+    fn pending(&self, s: PinRef, joined: usize) -> bool {
+        let at = self.pins.binary_search_by_key(&pin_key(&s), pin_key);
+        at.is_ok_and(|i| i >= joined)
+    }
+}
+
+/// The level writes of one structural round, each with the level it
+/// overwrote, so a loop can restore them and a success can turn each
+/// existing cell's first write into a rank move and an undo entry.
+#[derive(Debug, Default)]
+struct LevelLog {
+    /// Cells the round started with; cells past it are new.
+    cells: usize,
+    writes: Vec<(CellId, u32)>,
+}
+
+impl LevelLog {
+    fn set(&mut self, level: &mut [u32], c: CellId, l: u32) {
+        let i = c.index();
+        if i < self.cells {
+            self.writes.push((c, level[i]));
+        }
+        level[i] = l;
+    }
+}
+
+/// Re-levelization after a structural batch, in place and local. Levels
+/// are relaxed from the cells the batch rewired, and only along fanout
+/// whose level actually changes.
+///
+/// 1. New cells and cells swapped across the flop / combinational line
+///    start as if they had no incoming arc (flop 0, combinational 1).
+///    Every arc the batch may have added is *pending*; every other arc
+///    was in the old graph between the same cells, so it still goes
+///    strictly up in level.
+/// 2. The pending arcs join one at a time, in pin order. An arc `u → v`
+///    with `level(u) < level(v)` already goes up. Otherwise it closes a
+///    loop iff `v` reaches `u` over the joined arcs, which all go up, so
+///    the search never leaves levels below `level(u)`. Then `v` rises to
+///    `level(u) + 1` and the rise is relaxed down its fanout.
+/// 3. Every level is now an upper bound that some path attains, except
+///    where the batch removed arcs. So each cell with a rewired pin is
+///    recomputed from its drivers in level order, and a drop is relaxed
+///    down the fanout the same way.
+#[derive(Debug, Default)]
+struct Relevel {
+    edits: StructEdits,
+    log: LevelLog,
+    /// Existing cells whose flop-ness the batch changed, ascending.
+    kind_changed: Vec<CellId>,
+    heap: BinaryHeap<Reverse<(u32, CellId)>>,
+    seen: MarkSet,
+    stack: Vec<CellId>,
+}
+
+impl Relevel {
+    /// Re-derives `level` for `nl` after the collected edits, growing it
+    /// for new cells. On a combinational loop it restores `level` and
+    /// returns levelization's error, which names the cells on the loop.
+    /// On success `log.writes` holds, per existing cell it wrote, the
+    /// level the cell had before the round, ascending by cell.
+    fn run(&mut self, nl: &Netlist, lib: &Library, level: &mut Vec<u32>) -> Result<()> {
+        self.log.cells = level.len();
+        self.log.writes.clear();
+        self.kind_changed.clear();
+        self.edits.finish();
+        let relevelled = self.relevel(nl, lib, level);
+        let writes = &mut self.log.writes;
+        if relevelled.is_err() {
+            for &(c, l) in writes.iter().rev() {
+                level[c.index()] = l;
+            }
+            level.truncate(self.log.cells);
+        }
+        // A stable sort keeps each cell's first write, and its level
+        // before the round, first.
+        writes.sort_by_key(|&(c, _)| c);
+        writes.dedup_by_key(|&mut (c, _)| c);
+        relevelled
+    }
+
+    fn relevel(&mut self, nl: &Netlist, lib: &Library, level: &mut Vec<u32>) -> Result<()> {
+        let Relevel {
+            edits,
+            log,
+            kind_changed,
+            heap,
+            seen,
+            stack,
+        } = self;
+        let comb = |c: CellId| !is_flop(nl, lib, c);
+        let sinks = |c: CellId| nl.net(nl.cell(c).output).sinks;
+
+        // Step 1. A flop's level is 0 and a combinational one's is ≥ 1,
+        // so a level of 0 tells an existing cell was a flop.
+        let cells = log.cells;
+        level.extend((cells..nl.cell_count()).map(|i| u32::from(comb(CellId::new(i)))));
+        for &c in &edits.swaps {
+            if c.index() < cells && (level[c.index()] == 0) == comb(c) {
+                kind_changed.push(c);
+                log.set(level, c, u32::from(comb(c)));
+            }
+        }
+
+        // Step 2.
+        for (i, &pin) in edits.pins.iter().enumerate() {
+            let (v, joined) = (pin.cell, i + 1);
+            let Some(u) = nl.net(nl.cell_inputs(v)[pin.pin]).driver else {
+                continue;
+            };
+            let top = level[u.index()];
+            if !comb(u) || !comb(v) || top < level[v.index()] {
+                continue;
+            }
+            // A joined path from v climbs strictly, so it can only reach
+            // u through cells below u's level.
+            seen.begin();
+            stack.clear();
+            stack.push(v);
+            let mut closes = u == v;
+            while let Some(x) = stack.pop().filter(|_| !closes) {
+                for &s in sinks(x) {
+                    if !comb(s.cell) || edits.pending(s, joined) {
+                        continue;
+                    }
+                    closes |= s.cell == u;
+                    if level[s.cell.index()] < top && seen.insert(s.cell.index()) {
+                        stack.push(s.cell);
+                    }
+                }
+            }
+            if closes {
+                return Err(levelize(nl, lib).err().unwrap_or_else(|| {
+                    Error::internal("re-levelization found a loop that levelization does not")
+                }));
+            }
+            log.set(level, v, top + 1);
+            heap.clear();
+            heap.push(Reverse((top + 1, v)));
+            while let Some(Reverse((l, x))) = heap.pop() {
+                if l != level[x.index()] {
+                    continue; // superseded by a later rise
+                }
+                for &s in sinks(x) {
+                    if comb(s.cell) && !edits.pending(s, joined) && level[s.cell.index()] <= l {
+                        log.set(level, s.cell, l + 1);
+                        heap.push(Reverse((l + 1, s.cell)));
+                    }
+                }
+            }
+        }
+
+        // Step 3. Every push is of a cell above the one popped, so pops
+        // come in rising level order and a cell's drivers are final when
+        // it is recomputed.
+        heap.clear();
+        for s in edits.pins.iter().filter(|s| comb(s.cell)) {
+            heap.push(Reverse((level[s.cell.index()], s.cell)));
+        }
+        while let Some(Reverse((l, x))) = heap.pop() {
+            if l != level[x.index()] {
+                continue; // already recomputed
+            }
+            let exact = 1 + nl
+                .cell_inputs(x)
+                .iter()
+                .filter_map(|&n| nl.net(n).driver.filter(|&d| comb(d)))
+                .map(|d| level[d.index()])
+                .max()
+                .unwrap_or(0);
+            debug_assert!(exact <= l, "step 2 leaves every level an upper bound");
+            if exact < l {
+                log.set(level, x, exact);
+                for s in sinks(x).iter().filter(|s| comb(s.cell)) {
+                    heap.push(Reverse((level[s.cell.index()], s.cell)));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Reusable buffers for one incremental update: dirty-set marks, the
-/// worklist and its per-rank batch, and the wire-evaluation arena. Owned
-/// by the [`Timer`] so the ~10⁵ transient allocations a per-update
-/// rebuild would cost are paid once per timer instead.
+/// worklist and its per-rank batch, the re-levelization buffers and the
+/// wire-evaluation arena. Owned by the [`Timer`] so the ~10⁵ transient
+/// allocations a per-update rebuild would cost are paid once per timer
+/// instead.
 #[derive(Debug, Default)]
 struct UpdateScratch {
     dirty_nets: MarkSet,
@@ -281,6 +536,7 @@ struct UpdateScratch {
     dirty_po_eps: MarkSet,
     worklist: Worklist,
     batch: Vec<CellId>,
+    relevel: Relevel,
     wire: WireEvalScratch,
 }
 
@@ -292,12 +548,15 @@ struct UpdateScratch {
 /// undoes both halves together. Committing an outermost trial empties the
 /// undo log, so every checkpoint taken before that commit is refused
 /// whole by `rollback_to`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerCheckpoint {
     cursor: usize,
     undo_len: usize,
     /// Outermost trial commits before this checkpoint.
     commits: u64,
+    /// Wire-pool length: every span appended after it is dead once the
+    /// entries installed since are restored.
+    pool_len: usize,
 }
 
 /// One reversible write the incremental update performed. Pushed in
@@ -312,15 +571,24 @@ enum UndoOp {
         slot: usize,
         prev: Option<EndpointTiming>,
     },
-    /// A structural edit replaced the timing graph (and, when the new
-    /// graph lists other endpoints, re-laid the rows: `rows` holds the
-    /// old vector) and grew the per-net vectors from `nets` entries.
-    /// Pushed *before* the value ops of the same update, so popping
-    /// restores values first.
-    Structure {
-        graph: Arc<TimingGraph>,
-        rows: Option<Vec<Option<EndpointTiming>>>,
+    /// A structural round grew the design past `cells` cells, `nets`
+    /// nets and `pins` input pins, and moved the arc count from `arcs`.
+    /// Pushed first in its round, so it is popped last.
+    Grow {
+        cells: usize,
         nets: usize,
+        pins: usize,
+        arcs: u64,
+    },
+    /// A cell moved from level `prev` to its current one.
+    Level { cell: CellId, prev: u32 },
+    /// A sink position was rewritten.
+    SinkPos { slot: usize, prev: u32 },
+    /// A flop ↔ combinational swap inserted endpoint slot `slot` (with
+    /// an empty row; `removed: None`) or removed it with its row.
+    Endpoint {
+        slot: usize,
+        removed: Option<(Endpoint, Option<EndpointTiming>)>,
     },
     /// A flop's clock-leaf latency was written; `prev` is its previous
     /// map entry (`None`: absent, the flop sat on the default leaf).
@@ -614,30 +882,37 @@ impl<'a> Timer<'a> {
         // timer-owned scratch arena, so a steady-state round performs
         // no transient allocations.
         let scr = &mut self.scratch;
-        scr.dirty_nets.begin(nl.net_count());
-        scr.seed_cells.begin(nl.cell_count());
-        scr.dirty_flop_eps.begin(nl.cell_count());
-        scr.dirty_po_eps.begin(nl.net_count());
-        scr.worklist.begin(nl.cell_count());
+        scr.dirty_nets.begin();
+        scr.seed_cells.begin();
+        scr.dirty_flop_eps.begin();
+        scr.dirty_po_eps.begin();
+        scr.worklist.begin();
+        scr.relevel.edits.clear();
         let structural = seed(self);
         let swept = self.sweep_dirty(nl, structural);
         if swept.is_err() {
             self.rollback_to(entry)?;
         }
-        let (counts, checks) = swept?;
+        let (counts, checks, level_moves) = swept?;
 
         self.cursor = nl.journal_len();
         tc_obs::histogram("sta.dirty_cone_size").record(counts.cells as f64);
         tc_obs::counter("sta.arcs_recomputed").add(counts.arcs);
         tc_obs::counter("sta.arcs_reused").add(self.st.graph.arc_count.saturating_sub(counts.arcs));
         tc_obs::counter("sta.endpoint_checks").add(checks);
+        if let Some(moves) = level_moves {
+            tc_obs::counter("sta.structural_rounds").add(1);
+            tc_obs::histogram("sta.level_moves").record(moves as f64);
+        }
         Ok(())
     }
 
     /// Phase 1 of an update: scans the unconsumed journal suffix into the
-    /// dirty sets. Returns whether any edit was structural.
+    /// dirty sets, and a structural edit's pins, nets and swaps into the
+    /// re-levelization's. Returns whether any edit was structural.
     fn scan_journal(&mut self, nl: &Netlist) -> bool {
         let scr = &mut self.scratch;
+        let edits = &mut scr.relevel.edits;
         let mut structural = false;
         for edit in &nl.journal()[self.cursor..] {
             match edit {
@@ -655,8 +930,14 @@ impl<'a> Timer<'a> {
                     let old_kind = self.lib.cell(*old_master).kind;
                     let new_kind = self.lib.cell(*new_master).kind;
                     if old_kind != new_kind {
-                        // Flop <-> comb swaps change levelization.
+                        // Flop <-> comb swaps change levelization: every
+                        // arc into and out of the cell appears or goes.
                         structural = true;
+                        edits.swaps.push(*cell);
+                        let ins =
+                            (0..nl.cell_inputs(*cell).len()).map(|pin| PinRef { cell: *cell, pin });
+                        edits.pins.extend(ins);
+                        edits.pins.extend(nl.net(nl.cell(*cell).output).sinks);
                     }
                     if old_kind == CellKind::Flop || new_kind == CellKind::Flop {
                         // Setup/hold tables live on the master.
@@ -676,7 +957,13 @@ impl<'a> Timer<'a> {
                     scr.dirty_nets.insert(src_net.index());
                     scr.dirty_nets.insert(buffer_out.index());
                     scr.seed_cells.insert(buffer.index());
+                    edits.nets.extend([*src_net, *buffer_out]);
+                    edits.pins.push(PinRef {
+                        cell: *buffer,
+                        pin: 0,
+                    });
                     for (s, _) in moved_sinks {
+                        edits.pins.push(*s);
                         mark_sink_dirty(self.lib, nl, *s, &mut scr.dirty_flop_eps, |c| {
                             scr.seed_cells.insert(c);
                         });
@@ -691,6 +978,8 @@ impl<'a> Timer<'a> {
                     structural = true;
                     scr.dirty_nets.insert(old_net.index());
                     scr.dirty_nets.insert(new_net.index());
+                    edits.nets.extend([*old_net, *new_net]);
+                    edits.pins.push(*sink);
                     mark_sink_dirty(self.lib, nl, *sink, &mut scr.dirty_flop_eps, |c| {
                         scr.seed_cells.insert(c);
                     });
@@ -700,49 +989,117 @@ impl<'a> Timer<'a> {
         structural
     }
 
-    /// Phases 2–5, shared by every seeder: structure rebuild, wire
-    /// recompute, the dirty sweep from the seeded cells, endpoint refresh.
-    /// Returns the sweep's counts and the endpoint checks made.
-    fn sweep_dirty(&mut self, nl: &Netlist, structural: bool) -> Result<(SweepCounts, u64)> {
-        let scr = &mut self.scratch;
+    /// Phase 2 of a structural round: repairs the graph in place for the
+    /// scanned edits — levels and ranks, sink positions, the endpoint
+    /// slots of flop ↔ comb swaps, the arc count — and grows the per-net
+    /// vectors (ids are append-only). Every write is a delta on the undo
+    /// log; on a combinational loop nothing is written. Returns the
+    /// number of existing cells whose level changed.
+    fn repair_structure(&mut self, nl: &Netlist) -> Result<usize> {
+        let lib = self.lib;
+        let UpdateScratch {
+            relevel,
+            seed_cells,
+            dirty_flop_eps,
+            ..
+        } = &mut self.scratch;
+        // Copy-on-write: a caller still holding a state clone keeps the
+        // graph it cloned.
+        let graph = Arc::make_mut(&mut self.st.graph);
+        let (cells, pins) = (graph.level.len(), graph.sink_pos.len());
+        relevel.run(nl, lib, &mut graph.level)?;
+        self.undo.push(UndoOp::Grow {
+            cells,
+            nets: self.st.nets.len(),
+            pins,
+            arcs: graph.arc_count,
+        });
 
-        // Phase 2: structural edits invalidate the levelization and the
-        // sink-index map; rebuild once for the whole batch and grow the
-        // per-net vectors (ids are append-only). A graph listing other
-        // endpoints (a flop <-> comb swap) gets the rows re-laid by
-        // endpoint key. An endpoint new to it starts empty: only a swap
-        // to a flop master adds one, and the swap dirtied its check.
-        if structural {
-            let graph = Arc::new(TimingGraph::build(nl, self.lib)?);
-            let rows = (graph.endpoints != self.st.graph.endpoints).then(|| {
-                let old = &self.st;
-                let relaid = graph.endpoints.iter().map(|&ep| {
-                    let slot = old.graph.slot(ep);
-                    slot.and_then(|s| old.rows[s].clone())
-                });
-                let relaid = relaid.collect();
-                mem::replace(&mut self.st.rows, relaid)
-            });
-            self.undo.push(UndoOp::Structure {
-                graph: mem::replace(&mut self.st.graph, graph),
-                rows,
-                nets: self.st.nets.len(),
-            });
-            self.st.nets.resize(nl.net_count(), NetState::default());
-            self.st.wires.resize(nl.net_count());
+        for i in cells..nl.cell_count() {
+            let c = CellId::new(i);
+            debug_assert!(!is_flop(nl, lib, c), "a buffer is combinational");
+            graph.arc_count += arcs_of(nl, lib, c);
+            graph.rerank(c, None, Some(graph.level[i]));
         }
+        let mut moves = 0;
+        for &(cell, prev) in &relevel.log.writes {
+            let now = graph.level[cell.index()];
+            if now != prev {
+                graph.rerank(cell, Some(prev), Some(now));
+                self.undo.push(UndoOp::Level { cell, prev });
+                moves += 1;
+            }
+        }
+
+        // A sink that changed position reads another per-sink wire delay,
+        // even where the net's delay list came out the same: re-time it.
+        graph.sink_pos.resize(nl.total_input_pins(), u32::MAX);
+        for &n in &relevel.edits.nets {
+            for (k, &s) in nl.net(n).sinks.iter().enumerate() {
+                let slot = nl.pin_base(s.cell) + s.pin;
+                let prev = mem::replace(&mut graph.sink_pos[slot], k as u32);
+                if prev != k as u32 {
+                    self.undo.push(UndoOp::SinkPos { slot, prev });
+                    mark_sink_dirty(lib, nl, s, dirty_flop_eps, |c| {
+                        seed_cells.insert(c);
+                    });
+                }
+            }
+        }
+        debug_assert!(!graph.sink_pos[pins..].contains(&u32::MAX));
+
+        // A swap to a flop master adds an endpoint whose row starts
+        // empty (the swap dirtied its check); a swap away drops one.
+        for &c in &relevel.kind_changed {
+            let (ep, inputs) = (Endpoint::FlopD(c), nl.cell_inputs(c).len() as u64);
+            let (slot, removed) = match graph.endpoints.binary_search(&ep) {
+                Err(slot) => {
+                    graph.arc_count = graph.arc_count + 1 - inputs;
+                    graph.endpoints.insert(slot, ep);
+                    self.st.rows.insert(slot, None);
+                    (slot, None)
+                }
+                Ok(slot) => {
+                    graph.arc_count = graph.arc_count + inputs - 1;
+                    graph.endpoints.remove(slot);
+                    (slot, Some((ep, self.st.rows.remove(slot))))
+                }
+            };
+            self.undo.push(UndoOp::Endpoint { slot, removed });
+        }
+
+        self.st.nets.resize(nl.net_count(), NetState::default());
+        self.st.wires.resize(nl.net_count());
+        Ok(moves)
+    }
+
+    /// Phases 2–5, shared by every seeder: structure repair, wire
+    /// recompute, the dirty sweep from the seeded cells, endpoint refresh.
+    /// Returns the sweep's counts, the endpoint checks made and, for a
+    /// structural round, the cells whose level changed.
+    fn sweep_dirty(
+        &mut self,
+        nl: &Netlist,
+        structural: bool,
+    ) -> Result<(SweepCounts, u64, Option<usize>)> {
+        let level_moves = if structural {
+            Some(self.repair_structure(nl)?)
+        } else {
+            None
+        };
+        let scr = &mut self.scratch;
 
         // Borrows fields, not `self`: the cached vectors stay writable.
         let sta = Sta::new(nl, self.lib, self.stack, &self.cons)
             .with_beol_corner(self.beol_corner)
             .with_graph(Arc::clone(&self.st.graph));
         let graph = sta.graph()?;
-        let order_pos = &graph.order_pos;
+        let level = &graph.level;
         // Dirty sets iterate in sorted id order so update order (and
         // thus the undo log and any accumulated float state) is
         // deterministic.
         for &c in scr.seed_cells.sorted_items() {
-            scr.worklist.push(order_pos, c as usize);
+            scr.worklist.push(level, c as usize);
         }
 
         // Phase 3: recompute dirty wire timings into the pooled arena.
@@ -766,11 +1123,11 @@ impl<'a> Timer<'a> {
             self.undo.push(UndoOp::NetWire { net: n, prev });
             let net = nl.net(NetId::new(n));
             if let Some(drv) = net.driver {
-                scr.worklist.push(order_pos, drv.index());
+                scr.worklist.push(level, drv.index());
             }
             for &s in net.sinks {
                 mark_sink_dirty(self.lib, nl, s, &mut scr.dirty_flop_eps, |c| {
-                    scr.worklist.push(order_pos, c);
+                    scr.worklist.push(level, c);
                 });
             }
         }
@@ -797,7 +1154,7 @@ impl<'a> Timer<'a> {
                 }
                 for &s in net.sinks {
                     mark_sink_dirty(lib, nl, s, &mut scr.dirty_flop_eps, |c| {
-                        frontier.push(order_pos, c);
+                        frontier.push(level, c);
                     });
                 }
             },
@@ -805,7 +1162,7 @@ impl<'a> Timer<'a> {
 
         // Phase 5: rewrite the dirty endpoint rows in place, in report
         // order. A dirty cell the graph lists no endpoint for was swapped
-        // away from a flop master; its row went with the re-lay.
+        // away from a flop master; its slot went with the repair.
         let flops = scr.dirty_flop_eps.sorted_items().iter();
         let outputs = scr.dirty_po_eps.sorted_items().iter();
         let dirty = flops
@@ -823,22 +1180,24 @@ impl<'a> Timer<'a> {
                 self.undo.push(UndoOp::Row { slot, prev });
             }
         }
-        Ok((counts, checks))
+        Ok((counts, checks, level_moves))
     }
 
     /// Marks the current state for later [`Timer::rollback_to`]. Cheap
-    /// (three integers); see [`TimerCheckpoint`] for when to take one
+    /// (four integers); see [`TimerCheckpoint`] for when to take one
     /// instead of opening a [`Trial`].
     pub fn checkpoint(&self) -> TimerCheckpoint {
         TimerCheckpoint {
             cursor: self.cursor,
             undo_len: self.undo.len(),
             commits: self.commits,
+            pool_len: self.st.wires.pool_len(),
         }
     }
 
     /// Restores the exact timer state at `cp` by replaying the undo log
-    /// in reverse — O(writes since the checkpoint), not O(design).
+    /// in reverse — O(writes since the checkpoint), not O(design) — and
+    /// drops the wire-pool spans appended since.
     ///
     /// # Errors
     ///
@@ -851,25 +1210,59 @@ impl<'a> Timer<'a> {
                 "checkpoint predates a trial commit, which emptied the undo log",
             ));
         }
-        if cp.undo_len > self.undo.len() || cp.cursor > self.cursor {
+        if cp.undo_len > self.undo.len()
+            || cp.cursor > self.cursor
+            || cp.pool_len > self.st.wires.pool_len()
+        {
             return Err(Error::invalid_input(
                 "checkpoint is newer than the timer state",
             ));
         }
         while self.undo.len() > cp.undo_len {
-            match self.undo.pop().expect("length checked") {
-                UndoOp::NetState { net, prev } => self.st.nets[net] = prev,
+            let op = self.undo.pop().expect("length checked");
+            let st = &mut self.st;
+            match op {
+                UndoOp::NetState { net, prev } => st.nets[net] = prev,
                 UndoOp::NetWire { net, prev } => {
-                    self.st.wires.install(net, prev);
+                    st.wires.install(net, prev);
                 }
-                UndoOp::Row { slot, prev } => self.st.rows[slot] = prev,
-                UndoOp::Structure { graph, rows, nets } => {
-                    self.st.graph = graph;
-                    if let Some(rows) = rows {
-                        self.st.rows = rows;
+                UndoOp::Row { slot, prev } => st.rows[slot] = prev,
+                UndoOp::Grow {
+                    cells,
+                    nets,
+                    pins,
+                    arcs,
+                } => {
+                    let graph = Arc::make_mut(&mut st.graph);
+                    for i in cells..graph.level.len() {
+                        graph.rerank(CellId::new(i), Some(graph.level[i]), None);
                     }
-                    self.st.nets.truncate(nets);
-                    self.st.wires.truncate(nets);
+                    graph.level.truncate(cells);
+                    graph.sink_pos.truncate(pins);
+                    graph.arc_count = arcs;
+                    st.nets.truncate(nets);
+                    st.wires.truncate(nets);
+                }
+                UndoOp::Level { cell, prev } => {
+                    let graph = Arc::make_mut(&mut st.graph);
+                    let now = mem::replace(&mut graph.level[cell.index()], prev);
+                    graph.rerank(cell, Some(now), Some(prev));
+                }
+                UndoOp::SinkPos { slot, prev } => {
+                    Arc::make_mut(&mut st.graph).sink_pos[slot] = prev
+                }
+                UndoOp::Endpoint { slot, removed } => {
+                    let endpoints = &mut Arc::make_mut(&mut st.graph).endpoints;
+                    match removed {
+                        Some((ep, row)) => {
+                            endpoints.insert(slot, ep);
+                            st.rows.insert(slot, row);
+                        }
+                        None => {
+                            endpoints.remove(slot);
+                            st.rows.remove(slot);
+                        }
+                    }
                 }
                 UndoOp::ClockLeaf { flop, prev } => {
                     let leaf = &mut self.cons.clock_tree.leaf;
@@ -880,6 +1273,9 @@ impl<'a> Timer<'a> {
                 }
             }
         }
+        // Every entry installed since `cp` is restored, and the pool is
+        // append-only, so nothing live addresses a span past its length.
+        self.st.wires.pool_truncate(cp.pool_len);
         self.cursor = cp.cursor;
         Ok(())
     }
@@ -925,7 +1321,7 @@ impl<'a> Timer<'a> {
         self.lib
     }
 
-    /// The cached timing state: per-net states, wire timings and
+    /// The cached timing state: graph, per-net states, wire timings and
     /// endpoint rows.
     pub fn state(&self) -> &TimingState {
         &self.st
@@ -1007,14 +1403,82 @@ mod tests {
     }
 
     #[test]
-    fn structural_edit_rebuilds_and_matches() {
+    fn structural_edit_repairs_the_graph_in_place() {
         let (lib, stack) = env();
         let mut nl = generate(&lib, BenchProfile::tiny(), 3).unwrap();
         let cons = Constraints::single_clock(900.0);
         let mut timer = Timer::new(&nl, &lib, &stack, cons).unwrap();
+        let graph = Arc::as_ptr(&timer.st.graph);
 
         buffer_fattest_net(&mut nl, &lib);
         timer.update(&nl).unwrap();
+        assert_eq!(Arc::as_ptr(&timer.st.graph), graph, "repaired, not rebuilt");
+        assert_eq!(*timer.st.graph, TimingGraph::build(&nl, &lib).unwrap());
+        assert_matches_full(&timer, &nl, &lib, &stack);
+
+        // A state clone held across a structural round keeps the graph
+        // it cloned; the timer repairs a copy of its own.
+        let held = timer.state().clone();
+        let nl_cp = nl.journal_len();
+        buffer_fattest_net(&mut nl, &lib);
+        timer.update(&nl).unwrap();
+        assert!(held.graph != timer.st.graph);
+        assert_eq!(*timer.st.graph, TimingGraph::build(&nl, &lib).unwrap());
+        nl.undo_to(nl_cp).unwrap();
+        assert_eq!(*held.graph, TimingGraph::build(&nl, &lib).unwrap());
+    }
+
+    #[test]
+    fn sinks_that_shift_position_are_retimed() {
+        // Every sink of `n` has the buffer's master, so moving the first
+        // one behind a buffer leaves n's delay list as it was — but the
+        // sinks after it now read the delay one slot earlier.
+        let (lib, stack) = env();
+        let inv = lib.variant("INV", VtClass::Svt, 1.0).unwrap();
+        let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
+        let mut nl = Netlist::new("shift");
+        let a = nl.add_input("a");
+        let (_, n) = nl.add_cell("drv", &lib, inv, &[a]).unwrap();
+        for i in 0..3 {
+            let (_, out) = nl.add_cell(format!("s{i}"), &lib, buf, &[n]).unwrap();
+            nl.mark_output(out);
+        }
+        nl.set_wire_length(n, 300.0);
+        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+        let delays = timer.st.wires.delays(n.index()).to_vec();
+        assert_ne!(delays[0], delays[2], "per-sink delays differ by position");
+
+        let s0 = PinRef {
+            cell: nl.cell_named("s0").unwrap(),
+            pin: 0,
+        };
+        nl.insert_buffer(&lib, n, &[s0], buf).unwrap();
+        timer.update(&nl).unwrap();
+        assert_eq!(timer.st.wires.delays(n.index()), delays);
+        assert_matches_full(&timer, &nl, &lib, &stack);
+    }
+
+    #[test]
+    fn rejected_rounds_leave_no_wire_pool_bytes() {
+        let (lib, stack) = env();
+        let mut nl = generate(&lib, BenchProfile::tiny(), 3).unwrap();
+        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+        let (before, pool_len) = (timer.state().clone(), timer.st.wires.pool_len());
+        let mut grew = 0;
+        for i in 0..1_000 {
+            let mut trial = timer.trial(&mut nl).unwrap();
+            let net = NetId::new(i % trial.netlist().net_count());
+            trial.netlist().set_wire_length(net, 50.0 + i as f64);
+            if i % 2 == 0 {
+                buffer_fattest_net(trial.netlist(), &lib);
+            }
+            trial.update().unwrap();
+            grew += usize::from(trial.timer().st.wires.pool_len() > pool_len);
+            drop(trial);
+            assert_eq!(timer.st.wires.pool_len(), pool_len);
+        }
+        assert!(grew >= 500, "every buffered round appends spans");
+        assert!(timer.state() == &before);
         assert_matches_full(&timer, &nl, &lib, &stack);
     }
 

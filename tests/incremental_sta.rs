@@ -11,6 +11,16 @@
 //! three benchmark profiles, interleaving dropped trials (`Timer::trial`)
 //! and raw checkpoint/rollback cycles so the undo log is exercised under
 //! the same randomness.
+//!
+//! The stateful structural oracle goes further on the edits that repair
+//! the timing graph: buffer insertions on combinationally driven,
+//! flop-driven and output nets, acyclic and loop-closing rewires and
+//! flop ↔ combinational swaps, mixed with parametric edits and skews, all
+//! inside nested trials that commit or drop. After every step the graph
+//! must equal `TimingGraph::build` and the state a fresh `Sta`'s, and a
+//! loop must fail the update with state, cursor and undo log unchanged.
+//! The c7552 sequence is ignored by default; run it with
+//! `cargo test --release --test incremental_sta -- --ignored`.
 
 use timing_closure::core::ids::{CellId, LibCellId, NetId};
 use timing_closure::core::rng::Rng;
@@ -22,11 +32,15 @@ use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
 use timing_closure::netlist::level::levelize;
 use timing_closure::netlist::{Netlist, PinRef};
-use timing_closure::sta::{worst_paths, Constraints, Sta, Timer};
+use timing_closure::sta::{worst_paths, Constraints, Sta, Timer, TimingGraph};
 
 /// Asserts the timer's cached world — graph, net states, wire timings,
 /// endpoint rows — is bit-identical to a fresh full STA's.
 fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &BeolStack) {
+    assert!(
+        timer.state().graph() == &TimingGraph::build(nl, lib).unwrap(),
+        "timing graph diverged from a fresh build"
+    );
     let sta = Sta::new(nl, lib, stack, timer.constraints());
     assert!(
         timer.state() == sta.propagate().unwrap(),
@@ -374,4 +388,307 @@ fn flop_swap_that_closes_a_loop_is_an_error_that_leaves_the_timer_unchanged() {
     nl.set_wire_length(NetId::new(2), 150.0);
     timer.update(&nl).unwrap();
     assert_matches_full(&timer, &nl, &lib, &stack);
+}
+
+/// One draw of the stateful structural oracle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// Buffer a subset of a combinationally driven net's sinks.
+    BufferComb,
+    /// Buffer a subset of a flop-driven net's sinks.
+    BufferFlop,
+    /// Buffer a primary-output net (possibly none of its sinks).
+    BufferOutput,
+    /// Rewire a sink onto a primary input or a flop-driven net.
+    RewireSafe,
+    /// Rewire a sink onto any net: raises, lowers or closes a loop.
+    RewireAny,
+    /// Rewire a gate's input onto one of its combinational sinks' outputs.
+    RewireLoop,
+    /// Swap a two-input gate to a flop master.
+    ToFlop,
+    /// Swap a flop to a two-input gate (closes a loop on a feedback flop).
+    ToComb,
+    /// A wirelength, route-class or same-kind master edit.
+    Param,
+    /// A clock-leaf skew on the timer.
+    Skew,
+}
+
+const STEPS: [Step; 10] = [
+    Step::BufferComb,
+    Step::BufferFlop,
+    Step::BufferOutput,
+    Step::RewireSafe,
+    Step::RewireAny,
+    Step::RewireLoop,
+    Step::ToFlop,
+    Step::ToComb,
+    Step::Param,
+    Step::Skew,
+];
+
+/// The stateful structural oracle: seeded random steps inside nested
+/// trials that commit or drop, each step checked against `Sta` and
+/// `TimingGraph::build` on the edited netlist, and each loop-closing
+/// step checked to fail without touching the timer.
+struct Oracle<'a> {
+    lib: &'a Library,
+    stack: &'a BeolStack,
+    rng: Rng,
+    applied: Vec<Step>,
+    loops: usize,
+}
+
+impl Oracle<'_> {
+    fn is_flop(&self, nl: &Netlist, c: CellId) -> bool {
+        self.lib.cell(nl.cell(c).master).kind == CellKind::Flop
+    }
+
+    fn master(&self, name: &str) -> LibCellId {
+        self.lib.variant(name, VtClass::Svt, 1.0).unwrap()
+    }
+
+    /// A random subset of `net`'s sinks, non-empty unless `may_be_empty`.
+    fn some_sinks(&mut self, nl: &Netlist, net: NetId, may_be_empty: bool) -> Vec<PinRef> {
+        let sinks = nl.net(net).sinks;
+        let mut moved: Vec<PinRef> = sinks
+            .iter()
+            .copied()
+            .filter(|_| self.rng.chance(0.5))
+            .collect();
+        if moved.is_empty() && !may_be_empty {
+            moved.push(sinks[0]);
+        }
+        moved
+    }
+
+    /// Applies one netlist edit of `step`; `false` if nothing fits.
+    fn apply(&mut self, step: Step, nl: &mut Netlist) -> bool {
+        let lib = self.lib;
+        let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
+        let cells: Vec<CellId> = (0..nl.cell_count()).map(CellId::new).collect();
+        let two_input_gates: Vec<CellId> = cells
+            .iter()
+            .copied()
+            .filter(|&c| !self.is_flop(nl, c) && nl.cell(c).inputs.len() == 2)
+            .collect();
+        let sinks: Vec<PinRef> = nl.nets().flat_map(|n| n.sinks.iter().copied()).collect();
+        match step {
+            Step::BufferComb | Step::BufferFlop => {
+                let flop_driven = step == Step::BufferFlop;
+                let nets: Vec<NetId> = (0..nl.net_count())
+                    .map(NetId::new)
+                    .filter(|&n| {
+                        let net = nl.net(n);
+                        !net.sinks.is_empty()
+                            && net
+                                .driver
+                                .is_some_and(|d| self.is_flop(nl, d) == flop_driven)
+                    })
+                    .collect();
+                if nets.is_empty() {
+                    return false;
+                }
+                let net = *self.rng.choose(&nets);
+                let moved = self.some_sinks(nl, net, false);
+                nl.insert_buffer(lib, net, &moved, buf).unwrap();
+            }
+            Step::BufferOutput => {
+                let outputs: Vec<NetId> = nl
+                    .primary_outputs()
+                    .filter(|&n| nl.net(n).driver.is_some())
+                    .collect();
+                if outputs.is_empty() {
+                    return false;
+                }
+                let net = *self.rng.choose(&outputs);
+                let moved = self.some_sinks(nl, net, true);
+                nl.insert_buffer(lib, net, &moved, buf).unwrap();
+            }
+            Step::RewireSafe | Step::RewireAny => {
+                let targets = if step == Step::RewireSafe {
+                    acyclic_safe_nets(nl, lib)
+                } else {
+                    (0..nl.net_count()).map(NetId::new).collect()
+                };
+                if targets.is_empty() || sinks.is_empty() {
+                    return false;
+                }
+                let sink = *self.rng.choose(&sinks);
+                nl.rewire_input(sink, *self.rng.choose(&targets));
+            }
+            Step::RewireLoop => {
+                let pairs: Vec<(CellId, CellId)> = cells
+                    .iter()
+                    .filter(|&&a| !self.is_flop(nl, a) && !nl.cell(a).inputs.is_empty())
+                    .flat_map(|&a| {
+                        let out = nl.net(nl.cell(a).output).sinks;
+                        out.iter().map(move |s| (a, s.cell))
+                    })
+                    .filter(|&(_, b)| !self.is_flop(nl, b))
+                    .collect();
+                if pairs.is_empty() {
+                    return false;
+                }
+                let (a, b) = *self.rng.choose(&pairs);
+                let pin = self.rng.below(nl.cell(a).inputs.len());
+                nl.rewire_input(PinRef { cell: a, pin }, nl.cell(b).output);
+            }
+            Step::ToFlop | Step::ToComb => {
+                let (pool, to) = if step == Step::ToFlop {
+                    (two_input_gates, self.master("DFF"))
+                } else {
+                    (nl.flops(lib).collect(), self.master("NAND2"))
+                };
+                if pool.is_empty() {
+                    return false;
+                }
+                nl.swap_master(lib, *self.rng.choose(&pool), to).unwrap();
+            }
+            Step::Param => match self.rng.below(3) {
+                0 => {
+                    let net = NetId::new(self.rng.below(nl.net_count()));
+                    nl.set_wire_length(net, self.rng.uniform_in(5.0, 400.0));
+                }
+                1 => {
+                    let net = NetId::new(self.rng.below(nl.net_count()));
+                    nl.set_route_class(net, self.rng.below(3) as u8);
+                }
+                _ => {
+                    let cell = *self.rng.choose(&cells);
+                    let cur = nl.cell(cell).master;
+                    match lib.upsize(cur).or_else(|| lib.downsize(cur)) {
+                        Some(m) => nl.swap_master(lib, cell, m).unwrap(),
+                        None => return false,
+                    }
+                }
+            },
+            Step::Skew => unreachable!("a timer edit"),
+        }
+        true
+    }
+
+    /// Re-times the edits past journal length `len`. A loop must fail
+    /// the update with state, cursor and undo log unchanged; the edits
+    /// are then undone.
+    fn retime(&mut self, nl: &mut Netlist, timer: &mut Timer<'_>, len: usize) {
+        let looped = levelize(nl, self.lib).is_err();
+        let held = looped.then(|| (timer.state().clone(), timer.checkpoint()));
+        match timer.update(nl) {
+            Ok(()) => assert!(!looped, "an update timed a combinational loop"),
+            Err(e) => {
+                let (state, cp) = held.unwrap_or_else(|| panic!("update failed off a loop: {e}"));
+                assert!(timer.state() == &state, "a failed update changed the state");
+                assert_eq!(
+                    timer.checkpoint(),
+                    cp,
+                    "a failed update moved cursor or undo log"
+                );
+                nl.undo_to(len).unwrap();
+                self.loops += 1;
+            }
+        }
+        assert_matches_full(timer, nl, self.lib, self.stack);
+    }
+
+    fn step(&mut self, nl: &mut Netlist, timer: &mut Timer<'_>) {
+        for _ in 0..32 {
+            let step = *self.rng.choose(&STEPS);
+            let len = nl.journal_len();
+            if step == Step::Skew {
+                let flops: Vec<CellId> = nl.flops(self.lib).collect();
+                if flops.is_empty() {
+                    continue;
+                }
+                let delta = if self.rng.chance(0.5) {
+                    SKEW_STEP
+                } else {
+                    -SKEW_STEP
+                };
+                timer
+                    .skew_clock(nl, *self.rng.choose(&flops), delta)
+                    .unwrap();
+                assert_matches_full(timer, nl, self.lib, self.stack);
+            } else if self.apply(step, nl) {
+                self.retime(nl, timer, len);
+            } else {
+                continue;
+            }
+            self.applied.push(step);
+            return;
+        }
+        panic!("no applicable step after 32 draws");
+    }
+
+    /// One to three steps or nested trials, then a commit or a drop.
+    fn trial(&mut self, nl: &mut Netlist, timer: &mut Timer<'_>, depth: usize) {
+        let before = (timer.state().clone(), timer.constraints().clone());
+        let (cp, journal_len) = (timer.checkpoint(), nl.journal_len());
+        let mut trial = timer.trial(nl).unwrap();
+        for _ in 0..1 + self.rng.below(3) {
+            let (nl, timer) = trial.parts();
+            if depth < 2 && self.rng.chance(0.25) {
+                self.trial(nl, timer, depth + 1);
+            } else {
+                self.step(nl, timer);
+            }
+        }
+        if self.rng.chance(0.5) {
+            trial.commit();
+        } else {
+            drop(trial);
+            assert!(
+                timer.state() == &before.0,
+                "a dropped trial left state behind"
+            );
+            assert_eq!(timer.constraints(), &before.1);
+            assert_eq!(
+                timer.checkpoint(),
+                cp,
+                "a dropped trial left undo entries or wire-pool bytes"
+            );
+            assert_eq!(nl.journal_len(), journal_len);
+        }
+        assert_matches_full(timer, nl, self.lib, self.stack);
+    }
+}
+
+fn structural_oracle(profile: BenchProfile, gen_seed: u64, seed: u64, trials: usize) {
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let stack = BeolStack::n20();
+    let mut nl = generate(&lib, profile, gen_seed).unwrap();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(1_100.0)).unwrap();
+    let mut oracle = Oracle {
+        lib: &lib,
+        stack: &stack,
+        rng: Rng::seed_from(seed),
+        applied: Vec::new(),
+        loops: 0,
+    };
+    for _ in 0..trials {
+        oracle.trial(&mut nl, &mut timer, 0);
+    }
+    for step in STEPS {
+        assert!(oracle.applied.contains(&step), "{step:?} never drawn");
+    }
+    assert!(oracle.loops > 0, "no loop-closing step");
+}
+
+#[test]
+fn structural_oracle_on_tiny() {
+    structural_oracle(BenchProfile::tiny(), 17, 0x57A7E, 60);
+}
+
+#[test]
+fn structural_oracle_on_c5315() {
+    structural_oracle(BenchProfile::c5315(), 21, 0x5315, 20);
+}
+
+/// The release-size sequence: `cargo test --release --test incremental_sta
+/// -- --ignored`.
+#[test]
+#[ignore = "release-size sequence"]
+fn structural_oracle_on_c7552_long() {
+    structural_oracle(BenchProfile::c7552(), 23, 0x7552, 400);
 }

@@ -6,12 +6,14 @@
 
 use std::sync::Mutex;
 
+use tc_core::ids::CellId;
 use tc_core::units::Ps;
 use timing_closure::closure::flow::{ClosureConfig, ClosureFlow};
+use timing_closure::device::VtClass;
 use timing_closure::interconnect::beol::BeolStack;
-use timing_closure::liberty::{LibConfig, Library, PvtCorner};
+use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
-use timing_closure::sta::{Constraints, Sta};
+use timing_closure::sta::{Constraints, Sta, Timer};
 
 /// The tests flip the process-global enabled flag and reset the shared
 /// registry, so they must not interleave.
@@ -109,6 +111,45 @@ fn closure_run_produces_spans_and_engine_counters() {
     assert!(text.contains("sta.arcs_evaluated"));
     let json = snap.to_json();
     assert!(json.contains("\"closure.run\""));
+}
+
+#[test]
+fn structural_rounds_record_their_level_moves() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let stack = BeolStack::n20();
+    let mut nl = generate(&lib, BenchProfile::tiny(), 5).unwrap();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+    // Buffer every sink of a gate that drives gates: each sink whose
+    // level the gate set moves down one level.
+    let comb = |c: CellId| lib.cell(nl.cell(c).master).kind == CellKind::Comb;
+    let gate = (0..nl.cell_count())
+        .map(CellId::new)
+        .find(|&c| comb(c) && nl.net(nl.cell(c).output).sinks.iter().any(|s| comb(s.cell)))
+        .unwrap();
+    let out = nl.cell(gate).output;
+    let sinks = nl.net(out).sinks.to_vec();
+    let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
+
+    tc_obs::enable();
+    tc_obs::reset();
+    nl.set_wire_length(out, 120.0);
+    timer.update(&nl).unwrap();
+    nl.insert_buffer(&lib, out, &sinks, buf).unwrap();
+    timer.update(&nl).unwrap();
+    let snap = tc_obs::snapshot();
+    tc_obs::disable();
+
+    // One structural round of the two, inside the existing round span.
+    assert_eq!(snap.span("sta.incremental").map(|s| s.count), Some(2));
+    assert_eq!(snap.counter("sta.structural_rounds"), 1);
+    let moves = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "sta.level_moves")
+        .expect("level-move histogram");
+    assert_eq!(moves.count, 1, "recorded once per structural round");
+    assert!(moves.mean() >= 1.0, "the buffer pushed its sinks down");
 }
 
 #[test]
