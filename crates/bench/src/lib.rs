@@ -153,7 +153,7 @@ pub fn bench<R>(name: &str, mut routine: impl FnMut() -> R) -> BenchResult {
     bench_with_setup(name, || (), |()| routine())
 }
 
-/// Like [`bench`] but re-runs `setup` (untimed) before every timed
+/// Like [`bench()`] but re-runs `setup` (untimed) before every timed
 /// iteration — for routines that consume or mutate their input.
 pub fn bench_with_setup<T, R>(
     name: &str,

@@ -94,7 +94,8 @@ impl IterationRecord {
 pub struct ClosureOutcome {
     /// Per-iteration records.
     pub iterations: Vec<IterationRecord>,
-    /// Final report.
+    /// Final report: the run's timer rows at the end, handed over
+    /// without a copy (the loop itself only ever borrows them).
     pub final_report: TimingReport,
     /// The (possibly skew-adjusted) constraints after closure.
     pub constraints: Constraints,

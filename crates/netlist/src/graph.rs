@@ -19,7 +19,7 @@
 //!   capacity when full — O(1) amortized push, and the abandoned slots
 //!   are bounded geometrically. [`Netlist::compact`] rebuilds the pool
 //!   tight; the generators call it once construction settles.
-//! * Names are evicted into interned [`NameTable`]s (one byte buffer +
+//! * Names are evicted into interned `NameTable`s (one byte buffer +
 //!   `(start, len)` spans) owned by the netlist and touched only by
 //!   reporting, lookup and the Verilog writer. Cell-name lookup goes
 //!   through a chained FNV-1a index (`NameIndex`) instead of a

@@ -15,7 +15,7 @@
 //!   the same "off by default" contract as the rest of `tc-obs` (the
 //!   `engines` bench keeps the overhead measurable).
 //! * [`heap_mark`] / [`HeapMark::delta`] give scoped attribution:
-//!   [`crate::span`] captures a mark on open and records the net live
+//!   [`crate::span()`] captures a mark on open and records the net live
 //!   bytes and peak growth on close, next to the span's duration.
 //! * [`vm_hwm_bytes`] / [`vm_rss_bytes`] sample the kernel's view
 //!   (`/proc/self/status` `VmHWM:` / `VmRSS:` on Linux) behind a
@@ -182,7 +182,7 @@ pub fn peak_bytes() -> u64 {
 
 /// A heap position captured at one instant, for scoped attribution.
 ///
-/// [`crate::span`] captures one on open; [`delta`](HeapMark::delta) on
+/// [`crate::span()`] captures one on open; [`delta`](HeapMark::delta) on
 /// close yields the scope's net allocation and peak growth. Deltas are
 /// process-wide: on a multi-threaded phase other threads' allocations
 /// are attributed too (the pool workers inherit the submitting span's

@@ -12,7 +12,7 @@
 //! wall-clock and ECO budget actually go. This crate provides:
 //!
 //! * **Spans** — hierarchical wall-clock timing via RAII guards
-//!   ([`span`]). Nesting is tracked per thread and aggregated by path
+//!   ([`span()`]). Nesting is tracked per thread and aggregated by path
 //!   (`closure.iteration/sta.gba`), so memory stays bounded.
 //! * **Counters and histograms** — [`counter`] / [`histogram`] handles
 //!   backed by atomics in a global registry: Newton iterations per

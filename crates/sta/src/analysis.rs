@@ -52,7 +52,7 @@ impl Arr {
 /// Per-net propagation state.
 ///
 /// From-scratch propagation and the incremental [`Timer`](crate::Timer)
-/// write these through the *same* rank sweep ([`Sta::sweep`]), which is
+/// write these through the *same* rank sweep (`Sta::sweep`), which is
 /// what makes incremental results bit-identical to a from-scratch run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NetState {
@@ -92,16 +92,15 @@ pub struct Sta<'a> {
 }
 
 /// One analysis' timing state: the graph it was propagated over, the
-/// per-net states and wire timings, and one endpoint row per graph
-/// endpoint in report order (`None`: a false-path or unreached
-/// endpoint). An [`Sta`] fills it once and lends it; the
+/// per-net states and wire timings, and one row per checked endpoint in
+/// report order. An [`Sta`] fills it once and lends it; the
 /// [`Timer`](crate::Timer) takes it over and edits it in place.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TimingState {
     pub(crate) graph: Arc<TimingGraph>,
     pub(crate) nets: Vec<NetState>,
     pub(crate) wires: WireTable,
-    pub(crate) rows: Vec<Option<EndpointTiming>>,
+    pub(crate) rows: Arc<Vec<EndpointTiming>>,
 }
 
 impl TimingState {
@@ -110,27 +109,28 @@ impl TimingState {
         &self.graph
     }
 
-    /// One row per endpoint of the graph, in report order.
-    pub fn rows(&self) -> &[Option<EndpointTiming>] {
+    /// The checked endpoints' rows, in report order (sorted by
+    /// [`Endpoint`]). Dense: a false-path or unreached endpoint of the
+    /// graph has no row. Every report taken from the state shares this
+    /// vector; a timer writes it copy-on-write, so a report held across
+    /// an edit costs one copy and sees none of the edit.
+    pub fn rows(&self) -> &[EndpointTiming] {
         &self.rows
     }
 
-    /// The checked endpoints, in report order.
-    pub fn endpoints(&self) -> impl Iterator<Item = &EndpointTiming> {
-        self.rows.iter().flatten()
-    }
-
-    /// The row of one endpoint (`None` as well when the graph has no
-    /// such endpoint).
+    /// The row of one endpoint (`None` for a false-path or unreached
+    /// endpoint, and for one the graph does not have).
     pub fn row(&self, ep: Endpoint) -> Option<&EndpointTiming> {
-        self.rows[self.graph.slot(ep)?].as_ref()
+        let at = self.rows.binary_search_by_key(&ep, |r| r.endpoint).ok()?;
+        Some(&self.rows[at])
     }
 
-    /// An owned report of the checked endpoints.
+    /// A report of the checked endpoints: the rows themselves, shared.
     pub(crate) fn report(&self, period: Ps) -> TimingReport {
-        let mut endpoints = Vec::with_capacity(self.rows.len());
-        endpoints.extend(self.endpoints().cloned());
-        TimingReport::from_endpoints(endpoints, period)
+        TimingReport {
+            endpoints: Arc::clone(&self.rows),
+            period,
+        }
     }
 }
 
@@ -784,19 +784,18 @@ impl<'a> Sta<'a> {
             &mut Vec::new(),
             |_, _, _| {},
         )?;
-        let rows = graph
-            .endpoints
-            .iter()
-            .map(|&ep| self.endpoint_row(ep, &nets, &wires))
-            .collect::<Result<Vec<_>>>()?;
+        let mut rows = Vec::with_capacity(graph.endpoints.len());
+        for &ep in &graph.endpoints {
+            rows.extend(self.endpoint_row(ep, &nets, &wires)?);
+        }
         tc_obs::counter("sta.arcs_evaluated").add(counts.arcs);
         tc_obs::counter("sta.nets_propagated").add(counts.writes);
-        tc_obs::counter("sta.endpoint_checks").add(rows.len() as u64);
+        tc_obs::counter("sta.endpoint_checks").add(graph.endpoints.len() as u64);
         let st = TimingState {
             graph,
             nets,
             wires,
-            rows,
+            rows: Arc::new(rows),
         };
         Ok(self.propagated.get_or_init(|| st))
     }
@@ -903,7 +902,8 @@ impl<'a> Sta<'a> {
         }))
     }
 
-    /// Builds the timing report from the analysis' timing state.
+    /// The timing report: the timing state's rows, shared rather than
+    /// copied (see [`TimingReport`]).
     ///
     /// # Errors
     ///

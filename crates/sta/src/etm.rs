@@ -124,7 +124,7 @@ impl Etm {
         }
 
         let mut outputs = HashMap::new();
-        for e in sta.propagate()?.endpoints() {
+        for e in sta.propagate()?.rows() {
             let Endpoint::Output(net) = e.endpoint else {
                 continue;
             };

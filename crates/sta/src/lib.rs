@@ -28,10 +28,10 @@
 //!   worst slacks per endpoint; shared-graph runs derive the design's
 //!   timing structure once across all corners.
 //! * [`timer`] — the persistent incremental timer: a long-lived
-//!   [`TimingGraph`](timer::TimingGraph) plus dirty-cone re-propagation
-//!   driven by the netlist's ECO edit journal, and the [`Trial`] that
-//!   speculates a fix on netlist and timer together and undoes both in
-//!   O(cone). Bit-identical to a from-scratch run.
+//!   [`TimingGraph`] plus dirty-cone re-propagation driven by the
+//!   netlist's ECO edit journal, and the [`Trial`] that speculates a fix
+//!   on netlist and timer together and undoes both in O(cone).
+//!   Bit-identical to a from-scratch run.
 //!
 //! # Examples
 //!

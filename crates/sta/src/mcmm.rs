@@ -169,7 +169,7 @@ pub fn merge_reports(reports: &[(String, TimingReport)]) -> MergedReport {
             empty_reports += 1;
             continue;
         }
-        for ep in &rep.endpoints {
+        for ep in rep.endpoints.iter() {
             let entry = map.entry(ep.endpoint).or_insert_with(|| MergedEndpoint {
                 endpoint: ep.endpoint,
                 setup: (Ps::new(f64::INFINITY), String::new()),

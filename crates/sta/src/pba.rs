@@ -64,7 +64,8 @@ pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> 
     let _span = tc_obs::span("sta.pba");
     let k_sigma = sta.k_sigma();
     let flops = st
-        .endpoints()
+        .rows()
+        .iter()
         .filter(|e| matches!(e.endpoint, Endpoint::FlopD(_)));
 
     let mut stages_total = 0u64;
@@ -111,7 +112,7 @@ pub struct CriticalPath {
 /// inconsistent predecessor chain.
 pub fn worst_paths(sta: &Sta<'_>, k: usize) -> Result<Vec<CriticalPath>> {
     let st = sta.propagate()?;
-    paths_to(sta, st, k_worst(st.endpoints(), k))
+    paths_to(sta, st, k_worst(st.rows().iter(), k))
 }
 
 /// The worst path to each of `endpoints` over a lent timing state — an

@@ -1,6 +1,8 @@
 //! Timing reports: WNS/TNS, slack histograms, and the failure breakdown
 //! that drives the manual-fix step of the paper's Fig 1.
 
+use std::sync::Arc;
+
 use tc_core::ids::{CellId, NetId};
 use tc_core::stats::Histogram;
 use tc_core::units::Ps;
@@ -62,11 +64,20 @@ pub enum FailureClass {
     WeakDrive,
 }
 
-/// The result of one STA run.
+/// The result of one STA run: a snapshot of the checked endpoints.
+///
+/// The rows are shared, not copied: a report from [`Sta::run`] or
+/// [`Timer::report`] holds the analysis' own row vector, so taking one
+/// is O(1). They stay immutable while lent: a timer edit made while a
+/// report is alive copies the rows first (once), so the report keeps
+/// the values it was taken with.
+///
+/// [`Sta::run`]: crate::Sta::run
+/// [`Timer::report`]: crate::Timer::report
 #[derive(Clone, Debug)]
 pub struct TimingReport {
-    /// Every checked endpoint.
-    pub endpoints: Vec<EndpointTiming>,
+    /// Every checked endpoint, in report order ([`Endpoint`]'s order).
+    pub endpoints: Arc<Vec<EndpointTiming>>,
     /// The clock period the run was constrained to.
     pub period: Ps,
 }
@@ -74,7 +85,10 @@ pub struct TimingReport {
 impl TimingReport {
     /// Assembles a report.
     pub fn from_endpoints(endpoints: Vec<EndpointTiming>, period: Ps) -> Self {
-        TimingReport { endpoints, period }
+        TimingReport {
+            endpoints: Arc::new(endpoints),
+            period,
+        }
     }
 
     /// Worst negative (setup) slack — the headline number of every
@@ -144,7 +158,7 @@ impl TimingReport {
     /// A slack histogram over `[lo, hi]` ps with the given bin count.
     pub fn slack_histogram(&self, lo: f64, hi: f64, bins: usize) -> Histogram {
         let mut h = Histogram::new(lo, hi, bins);
-        for e in &self.endpoints {
+        for e in self.endpoints.iter() {
             h.add(e.setup_slack.value());
         }
         h

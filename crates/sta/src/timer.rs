@@ -1,8 +1,8 @@
 //! The persistent incremental timing engine.
 //!
-//! A [`Timer`] owns the [`TimingState`](crate::analysis::TimingState) of
-//! its initial analysis (a long-lived [`TimingGraph`], per-net arrivals
-//! and wire timings, one row per endpoint) and edits it in place. Instead
+//! A [`Timer`] owns the [`TimingState`] of its initial analysis (a
+//! long-lived [`TimingGraph`], per-net arrivals and wire timings, one row
+//! per checked endpoint) and edits it in place. Instead
 //! of re-timing the whole design after every ECO edit — the dominant
 //! cost of the paper's Fig 1 closure loop — it
 //! consumes the netlist's typed edit journal ([`NetlistEdit`]) and
@@ -172,9 +172,9 @@ impl TimingGraph {
         }
     }
 
-    /// The report-order slot of one endpoint, by binary search.
-    pub(crate) fn slot(&self, ep: Endpoint) -> Option<usize> {
-        self.endpoints.binary_search(&ep).ok()
+    /// Whether `ep` is an endpoint of the graph, by binary search.
+    pub(crate) fn has_endpoint(&self, ep: Endpoint) -> bool {
+        self.endpoints.binary_search(&ep).is_ok()
     }
 
     /// Index of `(cell, pin)` in its driving net's sink list.
@@ -566,9 +566,10 @@ enum UndoOp {
     NetState { net: usize, prev: NetState },
     /// A per-net wire timing was overwritten.
     NetWire { net: usize, prev: NetWire },
-    /// An endpoint row was overwritten.
+    /// The row of `ep` was replaced, inserted or removed; `prev` is the
+    /// row it had (`None`: it had none).
     Row {
-        slot: usize,
+        ep: Endpoint,
         prev: Option<EndpointTiming>,
     },
     /// A structural round grew the design past `cells` cells, `nets`
@@ -584,11 +585,11 @@ enum UndoOp {
     Level { cell: CellId, prev: u32 },
     /// A sink position was rewritten.
     SinkPos { slot: usize, prev: u32 },
-    /// A flop ↔ combinational swap inserted endpoint slot `slot` (with
-    /// an empty row; `removed: None`) or removed it with its row.
+    /// A flop ↔ combinational swap inserted graph endpoint `slot`
+    /// (`removed: None`) or removed it.
     Endpoint {
         slot: usize,
-        removed: Option<(Endpoint, Option<EndpointTiming>)>,
+        removed: Option<Endpoint>,
     },
     /// A flop's clock-leaf latency was written; `prev` is its previous
     /// map entry (`None`: absent, the flop sat on the default leaf).
@@ -738,6 +739,32 @@ fn mark_sink_dirty(
         }
     } else {
         enqueue(s.cell.index());
+    }
+}
+
+/// Makes `row` the row of `ep` — replacing, inserting or, for `None`,
+/// removing it — and returns the row `ep` had. A report still holding
+/// the rows keeps its snapshot: they are copied first (counted in
+/// `sta.rows_copied`), and the copy is the timer's own, so a round or a
+/// rollback copies at most once however many rows it writes.
+fn set_row(
+    rows: &mut Arc<Vec<EndpointTiming>>,
+    ep: Endpoint,
+    row: Option<EndpointTiming>,
+) -> Option<EndpointTiming> {
+    let found = rows.binary_search_by_key(&ep, |r| r.endpoint);
+    if Arc::get_mut(rows).is_none() {
+        tc_obs::counter("sta.rows_copied").add(1);
+    }
+    let rows = Arc::make_mut(rows);
+    match (found, row) {
+        (Ok(at), Some(row)) => Some(mem::replace(&mut rows[at], row)),
+        (Ok(at), None) => Some(rows.remove(at)),
+        (Err(at), Some(row)) => {
+            rows.insert(at, row);
+            None
+        }
+        (Err(_), None) => None,
     }
 }
 
@@ -1048,21 +1075,20 @@ impl<'a> Timer<'a> {
         }
         debug_assert!(!graph.sink_pos[pins..].contains(&u32::MAX));
 
-        // A swap to a flop master adds an endpoint whose row starts
-        // empty (the swap dirtied its check); a swap away drops one.
+        // A swap to a flop master adds an endpoint; a swap away drops
+        // one. Either swap dirtied the check, so its row follows in
+        // phase 5.
         for &c in &relevel.kind_changed {
             let (ep, inputs) = (Endpoint::FlopD(c), nl.cell_inputs(c).len() as u64);
             let (slot, removed) = match graph.endpoints.binary_search(&ep) {
                 Err(slot) => {
                     graph.arc_count = graph.arc_count + 1 - inputs;
                     graph.endpoints.insert(slot, ep);
-                    self.st.rows.insert(slot, None);
                     (slot, None)
                 }
                 Ok(slot) => {
                     graph.arc_count = graph.arc_count + inputs - 1;
-                    graph.endpoints.remove(slot);
-                    (slot, Some((ep, self.st.rows.remove(slot))))
+                    (slot, Some(graph.endpoints.remove(slot)))
                 }
             };
             self.undo.push(UndoOp::Endpoint { slot, removed });
@@ -1160,9 +1186,10 @@ impl<'a> Timer<'a> {
             },
         )?;
 
-        // Phase 5: rewrite the dirty endpoint rows in place, in report
-        // order. A dirty cell the graph lists no endpoint for was swapped
-        // away from a flop master; its slot went with the repair.
+        // Phase 5: re-check the dirty endpoints in report order and
+        // replace, insert or remove their rows. A dirty cell the graph
+        // lists no endpoint for was swapped away from a flop master: its
+        // row goes.
         let flops = scr.dirty_flop_eps.sorted_items().iter();
         let outputs = scr.dirty_po_eps.sorted_items().iter();
         let dirty = flops
@@ -1170,14 +1197,15 @@ impl<'a> Timer<'a> {
             .chain(outputs.map(|&n| Endpoint::Output(NetId::new(n as usize))));
         let mut checks = 0u64;
         for ep in dirty {
-            let Some(slot) = graph.slot(ep) else {
-                continue;
+            let row = if graph.has_endpoint(ep) {
+                checks += 1;
+                sta.endpoint_row(ep, &self.st.nets, &self.st.wires)?
+            } else {
+                None
             };
-            checks += 1;
-            let row = sta.endpoint_row(ep, &self.st.nets, &self.st.wires)?;
-            if row != self.st.rows[slot] {
-                let prev = mem::replace(&mut self.st.rows[slot], row);
-                self.undo.push(UndoOp::Row { slot, prev });
+            if self.st.row(ep) != row.as_ref() {
+                let prev = set_row(&mut self.st.rows, ep, row);
+                self.undo.push(UndoOp::Row { ep, prev });
             }
         }
         Ok((counts, checks, level_moves))
@@ -1226,7 +1254,9 @@ impl<'a> Timer<'a> {
                 UndoOp::NetWire { net, prev } => {
                     st.wires.install(net, prev);
                 }
-                UndoOp::Row { slot, prev } => st.rows[slot] = prev,
+                UndoOp::Row { ep, prev } => {
+                    set_row(&mut st.rows, ep, prev);
+                }
                 UndoOp::Grow {
                     cells,
                     nets,
@@ -1254,13 +1284,9 @@ impl<'a> Timer<'a> {
                 UndoOp::Endpoint { slot, removed } => {
                     let endpoints = &mut Arc::make_mut(&mut st.graph).endpoints;
                     match removed {
-                        Some((ep, row)) => {
-                            endpoints.insert(slot, ep);
-                            st.rows.insert(slot, row);
-                        }
+                        Some(ep) => endpoints.insert(slot, ep),
                         None => {
                             endpoints.remove(slot);
-                            st.rows.remove(slot);
                         }
                     }
                 }
@@ -1280,17 +1306,20 @@ impl<'a> Timer<'a> {
         Ok(())
     }
 
-    /// An owned copy of the cached endpoint rows — same rows, same order
-    /// as [`Sta::run`], no propagation. For a caller that keeps a report
-    /// across later edits; [`Timer::endpoints`] borrows instead.
+    /// A snapshot of the cached endpoint rows — same rows, same order as
+    /// [`Sta::run`], no propagation — in O(1): the report shares the
+    /// timer's row vector. A later edit or rollback leaves a report that
+    /// is still alive as it was, by copying the rows once before it
+    /// writes them; drop the report before the next edit to avoid the
+    /// copy. [`Timer::endpoints`] borrows instead.
     pub fn report(&self, _nl: &Netlist) -> TimingReport {
         self.st.report(self.cons.default_clock().period)
     }
 
     /// The cached endpoint checks in report order, borrowed: what a
-    /// speculative-trial loop scans instead of cloning a report per trial.
+    /// speculative-trial loop scans instead of holding a report.
     pub fn endpoints(&self) -> impl Iterator<Item = &EndpointTiming> {
-        self.st.endpoints()
+        self.st.rows.iter()
     }
 
     /// The cached check at one flop's D pin (`None` for a false-path or
@@ -1426,6 +1455,56 @@ mod tests {
         assert_eq!(*timer.st.graph, TimingGraph::build(&nl, &lib).unwrap());
         nl.undo_to(nl_cp).unwrap();
         assert_eq!(*held.graph, TimingGraph::build(&nl, &lib).unwrap());
+    }
+
+    /// Every row's endpoint, depth and `f64` bit patterns.
+    fn bits(rows: &[EndpointTiming]) -> Vec<(Endpoint, usize, [u64; 7])> {
+        rows.iter()
+            .map(|r| {
+                let f64s = [
+                    r.setup_slack.value(),
+                    r.hold_slack.value(),
+                    r.arrival.value(),
+                    r.required.value(),
+                    r.gate_ps,
+                    r.wire_ps,
+                    r.data_slew,
+                ];
+                (r.endpoint, r.depth, f64s.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_report_is_a_snapshot_of_the_shared_rows() {
+        let (lib, stack) = env();
+        let mut nl = generate(&lib, BenchProfile::tiny(), 3).unwrap();
+        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+        let shares = |r: &TimingReport, t: &Timer<'_>| {
+            std::ptr::eq(r.endpoints.as_ptr(), t.state().rows().as_ptr())
+        };
+        let held = timer.report(&nl);
+        assert!(shares(&held, &timer), "a report shares the rows");
+        let taken = bits(&held.endpoints);
+
+        // An edit and a rollback, each while the report is alive.
+        let cp = (nl.journal_len(), timer.checkpoint());
+        let flop = nl.flops(&lib).next().unwrap();
+        nl.set_wire_length(nl.cell(flop).inputs[0], 400.0);
+        buffer_fattest_net(&mut nl, &lib);
+        timer.update(&nl).unwrap();
+        assert_ne!(bits(timer.state().rows()), taken, "the edit moved rows");
+        assert!(!shares(&held, &timer), "the timer wrote a copy");
+        assert_eq!(bits(&held.endpoints), taken);
+        assert_matches_full(&timer, &nl, &lib, &stack);
+
+        let edited = timer.report(&nl);
+        nl.undo_to(cp.0).unwrap();
+        timer.rollback_to(cp.1).unwrap();
+        assert_eq!(bits(timer.state().rows()), taken);
+        assert!(!shares(&edited, &timer), "the rollback wrote a copy");
+        assert_ne!(bits(&edited.endpoints), taken);
+        assert_eq!(bits(&held.endpoints), taken);
     }
 
     #[test]

@@ -13,7 +13,9 @@ fn report_pba_and_worst_paths_share_one_propagation() {
     let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
     let nl = generate(&lib, BenchProfile::tiny(), 11).unwrap();
     let stack = BeolStack::n20();
-    let cons = Constraints::single_clock(900.0);
+    let mut cons = Constraints::single_clock(900.0);
+    let waived = nl.flops(&lib).next().unwrap();
+    cons.exceptions.false_path_to(waived);
     let sta = Sta::new(&nl, &lib, &stack, &cons);
 
     tc_obs::enable();
@@ -26,10 +28,11 @@ fn report_pba_and_worst_paths_share_one_propagation() {
 
     let count = |span: &str| snap.span(span).map_or(0, |s| s.count);
     assert_eq!(count("sta.gba"), 1, "one propagation for all three");
-    // One check per endpoint of the graph (every flop, every output).
+    // One check per endpoint of the graph (every flop, every output),
+    // and one row per checked endpoint: the false-pathed flop has none.
     let endpoints = nl.flops(&lib).count() + nl.primary_outputs().count();
-    assert_eq!(sta.propagate().unwrap().rows().len(), endpoints);
     assert_eq!(snap.counter("sta.endpoint_checks"), endpoints as u64);
+    assert_eq!(sta.propagate().unwrap().rows().len(), endpoints - 1);
     // Each overlay is attributed to its own span and counters.
     assert_eq!(count("sta.pba"), 1);
     assert_eq!(count("sta.worst_paths"), 1);

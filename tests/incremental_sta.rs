@@ -16,9 +16,11 @@
 //! the timing graph: buffer insertions on combinationally driven,
 //! flop-driven and output nets, acyclic and loop-closing rewires and
 //! flop ↔ combinational swaps, mixed with parametric edits and skews, all
-//! inside nested trials that commit or drop. After every step the graph
-//! must equal `TimingGraph::build` and the state a fresh `Sta`'s, and a
-//! loop must fail the update with state, cursor and undo log unchanged.
+//! inside nested trials that commit or drop and raw rollbacks. After
+//! every step the graph must equal `TimingGraph::build` and the state a
+//! fresh `Sta`'s, and a loop must fail the update with state, cursor and
+//! undo log unchanged. A report held across the steps is a snapshot: it
+//! must keep the rows it was taken with.
 //! The c7552 sequence is ignored by default; run it with
 //! `cargo test --release --test incremental_sta -- --ignored`.
 
@@ -32,7 +34,9 @@ use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
 use timing_closure::netlist::level::levelize;
 use timing_closure::netlist::{Netlist, PinRef};
-use timing_closure::sta::{worst_paths, Constraints, Sta, Timer, TimingGraph};
+use timing_closure::sta::{
+    worst_paths, Constraints, Endpoint, EndpointTiming, Sta, Timer, TimingGraph, TimingReport,
+};
 
 /// Asserts the timer's cached world — graph, net states, wire timings,
 /// endpoint rows — is bit-identical to a fresh full STA's.
@@ -318,6 +322,23 @@ fn swap_closes_loop(nl: &mut Netlist, lib: &Library, flop: CellId, comb: LibCell
     looped
 }
 
+/// The endpoints that have a row, in row order.
+fn row_endpoints(timer: &Timer<'_>) -> Vec<Endpoint> {
+    timer.state().rows().iter().map(|r| r.endpoint).collect()
+}
+
+/// `eps` with `ep` added or removed, kept in report order.
+fn toggled(eps: &[Endpoint], ep: Endpoint) -> Vec<Endpoint> {
+    let mut out = eps.to_vec();
+    match out.binary_search(&ep) {
+        Ok(at) => {
+            out.remove(at);
+        }
+        Err(at) => out.insert(at, ep),
+    }
+    out
+}
+
 #[test]
 fn flop_master_swaps_relay_endpoint_rows_and_roll_back_exactly() {
     let (lib, stack, mut nl, dff, nand2) = c5315_with_swap_masters();
@@ -325,7 +346,7 @@ fn flop_master_swaps_relay_endpoint_rows_and_roll_back_exactly() {
     let before = timer.state().clone();
     let (nl_cp, t_cp) = (nl.journal_len(), timer.checkpoint());
 
-    // Combinational -> DFF: one endpoint more.
+    // Combinational -> DFF: exactly one row more, the new flop's.
     let comb = (0..nl.cell_count())
         .map(CellId::new)
         .find(|&c| {
@@ -335,25 +356,117 @@ fn flop_master_swaps_relay_endpoint_rows_and_roll_back_exactly() {
                 && !nl.net(cell.output).sinks.is_empty()
         })
         .unwrap();
+    let eps = row_endpoints(&timer);
     nl.swap_master(&lib, comb, dff).unwrap();
     timer.update(&nl).unwrap();
-    assert_eq!(timer.state().rows().len(), before.rows().len() + 1);
+    assert_eq!(row_endpoints(&timer), toggled(&eps, Endpoint::FlopD(comb)));
     assert_matches_full(&timer, &nl, &lib, &stack);
+    let swapped = timer.state().clone();
+    let (nl_mid, t_mid) = (nl.journal_len(), timer.checkpoint());
 
-    // DFF -> combinational on a flop off every feedback loop: one fewer.
+    // DFF -> combinational on a flop off every feedback loop: its row
+    // goes.
     let flops: Vec<CellId> = nl.flops(&lib).filter(|&f| f != comb).collect();
     let flop = *flops
         .iter()
         .find(|&&f| !swap_closes_loop(&mut nl, &lib, f, nand2))
         .unwrap();
+    let eps = row_endpoints(&timer);
     nl.swap_master(&lib, flop, nand2).unwrap();
     timer.update(&nl).unwrap();
-    assert_eq!(timer.state().rows().len(), before.rows().len());
+    assert_eq!(row_endpoints(&timer), toggled(&eps, Endpoint::FlopD(flop)));
+    assert_matches_full(&timer, &nl, &lib, &stack);
+
+    nl.undo_to(nl_mid).unwrap();
+    timer.rollback_to(t_mid).unwrap();
+    assert!(timer.state() == &swapped, "rollback lost the removed row");
+    nl.undo_to(nl_cp).unwrap();
+    timer.rollback_to(t_cp).unwrap();
+    assert!(timer.state() == &before, "rollback kept the inserted row");
+}
+
+#[test]
+fn a_false_pathed_flop_has_no_row_on_sta_or_timer() {
+    let (lib, stack, mut nl) = tiny();
+    let flop = nl.flops(&lib).next().unwrap();
+    let ep = Endpoint::FlopD(flop);
+    let mut cons = Constraints::single_clock(1_100.0);
+    cons.exceptions.false_path_to(flop);
+    let sta = Sta::new(&nl, &lib, &stack, &cons);
+    assert_eq!(sta.propagate().unwrap().row(ep), None);
+    let mut timer = Timer::new(&nl, &lib, &stack, cons).unwrap();
+    assert_eq!(timer.state().row(ep), None);
+    assert_eq!(timer.flop_endpoint(flop), None);
+
+    // Dirty its check from both sides: the data net and its own clock.
+    let before = timer.state().clone();
+    let (nl_cp, t_cp) = (nl.journal_len(), timer.checkpoint());
+    nl.set_wire_length(nl.cell(flop).inputs[0], 400.0);
+    timer.update(&nl).unwrap();
+    timer.skew_clock(&nl, flop, SKEW_STEP).unwrap();
+    assert_eq!(timer.state().row(ep), None);
+    assert!(timer.state().rows() != before.rows());
     assert_matches_full(&timer, &nl, &lib, &stack);
 
     nl.undo_to(nl_cp).unwrap();
     timer.rollback_to(t_cp).unwrap();
-    assert!(timer.state() == &before, "rollback lost timing state");
+    assert!(timer.state() == &before);
+}
+
+#[test]
+fn a_rewire_that_unreaches_an_output_removes_its_row_and_reinserts_it_in_order() {
+    // Three inverters, each driving a primary output; the middle one's
+    // row is the one that goes and comes back.
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let stack = BeolStack::n20();
+    let inv = lib.variant("INV", VtClass::Svt, 1.0).unwrap();
+    let mut nl = Netlist::new("outputs");
+    let clk = nl.add_input("clk");
+    let (a, b) = (nl.add_input("a"), nl.add_input("b"));
+    let mut gates = Vec::new();
+    for (i, input) in [a, b, a].into_iter().enumerate() {
+        let (g, out) = nl.add_cell(format!("g{i}"), &lib, inv, &[input]).unwrap();
+        nl.set_wire_length(out, 40.0 * (i + 1) as f64);
+        nl.mark_output(out);
+        gates.push(g);
+    }
+    let pin = PinRef {
+        cell: gates[1],
+        pin: 0,
+    };
+    let ep = Endpoint::Output(nl.cell(gates[1]).output);
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(1_100.0)).unwrap();
+    let reached = timer.state().clone();
+    let eps = row_endpoints(&timer);
+    assert_eq!(eps.len(), 3);
+
+    // The clock root carries no data arrival: g1's output goes unreached.
+    let (nl_cp, t_cp) = (nl.journal_len(), timer.checkpoint());
+    nl.rewire_input(pin, clk);
+    timer.update(&nl).unwrap();
+    assert_eq!(timer.state().row(ep), None);
+    assert_eq!(row_endpoints(&timer), toggled(&eps, ep));
+    assert_matches_full(&timer, &nl, &lib, &stack);
+    let unreached = timer.state().clone();
+
+    let (nl_mid, t_mid) = (nl.journal_len(), timer.checkpoint());
+    nl.rewire_input(pin, b);
+    timer.update(&nl).unwrap();
+    assert!(
+        timer.state() == &reached,
+        "the row is back, in report order"
+    );
+    assert_matches_full(&timer, &nl, &lib, &stack);
+
+    nl.undo_to(nl_mid).unwrap();
+    timer.rollback_to(t_mid).unwrap();
+    assert!(
+        timer.state() == &unreached,
+        "rollback kept the re-inserted row"
+    );
+    nl.undo_to(nl_cp).unwrap();
+    timer.rollback_to(t_cp).unwrap();
+    assert!(timer.state() == &reached, "rollback lost the removed row");
 }
 
 #[test]
@@ -429,15 +542,20 @@ const STEPS: [Step; 10] = [
 ];
 
 /// The stateful structural oracle: seeded random steps inside nested
-/// trials that commit or drop, each step checked against `Sta` and
-/// `TimingGraph::build` on the edited netlist, and each loop-closing
-/// step checked to fail without touching the timer.
+/// trials that commit or drop and raw checkpoint/rollback cycles, each
+/// step checked against `Sta` and `TimingGraph::build` on the edited
+/// netlist, and each loop-closing step checked to fail without touching
+/// the timer. One report, taken at a random step, is held across the
+/// steps after it and must keep the rows it was taken with.
 struct Oracle<'a> {
     lib: &'a Library,
     stack: &'a BeolStack,
     rng: Rng,
     applied: Vec<Step>,
     loops: usize,
+    raw_rollbacks: usize,
+    /// The held report and a deep copy of its rows made when it was taken.
+    held: Option<(TimingReport, Vec<EndpointTiming>)>,
 }
 
 impl Oracle<'_> {
@@ -447,6 +565,26 @@ impl Oracle<'_> {
 
     fn master(&self, name: &str) -> LibCellId {
         self.lib.variant(name, VtClass::Svt, 1.0).unwrap()
+    }
+
+    /// The after-every-step check: the timer against a fresh `Sta`, its
+    /// report against `Sta::run`'s, and the held report against its copy.
+    /// Sometimes swaps the held report for a fresh one.
+    fn check(&mut self, nl: &Netlist, timer: &Timer<'_>) {
+        assert_matches_full(timer, nl, self.lib, self.stack);
+        let sta = Sta::new(nl, self.lib, self.stack, timer.constraints());
+        assert_eq!(timer.report(nl).endpoints, sta.run().unwrap().endpoints);
+        if let Some((report, copy)) = &self.held {
+            assert!(
+                *report.endpoints == *copy,
+                "a later step moved a held report"
+            );
+        }
+        if self.held.is_none() || self.rng.chance(0.1) {
+            let report = timer.report(nl);
+            let copy = report.endpoints.to_vec();
+            self.held = Some((report, copy));
+        }
     }
 
     /// A random subset of `net`'s sinks, non-empty unless `may_be_empty`.
@@ -589,7 +727,7 @@ impl Oracle<'_> {
                 self.loops += 1;
             }
         }
-        assert_matches_full(timer, nl, self.lib, self.stack);
+        self.check(nl, timer);
     }
 
     fn step(&mut self, nl: &mut Netlist, timer: &mut Timer<'_>) {
@@ -609,7 +747,7 @@ impl Oracle<'_> {
                 timer
                     .skew_clock(nl, *self.rng.choose(&flops), delta)
                     .unwrap();
-                assert_matches_full(timer, nl, self.lib, self.stack);
+                self.check(nl, timer);
             } else if self.apply(step, nl) {
                 self.retime(nl, timer, len);
             } else {
@@ -621,7 +759,25 @@ impl Oracle<'_> {
         panic!("no applicable step after 32 draws");
     }
 
-    /// One to three steps or nested trials, then a commit or a drop.
+    /// One step under a raw checkpoint, then `undo_to` + `rollback_to`.
+    fn raw_rollback(&mut self, nl: &mut Netlist, timer: &mut Timer<'_>) {
+        let before = (timer.state().clone(), timer.constraints().clone());
+        let (cp, journal_len) = (timer.checkpoint(), nl.journal_len());
+        self.step(nl, timer);
+        nl.undo_to(journal_len).unwrap();
+        timer.rollback_to(cp).unwrap();
+        assert!(
+            timer.state() == &before.0,
+            "a raw rollback left state behind"
+        );
+        assert_eq!(timer.constraints(), &before.1);
+        assert_eq!(timer.checkpoint(), cp);
+        self.raw_rollbacks += 1;
+        self.check(nl, timer);
+    }
+
+    /// One to three steps, raw rollbacks or nested trials, then a commit
+    /// or a drop.
     fn trial(&mut self, nl: &mut Netlist, timer: &mut Timer<'_>, depth: usize) {
         let before = (timer.state().clone(), timer.constraints().clone());
         let (cp, journal_len) = (timer.checkpoint(), nl.journal_len());
@@ -630,6 +786,8 @@ impl Oracle<'_> {
             let (nl, timer) = trial.parts();
             if depth < 2 && self.rng.chance(0.25) {
                 self.trial(nl, timer, depth + 1);
+            } else if self.rng.chance(0.15) {
+                self.raw_rollback(nl, timer);
             } else {
                 self.step(nl, timer);
             }
@@ -650,7 +808,7 @@ impl Oracle<'_> {
             );
             assert_eq!(nl.journal_len(), journal_len);
         }
-        assert_matches_full(timer, nl, self.lib, self.stack);
+        self.check(nl, timer);
     }
 }
 
@@ -665,6 +823,8 @@ fn structural_oracle(profile: BenchProfile, gen_seed: u64, seed: u64, trials: us
         rng: Rng::seed_from(seed),
         applied: Vec::new(),
         loops: 0,
+        raw_rollbacks: 0,
+        held: None,
     };
     for _ in 0..trials {
         oracle.trial(&mut nl, &mut timer, 0);
@@ -673,6 +833,7 @@ fn structural_oracle(profile: BenchProfile, gen_seed: u64, seed: u64, trials: us
         assert!(oracle.applied.contains(&step), "{step:?} never drawn");
     }
     assert!(oracle.loops > 0, "no loop-closing step");
+    assert!(oracle.raw_rollbacks > 0, "no raw rollback");
 }
 
 #[test]

@@ -13,6 +13,7 @@ use timing_closure::device::VtClass;
 use timing_closure::interconnect::beol::BeolStack;
 use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
+use timing_closure::netlist::Netlist;
 use timing_closure::sta::{Constraints, Sta, Timer};
 
 /// The tests flip the process-global enabled flag and reset the shared
@@ -91,6 +92,8 @@ fn closure_run_produces_spans_and_engine_counters() {
     assert!(snap.counter("sta.arcs_recomputed") > 0, "updates did work");
     assert!(snap.counter("sta.arcs_reused") > 0, "cones stayed local");
     assert!(snap.counter("closure.edits") > 0, "fixes commit edits");
+    // The loop borrows the timer's rows; no report outlives an edit.
+    assert_eq!(snap.counter("sta.rows_copied"), 0);
 
     // IterationRecord carries elapsed time and counter deltas, and the
     // deltas sum to no more than the totals.
@@ -150,6 +153,44 @@ fn structural_rounds_record_their_level_moves() {
         .expect("level-move histogram");
     assert_eq!(moves.count, 1, "recorded once per structural round");
     assert!(moves.mean() >= 1.0, "the buffer pushed its sinks down");
+}
+
+#[test]
+fn only_a_report_held_across_an_edit_copies_the_rows() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let stack = BeolStack::n20();
+    let mut nl = generate(&lib, BenchProfile::tiny(), 5).unwrap();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+    // The D-pin net of the `i`th flop: a wire edit there moves its row.
+    let d_net = |nl: &Netlist, i: usize| {
+        let flop = nl.flops(&lib).nth(i).unwrap();
+        nl.cell(flop).inputs[0]
+    };
+
+    tc_obs::enable();
+    tc_obs::reset();
+    let flops = nl.flops(&lib).count();
+    for i in 0..100 {
+        let net = d_net(&nl, i % flops);
+        nl.set_wire_length(net, 50.0 + i as f64);
+        timer.update(&nl).unwrap();
+        let report = timer.report(&nl);
+        std::hint::black_box(report.wns());
+    }
+    let dropped = tc_obs::snapshot().counter("sta.rows_copied");
+    let held = timer.report(&nl);
+    nl.set_wire_length(d_net(&nl, 0), 400.0);
+    timer.update(&nl).unwrap();
+    let snap = tc_obs::snapshot();
+    tc_obs::disable();
+
+    assert_eq!(dropped, 0, "a dropped report costs no copy");
+    assert_eq!(snap.counter("sta.rows_copied"), 1, "a held one costs one");
+    assert!(
+        held.endpoints != timer.report(&nl).endpoints,
+        "the edit moved a row"
+    );
 }
 
 #[test]
