@@ -5,8 +5,9 @@
 use tc_bench::{print_table, standard_env};
 use tc_interconnect::beol::{BeolCorner, BeolStack};
 use tc_liberty::{LibConfig, Library, PvtCorner};
-use tc_signoff::corners::{prune_by_dominance, CornerSpace};
-use tc_sta::mcmm::{run_and_merge, Scenario};
+use tc_par::Pool;
+use tc_signoff::corners::{prune_by_dominance, run_corner_set_on, CornerSpace};
+use tc_sta::mcmm::Scenario;
 use tc_sta::Constraints;
 
 fn main() {
@@ -58,7 +59,7 @@ fn main() {
         mk("typ_typ", PvtCorner::typical(), BeolCorner::Typical),
         mk("fast_cold_Cb", PvtCorner::fast_cold(), BeolCorner::CBest),
     ];
-    let merged = run_and_merge(&nl, &stack, &scenarios).expect("mcmm");
+    let merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios).expect("mcmm");
     let kept = prune_by_dominance(&merged, 3);
     println!(
         "\nMCMM dominance over {} endpoints:",

@@ -1,9 +1,9 @@
-//! Levelization: topological ordering of the combinational graph with
-//! flops as sequential boundaries.
+//! Levelization: logic levels of the combinational graph with flops as
+//! sequential boundaries.
 //!
-//! STA propagates arrivals in level order; the AOCV derate model needs
-//! per-node logic depth; generators use depth statistics for their
-//! profiles. Flop outputs (Q) are treated as *start points* and flop
+//! STA propagates arrivals in level order (the timing graph's ranks are a
+//! counting sort of these levels); generators use depth statistics for
+//! their profiles. Flop outputs (Q) are treated as *start points* and flop
 //! inputs (D) as *end points*, so registered feedback does not create
 //! combinational cycles.
 
@@ -16,16 +16,17 @@ use crate::graph::Netlist;
 /// The result of levelizing a netlist.
 #[derive(Clone, Debug)]
 pub struct Levelization {
-    /// Cells in a valid combinational evaluation order (flops first).
-    pub order: Vec<CellId>,
-    /// Logic depth of each cell's output (flop outputs and PIs = 0).
-    pub depth: Vec<usize>,
+    /// Logic level of each cell, indexed by cell id: 0 for a flop, and
+    /// for a combinational cell one more than the highest level among its
+    /// combinational drivers (1 when it has none). Every combinational
+    /// driver of a combinational cell sits at a strictly lower level.
+    pub level: Vec<u32>,
 }
 
 impl Levelization {
     /// Maximum combinational depth in the design.
     pub fn max_depth(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.level.iter().copied().max().unwrap_or(0) as usize
     }
 }
 
@@ -55,56 +56,42 @@ pub fn levelize(nl: &Netlist, lib: &Library) -> Result<Levelization> {
         }
     }
 
-    let mut order: Vec<CellId> = Vec::with_capacity(n);
-    let mut depth = vec![0usize; n];
-    let mut queue: Vec<CellId> = Vec::new();
-    // Flops are seeded ahead of every combinational cell so that a cell's
-    // position in `order` is strictly greater than that of *all* cells
-    // driving its inputs — including flop drivers. Incremental timing
-    // relies on this total-order invariant to evaluate dirty cells in a
-    // single monotone worklist sweep.
-    for (i, &flop) in is_flop.iter().enumerate() {
-        if flop {
-            queue.push(CellId::new(i));
-        }
-    }
+    // Kahn's algorithm over the combinational cells. Flops are level-0
+    // start points and are placed up front: flop-driven pins were never
+    // counted in `indeg`. A cell is ready once all its drivers are
+    // placed, so its level is final when it is pushed, in any pop order.
+    let mut level = vec![0u32; n];
+    let mut placed = is_flop.iter().filter(|&&f| f).count();
+    let mut ready: Vec<CellId> = Vec::new();
     for i in 0..n {
         if indeg[i] == 0 && !is_flop[i] {
-            queue.push(CellId::new(i));
-            // A gate whose fan-in is all PIs/flops sits one level in;
-            // flops themselves are level-0 start points.
-            depth[i] = 1;
+            ready.push(CellId::new(i));
+            // A gate whose fan-in is all PIs/flops sits one level in.
+            level[i] = 1;
         }
     }
-    let mut head = 0;
-    while head < queue.len() {
-        let c = queue[head];
-        head += 1;
-        order.push(c);
-        if is_flop[c.index()] {
-            // Flop-driven pins were never counted in `indeg`.
-            continue;
-        }
+    while let Some(c) = ready.pop() {
+        placed += 1;
         let out = nl.cell(c).output;
         for sink in nl.net(out).sinks {
             let s = sink.cell;
             if is_flop[s.index()] {
                 continue;
             }
-            depth[s.index()] = depth[s.index()].max(depth[c.index()] + 1);
+            level[s.index()] = level[s.index()].max(level[c.index()] + 1);
             indeg[s.index()] -= 1;
             if indeg[s.index()] == 0 {
-                queue.push(s);
+                ready.push(s);
             }
         }
     }
-    if order.len() != n {
+    if placed != n {
         // Only pay for SCC extraction on the failure path: the clean
         // path stays a single Kahn sweep.
         let sccs = crate::scc::combinational_sccs(nl, lib);
         let mut msg = format!(
             "combinational loop: {} of {} cells unplaced in topological order",
-            n - order.len(),
+            n - placed,
             n
         );
         for comp in sccs.iter().take(3) {
@@ -116,7 +103,7 @@ pub fn levelize(nl: &Netlist, lib: &Library) -> Result<Levelization> {
         }
         return Err(Error::invalid_input(msg));
     }
-    Ok(Levelization { order, depth })
+    Ok(Levelization { level })
 }
 
 fn lib_is_flop(nl: &Netlist, lib: &Library, cell: CellId) -> bool {
@@ -149,7 +136,7 @@ mod tests {
         let lv = levelize(&nl, &lib).unwrap();
         assert_eq!(lv.max_depth(), 5);
         for (i, &c) in cells.iter().enumerate() {
-            assert_eq!(lv.depth[c.index()], i + 1);
+            assert_eq!(lv.level[c.index()] as usize, i + 1);
         }
     }
 
@@ -166,33 +153,31 @@ mod tests {
         let (_ff, q) = nl.add_cell("ff", &lib, dff, &[d_tmp, clk]).unwrap();
         let (_g, _gout) = nl.add_cell("g", &lib, inv, &[q]).unwrap();
         let lv = levelize(&nl, &lib).unwrap();
-        assert_eq!(lv.order.len(), 2);
-        // Flop output is depth 0; the inverter is depth 1.
-        let g = nl.cell_named("g").unwrap();
-        assert_eq!(lv.depth[g.index()], 1);
+        assert_eq!(lv.level.len(), 2);
+        // The flop is level 0; the inverter is level 1.
+        let (ff, g) = (nl.cell_named("ff").unwrap(), nl.cell_named("g").unwrap());
+        assert_eq!(lv.level[ff.index()], 0);
+        assert_eq!(lv.level[g.index()], 1);
     }
 
     #[test]
-    fn order_places_every_comb_cell_after_all_its_drivers() {
-        // The invariant incremental timing builds on: a combinational
-        // cell's order position strictly exceeds that of every cell
-        // driving one of its inputs (flop or comb).
+    fn every_comb_driver_sits_at_a_strictly_lower_level() {
+        // The invariant rank-ordered timing builds on: a combinational
+        // cell's level strictly exceeds that of every cell driving one of
+        // its inputs (flops are level 0, combinational cells ≥ 1).
         let lib = lib();
         let nl = crate::gen::generate(&lib, crate::gen::BenchProfile::tiny(), 7).unwrap();
         let lv = levelize(&nl, &lib).unwrap();
-        let mut pos = vec![0usize; nl.cell_count()];
-        for (p, &c) in lv.order.iter().enumerate() {
-            pos[c.index()] = p;
-        }
         for (i, cell) in nl.cells().enumerate() {
             if lib.cell(cell.master).kind == CellKind::Flop {
+                assert_eq!(lv.level[i], 0);
                 continue;
             }
             for &input in cell.inputs {
                 if let Some(drv) = nl.net(input).driver {
                     assert!(
-                        pos[drv.index()] < pos[i],
-                        "driver {} not before sink {}",
+                        lv.level[drv.index()] < lv.level[i],
+                        "driver {} not below sink {}",
                         drv.index(),
                         i
                     );

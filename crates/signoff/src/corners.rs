@@ -216,7 +216,7 @@ mod tests {
     use tc_liberty::{LibConfig, Library};
     use tc_netlist::gen::{generate, BenchProfile};
     use tc_par::Pool;
-    use tc_sta::mcmm::{run_and_merge, Scenario};
+    use tc_sta::mcmm::Scenario;
     use tc_sta::Constraints;
 
     #[test]
@@ -267,7 +267,9 @@ mod tests {
         ];
         tc_obs::enable();
         let merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios).unwrap();
-        let expected = run_and_merge(&nl, &stack, &scenarios).unwrap();
+        let expected = merge_reports(
+            &tc_sta::mcmm::run_scenarios_shared_on(Pool::new(1), &nl, &stack, &scenarios).unwrap(),
+        );
         assert_eq!(merged.wns(), expected.wns());
 
         // Other tests in this process may record concurrently, so assert
@@ -357,7 +359,7 @@ mod tests {
                 constraints: Constraints::single_clock(900.0),
             },
         ];
-        let merged = run_and_merge(&nl, &stack, &scenarios).unwrap();
+        let merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios).unwrap();
         let kept = prune_by_dominance(&merged, 3);
         // The slow corner must survive (it dominates setup), and the
         // typical corner should be pruned (dominated on both checks).

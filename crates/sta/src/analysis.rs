@@ -49,6 +49,24 @@ impl Arr {
     }
 }
 
+/// Which arrival bound a stage is derated for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Bound {
+    /// The late (max-delay, setup) bound.
+    Late,
+    /// The early (min-delay, hold) bound.
+    Early,
+}
+
+impl Bound {
+    fn pick<T>(self, late: T, early: T) -> T {
+        match self {
+            Bound::Late => late,
+            Bound::Early => early,
+        }
+    }
+}
+
 /// Per-net propagation state.
 ///
 /// From-scratch propagation and the incremental [`Timer`](crate::Timer)
@@ -369,39 +387,56 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// Late-stage delay and added variance for one arc evaluation.
-    /// `depth` is the path depth used for AOCV (GBA passes 1, PBA the
-    /// true count).
-    pub(crate) fn stage_late(
+    /// A stage's own delay sigma, ps, for an arc of `cell` whose raw
+    /// delay at `(slew, load)` is `raw`: the POCV fraction of `raw`; under
+    /// LVF the arc's sigma table (the master's POCV fraction when the arc
+    /// has none); 0 under every other model.
+    pub(crate) fn stage_sigma(
         &self,
+        bound: Bound,
         cell: CellId,
         arc: &TimingArc,
         slew: f64,
         load: f64,
-        depth: usize,
-    ) -> (f64, f64) {
-        let raw = arc.delay.eval(slew, load);
+        raw: f64,
+    ) -> f64 {
         match &self.cons.derate {
-            DerateModel::None => (raw, 0.0),
-            DerateModel::Flat { late, .. } => (raw * late, 0.0),
-            DerateModel::Aocv(t) => (raw * t.late_derate(depth, 0.0), 0.0),
-            DerateModel::Pocv { sigma, .. } => {
-                let s = sigma.late * raw;
-                (raw, s * s)
-            }
-            DerateModel::Lvf { .. } => {
-                let s = match &arc.lvf {
-                    Some(l) => l.sigma_late.eval(slew, load),
-                    None => self.lib.cell(self.nl.cell(cell).master).pocv.late * raw,
-                };
-                (raw, s * s)
-            }
+            DerateModel::Pocv { sigma, .. } => bound.pick(sigma.late, sigma.early) * raw,
+            DerateModel::Lvf { .. } => match &arc.lvf {
+                Some(l) => bound.pick(&l.sigma_late, &l.sigma_early).eval(slew, load),
+                None => {
+                    let pocv = self.lib.cell(self.nl.cell(cell).master).pocv;
+                    bound.pick(pocv.late, pocv.early) * raw
+                }
+            },
+            _ => 0.0,
         }
     }
 
-    /// Early-stage delay and variance for one arc evaluation.
-    pub(crate) fn stage_early(
+    /// The derate policy: a stage's `(delay, variance)` from its raw
+    /// delay and [`stage_sigma`](Self::stage_sigma) on a path of `depth`
+    /// stages. Flat and AOCV scale the mean; POCV and LVF keep it and add
+    /// the variance. GBA derates every stage at depth 1, AOCV's worst
+    /// case; PBA at its path's true depth.
+    pub(crate) fn derate(&self, bound: Bound, raw: f64, sigma: f64, depth: usize) -> (f64, f64) {
+        match &self.cons.derate {
+            DerateModel::None => (raw, 0.0),
+            DerateModel::Flat { late, early } => (raw * bound.pick(late, early), 0.0),
+            DerateModel::Aocv(t) => {
+                let d = match bound {
+                    Bound::Late => t.late_derate(depth, 0.0),
+                    Bound::Early => t.early_derate(depth, 0.0),
+                };
+                (raw * d, 0.0)
+            }
+            DerateModel::Pocv { .. } | DerateModel::Lvf { .. } => (raw, sigma * sigma),
+        }
+    }
+
+    /// One arc's derated `(delay, variance)` at `(slew, load)`.
+    fn stage(
         &self,
+        bound: Bound,
         cell: CellId,
         arc: &TimingArc,
         slew: f64,
@@ -409,22 +444,8 @@ impl<'a> Sta<'a> {
         depth: usize,
     ) -> (f64, f64) {
         let raw = arc.delay.eval(slew, load);
-        match &self.cons.derate {
-            DerateModel::None => (raw, 0.0),
-            DerateModel::Flat { early, .. } => (raw * early, 0.0),
-            DerateModel::Aocv(t) => (raw * t.early_derate(depth, 0.0), 0.0),
-            DerateModel::Pocv { sigma, .. } => {
-                let s = sigma.early * raw;
-                (raw, s * s)
-            }
-            DerateModel::Lvf { .. } => {
-                let s = match &arc.lvf {
-                    Some(l) => l.sigma_early.eval(slew, load),
-                    None => self.lib.cell(self.nl.cell(cell).master).pocv.early * raw,
-                };
-                (raw, s * s)
-            }
-        }
+        let sigma = self.stage_sigma(bound, cell, arc, slew, load, raw);
+        self.derate(bound, raw, sigma, depth)
     }
 
     /// Wire delay derates: `(late_ps, late_var, early_ps, early_var)`.
@@ -537,7 +558,7 @@ impl<'a> Sta<'a> {
     /// Launch/capture clock components for a flop:
     /// `(late_arrival, early_arrival)` at its CK pin. The common segment
     /// (source latency + trunk) is not derated when CPPR is on.
-    pub(crate) fn clock_arrivals(&self, flop: CellId) -> (f64, f64) {
+    fn clock_arrivals(&self, flop: CellId) -> (f64, f64) {
         let clk = self.cons.default_clock();
         let common = clk.source_latency.value() + self.cons.clock_tree.common.value();
         let leaf = self.cons.clock_tree.leaf_of(flop).value();
@@ -554,6 +575,44 @@ impl<'a> Sta<'a> {
         } else {
             ((common + leaf) * dl, (common + leaf) * de)
         }
+    }
+
+    /// The state a flop launches at Q: its clock arrivals plus the CK→Q
+    /// stage at the clock slew, derated for a path of `depth` stages (GBA
+    /// passes 1, PBA its path's stage count).
+    pub(crate) fn launch(&self, flop: CellId, wires: &WireTable, depth: usize) -> Result<NetState> {
+        let cell = self.nl.cell(flop);
+        let load = wires.driver_load(cell.output.index()).value();
+        let (ck_late, ck_early) = self.clock_arrivals(flop);
+        let arc = self
+            .lib
+            .cell(cell.master)
+            .arc_from("CK")
+            .ok_or_else(|| Error::internal("flop without CK arc"))?;
+        let cs = self.cons.clock_tree.clock_slew;
+        let (dl, vl) = self.stage(Bound::Late, flop, arc, cs, load, depth);
+        let (de, ve) = self.stage(Bound::Early, flop, arc, cs, load, depth);
+        let slew = arc.out_slew.eval(cs, load);
+        Ok(NetState {
+            late: Arr {
+                t: ck_late + dl,
+                var: vl,
+                slew,
+                depth: 1,
+                gate_ps: dl,
+                wire_ps: 0.0,
+            },
+            early: Arr {
+                t: ck_early + de,
+                var: ve,
+                slew,
+                depth: 1,
+                gate_ps: de,
+                wire_ps: 0.0,
+            },
+            late_pred_pin: None,
+            reached: true,
+        })
     }
 
     /// Seeds primary-input arrivals. Clock roots are excluded from data
@@ -594,44 +653,11 @@ impl<'a> Sta<'a> {
         let graph = self.graph()?;
         let cell = self.nl.cell(cid);
         let master = self.lib.cell(cell.master);
-        let out = cell.output;
-        let load = wires.driver_load(out.index()).value();
-        let k = self.k_sigma();
-
         if master.kind == CellKind::Flop {
-            // Q launches from the clock.
-            let (ck_late, ck_early) = self.clock_arrivals(cid);
-            let arc = master
-                .arc_from("CK")
-                .ok_or_else(|| Error::internal("flop without CK arc"))?;
-            let cs = self.cons.clock_tree.clock_slew;
-            let (dl, vl) = self.stage_late(cid, arc, cs, load, 1);
-            let (de, ve) = self.stage_early(cid, arc, cs, load, 1);
-            let slew = arc.out_slew.eval(cs, load);
-            return Ok((
-                NetState {
-                    late: Arr {
-                        t: ck_late + dl,
-                        var: vl,
-                        slew,
-                        depth: 1,
-                        gate_ps: dl,
-                        wire_ps: 0.0,
-                    },
-                    early: Arr {
-                        t: ck_early + de,
-                        var: ve,
-                        slew,
-                        depth: 1,
-                        gate_ps: de,
-                        wire_ps: 0.0,
-                    },
-                    late_pred_pin: None,
-                    reached: true,
-                },
-                1,
-            ));
+            return Ok((self.launch(cid, wires, 1)?, 1));
         }
+        let load = wires.driver_load(cell.output.index()).value();
+        let k = self.k_sigma();
 
         // Combinational: evaluate every input arc.
         let mut arcs_evaluated = 0u64;
@@ -653,7 +679,7 @@ impl<'a> Sta<'a> {
             arcs_evaluated += 1;
 
             let pin_slew_late = ns.late.slew + 0.25 * wire.value();
-            let (dl, vl) = self.stage_late(cid, arc, pin_slew_late, load, 1);
+            let (dl, vl) = self.stage(Bound::Late, cid, arc, pin_slew_late, load, 1);
             let cand_late = Arr {
                 t: ns.late.t + wl + si_delta + dl,
                 var: ns.late.var + wvl + vl,
@@ -671,7 +697,7 @@ impl<'a> Sta<'a> {
             }
 
             let pin_slew_early = ns.early.slew + 0.25 * wire.value();
-            let (de, ve) = self.stage_early(cid, arc, pin_slew_early, load, 1);
+            let (de, ve) = self.stage(Bound::Early, cid, arc, pin_slew_early, load, 1);
             let cand_early = Arr {
                 t: ns.early.t + we - si_delta + de,
                 var: ns.early.var + wve + ve,

@@ -98,21 +98,6 @@ impl MergedReport {
     }
 }
 
-/// Runs every scenario (over one shared timing graph, see
-/// [`run_scenarios_shared_on`]) on the environment's pool and merges.
-///
-/// # Errors
-///
-/// Propagates the first failing scenario run.
-pub fn run_and_merge(
-    nl: &Netlist,
-    stack: &BeolStack,
-    scenarios: &[Scenario],
-) -> Result<MergedReport> {
-    let reports = run_scenarios_shared_on(tc_par::Pool::from_env(), nl, stack, scenarios)?;
-    Ok(merge_reports(&reports))
-}
-
 /// Runs every scenario over one shared [`TimingGraph`]: the design's
 /// connectivity does not vary across corners, so the levelization and
 /// sink-index map are derived once instead of once per corner — the
@@ -242,7 +227,9 @@ mod tests {
                 constraints: Constraints::single_clock(900.0),
             },
         ];
-        let merged = run_and_merge(&nl, &stack, &scenarios).unwrap();
+        let merged = merge_reports(
+            &run_scenarios_shared_on(tc_par::Pool::from_env(), &nl, &stack, &scenarios).unwrap(),
+        );
         let typ = scenarios[0].run(&nl, &stack).unwrap();
         let slow = scenarios[1].run(&nl, &stack).unwrap();
         assert_eq!(merged.wns(), typ.wns().min(slow.wns()));

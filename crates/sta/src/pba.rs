@@ -5,7 +5,11 @@
 //! extracts the actual critical path to an endpoint and re-derates it
 //! with exact knowledge — true stage count for AOCV, exact RSS for
 //! POCV/LVF — recovering pessimism at the cost of path enumeration
-//! (the runtime/licensing tradeoff of §1.3).
+//! (the runtime/licensing tradeoff of §1.3). It has no stage model of
+//! its own: it re-times the path through GBA's launch, derate and wire
+//! functions at the path's depth. Under a depth-independent derate it
+//! reproduces GBA's slack, and under an AOCV table that shrinks with
+//! depth it can only recover, so PBA ≥ GBA holds by construction.
 //!
 //! Both are overlays on a timing state that already exists: an [`Sta`]
 //! lends the one it filled, the [`Timer`](crate::Timer) the one it
@@ -14,9 +18,9 @@
 use tc_core::error::{Error, Result};
 use tc_core::ids::{CellId, NetId};
 use tc_core::units::Ps;
-use tc_liberty::{CellKind, DerateModel};
+use tc_liberty::CellKind;
 
-use crate::analysis::{Sta, TimingState, WireTable};
+use crate::analysis::{Bound, Sta, TimingState};
 use crate::report::{k_worst, Endpoint, EndpointTiming};
 
 /// One extracted path stage (endpoint side first).
@@ -24,9 +28,9 @@ use crate::report::{k_worst, Endpoint, EndpointTiming};
 pub struct PathStage {
     /// The driving cell of this stage.
     pub cell: CellId,
-    /// Undereated arc delay, ps.
+    /// Underated arc delay, ps.
     pub gate_delay: f64,
-    /// Per-stage late sigma, ps.
+    /// Per-stage late sigma, ps (0 unless the derate is POCV or LVF).
     pub sigma: f64,
     /// Wire delay into this stage's sink pin, ps.
     pub wire_delay: f64,
@@ -62,7 +66,6 @@ impl PbaEndpoint {
 pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> {
     let st = sta.propagate()?;
     let _span = tc_obs::span("sta.pba");
-    let k_sigma = sta.k_sigma();
     let flops = st
         .rows()
         .iter()
@@ -72,7 +75,7 @@ pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> 
     let mut out = Vec::new();
     for ep in k_worst(flops, k) {
         let path = backtrack(sta, st, ep)?;
-        let pba_slack = reevaluate(sta, ep, &path, &st.wires, k_sigma)?;
+        let pba_slack = reevaluate(sta, st, ep, &path)?;
         let stages = path.stages.len() + 1; // + the launch c2q stage
         stages_total += stages as u64;
         out.push(PbaEndpoint {
@@ -173,15 +176,7 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
             .arc_from(pin_name)
             .ok_or_else(|| Error::internal("missing arc on critical path"))?;
         let gate_delay = arc.delay.eval(pin_slew, load);
-        let sigma = match &sta.cons.derate {
-            DerateModel::Pocv { sigma, .. } => sigma.late * gate_delay,
-            DerateModel::Lvf { .. } => arc
-                .lvf
-                .as_ref()
-                .map(|l| l.sigma_late.eval(pin_slew, load))
-                .unwrap_or(master.pocv.late * gate_delay),
-            _ => 0.0,
-        };
+        let sigma = sta.stage_sigma(Bound::Late, driver, arc, pin_slew, load, gate_delay);
         path.stages.push(PathStage {
             cell: driver,
             gate_delay,
@@ -194,86 +189,52 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
     Err(Error::internal("path backtrack did not terminate"))
 }
 
-/// Re-derates one extracted path with its true depth and RSS variance.
+/// Re-times one extracted path to a flop hop by hop, in GBA's
+/// arithmetic and through GBA's own launch, derate and wire terms, with
+/// every stage derated at the path's true depth.
 fn reevaluate(
     sta: &Sta<'_>,
+    st: &TimingState,
     ep: &EndpointTiming,
     path: &CriticalPath,
-    wires: &WireTable,
-    k: f64,
 ) -> Result<Ps> {
+    let Endpoint::FlopD(capture) = ep.endpoint else {
+        return Err(Error::internal("PBA re-times flop endpoints only"));
+    };
+    let wires = &st.wires;
     let depth = path.stages.len() + 1;
-
-    // Launch clock + c2q of the launching flop.
-    let mut t;
-    let mut var = 0.0;
-    match path.launch_flop {
+    let (mut t, mut var) = match path.launch_flop {
         Some(f) => {
-            let (ck_late, _) = sta.clock_arrivals(f);
-            let master = sta.lib.cell(sta.nl.cell(f).master);
-            let arc = master
-                .arc_from("CK")
-                .ok_or_else(|| Error::internal("flop without CK arc"))?;
-            let cs = sta.cons.clock_tree.clock_slew;
-            let load = wires.driver_load(sta.nl.cell(f).output.index()).value();
-            let raw = arc.delay.eval(cs, load);
-            let (d, v) = derate_stage(sta, raw, depth, || {
-                arc.lvf
-                    .as_ref()
-                    .map(|l| l.sigma_late.eval(cs, load))
-                    .unwrap_or(master.pocv.late * raw)
-            });
-            t = ck_late + d;
-            var += v;
+            let q = sta.launch(f, wires, depth)?.late;
+            (q.t, q.var)
         }
-        None => {
-            t = sta.cons.input_delay.value();
-        }
+        None => (sta.cons.input_delay.value(), 0.0),
+    };
+    // Stages were collected endpoint-first, each beside the net feeding
+    // it (`nets[i + 1]`); time them from the launch side. A wire hop adds
+    // its late terms plus its net's SI delta on the mean.
+    for (stage, net) in path.stages.iter().zip(&path.nets[1..]).rev() {
+        let (wl, wvl, _, _) = sta.wire_terms(Ps::new(stage.wire_delay));
+        let (dl, vl) = sta.derate(Bound::Late, stage.gate_delay, stage.sigma, depth);
+        t = t + wl + wires.si_delta(net.index()) + dl;
+        var = var + wvl + vl;
     }
-
-    // Stages were collected endpoint-first; accumulate from launch side.
-    // Wires take GBA's derate terms: `(late ps, late variance, ..)`.
-    let wire = |w: f64| sta.wire_terms(Ps::new(w));
-    for st in path.stages.iter().rev() {
-        let (d, v) = derate_stage(sta, st.gate_delay, depth, || st.sigma);
-        let (wl, wv, _, _) = wire(st.wire_delay);
-        t += wl + d;
-        var += v + wv;
-    }
-    // Final hop into the endpoint D pin: the difference between the
-    // endpoint's total (derated) wire time and the path-internal segments.
-    let path_wire: f64 = path.stages.iter().map(|s| wire(s.wire_delay).0).sum();
-    let last_wire = (ep.wire_ps - path_wire).max(0.0);
-    t += last_wire;
-    var += wire(last_wire).1;
-
-    let arrival = t + k * var.sqrt();
-    let required = ep.required.value();
-    Ok(Ps::new(required - arrival))
-}
-
-fn derate_stage(
-    sta: &Sta<'_>,
-    raw: f64,
-    path_depth: usize,
-    sigma_of: impl Fn() -> f64,
-) -> (f64, f64) {
-    match &sta.cons.derate {
-        DerateModel::None => (raw, 0.0),
-        DerateModel::Flat { late, .. } => (raw * late, 0.0),
-        DerateModel::Aocv(tbl) => (raw * tbl.late_derate(path_depth, 0.0), 0.0),
-        DerateModel::Pocv { .. } | DerateModel::Lvf { .. } => {
-            let s = sigma_of();
-            (raw, s * s)
-        }
-    }
+    // The last hop, into the capturing flop's D pin.
+    let d_net = path.nets[0];
+    let wire = wires.delay(d_net.index(), st.graph.sink_pos(sta.nl, capture, 0));
+    let (wl, wvl, _, _) = sta.wire_terms(wire);
+    let t = t + wl + wires.si_delta(d_net.index());
+    let var = var + wvl;
+    Ok(Ps::new(
+        ep.required.value() - (t + sta.k_sigma() * var.sqrt()),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tc_interconnect::BeolStack;
-    use tc_liberty::{AocvTable, LibConfig, Library, PvtCorner};
+    use tc_liberty::{AocvTable, DerateModel, LibConfig, Library, PocvSigma, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
 
     use crate::constraints::Constraints;
@@ -285,27 +246,74 @@ mod tests {
         )
     }
 
+    fn pocv() -> DerateModel {
+        DerateModel::Pocv {
+            sigma: PocvSigma::standard(),
+            k: 3.0,
+        }
+    }
+
+    /// PBA on the 50 worst flop endpoints of tiny and c5315 (seed 11,
+    /// 900 ps) under `derate`, with SI off and on.
+    fn pba_runs(derate: &DerateModel) -> Vec<(String, Vec<PbaEndpoint>)> {
+        let (lib, stack) = env();
+        let mut runs = Vec::new();
+        for profile in [BenchProfile::tiny(), BenchProfile::c5315()] {
+            let name = profile.name;
+            let nl = generate(&lib, profile, 11).unwrap();
+            for si in [false, true] {
+                let mut cons = Constraints::single_clock(900.0).with_derate(derate.clone());
+                cons.si_enabled = si;
+                let results = pba_worst_endpoints(&Sta::new(&nl, &lib, &stack, &cons), 50).unwrap();
+                assert!(!results.is_empty());
+                runs.push((format!("{name} si={si} {derate:?}"), results));
+            }
+        }
+        runs
+    }
+
     #[test]
     fn pba_never_more_pessimistic_than_gba() {
-        let (lib, stack) = env();
-        let nl = generate(&lib, BenchProfile::tiny(), 11).unwrap();
         for derate in [
             DerateModel::None,
             DerateModel::classic_flat(),
             DerateModel::Aocv(AocvTable::from_stage_sigma(0.05)),
+            pocv(),
             DerateModel::Lvf { k: 3.0 },
         ] {
-            let cons = Constraints::single_clock(900.0).with_derate(derate.clone());
-            let sta = Sta::new(&nl, &lib, &stack, &cons);
-            let results = pba_worst_endpoints(&sta, 10).unwrap();
-            assert!(!results.is_empty());
-            for r in &results {
-                assert!(
-                    r.pba_slack.value() >= r.gba_slack.value() - 0.3,
-                    "pba {} < gba {} under {derate:?}",
-                    r.pba_slack,
-                    r.gba_slack
-                );
+            for (run, results) in pba_runs(&derate) {
+                for r in &results {
+                    assert!(
+                        r.pba_slack.value() >= r.gba_slack.value() - 1e-9,
+                        "pba {} < gba {} on {run}",
+                        r.pba_slack,
+                        r.gba_slack
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pba_equals_gba_where_derating_ignores_depth() {
+        // Only AOCV's derate depends on depth; under every other model
+        // PBA re-times the GBA path with the same stage terms.
+        for derate in [
+            DerateModel::None,
+            DerateModel::classic_flat(),
+            pocv(),
+            DerateModel::Lvf { k: 3.0 },
+        ] {
+            for (run, results) in pba_runs(&derate) {
+                for r in &results {
+                    assert!(
+                        (r.pba_slack.value() - r.gba_slack.value()).abs() <= 1e-9,
+                        "pba {} != gba {} at {:?} on {run}",
+                        r.pba_slack,
+                        r.gba_slack,
+                        r.endpoint
+                    );
+                }
             }
         }
     }

@@ -95,8 +95,7 @@ impl TimingGraph {
     ///
     /// Fails on combinational loops (levelization is impossible).
     pub fn build(nl: &Netlist, lib: &Library) -> Result<Self> {
-        let lv = levelize(nl, lib)?;
-        let level: Vec<u32> = lv.depth.iter().map(|&d| d as u32).collect();
+        let level = levelize(nl, lib)?.level;
         // Counting sort into ranks: ids ascend within each level.
         let mut sizes = vec![0usize; level.iter().max().map_or(0, |&m| m as usize + 1)];
         for &l in &level {

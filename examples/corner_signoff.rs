@@ -9,8 +9,9 @@
 use timing_closure::interconnect::beol::{BeolCorner, BeolStack};
 use timing_closure::liberty::{LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
-use timing_closure::signoff::corners::{prune_by_dominance, CornerSpace};
-use timing_closure::sta::mcmm::{run_and_merge, Scenario};
+use timing_closure::par::Pool;
+use timing_closure::signoff::corners::{prune_by_dominance, run_corner_set_on, CornerSpace};
+use timing_closure::sta::mcmm::Scenario;
 use timing_closure::sta::Constraints;
 
 fn main() -> Result<(), tc_core::Error> {
@@ -58,7 +59,7 @@ fn main() -> Result<(), tc_core::Error> {
         mk("ffg_cold_RCb", PvtCorner::fast_cold(), BeolCorner::RcBest),
     ];
 
-    let merged = run_and_merge(&nl, &stack, &scenarios)?;
+    let merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios)?;
     println!(
         "\nmerged signoff: WNS {:.1} ps | hold WNS {:.1} ps | violating endpoints {}",
         merged.wns().value(),

@@ -7,11 +7,13 @@ use timing_closure::closure::flow::{ClosureConfig, ClosureFlow};
 use timing_closure::interconnect::beol::{BeolCorner, BeolStack};
 use timing_closure::liberty::{LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
+use timing_closure::par::Pool;
 use timing_closure::placement::minia::{
     fix_violations, inject_vt_islands, violation_count, MinIaRule,
 };
 use timing_closure::placement::rows::Placement;
-use timing_closure::sta::mcmm::{run_and_merge, Scenario};
+use timing_closure::signoff::corners::run_corner_set_on;
+use timing_closure::sta::mcmm::Scenario;
 use timing_closure::sta::{Constraints, Sta};
 use timing_closure::SignoffFlow;
 
@@ -116,7 +118,7 @@ fn mcmm_signoff_merges_scenarios_coherently() {
             constraints: Constraints::single_clock(1_000.0),
         },
     ];
-    let merged = run_and_merge(&nl, &stack, &scenarios).unwrap();
+    let merged = run_corner_set_on(Pool::from_env(), &nl, &stack, &scenarios).unwrap();
     // Setup is dominated by the slow corner, hold by the fast one.
     let setup_slow = merged
         .endpoints

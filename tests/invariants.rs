@@ -40,7 +40,7 @@ fn pba_never_below_gba() {
         let sta = Sta::new(&nl, &lib, &stack, &cons);
         for r in pba_worst_endpoints(&sta, 8).unwrap() {
             assert!(
-                r.pba_slack.value() >= r.gba_slack.value() - 0.5,
+                r.pba_slack.value() >= r.gba_slack.value() - 1e-9,
                 "pba {} < gba {} (seed {seed})",
                 r.pba_slack,
                 r.gba_slack
