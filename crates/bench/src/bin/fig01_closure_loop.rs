@@ -87,20 +87,17 @@ fn main() -> std::io::Result<()> {
     );
     println!("final: {}", out.final_report.summary());
 
-    // Signoff cross-check: a from-scratch full STA on the pool must
-    // agree with the incremental timer bit for bit. Doubles as the
-    // multi-thread section of the trace when TC_PAR_THREADS > 1.
+    // Signoff cross-check: a from-scratch full STA must agree with the
+    // incremental timer bit for bit, on every endpoint row.
     let signoff = {
         let _span = tc_obs::span("signoff.sta");
         Sta::new(&nl, &lib, &stack, &out.constraints)
-            .with_parallel(tc_par::Pool::from_env())
             .run()
             .expect("signoff sta")
     };
     assert_eq!(
-        signoff.wns(),
-        out.final_report.wns(),
-        "parallel signoff STA disagrees with the incremental timer"
+        signoff.endpoints, out.final_report.endpoints,
+        "signoff STA disagrees with the incremental timer"
     );
 
     let snapshot = tc_obs::snapshot();

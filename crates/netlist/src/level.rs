@@ -1,8 +1,8 @@
 //! Levelization: logic levels of the combinational graph with flops as
 //! sequential boundaries.
 //!
-//! STA propagates arrivals in level order (the timing graph's ranks are a
-//! counting sort of these levels); generators use depth statistics for
+//! STA visits cells in `(level, cell id)` order, so every cell is
+//! evaluated after its drivers; generators use depth statistics for
 //! their profiles. Flop outputs (Q) are treated as *start points* and flop
 //! inputs (D) as *end points*, so registered feedback does not create
 //! combinational cycles.
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn every_comb_driver_sits_at_a_strictly_lower_level() {
-        // The invariant rank-ordered timing builds on: a combinational
+        // The invariant level-ordered timing builds on: a combinational
         // cell's level strictly exceeds that of every cell driving one of
         // its inputs (flops are level 0, combinational cells ≥ 1).
         let lib = lib();

@@ -3,6 +3,7 @@
 //! counting here cannot perturb the other suites), and the tests
 //! serialize on a lock because deltas are process-wide.
 
+use std::hint::black_box;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static MEM_LOCK: Mutex<()> = Mutex::new(());
@@ -16,13 +17,17 @@ fn serialize() -> MutexGuard<'static, ()> {
 
 const MIB: usize = 1 << 20;
 
+// Every buffer below goes through `black_box`: the tests never read
+// them, so a release build may otherwise elide the allocations whose
+// accounting they check.
+
 #[test]
 fn alloc_and_free_are_accounted() {
     let _guard = serialize();
     tc_obs::enable_memory();
     let before = tc_obs::memory_stats();
     let mark = tc_obs::heap_mark();
-    let buf = vec![7u8; 4 * MIB];
+    let buf = black_box(vec![7u8; 4 * MIB]);
     let mid = tc_obs::memory_stats();
     assert!(mid.allocs > before.allocs, "allocation event counted");
     assert!(
@@ -57,7 +62,7 @@ fn peak_is_monotonic_across_alloc_and_free() {
     let _guard = serialize();
     tc_obs::enable_memory();
     let p0 = tc_obs::memory_stats().peak_bytes;
-    let buf = vec![1u8; 8 * MIB];
+    let buf = black_box(vec![1u8; 8 * MIB]);
     let p1 = tc_obs::memory_stats().peak_bytes;
     assert!(p1 >= p0, "peak never decreases on allocation");
     drop(buf);
@@ -66,7 +71,7 @@ fn peak_is_monotonic_across_alloc_and_free() {
     // A second, larger burst must push the tracked peak past the live
     // level it started from.
     let live = tc_obs::memory_stats().live_bytes;
-    let big = vec![2u8; 16 * MIB];
+    let big = black_box(vec![2u8; 16 * MIB]);
     let p3 = tc_obs::memory_stats().peak_bytes;
     assert!(
         p3 + MIB as u64 >= live + (16 * MIB) as u64,
@@ -81,7 +86,7 @@ fn disabled_counting_moves_nothing() {
     let _guard = serialize();
     tc_obs::disable_memory();
     let before = tc_obs::memory_stats();
-    let buf = vec![3u8; 2 * MIB];
+    let buf = black_box(vec![3u8; 2 * MIB]);
     drop(buf);
     let after = tc_obs::memory_stats();
     assert_eq!(before, after, "disabled counting is inert");
@@ -96,10 +101,10 @@ fn spans_attribute_heap_to_the_right_subtree() {
     let held;
     {
         let _outer = tc_obs::span("t_mem.outer");
-        held = vec![5u8; 4 * MIB]; // stays live across the span close
+        held = black_box(vec![5u8; 4 * MIB]); // stays live across the span close
         {
             let _inner = tc_obs::span("t_mem.inner");
-            let scratch = vec![6u8; 2 * MIB]; // freed before the close
+            let scratch = black_box(vec![6u8; 2 * MIB]); // freed before the close
             drop(scratch);
         }
     }
@@ -145,7 +150,7 @@ fn vm_probes_agree_with_the_platform() {
 fn run_artifact_carries_the_memory_section() {
     let _guard = serialize();
     tc_obs::enable_memory();
-    let _buf = vec![9u8; MIB];
+    let _buf = black_box(vec![9u8; MIB]);
     let art = tc_obs::RunArtifact::new("t_mem_artifact")
         .wall_ms(1.0)
         .capture_memory();

@@ -4,10 +4,10 @@
 //! # tc-par — deterministic scoped parallelism
 //!
 //! The corner super-explosion (paper §2.3) makes signoff cost
-//! multiplicative in scenarios, yet every scenario, Monte Carlo sample
-//! and levelization rank is independent of its siblings. This crate is
-//! the workspace's one way to exploit that: a std-only scoped thread
-//! pool whose primitives are *deterministic by construction* —
+//! multiplicative in scenarios, yet every scenario and Monte Carlo
+//! sample is independent of its siblings. This crate is the
+//! workspace's one way to exploit that: a std-only scoped thread pool
+//! whose primitives are *deterministic by construction* —
 //!
 //! * work is claimed through an atomic cursor (cheap dynamic load
 //!   balancing), but **results are merged in item-index order, never
@@ -39,7 +39,6 @@
 //! ```
 
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -134,24 +133,6 @@ impl Pool {
             local
         });
         merge_indexed(n, per_worker)
-    }
-
-    /// Splits `0..len` into fixed-size chunks and maps `f` over the
-    /// chunk list on the pool, returning per-chunk results in chunk
-    /// order. The chunk boundaries depend only on `(len, chunk)` —
-    /// never on the worker count — which is what lets per-chunk seeded
-    /// RNG streams reproduce bit-identically at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`; re-raises worker panics.
-    pub fn chunked_map<R, F>(&self, len: usize, chunk: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, Range<usize>) -> R + Sync,
-    {
-        let ranges = chunk_ranges(len, chunk);
-        self.scope_map(&ranges, |i, r| f(i, r.clone()))
     }
 
     /// Splits `data` into fixed-size chunks and runs `f(chunk_index,
@@ -295,15 +276,6 @@ fn merge_indexed<R>(n: usize, per_worker: Vec<Vec<(usize, R)>>) -> Vec<R> {
         .collect()
 }
 
-/// The fixed chunking of `0..len`: `ceil(len / chunk)` ranges, all of
-/// size `chunk` except a shorter tail.
-fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
-    assert!(chunk > 0, "chunk size must be positive");
-    (0..len.div_ceil(chunk))
-        .map(|i| i * chunk..((i + 1) * chunk).min(len))
-        .collect()
-}
-
 /// Tallies one pool scope: items executed and summed worker idle time
 /// (scope wall clock minus each worker's busy time — the price of load
 /// imbalance and spawn/join overhead).
@@ -345,14 +317,6 @@ mod tests {
         let items: Vec<u32> = Vec::new();
         assert!(Pool::new(8).scope_map(&items, |_, &x| x).is_empty());
         Pool::new(8).chunked_for_each(&mut Vec::<u32>::new(), 16, |_, _| {});
-    }
-
-    #[test]
-    fn chunked_map_boundaries_ignore_worker_count() {
-        let a = Pool::new(1).chunked_map(10, 4, |i, r| (i, r));
-        let b = Pool::new(7).chunked_map(10, 4, |i, r| (i, r));
-        assert_eq!(a, b);
-        assert_eq!(a, vec![(0, 0..4), (1, 4..8), (2, 8..10)]);
     }
 
     #[test]

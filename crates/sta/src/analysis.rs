@@ -70,8 +70,8 @@ impl Bound {
 /// Per-net propagation state.
 ///
 /// From-scratch propagation and the incremental [`Timer`](crate::Timer)
-/// write these through the *same* rank sweep (`Sta::sweep`), which is
-/// what makes incremental results bit-identical to a from-scratch run.
+/// write these through the *same* sweep (`Sta::sweep`), which is what
+/// makes incremental results bit-identical to a from-scratch run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NetState {
     /// Late (max-delay) arrival bound at the net.
@@ -96,12 +96,6 @@ pub struct Sta<'a> {
     pub(crate) cons: &'a Constraints,
     pub(crate) beol_corner: BeolCorner,
     pub(crate) beol_sample: Option<&'a BeolSample>,
-    /// The sweep's executor: rank batches of at least [`PAR_RANK_MIN`]
-    /// cells run on this pool, everything else (and everything when
-    /// `None`, the default) inline. Set by [`Sta::with_parallel`] for a
-    /// from-scratch propagation; the incremental [`Timer`](crate::Timer)
-    /// sweeps its dirty frontier inline.
-    pub(crate) par: Option<tc_par::Pool>,
     /// The netlist's timing structure, built on first use (the netlist
     /// is borrowed immutably, so it cannot go stale) or handed in.
     pub(crate) graph: OnceLock<Arc<TimingGraph>>,
@@ -164,11 +158,6 @@ impl Clone for Sta<'_> {
     }
 }
 
-/// Rank batches smaller than this run inline even when a parallel pool
-/// is configured: spawning a scope costs more than evaluating a handful
-/// of cells.
-pub(crate) const PAR_RANK_MIN: usize = 64;
-
 /// What one [`Sta::sweep`] did. Callers flush these into their own
 /// counters once per propagation, not per arc.
 #[derive(Clone, Copy, Debug, Default)]
@@ -180,10 +169,6 @@ pub(crate) struct SweepCounts {
     /// Output-net states written.
     pub(crate) writes: u64,
 }
-
-/// Per-task net count for parallel wire-timing extraction (one atomic
-/// claim per chunk, not per net).
-const PAR_WIRE_CHUNK: usize = 256;
 
 /// Wire timing cached per net. Plain-old-data: the per-sink delays live
 /// in the owning [`WireTable`]'s shared pool, addressed by `(start, len)`
@@ -328,7 +313,6 @@ impl<'a> Sta<'a> {
             cons,
             beol_corner: BeolCorner::Typical,
             beol_sample: None,
-            par: None,
             graph: OnceLock::new(),
             propagated: OnceLock::new(),
         }
@@ -368,16 +352,6 @@ impl<'a> Sta<'a> {
             beol_sample: Some(sample),
             ..self.clone()
         }
-    }
-
-    /// Runs the rank sweep's batches on the given pool: cells within
-    /// one levelization rank are evaluated concurrently, ranks form
-    /// barriers, and per-rank results are applied in order position —
-    /// bit-identical to inline execution at any worker count (see
-    /// `tc_par`'s determinism contract).
-    pub fn with_parallel(mut self, pool: tc_par::Pool) -> Self {
-        self.par = Some(pool);
-        self
     }
 
     pub(crate) fn k_sigma(&self) -> f64 {
@@ -513,39 +487,10 @@ impl<'a> Sta<'a> {
     }
 
     /// Computes per-net wire timings (loads, sink delays, SI deltas)
-    /// into a fresh [`WireTable`]. With a parallel pool the nets are
-    /// extracted in fixed chunks and reassembled in net order (each
-    /// net's timing depends only on that net, so any schedule produces
-    /// identical bytes).
+    /// into a fresh [`WireTable`], in net order.
     pub(crate) fn wire_timings(&self) -> Result<WireTable> {
         let n = self.nl.net_count();
         let mut table = WireTable::default();
-        if let Some(pool) = self.par.filter(|p| p.workers() > 1) {
-            let chunks = pool.chunked_map(n, PAR_WIRE_CHUNK, |_, r| {
-                let mut scratch = WireEvalScratch::default();
-                let mut entries = Vec::with_capacity(r.len());
-                let mut local_pool = Vec::new();
-                for i in r {
-                    entries.push(self.net_wire_entry(
-                        NetId::new(i),
-                        &mut scratch,
-                        &mut local_pool,
-                    )?);
-                }
-                Ok((entries, local_pool))
-            });
-            table.entries.reserve(n);
-            for c in chunks {
-                let (entries, local_pool): (Vec<NetWire>, Vec<Ps>) = c?;
-                let base = table.pool.len() as u32;
-                table.entries.extend(entries.into_iter().map(|mut e| {
-                    e.start += base;
-                    e
-                }));
-                table.pool.extend_from_slice(&local_pool);
-            }
-            return Ok(table);
-        }
         let mut scratch = WireEvalScratch::default();
         table.entries.reserve(n);
         for i in 0..n {
@@ -726,62 +671,42 @@ impl<'a> Sta<'a> {
         Ok((ns, arcs_evaluated))
     }
 
-    /// The one arrival-propagation loop. Per levelization rank it takes
-    /// the `frontier`'s cells as one batch, evaluates it (on the pool
-    /// when one is set and the batch has [`PAR_RANK_MIN`] cells, else
-    /// inline), then applies the results in cell-id order: an output
-    /// state is written only when it changed, and each write — net,
-    /// overwritten state, the frontier to grow — goes to `on_write`.
-    /// Cells of one rank are mutually independent (an arc a→b forces
-    /// level(b) > level(a)), so every executor writes the same bytes in
-    /// the same order. `batch` is the dirty frontier's per-rank buffer.
+    /// The one arrival-propagation loop. It takes the `frontier`'s
+    /// cells one at a time in `(level, cell id)` order, evaluates each
+    /// from its inputs' current states, and writes its output state only
+    /// when it changed; each write — net, overwritten state, the frontier
+    /// to grow — goes to `on_write`. Flops sit at level 0 and read no
+    /// arrival, and an arc a → b between combinational cells forces
+    /// level(b) > level(a), so a cell is visited after all its drivers
+    /// have settled and a write grows the frontier only above the cell
+    /// being visited: both frontiers evaluate every cell they share with
+    /// the same float ops in the same order.
     pub(crate) fn sweep(
         &self,
         wires: &WireTable,
         state: &mut [NetState],
         mut frontier: Frontier<'_>,
-        batch: &mut Vec<CellId>,
         mut on_write: impl FnMut(NetId, NetState, &mut Frontier<'_>),
     ) -> Result<SweepCounts> {
-        let graph = self.graph()?;
-        let pool = self.par.filter(|p| p.workers() > 1);
         // From scratch every output slot is still unreached, so "changed"
         // is `reached` and needs no load of the old state.
-        let from_scratch = matches!(frontier, Frontier::Full);
+        let from_scratch = matches!(frontier, Frontier::Full(_));
         let mut counts = SweepCounts::default();
-        for (level, rank) in graph.ranks.iter().enumerate() {
-            let cells: &[CellId] = match &mut frontier {
-                Frontier::Full => rank,
-                // Cone boundary reached everywhere: nothing left to visit.
-                Frontier::Dirty(worklist) if worklist.is_empty() => break,
-                Frontier::Dirty(worklist) => {
-                    worklist.pop_level(level as u32, batch);
-                    batch
-                }
+        while let Some(cid) = frontier.pop() {
+            let (ns, arcs) = self.eval_cell(cid, wires, state)?;
+            counts.cells += 1;
+            counts.arcs += arcs;
+            let out = self.nl.cell(cid).output;
+            let changed = if from_scratch {
+                ns.reached
+            } else {
+                ns != state[out.index()]
             };
-            let mut pooled = pool.filter(|_| cells.len() >= PAR_RANK_MIN).map(|p| {
-                p.scope_map(cells, |_, &cid| self.eval_cell(cid, wires, state))
-                    .into_iter()
-            });
-            for &cid in cells {
-                let (ns, arcs) = match &mut pooled {
-                    Some(results) => results.next().expect("one result per batch cell"),
-                    None => self.eval_cell(cid, wires, state),
-                }?;
-                counts.arcs += arcs;
-                let out = self.nl.cell(cid).output;
-                let changed = if from_scratch {
-                    ns.reached
-                } else {
-                    ns != state[out.index()]
-                };
-                if changed {
-                    let prev = mem::replace(&mut state[out.index()], ns);
-                    counts.writes += 1;
-                    on_write(out, prev, &mut frontier);
-                }
+            if changed {
+                let prev = mem::replace(&mut state[out.index()], ns);
+                counts.writes += 1;
+                on_write(out, prev, &mut frontier);
             }
-            counts.cells += cells.len() as u64;
         }
         Ok(counts)
     }
@@ -803,13 +728,8 @@ impl<'a> Sta<'a> {
         let wires = self.wire_timings()?;
         let mut nets = vec![NetState::default(); self.nl.net_count()];
         self.seed_primary_inputs(&mut nets);
-        let counts = self.sweep(
-            &wires,
-            &mut nets,
-            Frontier::Full,
-            &mut Vec::new(),
-            |_, _, _| {},
-        )?;
+        let frontier = Frontier::full(&graph.level);
+        let counts = self.sweep(&wires, &mut nets, frontier, |_, _, _| {})?;
         let mut rows = Vec::with_capacity(graph.endpoints.len());
         for &ep in &graph.endpoints {
             rows.extend(self.endpoint_row(ep, &nets, &wires)?);

@@ -10,10 +10,11 @@
 //! and net, walked in levelized order until arrivals stop changing.
 //!
 //! Results are **bit-identical** to a from-scratch [`Sta`] run: there is
-//! one propagation loop, which [`Timer::update`] drives over each rank's
-//! dirty cells where `Sta::propagate` drives it over every cell, and the
-//! wire-timing and endpoint code paths are shared too (see the invariants
-//! note in `DESIGN.md`). A failed update rolls itself back.
+//! one propagation loop, which [`Timer::update`] drives over the dirty
+//! cells where `Sta::propagate` drives it over every cell, both in
+//! `(level, cell id)` order, and the wire-timing and endpoint code paths
+//! are shared too (see the invariants note in `DESIGN.md`). A failed
+//! update rolls itself back.
 //!
 //! A structural edit (buffer insertion, rewiring, a flop ↔ combinational
 //! master swap) repairs the graph in place: the levels of the cells it
@@ -48,12 +49,12 @@ use crate::pba::{self, CriticalPath};
 use crate::report::{k_worst, Endpoint, EndpointTiming, TimingReport};
 
 /// The static structure STA needs about a netlist: every cell's logic
-/// level, the cells of each level, the position of every sink pin in its
-/// net's sink list, and the endpoint list.
+/// level, the position of every sink pin in its net's sink list, and the
+/// endpoint list.
 ///
 /// It is a pure function of the netlist's connectivity and cell kinds,
-/// in one canonical order — cells by `(level, cell id)` — so two graphs
-/// of the same netlist compare equal however they were reached.
+/// so two graphs of the same netlist compare equal however they were
+/// reached.
 /// [`TimingGraph::build`] derives it from scratch; the [`Timer`] repairs
 /// its own copy in place after a structural edit (buffer insertion,
 /// rewiring, a flop ↔ combinational master swap), touching only the
@@ -66,13 +67,9 @@ pub struct TimingGraph {
     /// launch point), and for a combinational cell one more than the
     /// highest level among its combinational drivers (1 when it has
     /// none). An arc between combinational cells `a → b` forces
-    /// `level(b) > level(a)`.
+    /// `level(b) > level(a)`, so the sweep's `(level, cell id)` order
+    /// visits every cell after its drivers.
     pub(crate) level: Vec<u32>,
-    /// Levelization ranks: rank `l` holds the cells of level `l` in
-    /// ascending id, and the last rank is never empty. Cells within a
-    /// rank are mutually independent, so a rank may be evaluated in any
-    /// order — including in parallel — with bit-identical results.
-    pub(crate) ranks: Vec<Vec<CellId>>,
     /// Dense per-pin sink positions: slot `Netlist::pin_base(cell) + pin`
     /// holds that input pin's index in its driving net's sink list — the
     /// lookup arrival evaluation needs to pick the right per-sink wire
@@ -96,15 +93,6 @@ impl TimingGraph {
     /// Fails on combinational loops (levelization is impossible).
     pub fn build(nl: &Netlist, lib: &Library) -> Result<Self> {
         let level = levelize(nl, lib)?.level;
-        // Counting sort into ranks: ids ascend within each level.
-        let mut sizes = vec![0usize; level.iter().max().map_or(0, |&m| m as usize + 1)];
-        for &l in &level {
-            sizes[l as usize] += 1;
-        }
-        let mut ranks: Vec<Vec<CellId>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-        for (i, &l) in level.iter().enumerate() {
-            ranks[l as usize].push(CellId::new(i));
-        }
         // Dense per-pin sink positions, written net by net. Start from
         // an invalid sentinel so the dense-id invariant is checkable.
         let mut sink_pos = vec![u32::MAX; nl.total_input_pins()];
@@ -137,38 +125,10 @@ impl TimingGraph {
         endpoints.extend(nl.primary_outputs().map(Endpoint::Output));
         Ok(TimingGraph {
             level,
-            ranks,
             sink_pos,
             arc_count,
             endpoints,
         })
-    }
-
-    /// Moves `cell` between ranks: out of rank `from` and into rank `to`
-    /// (`None`: no rank), keeping ids ascending and the last rank
-    /// non-empty. The caller writes `level`.
-    fn rerank(&mut self, cell: CellId, from: Option<u32>, to: Option<u32>) {
-        if let Some(l) = from {
-            let rank = &mut self.ranks[l as usize];
-            let at = rank
-                .binary_search(&cell)
-                .expect("a cell sits in its level's rank");
-            rank.remove(at);
-        }
-        if let Some(l) = to {
-            let l = l as usize;
-            if self.ranks.len() <= l {
-                self.ranks.resize_with(l + 1, Vec::new);
-            }
-            let rank = &mut self.ranks[l];
-            let at = rank
-                .binary_search(&cell)
-                .expect_err("a cell sits in one rank");
-            rank.insert(at, cell);
-        }
-        while self.ranks.last().is_some_and(Vec::is_empty) {
-            self.ranks.pop();
-        }
     }
 
     /// Whether `ep` is an endpoint of the graph, by binary search.
@@ -248,8 +208,7 @@ impl MarkSet {
 }
 
 /// The dirty cells still to visit, keyed by `(level, cell id)` — the
-/// graph's evaluation order — so each rank's share pops in order. A cell
-/// is queued at most once per round.
+/// sweep's visiting order. A cell is queued at most once per round.
 #[derive(Debug, Default)]
 pub(crate) struct Worklist {
     heap: BinaryHeap<Reverse<(u32, u32)>>,
@@ -269,33 +228,50 @@ impl Worklist {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Moves every queued cell of level `l` or below into `batch`
-    /// (cleared first), in evaluation order.
-    pub(crate) fn pop_level(&mut self, l: u32, batch: &mut Vec<CellId>) {
-        batch.clear();
-        while let Some(&Reverse((level, cell))) = self.heap.peek() {
-            if level > l {
-                break;
-            }
-            self.heap.pop();
-            batch.push(CellId::new(cell as usize));
-        }
+    /// The first queued cell in visiting order, removed.
+    fn pop(&mut self) -> Option<CellId> {
+        let Reverse((_, cell)) = self.heap.pop()?;
+        Some(CellId::new(cell as usize))
     }
 }
 
-/// Which cells of each levelization rank one sweep visits.
+/// The cells one sweep visits, handed out one at a time in `(level,
+/// cell id)` order.
 pub(crate) enum Frontier<'w> {
     /// Every cell: timing from scratch.
-    Full,
-    /// The rank's dirty cells, popped from the worklist; writes grow it.
+    Full(std::vec::IntoIter<CellId>),
+    /// The dirty cells, popped from the worklist; writes grow it.
     Dirty(&'w mut Worklist),
 }
 
 impl Frontier<'_> {
+    /// Every cell of a graph with these levels, by one counting sort:
+    /// ids ascend within each level.
+    pub(crate) fn full(level: &[u32]) -> Self {
+        let mut start = vec![0usize; level.iter().max().map_or(0, |&m| m as usize + 2)];
+        for &l in level {
+            start[l as usize + 1] += 1;
+        }
+        for l in 1..start.len() {
+            start[l] += start[l - 1];
+        }
+        let mut order = vec![CellId::default(); level.len()];
+        for (i, &l) in level.iter().enumerate() {
+            let at = &mut start[l as usize];
+            order[*at] = CellId::new(i);
+            *at += 1;
+        }
+        Frontier::Full(order.into_iter())
+    }
+
+    /// The next cell to visit.
+    pub(crate) fn pop(&mut self) -> Option<CellId> {
+        match self {
+            Frontier::Full(cells) => cells.next(),
+            Frontier::Dirty(worklist) => worklist.pop(),
+        }
+    }
+
     /// Adds a cell to the frontier (from scratch every cell is already
     /// on it).
     fn push(&mut self, level: &[u32], cell: usize) {
@@ -348,7 +324,7 @@ impl StructEdits {
 
 /// The level writes of one structural round, each with the level it
 /// overwrote, so a loop can restore them and a success can turn each
-/// existing cell's first write into a rank move and an undo entry.
+/// existing cell's first write into an undo entry.
 #[derive(Debug, Default)]
 struct LevelLog {
     /// Cells the round started with; cells past it are new.
@@ -523,10 +499,9 @@ impl Relevel {
 }
 
 /// Reusable buffers for one incremental update: dirty-set marks, the
-/// worklist and its per-rank batch, the re-levelization buffers and the
-/// wire-evaluation arena. Owned by the [`Timer`] so the ~10⁵ transient
-/// allocations a per-update rebuild would cost are paid once per timer
-/// instead.
+/// worklist, the re-levelization buffers and the wire-evaluation arena.
+/// Owned by the [`Timer`] so the ~10⁵ transient allocations a per-update
+/// rebuild would cost are paid once per timer instead.
 #[derive(Debug, Default)]
 struct UpdateScratch {
     dirty_nets: MarkSet,
@@ -534,7 +509,6 @@ struct UpdateScratch {
     dirty_flop_eps: MarkSet,
     dirty_po_eps: MarkSet,
     worklist: Worklist,
-    batch: Vec<CellId>,
     relevel: Relevel,
     wire: WireEvalScratch,
 }
@@ -818,7 +792,7 @@ impl<'a> Timer<'a> {
     /// dirty cones. No-op when the timer is already current.
     ///
     /// Results are bit-identical to a from-scratch run over the edited
-    /// netlist: it is the same rank sweep, visiting only dirty cells.
+    /// netlist: it is the same sweep, visiting only dirty cells.
     ///
     /// # Errors
     ///
@@ -1016,9 +990,9 @@ impl<'a> Timer<'a> {
     }
 
     /// Phase 2 of a structural round: repairs the graph in place for the
-    /// scanned edits — levels and ranks, sink positions, the endpoint
-    /// slots of flop ↔ comb swaps, the arc count — and grows the per-net
-    /// vectors (ids are append-only). Every write is a delta on the undo
+    /// scanned edits — levels, sink positions, the endpoint slots of
+    /// flop ↔ comb swaps, the arc count — and grows the per-net vectors
+    /// (ids are append-only). Every write is a delta on the undo
     /// log; on a combinational loop nothing is written. Returns the
     /// number of existing cells whose level changed.
     fn repair_structure(&mut self, nl: &Netlist) -> Result<usize> {
@@ -1045,13 +1019,10 @@ impl<'a> Timer<'a> {
             let c = CellId::new(i);
             debug_assert!(!is_flop(nl, lib, c), "a buffer is combinational");
             graph.arc_count += arcs_of(nl, lib, c);
-            graph.rerank(c, None, Some(graph.level[i]));
         }
         let mut moves = 0;
         for &(cell, prev) in &relevel.log.writes {
-            let now = graph.level[cell.index()];
-            if now != prev {
-                graph.rerank(cell, Some(prev), Some(now));
+            if graph.level[cell.index()] != prev {
                 self.undo.push(UndoOp::Level { cell, prev });
                 moves += 1;
             }
@@ -1157,7 +1128,7 @@ impl<'a> Timer<'a> {
             }
         }
 
-        // Phase 4: the rank sweep over the dirty frontier. Flops order
+        // Phase 4: the sweep over the dirty frontier. Flops order
         // before all comb cells and every comb cell after its drivers,
         // so each cell is evaluated at most once, after all its inputs
         // have settled — exactly what a from-scratch sweep computes.
@@ -1167,7 +1138,6 @@ impl<'a> Timer<'a> {
             &self.st.wires,
             &mut self.st.nets,
             Frontier::Dirty(&mut scr.worklist),
-            &mut scr.batch,
             |out, prev, frontier| {
                 undo.push(UndoOp::NetState {
                     net: out.index(),
@@ -1263,9 +1233,6 @@ impl<'a> Timer<'a> {
                     arcs,
                 } => {
                     let graph = Arc::make_mut(&mut st.graph);
-                    for i in cells..graph.level.len() {
-                        graph.rerank(CellId::new(i), Some(graph.level[i]), None);
-                    }
                     graph.level.truncate(cells);
                     graph.sink_pos.truncate(pins);
                     graph.arc_count = arcs;
@@ -1273,9 +1240,7 @@ impl<'a> Timer<'a> {
                     st.wires.truncate(nets);
                 }
                 UndoOp::Level { cell, prev } => {
-                    let graph = Arc::make_mut(&mut st.graph);
-                    let now = mem::replace(&mut graph.level[cell.index()], prev);
-                    graph.rerank(cell, Some(now), Some(prev));
+                    Arc::make_mut(&mut st.graph).level[cell.index()] = prev
                 }
                 UndoOp::SinkPos { slot, prev } => {
                     Arc::make_mut(&mut st.graph).sink_pos[slot] = prev

@@ -1,9 +1,9 @@
-//! Determinism contract of `tc-par`: every parallelized engine —
-//! the MCMM scenario sweep, level-synchronous GBA propagation, and the
-//! Monte Carlo samplers — must produce results that are **bit-identical**
-//! at every worker count. The worker count may change wall-clock, never
-//! bytes. These tests sweep seeded workloads across {1, 2, 4, 8} workers
-//! and compare full `f64` bit patterns against the sequential reference.
+//! Determinism contract of `tc-par`: every parallelized engine — the
+//! MCMM scenario sweep and the Monte Carlo samplers — must produce
+//! results that are **bit-identical** at every worker count. The worker
+//! count may change wall-clock, never bytes. These tests sweep seeded
+//! workloads across {1, 2, 4, 8} workers and compare full `f64` bit
+//! patterns against the sequential reference.
 
 use timing_closure::core::ids::NetId;
 use timing_closure::interconnect::beol::{BeolCorner, BeolStack};
@@ -11,7 +11,7 @@ use timing_closure::liberty::{LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
 use timing_closure::par::Pool;
 use timing_closure::sta::mcmm::{run_scenarios_shared_on, Scenario};
-use timing_closure::sta::{Constraints, Sta};
+use timing_closure::sta::Constraints;
 use timing_closure::variation::mc::{beol_monte_carlo_wns_on, PathModel};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -62,8 +62,13 @@ fn scenario_sweep_is_bit_identical_at_any_worker_count() {
     let lib = Library::generate(&cfg, &PvtCorner::typical());
     let stack = BeolStack::n20();
     let scenarios = scenarios(&cfg);
-    for seed in [3, 17] {
-        let nl = generate(&lib, BenchProfile::tiny(), seed).unwrap();
+    let designs = [
+        (BenchProfile::tiny(), 3),
+        (BenchProfile::tiny(), 17),
+        (BenchProfile::c5315(), 11),
+    ];
+    for (profile, seed) in designs {
+        let nl = generate(&lib, profile, seed).unwrap();
         let reference = fingerprint(
             &run_scenarios_shared_on(Pool::sequential(), &nl, &stack, &scenarios).unwrap(),
         );
@@ -73,29 +78,6 @@ fn scenario_sweep_is_bit_identical_at_any_worker_count() {
                 &run_scenarios_shared_on(Pool::new(workers), &nl, &stack, &scenarios).unwrap(),
             );
             assert_eq!(got, reference, "sweep diverged at {workers} workers");
-        }
-    }
-}
-
-#[test]
-fn parallel_gba_matches_sequential_bit_for_bit() {
-    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
-    let stack = BeolStack::n20();
-    let cons = Constraints::single_clock(900.0);
-    for (profile, seed) in [(BenchProfile::soc_block(), 5), (BenchProfile::c5315(), 11)] {
-        let mut nl = generate(&lib, profile, seed).unwrap();
-        for i in 0..nl.net_count() {
-            nl.set_wire_length(NetId::new(i), 15.0 + (i % 40) as f64);
-        }
-        let sequential = Sta::new(&nl, &lib, &stack, &cons);
-        let reference = sequential.propagate().unwrap();
-        for workers in WORKER_COUNTS {
-            let par = Sta::new(&nl, &lib, &stack, &cons).with_parallel(Pool::new(workers));
-            // Net states, wire timings and endpoint rows, bit for bit.
-            assert!(
-                par.propagate().unwrap() == reference,
-                "timing state diverged at {workers} workers"
-            );
         }
     }
 }
