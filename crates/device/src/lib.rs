@@ -39,5 +39,5 @@
 pub mod mosfet;
 pub mod vt;
 
-pub use mosfet::{MosDevice, MosKind, Technology};
+pub use mosfet::{FoldedMos, GateDrive, MosDevice, MosKind, Technology};
 pub use vt::VtClass;

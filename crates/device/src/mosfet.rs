@@ -151,38 +151,32 @@ impl MosDevice {
         vt0 + self.vt_class.vt_offset() - tech.vt_temp_coeff * (t.value() - 25.0) + self.delta_vt
     }
 
-    /// Drain-current *magnitude* in mA for gate-drive magnitude `vgs` and
-    /// drain-source magnitude `vds` (both ≥ 0; the caller resolves PMOS
-    /// polarity). Smoothly blends subthreshold and alpha-power saturation
-    /// so the Newton iterations in `tc-sim` converge.
-    pub fn drain_current(&self, tech: &Technology, vgs: Volt, vds: Volt, t: Celsius) -> f64 {
-        let vgs = vgs.value().max(0.0);
-        let vds = vds.value();
-        if vds <= 0.0 {
-            return 0.0;
-        }
+    /// The device's drive terms folded for temperature `t`: everything
+    /// [`drain_current`](Self::drain_current) computes that does not
+    /// depend on the terminal voltages. A transient folds each device once
+    /// and evaluates the folded form at every Newton iteration.
+    pub fn fold(&self, tech: &Technology, t: Celsius) -> FoldedMos {
         let k = match self.kind {
             MosKind::Nmos => tech.k_n,
             MosKind::Pmos => tech.k_p,
         };
-        let vt = self.vt_eff(tech, t);
-        let mob = tech.mobility_factor(t);
-        let n_vt = tech.subthreshold_n * Technology::thermal_voltage(t);
-        let vgst = vgs - vt;
+        FoldedMos {
+            gain: k * self.width_um * tech.mobility_factor(t),
+            vt: self.vt_eff(tech, t),
+            n_vt: tech.subthreshold_n * Technology::thermal_voltage(t),
+            alpha: tech.alpha,
+        }
+    }
 
-        // Smooth effective overdrive: ≈ n·vT·ln(1+exp(vgst/n·vT)) tends to
-        // vgst when on and to a decaying exponential when off.
-        let x = vgst / n_vt;
-        let ov_eff = if x > 40.0 {
-            vgst
-        } else {
-            n_vt * (1.0 + x.exp()).ln()
-        };
-        let idsat = k * self.width_um * mob * ov_eff.powf(tech.alpha);
-
-        // Smooth triode→saturation transition.
-        let vdsat = (0.35 * ov_eff).max(0.05);
-        idsat * (vds / vdsat).tanh()
+    /// Drain-current *magnitude* in mA for gate-drive magnitude `vgs` and
+    /// drain-source magnitude `vds` (both ≥ 0; the caller resolves PMOS
+    /// polarity). Smoothly blends subthreshold and alpha-power saturation
+    /// so the Newton iterations in `tc-sim` converge.
+    ///
+    /// The formula lives in [`FoldedMos::current`]; this is
+    /// `self.fold(tech, t).current(vgs, vds)`, bit for bit.
+    pub fn drain_current(&self, tech: &Technology, vgs: Volt, vds: Volt, t: Celsius) -> f64 {
+        self.fold(tech, t).current(vgs.value(), vds.value())
     }
 
     /// Saturation current magnitude at full gate drive `vdd`.
@@ -229,6 +223,74 @@ impl MosDevice {
         };
         let base = tech.ioff_per_um * self.width_um;
         base * ((vt0_svt - vt25) / n_vt25).exp() * ((vt25 - vt_t) / n_vt).exp()
+    }
+}
+
+/// A [`MosDevice`] with its temperature terms folded in
+/// ([`MosDevice::fold`]): the alpha-power model as a function of the
+/// terminal voltages alone.
+///
+/// The model splits into a gate half, [`gate`](Self::gate), which maps
+/// the gate drive to the saturation current and voltage, and a drain
+/// half, [`GateDrive::drain`], which scales that by the drain bias. A
+/// caller that moves only `vds` keeps the gate half and re-runs only the
+/// drain half, with the same result as a full [`current`](Self::current).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FoldedMos {
+    /// `k · width · mobility_factor(t)`: mA at 1 V of overdrive.
+    pub gain: f64,
+    /// Effective threshold magnitude at `t` ([`MosDevice::vt_eff`]).
+    pub vt: f64,
+    /// Subthreshold slope voltage `n · kT/q` at `t`.
+    pub n_vt: f64,
+    /// Velocity-saturation exponent α.
+    pub alpha: f64,
+}
+
+impl FoldedMos {
+    /// The gate half: saturation current and voltage at gate-drive
+    /// magnitude `vgs` (clamped at 0).
+    pub fn gate(&self, vgs: f64) -> GateDrive {
+        let vgst = vgs.max(0.0) - self.vt;
+        // Smooth effective overdrive: ≈ n·vT·ln(1+exp(vgst/n·vT)) tends to
+        // vgst when on and to a decaying exponential when off.
+        let x = vgst / self.n_vt;
+        let ov_eff = if x > 40.0 {
+            vgst
+        } else {
+            self.n_vt * (1.0 + x.exp()).ln()
+        };
+        GateDrive {
+            idsat: self.gain * ov_eff.powf(self.alpha),
+            // Smooth triode→saturation transition.
+            vdsat: (0.35 * ov_eff).max(0.05),
+        }
+    }
+
+    /// Drain-current magnitude in mA: the gate half at `vgs`, then the
+    /// drain half at `vds`.
+    pub fn current(&self, vgs: f64, vds: f64) -> f64 {
+        self.gate(vgs).drain(vds)
+    }
+}
+
+/// The gate half of a [`FoldedMos`] evaluation at one gate drive.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GateDrive {
+    /// Saturation current magnitude in mA.
+    pub idsat: f64,
+    /// Saturation voltage in V.
+    pub vdsat: f64,
+}
+
+impl GateDrive {
+    /// The drain half: current magnitude in mA at drain-source magnitude
+    /// `vds`. Zero when `vds ≤ 0`.
+    pub fn drain(&self, vds: f64) -> f64 {
+        if vds <= 0.0 {
+            return 0.0;
+        }
+        self.idsat * (vds / self.vdsat).tanh()
     }
 }
 

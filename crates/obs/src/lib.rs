@@ -82,9 +82,9 @@
 //! | `par.tasks` | counter | work items executed on `tc-par` pools |
 //! | `par.steal_idle_ms` | counter | summed worker idle ms per pool scope |
 //! | `sim.transient` | span | one transient circuit simulation |
-//! | `sim.newton.steps` | counter | accepted backward-Euler steps |
-//! | `sim.newton.iters` | counter | Newton iterations across steps |
-//! | `sim.newton.iters_per_step` | histogram | convergence profile |
+//! | `sim.newton.steps` | counter | accepted backward-Euler steps (flushed once per transient) |
+//! | `sim.newton.iters` | counter | Newton iterations across steps (flushed once per transient) |
+//! | `sim.newton.iters_per_step` | histogram | convergence profile, one sample per step (flushed once per transient) |
 //! | `par.task` | trace scope | one pool work item (timeline only, no span path) |
 //! | `obs.trace.dropped` | counter | trace events lost to full rings |
 //! | `mem.allocs` / `mem.frees` | counter | allocator events since [`enable_memory`] |
@@ -227,6 +227,24 @@ mod tests {
         assert_eq!(hs.min, 0.0);
         assert_eq!(hs.max, 1e6);
         assert!((hs.mean() - hs.sum / 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_record_n_equals_n_records() {
+        enable();
+        let (one, many) = (histogram("t_hist_n.one"), histogram("t_hist_n.many"));
+        for (v, n) in [(3.0, 4), (0.0, 2), (17.0, 1), (5.0, 0)] {
+            for _ in 0..n {
+                one.record(v);
+            }
+            many.record_n(v, n);
+        }
+        let snap = snapshot();
+        let get = |name: &str| {
+            let h = snap.histograms.iter().find(|h| h.name == name).unwrap();
+            (h.count, h.sum, h.min, h.max, h.buckets.clone())
+        };
+        assert_eq!(get("t_hist_n.one"), get("t_hist_n.many"));
     }
 
     #[test]

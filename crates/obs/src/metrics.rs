@@ -85,12 +85,14 @@ impl Default for HistData {
 }
 
 impl HistData {
-    pub(crate) fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
+    /// `n ≥ 1` samples of `v`. The sum grows by `v · n`, which equals `n`
+    /// repeated adds whenever those are exact (integer samples).
+    pub(crate) fn record(&mut self, v: f64, n: u64) {
+        self.count += n;
+        self.sum += v * n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.buckets[bucket_of(v)] += 1;
+        self.buckets[bucket_of(v)] += n;
     }
 }
 
@@ -123,7 +125,16 @@ impl Histogram {
     /// Records one sample. A no-op while disabled.
     pub fn record(&self, v: f64) {
         if is_enabled() {
-            self.0.lock().expect("obs histogram poisoned").record(v);
+            self.0.lock().expect("obs histogram poisoned").record(v, 1);
+        }
+    }
+
+    /// Records `n` samples of one value under one lock: a caller that
+    /// tallies a distribution locally flushes it with one call per
+    /// distinct value. A no-op while disabled or when `n` is 0.
+    pub fn record_n(&self, v: f64, n: u64) {
+        if n > 0 && is_enabled() {
+            self.0.lock().expect("obs histogram poisoned").record(v, n);
         }
     }
 

@@ -9,10 +9,34 @@
 //! circuit is simulated with all sources frozen at their `t = 0` values
 //! for a settling window before recording starts. This is robust against
 //! the weakly-driven internal nodes of latch feedback loops.
+//!
+//! # Cost per Newton iteration
+//!
+//! With ≤ ~10 free nodes the O(n³) solve is small next to the device
+//! model, so the loop is arranged around model evaluations:
+//!
+//! * **Fold per transient.** Building the system folds every MOSFET for
+//!   the run's temperature once ([`tc_device::MosDevice::fold`]), so the
+//!   mobility `powf`, the threshold and `n·vT` are not recomputed per
+//!   call.
+//! * **Finite-difference stamping.** A MOSFET's Jacobian row is its base
+//!   current plus one forward step of `H` = 10 µV on each of drain, gate
+//!   and source. When the device is unswapped and the drain step keeps
+//!   it so (NMOS with `vd ≥ vs`, PMOS with `vs ≥ vd + H`), that step
+//!   moves only `vds`: it reuses the base evaluation's gate half
+//!   ([`tc_device::FoldedMos::gate`]) and runs only the drain half's
+//!   `tanh`. Every other step is a full evaluation. Each stamped value is
+//!   the same float ops in the same order as four full calls.
+//! * **One workspace per transient.** Residual, Jacobian, its factored
+//!   copy and the update are allocated once and reused by every step.
+//! * **Counters flushed once per call.** `sim.newton.steps`,
+//!   `sim.newton.iters` and the `sim.newton.iters_per_step` histogram are
+//!   tallied locally and flushed when the transient returns, `Err`
+//!   included.
 
 use tc_core::error::{Error, Result};
 use tc_core::units::{Celsius, Volt};
-use tc_device::{MosKind, Technology};
+use tc_device::{FoldedMos, MosKind, Technology};
 
 use crate::circuit::{Circuit, Element, NodeId};
 use crate::measure::Waveform;
@@ -87,11 +111,34 @@ const NEWTON_TOL_V: f64 = 1e-7;
 const NEWTON_TOL_I: f64 = 1e-8;
 const MAX_NEWTON: usize = 60;
 const DV_CLIP: f64 = 0.4;
+/// Finite-difference step for MOSFET Jacobian columns, in volts.
+const H: f64 = 1e-5;
 
-struct System<'a> {
-    circuit: &'a Circuit,
-    tech: &'a Technology,
-    temp: Celsius,
+/// A circuit element as the residual stamps it, in circuit order (the
+/// order fixes the floating-point accumulation into `f` and the
+/// Jacobian). Sources are pinned nodes, not branches.
+enum Branch {
+    Resistor {
+        a: usize,
+        b: usize,
+        g: f64,
+    },
+    Capacitor {
+        a: usize,
+        b: usize,
+        c: f64,
+    },
+    Mosfet {
+        kind: MosKind,
+        fet: FoldedMos,
+        d: usize,
+        g: usize,
+        s: usize,
+    },
+}
+
+struct System {
+    branches: Vec<Branch>,
     sources: Vec<(NodeId, crate::circuit::Pwl)>,
     /// Free-node list and inverse map.
     free: Vec<usize>,
@@ -99,21 +146,63 @@ struct System<'a> {
     cmin: f64,
 }
 
-impl<'a> System<'a> {
-    fn build(circuit: &'a Circuit, tech: &'a Technology, opts: &TranOptions) -> Result<Self> {
+/// Newton buffers for one transient, allocated once and reused by every
+/// step: residual, Jacobian, its factored copy and the update.
+struct Workspace {
+    f: Vec<f64>,
+    jac: Vec<f64>,
+    a: Vec<f64>,
+    delta: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(nf: usize) -> Self {
+        Workspace {
+            f: vec![0.0; nf],
+            jac: vec![0.0; nf * nf],
+            a: vec![0.0; nf * nf],
+            delta: vec![0.0; nf],
+        }
+    }
+}
+
+impl System {
+    /// Splits the circuit into pinned sources and stamped branches, and
+    /// folds every MOSFET for `opts.temp` once.
+    fn build(circuit: &Circuit, tech: &Technology, opts: &TranOptions) -> Result<Self> {
         let n = circuit.node_count();
         let mut pinned = vec![None; n];
         let mut sources = Vec::new();
+        let mut branches = Vec::new();
         for el in circuit.elements() {
-            if let Element::Source { node, wave } = el {
-                if pinned[node.index()].is_some() {
-                    return Err(Error::invalid_input(format!(
-                        "node {} pinned by two sources",
-                        circuit.node_name(*node)
-                    )));
+            match el {
+                Element::Source { node, wave } => {
+                    if pinned[node.index()].is_some() {
+                        return Err(Error::invalid_input(format!(
+                            "node {} pinned by two sources",
+                            circuit.node_name(*node)
+                        )));
+                    }
+                    pinned[node.index()] = Some(sources.len());
+                    sources.push((*node, wave.clone()));
                 }
-                pinned[node.index()] = Some(sources.len());
-                sources.push((*node, wave.clone()));
+                Element::Resistor { a, b, r } => branches.push(Branch::Resistor {
+                    a: a.index(),
+                    b: b.index(),
+                    g: 1.0 / r.value(),
+                }),
+                Element::Capacitor { a, b, c } => branches.push(Branch::Capacitor {
+                    a: a.index(),
+                    b: b.index(),
+                    c: c.value(),
+                }),
+                Element::Mosfet { dev, d, g, s } => branches.push(Branch::Mosfet {
+                    kind: dev.kind,
+                    fet: dev.fold(tech, opts.temp),
+                    d: d.index(),
+                    g: g.index(),
+                    s: s.index(),
+                }),
             }
         }
         // Ground is always pinned to zero via a constant source slot.
@@ -130,9 +219,7 @@ impl<'a> System<'a> {
             }
         }
         Ok(System {
-            circuit,
-            tech,
-            temp: opts.temp,
+            branches,
             sources,
             free,
             free_index,
@@ -146,50 +233,16 @@ impl<'a> System<'a> {
         }
     }
 
-    /// MOSFET drain current with polarity resolution: returns the signed
-    /// current flowing *into* the drain terminal.
-    fn fet_current(&self, dev: &tc_device::MosDevice, vd: f64, vg: f64, vs: f64) -> f64 {
-        match dev.kind {
-            MosKind::Nmos => {
-                if vd >= vs {
-                    dev.drain_current(self.tech, Volt::new(vg - vs), Volt::new(vd - vs), self.temp)
-                } else {
-                    // Source/drain swap: conduction is symmetric.
-                    -dev.drain_current(self.tech, Volt::new(vg - vd), Volt::new(vs - vd), self.temp)
-                }
-            }
-            MosKind::Pmos => {
-                if vs >= vd {
-                    // Channel conducts source→drain: current *exits* the
-                    // device at the drain, so the into-drain current is
-                    // negative.
-                    -dev.drain_current(self.tech, Volt::new(vs - vg), Volt::new(vs - vd), self.temp)
-                } else {
-                    dev.drain_current(self.tech, Volt::new(vd - vg), Volt::new(vd - vs), self.temp)
-                }
-            }
-        }
-    }
-
     /// Accumulates the residual `f[i]` = net current *leaving* each free
-    /// node, and optionally the dense Jacobian `df/dv`.
-    fn residual(&self, v: &[f64], v_prev: &[f64], dt: f64, f: &mut [f64], jac: Option<&mut [f64]>) {
+    /// node, and the dense Jacobian `df/dv`.
+    fn residual(&self, v: &[f64], v_prev: &[f64], dt: f64, f: &mut [f64], jac: &mut [f64]) {
         let nf = self.free.len();
-        for x in f.iter_mut() {
-            *x = 0.0;
-        }
-        let mut jbuf = jac;
-        if let Some(j) = jbuf.as_deref_mut() {
-            for x in j.iter_mut() {
-                *x = 0.0;
-            }
-        }
+        f.fill(0.0);
+        jac.fill(0.0);
 
-        let stamp = |jac: &mut Option<&mut [f64]>, row_node: usize, col_node: usize, g: f64| {
+        let mut stamp = |row_node: usize, col_node: usize, g: f64| {
             if let (Some(r), Some(c)) = (self.free_index[row_node], self.free_index[col_node]) {
-                if let Some(j) = jac.as_deref_mut() {
-                    j[r * nf + c] += g;
-                }
+                jac[r * nf + c] += g;
             }
         };
 
@@ -197,68 +250,59 @@ impl<'a> System<'a> {
         for (fi, &node) in self.free.iter().enumerate() {
             let g = GMIN + self.cmin / dt;
             f[fi] += GMIN * v[node] + self.cmin * (v[node] - v_prev[node]) / dt;
-            stamp(&mut jbuf, node, node, g);
+            stamp(node, node, g);
         }
 
-        for el in self.circuit.elements() {
-            match el {
-                Element::Source { .. } => {}
-                Element::Resistor { a, b, r } => {
-                    let g = 1.0 / r.value();
-                    let i = g * (v[a.index()] - v[b.index()]);
-                    if let Some(fa) = self.free_index[a.index()] {
+        for br in &self.branches {
+            match *br {
+                Branch::Resistor { a, b, g } => {
+                    let i = g * (v[a] - v[b]);
+                    if let Some(fa) = self.free_index[a] {
                         f[fa] += i;
                     }
-                    if let Some(fb) = self.free_index[b.index()] {
+                    if let Some(fb) = self.free_index[b] {
                         f[fb] -= i;
                     }
-                    stamp(&mut jbuf, a.index(), a.index(), g);
-                    stamp(&mut jbuf, a.index(), b.index(), -g);
-                    stamp(&mut jbuf, b.index(), b.index(), g);
-                    stamp(&mut jbuf, b.index(), a.index(), -g);
+                    stamp(a, a, g);
+                    stamp(a, b, -g);
+                    stamp(b, b, g);
+                    stamp(b, a, -g);
                 }
-                Element::Capacitor { a, b, c } => {
-                    let g = c.value() / dt;
-                    let dv_now = v[a.index()] - v[b.index()];
-                    let dv_old = v_prev[a.index()] - v_prev[b.index()];
+                Branch::Capacitor { a, b, c } => {
+                    let g = c / dt;
+                    let dv_now = v[a] - v[b];
+                    let dv_old = v_prev[a] - v_prev[b];
                     let i = g * (dv_now - dv_old);
-                    if let Some(fa) = self.free_index[a.index()] {
+                    if let Some(fa) = self.free_index[a] {
                         f[fa] += i;
                     }
-                    if let Some(fb) = self.free_index[b.index()] {
+                    if let Some(fb) = self.free_index[b] {
                         f[fb] -= i;
                     }
-                    stamp(&mut jbuf, a.index(), a.index(), g);
-                    stamp(&mut jbuf, a.index(), b.index(), -g);
-                    stamp(&mut jbuf, b.index(), b.index(), g);
-                    stamp(&mut jbuf, b.index(), a.index(), -g);
+                    stamp(a, a, g);
+                    stamp(a, b, -g);
+                    stamp(b, b, g);
+                    stamp(b, a, -g);
                 }
-                Element::Mosfet { dev, d, g, s } => {
-                    let (vd, vg, vs) = (v[d.index()], v[g.index()], v[s.index()]);
-                    let i_d = self.fet_current(dev, vd, vg, vs);
+                Branch::Mosfet { kind, fet, d, g, s } => {
+                    let [i_d, di_dd, di_dg, di_ds] = fet_stamp(kind, &fet, v[d], v[g], v[s]);
                     // i_d flows from the drain node into the device and out
                     // at the source: leaving(drain) = +i_d,
                     // leaving(source) = −i_d.
-                    if let Some(fd) = self.free_index[d.index()] {
+                    if let Some(fd) = self.free_index[d] {
                         f[fd] += i_d;
                     }
-                    if let Some(fs) = self.free_index[s.index()] {
+                    if let Some(fs) = self.free_index[s] {
                         f[fs] -= i_d;
                     }
-                    if jbuf.is_some() {
-                        const H: f64 = 1e-5;
-                        let di_dd = (self.fet_current(dev, vd + H, vg, vs) - i_d) / H;
-                        let di_dg = (self.fet_current(dev, vd, vg + H, vs) - i_d) / H;
-                        let di_ds = (self.fet_current(dev, vd, vg, vs + H) - i_d) / H;
-                        // Row = drain (leaving drain = +i_d).
-                        stamp(&mut jbuf, d.index(), d.index(), di_dd);
-                        stamp(&mut jbuf, d.index(), g.index(), di_dg);
-                        stamp(&mut jbuf, d.index(), s.index(), di_ds);
-                        // Row = source (leaving source = −i_d).
-                        stamp(&mut jbuf, s.index(), d.index(), -di_dd);
-                        stamp(&mut jbuf, s.index(), g.index(), -di_dg);
-                        stamp(&mut jbuf, s.index(), s.index(), -di_ds);
-                    }
+                    // Row = drain (leaving drain = +i_d).
+                    stamp(d, d, di_dd);
+                    stamp(d, g, di_dg);
+                    stamp(d, s, di_ds);
+                    // Row = source (leaving source = −i_d).
+                    stamp(s, d, -di_dd);
+                    stamp(s, g, -di_dg);
+                    stamp(s, s, -di_ds);
                 }
             }
         }
@@ -266,24 +310,28 @@ impl<'a> System<'a> {
 
     /// One backward-Euler step with damped Newton; `v` holds the solution
     /// on exit. Returns the number of Newton iterations spent.
-    fn step(&self, t_new: f64, dt: f64, v_prev: &[f64], v: &mut [f64]) -> Result<usize> {
+    fn step(
+        &self,
+        ws: &mut Workspace,
+        t_new: f64,
+        dt: f64,
+        v_prev: &[f64],
+        v: &mut [f64],
+    ) -> Result<usize> {
         let nf = self.free.len();
+        self.apply_sources(t_new, v);
         if nf == 0 {
-            self.apply_sources(t_new, v);
             return Ok(0);
         }
-        self.apply_sources(t_new, v);
-        let mut f = vec![0.0; nf];
-        let mut jac = vec![0.0; nf * nf];
-        let mut delta = vec![0.0; nf];
+        let Workspace { f, jac, a, delta } = ws;
 
         for iter in 0..MAX_NEWTON {
-            self.residual(v, v_prev, dt, &mut f, Some(&mut jac));
+            self.residual(v, v_prev, dt, f, jac);
             let max_f = f.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
             // Solve J·delta = f  (so v_new = v − delta).
-            let mut a = jac.clone();
-            delta.copy_from_slice(&f);
-            solve_dense(&mut a, &mut delta, nf)?;
+            a.copy_from_slice(jac);
+            delta.copy_from_slice(f);
+            solve_dense(a, delta, nf)?;
             let mut max_dv = 0.0f64;
             for (fi, &node) in self.free.iter().enumerate() {
                 let dv = delta[fi].clamp(-DV_CLIP, DV_CLIP);
@@ -298,6 +346,61 @@ impl<'a> System<'a> {
             "newton did not converge at t = {t_new:.2} ps"
         )))
     }
+}
+
+/// MOSFET drain current with polarity resolution: returns the signed
+/// current flowing *into* the drain terminal.
+fn fet_current(kind: MosKind, fet: &FoldedMos, vd: f64, vg: f64, vs: f64) -> f64 {
+    match kind {
+        MosKind::Nmos => {
+            if vd >= vs {
+                fet.current(vg - vs, vd - vs)
+            } else {
+                // Source/drain swap: conduction is symmetric.
+                -fet.current(vg - vd, vs - vd)
+            }
+        }
+        MosKind::Pmos => {
+            if vs >= vd {
+                // Channel conducts source→drain: current *exits* the
+                // device at the drain, so the into-drain current is
+                // negative.
+                -fet.current(vs - vg, vs - vd)
+            } else {
+                fet.current(vd - vg, vd - vs)
+            }
+        }
+    }
+}
+
+/// A MOSFET's into-drain current and its finite-difference derivatives
+/// with respect to the drain, gate and source voltages:
+/// `[i_d, ∂i/∂vd, ∂i/∂vg, ∂i/∂vs]`.
+///
+/// When the device is unswapped and stays so at `vd + H` (NMOS with
+/// `vd ≥ vs`, PMOS with `vs ≥ vd + H`), the drain step moves only `vds`,
+/// so the base evaluation's gate half is reused and only the drain half
+/// runs again. Every other step is a full [`fet_current`]. Each value is
+/// the same float ops in the same order as four `fet_current` calls.
+fn fet_stamp(kind: MosKind, fet: &FoldedMos, vd: f64, vg: f64, vs: f64) -> [f64; 4] {
+    let (i_d, i_dd) = match kind {
+        MosKind::Nmos if vd >= vs => {
+            let drive = fet.gate(vg - vs);
+            (drive.drain(vd - vs), drive.drain((vd + H) - vs))
+        }
+        MosKind::Pmos if vs >= vd + H => {
+            let drive = fet.gate(vs - vg);
+            (-drive.drain(vs - vd), -drive.drain(vs - (vd + H)))
+        }
+        _ => (
+            fet_current(kind, fet, vd, vg, vs),
+            fet_current(kind, fet, vd + H, vg, vs),
+        ),
+    };
+    let di_dd = (i_dd - i_d) / H;
+    let di_dg = (fet_current(kind, fet, vd, vg + H, vs) - i_d) / H;
+    let di_ds = (fet_current(kind, fet, vd, vg, vs + H) - i_d) / H;
+    [i_d, di_dd, di_dg, di_ds]
 }
 
 /// Solves a dense `n×n` system in place by Gaussian elimination with
@@ -359,11 +462,22 @@ pub fn transient(circuit: &Circuit, tech: &Technology, opts: &TranOptions) -> Re
         return Err(Error::invalid_input("dt and t_stop must be positive"));
     }
     let _span = tc_obs::span("sim.transient");
-    let step_counter = tc_obs::counter("sim.newton.steps");
-    let iter_counter = tc_obs::counter("sim.newton.iters");
-    let iters_hist = tc_obs::histogram("sim.newton.iters_per_step");
     let sys = System::build(circuit, tech, opts)?;
-    let n = circuit.node_count();
+    let mut effort = [0; MAX_NEWTON + 1];
+    let result = integrate(&sys, circuit.node_count(), opts, &mut effort);
+    flush_effort(&effort);
+    result
+}
+
+/// Settles the circuit, then steps it to `opts.t_stop`. `effort[k]`
+/// counts the accepted steps that took `k` Newton iterations.
+fn integrate(
+    sys: &System,
+    n: usize,
+    opts: &TranOptions,
+    effort: &mut [u64; MAX_NEWTON + 1],
+) -> Result<TranResult> {
+    let mut ws = Workspace::new(sys.free.len());
     let mut v = vec![0.0; n];
     sys.apply_sources(-opts.settle, &mut v);
     // Heuristic initial guess: free nodes at half the max source voltage.
@@ -382,10 +496,7 @@ pub fn transient(circuit: &Circuit, tech: &Technology, opts: &TranOptions) -> Re
     let mut t = -opts.settle;
     while t < 0.0 {
         let t_next = (t + settle_dt).min(0.0);
-        let iters = sys.step(t_next.min(0.0), t_next - t, &v_prev, &mut v)?;
-        step_counter.incr();
-        iter_counter.add(iters as u64);
-        iters_hist.record(iters as f64);
+        effort[sys.step(&mut ws, t_next.min(0.0), t_next - t, &v_prev, &mut v)?] += 1;
         v_prev.copy_from_slice(&v);
         t = t_next;
     }
@@ -403,10 +514,7 @@ pub fn transient(circuit: &Circuit, tech: &Technology, opts: &TranOptions) -> Re
     let mut t = 0.0;
     for _ in 0..steps {
         let t_next = t + opts.dt;
-        let iters = sys.step(t_next, opts.dt, &v_prev, &mut v)?;
-        step_counter.incr();
-        iter_counter.add(iters as u64);
-        iters_hist.record(iters as f64);
+        effort[sys.step(&mut ws, t_next, opts.dt, &v_prev, &mut v)?] += 1;
         v_prev.copy_from_slice(&v);
         t = t_next;
         record(&mut times, &mut volts, t, &v);
@@ -414,11 +522,26 @@ pub fn transient(circuit: &Circuit, tech: &Technology, opts: &TranOptions) -> Re
     Ok(TranResult { times, volts })
 }
 
+/// Flushes one transient's Newton effort to tc-obs: two counter adds and
+/// one histogram lock per distinct iteration count, where per-step
+/// recording paid three of each per timestep.
+fn flush_effort(effort: &[u64; MAX_NEWTON + 1]) {
+    let steps = effort.iter().sum();
+    let iters = effort.iter().enumerate().map(|(k, &n)| k as u64 * n).sum();
+    tc_obs::counter("sim.newton.steps").add(steps);
+    tc_obs::counter("sim.newton.iters").add(iters);
+    let hist = tc_obs::histogram("sim.newton.iters_per_step");
+    for (k, &n) in effort.iter().enumerate() {
+        hist.record_n(k as f64, n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circuit::Pwl;
     use tc_core::units::{Ff, Kohm};
+    use tc_device::{MosDevice, VtClass};
 
     #[test]
     fn dense_solver_solves_known_system() {
@@ -488,6 +611,78 @@ mod tests {
         // only on far longer timescales).
         let v = res.waveform(mid).at(3.0);
         assert!((v - 0.75).abs() < 0.03, "divider voltage {v}");
+    }
+
+    /// The stamp before the drain-step reuse: four full polarity-resolved
+    /// calls through the public `MosDevice::drain_current`.
+    fn four_call_stamp(
+        dev: &MosDevice,
+        tech: &Technology,
+        t: Celsius,
+        vd: f64,
+        vg: f64,
+        vs: f64,
+    ) -> [f64; 4] {
+        let id = |vd: f64, vg: f64, vs: f64| {
+            let i = |vgs: f64, vds: f64| dev.drain_current(tech, Volt::new(vgs), Volt::new(vds), t);
+            match dev.kind {
+                MosKind::Nmos if vd >= vs => i(vg - vs, vd - vs),
+                MosKind::Nmos => -i(vg - vd, vs - vd),
+                MosKind::Pmos if vs >= vd => -i(vs - vg, vs - vd),
+                MosKind::Pmos => i(vd - vg, vd - vs),
+            }
+        };
+        let i_d = id(vd, vg, vs);
+        [
+            i_d,
+            (id(vd + H, vg, vs) - i_d) / H,
+            (id(vd, vg + H, vs) - i_d) / H,
+            (id(vd, vg, vs + H) - i_d) / H,
+        ]
+    }
+
+    #[test]
+    fn drain_step_reuse_matches_four_calls_bit_for_bit() {
+        let tech = Technology::planar_28nm();
+        // Drain offsets from the source: both swapped orientations, the
+        // NMOS `vd == vs` edge, and the PMOS band `0 ≤ vs − vd < H` where
+        // the drain step flips the terminal roles.
+        let dvds = [-0.3, -2.0 * H, -H, -0.5 * H, 0.0, 0.5 * H, H, 0.3];
+        // Gate voltages from deep subthreshold to strongly on (x > 40
+        // needs ~1.5 V of overdrive) for both channel types.
+        let vgs = [-1.7, -0.2, 0.1, 0.45, 0.9, 2.6];
+        let (mut sub, mut on) = (0, 0);
+        for kind in [MosKind::Nmos, MosKind::Pmos] {
+            let dev = MosDevice::new(kind, VtClass::Svt, 1.3);
+            for temp in [-40.0, 25.0, 125.0] {
+                let t = Celsius::new(temp);
+                let fet = dev.fold(&tech, t);
+                for vs in [0.0, 0.45, 0.9] {
+                    for dvd in dvds {
+                        let vd = vs + dvd;
+                        for vg in vgs {
+                            let drive = match kind {
+                                MosKind::Nmos => vg - vs.min(vd),
+                                MosKind::Pmos => vs.max(vd) - vg,
+                            };
+                            if (drive.max(0.0) - fet.vt) / fet.n_vt > 40.0 {
+                                on += 1;
+                            } else {
+                                sub += 1;
+                            }
+                            let got = fet_stamp(kind, &fet, vd, vg, vs).map(f64::to_bits);
+                            let want =
+                                four_call_stamp(&dev, &tech, t, vd, vg, vs).map(f64::to_bits);
+                            assert_eq!(
+                                got, want,
+                                "{kind:?} at {temp} °C: vd {vd}, vg {vg}, vs {vs}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(sub > 0 && on > 0, "grid covers both overdrive branches");
     }
 
     #[test]
