@@ -23,9 +23,7 @@ fn main() {
         ndr: Default::default(),
     };
     let caps = [Ff::new(2.0)];
-    let w_t = wire
-        .timing(&stack, BeolCorner::Typical, None, &caps)
-        .expect("wire timing");
+    let w_t = wire.timing(&stack, BeolCorner::Typical, None, &caps);
     let wire_delay = w_t.sink_delays[0].value();
 
     let gate_delay = |v: f64| {

@@ -38,7 +38,7 @@ pub mod stats;
 pub mod units;
 
 pub use error::{Error, Result};
-pub use lut::{Lut1, Lut2};
+pub use lut::{Lut1, Lut2, LutPoint};
 pub use rng::Rng;
 pub use stats::Summary;
 pub use units::{Celsius, Ff, Kohm, Ps, Um, Volt};

@@ -124,6 +124,18 @@ impl Lut1 {
     }
 }
 
+/// A query located on a [`Lut2`]'s axes: the bracketing segment and
+/// interpolation fraction on each axis. It depends only on the axes, so
+/// one point located on a table reads every table that shares them — an
+/// arc's delay, output-slew and sigma tables in one lookup.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LutPoint {
+    row: usize,
+    row_t: f64,
+    col: usize,
+    col_t: f64,
+}
+
 /// A 2-D bilinearly interpolated table indexed as `(row, column)`.
 ///
 /// In Liberty terms the row axis is typically input slew and the column
@@ -132,12 +144,14 @@ impl Lut1 {
 pub struct Lut2 {
     rows: Vec<f64>,
     cols: Vec<f64>,
-    /// `values[r][c]` sampled at `(rows[r], cols[c])`.
-    values: Vec<Vec<f64>>,
+    /// Row-major grid: `values[r * cols.len() + c]` sampled at
+    /// `(rows[r], cols[c])`.
+    values: Vec<f64>,
 }
 
 impl Lut2 {
-    /// Builds a table from strictly increasing axes and a full value grid.
+    /// Builds a table from strictly increasing axes and a full value grid
+    /// (`values[r][c]` sampled at `(rows[r], cols[c])`).
     ///
     /// # Errors
     ///
@@ -153,6 +167,7 @@ impl Lut2 {
                 cols.len()
             )));
         }
+        let values = values.into_iter().flatten().collect();
         Ok(Lut2 { rows, cols, values })
     }
 
@@ -169,22 +184,50 @@ impl Lut2 {
     ) -> Result<Self> {
         validate_axis("row", &rows)?;
         validate_axis("column", &cols)?;
-        let values = rows
-            .iter()
-            .map(|&r| cols.iter().map(|&c| f(r, c)).collect())
-            .collect();
+        let mut values = Vec::with_capacity(rows.len() * cols.len());
+        for &r in &rows {
+            values.extend(cols.iter().map(|&c| f(r, c)));
+        }
         Ok(Lut2 { rows, cols, values })
     }
 
-    /// Evaluates the table at `(row, col)` with bilinear interpolation and
-    /// linear extrapolation beyond the sampled range. Queries exactly on
-    /// a grid point return the stored sample bit-for-bit.
+    /// Locates `(row, col)` on this table's axes, for [`at`](Self::at)
+    /// on this table or any other with the same axes.
+    pub fn locate(&self, row: f64, col: f64) -> LutPoint {
+        let (row, row_t) = bracket(&self.rows, row);
+        let (col, col_t) = bracket(&self.cols, col);
+        LutPoint {
+            row,
+            row_t,
+            col,
+            col_t,
+        }
+    }
+
+    /// Reads the table at a located point with bilinear interpolation
+    /// and linear extrapolation beyond the sampled range. A point located
+    /// exactly on a grid point returns the stored sample bit-for-bit.
+    ///
+    /// The point must come from [`locate`](Self::locate) on a table with
+    /// these axes (see [`same_axes`](Self::same_axes)).
+    pub fn at(&self, p: &LutPoint) -> f64 {
+        let n = self.cols.len();
+        let (i, j) = (p.row * n + p.col, (p.row + 1) * n + p.col);
+        let top = lerp(self.values[i], self.values[i + 1], p.col_t);
+        let bot = lerp(self.values[j], self.values[j + 1], p.col_t);
+        lerp(top, bot, p.row_t)
+    }
+
+    /// Evaluates the table at `(row, col)`: [`at`](Self::at) the point
+    /// [`locate`](Self::locate) finds.
     pub fn eval(&self, row: f64, col: f64) -> f64 {
-        let (i, ti) = bracket(&self.rows, row);
-        let (j, tj) = bracket(&self.cols, col);
-        let top = lerp(self.values[i][j], self.values[i][j + 1], tj);
-        let bot = lerp(self.values[i + 1][j], self.values[i + 1][j + 1], tj);
-        lerp(top, bot, ti)
+        self.at(&self.locate(row, col))
+    }
+
+    /// `true` if both tables sample the same row and column axes, so a
+    /// point located on one reads the other.
+    pub fn same_axes(&self, other: &Lut2) -> bool {
+        self.rows == other.rows && self.cols == other.cols
     }
 
     /// The row (slew) axis.
@@ -203,11 +246,7 @@ impl Lut2 {
         Lut2 {
             rows: self.rows.clone(),
             cols: self.cols.clone(),
-            values: self
-                .values
-                .iter()
-                .map(|r| r.iter().map(|&v| f(v)).collect())
-                .collect(),
+            values: self.values.iter().map(|&v| f(v)).collect(),
         }
     }
 
@@ -215,7 +254,6 @@ impl Lut2 {
     pub fn max_value(&self) -> f64 {
         self.values
             .iter()
-            .flatten()
             .copied()
             .fold(f64::NEG_INFINITY, f64::max)
     }
@@ -446,6 +484,68 @@ mod proptests {
                     "eval({x},{y}) = {} want {want}",
                     lut.eval(x, y)
                 );
+            }
+        }
+    }
+
+    /// The bilinear read over a nested `grid[r][c]`, as `Lut2` computed
+    /// it before its grid went flat: the reference `at(&locate(..))`
+    /// must reproduce bit for bit.
+    fn nested_eval(rows: &[f64], cols: &[f64], grid: &[Vec<f64>], r: f64, c: f64) -> f64 {
+        let (i, ti) = bracket(rows, r);
+        let (j, tj) = bracket(cols, c);
+        let top = lerp(grid[i][j], grid[i][j + 1], tj);
+        let bot = lerp(grid[i + 1][j], grid[i + 1][j + 1], tj);
+        lerp(top, bot, ti)
+    }
+
+    #[test]
+    fn located_reads_match_the_nested_grid_formula_bit_for_bit() {
+        let mut rng = Rng::seed_from(0x10708);
+        for _ in 0..256 {
+            let nr = 2 + rng.below(6);
+            let nc = 2 + rng.below(6);
+            let rows = sorted_axis(&mut rng, nr);
+            let cols = sorted_axis(&mut rng, nc);
+            let grid: Vec<Vec<f64>> = (0..nr).map(|_| values(&mut rng, nc)).collect();
+            let other: Vec<Vec<f64>> = (0..nr).map(|_| values(&mut rng, nc)).collect();
+            let lut = Lut2::new(rows.clone(), cols.clone(), grid.clone()).unwrap();
+            let twin = Lut2::new(rows.clone(), cols.clone(), other.clone()).unwrap();
+            assert!(lut.same_axes(&twin));
+            let (r0, r1) = (rows[0], rows[nr - 1]);
+            let (c0, c1) = (cols[0], cols[nc - 1]);
+            // Knots, interior points, and every side and corner outside.
+            let mut queries: Vec<(f64, f64)> = Vec::new();
+            for &r in &rows {
+                for &c in &cols {
+                    queries.push((r, c));
+                }
+            }
+            for _ in 0..8 {
+                queries.push((rng.uniform_in(r0, r1), rng.uniform_in(c0, c1)));
+            }
+            let (below, above) = (rng.uniform_in(0.1, 20.0), rng.uniform_in(0.1, 20.0));
+            let inside = (rng.uniform_in(r0, r1), rng.uniform_in(c0, c1));
+            for (r, c) in [
+                (r0 - below, inside.1),
+                (r1 + above, inside.1),
+                (inside.0, c0 - below),
+                (inside.0, c1 + above),
+                (r0 - below, c0 - below),
+                (r1 + above, c1 + above),
+                (r0 - below, c1 + above),
+                (r1 + above, c0 - below),
+            ] {
+                queries.push((r, c));
+            }
+            for (r, c) in queries {
+                let p = lut.locate(r, c);
+                let want = nested_eval(&rows, &cols, &grid, r, c);
+                assert_eq!(lut.at(&p).to_bits(), want.to_bits(), "at({r},{c})");
+                assert_eq!(lut.eval(r, c).to_bits(), want.to_bits(), "eval({r},{c})");
+                // One point reads every table on the same axes.
+                let want = nested_eval(&rows, &cols, &other, r, c);
+                assert_eq!(twin.at(&p).to_bits(), want.to_bits(), "twin at({r},{c})");
             }
         }
     }

@@ -40,7 +40,7 @@ pub mod sadp;
 pub mod spef;
 
 pub use beol::{BeolCorner, BeolStack, MetalLayer};
-pub use estimate::{NdrClass, WireModel, WireScratch};
+pub use estimate::{NdrClass, WireModel};
 pub use rctree::RcTree;
 pub use sadp::{PatterningSolution, SadpProcess};
 pub use spef::{parse_spef, parse_spef_from, write_spef, NetParasitics};

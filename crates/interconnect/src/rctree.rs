@@ -19,14 +19,6 @@ pub struct RcTree {
     cap: Vec<Ff>,
 }
 
-impl Default for RcTree {
-    /// An empty tree (lone zero-cap root) — the seed for arena reuse via
-    /// [`RcTree::reset`].
-    fn default() -> Self {
-        RcTree::new(Ff::ZERO)
-    }
-}
-
 impl RcTree {
     /// Creates a tree with just the root (node 0) holding `c_root`.
     pub fn new(c_root: Ff) -> Self {
@@ -35,18 +27,6 @@ impl RcTree {
             r_up: vec![Kohm::ZERO],
             cap: vec![c_root],
         }
-    }
-
-    /// Resets the tree to a lone root holding `c_root`, keeping the
-    /// node buffers allocated — the arena path for per-net extraction,
-    /// where one tree is rebuilt for every net of the design.
-    pub fn reset(&mut self, c_root: Ff) {
-        self.parent.clear();
-        self.r_up.clear();
-        self.cap.clear();
-        self.parent.push(0);
-        self.r_up.push(Kohm::ZERO);
-        self.cap.push(c_root);
     }
 
     /// Adds a node hanging off `parent` through `r`, holding `c`;
@@ -92,43 +72,30 @@ impl RcTree {
         path
     }
 
-    /// Fills `r_to[i]` with the resistance from the root to node `i`
-    /// (same accumulation order as the one-shot [`RcTree::elmore`], so
-    /// the values are bit-identical). Fill once per tree, then evaluate
-    /// many sinks with [`RcTree::elmore_with`].
-    pub(crate) fn fill_r_to(&self, r_to: &mut Vec<f64>) {
-        r_to.clear();
-        r_to.resize(self.len(), 0.0);
+    /// `r_to[i]`: the resistance from the root to node `i`.
+    fn r_to(&self) -> Vec<f64> {
+        let mut r_to = vec![0.0; self.len()];
         for i in 1..self.len() {
             r_to[i] = r_to[self.parent[i]] + self.r_up[i].value();
         }
+        r_to
     }
 
-    /// Elmore delay at `sink` using a prefilled `r_to` (from
-    /// [`RcTree::fill_r_to`] on *this* tree) and a reusable mark buffer —
-    /// the allocation-free path. Identical floating-point evaluation
-    /// order to [`RcTree::elmore`].
+    /// Elmore delay from the root to `sink`:
+    /// `Σ_k C_k · R(path(root→sink) ∩ path(root→k))`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] if `sink` is out of range.
-    pub(crate) fn elmore_with(
-        &self,
-        sink: usize,
-        r_to: &[f64],
-        on_sink_path: &mut Vec<bool>,
-    ) -> Result<Ps> {
+    pub fn elmore(&self, sink: usize) -> Result<Ps> {
         if sink >= self.len() {
             return Err(Error::invalid_input(format!("sink {sink} out of range")));
         }
+        let r_to = self.r_to();
         // Shared resistance = r_to[lowest common ancestor]; compute by
         // marking the sink's root path.
-        on_sink_path.clear();
-        on_sink_path.resize(self.len(), false);
-        let mut n = sink;
-        on_sink_path[n] = true;
-        while n != 0 {
-            n = self.parent[n];
+        let mut on_sink_path = vec![false; self.len()];
+        for &n in &self.path_to_root(sink) {
             on_sink_path[n] = true;
         }
         let mut total = 0.0;
@@ -144,18 +111,6 @@ impl RcTree {
         Ok(Ps::new(total))
     }
 
-    /// Elmore delay from the root to `sink`:
-    /// `Σ_k C_k · R(path(root→sink) ∩ path(root→k))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidInput`] if `sink` is out of range.
-    pub fn elmore(&self, sink: usize) -> Result<Ps> {
-        let mut r_to = Vec::new();
-        self.fill_r_to(&mut r_to);
-        self.elmore_with(sink, &r_to, &mut Vec::new())
-    }
-
     /// First two moments `(m1, m2)` of the impulse response at `sink`
     /// (m1 = Elmore).
     ///
@@ -166,10 +121,7 @@ impl RcTree {
         let m1 = self.elmore(sink)?.value();
         // m2 via the standard recursive moment computation: m2_k uses the
         // m1-weighted capacitances.
-        let mut r_to: Vec<f64> = vec![0.0; self.len()];
-        for i in 1..self.len() {
-            r_to[i] = r_to[self.parent[i]] + self.r_up[i].value();
-        }
+        let r_to = self.r_to();
         let mut elmore_all: Vec<f64> = vec![0.0; self.len()];
         for (k, e) in elmore_all.iter_mut().enumerate() {
             *e = self.elmore(k)?.value();

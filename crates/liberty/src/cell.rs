@@ -89,13 +89,24 @@ impl LibCell {
     }
 
     /// Input pin names for this cell ("A", "B", … / "D", "CK").
-    pub fn input_pins(&self) -> Vec<&'static str> {
+    pub fn input_pins(&self) -> &'static [&'static str] {
+        static COMB_PINS: [&str; 4] = ["A", "B", "C", "D"];
+        static FLOP_PINS: [&str; 2] = ["D", "CK"];
         match self.kind {
-            CellKind::Flop => vec!["D", "CK"],
-            CellKind::Comb => {
-                const NAMES: [&str; 4] = ["A", "B", "C", "D"];
-                NAMES[..self.template.inputs].to_vec()
-            }
+            CellKind::Flop => &FLOP_PINS,
+            CellKind::Comb => &COMB_PINS[..self.template.inputs],
+        }
+    }
+
+    /// The arc driven from input pin `pin` (an index into
+    /// [`input_pins`](Self::input_pins)) of a combinational cell: its
+    /// arcs are in pin order, which [`Library`](crate::Library) checks
+    /// when it is generated. `None` for a flop, whose one arc starts at
+    /// its clock, not at a data pin.
+    pub fn arc_of_pin(&self, pin: usize) -> Option<&TimingArc> {
+        match self.kind {
+            CellKind::Comb => self.arcs.get(pin),
+            CellKind::Flop => None,
         }
     }
 
@@ -128,7 +139,9 @@ mod tests {
         assert!(nand.arc_from("A").is_some());
         assert!(nand.arc_from("B").is_some());
         assert!(nand.arc_from("Z").is_none());
-        assert_eq!(nand.input_pins(), vec!["A", "B"]);
+        assert_eq!(nand.input_pins(), ["A", "B"]);
+        assert_eq!(nand.arc_of_pin(1).unwrap().input, "B");
+        assert!(nand.arc_of_pin(2).is_none());
     }
 
     #[test]
@@ -136,7 +149,8 @@ mod tests {
         let lib = lib();
         let dff = lib.cell_named("DFF_X1_SVT").unwrap();
         assert_eq!(dff.kind, CellKind::Flop);
-        assert_eq!(dff.input_pins(), vec!["D", "CK"]);
+        assert_eq!(dff.input_pins(), ["D", "CK"]);
+        assert!(dff.arc_of_pin(0).is_none(), "no arc starts at D");
         assert!(dff.arc_from("CK").is_some(), "flop carries a c2q arc");
         assert!(dff.flop.is_some());
     }

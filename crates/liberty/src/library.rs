@@ -81,10 +81,15 @@ impl Library {
     /// Generates a synthetic library, surfacing characterization
     /// failures as errors instead of panics.
     ///
+    /// Every cell it returns keeps the two layout invariants STA reads
+    /// arcs by: a combinational cell's arc `i` starts at its input pin
+    /// `i` ([`LibCell::arc_of_pin`]), and every table of an arc samples
+    /// the delay table's axes, so one [`Lut2::locate`] serves them all.
+    ///
     /// # Errors
     ///
     /// Propagates the first table-construction failure, naming the cell
-    /// being characterized.
+    /// being characterized, and fails if a cell breaks either invariant.
     pub fn try_generate(config: &LibConfig, corner: &PvtCorner) -> Result<Library> {
         let mut cells = Vec::new();
 
@@ -120,6 +125,9 @@ impl Library {
             }
         }
 
+        for cell in &cells {
+            check_arc_layout(cell)?;
+        }
         let by_name = cells
             .iter()
             .enumerate()
@@ -211,6 +219,29 @@ impl Library {
         let next = drives.into_iter().find(|&d| d < c.drive)?;
         self.variant(c.template.name, c.vt, next)
     }
+}
+
+/// The arc layout STA relies on (see [`Library::try_generate`]): arcs in
+/// pin order for a combinational cell, one axis pair per arc.
+fn check_arc_layout(cell: &LibCell) -> Result<()> {
+    let broken = |what: String| Err(Error::internal(format!("{}: {what}", cell.name)));
+    let arc_pins = cell.arcs.iter().map(|a| a.input.as_str());
+    if cell.kind == CellKind::Comb && !arc_pins.eq(cell.input_pins().iter().copied()) {
+        return broken(format!(
+            "arcs are not one per pin of {:?}, in order",
+            cell.input_pins()
+        ));
+    }
+    for arc in &cell.arcs {
+        let lvf = arc.lvf.iter().flat_map(|l| [&l.sigma_late, &l.sigma_early]);
+        if !std::iter::once(&arc.out_slew)
+            .chain(lvf)
+            .all(|t| t.same_axes(&arc.delay))
+        {
+            return broken(format!("arc from {} mixes table axes", arc.input));
+        }
+    }
+    Ok(())
 }
 
 /// Canonical cell name: `TEMPLATE_X<drive>_<VT>`.
@@ -407,6 +438,23 @@ mod tests {
         for (a, b) in fallible.cells().iter().zip(infallible.cells()) {
             assert_eq!(a.name, b.name);
         }
+    }
+
+    #[test]
+    fn arc_layout_check_refuses_reordered_arcs_and_mixed_axes() {
+        let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+        let nand = lib.cell_named("NAND2_X1_SVT").unwrap();
+        assert!(check_arc_layout(nand).is_ok());
+        let mut swapped = nand.clone();
+        swapped.arcs.swap(0, 1);
+        assert!(check_arc_layout(&swapped).is_err());
+        let mut short = nand.clone();
+        short.arcs.pop();
+        assert!(check_arc_layout(&short).is_err());
+        let mut mixed = nand.clone();
+        mixed.arcs[1].out_slew =
+            Lut2::from_fn(vec![1.0, 2.0], vec![1.0, 2.0], |s, l| s + l).unwrap();
+        assert!(check_arc_layout(&mixed).is_err());
     }
 
     #[test]

@@ -385,7 +385,12 @@ impl Netlist {
         (0..self.net_count()).map(|i| self.net(NetId::new(i)))
     }
 
-    /// One cell.
+    /// One cell, with its name. The name is a slice of the interned
+    /// name table, so building the view reads the name's bytes: hot
+    /// loops that need no name read the columns instead
+    /// ([`cell_master`](Self::cell_master),
+    /// [`cell_inputs`](Self::cell_inputs),
+    /// [`cell_output`](Self::cell_output)).
     pub fn cell(&self, id: CellId) -> CellRef<'_> {
         let i = id.index();
         CellRef {
@@ -396,14 +401,16 @@ impl Netlist {
         }
     }
 
-    /// One net.
+    /// One net, with its name. Like [`cell`](Self::cell), the view
+    /// reads the name's bytes: hot loops that need no name read the
+    /// columns instead ([`net_driver`](Self::net_driver),
+    /// [`net_sinks`](Self::net_sinks)).
     pub fn net(&self, id: NetId) -> NetRef<'_> {
         let i = id.index();
-        let span = self.net_sinks[i];
         NetRef {
             name: self.net_names.get(i),
             driver: self.net_driver[i],
-            sinks: &self.sink_pool[span.start as usize..(span.start + span.len) as usize],
+            sinks: self.net_sinks(id),
             is_output: self.net_is_output[i],
             wire_length_um: self.net_wire_length[i],
             route_class: self.net_route_class[i],
@@ -417,6 +424,46 @@ impl Netlist {
         let start = self.cell_input_offsets[i] as usize;
         let end = self.cell_input_offsets[i + 1] as usize;
         &self.cell_input_nets[start..end]
+    }
+
+    /// A cell's library master, without the name lookup.
+    #[inline]
+    pub fn cell_master(&self, id: CellId) -> LibCellId {
+        self.cell_master[id.index()]
+    }
+
+    /// The net a cell drives, without the name lookup.
+    #[inline]
+    pub fn cell_output(&self, id: CellId) -> NetId {
+        self.cell_output[id.index()]
+    }
+
+    /// A net's driving cell (`None` for a primary input), without the
+    /// name lookup.
+    #[inline]
+    pub fn net_driver(&self, id: NetId) -> Option<CellId> {
+        self.net_driver[id.index()]
+    }
+
+    /// A net's sink pins, without the name lookup.
+    #[inline]
+    pub fn net_sinks(&self, id: NetId) -> &[PinRef] {
+        let s = self.net_sinks[id.index()];
+        &self.sink_pool[s.start as usize..(s.start + s.len) as usize]
+    }
+
+    /// A net's estimated routed wirelength in µm, without the name
+    /// lookup.
+    #[inline]
+    pub fn net_wire_length(&self, id: NetId) -> f64 {
+        self.net_wire_length[id.index()]
+    }
+
+    /// A net's routing-rule class (see [`NetRef::route_class`]), without
+    /// the name lookup.
+    #[inline]
+    pub fn net_route_class(&self, id: NetId) -> u8 {
+        self.net_route_class[id.index()]
     }
 
     /// The global index of cell `id`'s pin 0 in the flat input-pin
@@ -466,11 +513,6 @@ impl Netlist {
     }
 
     // --- sink-span pool operations -----------------------------------
-
-    fn sink_slice(&self, net: NetId) -> &[PinRef] {
-        let s = self.net_sinks[net.index()];
-        &self.sink_pool[s.start as usize..(s.start + s.len) as usize]
-    }
 
     /// Relocates `net`'s span to the end of the pool with at least
     /// `min_cap` capacity (doubling policy).
@@ -624,7 +666,7 @@ impl Netlist {
             return Err(Error::invalid_input("buffer master must be single-input"));
         }
         for s in moved_sinks {
-            if !self.sink_slice(net).contains(s) {
+            if !self.net_sinks(net).contains(s) {
                 return Err(Error::invalid_input(format!(
                     "sink {:?} not on net {}",
                     s,
@@ -637,7 +679,7 @@ impl Netlist {
         // Record each moved sink's original position so undo can restore
         // the exact sink order (per-sink wire delays align with it).
         let moved_with_index: Vec<(PinRef, usize)> = self
-            .sink_slice(net)
+            .net_sinks(net)
             .iter()
             .enumerate()
             .filter(|(_, s)| moved_sinks.contains(s))
@@ -668,7 +710,7 @@ impl Netlist {
     pub fn rewire_input(&mut self, sink: PinRef, new_net: NetId) {
         let old = self.cell_inputs(sink.cell)[sink.pin];
         let old_index = self
-            .sink_slice(old)
+            .net_sinks(old)
             .iter()
             .position(|s| *s == sink)
             .expect("sink must be on its recorded net");
@@ -828,7 +870,7 @@ impl Netlist {
                     self.net_names.get(i)
                 )));
             }
-            for s in self.sink_slice(id) {
+            for s in self.net_sinks(id) {
                 if self.cell_inputs(s.cell)[s.pin] != id {
                     return Err(Error::internal(format!(
                         "net {}: sink {:?} does not point back",

@@ -42,13 +42,14 @@ pub fn levelize(nl: &Netlist, lib: &Library) -> Result<Levelization> {
     let n = nl.cell_count();
     let mut indeg = vec![0usize; n];
     let mut is_flop = vec![false; n];
-    for (i, cell) in nl.cells().enumerate() {
-        if lib.cell(cell.master).kind == CellKind::Flop {
+    for i in 0..n {
+        let c = CellId::new(i);
+        if lib_is_flop(nl, lib, c) {
             is_flop[i] = true;
             continue; // flops have no combinational fan-in dependency
         }
-        for &input in cell.inputs {
-            if let Some(drv) = nl.net(input).driver {
+        for &input in nl.cell_inputs(c) {
+            if let Some(drv) = nl.net_driver(input) {
                 if !lib_is_flop(nl, lib, drv) {
                     indeg[i] += 1;
                 }
@@ -72,8 +73,7 @@ pub fn levelize(nl: &Netlist, lib: &Library) -> Result<Levelization> {
     }
     while let Some(c) = ready.pop() {
         placed += 1;
-        let out = nl.cell(c).output;
-        for sink in nl.net(out).sinks {
+        for sink in nl.net_sinks(nl.cell_output(c)) {
             let s = sink.cell;
             if is_flop[s.index()] {
                 continue;
@@ -107,7 +107,7 @@ pub fn levelize(nl: &Netlist, lib: &Library) -> Result<Levelization> {
 }
 
 fn lib_is_flop(nl: &Netlist, lib: &Library, cell: CellId) -> bool {
-    lib.cell(nl.cell(cell).master).kind == CellKind::Flop
+    lib.cell(nl.cell_master(cell)).kind == CellKind::Flop
 }
 
 #[cfg(test)]

@@ -391,7 +391,7 @@ impl Parser {
         };
         // The instance's Y connection names its output net.
         self.define(net_on("Y", "no Y connection")?, out_net, line)?;
-        for pin in &pins {
+        for pin in pins {
             let s = self.symbol(net_on(pin, &format!("missing pin {pin}"))?);
             if self.nets[s].1 == 0 {
                 self.nets[s].1 = line;

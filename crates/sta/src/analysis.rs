@@ -11,11 +11,12 @@ use std::sync::{Arc, OnceLock};
 
 use tc_core::error::{Error, Result};
 use tc_core::ids::{CellId, NetId};
+use tc_core::lut::LutPoint;
 use tc_core::units::{Ff, Ps};
 use tc_interconnect::beol::{BeolCorner, BeolSample, BeolStack};
-use tc_interconnect::estimate::{NdrClass, WireModel, WireScratch};
+use tc_interconnect::estimate::{NdrClass, WireModel};
 use tc_liberty::{CellKind, DerateModel, Library, TimingArc};
-use tc_netlist::Netlist;
+use tc_netlist::{Netlist, PinRef};
 
 use crate::constraints::Constraints;
 use crate::report::{Endpoint, EndpointTiming, TimingReport};
@@ -287,14 +288,12 @@ impl PartialEq for WireTable {
     }
 }
 
-/// Reusable scratch for wire-timing evaluation: the interconnect arena
-/// plus the per-net sink-cap staging buffer. One instance serves a whole
-/// propagation (or a whole incremental-update batch) with no per-net
-/// allocations.
+/// Reusable scratch for wire-timing evaluation: the per-net sink-cap
+/// staging buffer. One instance serves a whole propagation (or a whole
+/// incremental-update batch) with no per-net allocations.
 #[derive(Clone, Debug, Default)]
 pub struct WireEvalScratch {
     sink_caps: Vec<Ff>,
-    wire: WireScratch,
 }
 
 impl<'a> Sta<'a> {
@@ -362,24 +361,24 @@ impl<'a> Sta<'a> {
     }
 
     /// A stage's own delay sigma, ps, for an arc of `cell` whose raw
-    /// delay at `(slew, load)` is `raw`: the POCV fraction of `raw`; under
-    /// LVF the arc's sigma table (the master's POCV fraction when the arc
-    /// has none); 0 under every other model.
+    /// delay at the located `(slew, load)` point `at` is `raw`: the POCV
+    /// fraction of `raw`; under LVF the arc's sigma table read at `at`
+    /// (the master's POCV fraction when the arc has none); 0 under every
+    /// other model.
     pub(crate) fn stage_sigma(
         &self,
         bound: Bound,
         cell: CellId,
         arc: &TimingArc,
-        slew: f64,
-        load: f64,
+        at: &LutPoint,
         raw: f64,
     ) -> f64 {
         match &self.cons.derate {
             DerateModel::Pocv { sigma, .. } => bound.pick(sigma.late, sigma.early) * raw,
             DerateModel::Lvf { .. } => match &arc.lvf {
-                Some(l) => bound.pick(&l.sigma_late, &l.sigma_early).eval(slew, load),
+                Some(l) => bound.pick(&l.sigma_late, &l.sigma_early).at(at),
                 None => {
-                    let pocv = self.lib.cell(self.nl.cell(cell).master).pocv;
+                    let pocv = self.lib.cell(self.nl.cell_master(cell)).pocv;
                     bound.pick(pocv.late, pocv.early) * raw
                 }
             },
@@ -407,18 +406,18 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// One arc's derated `(delay, variance)` at `(slew, load)`.
+    /// One arc's derated `(delay, variance)` at the located `(slew,
+    /// load)` point `at`.
     fn stage(
         &self,
         bound: Bound,
         cell: CellId,
         arc: &TimingArc,
-        slew: f64,
-        load: f64,
+        at: &LutPoint,
         depth: usize,
     ) -> (f64, f64) {
-        let raw = arc.delay.eval(slew, load);
-        let sigma = self.stage_sigma(bound, cell, arc, slew, load, raw);
+        let raw = arc.delay.at(at);
+        let sigma = self.stage_sigma(bound, cell, arc, at, raw);
         self.derate(bound, raw, sigma, depth)
     }
 
@@ -450,28 +449,25 @@ impl<'a> Sta<'a> {
         scratch: &mut WireEvalScratch,
         pool: &mut Vec<Ps>,
     ) -> Result<NetWire> {
-        let n = self.nl.net(net);
         scratch.sink_caps.clear();
-        for s in n.sinks {
-            scratch
-                .sink_caps
-                .push(self.lib.cell(self.nl.cell(s.cell).master).input_cap);
-        }
-        let ndr = match n.route_class {
+        let sink_cap = |s: &PinRef| self.lib.cell(self.nl.cell_master(s.cell)).input_cap;
+        scratch
+            .sink_caps
+            .extend(self.nl.net_sinks(net).iter().map(sink_cap));
+        let ndr = match self.nl.net_route_class(net) {
             0 => NdrClass::Default,
             1 => NdrClass::DoubleWidth,
             _ => NdrClass::DoubleWidthSpacing,
         };
-        let wm = WireModel::from_length(n.wire_length_um.max(1.0)).with_ndr(ndr);
+        let wm = WireModel::from_length(self.nl.net_wire_length(net).max(1.0)).with_ndr(ndr);
         let start = pool.len();
         let (driver_load, _r_total) = wm.timing_into(
             self.stack,
             self.beol_corner,
             self.beol_sample,
             &scratch.sink_caps,
-            &mut scratch.wire,
             pool,
-        )?;
+        );
         let si_delta = if self.cons.si_enabled {
             let layer = self.stack.layer(wm.layer);
             coupling_delta(layer, self.beol_corner, ndr, &pool[start..])
@@ -526,18 +522,18 @@ impl<'a> Sta<'a> {
     /// stage at the clock slew, derated for a path of `depth` stages (GBA
     /// passes 1, PBA its path's stage count).
     pub(crate) fn launch(&self, flop: CellId, wires: &WireTable, depth: usize) -> Result<NetState> {
-        let cell = self.nl.cell(flop);
-        let load = wires.driver_load(cell.output.index()).value();
+        let load = wires.driver_load(self.nl.cell_output(flop).index()).value();
         let (ck_late, ck_early) = self.clock_arrivals(flop);
         let arc = self
             .lib
-            .cell(cell.master)
+            .cell(self.nl.cell_master(flop))
             .arc_from("CK")
             .ok_or_else(|| Error::internal("flop without CK arc"))?;
-        let cs = self.cons.clock_tree.clock_slew;
-        let (dl, vl) = self.stage(Bound::Late, flop, arc, cs, load, depth);
-        let (de, ve) = self.stage(Bound::Early, flop, arc, cs, load, depth);
-        let slew = arc.out_slew.eval(cs, load);
+        // Both bounds launch at the clock slew: one point serves them.
+        let at = arc.delay.locate(self.cons.clock_tree.clock_slew, load);
+        let (dl, vl) = self.stage(Bound::Late, flop, arc, &at, depth);
+        let (de, ve) = self.stage(Bound::Early, flop, arc, &at, depth);
+        let slew = arc.out_slew.at(&at);
         Ok(NetState {
             late: Arr {
                 t: ck_late + dl,
@@ -596,19 +592,18 @@ impl<'a> Sta<'a> {
         state: &[NetState],
     ) -> Result<(NetState, u64)> {
         let graph = self.graph()?;
-        let cell = self.nl.cell(cid);
-        let master = self.lib.cell(cell.master);
+        let master = self.lib.cell(self.nl.cell_master(cid));
         if master.kind == CellKind::Flop {
             return Ok((self.launch(cid, wires, 1)?, 1));
         }
-        let load = wires.driver_load(cell.output.index()).value();
+        let load = wires.driver_load(self.nl.cell_output(cid).index()).value();
         let k = self.k_sigma();
 
         // Combinational: evaluate every input arc.
         let mut arcs_evaluated = 0u64;
         let mut best_late: Option<(Arr, usize)> = None;
         let mut best_early: Option<Arr> = None;
-        for (pin, &in_net) in cell.inputs.iter().enumerate() {
+        for (pin, &in_net) in self.nl.cell_inputs(cid).iter().enumerate() {
             let ns = state[in_net.index()];
             if !ns.reached {
                 continue;
@@ -617,18 +612,19 @@ impl<'a> Sta<'a> {
             let wire = wires.delay(in_net.index(), si);
             let si_delta = wires.si_delta(in_net.index());
             let (wl, wvl, we, wve) = self.wire_terms(wire);
-            let pin_name = master.input_pins()[pin];
             let arc = master
-                .arc_from(pin_name)
+                .arc_of_pin(pin)
                 .ok_or_else(|| Error::internal("missing arc"))?;
             arcs_evaluated += 1;
 
-            let pin_slew_late = ns.late.slew + 0.25 * wire.value();
-            let (dl, vl) = self.stage(Bound::Late, cid, arc, pin_slew_late, load, 1);
+            // Each bound's (pin slew, load) is located once; its delay,
+            // output slew and sigma tables share the axes.
+            let at_late = arc.delay.locate(ns.late.slew + 0.25 * wire.value(), load);
+            let (dl, vl) = self.stage(Bound::Late, cid, arc, &at_late, 1);
             let cand_late = Arr {
                 t: ns.late.t + wl + si_delta + dl,
                 var: ns.late.var + wvl + vl,
-                slew: arc.out_slew.eval(pin_slew_late, load),
+                slew: arc.out_slew.at(&at_late),
                 depth: ns.late.depth + 1,
                 gate_ps: ns.late.gate_ps + dl,
                 wire_ps: ns.late.wire_ps + wl + si_delta,
@@ -641,12 +637,12 @@ impl<'a> Sta<'a> {
                 best_late = Some((cand_late, pin));
             }
 
-            let pin_slew_early = ns.early.slew + 0.25 * wire.value();
-            let (de, ve) = self.stage(Bound::Early, cid, arc, pin_slew_early, load, 1);
+            let at_early = arc.delay.locate(ns.early.slew + 0.25 * wire.value(), load);
+            let (de, ve) = self.stage(Bound::Early, cid, arc, &at_early, 1);
             let cand_early = Arr {
                 t: ns.early.t + we - si_delta + de,
                 var: ns.early.var + wve + ve,
-                slew: arc.out_slew.eval(pin_slew_early, load),
+                slew: arc.out_slew.at(&at_early),
                 depth: ns.early.depth + 1,
                 gate_ps: ns.early.gate_ps + de,
                 wire_ps: ns.early.wire_ps + we - si_delta,
@@ -696,7 +692,7 @@ impl<'a> Sta<'a> {
             let (ns, arcs) = self.eval_cell(cid, wires, state)?;
             counts.cells += 1;
             counts.arcs += arcs;
-            let out = self.nl.cell(cid).output;
+            let out = self.nl.cell_output(cid);
             let changed = if from_scratch {
                 ns.reached
             } else {
@@ -794,10 +790,9 @@ impl<'a> Sta<'a> {
         let k = self.k_sigma();
         let clk = self.cons.default_clock();
         let period = clk.period.value();
-        let cell = self.nl.cell(fid);
-        let master = self.lib.cell(cell.master);
+        let master = self.lib.cell(self.nl.cell_master(fid));
         let flop_t = master.flop.as_ref().expect("flop has constraint data");
-        let d_net = cell.inputs[0];
+        let d_net = self.nl.cell_inputs(fid)[0];
         let ns = state[d_net.index()];
         if !ns.reached {
             return Ok(None);

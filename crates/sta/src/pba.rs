@@ -142,7 +142,7 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
     let (nl, lib) = (sta.nl, sta.lib);
     let (state, wires) = (&st.nets, &st.wires);
     let mut net = match ep.endpoint {
-        Endpoint::FlopD(fid) => nl.cell(fid).inputs[0],
+        Endpoint::FlopD(fid) => nl.cell_inputs(fid)[0],
         Endpoint::Output(net) => net,
     };
     let mut path = CriticalPath {
@@ -153,11 +153,10 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
         launch_flop: None,
     };
     for _ in 0..nl.cell_count() + 2 {
-        let Some(driver) = nl.net(net).driver else {
+        let Some(driver) = nl.net_driver(net) else {
             return Ok(path); // primary input startpoint
         };
-        let cell = nl.cell(driver);
-        let master = lib.cell(cell.master);
+        let master = lib.cell(nl.cell_master(driver));
         if master.kind == CellKind::Flop {
             path.launch_flop = Some(driver);
             return Ok(path);
@@ -165,18 +164,20 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
         let pred = state[net.index()]
             .late_pred_pin
             .ok_or_else(|| Error::internal("missing predecessor on critical path"))?;
-        let in_net = cell.inputs[pred];
-        // Reconstruct the GBA evaluation of this stage.
-        let load = wires.driver_load(cell.output.index()).value();
+        let in_net = nl.cell_inputs(driver)[pred];
+        // Reconstruct the GBA evaluation of this stage, at the point the
+        // sweep located.
+        let load = wires.driver_load(nl.cell_output(driver).index()).value();
         let sink_idx = st.graph.sink_pos(nl, driver, pred);
         let wire = wires.delay(in_net.index(), sink_idx).value();
-        let pin_slew = state[in_net.index()].late.slew + 0.25 * wire;
-        let pin_name = master.input_pins()[pred];
         let arc = master
-            .arc_from(pin_name)
+            .arc_of_pin(pred)
             .ok_or_else(|| Error::internal("missing arc on critical path"))?;
-        let gate_delay = arc.delay.eval(pin_slew, load);
-        let sigma = sta.stage_sigma(Bound::Late, driver, arc, pin_slew, load, gate_delay);
+        let at = arc
+            .delay
+            .locate(state[in_net.index()].late.slew + 0.25 * wire, load);
+        let gate_delay = arc.delay.at(&at);
+        let sigma = sta.stage_sigma(Bound::Late, driver, arc, &at, gate_delay);
         path.stages.push(PathStage {
             cell: driver,
             gate_delay,

@@ -51,12 +51,8 @@ mod tests {
         let caps = [Ff::new(2.0)];
         let short = WireModel::from_length(20.0);
         let long = WireModel::from_length(600.0);
-        let t_short = short
-            .timing(&stack, BeolCorner::Typical, None, &caps)
-            .unwrap();
-        let t_long = long
-            .timing(&stack, BeolCorner::Typical, None, &caps)
-            .unwrap();
+        let t_short = short.timing(&stack, BeolCorner::Typical, None, &caps);
+        let t_long = long.timing(&stack, BeolCorner::Typical, None, &caps);
         let d_short = coupling_delta(
             stack.layer(short.layer),
             BeolCorner::Typical,
@@ -78,7 +74,7 @@ mod tests {
         let stack = BeolStack::n20();
         let caps = [Ff::new(2.0)];
         let wm = WireModel::from_length(300.0);
-        let t = wm.timing(&stack, BeolCorner::Typical, None, &caps).unwrap();
+        let t = wm.timing(&stack, BeolCorner::Typical, None, &caps);
         let base = coupling_delta(
             stack.layer(wm.layer),
             BeolCorner::Typical,
@@ -102,7 +98,7 @@ mod tests {
         let stack = BeolStack::n20();
         let caps = [Ff::new(2.0)];
         let wm = WireModel::from_length(300.0);
-        let t = wm.timing(&stack, BeolCorner::Typical, None, &caps).unwrap();
+        let t = wm.timing(&stack, BeolCorner::Typical, None, &caps);
         let typ = coupling_delta(
             stack.layer(wm.layer),
             BeolCorner::Typical,

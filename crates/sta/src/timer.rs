@@ -97,7 +97,7 @@ impl TimingGraph {
         // an invalid sentinel so the dense-id invariant is checkable.
         let mut sink_pos = vec![u32::MAX; nl.total_input_pins()];
         for i in 0..nl.net_count() {
-            for (k, s) in nl.net(NetId::new(i)).sinks.iter().enumerate() {
+            for (k, s) in nl.net_sinks(NetId::new(i)).iter().enumerate() {
                 sink_pos[nl.pin_base(s.cell) + s.pin] = k as u32;
             }
         }
@@ -149,7 +149,7 @@ impl TimingGraph {
 }
 
 fn is_flop(nl: &Netlist, lib: &Library, c: CellId) -> bool {
-    lib.cell(nl.cell(c).master).kind == CellKind::Flop
+    lib.cell(nl.cell_master(c)).kind == CellKind::Flop
 }
 
 /// Timing arcs of one cell: 1 for a flop (CK → Q), one per input pin
@@ -706,7 +706,7 @@ fn mark_sink_dirty(
     dirty_flop_eps: &mut MarkSet,
     mut enqueue: impl FnMut(usize),
 ) {
-    if lib.cell(nl.cell(s.cell).master).kind == CellKind::Flop {
+    if lib.cell(nl.cell_master(s.cell)).kind == CellKind::Flop {
         if s.pin == 0 {
             dirty_flop_eps.insert(s.cell.index());
         }
@@ -1117,11 +1117,10 @@ impl<'a> Timer<'a> {
             }
             let prev = wires.install(n, cand);
             self.undo.push(UndoOp::NetWire { net: n, prev });
-            let net = nl.net(NetId::new(n));
-            if let Some(drv) = net.driver {
+            if let Some(drv) = nl.net_driver(NetId::new(n)) {
                 scr.worklist.push(level, drv.index());
             }
-            for &s in net.sinks {
+            for &s in nl.net_sinks(NetId::new(n)) {
                 mark_sink_dirty(self.lib, nl, s, &mut scr.dirty_flop_eps, |c| {
                     scr.worklist.push(level, c);
                 });

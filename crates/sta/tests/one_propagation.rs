@@ -1,12 +1,25 @@
 //! One `Sta` answers its report, PBA and worst-path queries from a single
-//! timing state: one propagation and one check per endpoint. Span counts
-//! and counters live in tc-obs's process-global registry, so this is the
-//! only test in its process.
+//! timing state: one propagation and one check per endpoint, and a full
+//! propagation's allocator calls do not grow with the design. Span counts,
+//! counters and the allocator's totals live in tc-obs's process-global
+//! state, so this is the only test in its process.
 
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
 use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Sta};
+
+/// Allocator calls of one full `Sta::run` (graph build included) on a
+/// generated design.
+fn allocs_of_full_run(lib: &Library, profile: BenchProfile) -> u64 {
+    let nl = generate(lib, profile, 11).unwrap();
+    let stack = BeolStack::n20();
+    let cons = Constraints::single_clock(900.0);
+    let sta = Sta::new(&nl, lib, &stack, &cons);
+    let before = tc_obs::memory_stats().allocs;
+    std::hint::black_box(sta.run().unwrap());
+    tc_obs::memory_stats().allocs - before
+}
 
 #[test]
 fn report_pba_and_worst_paths_share_one_propagation() {
@@ -38,4 +51,16 @@ fn report_pba_and_worst_paths_share_one_propagation() {
     assert_eq!(count("sta.worst_paths"), 1);
     assert_eq!(snap.counter("sta.pba.paths"), pba.len() as u64);
     assert_eq!(snap.counter("sta.paths.extracted"), paths.len() as u64);
+
+    // The allocation canary: the full run's allocator calls are a few
+    // buffers per propagation (plus their doubling growth), not a few
+    // per cell or per arc: c5315 has ~19× tiny's gates.
+    tc_obs::enable_memory();
+    let small = allocs_of_full_run(&lib, BenchProfile::tiny());
+    let large = allocs_of_full_run(&lib, BenchProfile::c5315());
+    tc_obs::disable_memory();
+    assert!(
+        large <= small + 64,
+        "full STA allocations scale with the design: {small} on tiny, {large} on c5315"
+    );
 }
