@@ -19,6 +19,8 @@
 //!   experiment in the workspace takes an explicit `u64` seed so results
 //!   are reproducible bit-for-bit across runs and platforms.
 //! * [`ids`] — typed index newtypes shared by the netlist/STA graphs.
+//! * [`text`] — FNV-1a and the byte-level line reader the handoff-file
+//!   readers share.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@ pub mod ids;
 pub mod lut;
 pub mod rng;
 pub mod stats;
+pub mod text;
 pub mod units;
 
 pub use error::{Error, Result};

@@ -198,17 +198,17 @@ pub fn check_constraints(nl: &Netlist, lib: &Library, cons: &Constraints) -> Vec
 /// parasitics belong to a different design revision) and every netlist
 /// net should be annotated (`TCL0302`, warning: incomplete extraction —
 /// those nets silently fall back to estimated parasitics). Name lookup
-/// is a sorted-slice binary search: O((N+S)·log N) with no hash tables.
+/// goes through the netlist's FNV-1a index over its own name table:
+/// O(N + S), nothing copied. Of several nets sharing a name, the SPEF
+/// entry covers the first.
 pub fn check_spef(nl: &Netlist, spef: &[NetParasitics]) -> Vec<Diagnostic> {
-    let mut names: Vec<(&str, usize)> = nl.nets().enumerate().map(|(i, n)| (n.name, i)).collect();
-    names.sort_unstable();
-
+    let index = nl.net_name_index();
     let mut covered = vec![false; nl.net_count()];
     let mut out = Vec::new();
     for p in spef {
-        match names.binary_search_by(|&(n, _)| n.cmp(p.name.as_str())) {
-            Ok(pos) => covered[names[pos].1] = true,
-            Err(_) => out.push(finding(
+        match index.find(&p.name) {
+            Some(net) => covered[net.index()] = true,
+            None => out.push(finding(
                 "TCL0301",
                 p.name.as_str(),
                 "SPEF annotates a net that does not exist in the netlist",
@@ -217,16 +217,14 @@ pub fn check_spef(nl: &Netlist, spef: &[NetParasitics]) -> Vec<Diagnostic> {
             )),
         }
     }
-    for (i, net) in nl.nets().enumerate() {
-        if !covered[i] {
-            out.push(finding(
-                "TCL0302",
-                net.name,
-                "net has no SPEF annotation (falls back to estimated parasitics)",
-                "spef",
-                None,
-            ));
-        }
+    for (i, _) in covered.iter().enumerate().filter(|&(_, &c)| !c) {
+        out.push(finding(
+            "TCL0302",
+            nl.net(NetId::new(i)).name,
+            "net has no SPEF annotation (falls back to estimated parasitics)",
+            "spef",
+            None,
+        ));
     }
     out
 }

@@ -18,23 +18,47 @@
 //! other connection is an input. It never allocates more than the
 //! per-net connection table — O(nets + connections) for any input size.
 
-use std::collections::HashMap;
-
 use tc_netlist::verilog::{read_statements, Statement};
+use tc_netlist::Interner;
 
 use crate::diag::{finding, Diagnostic};
+
+/// Who drives a net: an `input` declaration, or the `.Y` of the
+/// instance with this id in the scan's instance-name table.
+#[derive(Clone, Copy)]
+enum Driver {
+    Input,
+    Instance(usize),
+}
 
 /// Everything the scan learned about one net name.
 #[derive(Default)]
 struct NetUse {
-    /// Everything that drives the net, in source order: `(who, line)`,
-    /// `who` being `inst.Y` or an `input` declaration.
-    drivers: Vec<(String, usize)>,
+    /// Everything that drives the net, in source order, with its line.
+    drivers: Vec<(Driver, usize)>,
     /// Line of the `output` declaration, if any.
     declared_output: Option<usize>,
     /// Line of the first input-pin reference, and total count.
     first_sink: Option<usize>,
     sink_count: usize,
+}
+
+/// Net names in first-seen order, which is the order findings come in,
+/// and what the scan learned about each.
+#[derive(Default)]
+struct Nets {
+    names: Interner,
+    uses: Vec<NetUse>,
+}
+
+impl Nets {
+    fn entry(&mut self, name: &str) -> &mut NetUse {
+        let (i, added) = self.names.intern(name);
+        if added {
+            self.uses.push(NetUse::default());
+        }
+        &mut self.uses[i]
+    }
 }
 
 /// Scans structural-Verilog text for connectivity defects.
@@ -46,44 +70,30 @@ struct NetUse {
 /// first reference. `label` names the stream in the findings
 /// (`design.v`).
 pub fn lint_verilog_source(text: &str, label: &str) -> Vec<Diagnostic> {
-    let mut order: Vec<String> = Vec::new();
-    let mut uses: HashMap<String, usize> = HashMap::new();
-    let mut slots: Vec<NetUse> = Vec::new();
-    let mut slot = |name: &str, order: &mut Vec<String>, slots: &mut Vec<NetUse>| -> usize {
-        if let Some(&i) = uses.get(name) {
-            return i;
-        }
-        let i = slots.len();
-        uses.insert(name.to_string(), i);
-        order.push(name.to_string());
-        slots.push(NetUse::default());
-        i
-    };
+    let mut nets = Nets::default();
+    let mut instances = Interner::default();
 
     let scanned = read_statements(text.as_bytes(), |line, stmt| {
         match stmt {
             Ok(Statement::Input(names)) => {
-                for n in names {
-                    let s = slot(n, &mut order, &mut slots);
-                    slots[s]
-                        .drivers
-                        .push(("input declaration".to_string(), line));
+                for &n in names {
+                    nets.entry(n).drivers.push((Driver::Input, line));
                 }
             }
             Ok(Statement::Output(names)) => {
-                for n in names {
-                    let s = slot(n, &mut order, &mut slots);
-                    slots[s].declared_output.get_or_insert(line);
+                for &n in names {
+                    nets.entry(n).declared_output.get_or_insert(line);
                 }
             }
             Ok(Statement::Instance { name, conns, .. }) => {
-                for (pin, net) in conns {
-                    let s = slot(net, &mut order, &mut slots);
+                for &(pin, net) in conns {
+                    let u = nets.entry(net);
                     if pin == "Y" {
-                        slots[s].drivers.push((format!("{name}.Y"), line));
+                        let inst = instances.intern(name).0;
+                        u.drivers.push((Driver::Instance(inst), line));
                     } else {
-                        slots[s].first_sink.get_or_insert(line);
-                        slots[s].sink_count += 1;
+                        u.first_sink.get_or_insert(line);
+                        u.sink_count += 1;
                     }
                 }
             }
@@ -94,16 +104,20 @@ pub fn lint_verilog_source(text: &str, label: &str) -> Vec<Diagnostic> {
     debug_assert!(scanned.is_ok(), "a str reads without error: {scanned:?}");
 
     let mut out = Vec::new();
-    for (name, u) in order.iter().zip(&slots) {
+    for (i, u) in nets.uses.iter().enumerate() {
+        let name = nets.names.get(i);
         if let [_, extra, ..] = u.drivers.as_slice() {
             let who: Vec<String> = u
                 .drivers
                 .iter()
-                .map(|(w, l)| format!("{w} (line {l})"))
+                .map(|&(who, l)| match who {
+                    Driver::Input => format!("input declaration (line {l})"),
+                    Driver::Instance(inst) => format!("{}.Y (line {l})", instances.get(inst)),
+                })
                 .collect();
             out.push(finding(
                 "TCL0102",
-                name.as_str(),
+                name,
                 format!("net has {} drivers: {}", who.len(), who.join(", ")),
                 label,
                 Some(extra.1),
@@ -119,7 +133,7 @@ pub fn lint_verilog_source(text: &str, label: &str) -> Vec<Diagnostic> {
                 };
                 out.push(finding(
                     "TCL0103",
-                    name.as_str(),
+                    name,
                     format!("net is never driven but {what}"),
                     label,
                     line,

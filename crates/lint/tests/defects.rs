@@ -253,7 +253,7 @@ fn seeded_missing_annotation_fires_tcl0302_only() {
     let vtext = corpus("clean/small.v");
     let nl = parse_verilog(&vtext, &lib).unwrap();
     let mut spef = parse_spef(&corpus("clean/small.spef"), &BeolStack::n20()).unwrap();
-    let dropped = spef.iter().position(|p| p.name == "r1_out").unwrap();
+    let dropped = spef.iter().position(|p| p.name == "q1").unwrap();
     spef.remove(dropped);
     let cons = Constraints::single_clock(500.0);
     let mut ctx = LintContext::new(&nl, &lib);
@@ -261,7 +261,7 @@ fn seeded_missing_annotation_fires_tcl0302_only() {
     ctx.spef = Some(&spef);
     let diags = run_lint(&Pool::sequential(), &ctx);
     let subject = exactly_one(&diags, "TCL0302");
-    assert_eq!(subject, "r1_out");
+    assert_eq!(subject, "q1");
 }
 
 #[test]

@@ -37,7 +37,7 @@ pub mod level;
 pub mod scc;
 pub mod verilog;
 
-pub use graph::{CellRef, NetRef, Netlist, PinRef};
+pub use graph::{CellRef, Interner, NetNameIndex, NetRef, Netlist, PinRef};
 pub use journal::NetlistEdit;
 pub use journal_text::{
     decode_journal, render_cmds, replay_journal, write_journal, JournalCmd, JournalRefs,

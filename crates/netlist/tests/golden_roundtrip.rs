@@ -10,6 +10,7 @@
 
 use tc_core::ids::{CellId, NetId};
 use tc_core::rng::Rng;
+use tc_core::text::fnv1a;
 use tc_liberty::{CellKind, LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, generate_streamed, BenchProfile};
 use tc_netlist::{parse_verilog, parse_verilog_from, write_verilog, Netlist};
@@ -20,15 +21,6 @@ const C5315_ECO_LEN: usize = 205_782;
 const C5315_ECO_HASH: u64 = 0x64ae_c0b0_da19_3ac2;
 const SCALE50K_LEN: usize = 4_364_444;
 const SCALE50K_HASH: u64 = 0x8398_f602_99a0_2d5a;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn lib() -> Library {
     Library::generate(&LibConfig::default(), &PvtCorner::typical())
