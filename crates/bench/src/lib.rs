@@ -3,18 +3,15 @@
 
 //! # tc-bench — figure-regeneration harnesses
 //!
-//! One binary per figure/table of the paper (see `src/bin/`), plus the
-//! std-only benchmarks in `benches/engines.rs`. This library holds the
-//! shared formatting, timing, and experiment-setup helpers so every
-//! harness prints consistent, diffable tables (recorded in
+//! One binary per figure/table of the paper (see `src/bin/`). This
+//! library holds the shared formatting and experiment-setup helpers so
+//! every harness prints consistent, diffable tables (recorded in
 //! `EXPERIMENTS.md`), and [`emit`] — the one call through which a
 //! harness leaves its machine-readable sidecars (BENCH table, RUN
 //! artifact, and, with the flight recorder armed, trace + folded stacks
 //! + PROF span profile).
 
-use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
@@ -104,89 +101,6 @@ pub fn bench_netlist(lib: &Library, profile: &str, seed: u64) -> Netlist {
     generate(lib, p, seed).expect("generator is total")
 }
 
-/// One measured benchmark.
-#[derive(Clone, Debug)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Timed iterations.
-    pub iters: u32,
-    /// Mean nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Fastest iteration, ns.
-    pub min_ns: f64,
-    /// Slowest iteration, ns.
-    pub max_ns: f64,
-}
-
-impl BenchResult {
-    /// `name  mean ±(min..max)` formatted for the report table.
-    pub fn row(&self) -> Vec<String> {
-        let scale = |ns: f64| {
-            if ns >= 1e6 {
-                format!("{:.2} ms", ns / 1e6)
-            } else {
-                format!("{:.1} us", ns / 1e3)
-            }
-        };
-        vec![
-            self.name.clone(),
-            self.iters.to_string(),
-            scale(self.mean_ns),
-            scale(self.min_ns),
-            scale(self.max_ns),
-        ]
-    }
-}
-
-/// Minimum timed iterations per benchmark.
-const BENCH_MIN_ITERS: u32 = 5;
-/// Iteration cap per benchmark.
-const BENCH_MAX_ITERS: u32 = 200;
-/// Wall-clock budget per benchmark, seconds.
-const BENCH_BUDGET_S: f64 = 0.8;
-
-/// Times `routine` (std-only stand-in for Criterion, which the offline
-/// build cannot fetch): one warmup call, then iterations until the time
-/// budget or cap is hit.
-pub fn bench<R>(name: &str, mut routine: impl FnMut() -> R) -> BenchResult {
-    bench_with_setup(name, || (), |()| routine())
-}
-
-/// Like [`bench()`] but re-runs `setup` (untimed) before every timed
-/// iteration — for routines that consume or mutate their input.
-pub fn bench_with_setup<T, R>(
-    name: &str,
-    mut setup: impl FnMut() -> T,
-    mut routine: impl FnMut(T) -> R,
-) -> BenchResult {
-    black_box(routine(setup())); // warmup
-    let mut iters = 0u32;
-    let mut total_ns = 0.0f64;
-    let mut min_ns = f64::INFINITY;
-    let mut max_ns = 0.0f64;
-    let started = Instant::now();
-    while iters < BENCH_MIN_ITERS
-        || (iters < BENCH_MAX_ITERS && started.elapsed().as_secs_f64() < BENCH_BUDGET_S)
-    {
-        let input = setup();
-        let t0 = Instant::now();
-        black_box(routine(input));
-        let ns = t0.elapsed().as_nanos() as f64;
-        total_ns += ns;
-        min_ns = min_ns.min(ns);
-        max_ns = max_ns.max(ns);
-        iters += 1;
-    }
-    BenchResult {
-        name: name.to_string(),
-        iters,
-        mean_ns: total_ns / iters as f64,
-        min_ns,
-        max_ns,
-    }
-}
-
 /// The directory generated sidecars land in: `$TC_BENCH_OUT`, default
 /// `artifacts/`. Harness output never scatters at the repo root —
 /// committed baselines are *copied* to their gated locations, the
@@ -258,17 +172,6 @@ mod tests {
         assert_eq!(fmt(1.23456, 2), "1.23");
         // print_table must not panic on ragged input.
         print_table("t", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-    }
-
-    #[test]
-    fn bench_runner_measures_and_bounds_iterations() {
-        let r = bench("noop", || 1 + 1);
-        assert!(r.iters >= 5);
-        assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
-        let mut setups = 0;
-        let r2 = bench_with_setup("setup", || setups += 1, |()| ());
-        assert!(setups as u32 >= r2.iters, "setup runs every iteration");
-        assert_eq!(r2.row().len(), 5);
     }
 
     #[test]

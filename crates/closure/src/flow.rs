@@ -24,18 +24,13 @@ pub struct ClosureConfig {
     pub budget_per_pass: usize,
     /// Fix ordering (ablate against [`FixKind::RECOMMENDED`]).
     pub ordering: Vec<FixKind>,
-    /// Useful-skew step when that fix runs.
-    pub skew_step: Ps,
-    /// Days charged per iteration in the schedule model.
-    pub days_per_iteration: f64,
-    /// Run the `tc-lint` static passes before the first STA iteration
-    /// (the default). Error-severity findings abort the run with
-    /// [`tc_core::error::Error::InvalidInput`] — a design with
-    /// unregistered feedback or unclocked registers would either fail
-    /// levelization anyway or silently time garbage; warnings ride
-    /// along in [`ClosureOutcome::lint_findings`] and the run artifact.
-    pub preflight_lint: bool,
 }
+
+/// Useful-skew step when that fix runs.
+const SKEW_STEP: Ps = Ps::new(10.0);
+/// Days charged per iteration in the schedule model — the paper's
+/// "five three-day repair and signoff analysis iterations".
+const DAYS_PER_ITERATION: f64 = 3.0;
 
 impl Default for ClosureConfig {
     fn default() -> Self {
@@ -44,9 +39,6 @@ impl Default for ClosureConfig {
             k_paths: 25,
             budget_per_pass: 60,
             ordering: FixKind::RECOMMENDED.to_vec(),
-            skew_step: Ps::new(10.0),
-            days_per_iteration: 3.0,
-            preflight_lint: true,
         }
     }
 }
@@ -103,9 +95,8 @@ pub struct ClosureOutcome {
     pub closed: bool,
     /// Schedule consumed, days.
     pub days: f64,
-    /// Warning-severity findings from the pre-flight lint gate (empty
-    /// when [`ClosureConfig::preflight_lint`] is off; error findings
-    /// abort the run instead of appearing here).
+    /// Warning-severity findings from the pre-flight lint gate (error
+    /// findings abort the run instead of appearing here).
     pub lint_findings: Vec<tc_lint::Diagnostic>,
 }
 
@@ -132,15 +123,11 @@ impl<'a> ClosureFlow<'a> {
     /// # Errors
     ///
     /// Propagates STA failures; the pass that failed is rolled back
-    /// first. With [`ClosureConfig::preflight_lint`] on, returns
-    /// [`tc_core::error::Error::InvalidInput`] before any timing runs if
-    /// the lint gate finds error-severity defects.
+    /// first. Returns [`tc_core::error::Error::InvalidInput`] before any
+    /// timing runs if the pre-flight lint gate finds error-severity
+    /// defects.
     pub fn run(&mut self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
-        let lint_findings = if self.config.preflight_lint {
-            self.preflight(nl, &cons)?
-        } else {
-            Vec::new()
-        };
+        let lint_findings = self.preflight(nl, &cons)?;
         let _run_span = tc_obs::span("closure.run");
         let edits_counter = tc_obs::counter("closure.edits");
         let mut timer = {
@@ -221,7 +208,7 @@ impl<'a> ClosureFlow<'a> {
         }
         let final_report = timer.report(nl);
         let closed = final_report.is_clean();
-        let days = iterations.len() as f64 * self.config.days_per_iteration;
+        let days = iterations.len() as f64 * DAYS_PER_ITERATION;
         Ok(ClosureOutcome {
             iterations,
             final_report,
@@ -234,7 +221,9 @@ impl<'a> ClosureFlow<'a> {
 
     /// The pre-flight lint gate: runs the graph-side `tc-lint` passes
     /// (cycles, dangling nets, constraint coverage) and rejects the run
-    /// on any error-severity finding, returning the warnings.
+    /// on any error-severity finding, returning the warnings. A design
+    /// with unregistered feedback or unclocked registers would either
+    /// fail levelization anyway or silently time garbage.
     fn preflight(&self, nl: &Netlist, cons: &Constraints) -> Result<Vec<tc_lint::Diagnostic>> {
         let _span = tc_obs::span("closure.preflight");
         let mut ctx = tc_lint::LintContext::new(nl, self.lib);
@@ -293,7 +282,7 @@ impl<'a> ClosureFlow<'a> {
             FixKind::UsefulSkew => {
                 // Timer edits, not netlist edits: each trial re-times its
                 // own cone; kept moves stay on the timer's undo log.
-                let moves = tc_clock::skew_on_timer(timer, nl, b / 10, self.config.skew_step)?;
+                let moves = tc_clock::skew_on_timer(timer, nl, b / 10, SKEW_STEP)?;
                 Ok(FixOutcome { edits: moves.len() })
             }
         }
@@ -588,7 +577,7 @@ mod tests {
         // Generated designs carry dangling gate outputs → TCL0104
         // warnings, which must not gate but must be reported.
         let mut flow = ClosureFlow::new(&lib, &stack, ClosureConfig::default());
-        let out = flow.run(&mut nl, cons.clone()).unwrap();
+        let out = flow.run(&mut nl, cons).unwrap();
         assert!(out.closed);
         assert!(!out.lint_findings.is_empty());
         assert!(out
@@ -598,15 +587,6 @@ mod tests {
         let text = flow.run_artifact("flow_test lint", &out).render();
         assert!(text.contains("\"lint\""), "{text}");
         assert!(text.contains("TCL0104"), "{text}");
-
-        // And the gate can be switched off entirely.
-        let cfg = ClosureConfig {
-            preflight_lint: false,
-            ..Default::default()
-        };
-        let mut flow = ClosureFlow::new(&lib, &stack, cfg);
-        let out = flow.run(&mut nl, cons).unwrap();
-        assert!(out.lint_findings.is_empty());
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Summary {
             max,
         }
     }
-
-    /// The classic "N-sigma" point `mean + k·sigma`.
-    pub fn mean_plus_sigmas(&self, k: f64) -> f64 {
-        self.mean + k * self.sigma
-    }
 }
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of a sample set by linear

@@ -221,12 +221,6 @@ impl Ps {
 }
 
 impl Ff {
-    /// Converts to picofarads.
-    #[inline]
-    pub fn as_pf(self) -> f64 {
-        self.0 / 1_000.0
-    }
-
     /// Constructs from a value in picofarads.
     #[inline]
     pub fn from_pf(pf: f64) -> Self {

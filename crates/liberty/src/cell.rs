@@ -36,11 +36,6 @@ impl TimingArc {
     pub fn delay_at(&self, slew_ps: f64, load_ff: f64) -> Ps {
         Ps::new(self.delay.eval(slew_ps, load_ff))
     }
-
-    /// Output slew at an operating point.
-    pub fn out_slew_at(&self, slew_ps: f64, load_ff: f64) -> Ps {
-        Ps::new(self.out_slew.eval(slew_ps, load_ff))
-    }
 }
 
 /// A library cell (a "master"): one drive/Vt variant of a template.

@@ -106,18 +106,8 @@ impl BenchProfile {
         }
     }
 
-    /// The Fig 9 benchmark set in paper order.
-    pub fn fig9_set() -> [BenchProfile; 4] {
-        [
-            BenchProfile::c5315(),
-            BenchProfile::c7552(),
-            BenchProfile::aes(),
-            BenchProfile::mpeg2(),
-        ]
-    }
-
     /// 50k-cell scale profile (47k gates + 3k flops). The smallest of
-    /// the capacity ladder — fast enough for CI.
+    /// the capacity ladder.
     pub fn scale_50k() -> Self {
         BenchProfile {
             name: "scale_50k",
@@ -142,8 +132,8 @@ impl BenchProfile {
     }
 
     /// Million-cell scale profile (940k gates + 60k flops) — the
-    /// paper's §1.3 capacity regime. Local-only by default; see the
-    /// `tbl_scale` harness.
+    /// paper's §1.3 capacity regime. Local-only: the `tbl_lint` harness
+    /// runs it on request (`TC_LINT_PROFILES=1m`).
     pub fn scale_1m() -> Self {
         BenchProfile {
             name: "scale_1m",
@@ -153,15 +143,6 @@ impl BenchProfile {
             outputs: 1_024,
             window: 6_000,
         }
-    }
-
-    /// The capacity ladder, smallest first.
-    pub fn scale_set() -> [BenchProfile; 3] {
-        [
-            BenchProfile::scale_50k(),
-            BenchProfile::scale_200k(),
-            BenchProfile::scale_1m(),
-        ]
     }
 }
 

@@ -23,10 +23,10 @@
 //! inherit the submitting thread's open span path so `tc_obs` spans
 //! opened inside tasks keep nesting under the caller's tree. When the
 //! flight recorder is armed ([`tc_obs::enable_trace`]), every claimed
-//! item (and every chunk in [`Pool::chunked_for_each`]) emits a
-//! `par.task` begin/end pair into the per-thread trace ring, so a
-//! Chrome-trace export shows exactly how work interleaved across
-//! workers — at a cost of one relaxed atomic load when tracing is off.
+//! item emits a `par.task` begin/end pair into the per-thread trace
+//! ring, so a Chrome-trace export shows exactly how work interleaved
+//! across workers — at a cost of one relaxed atomic load when tracing
+//! is off.
 //!
 //! # Examples
 //!
@@ -52,11 +52,11 @@ pub const THREADS_ENV: &str = "TC_PAR_THREADS";
 /// A scoped thread pool configuration.
 ///
 /// `Pool` is a plain value (no threads are kept alive between calls):
-/// each [`scope_map`](Pool::scope_map) / [`chunked_for_each`](Pool::chunked_for_each)
-/// call spawns scoped workers, drains the items, joins, and returns.
-/// This keeps the type `Copy`, the borrows simple (workers may borrow
-/// the caller's stack), and the determinism contract auditable: there
-/// is no hidden queue whose drain order could leak into results.
+/// each [`scope_map`](Pool::scope_map) call spawns scoped workers,
+/// drains the items, joins, and returns. This keeps the type `Copy`,
+/// the borrows simple (workers may borrow the caller's stack), and the
+/// determinism contract auditable: there is no hidden queue whose drain
+/// order could leak into results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pool {
     workers: usize,
@@ -133,62 +133,6 @@ impl Pool {
             local
         });
         merge_indexed(n, per_worker)
-    }
-
-    /// Splits `data` into fixed-size chunks and runs `f(chunk_index,
-    /// chunk)` for each on the pool. Chunks are disjoint `&mut` slices,
-    /// so any interleaving writes the same bytes — results depend only
-    /// on `(data.len(), chunk)`, not the worker count.
-    ///
-    /// Chunks are dealt round-robin to workers up front (no cursor):
-    /// the borrow checker gets disjointness for free and the fixed
-    /// deal keeps scheduling noise out of the obs counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`; re-raises worker panics.
-    pub fn chunked_for_each<T, F>(&self, data: &mut [T], chunk: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        let n_chunks = data.len().div_ceil(chunk);
-        let workers = self.workers.min(n_chunks);
-        if workers <= 1 {
-            for (i, c) in data.chunks_mut(chunk).enumerate() {
-                f(i, c);
-            }
-            return;
-        }
-        // Deal chunk i to worker i % workers, preserving indices.
-        let mut deal: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, c) in data.chunks_mut(chunk).enumerate() {
-            deal[i % workers].push((i, c));
-        }
-        let scope_start = Instant::now();
-        let parent = tc_obs::current_span_path();
-        let busy: Vec<Duration> = thread::scope(|s| {
-            let handles: Vec<_> = deal
-                .into_iter()
-                .enumerate()
-                .map(|(w, work)| {
-                    let parent = parent.as_deref();
-                    let f = &f;
-                    spawn_worker(s, w, move || {
-                        let _ctx = tc_obs::span_parent(parent);
-                        let start = Instant::now();
-                        for (i, c) in work {
-                            let _task = tc_obs::trace_scope("par.task");
-                            f(i, c);
-                        }
-                        start.elapsed()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        record_scope(n_chunks, workers, scope_start.elapsed(), &busy);
     }
 
     /// Spawns `self.workers` scoped workers, each running `body` with
@@ -316,20 +260,6 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let items: Vec<u32> = Vec::new();
         assert!(Pool::new(8).scope_map(&items, |_, &x| x).is_empty());
-        Pool::new(8).chunked_for_each(&mut Vec::<u32>::new(), 16, |_, _| {});
-    }
-
-    #[test]
-    fn chunked_for_each_writes_every_element_once() {
-        let mut data = vec![0u64; 1000];
-        Pool::new(4).chunked_for_each(&mut data, 64, |ci, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (ci * 64 + k) as u64 + 1;
-            }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i as u64 + 1);
-        }
     }
 
     #[test]

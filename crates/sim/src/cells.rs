@@ -69,39 +69,6 @@ pub fn nand2(
     ckt.cap_to_ground(mid, Ff::new(0.55 * wn * 0.5));
 }
 
-/// Builds a 2-input NOR.
-pub fn nor2(
-    ckt: &mut Circuit,
-    vdd: NodeId,
-    a: NodeId,
-    b: NodeId,
-    output: NodeId,
-    vt: VtClass,
-    strength: f64,
-) {
-    let wn = strength;
-    let wp = 2.0 * BETA * strength;
-    let mid = ckt.node("nor_mid");
-    // Series pull-up: vdd → (gate a) → mid → (gate b) → output.
-    ckt.mosfet(MosDevice::new(MosKind::Pmos, vt, wp), mid, a, vdd);
-    ckt.mosfet(MosDevice::new(MosKind::Pmos, vt, wp), output, b, mid);
-    // Parallel pull-downs.
-    ckt.mosfet(
-        MosDevice::new(MosKind::Nmos, vt, wn),
-        output,
-        a,
-        NodeId::GROUND,
-    );
-    ckt.mosfet(
-        MosDevice::new(MosKind::Nmos, vt, wn),
-        output,
-        b,
-        NodeId::GROUND,
-    );
-    ckt.cap_to_ground(output, Ff::new(0.55 * (2.0 * wn + wp) * 0.4));
-    ckt.cap_to_ground(mid, Ff::new(0.55 * wp * 0.5));
-}
-
 /// Builds a transmission gate between `a` and `b`, conducting when
 /// `ctrl` is high (`ctrl_b` must carry its complement).
 pub fn transmission_gate(

@@ -23,8 +23,7 @@
 //!   wider knob (`--mem-tol`), because allocator behaviour — arena
 //!   growth policy, thread count, even libc version — moves the counts
 //!   between perfectly healthy runs. They are **never** compared
-//!   bit-exactly; `--mem-strict` gates them while timing stays
-//!   informational.
+//!   bit-exactly.
 //!
 //! Every tolerance is **relative to the baseline value**:
 //! `|candidate − baseline| / |baseline|`, so `--tol 3.0` admits up to
@@ -113,12 +112,6 @@ pub struct DiffOptions {
     /// Gate out-of-tolerance timing *and memory* fields. Off by
     /// default: on a shared CI runner they are drift, not regressions.
     pub timing_strict: bool,
-    /// Gate memory fields even when timing is informational: an
-    /// out-of-tolerance `*_bytes`/`*_allocs`/`*_frees` field is a
-    /// regression regardless of `timing_strict`. Heap telemetry is
-    /// host-stable in a way wall clock is not, so CI can hold the
-    /// memory line while ignoring runner-speed noise.
-    pub mem_strict: bool,
 }
 
 impl Default for DiffOptions {
@@ -127,7 +120,6 @@ impl Default for DiffOptions {
             tol: 0.25,
             mem_tol: 0.5,
             timing_strict: false,
-            mem_strict: false,
         }
     }
 }
@@ -385,9 +377,9 @@ fn drift(a: f64, b: f64) -> f64 {
 }
 
 impl DiffOptions {
-    /// What an out-of-tolerance field of `class` amounts to.
-    fn beyond_tolerance(&self, class: FieldClass) -> RowStatus {
-        if self.timing_strict || (class == FieldClass::Memory && self.mem_strict) {
+    /// What an out-of-tolerance field amounts to.
+    fn beyond_tolerance(&self) -> RowStatus {
+        if self.timing_strict {
             RowStatus::Regression
         } else {
             RowStatus::Drift
@@ -473,7 +465,7 @@ fn compare(class: FieldClass, va: &Flat, vb: &Flat, opts: &DiffOptions) -> RowSt
     } else if class == FieldClass::Exact {
         RowStatus::Regression
     } else {
-        opts.beyond_tolerance(class)
+        opts.beyond_tolerance()
     }
 }
 
@@ -529,7 +521,7 @@ fn diff_profiles(base: &Profile, cand: &Profile, opts: &DiffOptions, report: &mu
         } else if growth < 0.0 {
             Info // an improvement never gates
         } else {
-            opts.beyond_tolerance(Timing)
+            opts.beyond_tolerance()
         };
         let (sa, sb) = (num(b.self_ns), num(c.self_ns));
         push(report, &at(".self_ns"), Timing, sa, sb, status);
@@ -653,7 +645,6 @@ mod tests {
             tol: 0.25,
             mem_tol: 0.5,
             timing_strict: true,
-            mem_strict: false,
         };
         // 40% growth sits inside mem_tol=0.5 even though tol=0.25
         // would fail it — memory uses its own knob.
@@ -671,23 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_strict_gates_memory_despite_informational_timing() {
-        let a = parse(r#"{"peak_heap_bytes":1000000,"wall_ms":100.0}"#);
-        let b = parse(r#"{"peak_heap_bytes":3000000,"wall_ms":300.0}"#);
-        let opts = DiffOptions {
-            mem_strict: true,
-            ..DiffOptions::default()
-        };
-        let rep = diff(&a, &b, &opts);
-        assert!(!rep.ok(), "3x heap fails --mem-strict");
-        assert_eq!(rep.regressions, 1, "only the memory field gates");
-        assert_eq!(rep.drifts, 1, "wall clock stays informational");
-        // Inside mem-tol still passes.
-        let c = parse(r#"{"peak_heap_bytes":1200000,"wall_ms":100.0}"#);
-        assert!(diff(&a, &c, &opts).ok());
-    }
-
-    #[test]
     fn memory_fields_are_never_compared_exactly() {
         // A one-byte wiggle inside tolerance must pass even strict.
         let a = parse(r#"{"live_bytes":1048576}"#);
@@ -696,7 +670,6 @@ mod tests {
             tol: 0.0,
             mem_tol: 0.01,
             timing_strict: true,
-            mem_strict: false,
         };
         let rep = diff(&a, &b, &strict);
         assert!(rep.ok());

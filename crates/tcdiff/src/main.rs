@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! tcdiff <baseline.json> <candidate.json> [--tol 0.25] [--mem-tol 0.5]
-//!        [--timing-strict] [--mem-strict] [--verbose]
+//!        [--timing-strict] [--verbose]
 //! tcdiff --check-trace <trace.json> [--min-threads N]
 //! ```
 //!
@@ -21,7 +21,7 @@ use tcdiff::{check_trace, diff, DiffOptions};
 
 const USAGE: &str = "\
 usage: tcdiff <baseline.json> <candidate.json> [--tol FRACTION] [--mem-tol FRACTION]
-       [--timing-strict] [--mem-strict] [--verbose]
+       [--timing-strict] [--verbose]
        tcdiff --check-trace <trace.json> [--min-threads N]
 
 Compares two run artifacts or BENCH_*.json sidecars field by field.
@@ -29,8 +29,7 @@ Fingerprint/result fields must match exactly; wall-clock fields
 (*_ms/*_us/*_ns/wall*/speedup*/elapsed*/idle*) are tolerance-gated
 (default 25% of the baseline value); allocator fields
 (*_bytes/*_allocs/*_frees) gate under --mem-tol (default 50%, never
-bit-exact). Both classes are informational unless --timing-strict;
---mem-strict gates the memory class alone.
+bit-exact). Both classes are informational unless --timing-strict.
 Two PROF_*.json span profiles are compared by span name instead: span
 set, counts and dropped_events exactly, self-time growth under --tol
 for spans holding at least 2% of wall.
@@ -73,7 +72,6 @@ fn diff_mode(mut args: Args) -> Result<Outcome, String> {
         tol: tolerance(&mut args, "--tol", defaults.tol)?,
         mem_tol: tolerance(&mut args, "--mem-tol", defaults.mem_tol)?,
         timing_strict: args.flag("--timing-strict"),
-        mem_strict: args.flag("--mem-strict"),
     };
     let verbose = args.flag("--verbose");
     let [base, cand] = args.exactly()?;

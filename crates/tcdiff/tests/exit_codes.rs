@@ -1,16 +1,16 @@
 //! End-to-end exit-code contract for the `tcdiff` binary, exercised
-//! against the committed `BENCH_*.json` sidecars: self-compare must be
-//! clean (exit 0), a perturbed fingerprint must gate (exit 1), and
-//! broken input must be a usage error (exit 2).
+//! against the committed `BENCH_gba_pba.json` sidecar and inline
+//! fixtures: self-compare must be clean (exit 0), a perturbed
+//! fingerprint must gate (exit 1), and broken input must be a usage
+//! error (exit 2).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn bench_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name)
-}
+/// A corner-sweep table in the shape the BENCH sidecars take: exact
+/// workload fields and a merged-report fingerprint beside a grid of
+/// wall-clock fields that only drift.
+const CORNER_SWEEP: &str = r#"{"table":"parallel_corners","workload":"soc_block 8-corner MCMM (Fig 1)","cells":6450,"nets":6547,"corners":8,"period_ps":3710.7778695310753,"host_threads":1,"reps":3,"bit_identical_across_worker_counts":true,"merged_fingerprint":"9dd7ec524030f9c4","grid":[{"workers":1,"wall_ms":58.435552,"speedup_vs_1":1},{"workers":2,"wall_ms":68.178923,"speedup_vs_1":0.8570911570427712},{"workers":4,"wall_ms":69.204361,"speedup_vs_1":0.8443911793362271},{"workers":8,"wall_ms":83.337033,"speedup_vs_1":0.7011954937248606}]}"#;
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tcdiff"))
@@ -27,34 +27,27 @@ fn tmp_file(name: &str, contents: &str) -> PathBuf {
 
 #[test]
 fn self_compare_of_committed_bench_passes() {
-    for bench in [
-        "BENCH_parallel_corners.json",
-        "BENCH_incremental_sta.json",
-        "BENCH_gba_pba.json",
-    ] {
-        let p = bench_path(bench);
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_gba_pba.json");
+    let fixture = tmp_file("corner_sweep.json", CORNER_SWEEP);
+    for p in [&committed, &fixture] {
         let p = p.to_str().unwrap();
         let out = run(&[p, p]);
         assert!(
             out.status.success(),
-            "{bench} vs itself should exit 0; stdout:\n{}\nstderr:\n{}",
+            "{p} vs itself should exit 0; stdout:\n{}\nstderr:\n{}",
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("PASS"), "stdout reports PASS: {stdout}");
     }
+    std::fs::remove_file(fixture).ok();
 }
 
 #[test]
 fn perturbed_fingerprint_fails_the_gate() {
-    let baseline = bench_path("BENCH_parallel_corners.json");
-    let text = std::fs::read_to_string(&baseline).expect("read committed bench");
-    assert!(
-        text.contains("9dd7ec524030f9c4"),
-        "committed bench carries the merged fingerprint this test perturbs"
-    );
-    let perturbed = text.replace("9dd7ec524030f9c4", "0000000000000000");
+    let baseline = tmp_file("corner_sweep_base.json", CORNER_SWEEP);
+    let perturbed = CORNER_SWEEP.replace("9dd7ec524030f9c4", "0000000000000000");
     let candidate = tmp_file("perturbed.json", &perturbed);
 
     let out = run(&[baseline.to_str().unwrap(), candidate.to_str().unwrap()]);
@@ -70,6 +63,7 @@ fn perturbed_fingerprint_fails_the_gate() {
         stdout.contains("merged_fingerprint"),
         "delta table names the offending field: {stdout}"
     );
+    std::fs::remove_file(baseline).ok();
     std::fs::remove_file(candidate).ok();
 }
 

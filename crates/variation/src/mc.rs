@@ -88,14 +88,15 @@ impl PathModel {
     /// (tests pin the worker count this way instead of mutating
     /// `TC_PAR_THREADS`).
     pub fn monte_carlo_on(&self, pool: tc_par::Pool, n: usize, seed: u64) -> Vec<f64> {
-        let mut out = vec![0.0f64; n];
-        pool.chunked_for_each(&mut out, MC_CHUNK, |chunk_index, slot| {
-            let mut rng = Rng::stream_from(seed, chunk_index as u64);
-            for s in slot.iter_mut() {
-                *s = self.sample(&mut rng);
-            }
-        });
-        out
+        let chunks: Vec<usize> = (0..n.div_ceil(MC_CHUNK)).collect();
+        pool.scope_map(&chunks, |_, &chunk| {
+            let mut rng = Rng::stream_from(seed, chunk as u64);
+            let len = MC_CHUNK.min(n - chunk * MC_CHUNK);
+            (0..len)
+                .map(|_| self.sample(&mut rng))
+                .collect::<Vec<f64>>()
+        })
+        .concat()
     }
 
     /// Convenience: MC then split-tail sigma extraction (the LVF

@@ -191,18 +191,6 @@ impl TbcStudy {
             .collect()
     }
 
-    /// Mean α of eligible paths at a corner — the recovered-pessimism
-    /// headline.
-    pub fn mean_alpha_cw(&self) -> f64 {
-        let finite: Vec<f64> = self
-            .at_cw
-            .iter()
-            .map(|a| a.alpha)
-            .filter(|a| a.is_finite())
-            .collect();
-        finite.iter().sum::<f64>() / finite.len() as f64
-    }
-
     /// Median over paths of `min(α_Cw, α_RCw)` — how well the *dominating*
     /// corner covers each path. Values below 1 mean the two-corner
     /// signoff is pessimistic for the typical path; values modestly above

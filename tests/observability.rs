@@ -14,7 +14,7 @@ use timing_closure::interconnect::beol::BeolStack;
 use timing_closure::liberty::{CellKind, LibConfig, Library, PvtCorner};
 use timing_closure::netlist::gen::{generate, BenchProfile};
 use timing_closure::netlist::Netlist;
-use timing_closure::sta::{Constraints, Sta, Timer};
+use timing_closure::sta::{Constraints, Sta, Timer, TimingGraph};
 
 /// The tests flip the process-global enabled flag and reset the shared
 /// registry, so they must not interleave.
@@ -252,5 +252,69 @@ fn disabled_instrumentation_records_nothing() {
     assert!(
         after.counter_deltas(&before).is_empty(),
         "disabled counters must not move"
+    );
+}
+
+/// A timer build, ten wirelength ECOs and a from-scratch check: one
+/// `sta.gba` span per full propagation and one `sta.incremental` per
+/// update, a balanced flight-recorder trace with nothing dropped, and
+/// updates that re-time their cone rather than the design.
+#[test]
+fn eco_replay_records_one_span_per_update_and_retimes_only_the_cone() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const ECOS: usize = 10;
+    let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
+    let stack = BeolStack::n20();
+    let mut nl = generate(&lib, BenchProfile::c5315(), 2015).unwrap();
+    let cons = Constraints::single_clock(1_500.0);
+
+    tc_obs::enable();
+    tc_obs::reset();
+    tc_obs::clear_trace();
+    tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
+    let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
+    let mut rng = tc_core::rng::Rng::seed_from(2015);
+    for _ in 0..ECOS {
+        let net = tc_core::ids::NetId::new(rng.below(nl.net_count()));
+        let cur = nl.net(net).wire_length_um;
+        nl.set_wire_length(net, (cur * rng.uniform_in(0.6, 1.4)).max(1.0));
+        timer.update(&nl).unwrap();
+    }
+    let full = Sta::new(&nl, &lib, &stack, &cons).run().unwrap();
+    let snap = tc_obs::snapshot();
+    let trace = tc_obs::trace_snapshot();
+    tc_obs::disable_trace();
+    tc_obs::disable();
+
+    let incremental = timer.report(&nl);
+    assert_eq!(incremental.wns(), full.wns());
+    assert_eq!(incremental.tns(), full.tns());
+
+    let profile = tc_prof::Profile::from_trace(&trace);
+    assert_eq!(
+        (
+            profile.dropped_events,
+            profile.unmatched_ends,
+            profile.open_spans
+        ),
+        (0, 0, 0),
+        "trace is complete and balanced"
+    );
+    let count = |span: &str| profile.span(span).map_or(0, |s| s.count);
+    assert_eq!(count("sta.gba"), 2, "the timer's build and the check");
+    assert_eq!(count("sta.incremental"), ECOS as u64, "one per update");
+
+    // Every update accounts for the whole graph, and the ten together
+    // re-evaluate under a fifth of what ten full propagations would.
+    let arcs = TimingGraph::build(&nl, &lib).unwrap().arc_count();
+    let recomputed = snap.counter("sta.arcs_recomputed");
+    assert_eq!(
+        recomputed + snap.counter("sta.arcs_reused"),
+        ECOS as u64 * arcs
+    );
+    assert!(
+        5 * recomputed < ECOS as u64 * arcs,
+        "updates re-timed {recomputed} of {} arcs",
+        ECOS as u64 * arcs
     );
 }
