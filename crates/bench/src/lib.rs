@@ -10,14 +10,20 @@
 //! harness leaves its machine-readable sidecars (BENCH table, RUN
 //! artifact, and, with the flight recorder armed, trace + folded stacks
 //! + PROF span profile).
+//!
+//! [`gba_pba`] is the one study whose table is committed
+//! (`BENCH_gba_pba.json`); `tests/gba_pba_baseline.rs` diffs a fresh run
+//! against it on every `cargo test`.
 
 use std::path::{Path, PathBuf};
 
 use tc_interconnect::BeolStack;
-use tc_liberty::{LibConfig, Library, PvtCorner};
-use tc_netlist::gen::{generate, generate_streamed, BenchProfile};
+use tc_liberty::{AocvTable, DerateModel, LibConfig, Library, PvtCorner};
+use tc_netlist::gen::{generate, BenchProfile};
 use tc_netlist::Netlist;
-use tc_obs::{JsonValue, RunArtifact};
+use tc_obs::{JsonValue, RunArtifact, Snapshot};
+use tc_sta::pba::{pba_worst_endpoints, PbaEndpoint};
+use tc_sta::{Constraints, Sta};
 
 /// Prints a fixed-width table: header row, rule, then rows.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -68,10 +74,8 @@ pub fn standard_env() -> (Library, BeolStack) {
     )
 }
 
-/// A seeded benchmark netlist by profile name. The `scale_*` profiles
-/// go through the bounded-scratch streamed generator; everything else
-/// uses the classic generator (whose output committed fingerprints
-/// depend on).
+/// A seeded benchmark netlist by profile name, from the classic
+/// generator (whose output committed fingerprints depend on).
 ///
 /// # Panics
 ///
@@ -84,21 +88,105 @@ pub fn bench_netlist(lib: &Library, profile: &str, seed: u64) -> Netlist {
         "c7552" => BenchProfile::c7552(),
         "aes" => BenchProfile::aes(),
         "mpeg2" => BenchProfile::mpeg2(),
-        "scale_50k" | "50k" => {
-            return generate_streamed(lib, BenchProfile::scale_50k(), seed)
-                .expect("generator is total")
-        }
-        "scale_200k" | "200k" => {
-            return generate_streamed(lib, BenchProfile::scale_200k(), seed)
-                .expect("generator is total")
-        }
-        "scale_1m" | "1m" => {
-            return generate_streamed(lib, BenchProfile::scale_1m(), seed)
-                .expect("generator is total")
-        }
         other => panic!("unknown profile {other}"),
     };
     generate(lib, p, seed).expect("generator is total")
+}
+
+/// One run of the §1.3 GBA-vs-PBA study: c5315 (seed 2015) clocked
+/// 50 ps past its nominal WNS under AOCV derates, PBA over the 50 worst
+/// endpoints.
+pub struct GbaPba {
+    /// The GBA run's one-line summary.
+    pub gba_summary: String,
+    /// PBA re-timing of the worst endpoints, worst GBA slack first.
+    pub endpoints: Vec<PbaEndpoint>,
+    /// tc-obs snapshot of the measured GBA propagation and PBA overlay.
+    pub snapshot: Snapshot,
+}
+
+impl GbaPba {
+    /// Endpoints with negative slack under GBA and under PBA.
+    pub fn violations(&self) -> (usize, usize) {
+        let count =
+            |f: fn(&PbaEndpoint) -> f64| self.endpoints.iter().filter(|r| f(r) < 0.0).count();
+        (
+            count(|r| r.gba_slack.value()),
+            count(|r| r.pba_slack.value()),
+        )
+    }
+
+    /// Pessimism PBA recovers over all analyzed endpoints, ps.
+    pub fn total_recovered_ps(&self) -> f64 {
+        self.endpoints.iter().map(|r| r.recovered().value()).sum()
+    }
+
+    /// The `BENCH_gba_pba.json` document: endpoint rows, violation
+    /// counts and the span/counter snapshot.
+    pub fn table(&self) -> JsonValue {
+        let (viol_gba, viol_pba) = self.violations();
+        let span_ms = |name| self.snapshot.span(name).map_or(0.0, |s| s.total_ms());
+        let endpoints = self.endpoints.iter().map(|r| {
+            JsonValue::obj([
+                ("endpoint", JsonValue::str(format!("{:?}", r.endpoint))),
+                ("gba_slack_ps", JsonValue::from(r.gba_slack.value())),
+                ("pba_slack_ps", JsonValue::from(r.pba_slack.value())),
+                ("recovered_ps", JsonValue::from(r.recovered().value())),
+                ("stages", JsonValue::from(r.stages)),
+            ])
+        });
+        JsonValue::obj([
+            ("table", JsonValue::str("tbl_gba_pba")),
+            ("gba_violations", JsonValue::from(viol_gba)),
+            ("pba_violations", JsonValue::from(viol_pba)),
+            (
+                "total_recovered_ps",
+                JsonValue::from(self.total_recovered_ps()),
+            ),
+            ("gba_span_ms", JsonValue::from(span_ms("sta.gba"))),
+            ("pba_span_ms", JsonValue::from(span_ms("sta.pba"))),
+            ("endpoints", JsonValue::Arr(endpoints.collect())),
+            ("observability", self.snapshot.to_json_value()),
+        ])
+    }
+}
+
+/// Runs the GBA-vs-PBA study. Enables tc-obs (with memory telemetry)
+/// and resets it before the measured runs, so the snapshot holds
+/// exactly one `sta.gba` propagation and one `sta.pba` overlay; nothing
+/// else in the process may record meanwhile.
+///
+/// # Panics
+///
+/// Panics if the generated design fails to time (harness misuse).
+pub fn gba_pba() -> GbaPba {
+    let (lib, stack) = standard_env();
+    let nl = bench_netlist(&lib, "c5315", 2015);
+    // Constrain near the design's nominal capability so GBA-vs-PBA
+    // decides real violations, not an absurdly overconstrained mode.
+    let probe = Constraints::single_clock(5_000.0).with_derate(DerateModel::None);
+    let wns = Sta::new(&nl, &lib, &stack, &probe)
+        .run()
+        .expect("probe")
+        .wns()
+        .value();
+    let cons = Constraints::single_clock(5_000.0 - wns + 50.0)
+        .with_derate(DerateModel::Aocv(AocvTable::from_stage_sigma(0.06)));
+    let sta = Sta::new(&nl, &lib, &stack, &cons);
+
+    // Only the measured runs below should appear in the snapshot.
+    tc_obs::enable();
+    tc_obs::enable_memory();
+    tc_obs::reset();
+
+    let gba = sta.run().expect("gba");
+    let endpoints = pba_worst_endpoints(&sta, 50).expect("pba");
+    let snapshot = tc_obs::snapshot();
+    GbaPba {
+        gba_summary: gba.summary(),
+        endpoints,
+        snapshot,
+    }
 }
 
 /// The directory generated sidecars land in: `$TC_BENCH_OUT`, default

@@ -1,6 +1,7 @@
 //! End-to-end flight-recorder check over a real engine run: an MCMM
 //! corner sweep on a pinned 2-worker pool must leave a valid,
-//! B/E-balanced Chrome trace with events from at least two threads.
+//! B/E-balanced Chrome trace with events from at least two named
+//! threads, read back through the one Chrome-trace reader.
 //! (Worker count is pinned here — CI runs the test suite with
 //! `TC_PAR_THREADS=1`, which must not flatten this trace.)
 
@@ -67,4 +68,9 @@ fn corner_sweep_on_two_workers_records_a_two_thread_trace() {
         "unbalanced B/E"
     );
     assert!(profile.lanes.len() >= 2, "exported trace spans >=2 tids");
+    // `thread_name` metadata records read back as lane names.
+    assert!(
+        profile.lanes.iter().any(|l| l.name.starts_with("tc-par-")),
+        "pool workers are named lanes"
+    );
 }

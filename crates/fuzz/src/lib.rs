@@ -17,7 +17,7 @@
 //! | `liberty` | `tc_liberty::parse_liberty` + `tc_lint::lint_liberty_source` |
 //! | `json`    | `tc_obs::JsonValue::parse`                       |
 //! | `journal` | `tc_netlist::decode_journal` + `replay_journal` + `tc_lint`'s `check_journal` |
-//! | `tcdiff`  | sidecar load: `JsonValue::parse` + `diff` + `check_trace` |
+//! | `tcdiff`  | sidecar load: `JsonValue::parse` + `diff` + `Profile::from_chrome_trace` |
 //! | `waiver`  | `tc_lint::decode_waivers` + `render_waivers`     |
 //! | `prof`    | `tc_prof::Profile::parse` (span-profile sidecars) |
 //!

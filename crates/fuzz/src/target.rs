@@ -35,7 +35,7 @@ pub enum TargetKind {
     /// `tc-lint`'s `TCL0501` over the same commands).
     Journal,
     /// tcdiff sidecar loading (`JsonValue::parse` + `diff`, field-wise and
-    /// span-wise, + `check_trace`).
+    /// span-wise, + `Profile::from_chrome_trace` for traces).
     Tcdiff,
     /// Lint waiver/baseline files (`decode_waivers` + `render_waivers`).
     Waiver,
@@ -144,8 +144,7 @@ pub fn has_position(msg: &str) -> bool {
 /// Document-level errors that legitimately have no offset: they describe
 /// the whole input, not a location in it.
 const DOC_LEVEL_OK: [&str; 3] = [
-    // tc-prof's trace reader and tcdiff's check_trace predicate over it
-    // (no traceEvents array, ring overflow, unbalanced B/E).
+    // tc-prof's trace reader (not an object, no traceEvents array).
     "trace document",
     // tc-prof envelope errors all open with this prefix.
     "profile document",
@@ -549,17 +548,16 @@ impl Env {
         } else {
             JsonValue::parse(&self.base_doc).expect("base artifact parses")
         };
-        let opts = tcdiff::DiffOptions::default();
         // The diff engine itself must digest any parsed document without
         // panicking; what it refuses to compare (a schema mismatch, a
         // profile that fails validation) it must refuse with context.
-        match tcdiff::diff(&base, &doc, &opts) {
+        match tcdiff::diff(&base, &doc) {
             Ok(report) => drop(report.render(true)),
             Err(e) => return err_verdict(e),
         }
         // A self-diff must always be clean — except for a profile that
         // records ring overflow, which gates nothing, not even itself.
-        match tcdiff::diff(&doc, &doc, &opts) {
+        match tcdiff::diff(&doc, &doc) {
             Err(e) => return err_verdict(e),
             Ok(self_diff) => {
                 let unclean = self_diff.rows.iter().any(|r| {
@@ -573,13 +571,14 @@ impl Env {
                 }
             }
         }
-        // Trace validation applies only to trace-shaped documents (an
-        // artifact sidecar has no traceEvents and is already fully
-        // checked above); errors must be positioned or document-level.
+        // Trace-shaped documents (an artifact sidecar has no
+        // traceEvents and is already fully checked above) go through the
+        // one Chrome-trace reader; its errors must be positioned or
+        // document-level.
         let is_trace =
             matches!(&doc, JsonValue::Obj(pairs) if pairs.iter().any(|(k, _)| k == "traceEvents"));
         if is_trace {
-            match tcdiff::check_trace(&text, 0) {
+            match tc_prof::Profile::from_chrome_trace(&text) {
                 Ok(_) => Verdict::Accepted,
                 Err(e) => err_verdict(e),
             }

@@ -132,8 +132,8 @@ impl BenchProfile {
     }
 
     /// Million-cell scale profile (940k gates + 60k flops) — the
-    /// paper's §1.3 capacity regime. Local-only: the `tbl_lint` harness
-    /// runs it on request (`TC_LINT_PROFILES=1m`).
+    /// paper's §1.3 capacity regime. Nothing runs it yet: it is the
+    /// size a 1M-cell benchmark workload would generate.
     pub fn scale_1m() -> Self {
         BenchProfile {
             name: "scale_1m",

@@ -1,6 +1,7 @@
 //! Run artifacts: one schema-versioned JSON document per harness or
 //! closure run, written next to the figure sidecars so `tcdiff` can
-//! gate regressions between any two runs.
+//! compare any two runs: exact fields must agree, wall clock and heap
+//! show as deltas.
 //!
 //! A [`RunArtifact`] captures everything needed to attribute a
 //! performance delta after the fact: the workload id, the config knobs
@@ -67,8 +68,9 @@ impl RunArtifact {
         &self.workload
     }
 
-    /// Records a config knob as a string (knobs are compared exactly by
-    /// `tcdiff`, so two runs with different knobs fail fast).
+    /// Records a config knob as a string. `tcdiff` shows knobs as
+    /// informational rows and never gates on them: a worker count or
+    /// host description may differ between two runs that must agree.
     #[must_use]
     pub fn knob(mut self, name: impl Into<String>, value: impl ToString) -> Self {
         self.knobs.push((name.into(), value.to_string()));
@@ -150,7 +152,7 @@ impl RunArtifact {
         }
         if let Some(m) = &self.memory {
             // All leaves carry memory-class suffixes (`_allocs`,
-            // `_frees`, `_bytes`) so tcdiff tolerance-gates them —
+            // `_frees`, `_bytes`) so tcdiff shows them as deltas —
             // allocator behaviour is never bit-stable across hosts.
             let mut mem = vec![
                 ("total_allocs".to_string(), JsonValue::from(m.allocs)),

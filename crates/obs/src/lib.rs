@@ -32,7 +32,7 @@
 //! * **Run artifacts** ([`RunArtifact`]) — one schema-versioned JSON
 //!   document per harness/closure run (workload, knobs, metrics,
 //!   per-iteration records, wall clock, heap/RSS) that the `tcdiff`
-//!   binary diffs to gate performance regressions.
+//!   binary diffs: results exactly, wall clock and heap as deltas.
 //! * **Memory telemetry** ([`alloc`]) — a counting `#[global_allocator]`
 //!   wrapper ([`enable_memory`]) tracking allocations/frees, live bytes
 //!   and a monotonic peak, with per-span heap attribution (net bytes and

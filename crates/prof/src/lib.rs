@@ -21,9 +21,9 @@
 //! ([`Profile::render_json`] / [`Profile::parse`], kind
 //! [`PROF_KIND`]) that the benchmark harnesses emit next to their
 //! `BENCH_*`/`RUN_*` documents. `tcdiff` — the workspace's one differ —
-//! compares two of them span-by-span under a relative tolerance so CI
-//! can gate a committed baseline: a hot-path regression surfaces as a
-//! *named span with a percentage*, not a silent wall-clock drift.
+//! compares two of them span-by-span: span set and counts exactly, and
+//! self time as a delta, so a hot-path move surfaces as a *named span
+//! with a percentage*, not an unattributed wall-clock change.
 //!
 //! Self-time accounting mirrors [`TraceSnapshot::to_folded`]'s
 //! tolerance for imbalance: an `End` with no open matching frame is
@@ -31,8 +31,8 @@
 //! open at the last timestamp are closed there and counted in
 //! [`Profile::open_spans`]. A non-zero [`Profile::dropped_events`]
 //! (ring overflow) is a **hard finding** — truncated rings skew
-//! self-time, so `tc_prof report` and `tcdiff` refuse to treat such a
-//! profile as gateable.
+//! self-time, so `tc_prof report` exits 1 on such a profile and
+//! `tcdiff` fails any comparison that involves one.
 //!
 //! [`TraceSnapshot::to_folded`]: tc_obs::TraceSnapshot::to_folded
 

@@ -26,7 +26,7 @@ p50/p90/p99, net heap, lane utilization, critical chain. Dropped
 trace events are a hard finding (exit 1): ring overflow truncates
 self-time. --json emits the schema-versioned PROF document.
 fold — re-fold a Chrome trace to flamegraph.pl input.
-Two PROF documents are compared with `tcdiff --timing-strict`.";
+Two PROF documents are compared with `tcdiff BASE CAND`.";
 
 fn report(mut args: Args) -> Result<Outcome, String> {
     let json = args.flag("--json");

@@ -1,8 +1,8 @@
 //! End-to-end exit-code contract for the `tcdiff` binary, exercised
 //! against the committed `BENCH_gba_pba.json` sidecar and inline
 //! fixtures: self-compare must be clean (exit 0), a perturbed
-//! fingerprint must gate (exit 1), and broken input must be a usage
-//! error (exit 2).
+//! fingerprint must gate (exit 1), and broken input or an unknown flag
+//! must be a usage error (exit 2).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -68,69 +68,6 @@ fn perturbed_fingerprint_fails_the_gate() {
 }
 
 #[test]
-fn timing_drift_is_informational_by_default_and_gated_when_strict() {
-    let a = tmp_file("timing_a.json", r#"{"fp":"same","wall_ms":100.0}"#);
-    let b = tmp_file("timing_b.json", r#"{"fp":"same","wall_ms":300.0}"#);
-    let (pa, pb) = (a.to_str().unwrap(), b.to_str().unwrap());
-
-    let out = run(&[pa, pb]);
-    assert!(out.status.success(), "timing drift alone passes by default");
-
-    let out = run(&[pa, pb, "--timing-strict"]);
-    assert_eq!(out.status.code(), Some(1), "3x drift fails --timing-strict");
-
-    let out = run(&[pa, pb, "--timing-strict", "--tol", "5.0"]);
-    assert!(out.status.success(), "generous tolerance admits the drift");
-
-    std::fs::remove_file(a).ok();
-    std::fs::remove_file(b).ok();
-}
-
-#[test]
-fn memory_fields_gate_under_mem_tol_not_exactly() {
-    let a = tmp_file(
-        "mem_a.json",
-        r#"{"fp":"same","memory":{"peak_heap_bytes":1000000,"total_allocs":500}}"#,
-    );
-    let b = tmp_file(
-        "mem_b.json",
-        r#"{"fp":"same","memory":{"peak_heap_bytes":1400000,"total_allocs":650}}"#,
-    );
-    let (pa, pb) = (a.to_str().unwrap(), b.to_str().unwrap());
-
-    // 40% peak growth: inside the default mem tolerance (50%) even
-    // under --timing-strict, although the timing tolerance (25%) would
-    // have failed it — bytes fields are never compared bit-exactly.
-    let out = run(&[pa, pb, "--timing-strict"]);
-    assert!(
-        out.status.success(),
-        "memory wiggle inside --mem-tol passes strict; stdout:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    let out = run(&[pa, pb, "--timing-strict", "--mem-tol", "0.1"]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "tight --mem-tol gates the same wiggle"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("memory") && stdout.contains("peak_heap_bytes"),
-        "delta table names the memory field and class: {stdout}"
-    );
-
-    let out = run(&[pa, pb, "--mem-tol", "0.1"]);
-    assert!(
-        out.status.success(),
-        "informational default downgrades memory drift too"
-    );
-
-    std::fs::remove_file(a).ok();
-    std::fs::remove_file(b).ok();
-}
-
-#[test]
 fn pre_memory_schema_artifacts_are_refused() {
     // A v1 artifact (before the memory section) against a current v2
     // one must be refused outright — exit 2, not a field-level diff.
@@ -178,68 +115,13 @@ fn bad_inputs_are_usage_errors() {
     );
     std::fs::remove_file(v1).ok();
     std::fs::remove_file(v2).ok();
-}
 
-#[test]
-fn check_trace_mode_validates_and_gates() {
-    let good = tmp_file(
-        "trace_good.json",
-        r#"{"traceEvents":[
-            {"name":"a","ph":"B","ts":1.0,"pid":1,"tid":0},
-            {"name":"a","ph":"E","ts":2.0,"pid":1,"tid":0},
-            {"name":"b","ph":"B","ts":1.0,"pid":1,"tid":1},
-            {"name":"b","ph":"E","ts":3.0,"pid":1,"tid":1}
-        ],"otherData":{"dropped_events":0}}"#,
-    );
-    let p = good.to_str().unwrap();
-    let out = run(&["--check-trace", p, "--min-threads", "2"]);
-    assert!(
-        out.status.success(),
-        "balanced two-thread trace passes; stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = run(&["--check-trace", p, "--min-threads", "3"]);
-    assert_eq!(out.status.code(), Some(1), "thread floor gates");
-    std::fs::remove_file(good).ok();
-
-    let bad = tmp_file(
-        "trace_bad.json",
-        r#"{"traceEvents":[{"name":"a","ph":"E","ts":1.0,"pid":1,"tid":0}]}"#,
-    );
-    let out = run(&["--check-trace", bad.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "unmatched E gates");
-    std::fs::remove_file(bad).ok();
-
-    let backwards = tmp_file(
-        "trace_backwards.json",
-        r#"{"traceEvents":[
-            {"name":"a","ph":"B","ts":5.0,"pid":1,"tid":0},
-            {"name":"a","ph":"E","ts":1.0,"pid":1,"tid":0}
-        ]}"#,
-    );
-    let out = run(&["--check-trace", backwards.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "regressing timestamp gates");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("regresses"),
-        "the finding names the cause"
-    );
-    std::fs::remove_file(backwards).ok();
-
-    // thread_name metadata records pass validation untouched.
-    let with_meta = tmp_file(
-        "trace_meta.json",
-        r#"{"traceEvents":[
-            {"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"tc-par-0"}},
-            {"name":"a","ph":"B","ts":1.0,"pid":1,"tid":0},
-            {"name":"a","ph":"E","ts":2.0,"pid":1,"tid":0}
-        ],"otherData":{"dropped_events":0}}"#,
-    );
-    let out = run(&["--check-trace", with_meta.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "metadata events accepted; stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::remove_file(with_meta).ok();
+    // tcdiff has one mode: tolerance and trace-check flags are unknown.
+    let fixture = tmp_file("flags.json", CORNER_SWEEP);
+    let p = fixture.to_str().unwrap();
+    for flag in ["--tol", "--mem-tol", "--timing-strict", "--check-trace"] {
+        let out = run(&[p, p, flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag} is a usage error");
+    }
+    std::fs::remove_file(fixture).ok();
 }
