@@ -559,6 +559,58 @@ mod tests {
         assert_eq!(rep.rows[0].status, RowStatus::Info);
     }
 
+    /// Rows that moved, by class: a moved timing or memory field is an
+    /// `Info` delta row, never a regression.
+    fn moved(rep: &DiffReport) -> Vec<FieldClass> {
+        rep.rows
+            .iter()
+            .filter(|r| r.status == RowStatus::Info)
+            .map(|r| r.class)
+            .collect()
+    }
+
+    /// Factors from a last-bit wiggle to 1000x, and to zero.
+    const FACTORS: [f64; 7] = [1.0 + f64::EPSILON, 0.5, 1.1, 2.0, 5.0, 1_000.0, 0.0];
+
+    #[test]
+    fn memory_moves_are_deltas_at_any_size() {
+        let doc = |b: f64| {
+            parse(&format!(
+                r#"{{"fp":"same","memory":{{"peak_heap_bytes":{b},"total_allocs":{b}}}}}"#
+            ))
+        };
+        let base = doc(1_000_000.0);
+        let moves = FACTORS.map(|f| (base.clone(), doc(1_000_000.0 * f)));
+        for (a, b) in moves.into_iter().chain([(doc(0.0), base.clone())]) {
+            let rep = diff(&a, &b);
+            assert!(rep.ok(), "{}", rep.render(true));
+            assert_eq!(moved(&rep), [FieldClass::Memory; 2]);
+        }
+        // The exact row beside them still gates.
+        let other =
+            parse(r#"{"fp":"other","memory":{"peak_heap_bytes":1000000,"total_allocs":1000000}}"#);
+        assert_eq!(diff(&base, &other).regressions, 1);
+    }
+
+    #[test]
+    fn timing_moves_are_deltas_at_any_size() {
+        let doc = |ms: f64| {
+            parse(&format!(
+                r#"{{"fp":"same","wall_ms":{ms},"speedup_vs_1":{ms}}}"#
+            ))
+        };
+        let base = doc(100.0);
+        let moves = FACTORS.map(|f| (base.clone(), doc(100.0 * f)));
+        for (a, b) in moves.into_iter().chain([(doc(0.0), base.clone())]) {
+            let rep = diff(&a, &b);
+            assert!(rep.ok(), "{}", rep.render(true));
+            assert_eq!(moved(&rep), [FieldClass::Timing; 2]);
+        }
+        // The exact row beside them still gates.
+        let other = parse(r#"{"fp":"other","wall_ms":100,"speedup_vs_1":100}"#);
+        assert_eq!(diff(&base, &other).regressions, 1);
+    }
+
     #[test]
     fn self_compare_is_clean() {
         let doc = parse(r#"{"fingerprint":"abc","wall_ms":12.5,"cells":100}"#);

@@ -68,6 +68,50 @@ fn perturbed_fingerprint_fails_the_gate() {
 }
 
 #[test]
+fn timing_drift_is_informational_at_any_size() {
+    let a = tmp_file("timing_a.json", r#"{"fp":"same","wall_ms":100.0}"#);
+    for (name, ms) in [("x3", "300.0"), ("x1000", "100000.0"), ("zero", "0.0")] {
+        let b = tmp_file(
+            &format!("timing_{name}.json"),
+            &format!(r#"{{"fp":"same","wall_ms":{ms}}}"#),
+        );
+        let out = run(&[a.to_str().unwrap(), b.to_str().unwrap()]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name} timing drift exits 0: {stdout}"
+        );
+        assert!(
+            stdout.contains("wall_ms") && stdout.contains("timing"),
+            "delta table names the timing field and class: {stdout}"
+        );
+        std::fs::remove_file(b).ok();
+    }
+    std::fs::remove_file(a).ok();
+}
+
+#[test]
+fn memory_drift_is_informational_and_named_in_the_table() {
+    let a = tmp_file(
+        "mem_a.json",
+        r#"{"fp":"same","memory":{"peak_heap_bytes":1000000,"total_allocs":500}}"#,
+    );
+    let b = tmp_file(
+        "mem_b.json",
+        r#"{"fp":"same","memory":{"peak_heap_bytes":3000000,"total_allocs":650}}"#,
+    );
+    let out = run(&[a.to_str().unwrap(), b.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "3x peak heap exits 0: {stdout}");
+    assert!(
+        stdout.contains("memory") && stdout.contains("peak_heap_bytes"),
+        "delta table names the memory field and class: {stdout}"
+    );
+    std::fs::remove_file(a).ok();
+    std::fs::remove_file(b).ok();
+}
+
+#[test]
 fn pre_memory_schema_artifacts_are_refused() {
     // A v1 artifact (before the memory section) against a current v2
     // one must be refused outright — exit 2, not a field-level diff.
