@@ -10,10 +10,11 @@ fn unwritable_tc_bench_out_fails_the_harness() {
     // for root (which is what CI containers run as).
     let blocker = std::env::temp_dir().join(format!("tc_bench_blocker_{}", std::process::id()));
     std::fs::write(&blocker, "not a directory").expect("write blocker file");
-    let out = Command::new(env!("CARGO_BIN_EXE_tbl_gba_pba"))
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg("tbl_gba_pba")
         .env("TC_BENCH_OUT", blocker.join("out"))
         .output()
-        .expect("spawn tbl_gba_pba");
+        .expect("spawn figures");
     std::fs::remove_file(&blocker).ok();
     assert!(
         !out.status.success(),
