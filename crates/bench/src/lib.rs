@@ -436,7 +436,7 @@ pub fn emit(name: &str, table: &JsonValue, artifact: &RunArtifact) -> std::io::R
             );
         }
         files.push((format!("{name}.trace.json"), snap.to_chrome_trace()));
-        files.push((format!("{name}.folded"), snap.to_folded()));
+        files.push((format!("{name}.folded"), tc_prof::profile::fold(&snap)));
         files.push((format!("PROF_{name}.json"), profile.render_json()));
     }
     files
@@ -493,7 +493,10 @@ mod tests {
             .map(String::as_str)
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or_default();
-        assert_eq!(msg, "figure probe, table \"t\": row 1 has 3 cells for 2 headers");
+        assert_eq!(
+            msg,
+            "figure probe, table \"t\": row 1 has 3 cells for 2 headers"
+        );
     }
 
     #[test]

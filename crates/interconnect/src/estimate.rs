@@ -20,6 +20,17 @@ pub enum NdrClass {
 }
 
 impl NdrClass {
+    /// The rule a netlist's per-net route class selects: `0` is the
+    /// default rule, `1` double width, anything higher double width and
+    /// spacing.
+    pub fn from_route_class(class: u8) -> NdrClass {
+        match class {
+            0 => NdrClass::Default,
+            1 => NdrClass::DoubleWidth,
+            _ => NdrClass::DoubleWidthSpacing,
+        }
+    }
+
     /// `(r_factor, cg_factor, cc_factor)` relative to the default rule.
     pub fn factors(self) -> (f64, f64, f64) {
         match self {
@@ -376,11 +387,8 @@ mod tests {
             let caps: Vec<Ff> = (0..n_sinks)
                 .map(|_| Ff::new(rng.uniform_in(0.5, 4.0)))
                 .collect();
-            let wm = WireModel::from_length(rng.uniform_in(5.0, 700.0)).with_ndr(match i % 3 {
-                0 => NdrClass::Default,
-                1 => NdrClass::DoubleWidth,
-                _ => NdrClass::DoubleWidthSpacing,
-            });
+            let ndr = NdrClass::from_route_class((i % 3) as u8);
+            let wm = WireModel::from_length(rng.uniform_in(5.0, 700.0)).with_ndr(ndr);
             let want = wm.timing(&s, BeolCorner::Typical, None, &caps);
             let start = delays.len();
             let (load, r_total) = wm.timing_into(&s, BeolCorner::Typical, None, &caps, &mut delays);

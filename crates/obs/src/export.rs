@@ -1,5 +1,5 @@
 //! Snapshot types and exporters: a human-readable flame-style text
-//! report, and machine-readable JSON / JSONL.
+//! report, and machine-readable JSON.
 
 use crate::json::JsonValue;
 use crate::metrics::{bucket_range, HistData, BUCKETS};
@@ -360,56 +360,5 @@ impl Snapshot {
     /// Single-document JSON.
     pub fn to_json(&self) -> String {
         self.to_json_value().render()
-    }
-
-    /// JSON Lines: one `{"type": ...}` record per span, counter, and
-    /// histogram — the `BENCH_*.json`-style trajectory format.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            out.push_str(
-                &JsonValue::obj([
-                    ("type", JsonValue::str("span")),
-                    ("path", JsonValue::str(&s.path)),
-                    ("count", JsonValue::from(s.count)),
-                    ("total_ns", JsonValue::from(s.total_ns)),
-                    ("min_ns", JsonValue::from(s.min_ns)),
-                    ("max_ns", JsonValue::from(s.max_ns)),
-                    ("net_bytes", JsonValue::from(s.net_bytes)),
-                    ("peak_bytes", JsonValue::from(s.peak_bytes)),
-                ])
-                .render(),
-            );
-            out.push('\n');
-        }
-        for (name, v) in &self.counters {
-            out.push_str(
-                &JsonValue::obj([
-                    ("type", JsonValue::str("counter")),
-                    ("name", JsonValue::str(name)),
-                    ("value", JsonValue::from(*v)),
-                ])
-                .render(),
-            );
-            out.push('\n');
-        }
-        for h in &self.histograms {
-            out.push_str(
-                &JsonValue::obj([
-                    ("type", JsonValue::str("histogram")),
-                    ("name", JsonValue::str(&h.name)),
-                    ("count", JsonValue::from(h.count)),
-                    ("sum", JsonValue::from(h.sum)),
-                    ("min", JsonValue::from(h.min)),
-                    ("p50", JsonValue::from(h.p50())),
-                    ("p90", JsonValue::from(h.p90())),
-                    ("p99", JsonValue::from(h.p99())),
-                    ("max", JsonValue::from(h.max)),
-                ])
-                .render(),
-            );
-            out.push('\n');
-        }
-        out
     }
 }

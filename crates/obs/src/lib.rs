@@ -18,17 +18,17 @@
 //!   backed by atomics in a global registry: Newton iterations per
 //!   transient step, arcs evaluated per STA propagation, edits per fix
 //!   pass, corners per signoff run.
-//! * **Exporters** — a flame-style text report and JSON / JSONL
-//!   ([`Snapshot::render_text`], [`Snapshot::to_json`],
-//!   [`Snapshot::to_jsonl`]), plus the tiny [`json`] builder (and
-//!   parser, [`JsonValue::parse`]) the figure harnesses and `tcdiff`
-//!   use for their sidecar files.
+//! * **Exporters** — a flame-style text report and JSON
+//!   ([`Snapshot::render_text`], [`Snapshot::to_json`]), plus the tiny
+//!   [`json`] builder (and parser, [`JsonValue::parse`]) the figure
+//!   harnesses and `tcdiff` use for their sidecar files.
 //! * **The flight recorder** ([`trace`]) — opt-in per-event tracing on
 //!   bounded per-thread rings ([`enable_trace`]): every span open/close
 //!   and counter add becomes a timestamped [`TraceEvent`], exportable
 //!   as Chrome `trace_event` JSON ([`TraceSnapshot::to_chrome_trace`],
-//!   loads in `chrome://tracing` / Perfetto) or folded flamegraph text
-//!   ([`TraceSnapshot::to_folded`]).
+//!   loads in `chrome://tracing` / Perfetto). The recorder only records
+//!   and encodes; tc-prof reduces the events to span profiles and
+//!   folded flamegraph stacks.
 //! * **Run artifacts** ([`RunArtifact`]) — one schema-versioned JSON
 //!   document per harness/closure run (workload, knobs, metrics,
 //!   per-iteration records, wall clock, heap/RSS) that the `tcdiff`
@@ -71,10 +71,15 @@
 //! | `sta.nets_propagated` | counter | nets levelized + propagated |
 //! | `sta.pba.paths` / `sta.pba.stages` | counter | PBA path/stage volume |
 //! | `sta.paths.extracted` / `sta.paths.stages` | counter | extracted path/stage volume |
+//! | `sta.endpoint_checks` | counter | endpoint rows computed: every endpoint per propagation, the dirty ones per re-time |
 //! | `sta.incremental` | span | one [`Timer::update`] dirty-cone pass |
 //! | `sta.dirty_cone_size` | histogram | cells re-evaluated per update |
 //! | `sta.arcs_recomputed` | counter | arcs inside dirty cones |
 //! | `sta.arcs_reused` | counter | cached arcs an update skipped |
+//! | `sta.rows_copied` | counter | endpoint-row copies made because a report still held the rows |
+//! | `sta.structural_rounds` | counter | re-times that repaired the graph's structure |
+//! | `sta.level_moves` | histogram | existing cells whose level changed, one sample per structural round |
+//! | `signoff.sta` | span | the `fig01_closure_loop` figure's from-scratch signoff STA cross-check |
 //! | `signoff.corners` | span | one multi-corner signoff run |
 //! | `signoff.corners/corner.*` | span | one corner's STA |
 //! | `mcmm.empty_reports` | counter | corners merged with zero endpoints |
@@ -302,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn exporters_emit_text_json_and_jsonl() {
+    fn exporters_emit_text_and_json() {
         enable();
         {
             let _s = span("t_export.phase");
@@ -316,16 +321,6 @@ mod tests {
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains(r#""path":"t_export.phase""#));
-        let jsonl = snap.to_jsonl();
-        assert!(jsonl
-            .lines()
-            .any(|l| l.contains(r#""type":"span""#) && l.contains("t_export.phase")));
-        assert!(jsonl
-            .lines()
-            .any(|l| l.contains(r#""type":"counter""#) && l.contains("t_export.count")));
-        assert!(jsonl
-            .lines()
-            .any(|l| l.contains(r#""type":"histogram""#) && l.contains("t_export.hist")));
     }
 
     #[test]

@@ -17,11 +17,8 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub(crate) fn new(name: &str, cell: Arc<AtomicU64>) -> Self {
-        Counter {
-            name: Arc::from(name),
-            cell,
-        }
+    pub(crate) fn new(name: Arc<str>, cell: Arc<AtomicU64>) -> Self {
+        Counter { name, cell }
     }
 
     /// Adds `n` events. A no-op (one relaxed load) while disabled; with

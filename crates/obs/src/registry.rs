@@ -30,7 +30,9 @@ pub(crate) struct SpanStat {
 #[derive(Default)]
 struct Inner {
     spans: BTreeMap<String, SpanStat>,
-    counters: BTreeMap<String, Arc<AtomicU64>>,
+    /// Keyed by the name every [`Counter`] handle shares, so a fetch
+    /// clones the key instead of allocating a new one.
+    counters: BTreeMap<Arc<str>, Arc<AtomicU64>>,
     hists: BTreeMap<String, Arc<Mutex<HistData>>>,
 }
 
@@ -79,10 +81,16 @@ pub fn is_enabled() -> bool {
 
 /// Records one completed span occurrence under `path`, with its heap
 /// delta when memory counting was on at span open.
+///
+/// Every lookup here and in [`counter`] / [`histogram`] finds a known
+/// name before it inserts, so only a name's first use allocates.
 pub(crate) fn record_span(path: &str, elapsed: Duration, heap: Option<HeapDelta>) {
     let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     let mut inner = global().inner.lock().expect("obs registry poisoned");
-    let stat = inner.spans.entry(path.to_string()).or_default();
+    if !inner.spans.contains_key(path) {
+        inner.spans.insert(path.to_string(), SpanStat::default());
+    }
+    let stat = inner.spans.get_mut(path).expect("inserted above");
     if stat.count == 0 {
         stat.min_ns = ns;
         stat.max_ns = ns;
@@ -104,22 +112,25 @@ pub(crate) fn record_span(path: &str, elapsed: Duration, heap: Option<HeapDelta>
 /// once and call [`Counter::add`] repeatedly rather than re-looking-up.
 pub fn counter(name: &str) -> Counter {
     let mut inner = global().inner.lock().expect("obs registry poisoned");
-    let cell = inner
-        .counters
-        .entry(name.to_string())
-        .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-        .clone();
+    if let Some((name, cell)) = inner.counters.get_key_value(name) {
+        return Counter::new(name.clone(), cell.clone());
+    }
+    let (name, cell) = (Arc::<str>::from(name), Arc::new(AtomicU64::new(0)));
+    inner.counters.insert(name.clone(), cell.clone());
     Counter::new(name, cell)
 }
 
 /// Fetches (registering on first use) the histogram named `name`.
 pub fn histogram(name: &str) -> Histogram {
     let mut inner = global().inner.lock().expect("obs registry poisoned");
-    let cell = inner
-        .hists
-        .entry(name.to_string())
-        .or_insert_with(|| Arc::new(Mutex::new(HistData::default())))
-        .clone();
+    let cell = match inner.hists.get(name) {
+        Some(cell) => cell.clone(),
+        None => {
+            let cell = Arc::new(Mutex::new(HistData::default()));
+            inner.hists.insert(name.to_string(), cell.clone());
+            cell
+        }
+    };
     Histogram::new(cell)
 }
 
@@ -161,7 +172,7 @@ pub fn snapshot() -> Snapshot {
     let mut counters: BTreeMap<String, u64> = inner
         .counters
         .iter()
-        .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+        .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
         .collect();
     // Memory telemetry joins the counter namespace while counting is
     // on: cumulative allocator totals plus live/peak/VmHWM gauges

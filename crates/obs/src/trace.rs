@@ -26,12 +26,12 @@
 //!
 //! [`trace_snapshot`] collects every thread's events (sorted by thread
 //! id, then timestamp) into a [`TraceSnapshot`], which exports to the
-//! Chrome `trace_event` JSON format (`chrome://tracing` / Perfetto) and
-//! to folded-stack text for flamegraph tooling.
+//! Chrome `trace_event` JSON format (`chrome://tracing` / Perfetto).
+//! Reducing the events to a span tree — profiles, folded stacks — is
+//! tc-prof's job; this module only records and encodes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -395,73 +395,5 @@ impl TraceSnapshot {
             ),
         ])
         .render()
-    }
-
-    /// Renders folded-stack text (`a;b;c <µs>` per line, sorted), the
-    /// input format of Brendan Gregg's `flamegraph.pl` and compatible
-    /// viewers. Values are *exclusive* microseconds: each stack is
-    /// charged its own time minus its children's.
-    ///
-    /// Counter events are ignored; unbalanced events (from ring
-    /// overflow) are tolerated — an `End` with no open frame is
-    /// dropped, and frames still open at the last timestamp are closed
-    /// there.
-    pub fn to_folded(&self) -> String {
-        #[derive(Debug)]
-        struct Frame {
-            name: Arc<str>,
-            start_ns: u64,
-            child_ns: u64,
-        }
-        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        let mut per_tid: BTreeMap<u64, Vec<Frame>> = BTreeMap::new();
-        let last_ts = self.events.iter().map(|e| e.ts_ns).max().unwrap_or(0);
-        let close = |stack: &mut Vec<Frame>, end_ns: u64, folded: &mut BTreeMap<String, u64>| {
-            let frame = stack.pop().expect("caller checked non-empty");
-            let total = end_ns.saturating_sub(frame.start_ns);
-            let exclusive = total.saturating_sub(frame.child_ns);
-            let path: String = stack
-                .iter()
-                .map(|f| f.name.as_ref())
-                .chain(std::iter::once(frame.name.as_ref()))
-                .collect::<Vec<_>>()
-                .join(";");
-            *folded.entry(path).or_insert(0) += exclusive;
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns += total;
-            }
-        };
-        for e in &self.events {
-            let stack = per_tid.entry(e.tid).or_default();
-            match e.kind {
-                TraceEventKind::Begin => stack.push(Frame {
-                    name: e.name.clone(),
-                    start_ns: e.ts_ns,
-                    child_ns: 0,
-                }),
-                TraceEventKind::End => {
-                    // Tolerate overflow-induced imbalance: drop an End
-                    // with no matching open frame; otherwise close
-                    // intermediates down to (and including) the match.
-                    if stack.iter().any(|f| f.name == e.name) {
-                        while stack.last().is_some_and(|f| f.name != e.name) {
-                            close(stack, e.ts_ns, &mut folded);
-                        }
-                        close(stack, e.ts_ns, &mut folded);
-                    }
-                }
-                TraceEventKind::Counter | TraceEventKind::Gauge => {}
-            }
-        }
-        for (_, mut stack) in per_tid {
-            while !stack.is_empty() {
-                close(&mut stack, last_ts, &mut folded);
-            }
-        }
-        let mut out = String::new();
-        for (path, ns) in folded {
-            let _ = writeln!(out, "{path} {}", ns / 1_000);
-        }
-        out
     }
 }

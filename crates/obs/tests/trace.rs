@@ -110,19 +110,11 @@ fn concurrent_threads_produce_a_valid_balanced_chrome_trace() {
     }
     assert!(depth.values().all(|&d| d == 0), "unbalanced B/E: {depth:?}");
 
-    // Counter events carried their deltas; the folded export has the
-    // nested path with exclusive time.
+    // Counter events carried their deltas.
     assert!(snap
         .events
         .iter()
         .any(|e| e.kind == TraceEventKind::Counter && &*e.name == "trc.work" && e.delta == 2));
-    let folded = snap.to_folded();
-    assert!(
-        folded
-            .lines()
-            .any(|l| l.starts_with("trc.outer;trc.inner ")),
-        "folded stacks carry the nesting: {folded}"
-    );
 
     tc_obs::disable_trace();
     tc_obs::clear_trace();

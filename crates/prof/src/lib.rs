@@ -25,16 +25,16 @@
 //! self time as a delta, so a hot-path move surfaces as a *named span
 //! with a percentage*, not an unattributed wall-clock change.
 //!
-//! Self-time accounting mirrors [`TraceSnapshot::to_folded`]'s
-//! tolerance for imbalance: an `End` with no open matching frame is
-//! counted in [`Profile::unmatched_ends`] and dropped, and frames still
-//! open at the last timestamp are closed there and counted in
+//! One replay ([`profile`]) turns Begin/End events into frames; the
+//! profile and the folded stacks for `flamegraph.pl` ([`profile::fold`])
+//! are both read off the span tree it builds. It tolerates imbalance:
+//! an `End` with no open matching frame is counted in
+//! [`Profile::unmatched_ends`] and dropped, and frames still open at the
+//! last timestamp are closed there and counted in
 //! [`Profile::open_spans`]. A non-zero [`Profile::dropped_events`]
 //! (ring overflow) is a **hard finding** — truncated rings skew
 //! self-time, so `tc_prof report` exits 1 on such a profile and
 //! `tcdiff` fails any comparison that involves one.
-//!
-//! [`TraceSnapshot::to_folded`]: tc_obs::TraceSnapshot::to_folded
 
 pub mod codec;
 pub mod profile;

@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 
 use tc_obs::cli::{self, Args, Outcome};
-use tc_prof::profile::fold_chrome_trace;
+use tc_prof::profile::{self, chrome_to_snapshot};
 use tc_prof::{Profile, PROF_KIND};
 
 const USAGE: &str = "\
@@ -61,8 +61,8 @@ fn report(mut args: Args) -> Result<Outcome, String> {
 
 fn fold(args: Args) -> Result<Outcome, String> {
     let [path] = args.exactly()?;
-    let folded = fold_chrome_trace(&cli::read(&path)?).map_err(|e| format!("{path}: {e}"))?;
-    print!("{folded}");
+    let snap = chrome_to_snapshot(&cli::read(&path)?).map_err(|e| format!("{path}: {e}"))?;
+    print!("{}", profile::fold(&snap));
     Ok(Outcome::Clean)
 }
 

@@ -104,26 +104,27 @@ struct Frame {
     open_heap: Option<u64>,
 }
 
-/// Span-tree node, identity `(parent, name)`, arena-indexed. Children
+/// Span-tree node, identity `(parent, name)`, arena-indexed. Node 0 is
+/// the unnamed root every lane's outermost spans hang under. Children
 /// are always created after their parent, so a reverse index scan sees
 /// every child before its parent.
+#[derive(Default)]
 struct PathNode {
     name: Arc<str>,
-    parent: Option<usize>,
+    parent: usize,
     self_ns: u64,
     children: Vec<usize>,
 }
 
 #[derive(Default)]
 struct Agg {
-    count: u64,
-    total_ns: u64,
     self_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
     net_bytes: i64,
     durations: Vec<u64>,
 }
+
+/// A closed span awaiting its trailing heap sample: `(name, heap at open)`.
+type HeapOpen = (Arc<str>, u64);
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -133,99 +134,42 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-impl Profile {
-    /// Reduces a collected [`TraceSnapshot`] to a profile. Imbalance is
-    /// tolerated the same way [`TraceSnapshot::to_folded`] tolerates
-    /// it: unmatched `End`s are counted and dropped, and still-open
-    /// frames are closed at the last timestamp.
-    pub fn from_trace(snap: &TraceSnapshot) -> Profile {
+/// One pass of a trace's events through per-lane frame stacks, the only
+/// code that turns Begin/End events into frames: it builds the span tree
+/// (each path's exclusive time summed across lanes), the per-name
+/// aggregates and each lane's busy time. An `End` with no open frame of
+/// its name is counted and dropped, one below open intermediates closes
+/// them too, and frames still open at the last timestamp close there.
+#[derive(Default)]
+struct Replay {
+    wall_ns: u64,
+    nodes: Vec<PathNode>,
+    aggs: BTreeMap<Arc<str>, Agg>,
+    busy: BTreeMap<u64, u64>,
+    unmatched_ends: u64,
+    open_spans: u64,
+}
+
+impl Replay {
+    fn new(snap: &TraceSnapshot) -> Replay {
         let first_ts = snap.events.iter().map(|e| e.ts_ns).min().unwrap_or(0);
         let last_ts = snap.events.iter().map(|e| e.ts_ns).max().unwrap_or(0);
-        let wall_ns = last_ts - first_ts;
-
-        let mut nodes: Vec<PathNode> = Vec::new();
-        let mut roots: BTreeMap<Arc<str>, usize> = BTreeMap::new();
-        let mut aggs: BTreeMap<Arc<str>, Agg> = BTreeMap::new();
+        let mut r = Replay {
+            wall_ns: last_ts - first_ts,
+            nodes: vec![PathNode::default()],
+            ..Replay::default()
+        };
         let mut stacks: BTreeMap<u64, Vec<Frame>> = BTreeMap::new();
-        let mut busy: BTreeMap<u64, u64> = BTreeMap::new();
-        // A just-closed span waiting for its trailing heap sample:
-        // `(name, heap at open)`. Cleared by any non-gauge event on the
-        // same thread — the sample, if present, is adjacent in the ring.
-        let mut pending_heap: BTreeMap<u64, (Arc<str>, u64)> = BTreeMap::new();
-        let mut unmatched_ends = 0u64;
-        let mut open_spans = 0u64;
-
-        fn node_for(
-            nodes: &mut Vec<PathNode>,
-            roots: &mut BTreeMap<Arc<str>, usize>,
-            parent: Option<usize>,
-            name: &Arc<str>,
-        ) -> usize {
-            let found = match parent {
-                Some(p) => nodes[p]
-                    .children
-                    .iter()
-                    .copied()
-                    .find(|&c| nodes[c].name == *name),
-                None => roots.get(name).copied(),
-            };
-            if let Some(idx) = found {
-                return idx;
-            }
-            let idx = nodes.len();
-            nodes.push(PathNode {
-                name: name.clone(),
-                parent,
-                self_ns: 0,
-                children: Vec::new(),
-            });
-            match parent {
-                Some(p) => nodes[p].children.push(idx),
-                None => {
-                    roots.insert(name.clone(), idx);
-                }
-            }
-            idx
-        }
-
-        fn close(
-            frame: Frame,
-            end_ns: u64,
-            stack: &mut [Frame],
-            nodes: &mut [PathNode],
-            aggs: &mut BTreeMap<Arc<str>, Agg>,
-            busy_ns: &mut u64,
-        ) -> Option<(Arc<str>, u64)> {
-            let total = end_ns.saturating_sub(frame.start_ns);
-            let exclusive = total.saturating_sub(frame.child_ns);
-            nodes[frame.node].self_ns += exclusive;
-            let agg = aggs.entry(frame.name.clone()).or_default();
-            if agg.count == 0 {
-                agg.min_ns = total;
-            } else {
-                agg.min_ns = agg.min_ns.min(total);
-            }
-            agg.count += 1;
-            agg.total_ns += total;
-            agg.self_ns += exclusive;
-            agg.max_ns = agg.max_ns.max(total);
-            agg.durations.push(total);
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns += total;
-            } else {
-                *busy_ns += total;
-            }
-            frame.open_heap.map(|h| (frame.name, h))
-        }
-
+        // Cleared by any non-gauge event on the same thread: the trailing
+        // sample, if present, is adjacent in the ring.
+        let mut pending_heap: BTreeMap<u64, HeapOpen> = BTreeMap::new();
         for e in &snap.events {
             let stack = stacks.entry(e.tid).or_default();
-            let tid_busy = busy.entry(e.tid).or_insert(0);
+            r.busy.entry(e.tid).or_insert(0);
             match e.kind {
                 TraceEventKind::Begin => {
                     pending_heap.remove(&e.tid);
-                    let parent = stack.last().map(|f| f.node);
-                    let node = node_for(&mut nodes, &mut roots, parent, &e.name);
+                    let node = r.node_for(stack.last().map_or(0, |f| f.node), &e.name);
                     stack.push(Frame {
                         name: e.name.clone(),
                         start_ns: e.ts_ns,
@@ -236,29 +180,25 @@ impl Profile {
                 }
                 TraceEventKind::End => {
                     pending_heap.remove(&e.tid);
-                    if stack.iter().any(|f| f.name == e.name) {
-                        // Close intermediates down to (and including)
-                        // the match, like `to_folded`.
-                        loop {
-                            let matched = stack.last().is_some_and(|f| f.name == e.name);
-                            let frame = stack.pop().expect("match guarantees a frame");
-                            let heap =
-                                close(frame, e.ts_ns, stack, &mut nodes, &mut aggs, tid_busy);
-                            if matched {
-                                if let Some(h) = heap {
-                                    pending_heap.insert(e.tid, h);
-                                }
-                                break;
-                            }
-                        }
-                    } else {
-                        unmatched_ends += 1;
+                    let Some(at) = stack.iter().rposition(|f| f.name == e.name) else {
+                        r.unmatched_ends += 1;
+                        continue;
+                    };
+                    // Intermediates close with the innermost match, which
+                    // closes last and alone waits for a heap sample.
+                    let mut heap = None;
+                    while stack.len() > at {
+                        let frame = stack.pop().expect("a frame above the match");
+                        heap = r.close(e.tid, frame, e.ts_ns, stack);
+                    }
+                    if let Some(h) = heap {
+                        pending_heap.insert(e.tid, h);
                     }
                 }
                 TraceEventKind::Gauge if e.name.as_ref() == HEAP_GAUGE => {
                     if let Some((name, open)) = pending_heap.remove(&e.tid) {
                         let delta = e.delta as i64 - open as i64;
-                        aggs.entry(name).or_default().net_bytes += delta;
+                        r.aggs.entry(name).or_default().net_bytes += delta;
                     } else if let Some(top) = stack.last_mut() {
                         if top.open_heap.is_none() {
                             top.open_heap = Some(e.delta);
@@ -271,25 +211,97 @@ impl Profile {
             }
         }
         for (tid, mut stack) in stacks {
-            let tid_busy = busy.entry(tid).or_insert(0);
-            open_spans += stack.len() as u64;
+            r.open_spans += stack.len() as u64;
             while let Some(frame) = stack.pop() {
-                close(frame, last_ts, &mut stack, &mut nodes, &mut aggs, tid_busy);
+                r.close(tid, frame, last_ts, &mut stack);
             }
         }
+        r
+    }
 
-        let mut spans: Vec<SpanProfile> = aggs
+    /// The tree node for `name` under `parent`, created on first use.
+    fn node_for(&mut self, parent: usize, name: &Arc<str>) -> usize {
+        let children = &self.nodes[parent].children;
+        if let Some(&idx) = children.iter().find(|&&c| self.nodes[c].name == *name) {
+            return idx;
+        }
+        let idx = self.nodes.len();
+        self.nodes.push(PathNode {
+            name: name.clone(),
+            parent,
+            ..PathNode::default()
+        });
+        self.nodes[parent].children.push(idx);
+        idx
+    }
+
+    /// Closes `frame` (already popped off `stack`) at `end`; returns its
+    /// name and open-time heap sample when it has one.
+    fn close(&mut self, tid: u64, frame: Frame, end: u64, stack: &mut [Frame]) -> Option<HeapOpen> {
+        let total = end.saturating_sub(frame.start_ns);
+        let exclusive = total.saturating_sub(frame.child_ns);
+        self.nodes[frame.node].self_ns += exclusive;
+        let agg = self.aggs.entry(frame.name.clone()).or_default();
+        agg.self_ns += exclusive;
+        agg.durations.push(total);
+        match stack.last_mut() {
+            Some(parent) => parent.child_ns += total,
+            None => *self.busy.entry(tid).or_insert(0) += total,
+        }
+        frame.open_heap.map(|h| (frame.name, h))
+    }
+}
+
+/// Renders a trace as folded stacks — `a;b;c <µs>` per line, sorted —
+/// the input format of Brendan Gregg's `flamegraph.pl` and compatible
+/// viewers. Each line is one span-tree path of the profile replay with
+/// its *exclusive* microseconds (own time minus children's) summed over
+/// every lane; counter and gauge events are ignored, and imbalance is
+/// tolerated as [`Profile::from_trace`] tolerates it.
+pub fn fold(snap: &TraceSnapshot) -> String {
+    let nodes = Replay::new(snap).nodes;
+    // Parents precede children in the arena, so each path extends its
+    // parent's. Distinct paths can join to the same text (a name may
+    // hold `;`); those lines sum.
+    let mut paths = vec![String::new()];
+    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+    for node in &nodes[1..] {
+        let path = match node.parent {
+            0 => node.name.to_string(),
+            p => format!("{};{}", paths[p], node.name),
+        };
+        *folded.entry(path.clone()).or_insert(0) += node.self_ns;
+        paths.push(path);
+    }
+    folded
+        .iter()
+        .map(|(path, ns)| format!("{path} {}\n", ns / 1_000))
+        .collect()
+}
+
+impl Profile {
+    /// Reduces a collected [`TraceSnapshot`] to a profile. Unmatched
+    /// `End`s are counted and dropped, and still-open frames are closed
+    /// at the last timestamp (see [`Profile::unmatched_ends`] and
+    /// [`Profile::open_spans`]).
+    pub fn from_trace(snap: &TraceSnapshot) -> Profile {
+        let r = Replay::new(snap);
+        let (wall_ns, nodes, busy) = (r.wall_ns, &r.nodes, &r.busy);
+        // Every name was closed at least once: `durations` is never empty.
+        let mut spans: Vec<SpanProfile> = r
+            .aggs
             .into_iter()
             .map(|(name, mut a)| {
                 a.durations.sort_unstable();
+                let total_ns = a.durations.iter().sum();
                 SpanProfile {
                     name: name.to_string(),
-                    count: a.count,
-                    total_ns: a.total_ns,
+                    count: a.durations.len() as u64,
+                    total_ns,
                     self_ns: a.self_ns,
-                    child_ns: a.total_ns - a.self_ns,
-                    min_ns: a.min_ns,
-                    max_ns: a.max_ns,
+                    child_ns: total_ns - a.self_ns,
+                    min_ns: a.durations[0],
+                    max_ns: a.durations[a.durations.len() - 1],
                     p50_ns: percentile(&a.durations, 0.50),
                     p90_ns: percentile(&a.durations, 0.90),
                     p99_ns: percentile(&a.durations, 0.99),
@@ -321,11 +333,9 @@ impl Profile {
 
         // Subtree self-time sums, children before parents.
         let mut subtree = vec![0u64; nodes.len()];
-        for i in (0..nodes.len()).rev() {
+        for i in (1..nodes.len()).rev() {
             subtree[i] += nodes[i].self_ns;
-            if let Some(p) = nodes[i].parent {
-                subtree[p] += subtree[i];
-            }
+            subtree[nodes[i].parent] += subtree[i];
         }
         let heaviest = |candidates: &[usize]| -> Option<usize> {
             candidates.iter().copied().max_by(|&a, &b| {
@@ -335,8 +345,7 @@ impl Profile {
             })
         };
         let mut critical_chain = Vec::new();
-        let root_ids: Vec<usize> = roots.values().copied().collect();
-        let mut cursor = heaviest(&root_ids).filter(|&r| subtree[r] > 0);
+        let mut cursor = heaviest(&nodes[0].children).filter(|&r| subtree[r] > 0);
         while let Some(idx) = cursor {
             critical_chain.push(ChainLink {
                 name: nodes[idx].name.to_string(),
@@ -351,8 +360,8 @@ impl Profile {
             wall_ns,
             attributed_ns,
             dropped_events: snap.dropped,
-            unmatched_ends,
-            open_spans,
+            unmatched_ends: r.unmatched_ends,
+            open_spans: r.open_spans,
             spans,
             lanes,
             critical_chain,
@@ -526,15 +535,4 @@ pub fn chrome_to_snapshot(text: &str) -> Result<TraceSnapshot, String> {
         dropped,
         thread_names,
     })
-}
-
-/// Re-folds a Chrome trace sidecar to folded-stack text (the
-/// `flamegraph.pl` input format), via [`chrome_to_snapshot`] and
-/// [`TraceSnapshot::to_folded`].
-///
-/// # Errors
-///
-/// Same surface as [`chrome_to_snapshot`].
-pub fn fold_chrome_trace(text: &str) -> Result<String, String> {
-    Ok(chrome_to_snapshot(text)?.to_folded())
 }

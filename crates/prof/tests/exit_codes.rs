@@ -96,7 +96,8 @@ fn fold_reproduces_folded_stacks_from_a_trace() {
     );
     let out = run(&["fold", &trace]);
     assert_eq!(code(&out), 0, "{out:?}");
-    assert!(stdout(&out).starts_with("sta "));
+    // One microsecond of exclusive time on the one stack.
+    assert_eq!(stdout(&out), "sta 1\n");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use std::sync::Mutex;
 
+use tc_prof::profile::fold;
 use tc_prof::Profile;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -114,4 +115,35 @@ fn worker_count_changes_lanes_but_not_span_structure() {
         v
     };
     assert_eq!(names(&p2), names(&p4));
+}
+
+#[test]
+fn folded_stacks_carry_the_nesting_of_concurrent_threads() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    tc_obs::clear_trace();
+    tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
+
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for _ in 0..25 {
+                    let _outer = tc_obs::span("prof.outer");
+                    let _inner = tc_obs::span("prof.inner");
+                    tc_obs::counter("prof.work").add(2);
+                }
+            });
+        }
+    });
+
+    // One line per path, summed over the four lanes; counters add none.
+    let folded = fold(&tc_obs::trace_snapshot());
+    let paths: Vec<&str> = folded
+        .lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(p, _)| p)
+        .collect();
+    assert_eq!(paths, ["prof.outer", "prof.outer;prof.inner"], "{folded}");
+
+    tc_obs::disable_trace();
+    tc_obs::clear_trace();
 }

@@ -454,11 +454,7 @@ impl<'a> Sta<'a> {
         scratch
             .sink_caps
             .extend(self.nl.net_sinks(net).iter().map(sink_cap));
-        let ndr = match self.nl.net_route_class(net) {
-            0 => NdrClass::Default,
-            1 => NdrClass::DoubleWidth,
-            _ => NdrClass::DoubleWidthSpacing,
-        };
+        let ndr = NdrClass::from_route_class(self.nl.net_route_class(net));
         let wm = WireModel::from_length(self.nl.net_wire_length(net).max(1.0)).with_ndr(ndr);
         let start = pool.len();
         let (driver_load, _r_total) = wm.timing_into(

@@ -62,11 +62,7 @@ pub fn glitch_fraction(
     if n.wire_length_um <= 1.0 {
         return 0.0;
     }
-    let ndr = match n.route_class {
-        0 => NdrClass::Default,
-        1 => NdrClass::DoubleWidth,
-        _ => NdrClass::DoubleWidthSpacing,
-    };
+    let ndr = NdrClass::from_route_class(n.route_class);
     let wm = WireModel::from_length(n.wire_length_um).with_ndr(ndr);
     let layer = stack.layer(wm.layer);
     let f = corner.factors(layer.multi_patterned);

@@ -1,13 +1,15 @@
 //! One `Sta` answers its report, PBA and worst-path queries from a single
 //! timing state: one propagation and one check per endpoint, and a full
-//! propagation's allocator calls do not grow with the design. Span counts,
+//! propagation's allocator calls do not grow with the design, and a warmed
+//! parametric trial on a `Timer` makes none at all. Span counts,
 //! counters and the allocator's totals live in tc-obs's process-global
 //! state, so this is the only test in its process.
 
+use tc_core::ids::NetId;
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
-use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Sta};
+use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Sta, Timer};
 
 /// Allocator calls of one full `Sta::run` (graph build included) on a
 /// generated design.
@@ -58,9 +60,30 @@ fn report_pba_and_worst_paths_share_one_propagation() {
     tc_obs::enable_memory();
     let small = allocs_of_full_run(&lib, BenchProfile::tiny());
     let large = allocs_of_full_run(&lib, BenchProfile::c5315());
-    tc_obs::disable_memory();
     assert!(
         large <= small + 64,
         "full STA allocations scale with the design: {small} on tiny, {large} on c5315"
     );
+
+    // A warmed parametric trial (one wire-length edit, its re-time, the
+    // undo) reuses the timer's buffers, and with tc-obs off the metric
+    // handles it fetches cost no allocation either.
+    let mut nl = generate(&lib, BenchProfile::tiny(), 11).unwrap();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+    let net = NetId::new(nl.net_count() / 2);
+    let mut trial_allocs = || {
+        let before = tc_obs::memory_stats().allocs;
+        let mut trial = timer.trial(&mut nl).unwrap();
+        trial.netlist().set_wire_length(net, 300.0);
+        trial.update().unwrap();
+        drop(trial);
+        tc_obs::memory_stats().allocs - before
+    };
+    trial_allocs();
+    assert_eq!(
+        trial_allocs(),
+        0,
+        "allocator calls of a warmed parametric trial"
+    );
+    tc_obs::disable_memory();
 }

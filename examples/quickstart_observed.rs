@@ -72,7 +72,7 @@ fn main() -> Result<(), tc_core::Error> {
         "arcs evaluated across the whole flow: {}",
         snapshot.counter("sta.arcs_evaluated")
     );
-    // …and as machine-readable JSON (`snapshot.to_json()` / JSONL).
+    // …and as one machine-readable JSON document (`snapshot.to_json()`).
     println!("json export: {} bytes", snapshot.to_json().len());
 
     // The flight recorder's per-event view of the same run, as a Chrome
