@@ -427,7 +427,8 @@ pub fn emit(name: &str, table: &JsonValue, artifact: &RunArtifact) -> std::io::R
     ];
     let snap = tc_obs::trace_snapshot();
     if !snap.events.is_empty() {
-        let profile = tc_prof::Profile::from_trace(&snap).workload(artifact.workload());
+        let (profile, folded) = tc_prof::profile::profile_and_fold(&snap);
+        let profile = profile.workload(artifact.workload());
         if profile.dropped_events > 0 {
             eprintln!(
                 "warning: PROF_{name}: {} trace event(s) dropped to ring overflow — profile is \
@@ -436,7 +437,7 @@ pub fn emit(name: &str, table: &JsonValue, artifact: &RunArtifact) -> std::io::R
             );
         }
         files.push((format!("{name}.trace.json"), snap.to_chrome_trace()));
-        files.push((format!("{name}.folded"), tc_prof::profile::fold(&snap)));
+        files.push((format!("{name}.folded"), folded));
         files.push((format!("PROF_{name}.json"), profile.render_json()));
     }
     files

@@ -513,6 +513,12 @@ impl Netlist {
         &self.sink_pool[s.start as usize..(s.start + s.len) as usize]
     }
 
+    /// Whether a net is a primary output, without the name lookup.
+    #[inline]
+    pub fn net_is_output(&self, id: NetId) -> bool {
+        self.net_is_output[id.index()]
+    }
+
     /// A net's estimated routed wirelength in µm, without the name
     /// lookup.
     #[inline]

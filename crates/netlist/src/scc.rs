@@ -25,10 +25,10 @@ const UNVISITED: usize = usize::MAX;
 /// netlist. An empty result means the graph levelizes.
 pub fn combinational_sccs(nl: &Netlist, lib: &Library) -> Vec<Vec<CellId>> {
     let n = nl.cell_count();
-    let mut is_flop = vec![false; n];
-    for (i, cell) in nl.cells().enumerate() {
-        is_flop[i] = lib.cell(cell.master).kind == CellKind::Flop;
-    }
+    let is_flop: Vec<bool> = (0..n)
+        .map(|i| lib.cell(nl.cell_master(CellId::new(i))).kind == CellKind::Flop)
+        .collect();
+    let sinks_of = |v: usize| nl.net_sinks(nl.cell_output(CellId::new(v)));
 
     let mut index = vec![UNVISITED; n];
     let mut low = vec![0usize; n];
@@ -54,7 +54,7 @@ pub fn combinational_sccs(nl: &Netlist, lib: &Library) -> Vec<Vec<CellId>> {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            let sinks = nl.net(nl.cell(CellId::new(v)).output).sinks;
+            let sinks = sinks_of(v);
             let mut ci = child;
             let mut descended = false;
             while ci < sinks.len() {
@@ -90,10 +90,7 @@ pub fn combinational_sccs(nl: &Netlist, lib: &Library) -> Vec<Vec<CellId>> {
                         break;
                     }
                 }
-                let self_loop = comp.len() == 1 && {
-                    let c = comp[0];
-                    nl.net(nl.cell(c).output).sinks.iter().any(|s| s.cell == c)
-                };
+                let self_loop = comp.len() == 1 && sinks.iter().any(|s| s.cell.index() == v);
                 if comp.len() > 1 || self_loop {
                     comp.sort_by_key(|c| c.index());
                     sccs.push(comp);

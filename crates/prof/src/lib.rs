@@ -27,7 +27,8 @@
 //!
 //! One replay ([`profile`]) turns Begin/End events into frames; the
 //! profile and the folded stacks for `flamegraph.pl` ([`profile::fold`])
-//! are both read off the span tree it builds. It tolerates imbalance:
+//! are both read off the span tree it builds, and
+//! [`profile::profile_and_fold`] reads both off one replay. It tolerates imbalance:
 //! an `End` with no open matching frame is counted in
 //! [`Profile::unmatched_ends`] and dropped, and frames still open at the
 //! last timestamp are closed there and counted in

@@ -259,7 +259,20 @@ impl Replay {
 /// every lane; counter and gauge events are ignored, and imbalance is
 /// tolerated as [`Profile::from_trace`] tolerates it.
 pub fn fold(snap: &TraceSnapshot) -> String {
-    let nodes = Replay::new(snap).nodes;
+    folded(&Replay::new(snap).nodes)
+}
+
+/// The [`Profile`] and the [`fold`]ed stacks of one trace, from one
+/// replay: what a harness writes as `PROF_<name>.json` beside
+/// `<name>.folded`.
+pub fn profile_and_fold(snap: &TraceSnapshot) -> (Profile, String) {
+    let r = Replay::new(snap);
+    let stacks = folded(&r.nodes);
+    (Profile::from_replay(r, snap), stacks)
+}
+
+/// The folded-stack lines of a replayed span tree.
+fn folded(nodes: &[PathNode]) -> String {
     // Parents precede children in the arena, so each path extends its
     // parent's. Distinct paths can join to the same text (a name may
     // hold `;`); those lines sum.
@@ -285,7 +298,11 @@ impl Profile {
     /// at the last timestamp (see [`Profile::unmatched_ends`] and
     /// [`Profile::open_spans`]).
     pub fn from_trace(snap: &TraceSnapshot) -> Profile {
-        let r = Replay::new(snap);
+        Profile::from_replay(Replay::new(snap), snap)
+    }
+
+    /// The profile of `snap`'s replay `r`.
+    fn from_replay(r: Replay, snap: &TraceSnapshot) -> Profile {
         let (wall_ns, nodes, busy) = (r.wall_ns, &r.nodes, &r.busy);
         // Every name was closed at least once: `durations` is never empty.
         let mut spans: Vec<SpanProfile> = r

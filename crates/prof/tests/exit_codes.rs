@@ -25,16 +25,29 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-fn fixture_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tc_prof_exit_codes_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("fixture dir");
-    dir
+/// One test's fixture directory, removed (with everything written to
+/// it) when the test ends, pass or fail.
+struct Fixtures(PathBuf);
+
+impl Fixtures {
+    fn new(test: &str) -> Self {
+        let name = format!("tc_prof_exit_codes_{}_{test}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).expect("fixture dir");
+        Fixtures(dir)
+    }
+
+    fn write(&self, name: &str, text: &str) -> String {
+        let path = self.0.join(name);
+        std::fs::write(&path, text).expect("write fixture");
+        path.to_string_lossy().into_owned()
+    }
 }
 
-fn write(name: &str, text: &str) -> String {
-    let path = fixture_dir().join(name);
-    std::fs::write(&path, text).expect("write fixture");
-    path.to_string_lossy().into_owned()
+impl Drop for Fixtures {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 fn one_span_snapshot(end_ns: u64, dropped: u64) -> TraceSnapshot {
@@ -63,12 +76,13 @@ fn prof_json(end_ns: u64, dropped: u64) -> String {
 
 #[test]
 fn report_is_clean_on_a_good_profile_and_trace() {
-    let prof = write("good.json", &prof_json(1_000, 0));
+    let fx = Fixtures::new("report_is_clean_on_a_good_profile_and_trace");
+    let prof = fx.write("good.json", &prof_json(1_000, 0));
     let out = run(&["report", &prof]);
     assert_eq!(code(&out), 0, "{out:?}");
     assert!(stdout(&out).contains("sta"));
 
-    let trace = write(
+    let trace = fx.write(
         "good.trace.json",
         &one_span_snapshot(1_000, 0).to_chrome_trace(),
     );
@@ -79,7 +93,8 @@ fn report_is_clean_on_a_good_profile_and_trace() {
 
 #[test]
 fn report_exits_one_on_dropped_events() {
-    let trace = write(
+    let fx = Fixtures::new("report_exits_one_on_dropped_events");
+    let trace = fx.write(
         "dropped.trace.json",
         &one_span_snapshot(1_000, 9).to_chrome_trace(),
     );
@@ -90,7 +105,8 @@ fn report_exits_one_on_dropped_events() {
 
 #[test]
 fn fold_reproduces_folded_stacks_from_a_trace() {
-    let trace = write(
+    let fx = Fixtures::new("fold_reproduces_folded_stacks_from_a_trace");
+    let trace = fx.write(
         "fold.trace.json",
         &one_span_snapshot(1_000, 0).to_chrome_trace(),
     );
@@ -102,14 +118,15 @@ fn fold_reproduces_folded_stacks_from_a_trace() {
 
 #[test]
 fn usage_parse_and_io_errors_exit_two() {
+    let fx = Fixtures::new("usage_parse_and_io_errors_exit_two");
     assert_eq!(code(&run(&[])), 2);
     assert_eq!(code(&run(&["frobnicate"])), 2);
     assert_eq!(code(&run(&["report"])), 2);
     assert_eq!(code(&run(&["report", "/nonexistent/PROF.json"])), 2);
     assert_eq!(code(&run(&["fold"])), 2);
-    let garbage = write("garbage.json", "this is not json");
+    let garbage = fx.write("garbage.json", "this is not json");
     assert_eq!(code(&run(&["report", &garbage])), 2);
-    let bad = write("bad.json", r#"{"kind":"tc.profile","schema_version":1}"#);
+    let bad = fx.write("bad.json", r#"{"kind":"tc.profile","schema_version":1}"#);
     assert_eq!(code(&run(&["report", &bad])), 2);
     // --help is informational (exit 0), bare invocation is misuse.
     assert_eq!(code(&run(&["--help"])), 0);

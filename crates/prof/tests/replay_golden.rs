@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use tc_obs::trace::{TraceEvent, TraceEventKind};
 use tc_obs::TraceSnapshot;
-use tc_prof::profile::fold;
+use tc_prof::profile::{fold, profile_and_fold};
 use tc_prof::Profile;
 
 /// SplitMix64: a fixed, dependency-free stream of test choices.
@@ -103,13 +103,20 @@ fn fold_and_profile_match_the_recorded_goldens() {
     let mut prof = String::new();
     for seed in 0..STREAMS {
         let snap = stream(seed);
-        folded.push_str(&fold(&snap));
-        folded.push('\n');
-        prof.push_str(
-            &Profile::from_trace(&snap)
-                .workload(format!("golden {seed}"))
-                .render_json(),
+        let label = format!("golden {seed}");
+        let stacks = fold(&snap);
+        let doc = Profile::from_trace(&snap).workload(&label).render_json();
+        // The harnesses' one-replay entry renders both the same bytes.
+        let (one, one_stacks) = profile_and_fold(&snap);
+        assert_eq!(one_stacks, stacks, "stream {seed}: folded stacks");
+        assert_eq!(
+            one.workload(&label).render_json(),
+            doc,
+            "stream {seed}: PROF"
         );
+        folded.push_str(&stacks);
+        folded.push('\n');
+        prof.push_str(&doc);
         prof.push('\n');
     }
     assert_eq!(

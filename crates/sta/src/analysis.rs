@@ -32,12 +32,6 @@ pub struct Arr {
     pub var: f64,
     /// Transition time at this point, ps.
     pub slew: f64,
-    /// Stage count from the launch point.
-    pub depth: usize,
-    /// Cumulative gate delay along the winning path, ps.
-    pub gate_ps: f64,
-    /// Cumulative wire delay along the winning path, ps.
-    pub wire_ps: f64,
 }
 
 impl Arr {
@@ -68,23 +62,37 @@ impl Bound {
     }
 }
 
-/// Per-net propagation state.
+/// Per-net propagation state, 72 bytes: the sweep streams one per net
+/// through cache on every arc.
 ///
 /// From-scratch propagation and the incremental [`Timer`](crate::Timer)
 /// write these through the *same* sweep (`Sta::sweep`), which is what
-/// makes incremental results bit-identical to a from-scratch run.
+/// makes incremental results bit-identical to a from-scratch run. Only
+/// the late bound carries its winning path's breakdown (depth, gate and
+/// wire delay, predecessor pin): reports and PBA read it there, while
+/// the hold check reads the early bound's arrival, variance and slew
+/// alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NetState {
     /// Late (max-delay) arrival bound at the net.
     pub late: Arr,
     /// Early (min-delay) arrival bound at the net.
     pub early: Arr,
-    /// `(driver input pin index)` that produced the late arrival — the
-    /// breadcrumb PBA backtracking follows.
-    pub late_pred_pin: Option<usize>,
+    /// Cumulative gate delay along the late bound's winning path, ps.
+    pub late_gate_ps: f64,
+    /// Cumulative wire delay along the late bound's winning path, ps.
+    pub late_wire_ps: f64,
+    /// Stage count from the launch point along the late bound's path.
+    pub late_depth: u32,
+    /// Input pin of the net's driver that produced the late arrival —
+    /// the breadcrumb PBA backtracking follows. Meaningful on a reached
+    /// net that a combinational cell drives.
+    pub late_pred_pin: u16,
     /// Whether any arrival reached this net.
     pub reached: bool,
 }
+
+const _: () = assert!(mem::size_of::<NetState>() == 72);
 
 /// The STA engine, borrowing the design and its environment. It
 /// propagates at most once ([`Sta::propagate`]); a clone or an input
@@ -171,129 +179,94 @@ pub(crate) struct SweepCounts {
     pub(crate) writes: u64,
 }
 
-/// Wire timing cached per net. Plain-old-data: the per-sink delays live
-/// in the owning [`WireTable`]'s shared pool, addressed by `(start, len)`
-/// — one flat `Vec<Ps>` for the whole design instead of one heap
-/// allocation per net.
+/// Wire timing cached per net: what its driver and all its sinks read.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NetWire {
     /// Total load seen by the driver, fF.
     pub driver_load: Ff,
     /// SI delta delay (ps) added late / subtracted early when enabled.
     pub si_delta: f64,
-    /// Start of this net's sink-delay span in the pool.
-    pub(crate) start: u32,
-    /// Sink count (span length).
-    pub(crate) len: u32,
 }
 
-/// Per-net wire timings for a whole design: dense entries indexed by net
-/// id plus one pooled sink-delay arena.
+/// Wire timings for a whole design: one [`NetWire`] per net, by net id,
+/// and one wire delay per input pin, at the pin's global slot
+/// `Netlist::pin_base(cell) + pin`.
 ///
-/// The pool is **append-only**: recomputing a net writes a fresh span and
-/// repoints the entry, leaving the old span in place. That is what makes
-/// the incremental timer's undo log sound — a popped [`NetWire`] entry
-/// still addresses valid bytes. A timer rollback restores every entry
-/// installed since its checkpoint, so it truncates the pool back to the
-/// checkpoint's length; the spans a kept edit retires stay until the
-/// table is rebuilt from scratch (a full propagation).
-#[derive(Clone, Debug, Default)]
+/// An arc reads its sink's delay from the slot of the pin it enters —
+/// one load, no lookup of the pin's place in its net's sink list — and
+/// a sink moved to another net or position keeps its slot. The
+/// incremental timer overwrites single slots and logs each overwritten
+/// value, so the table never grows except with the design.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WireTable {
-    entries: Vec<NetWire>,
-    pool: Vec<Ps>,
+    nets: Vec<NetWire>,
+    pins: Vec<Ps>,
 }
+
+/// A pin slot no net's sink list has filled.
+const HOLE: Ps = Ps::new(f64::NAN);
 
 impl WireTable {
-    /// The POD entry of one net.
-    pub fn entry(&self, net: usize) -> NetWire {
-        self.entries[net]
-    }
-
     /// Driver load of one net, fF.
     pub fn driver_load(&self, net: usize) -> Ff {
-        self.entries[net].driver_load
+        self.nets[net].driver_load
     }
 
     /// SI delta delay of one net, ps.
     pub fn si_delta(&self, net: usize) -> f64 {
-        self.entries[net].si_delta
+        self.nets[net].si_delta
     }
 
-    /// Per-sink wire delays of one net, aligned with its sink list.
-    pub fn delays(&self, net: usize) -> &[Ps] {
-        let e = self.entries[net];
-        &self.pool[e.start as usize..e.start as usize + e.len as usize]
+    /// Wire delay from its net's driver to the input pin at global slot
+    /// `pin` (`Netlist::pin_base(cell) + pin`).
+    #[inline]
+    pub fn delay(&self, pin: usize) -> Ps {
+        self.pins[pin]
     }
 
-    /// Wire delay to one sink of one net.
-    pub fn delay(&self, net: usize, sink: usize) -> Ps {
-        self.delays(net)[sink]
+    /// Input-pin slots in the table.
+    pub(crate) fn pin_count(&self) -> usize {
+        self.pins.len()
     }
 
-    /// Grows the entry vector to `n` nets (new entries empty) after a
-    /// structural edit appended nets.
-    pub(crate) fn resize(&mut self, n: usize) {
-        self.entries.resize(n, NetWire::default());
+    /// Net entries in the table.
+    #[cfg(test)]
+    pub(crate) fn net_count(&self) -> usize {
+        self.nets.len()
     }
 
-    /// Shrinks the entry vector back to `n` nets (rollback of a
-    /// structural edit); pooled spans are untouched, so surviving
-    /// entries stay valid.
-    pub(crate) fn truncate(&mut self, n: usize) {
-        self.entries.truncate(n);
+    /// Resizes the table to `nets` nets and `pins` pin slots: grows it
+    /// after a structural edit appended ids (new entries empty, new slots
+    /// unfilled), or shrinks it back on rollback.
+    pub(crate) fn resize(&mut self, nets: usize, pins: usize) {
+        self.nets.resize(nets, NetWire::default());
+        self.pins.resize(pins, HOLE);
     }
 
-    /// Direct pool access for appending a candidate span (the timer's
-    /// incremental recompute path).
-    pub(crate) fn pool_mut(&mut self) -> &mut Vec<Ps> {
-        &mut self.pool
-    }
-
-    /// Current pool length — the `start` of the next appended span.
-    pub(crate) fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Pool slice by raw span (candidate spans not yet installed in an
-    /// entry).
-    pub(crate) fn pool_slice(&self, start: usize, len: usize) -> &[Ps] {
-        &self.pool[start..start + len]
-    }
-
-    /// Drops pool bytes past `len` (a rejected candidate span).
-    pub(crate) fn pool_truncate(&mut self, len: usize) {
-        self.pool.truncate(len);
-    }
-
-    /// Installs `entry` for `net` (a recomputed span, or a popped one on
-    /// rollback), returning the previous entry (whose span remains valid
-    /// in the pool for undo).
+    /// Installs `entry` for `net`, returning the previous entry.
     pub(crate) fn install(&mut self, net: usize, entry: NetWire) -> NetWire {
-        std::mem::replace(&mut self.entries[net], entry)
+        mem::replace(&mut self.nets[net], entry)
     }
-}
 
-/// Content equality: two tables agree when every net has the same load,
-/// SI delta and delay values — regardless of where the spans sit in
-/// their pools.
-impl PartialEq for WireTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries.len() == other.entries.len()
-            && (0..self.entries.len()).all(|n| {
-                let (a, b) = (self.entries[n], other.entries[n]);
-                a.driver_load == b.driver_load
-                    && a.si_delta == b.si_delta
-                    && self.delays(n) == other.delays(n)
-            })
+    /// Writes the delay of pin slot `pin`, returning the previous one.
+    pub(crate) fn set_delay(&mut self, pin: usize, delay: Ps) -> Ps {
+        mem::replace(&mut self.pins[pin], delay)
+    }
+
+    /// The first pin slot that no sink list has filled.
+    pub(crate) fn first_hole(&self) -> Option<usize> {
+        self.pins.iter().position(|d| d.value().is_nan())
     }
 }
 
 /// Reusable scratch for wire-timing evaluation: the per-net sink-cap
-/// staging buffer. One instance serves a whole propagation (or a whole
+/// staging buffer and the delays computed from it, aligned with the
+/// net's sink list. One instance serves a whole propagation (or a whole
 /// incremental-update batch) with no per-net allocations.
 #[derive(Clone, Debug, Default)]
 pub struct WireEvalScratch {
     sink_caps: Vec<Ff>,
+    pub(crate) delays: Vec<Ps>,
 }
 
 impl<'a> Sta<'a> {
@@ -438,17 +411,11 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// Computes one net's wire timing (load, sink delays, SI delta),
-    /// appending the per-sink delays to `pool` and returning the entry
-    /// that addresses them. The single code path shared by full runs and
-    /// incremental updates; with a warm `scratch` it allocates nothing
-    /// beyond pool growth.
-    pub(crate) fn net_wire_entry(
-        &self,
-        net: NetId,
-        scratch: &mut WireEvalScratch,
-        pool: &mut Vec<Ps>,
-    ) -> Result<NetWire> {
+    /// Computes one net's wire timing: returns its load and SI delta and
+    /// leaves the per-sink delays in `scratch.delays`, aligned with the
+    /// net's sink list. The single code path shared by full runs and
+    /// incremental updates; with a warm `scratch` it allocates nothing.
+    pub(crate) fn net_wire(&self, net: NetId, scratch: &mut WireEvalScratch) -> Result<NetWire> {
         scratch.sink_caps.clear();
         let sink_cap = |s: &PinRef| self.lib.cell(self.nl.cell_master(s.cell)).input_cap;
         scratch
@@ -456,38 +423,56 @@ impl<'a> Sta<'a> {
             .extend(self.nl.net_sinks(net).iter().map(sink_cap));
         let ndr = NdrClass::from_route_class(self.nl.net_route_class(net));
         let wm = WireModel::from_length(self.nl.net_wire_length(net).max(1.0)).with_ndr(ndr);
-        let start = pool.len();
+        scratch.delays.clear();
         let (driver_load, _r_total) = wm.timing_into(
             self.stack,
             self.beol_corner,
             self.beol_sample,
             &scratch.sink_caps,
-            pool,
+            &mut scratch.delays,
         );
         let si_delta = if self.cons.si_enabled {
             let layer = self.stack.layer(wm.layer);
-            coupling_delta(layer, self.beol_corner, ndr, &pool[start..])
+            coupling_delta(layer, self.beol_corner, ndr, &scratch.delays)
         } else {
             0.0
         };
         Ok(NetWire {
             driver_load,
             si_delta,
-            start: start as u32,
-            len: (pool.len() - start) as u32,
         })
     }
 
-    /// Computes per-net wire timings (loads, sink delays, SI deltas)
-    /// into a fresh [`WireTable`], in net order.
+    /// Computes every net's wire timing into a fresh [`WireTable`], in
+    /// net order, each sink's delay at its pin slot.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an input pin is on no net's sink list: every id-indexed
+    /// column relies on the dense pin numbering.
     pub(crate) fn wire_timings(&self) -> Result<WireTable> {
-        let n = self.nl.net_count();
-        let mut table = WireTable::default();
+        let nl = self.nl;
+        let mut table = WireTable {
+            nets: Vec::with_capacity(nl.net_count()),
+            pins: vec![HOLE; nl.total_input_pins()],
+        };
         let mut scratch = WireEvalScratch::default();
-        table.entries.reserve(n);
-        for i in 0..n {
-            let e = self.net_wire_entry(NetId::new(i), &mut scratch, &mut table.pool)?;
-            table.entries.push(e);
+        for i in 0..nl.net_count() {
+            let net = NetId::new(i);
+            table.nets.push(self.net_wire(net, &mut scratch)?);
+            for (s, &d) in nl.net_sinks(net).iter().zip(&scratch.delays) {
+                table.pins[nl.pin_base(s.cell) + s.pin] = d;
+            }
+        }
+        // A hole means cell ids are not dense or a sink list is
+        // inconsistent with the cells' input columns; fail loudly here
+        // rather than timing garbage.
+        if let Some(hole) = table.first_hole() {
+            return Err(Error::internal(format!(
+                "timing graph: input-pin slot {hole} of {} has no sink entry — netlist sink \
+                 lists are inconsistent with the dense pin index",
+                table.pins.len()
+            )));
         }
         Ok(table)
     }
@@ -535,19 +520,16 @@ impl<'a> Sta<'a> {
                 t: ck_late + dl,
                 var: vl,
                 slew,
-                depth: 1,
-                gate_ps: dl,
-                wire_ps: 0.0,
             },
             early: Arr {
                 t: ck_early + de,
                 var: ve,
                 slew,
-                depth: 1,
-                gate_ps: de,
-                wire_ps: 0.0,
             },
-            late_pred_pin: None,
+            late_gate_ps: dl,
+            late_wire_ps: 0.0,
+            late_depth: 1,
+            late_pred_pin: 0,
             reached: true,
         })
     }
@@ -565,15 +547,12 @@ impl<'a> Sta<'a> {
                 t: self.cons.input_delay.value(),
                 var: 0.0,
                 slew: self.cons.input_slew,
-                depth: 0,
-                gate_ps: 0.0,
-                wire_ps: 0.0,
             };
             state[pi.index()] = NetState {
                 late: base,
                 early: base,
-                late_pred_pin: None,
                 reached: true,
+                ..NetState::default()
             };
         }
     }
@@ -587,25 +566,24 @@ impl<'a> Sta<'a> {
         wires: &WireTable,
         state: &[NetState],
     ) -> Result<(NetState, u64)> {
-        let graph = self.graph()?;
         let master = self.lib.cell(self.nl.cell_master(cid));
         if master.kind == CellKind::Flop {
             return Ok((self.launch(cid, wires, 1)?, 1));
         }
         let load = wires.driver_load(self.nl.cell_output(cid).index()).value();
         let k = self.k_sigma();
+        let pin_base = self.nl.pin_base(cid);
 
-        // Combinational: evaluate every input arc.
+        // Combinational: evaluate every input arc; the first reached one
+        // sets both bounds, later ones replace a bound they beat.
         let mut arcs_evaluated = 0u64;
-        let mut best_late: Option<(Arr, usize)> = None;
-        let mut best_early: Option<Arr> = None;
+        let mut out = NetState::default();
         for (pin, &in_net) in self.nl.cell_inputs(cid).iter().enumerate() {
-            let ns = state[in_net.index()];
+            let ns = &state[in_net.index()];
             if !ns.reached {
                 continue;
             }
-            let si = graph.sink_pos(self.nl, cid, pin);
-            let wire = wires.delay(in_net.index(), si);
+            let wire = wires.delay(pin_base + pin);
             let si_delta = wires.si_delta(in_net.index());
             let (wl, wvl, we, wve) = self.wire_terms(wire);
             let arc = master
@@ -617,50 +595,33 @@ impl<'a> Sta<'a> {
             // output slew and sigma tables share the axes.
             let at_late = arc.delay.locate(ns.late.slew + 0.25 * wire.value(), load);
             let (dl, vl) = self.stage(Bound::Late, cid, arc, &at_late, 1);
-            let cand_late = Arr {
+            let late = Arr {
                 t: ns.late.t + wl + si_delta + dl,
                 var: ns.late.var + wvl + vl,
                 slew: arc.out_slew.at(&at_late),
-                depth: ns.late.depth + 1,
-                gate_ps: ns.late.gate_ps + dl,
-                wire_ps: ns.late.wire_ps + wl + si_delta,
             };
-            let better = match &best_late {
-                None => true,
-                Some((b, _)) => cand_late.late_criterion(k) > b.late_criterion(k),
-            };
-            if better {
-                best_late = Some((cand_late, pin));
+            if !out.reached || late.late_criterion(k) > out.late.late_criterion(k) {
+                out.late = late;
+                out.late_gate_ps = ns.late_gate_ps + dl;
+                out.late_wire_ps = ns.late_wire_ps + wl + si_delta;
+                out.late_depth = ns.late_depth + 1;
+                out.late_pred_pin = u16::try_from(pin)
+                    .map_err(|_| Error::internal("cell input pin past u16::MAX"))?;
             }
 
             let at_early = arc.delay.locate(ns.early.slew + 0.25 * wire.value(), load);
             let (de, ve) = self.stage(Bound::Early, cid, arc, &at_early, 1);
-            let cand_early = Arr {
+            let early = Arr {
                 t: ns.early.t + we - si_delta + de,
                 var: ns.early.var + wve + ve,
                 slew: arc.out_slew.at(&at_early),
-                depth: ns.early.depth + 1,
-                gate_ps: ns.early.gate_ps + de,
-                wire_ps: ns.early.wire_ps + we - si_delta,
             };
-            let better = match &best_early {
-                None => true,
-                Some(b) => cand_early.early_criterion(k) < b.early_criterion(k),
-            };
-            if better {
-                best_early = Some(cand_early);
+            if !out.reached || early.early_criterion(k) < out.early.early_criterion(k) {
+                out.early = early;
             }
+            out.reached = true;
         }
-        let ns = match (best_late, best_early) {
-            (Some((late, pin)), Some(early)) => NetState {
-                late,
-                early,
-                late_pred_pin: Some(pin),
-                reached: true,
-            },
-            _ => NetState::default(),
-        };
-        Ok((ns, arcs_evaluated))
+        Ok((out, arcs_evaluated))
     }
 
     /// The one arrival-propagation loop. It takes the `frontier`'s
@@ -671,33 +632,27 @@ impl<'a> Sta<'a> {
     /// arrival, and an arc a → b between combinational cells forces
     /// level(b) > level(a), so a cell is visited after all its drivers
     /// have settled and a write grows the frontier only above the cell
-    /// being visited: both frontiers evaluate every cell they share with
-    /// the same float ops in the same order.
+    /// being visited: a sweep from scratch and a dirty one evaluate every
+    /// cell they share with the same float ops in the same order. From
+    /// scratch every output is still unreached, so a write is a reached
+    /// output.
     pub(crate) fn sweep(
         &self,
         wires: &WireTable,
         state: &mut [NetState],
-        mut frontier: Frontier<'_>,
-        mut on_write: impl FnMut(NetId, NetState, &mut Frontier<'_>),
+        frontier: &mut Frontier,
+        mut on_write: impl FnMut(NetId, NetState, &mut Frontier),
     ) -> Result<SweepCounts> {
-        // From scratch every output slot is still unreached, so "changed"
-        // is `reached` and needs no load of the old state.
-        let from_scratch = matches!(frontier, Frontier::Full(_));
         let mut counts = SweepCounts::default();
-        while let Some(cid) = frontier.pop() {
+        while let Some((_, cid)) = frontier.pop() {
             let (ns, arcs) = self.eval_cell(cid, wires, state)?;
             counts.cells += 1;
             counts.arcs += arcs;
             let out = self.nl.cell_output(cid);
-            let changed = if from_scratch {
-                ns.reached
-            } else {
-                ns != state[out.index()]
-            };
-            if changed {
+            if ns != state[out.index()] {
                 let prev = mem::replace(&mut state[out.index()], ns);
                 counts.writes += 1;
-                on_write(out, prev, &mut frontier);
+                on_write(out, prev, frontier);
             }
         }
         Ok(counts)
@@ -720,8 +675,8 @@ impl<'a> Sta<'a> {
         let wires = self.wire_timings()?;
         let mut nets = vec![NetState::default(); self.nl.net_count()];
         self.seed_primary_inputs(&mut nets);
-        let frontier = Frontier::full(&graph.level);
-        let counts = self.sweep(&wires, &mut nets, frontier, |_, _, _| {})?;
+        let mut frontier = Frontier::full(&graph.level);
+        let counts = self.sweep(&wires, &mut nets, &mut frontier, |_, _, _| {})?;
         let mut rows = Vec::with_capacity(graph.endpoints.len());
         for &ep in &graph.endpoints {
             rows.extend(self.endpoint_row(ep, &nets, &wires)?);
@@ -765,9 +720,9 @@ impl<'a> Sta<'a> {
             hold_slack: Ps::new(f64::INFINITY),
             arrival: Ps::new(ns.late.t),
             required: Ps::new(required),
-            depth: ns.late.depth,
-            gate_ps: ns.late.gate_ps,
-            wire_ps: ns.late.wire_ps,
+            depth: ns.late_depth as usize,
+            gate_ps: ns.late_gate_ps,
+            wire_ps: ns.late_wire_ps,
             data_slew: ns.late.slew,
         }))
     }
@@ -793,21 +748,18 @@ impl<'a> Sta<'a> {
         if !ns.reached {
             return Ok(None);
         }
-        let si = self.graph()?.sink_pos(self.nl, fid, 0);
-        let wire = wires.delay(d_net.index(), si);
+        let wire = wires.delay(self.nl.pin_base(fid));
         let si_delta = wires.si_delta(d_net.index());
         let (wl, wvl, we, wve) = self.wire_terms(wire);
 
         let data_late = Arr {
             t: ns.late.t + wl + si_delta,
             var: ns.late.var + wvl,
-            wire_ps: ns.late.wire_ps + wl + si_delta,
             ..ns.late
         };
         let data_early = Arr {
             t: ns.early.t + we - si_delta,
             var: ns.early.var + wve,
-            wire_ps: ns.early.wire_ps + we - si_delta,
             ..ns.early
         };
         let data_slew = ns.late.slew + 0.25 * wire.value();
@@ -832,9 +784,9 @@ impl<'a> Sta<'a> {
             hold_slack: Ps::new(hold_slack),
             arrival: Ps::new(data_late.t),
             required: Ps::new(cycles * period + ck_early - clk.uncertainty.value() - setup_req),
-            depth: data_late.depth,
-            gate_ps: data_late.gate_ps,
-            wire_ps: data_late.wire_ps,
+            depth: ns.late_depth as usize,
+            gate_ps: ns.late_gate_ps,
+            wire_ps: ns.late_wire_ps + wl + si_delta,
             data_slew,
         }))
     }

@@ -161,15 +161,16 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
             path.launch_flop = Some(driver);
             return Ok(path);
         }
-        let pred = state[net.index()]
-            .late_pred_pin
-            .ok_or_else(|| Error::internal("missing predecessor on critical path"))?;
+        let ns = &state[net.index()];
+        if !ns.reached {
+            return Err(Error::internal("missing predecessor on critical path"));
+        }
+        let pred = usize::from(ns.late_pred_pin);
         let in_net = nl.cell_inputs(driver)[pred];
         // Reconstruct the GBA evaluation of this stage, at the point the
         // sweep located.
         let load = wires.driver_load(nl.cell_output(driver).index()).value();
-        let sink_idx = st.graph.sink_pos(nl, driver, pred);
-        let wire = wires.delay(in_net.index(), sink_idx).value();
+        let wire = wires.delay(nl.pin_base(driver) + pred).value();
         let arc = master
             .arc_of_pin(pred)
             .ok_or_else(|| Error::internal("missing arc on critical path"))?;
@@ -222,7 +223,7 @@ fn reevaluate(
     }
     // The last hop, into the capturing flop's D pin.
     let d_net = path.nets[0];
-    let wire = wires.delay(d_net.index(), st.graph.sink_pos(sta.nl, capture, 0));
+    let wire = wires.delay(sta.nl.pin_base(capture));
     let (wl, wvl, _, _) = sta.wire_terms(wire);
     let t = t + wl + wires.si_delta(d_net.index());
     let var = var + wvl;

@@ -21,7 +21,7 @@ const MILLER_EXCESS: f64 = 0.85;
 
 /// Delta delay (ps) a net's sinks see from coupling, given its layer,
 /// corner, routing rule and per-sink wire delays (a borrowed slice, so
-/// callers keeping delays in a pooled arena pass them without copying).
+/// callers keeping delays in a scratch buffer pass them without copying).
 /// Added to late arrivals, subtracted from early arrivals.
 pub fn coupling_delta(
     layer: &MetalLayer,

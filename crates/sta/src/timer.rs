@@ -19,9 +19,9 @@
 //! A structural edit (buffer insertion, rewiring, a flop ↔ combinational
 //! master swap) repairs the graph in place: the levels of the cells it
 //! rewired are re-derived and relaxed along the fanout whose level
-//! changes, and only the touched nets' sink positions and the swapped
-//! cells' endpoint slots are rewritten. The repaired graph equals
-//! [`TimingGraph::build`] of the edited netlist.
+//! changes, and only the swapped cells' endpoint slots are rewritten.
+//! The repaired graph equals [`TimingGraph::build`] of the edited
+//! netlist.
 //!
 //! The timer also supports O(cone) speculative editing: open a [`Trial`]
 //! on the netlist and the timer together, apply + evaluate a candidate
@@ -30,8 +30,6 @@
 //! value onto an undo log, so a dropped trial restores exactly the bytes
 //! the update overwrote, and undoes the netlist journal with them.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::mem;
 use std::sync::Arc;
 
@@ -49,8 +47,7 @@ use crate::pba::{self, CriticalPath};
 use crate::report::{k_worst, Endpoint, EndpointTiming, TimingReport};
 
 /// The static structure STA needs about a netlist: every cell's logic
-/// level, the position of every sink pin in its net's sink list, and the
-/// endpoint list.
+/// level, the arc count and the endpoint list.
 ///
 /// It is a pure function of the netlist's connectivity and cell kinds,
 /// so two graphs of the same netlist compare equal however they were
@@ -70,12 +67,6 @@ pub struct TimingGraph {
     /// `level(b) > level(a)`, so the sweep's `(level, cell id)` order
     /// visits every cell after its drivers.
     pub(crate) level: Vec<u32>,
-    /// Dense per-pin sink positions: slot `Netlist::pin_base(cell) + pin`
-    /// holds that input pin's index in its driving net's sink list — the
-    /// lookup arrival evaluation needs to pick the right per-sink wire
-    /// delay. A flat `Vec<u32>` indexed by global input-pin number, not a
-    /// hash map: the hot path is one add and one load.
-    pub(crate) sink_pos: Vec<u32>,
     /// Total timing-arc count of the design (1 per flop, 1 per
     /// combinational input pin) — the denominator of arc-reuse metrics.
     pub(crate) arc_count: u64,
@@ -93,26 +84,6 @@ impl TimingGraph {
     /// Fails on combinational loops (levelization is impossible).
     pub fn build(nl: &Netlist, lib: &Library) -> Result<Self> {
         let level = levelize(nl, lib)?.level;
-        // Dense per-pin sink positions, written net by net. Start from
-        // an invalid sentinel so the dense-id invariant is checkable.
-        let mut sink_pos = vec![u32::MAX; nl.total_input_pins()];
-        for i in 0..nl.net_count() {
-            for (k, s) in nl.net_sinks(NetId::new(i)).iter().enumerate() {
-                sink_pos[nl.pin_base(s.cell) + s.pin] = k as u32;
-            }
-        }
-        // Every input pin must be a sink of exactly one net — the
-        // invariant the flat lookup (and every id-indexed column) relies
-        // on. A hole means cell ids are not dense or a sink list is
-        // inconsistent with the cells' input columns; fail loudly here
-        // rather than timing garbage.
-        if let Some(hole) = sink_pos.iter().position(|&p| p == u32::MAX) {
-            return Err(Error::internal(format!(
-                "timing graph: input-pin slot {hole} of {} has no sink entry — netlist sink \
-                 lists are inconsistent with the dense pin index",
-                sink_pos.len()
-            )));
-        }
         let mut arc_count = 0u64;
         let mut endpoints = Vec::new();
         for i in 0..nl.cell_count() {
@@ -125,7 +96,6 @@ impl TimingGraph {
         endpoints.extend(nl.primary_outputs().map(Endpoint::Output));
         Ok(TimingGraph {
             level,
-            sink_pos,
             arc_count,
             endpoints,
         })
@@ -134,12 +104,6 @@ impl TimingGraph {
     /// Whether `ep` is an endpoint of the graph, by binary search.
     pub(crate) fn has_endpoint(&self, ep: Endpoint) -> bool {
         self.endpoints.binary_search(&ep).is_ok()
-    }
-
-    /// Index of `(cell, pin)` in its driving net's sink list.
-    #[inline]
-    pub(crate) fn sink_pos(&self, nl: &Netlist, cell: CellId, pin: usize) -> usize {
-        self.sink_pos[nl.pin_base(cell) + pin] as usize
     }
 
     /// Total timing-arc count of the design.
@@ -207,88 +171,94 @@ impl MarkSet {
     }
 }
 
-/// The dirty cells still to visit, keyed by `(level, cell id)` — the
-/// sweep's visiting order. A cell is queued at most once per round.
+/// The cells one sweep visits, handed out one at a time in `(level,
+/// cell id)` order: one bucket of cell ids per level, each sorted once
+/// when the sweep reaches its level. A write queues cells only above the
+/// level being visited, so a bucket is complete when it is sorted. A
+/// cell is queued at most once per round, and the buckets are kept
+/// across rounds, so a warm frontier allocates nothing. Re-levelization
+/// walks its relaxations through the same buckets.
 #[derive(Debug, Default)]
-pub(crate) struct Worklist {
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+pub(crate) struct Frontier {
+    buckets: Vec<Vec<u32>>,
+    /// The level being visited, and the position of the next cell in
+    /// its bucket (0 before the level's first cell is handed out).
+    level: usize,
+    at: usize,
     queued: MarkSet,
 }
 
-impl Worklist {
+impl Frontier {
+    /// Every cell of a graph with these levels: timing from scratch.
+    /// Cells go in in id order, so each bucket is already sorted.
+    pub(crate) fn full(level: &[u32]) -> Self {
+        let mut sizes = vec![0usize; level.iter().max().map_or(0, |&m| m as usize + 1)];
+        for &l in level {
+            sizes[l as usize] += 1;
+        }
+        let mut buckets: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (i, &l) in level.iter().enumerate() {
+            buckets[l as usize].push(i as u32);
+        }
+        Frontier {
+            buckets,
+            ..Frontier::default()
+        }
+    }
+
     /// Starts a new round, dropping anything a failed round left behind.
     fn begin(&mut self) {
-        self.heap.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
+        (self.level, self.at) = (0, 0);
         self.queued.begin();
     }
 
+    /// Queues `cell` at its level in `level` unless it already is.
     pub(crate) fn push(&mut self, level: &[u32], cell: usize) {
         if self.queued.insert(cell) {
-            self.heap.push(Reverse((level[cell], cell as u32)));
+            self.push_at(level[cell], CellId::new(cell));
         }
     }
 
-    /// The first queued cell in visiting order, removed.
-    fn pop(&mut self) -> Option<CellId> {
-        let Reverse((_, cell)) = self.heap.pop()?;
-        Some(CellId::new(cell as usize))
-    }
-}
-
-/// The cells one sweep visits, handed out one at a time in `(level,
-/// cell id)` order.
-pub(crate) enum Frontier<'w> {
-    /// Every cell: timing from scratch.
-    Full(std::vec::IntoIter<CellId>),
-    /// The dirty cells, popped from the worklist; writes grow it.
-    Dirty(&'w mut Worklist),
-}
-
-impl Frontier<'_> {
-    /// Every cell of a graph with these levels, by one counting sort:
-    /// ids ascend within each level.
-    pub(crate) fn full(level: &[u32]) -> Self {
-        let mut start = vec![0usize; level.iter().max().map_or(0, |&m| m as usize + 2)];
-        for &l in level {
-            start[l as usize + 1] += 1;
+    /// Queues `cell` at level `l` however often it already is: a
+    /// relaxation queues a cell again each time its level moves, and
+    /// skips the entries its level has left.
+    fn push_at(&mut self, l: u32, cell: CellId) {
+        let l = l as usize;
+        debug_assert!(
+            l > self.level || (self.level, self.at) == (0, 0),
+            "a cell is queued only above the level being visited"
+        );
+        if l >= self.buckets.len() {
+            self.buckets.resize_with(l + 1, Vec::new);
         }
-        for l in 1..start.len() {
-            start[l] += start[l - 1];
-        }
-        let mut order = vec![CellId::default(); level.len()];
-        for (i, &l) in level.iter().enumerate() {
-            let at = &mut start[l as usize];
-            order[*at] = CellId::new(i);
-            *at += 1;
-        }
-        Frontier::Full(order.into_iter())
+        self.buckets[l].push(cell.index() as u32);
     }
 
-    /// The next cell to visit.
-    pub(crate) fn pop(&mut self) -> Option<CellId> {
-        match self {
-            Frontier::Full(cells) => cells.next(),
-            Frontier::Dirty(worklist) => worklist.pop(),
-        }
-    }
-
-    /// Adds a cell to the frontier (from scratch every cell is already
-    /// on it).
-    fn push(&mut self, level: &[u32], cell: usize) {
-        if let Frontier::Dirty(worklist) = self {
-            worklist.push(level, cell);
+    /// The next cell to visit and the level it was queued at, removed.
+    pub(crate) fn pop(&mut self) -> Option<(u32, CellId)> {
+        loop {
+            let bucket = self.buckets.get_mut(self.level)?;
+            if self.at == 0 {
+                bucket.sort_unstable();
+            }
+            if let Some(&c) = bucket.get(self.at) {
+                self.at += 1;
+                return Some((self.level as u32, CellId::new(c as usize)));
+            }
+            bucket.clear();
+            (self.level, self.at) = (self.level + 1, 0);
         }
     }
 }
 
 /// What a structural batch touched, collected by the journal scan: the
-/// input pins whose driving arc may be new, the nets whose sink lists
-/// changed, and the cells swapped across the flop / combinational line.
+/// input pins whose driving arc may be new and the cells swapped across
+/// the flop / combinational line.
 /// A handful per round, so sorted vectors, not id-indexed marks.
 #[derive(Debug, Default)]
 struct StructEdits {
     pins: Vec<PinRef>,
-    nets: Vec<NetId>,
     swaps: Vec<CellId>,
 }
 
@@ -299,7 +269,6 @@ fn pin_key(s: &PinRef) -> (CellId, usize) {
 impl StructEdits {
     fn clear(&mut self) {
         self.pins.clear();
-        self.nets.clear();
         self.swaps.clear();
     }
 
@@ -307,8 +276,6 @@ impl StructEdits {
     fn finish(&mut self) {
         self.pins.sort_unstable_by_key(pin_key);
         self.pins.dedup();
-        self.nets.sort_unstable();
-        self.nets.dedup();
         self.swaps.sort_unstable();
         self.swaps.dedup();
     }
@@ -366,7 +333,7 @@ struct Relevel {
     log: LevelLog,
     /// Existing cells whose flop-ness the batch changed, ascending.
     kind_changed: Vec<CellId>,
-    heap: BinaryHeap<Reverse<(u32, CellId)>>,
+    queue: Frontier,
     seen: MarkSet,
     stack: Vec<CellId>,
 }
@@ -402,12 +369,12 @@ impl Relevel {
             edits,
             log,
             kind_changed,
-            heap,
+            queue,
             seen,
             stack,
         } = self;
         let comb = |c: CellId| !is_flop(nl, lib, c);
-        let sinks = |c: CellId| nl.net(nl.cell(c).output).sinks;
+        let sinks = |c: CellId| nl.net_sinks(nl.cell_output(c));
 
         // Step 1. A flop's level is 0 and a combinational one's is ≥ 1,
         // so a level of 0 tells an existing cell was a flop.
@@ -423,7 +390,7 @@ impl Relevel {
         // Step 2.
         for (i, &pin) in edits.pins.iter().enumerate() {
             let (v, joined) = (pin.cell, i + 1);
-            let Some(u) = nl.net(nl.cell_inputs(v)[pin.pin]).driver else {
+            let Some(u) = nl.net_driver(nl.cell_inputs(v)[pin.pin]) else {
                 continue;
             };
             let top = level[u.index()];
@@ -453,16 +420,16 @@ impl Relevel {
                 }));
             }
             log.set(level, v, top + 1);
-            heap.clear();
-            heap.push(Reverse((top + 1, v)));
-            while let Some(Reverse((l, x))) = heap.pop() {
+            queue.begin();
+            queue.push_at(top + 1, v);
+            while let Some((l, x)) = queue.pop() {
                 if l != level[x.index()] {
                     continue; // superseded by a later rise
                 }
                 for &s in sinks(x) {
                     if comb(s.cell) && !edits.pending(s, joined) && level[s.cell.index()] <= l {
                         log.set(level, s.cell, l + 1);
-                        heap.push(Reverse((l + 1, s.cell)));
+                        queue.push_at(l + 1, s.cell);
                     }
                 }
             }
@@ -471,18 +438,18 @@ impl Relevel {
         // Step 3. Every push is of a cell above the one popped, so pops
         // come in rising level order and a cell's drivers are final when
         // it is recomputed.
-        heap.clear();
+        queue.begin();
         for s in edits.pins.iter().filter(|s| comb(s.cell)) {
-            heap.push(Reverse((level[s.cell.index()], s.cell)));
+            queue.push_at(level[s.cell.index()], s.cell);
         }
-        while let Some(Reverse((l, x))) = heap.pop() {
+        while let Some((l, x)) = queue.pop() {
             if l != level[x.index()] {
                 continue; // already recomputed
             }
             let exact = 1 + nl
                 .cell_inputs(x)
                 .iter()
-                .filter_map(|&n| nl.net(n).driver.filter(|&d| comb(d)))
+                .filter_map(|&n| nl.net_driver(n).filter(|&d| comb(d)))
                 .map(|d| level[d.index()])
                 .max()
                 .unwrap_or(0);
@@ -490,7 +457,7 @@ impl Relevel {
             if exact < l {
                 log.set(level, x, exact);
                 for s in sinks(x).iter().filter(|s| comb(s.cell)) {
-                    heap.push(Reverse((level[s.cell.index()], s.cell)));
+                    queue.push_at(level[s.cell.index()], s.cell);
                 }
             }
         }
@@ -499,7 +466,7 @@ impl Relevel {
 }
 
 /// Reusable buffers for one incremental update: dirty-set marks, the
-/// worklist, the re-levelization buffers and the wire-evaluation arena.
+/// frontier, the re-levelization buffers and the wire-evaluation arena.
 /// Owned by the [`Timer`] so the ~10⁵ transient allocations a per-update
 /// rebuild would cost are paid once per timer instead.
 #[derive(Debug, Default)]
@@ -508,12 +475,15 @@ struct UpdateScratch {
     seed_cells: MarkSet,
     dirty_flop_eps: MarkSet,
     dirty_po_eps: MarkSet,
-    worklist: Worklist,
+    frontier: Frontier,
     relevel: Relevel,
     wire: WireEvalScratch,
 }
 
-/// A point in a timer's history that [`Timer::rollback_to`] can restore.
+/// A point in a timer's history that [`Timer::rollback_to`] can restore:
+/// the journal cursor, the undo-log length and the commit count. Every
+/// cache the timer writes, wire timings included, is overwritten in
+/// place and undo-logged, so the log length is the whole position.
 ///
 /// Raw checkpoints are for timer-only edits ([`Timer::skew_clock`]) and
 /// for callers that drive the netlist journal themselves, such as the
@@ -527,9 +497,6 @@ pub struct TimerCheckpoint {
     undo_len: usize,
     /// Outermost trial commits before this checkpoint.
     commits: u64,
-    /// Wire-pool length: every span appended after it is dead once the
-    /// entries installed since are restored.
-    pool_len: usize,
 }
 
 /// One reversible write the incremental update performed. Pushed in
@@ -537,8 +504,14 @@ pub struct TimerCheckpoint {
 enum UndoOp {
     /// A per-net arrival state was overwritten.
     NetState { net: usize, prev: NetState },
-    /// A per-net wire timing was overwritten.
-    NetWire { net: usize, prev: NetWire },
+    /// A net's wire timing was recomputed: `prev` is its entry before,
+    /// and `Timer::pin_undo` from `pins` on holds the pin slots it
+    /// overwrote.
+    NetWire {
+        net: usize,
+        prev: NetWire,
+        pins: usize,
+    },
     /// The row of `ep` was replaced, inserted or removed; `prev` is the
     /// row it had (`None`: it had none).
     Row {
@@ -556,8 +529,6 @@ enum UndoOp {
     },
     /// A cell moved from level `prev` to its current one.
     Level { cell: CellId, prev: u32 },
-    /// A sink position was rewritten.
-    SinkPos { slot: usize, prev: u32 },
     /// A flop ↔ combinational swap inserted graph endpoint `slot`
     /// (`removed: None`) or removed it.
     Endpoint {
@@ -616,6 +587,10 @@ pub struct Timer<'a> {
     /// How many journal entries have been consumed.
     cursor: usize,
     undo: Vec<UndoOp>,
+    /// The pin-slot delays the logged [`UndoOp::NetWire`] entries
+    /// overwrote, `(slot, previous delay)` in write order: 16 bytes a
+    /// pin instead of one undo entry each.
+    pin_undo: Vec<(usize, Ps)>,
     /// Open trials; the outermost one's commit empties `undo`.
     trials: usize,
     /// Outermost trial commits so far: the checkpoints they invalidated.
@@ -678,6 +653,7 @@ impl<'a> Trial<'_, 'a> {
         self.committed = true;
         if self.timer.trials == 1 {
             self.timer.undo.clear();
+            self.timer.pin_undo.clear();
             self.timer.commits += 1;
         }
     }
@@ -702,7 +678,7 @@ impl Drop for Trial<'_, '_> {
 fn mark_sink_dirty(
     lib: &Library,
     nl: &Netlist,
-    s: tc_netlist::PinRef,
+    s: PinRef,
     dirty_flop_eps: &mut MarkSet,
     mut enqueue: impl FnMut(usize),
 ) {
@@ -712,6 +688,16 @@ fn mark_sink_dirty(
         }
     } else {
         enqueue(s.cell.index());
+    }
+}
+
+/// [`mark_sink_dirty`] once the graph is repaired, where the flops are
+/// the cells at level 0.
+fn retime_sink(level: &[u32], s: PinRef, dirty_flop_eps: &mut MarkSet, frontier: &mut Frontier) {
+    if level[s.cell.index()] != 0 {
+        frontier.push(level, s.cell.index());
+    } else if s.pin == 0 {
+        dirty_flop_eps.insert(s.cell.index());
     }
 }
 
@@ -782,6 +768,7 @@ impl<'a> Timer<'a> {
             st,
             cursor: nl.journal_len(),
             undo: Vec::new(),
+            pin_undo: Vec::new(),
             trials: 0,
             commits: 0,
             scratch: UpdateScratch::default(),
@@ -831,7 +818,7 @@ impl<'a> Timer<'a> {
     pub fn skew_clock(&mut self, nl: &Netlist, flop: CellId, delta: Ps) -> Result<()> {
         self.ensure_current(nl, "skew_clock")?;
         let id = flop.index();
-        if id >= nl.cell_count() || self.lib.cell(nl.cell(flop).master).kind != CellKind::Flop {
+        if id >= nl.cell_count() || !is_flop(nl, self.lib, flop) {
             return Err(Error::invalid_input(format!(
                 "skew_clock: cell {id} is not a flop"
             )));
@@ -878,7 +865,7 @@ impl<'a> Timer<'a> {
     fn retime(&mut self, nl: &Netlist, seed: impl FnOnce(&mut Self) -> bool) -> Result<()> {
         let _span = tc_obs::span("sta.incremental");
         let entry = self.checkpoint();
-        // All dirty-set, worklist and wire-eval buffers live in the
+        // All dirty-set, frontier and wire-eval buffers live in the
         // timer-owned scratch arena, so a steady-state round performs
         // no transient allocations.
         let scr = &mut self.scratch;
@@ -886,7 +873,7 @@ impl<'a> Timer<'a> {
         scr.seed_cells.begin();
         scr.dirty_flop_eps.begin();
         scr.dirty_po_eps.begin();
-        scr.worklist.begin();
+        scr.frontier.begin();
         scr.relevel.edits.clear();
         let structural = seed(self);
         let swept = self.sweep_dirty(nl, structural);
@@ -908,7 +895,7 @@ impl<'a> Timer<'a> {
     }
 
     /// Phase 1 of an update: scans the unconsumed journal suffix into the
-    /// dirty sets, and a structural edit's pins, nets and swaps into the
+    /// dirty sets, and a structural edit's pins and swaps into the
     /// re-levelization's. Returns whether any edit was structural.
     fn scan_journal(&mut self, nl: &Netlist) -> bool {
         let scr = &mut self.scratch;
@@ -924,7 +911,7 @@ impl<'a> Timer<'a> {
                     // Arc tables changed: re-evaluate the cell. Pin caps
                     // changed: every input net's wire timing is stale.
                     scr.seed_cells.insert(cell.index());
-                    for &input in nl.cell(*cell).inputs {
+                    for &input in nl.cell_inputs(*cell) {
                         scr.dirty_nets.insert(input.index());
                     }
                     let old_kind = self.lib.cell(*old_master).kind;
@@ -937,7 +924,7 @@ impl<'a> Timer<'a> {
                         let ins =
                             (0..nl.cell_inputs(*cell).len()).map(|pin| PinRef { cell: *cell, pin });
                         edits.pins.extend(ins);
-                        edits.pins.extend(nl.net(nl.cell(*cell).output).sinks);
+                        edits.pins.extend(nl.net_sinks(nl.cell_output(*cell)));
                     }
                     if old_kind == CellKind::Flop || new_kind == CellKind::Flop {
                         // Setup/hold tables live on the master.
@@ -957,7 +944,6 @@ impl<'a> Timer<'a> {
                     scr.dirty_nets.insert(src_net.index());
                     scr.dirty_nets.insert(buffer_out.index());
                     scr.seed_cells.insert(buffer.index());
-                    edits.nets.extend([*src_net, *buffer_out]);
                     edits.pins.push(PinRef {
                         cell: *buffer,
                         pin: 0,
@@ -978,7 +964,6 @@ impl<'a> Timer<'a> {
                     structural = true;
                     scr.dirty_nets.insert(old_net.index());
                     scr.dirty_nets.insert(new_net.index());
-                    edits.nets.extend([*old_net, *new_net]);
                     edits.pins.push(*sink);
                     mark_sink_dirty(self.lib, nl, *sink, &mut scr.dirty_flop_eps, |c| {
                         scr.seed_cells.insert(c);
@@ -990,23 +975,17 @@ impl<'a> Timer<'a> {
     }
 
     /// Phase 2 of a structural round: repairs the graph in place for the
-    /// scanned edits — levels, sink positions, the endpoint slots of
-    /// flop ↔ comb swaps, the arc count — and grows the per-net vectors
-    /// (ids are append-only). Every write is a delta on the undo
-    /// log; on a combinational loop nothing is written. Returns the
-    /// number of existing cells whose level changed.
+    /// scanned edits — levels, the endpoint slots of flop ↔ comb swaps,
+    /// the arc count — and grows the per-net and per-pin vectors (ids
+    /// are append-only). Every write is a delta on the undo log; on a
+    /// combinational loop nothing is written. Returns the number of
+    /// existing cells whose level changed.
     fn repair_structure(&mut self, nl: &Netlist) -> Result<usize> {
-        let lib = self.lib;
-        let UpdateScratch {
-            relevel,
-            seed_cells,
-            dirty_flop_eps,
-            ..
-        } = &mut self.scratch;
+        let (lib, relevel) = (self.lib, &mut self.scratch.relevel);
         // Copy-on-write: a caller still holding a state clone keeps the
         // graph it cloned.
         let graph = Arc::make_mut(&mut self.st.graph);
-        let (cells, pins) = (graph.level.len(), graph.sink_pos.len());
+        let (cells, pins) = (graph.level.len(), self.st.wires.pin_count());
         relevel.run(nl, lib, &mut graph.level)?;
         self.undo.push(UndoOp::Grow {
             cells,
@@ -1028,23 +1007,6 @@ impl<'a> Timer<'a> {
             }
         }
 
-        // A sink that changed position reads another per-sink wire delay,
-        // even where the net's delay list came out the same: re-time it.
-        graph.sink_pos.resize(nl.total_input_pins(), u32::MAX);
-        for &n in &relevel.edits.nets {
-            for (k, &s) in nl.net(n).sinks.iter().enumerate() {
-                let slot = nl.pin_base(s.cell) + s.pin;
-                let prev = mem::replace(&mut graph.sink_pos[slot], k as u32);
-                if prev != k as u32 {
-                    self.undo.push(UndoOp::SinkPos { slot, prev });
-                    mark_sink_dirty(lib, nl, s, dirty_flop_eps, |c| {
-                        seed_cells.insert(c);
-                    });
-                }
-            }
-        }
-        debug_assert!(!graph.sink_pos[pins..].contains(&u32::MAX));
-
         // A swap to a flop master adds an endpoint; a swap away drops
         // one. Either swap dirtied the check, so its row follows in
         // phase 5.
@@ -1065,7 +1027,7 @@ impl<'a> Timer<'a> {
         }
 
         self.st.nets.resize(nl.net_count(), NetState::default());
-        self.st.wires.resize(nl.net_count());
+        self.st.wires.resize(nl.net_count(), nl.total_input_pins());
         Ok(moves)
     }
 
@@ -1095,61 +1057,64 @@ impl<'a> Timer<'a> {
         // thus the undo log and any accumulated float state) is
         // deterministic.
         for &c in scr.seed_cells.sorted_items() {
-            scr.worklist.push(level, c as usize);
+            scr.frontier.push(level, c as usize);
         }
 
-        // Phase 3: recompute dirty wire timings into the pooled arena.
-        // A changed wire dirties its driver (load changed) and every
-        // sink (arrival changed); an unchanged recomputation is trimmed
-        // back off the end of the pool.
+        // Phase 3: recompute dirty wire timings. A changed load dirties
+        // the driver, a changed SI delta every sink, and a changed pin
+        // slot its own sink — a sink that moved to another net or
+        // position included, since its slot now holds that place's delay.
         let wires = &mut self.st.wires;
         for &n in scr.dirty_nets.sorted_items() {
-            let n = n as usize;
-            let start = wires.pool_len();
-            let cand = sta.net_wire_entry(NetId::new(n), &mut scr.wire, wires.pool_mut())?;
-            let old = wires.entry(n);
-            if old.driver_load == cand.driver_load
-                && old.si_delta == cand.si_delta
-                && wires.delays(n) == wires.pool_slice(start, cand.len as usize)
-            {
-                wires.pool_truncate(start);
-                continue;
+            let net = NetId::new(n as usize);
+            let cand = sta.net_wire(net, &mut scr.wire)?;
+            let (prev, pins) = (wires.install(net.index(), cand), self.pin_undo.len());
+            if prev.driver_load != cand.driver_load {
+                if let Some(drv) = nl.net_driver(net) {
+                    scr.frontier.push(level, drv.index());
+                }
             }
-            let prev = wires.install(n, cand);
-            self.undo.push(UndoOp::NetWire { net: n, prev });
-            if let Some(drv) = nl.net_driver(NetId::new(n)) {
-                scr.worklist.push(level, drv.index());
+            let si_changed = prev.si_delta != cand.si_delta;
+            for (&s, &delay) in nl.net_sinks(net).iter().zip(&scr.wire.delays) {
+                let pin = nl.pin_base(s.cell) + s.pin;
+                let changed = wires.delay(pin) != delay;
+                if changed {
+                    self.pin_undo.push((pin, wires.set_delay(pin, delay)));
+                }
+                if changed || si_changed {
+                    retime_sink(level, s, &mut scr.dirty_flop_eps, &mut scr.frontier);
+                }
             }
-            for &s in nl.net_sinks(NetId::new(n)) {
-                mark_sink_dirty(self.lib, nl, s, &mut scr.dirty_flop_eps, |c| {
-                    scr.worklist.push(level, c);
-                });
+            if prev != cand || self.pin_undo.len() > pins {
+                let net = net.index();
+                self.undo.push(UndoOp::NetWire { net, prev, pins });
             }
         }
+        debug_assert!(
+            !structural || wires.first_hole().is_none(),
+            "a new pin left unfilled"
+        );
 
         // Phase 4: the sweep over the dirty frontier. Flops order
         // before all comb cells and every comb cell after its drivers,
         // so each cell is evaluated at most once, after all its inputs
         // have settled — exactly what a from-scratch sweep computes.
         // Propagation stops where arrivals stop changing.
-        let (lib, undo) = (self.lib, &mut self.undo);
+        let undo = &mut self.undo;
         let counts = sta.sweep(
             &self.st.wires,
             &mut self.st.nets,
-            Frontier::Dirty(&mut scr.worklist),
+            &mut scr.frontier,
             |out, prev, frontier| {
                 undo.push(UndoOp::NetState {
                     net: out.index(),
                     prev,
                 });
-                let net = nl.net(out);
-                if net.is_output {
+                if nl.net_is_output(out) {
                     scr.dirty_po_eps.insert(out.index());
                 }
-                for &s in net.sinks {
-                    mark_sink_dirty(lib, nl, s, &mut scr.dirty_flop_eps, |c| {
-                        frontier.push(level, c);
-                    });
+                for &s in nl.net_sinks(out) {
+                    retime_sink(level, s, &mut scr.dirty_flop_eps, frontier);
                 }
             },
         )?;
@@ -1180,20 +1145,18 @@ impl<'a> Timer<'a> {
     }
 
     /// Marks the current state for later [`Timer::rollback_to`]. Cheap
-    /// (four integers); see [`TimerCheckpoint`] for when to take one
+    /// (three integers); see [`TimerCheckpoint`] for when to take one
     /// instead of opening a [`Trial`].
     pub fn checkpoint(&self) -> TimerCheckpoint {
         TimerCheckpoint {
             cursor: self.cursor,
             undo_len: self.undo.len(),
             commits: self.commits,
-            pool_len: self.st.wires.pool_len(),
         }
     }
 
     /// Restores the exact timer state at `cp` by replaying the undo log
-    /// in reverse — O(writes since the checkpoint), not O(design) — and
-    /// drops the wire-pool spans appended since.
+    /// in reverse — O(writes since the checkpoint), not O(design).
     ///
     /// # Errors
     ///
@@ -1206,10 +1169,7 @@ impl<'a> Timer<'a> {
                 "checkpoint predates a trial commit, which emptied the undo log",
             ));
         }
-        if cp.undo_len > self.undo.len()
-            || cp.cursor > self.cursor
-            || cp.pool_len > self.st.wires.pool_len()
-        {
+        if cp.undo_len > self.undo.len() || cp.cursor > self.cursor {
             return Err(Error::invalid_input(
                 "checkpoint is newer than the timer state",
             ));
@@ -1219,8 +1179,11 @@ impl<'a> Timer<'a> {
             let st = &mut self.st;
             match op {
                 UndoOp::NetState { net, prev } => st.nets[net] = prev,
-                UndoOp::NetWire { net, prev } => {
+                UndoOp::NetWire { net, prev, pins } => {
                     st.wires.install(net, prev);
+                    for (pin, delay) in self.pin_undo.drain(pins..).rev() {
+                        st.wires.set_delay(pin, delay);
+                    }
                 }
                 UndoOp::Row { ep, prev } => {
                     set_row(&mut st.rows, ep, prev);
@@ -1233,16 +1196,12 @@ impl<'a> Timer<'a> {
                 } => {
                     let graph = Arc::make_mut(&mut st.graph);
                     graph.level.truncate(cells);
-                    graph.sink_pos.truncate(pins);
                     graph.arc_count = arcs;
                     st.nets.truncate(nets);
-                    st.wires.truncate(nets);
+                    st.wires.resize(nets, pins);
                 }
                 UndoOp::Level { cell, prev } => {
                     Arc::make_mut(&mut st.graph).level[cell.index()] = prev
-                }
-                UndoOp::SinkPos { slot, prev } => {
-                    Arc::make_mut(&mut st.graph).sink_pos[slot] = prev
                 }
                 UndoOp::Endpoint { slot, removed } => {
                     let endpoints = &mut Arc::make_mut(&mut st.graph).endpoints;
@@ -1262,9 +1221,6 @@ impl<'a> Timer<'a> {
                 }
             }
         }
-        // Every entry installed since `cp` is restored, and the pool is
-        // append-only, so nothing live addresses a span past its length.
-        self.st.wires.pool_truncate(cp.pool_len);
         self.cursor = cp.cursor;
         Ok(())
     }
@@ -1347,6 +1303,12 @@ mod tests {
     fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &BeolStack) {
         let sta = Sta::new(nl, lib, stack, timer.constraints());
         assert!(timer.state() == sta.propagate().unwrap(), "state diverged");
+    }
+
+    /// The wire delays to `net`'s sinks, in sink-list order.
+    fn sink_delays(timer: &Timer<'_>, nl: &Netlist, net: NetId) -> Vec<Ps> {
+        let pin = |s: &PinRef| timer.st.wires.delay(nl.pin_base(s.cell) + s.pin);
+        nl.net_sinks(net).iter().map(pin).collect()
     }
 
     /// Moves every sink of the widest-fanout driven net behind a buffer.
@@ -1487,7 +1449,7 @@ mod tests {
         }
         nl.set_wire_length(n, 300.0);
         let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
-        let delays = timer.st.wires.delays(n.index()).to_vec();
+        let delays = sink_delays(&timer, &nl, n);
         assert_ne!(delays[0], delays[2], "per-sink delays differ by position");
 
         let s0 = PinRef {
@@ -1496,17 +1458,17 @@ mod tests {
         };
         nl.insert_buffer(&lib, n, &[s0], buf).unwrap();
         timer.update(&nl).unwrap();
-        assert_eq!(timer.st.wires.delays(n.index()), delays);
+        assert_eq!(sink_delays(&timer, &nl, n), delays);
         assert_matches_full(&timer, &nl, &lib, &stack);
     }
 
     #[test]
-    fn rejected_rounds_leave_no_wire_pool_bytes() {
+    fn kept_and_rejected_rounds_keep_one_wire_slot_per_pin() {
         let (lib, stack) = env();
         let mut nl = generate(&lib, BenchProfile::tiny(), 3).unwrap();
-        let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
-        let (before, pool_len) = (timer.state().clone(), timer.st.wires.pool_len());
-        let mut grew = 0;
+        let cons = Constraints::single_clock(900.0);
+        let mut timer = Timer::new(&nl, &lib, &stack, cons.clone()).unwrap();
+        let mut kept = 0;
         for i in 0..1_000 {
             let mut trial = timer.trial(&mut nl).unwrap();
             let net = NetId::new(i % trial.netlist().net_count());
@@ -1515,12 +1477,20 @@ mod tests {
                 buffer_fattest_net(trial.netlist(), &lib);
             }
             trial.update().unwrap();
-            grew += usize::from(trial.timer().st.wires.pool_len() > pool_len);
-            drop(trial);
-            assert_eq!(timer.st.wires.pool_len(), pool_len);
+            if i % 4 < 2 {
+                trial.commit();
+                kept += 1;
+            } else {
+                drop(trial);
+            }
+            let wires = &timer.st.wires;
+            assert_eq!(wires.pin_count(), nl.total_input_pins(), "round {i}");
+            assert_eq!(wires.net_count(), nl.net_count(), "round {i}");
+            assert!(timer.undo.is_empty() && timer.pin_undo.is_empty());
         }
-        assert!(grew >= 500, "every buffered round appends spans");
-        assert!(timer.state() == &before);
+        assert_eq!(kept, 500);
+        let fresh = Timer::new(&nl, &lib, &stack, cons).unwrap();
+        assert!(timer.st.wires == fresh.st.wires, "wire table diverged");
         assert_matches_full(&timer, &nl, &lib, &stack);
     }
 
