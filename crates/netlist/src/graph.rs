@@ -509,8 +509,24 @@ impl Netlist {
     /// A net's sink pins, without the name lookup.
     #[inline]
     pub fn net_sinks(&self, id: NetId) -> &[PinRef] {
+        self.sinks_at(self.net_sink_span(id))
+    }
+
+    /// Where a net's sink list sits in the shared sink pool, as
+    /// `(start, len)`: a copy a batched reader can stage before it reads
+    /// the list with [`sinks_at`](Self::sinks_at). An edit may move the
+    /// list.
+    #[inline]
+    pub fn net_sink_span(&self, id: NetId) -> (u32, u32) {
         let s = self.net_sinks[id.index()];
-        &self.sink_pool[s.start as usize..(s.start + s.len) as usize]
+        (s.start, s.len)
+    }
+
+    /// The sink pins at a span [`net_sink_span`](Self::net_sink_span)
+    /// returned, with no edit in between.
+    #[inline]
+    pub fn sinks_at(&self, (start, len): (u32, u32)) -> &[PinRef] {
+        &self.sink_pool[start as usize..(start + len) as usize]
     }
 
     /// Whether a net is a primary output, without the name lookup.

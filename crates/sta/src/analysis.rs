@@ -7,10 +7,11 @@
 //! conservative depth bound of 1 stage — the pessimism PBA then recovers.
 
 use std::mem;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use tc_core::error::{Error, Result};
-use tc_core::ids::{CellId, NetId};
+use tc_core::ids::{CellId, LibCellId, NetId};
 use tc_core::lut::LutPoint;
 use tc_core::units::{Ff, Ps};
 use tc_interconnect::beol::{BeolCorner, BeolSample, BeolStack};
@@ -62,8 +63,9 @@ impl Bound {
     }
 }
 
-/// Per-net propagation state, 72 bytes: the sweep streams one per net
-/// through cache on every arc.
+/// Per-net propagation state, 72 bytes: the sweep's gather copies one
+/// per input pin into staging, a level's chunk at a time, before any of
+/// the chunk's cells is evaluated.
 ///
 /// From-scratch propagation and the incremental [`Timer`](crate::Timer)
 /// write these through the *same* sweep (`Sta::sweep`), which is what
@@ -177,6 +179,48 @@ pub(crate) struct SweepCounts {
     pub(crate) arcs: u64,
     /// Output-net states written.
     pub(crate) writes: u64,
+}
+
+/// Cells per gather-then-evaluate chunk of the sweep. A constant, so the
+/// staging stays a few tens of KB — inside L2 — however wide a level is.
+const CHUNK: usize = 128;
+
+/// What one cell of a sweep chunk reads, copied by the gather.
+#[derive(Clone, Copy, Debug)]
+struct StagedCell {
+    cell: CellId,
+    master: LibCellId,
+    out: NetId,
+    /// Load on the output net, fF.
+    load: f64,
+    /// The output net's state before the evaluation.
+    prev: NetState,
+    /// The output net's sink list ([`Netlist::net_sink_span`]).
+    sinks: (u32, u32),
+    /// Input pins staged for the cell, next in the chunk's pin staging.
+    pins: u32,
+}
+
+/// What one input pin of a sweep chunk's cell reads, copied by the
+/// gather.
+#[derive(Clone, Copy, Debug)]
+struct StagedPin {
+    /// The input net's state.
+    state: NetState,
+    /// Wire delay from the net's driver to this pin.
+    wire: Ps,
+    /// The input net's SI delta, ps.
+    si_delta: f64,
+}
+
+/// The sweep's staging: the level being visited and one chunk's gathered
+/// reads. A timer keeps one across updates, so a warm sweep allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SweepStage {
+    level: Vec<u32>,
+    cells: Vec<StagedCell>,
+    pins: Vec<StagedPin>,
 }
 
 /// Wire timing cached per net: what its driver and all its sinks read.
@@ -499,11 +543,10 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// The state a flop launches at Q: its clock arrivals plus the CK→Q
-    /// stage at the clock slew, derated for a path of `depth` stages (GBA
-    /// passes 1, PBA its path's stage count).
-    pub(crate) fn launch(&self, flop: CellId, wires: &WireTable, depth: usize) -> Result<NetState> {
-        let load = wires.driver_load(self.nl.cell_output(flop).index()).value();
+    /// The state a flop launches at Q into `load` fF: its clock arrivals
+    /// plus the CK→Q stage at the clock slew, derated for a path of
+    /// `depth` stages (GBA passes 1, PBA its path's stage count).
+    pub(crate) fn launch(&self, flop: CellId, load: f64, depth: usize) -> Result<NetState> {
         let (ck_late, ck_early) = self.clock_arrivals(flop);
         let arc = self
             .lib
@@ -557,34 +600,28 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// Evaluates one cell's output-net state from its inputs' current
-    /// states. Returns the new state (default/unreached if no arrival
-    /// reaches the cell) and the arc count evaluated.
-    fn eval_cell(
-        &self,
-        cid: CellId,
-        wires: &WireTable,
-        state: &[NetState],
-    ) -> Result<(NetState, u64)> {
-        let master = self.lib.cell(self.nl.cell_master(cid));
+    /// Evaluates one staged cell's output-net state from its staged
+    /// inputs: `pins` holds one entry per input pin, in pin order (none
+    /// for a flop). Returns the new state (default/unreached if no
+    /// arrival reaches the cell) and the arc count evaluated.
+    fn eval_cell(&self, c: &StagedCell, pins: &[StagedPin]) -> Result<(NetState, u64)> {
+        let master = self.lib.cell(c.master);
         if master.kind == CellKind::Flop {
-            return Ok((self.launch(cid, wires, 1)?, 1));
+            return Ok((self.launch(c.cell, c.load, 1)?, 1));
         }
-        let load = wires.driver_load(self.nl.cell_output(cid).index()).value();
+        let (cid, load) = (c.cell, c.load);
         let k = self.k_sigma();
-        let pin_base = self.nl.pin_base(cid);
 
         // Combinational: evaluate every input arc; the first reached one
         // sets both bounds, later ones replace a bound they beat.
         let mut arcs_evaluated = 0u64;
         let mut out = NetState::default();
-        for (pin, &in_net) in self.nl.cell_inputs(cid).iter().enumerate() {
-            let ns = &state[in_net.index()];
+        for (pin, p) in pins.iter().enumerate() {
+            let ns = &p.state;
             if !ns.reached {
                 continue;
             }
-            let wire = wires.delay(pin_base + pin);
-            let si_delta = wires.si_delta(in_net.index());
+            let (wire, si_delta) = (p.wire, p.si_delta);
             let (wl, wvl, we, wve) = self.wire_terms(wire);
             let arc = master
                 .arc_of_pin(pin)
@@ -624,35 +661,120 @@ impl<'a> Sta<'a> {
         Ok((out, arcs_evaluated))
     }
 
-    /// The one arrival-propagation loop. It takes the `frontier`'s
-    /// cells one at a time in `(level, cell id)` order, evaluates each
-    /// from its inputs' current states, and writes its output state only
-    /// when it changed; each write — net, overwritten state, the frontier
-    /// to grow — goes to `on_write`. Flops sit at level 0 and read no
-    /// arrival, and an arc a → b between combinational cells forces
-    /// level(b) > level(a), so a cell is visited after all its drivers
-    /// have settled and a write grows the frontier only above the cell
-    /// being visited: a sweep from scratch and a dirty one evaluate every
-    /// cell they share with the same float ops in the same order. From
-    /// scratch every output is still unreached, so a write is a reached
-    /// output.
+    /// The gather phase of the sweep: one pass of independent loads over
+    /// the chunk `at` of level `l`, the cells `stage.level[at]`, copying
+    /// everything each cell's evaluation and write will read into
+    /// `stage` — its master, output net, output load, output state and
+    /// sink span, and per input pin the input net's state, the pin's wire
+    /// delay and the net's SI delta. A flop reads no input.
+    ///
+    /// Sound because a level-`l` combinational cell reads only nets
+    /// driven by a primary input, a flop or a cell below `l`, all final
+    /// before level `l` is handed out; checked in debug builds against
+    /// the graph's `levels`.
+    fn gather(
+        &self,
+        l: u32,
+        at: Range<usize>,
+        levels: &[u32],
+        wires: &WireTable,
+        state: &[NetState],
+        stage: &mut SweepStage,
+    ) {
+        let nl = self.nl;
+        let SweepStage { level, cells, pins } = stage;
+        cells.clear();
+        pins.clear();
+        for &id in &level[at] {
+            let cell = CellId::new(id as usize);
+            debug_assert_eq!(
+                levels[cell.index()],
+                l,
+                "cell {id} handed out off its level"
+            );
+            let master = nl.cell_master(cell);
+            let inputs = match self.lib.cell(master).kind {
+                CellKind::Flop => &[][..],
+                _ => nl.cell_inputs(cell),
+            };
+            let base = nl.pin_base(cell);
+            for (pin, &net) in inputs.iter().enumerate() {
+                debug_assert!(
+                    nl.net_driver(net).is_none_or(|d| {
+                        levels[d.index()] < l
+                            || self.lib.cell(nl.cell_master(d)).kind == CellKind::Flop
+                    }),
+                    "input {pin} of level-{l} cell {id} is driven at or above its level"
+                );
+                pins.push(StagedPin {
+                    state: state[net.index()],
+                    wire: wires.delay(base + pin),
+                    si_delta: wires.si_delta(net.index()),
+                });
+            }
+            let out = nl.cell_output(cell);
+            cells.push(StagedCell {
+                cell,
+                master,
+                out,
+                load: wires.driver_load(out.index()).value(),
+                prev: state[out.index()],
+                sinks: nl.net_sink_span(out),
+                pins: inputs.len() as u32,
+            });
+        }
+    }
+
+    /// The one arrival-propagation loop. The `frontier` hands it one
+    /// level at a time, lowest first, and it takes each level in chunks
+    /// of [`CHUNK`] cells in cell-id order. A chunk is
+    /// [gathered](Self::gather) into `stage` first — independent loads,
+    /// so their cache misses overlap — and then evaluated cell by cell
+    /// from the staged copies, each output written only when it changed;
+    /// each write — net, overwritten state, the output's sinks, the
+    /// frontier to grow — goes to `on_write`.
+    ///
+    /// Flops sit at level 0 and read no arrival, and an arc a → b between
+    /// combinational cells forces level(b) > level(a), so a level's inputs
+    /// are final before any of its cells is evaluated, and a write grows
+    /// the frontier only above the level being visited: a sweep from
+    /// scratch and a dirty one evaluate every cell they share with the
+    /// same float ops in the same `(level, cell id)` order. From scratch
+    /// every output is still unreached, so a write is a reached output.
     pub(crate) fn sweep(
         &self,
         wires: &WireTable,
         state: &mut [NetState],
         frontier: &mut Frontier,
-        mut on_write: impl FnMut(NetId, NetState, &mut Frontier),
+        stage: &mut SweepStage,
+        mut on_write: impl FnMut(NetId, NetState, &[PinRef], &mut Frontier),
     ) -> Result<SweepCounts> {
+        let levels = &self.graph()?.level;
         let mut counts = SweepCounts::default();
-        while let Some((_, cid)) = frontier.pop() {
-            let (ns, arcs) = self.eval_cell(cid, wires, state)?;
-            counts.cells += 1;
-            counts.arcs += arcs;
-            let out = self.nl.cell_output(cid);
-            if ns != state[out.index()] {
-                let prev = mem::replace(&mut state[out.index()], ns);
-                counts.writes += 1;
-                on_write(out, prev, frontier);
+        while let Some(l) = frontier.next_level(&mut stage.level) {
+            let cells = stage.level.len();
+            for start in (0..cells).step_by(CHUNK) {
+                self.gather(
+                    l,
+                    start..cells.min(start + CHUNK),
+                    levels,
+                    wires,
+                    state,
+                    stage,
+                );
+                let mut pin = 0;
+                for c in &stage.cells {
+                    let inputs = &stage.pins[pin..pin + c.pins as usize];
+                    pin += inputs.len();
+                    let (ns, arcs) = self.eval_cell(c, inputs)?;
+                    counts.cells += 1;
+                    counts.arcs += arcs;
+                    if ns != c.prev {
+                        state[c.out.index()] = ns;
+                        counts.writes += 1;
+                        on_write(c.out, c.prev, self.nl.sinks_at(c.sinks), frontier);
+                    }
+                }
             }
         }
         Ok(counts)
@@ -676,7 +798,14 @@ impl<'a> Sta<'a> {
         let mut nets = vec![NetState::default(); self.nl.net_count()];
         self.seed_primary_inputs(&mut nets);
         let mut frontier = Frontier::full(&graph.level);
-        let counts = self.sweep(&wires, &mut nets, &mut frontier, |_, _, _| {})?;
+        let mut stage = SweepStage::default();
+        let counts = self.sweep(
+            &wires,
+            &mut nets,
+            &mut frontier,
+            &mut stage,
+            |_, _, _, _| {},
+        )?;
         let mut rows = Vec::with_capacity(graph.endpoints.len());
         for &ep in &graph.endpoints {
             rows.extend(self.endpoint_row(ep, &nets, &wires)?);

@@ -54,6 +54,8 @@ pub mod analysis;
 pub mod constraints;
 pub mod etm;
 pub mod mcmm;
+#[cfg(test)]
+mod net_golden;
 pub mod noise;
 pub mod pba;
 pub mod report;

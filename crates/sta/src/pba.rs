@@ -207,7 +207,8 @@ fn reevaluate(
     let depth = path.stages.len() + 1;
     let (mut t, mut var) = match path.launch_flop {
         Some(f) => {
-            let q = sta.launch(f, wires, depth)?.late;
+            let load = wires.driver_load(sta.nl.cell_output(f).index()).value();
+            let q = sta.launch(f, load, depth)?.late;
             (q.t, q.var)
         }
         None => (sta.cons.input_delay.value(), 0.0),

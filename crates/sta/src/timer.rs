@@ -41,7 +41,9 @@ use tc_liberty::{CellKind, Library};
 use tc_netlist::level::levelize;
 use tc_netlist::{Netlist, NetlistEdit, PinRef};
 
-use crate::analysis::{NetState, NetWire, Sta, SweepCounts, TimingState, WireEvalScratch};
+use crate::analysis::{
+    NetState, NetWire, Sta, SweepCounts, SweepStage, TimingState, WireEvalScratch,
+};
 use crate::constraints::Constraints;
 use crate::pba::{self, CriticalPath};
 use crate::report::{k_worst, Endpoint, EndpointTiming, TimingReport};
@@ -171,20 +173,26 @@ impl MarkSet {
     }
 }
 
-/// The cells one sweep visits, handed out one at a time in `(level,
-/// cell id)` order: one bucket of cell ids per level, each sorted once
-/// when the sweep reaches its level. A write queues cells only above the
-/// level being visited, so a bucket is complete when it is sorted. A
-/// cell is queued at most once per round, and the buckets are kept
-/// across rounds, so a warm frontier allocates nothing. Re-levelization
-/// walks its relaxations through the same buckets.
+/// The cells one sweep visits, handed out a whole level at a time in
+/// `(level, cell id)` order: one bucket of cell ids per level, sorted
+/// when its level is handed out. A visitor queues cells only above the
+/// level it was handed, so a bucket is complete when it is sorted, and a
+/// level's cells read only states settled before it. A cell is queued
+/// at most once per round through [`push`](Self::push); a relaxation
+/// queues one again through [`push_at`](Self::push_at) each time its
+/// level moves and skips the entries its level has left. The buckets are
+/// kept across rounds, so a warm frontier allocates nothing, and a round
+/// clears and visits only the levels from its lowest queued to its
+/// highest.
 #[derive(Debug, Default)]
 pub(crate) struct Frontier {
     buckets: Vec<Vec<u32>>,
-    /// The level being visited, and the position of the next cell in
-    /// its bucket (0 before the level's first cell is handed out).
-    level: usize,
-    at: usize,
+    /// The levels that may still hold queued cells: none below `lo`,
+    /// none from `hi` on (`lo == hi`: none at all).
+    lo: usize,
+    hi: usize,
+    /// The level last handed out this round.
+    visiting: Option<usize>,
     queued: MarkSet,
 }
 
@@ -201,6 +209,7 @@ impl Frontier {
             buckets[l as usize].push(i as u32);
         }
         Frontier {
+            hi: buckets.len(),
             buckets,
             ..Frontier::default()
         }
@@ -208,8 +217,10 @@ impl Frontier {
 
     /// Starts a new round, dropping anything a failed round left behind.
     fn begin(&mut self) {
-        self.buckets.iter_mut().for_each(Vec::clear);
-        (self.level, self.at) = (0, 0);
+        self.buckets[self.lo..self.hi]
+            .iter_mut()
+            .for_each(Vec::clear);
+        (self.lo, self.hi, self.visiting) = (0, 0, None);
         self.queued.begin();
     }
 
@@ -220,35 +231,42 @@ impl Frontier {
         }
     }
 
-    /// Queues `cell` at level `l` however often it already is: a
-    /// relaxation queues a cell again each time its level moves, and
-    /// skips the entries its level has left.
+    /// Queues `cell` at level `l` however often it already is.
     fn push_at(&mut self, l: u32, cell: CellId) {
         let l = l as usize;
         debug_assert!(
-            l > self.level || (self.level, self.at) == (0, 0),
+            self.visiting.is_none_or(|v| l > v),
             "a cell is queued only above the level being visited"
         );
         if l >= self.buckets.len() {
             self.buckets.resize_with(l + 1, Vec::new);
         }
         self.buckets[l].push(cell.index() as u32);
+        if self.lo == self.hi {
+            (self.lo, self.hi) = (l, l + 1);
+        } else {
+            (self.lo, self.hi) = (self.lo.min(l), self.hi.max(l + 1));
+        }
     }
 
-    /// The next cell to visit and the level it was queued at, removed.
-    pub(crate) fn pop(&mut self) -> Option<(u32, CellId)> {
-        loop {
-            let bucket = self.buckets.get_mut(self.level)?;
-            if self.at == 0 {
-                bucket.sort_unstable();
+    /// Hands out the lowest level still queued: moves its cells into
+    /// `cells`, sorted by id (stale relaxation entries included), and
+    /// returns the level; `None`, with `cells` empty, once the round is
+    /// done.
+    pub(crate) fn next_level(&mut self, cells: &mut Vec<u32>) -> Option<u32> {
+        cells.clear();
+        while self.lo < self.hi {
+            let l = self.lo;
+            self.lo += 1;
+            let bucket = &mut self.buckets[l];
+            if !bucket.is_empty() {
+                cells.append(bucket);
+                cells.sort_unstable();
+                self.visiting = Some(l);
+                return Some(l as u32);
             }
-            if let Some(&c) = bucket.get(self.at) {
-                self.at += 1;
-                return Some((self.level as u32, CellId::new(c as usize)));
-            }
-            bucket.clear();
-            (self.level, self.at) = (self.level + 1, 0);
         }
+        None
     }
 }
 
@@ -334,6 +352,8 @@ struct Relevel {
     /// Existing cells whose flop-ness the batch changed, ascending.
     kind_changed: Vec<CellId>,
     queue: Frontier,
+    /// The level `queue` last handed out.
+    visit: Vec<u32>,
     seen: MarkSet,
     stack: Vec<CellId>,
 }
@@ -370,6 +390,7 @@ impl Relevel {
             log,
             kind_changed,
             queue,
+            visit,
             seen,
             stack,
         } = self;
@@ -422,42 +443,46 @@ impl Relevel {
             log.set(level, v, top + 1);
             queue.begin();
             queue.push_at(top + 1, v);
-            while let Some((l, x)) = queue.pop() {
-                if l != level[x.index()] {
-                    continue; // superseded by a later rise
-                }
-                for &s in sinks(x) {
-                    if comb(s.cell) && !edits.pending(s, joined) && level[s.cell.index()] <= l {
-                        log.set(level, s.cell, l + 1);
-                        queue.push_at(l + 1, s.cell);
+            while let Some(l) = queue.next_level(visit) {
+                for x in visit.iter().map(|&x| CellId::new(x as usize)) {
+                    if l != level[x.index()] {
+                        continue; // superseded by a later rise
+                    }
+                    for &s in sinks(x) {
+                        if comb(s.cell) && !edits.pending(s, joined) && level[s.cell.index()] <= l {
+                            log.set(level, s.cell, l + 1);
+                            queue.push_at(l + 1, s.cell);
+                        }
                     }
                 }
             }
         }
 
-        // Step 3. Every push is of a cell above the one popped, so pops
-        // come in rising level order and a cell's drivers are final when
+        // Step 3. Every push is of a cell above the level handed out, so
+        // levels come in rising order and a cell's drivers are final when
         // it is recomputed.
         queue.begin();
         for s in edits.pins.iter().filter(|s| comb(s.cell)) {
             queue.push_at(level[s.cell.index()], s.cell);
         }
-        while let Some((l, x)) = queue.pop() {
-            if l != level[x.index()] {
-                continue; // already recomputed
-            }
-            let exact = 1 + nl
-                .cell_inputs(x)
-                .iter()
-                .filter_map(|&n| nl.net_driver(n).filter(|&d| comb(d)))
-                .map(|d| level[d.index()])
-                .max()
-                .unwrap_or(0);
-            debug_assert!(exact <= l, "step 2 leaves every level an upper bound");
-            if exact < l {
-                log.set(level, x, exact);
-                for s in sinks(x).iter().filter(|s| comb(s.cell)) {
-                    queue.push_at(level[s.cell.index()], s.cell);
+        while let Some(l) = queue.next_level(visit) {
+            for x in visit.iter().map(|&x| CellId::new(x as usize)) {
+                if l != level[x.index()] {
+                    continue; // already recomputed
+                }
+                let exact = 1 + nl
+                    .cell_inputs(x)
+                    .iter()
+                    .filter_map(|&n| nl.net_driver(n).filter(|&d| comb(d)))
+                    .map(|d| level[d.index()])
+                    .max()
+                    .unwrap_or(0);
+                debug_assert!(exact <= l, "step 2 leaves every level an upper bound");
+                if exact < l {
+                    log.set(level, x, exact);
+                    for s in sinks(x).iter().filter(|s| comb(s.cell)) {
+                        queue.push_at(level[s.cell.index()], s.cell);
+                    }
                 }
             }
         }
@@ -466,7 +491,8 @@ impl Relevel {
 }
 
 /// Reusable buffers for one incremental update: dirty-set marks, the
-/// frontier, the re-levelization buffers and the wire-evaluation arena.
+/// frontier, the sweep's staging, the re-levelization buffers and the
+/// wire-evaluation arena.
 /// Owned by the [`Timer`] so the ~10⁵ transient allocations a per-update
 /// rebuild would cost are paid once per timer instead.
 #[derive(Debug, Default)]
@@ -476,6 +502,7 @@ struct UpdateScratch {
     dirty_flop_eps: MarkSet,
     dirty_po_eps: MarkSet,
     frontier: Frontier,
+    stage: SweepStage,
     relevel: Relevel,
     wire: WireEvalScratch,
 }
@@ -1105,7 +1132,8 @@ impl<'a> Timer<'a> {
             &self.st.wires,
             &mut self.st.nets,
             &mut scr.frontier,
-            |out, prev, frontier| {
+            &mut scr.stage,
+            |out, prev, sinks, frontier| {
                 undo.push(UndoOp::NetState {
                     net: out.index(),
                     prev,
@@ -1113,7 +1141,7 @@ impl<'a> Timer<'a> {
                 if nl.net_is_output(out) {
                     scr.dirty_po_eps.insert(out.index());
                 }
-                for &s in nl.net_sinks(out) {
+                for &s in sinks {
                     retime_sink(level, s, &mut scr.dirty_flop_eps, frontier);
                 }
             },
@@ -1321,6 +1349,69 @@ mod tests {
         let buf = lib.variant("BUF", VtClass::Svt, 2.0).unwrap();
         let sinks = nl.net(fat).sinks.to_vec();
         nl.insert_buffer(lib, fat, &sinks, buf).unwrap();
+    }
+
+    #[test]
+    fn a_reused_frontier_hands_out_each_round_in_level_then_id_order() {
+        let mut rng = tc_core::rng::Rng::seed_from(43);
+        let level: Vec<u32> = (0..400).map(|_| rng.below(30) as u32).collect();
+        let top = *level.iter().max().unwrap();
+        let tops: Vec<usize> = (0..level.len()).filter(|&c| level[c] == top).collect();
+        let mut frontier = Frontier::default();
+        let mut visit = Vec::new();
+        for round in 0..64 {
+            frontier.begin();
+            let mut queued = Vec::new();
+            let push = |f: &mut Frontier, c: usize, queued: &mut Vec<(u32, u32)>| {
+                f.push(&level, c);
+                queued.push((level[c], c as u32));
+            };
+            // Round 0 queues nothing; every fourth round queues only
+            // top-level cells; the others a few cells anywhere.
+            let seeds = if round == 0 { 0 } else { 1 + rng.below(12) };
+            for _ in 0..seeds {
+                let c = match round % 4 {
+                    1 => *rng.choose(&tops),
+                    _ => rng.below(level.len()),
+                };
+                push(&mut frontier, c, &mut queued);
+            }
+            // The round visits only the levels from its lowest queued to
+            // its highest: none in an empty round, one in a top-only one.
+            let levels = queued.iter().map(|&(l, _)| l as usize);
+            let span = levels.clone().min().zip(levels.max());
+            let (lo, hi) = span.map_or((0, 0), |(lo, hi)| (lo, hi + 1));
+            assert_eq!((frontier.lo, frontier.hi), (lo, hi), "round {round}");
+            let mut got = Vec::new();
+            while let Some(l) = frontier.next_level(&mut visit) {
+                for &c in &visit {
+                    got.push((l, c));
+                    // Each visit queues cells above its level, some
+                    // already queued.
+                    for _ in 0..rng.below(3) {
+                        let d = rng.below(level.len());
+                        if level[d] > l {
+                            push(&mut frontier, d, &mut queued);
+                        }
+                    }
+                }
+                // Every seventh round fails after its first level: the
+                // next round must drop what it left queued.
+                if round % 7 == 3 {
+                    break;
+                }
+            }
+            queued.sort_unstable();
+            queued.dedup();
+            if round % 7 == 3 {
+                assert!(got.iter().all(|&(l, _)| l == got[0].0), "round {round}");
+                continue;
+            }
+            assert_eq!(
+                got, queued,
+                "round {round}: each queued cell once, in order"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! One `Sta` answers its report, PBA and worst-path queries from a single
 //! timing state: one propagation and one check per endpoint, and a full
 //! propagation's allocator calls do not grow with the design, and a warmed
-//! parametric trial on a `Timer` makes none at all. Span counts,
+//! parametric trial on a `Timer` makes none at all, on a small cone and
+//! on one that crosses many wide levels. Span counts,
 //! counters and the allocator's totals live in tc-obs's process-global
 //! state, so this is the only test in its process.
 
@@ -9,6 +10,7 @@ use tc_core::ids::NetId;
 use tc_interconnect::BeolStack;
 use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
+use tc_netlist::Netlist;
 use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Sta, Timer};
 
 /// Allocator calls of one full `Sta::run` (graph build included) on a
@@ -20,6 +22,17 @@ fn allocs_of_full_run(lib: &Library, profile: BenchProfile) -> u64 {
     let sta = Sta::new(&nl, lib, &stack, &cons);
     let before = tc_obs::memory_stats().allocs;
     std::hint::black_box(sta.run().unwrap());
+    tc_obs::memory_stats().allocs - before
+}
+
+/// Allocator calls of one trial on `timer`: `net` set to `um` µm, the
+/// re-time, the undo.
+fn trial_allocs(timer: &mut Timer<'_>, nl: &mut Netlist, net: NetId, um: f64) -> u64 {
+    let before = tc_obs::memory_stats().allocs;
+    let mut trial = timer.trial(nl).unwrap();
+    trial.netlist().set_wire_length(net, um);
+    trial.update().unwrap();
+    drop(trial);
     tc_obs::memory_stats().allocs - before
 }
 
@@ -71,19 +84,39 @@ fn report_pba_and_worst_paths_share_one_propagation() {
     let mut nl = generate(&lib, BenchProfile::tiny(), 11).unwrap();
     let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
     let net = NetId::new(nl.net_count() / 2);
-    let mut trial_allocs = || {
-        let before = tc_obs::memory_stats().allocs;
-        let mut trial = timer.trial(&mut nl).unwrap();
-        trial.netlist().set_wire_length(net, 300.0);
-        trial.update().unwrap();
-        drop(trial);
-        tc_obs::memory_stats().allocs - before
-    };
-    trial_allocs();
+    trial_allocs(&mut timer, &mut nl, net, 300.0);
     assert_eq!(
-        trial_allocs(),
+        trial_allocs(&mut timer, &mut nl, net, 300.0),
         0,
         "allocator calls of a warmed parametric trial"
+    );
+
+    // The same on a cone whose levels span several sweep chunks: a long
+    // wire on input `pi1` of c5315 re-times about 1,600 cells, the
+    // widest cone of any of its primary inputs.
+    let mut nl = generate(&lib, BenchProfile::c5315(), 11).unwrap();
+    let mut timer = Timer::new(&nl, &lib, &stack, Constraints::single_clock(900.0)).unwrap();
+    let pi = nl
+        .primary_inputs()
+        .iter()
+        .copied()
+        .find(|&n| nl.net(n).name == "pi1")
+        .unwrap();
+    tc_obs::enable();
+    tc_obs::reset();
+    trial_allocs(&mut timer, &mut nl, pi, 2_000.0);
+    let snap = tc_obs::snapshot();
+    tc_obs::disable();
+    let cone = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "sta.dirty_cone_size")
+        .map_or(0.0, |h| h.max);
+    assert!(cone >= 1_000.0, "the edit re-times {cone} cells");
+    assert_eq!(
+        trial_allocs(&mut timer, &mut nl, pi, 2_000.0),
+        0,
+        "allocator calls of a warmed trial whose cone spans wide levels"
     );
     tc_obs::disable_memory();
 }
