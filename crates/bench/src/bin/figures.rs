@@ -23,10 +23,11 @@ fn main() -> std::io::Result<ExitCode> {
         .filter(|(f, _)| names.is_empty() || names.iter().any(|n| n == f));
     let (mut failed, mut docs) = (Vec::new(), Vec::new());
     for (name, run) in selected {
-        // Each figure runs under tc-obs and the flight recorder from a
-        // clean state, so its sidecars hold only its own spans.
-        tc_obs::disable_memory();
+        // Each figure runs under tc-obs, memory counting and the flight
+        // recorder from a clean state, so its sidecars hold only its own
+        // spans; its document does not depend on any of them.
         tc_obs::enable();
+        tc_obs::enable_memory();
         tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
         tc_obs::reset();
         println!("\n##### {name}");
@@ -36,9 +37,7 @@ fn main() -> std::io::Result<ExitCode> {
         if !fig.holds() {
             failed.push(*name);
         }
-        if fig.own_document.is_none() {
-            docs.push(format!("\"{name}\":{}", fig.doc().render()));
-        }
+        docs.push(format!("\"{name}\":{}", fig.doc().render()));
     }
     if names.is_empty() {
         write_sidecar(

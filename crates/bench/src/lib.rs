@@ -10,23 +10,20 @@
 //! [`emit`] (BENCH document, RUN artifact, and, with the flight recorder
 //! armed, trace + folded stacks + PROF span profile);
 //! `tests/figures.rs` asserts every claim and diffs each document
-//! against the committed `BENCH_figures.json`.
-//!
-//! [`gba_pba`] is the one study with a baseline of its own
-//! (`BENCH_gba_pba.json`, gated by `tests/gba_pba_baseline.rs`): its
-//! document carries the process-global tc-obs counters.
+//! against the committed `BENCH_figures.json`, the one exactness
+//! baseline of every figure. A document is built from the figure's
+//! return values alone; what tc-obs saw is printed as measured lines
+//! and kept in the run artifact, never in the document.
 
 use std::path::{Path, PathBuf};
 
 pub mod figures;
 
 use tc_interconnect::BeolStack;
-use tc_liberty::{AocvTable, DerateModel, LibConfig, Library, PvtCorner};
+use tc_liberty::{LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
 use tc_netlist::Netlist;
-use tc_obs::{JsonValue, RunArtifact, Snapshot};
-use tc_sta::pba::{pba_worst_endpoints, PbaEndpoint};
-use tc_sta::{Constraints, Sta};
+use tc_obs::{JsonValue, RunArtifact};
 
 /// One table cell: what it prints and what the document records.
 #[derive(Clone, Debug)]
@@ -152,10 +149,6 @@ pub struct Figure {
     pub claims: Vec<Claim>,
     /// The `RUN_<name>.json` artifact.
     pub artifact: RunArtifact,
-    /// A study with a committed baseline of its own (`tbl_gba_pba`) sets
-    /// its document here; [`Figure::doc`] returns it, and the figure is
-    /// left out of `BENCH_figures.json`.
-    pub own_document: Option<JsonValue>,
 }
 
 impl Figure {
@@ -166,7 +159,6 @@ impl Figure {
             items: Vec::new(),
             claims: Vec::new(),
             artifact: RunArtifact::new(name),
-            own_document: None,
         }
     }
 
@@ -230,12 +222,13 @@ impl Figure {
         out
     }
 
-    /// The `BENCH_<name>.json` document: tables, notes and claims, or
-    /// the study's own document.
+    /// The `BENCH_<name>.json` document: tables, notes and claims.
+    ///
+    /// It is built from the figure's own return values alone and never
+    /// reads process state: with tc-obs, memory counting and the flight
+    /// recorder on or off, the same figure renders the same bytes.
+    /// [`Figure::measured`] lines are what is printed but left out.
     pub fn doc(&self) -> JsonValue {
-        if let Some(doc) = &self.own_document {
-            return doc.clone();
-        }
         let arr = JsonValue::Arr;
         let (mut tables, mut notes) = (Vec::new(), Vec::new());
         for item in &self.items {
@@ -300,102 +293,6 @@ pub fn bench_netlist(lib: &Library, profile: &str, seed: u64) -> Netlist {
         other => panic!("unknown profile {other}"),
     };
     generate(lib, p, seed).expect("generator is total")
-}
-
-/// One run of the §1.3 GBA-vs-PBA study: c5315 (seed 2015) clocked
-/// 50 ps past its nominal WNS under AOCV derates, PBA over the 50 worst
-/// endpoints.
-pub struct GbaPba {
-    /// The GBA run's one-line summary.
-    pub gba_summary: String,
-    /// PBA re-timing of the worst endpoints, worst GBA slack first.
-    pub endpoints: Vec<PbaEndpoint>,
-    /// tc-obs snapshot of the measured GBA propagation and PBA overlay.
-    pub snapshot: Snapshot,
-}
-
-impl GbaPba {
-    /// Endpoints with negative slack under GBA and under PBA.
-    pub fn violations(&self) -> (usize, usize) {
-        let count =
-            |f: fn(&PbaEndpoint) -> f64| self.endpoints.iter().filter(|r| f(r) < 0.0).count();
-        (
-            count(|r| r.gba_slack.value()),
-            count(|r| r.pba_slack.value()),
-        )
-    }
-
-    /// Pessimism PBA recovers over all analyzed endpoints, ps.
-    pub fn total_recovered_ps(&self) -> f64 {
-        self.endpoints.iter().map(|r| r.recovered().value()).sum()
-    }
-
-    /// The `BENCH_gba_pba.json` document: endpoint rows, violation
-    /// counts and the span/counter snapshot.
-    pub fn table(&self) -> JsonValue {
-        let (viol_gba, viol_pba) = self.violations();
-        let span_ms = |name| self.snapshot.span(name).map_or(0.0, |s| s.total_ms());
-        let endpoints = self.endpoints.iter().map(|r| {
-            JsonValue::obj([
-                ("endpoint", JsonValue::str(format!("{:?}", r.endpoint))),
-                ("gba_slack_ps", JsonValue::from(r.gba_slack.value())),
-                ("pba_slack_ps", JsonValue::from(r.pba_slack.value())),
-                ("recovered_ps", JsonValue::from(r.recovered().value())),
-                ("stages", JsonValue::from(r.stages)),
-            ])
-        });
-        JsonValue::obj([
-            ("table", JsonValue::str("tbl_gba_pba")),
-            ("gba_violations", JsonValue::from(viol_gba)),
-            ("pba_violations", JsonValue::from(viol_pba)),
-            (
-                "total_recovered_ps",
-                JsonValue::from(self.total_recovered_ps()),
-            ),
-            ("gba_span_ms", JsonValue::from(span_ms("sta.gba"))),
-            ("pba_span_ms", JsonValue::from(span_ms("sta.pba"))),
-            ("endpoints", JsonValue::Arr(endpoints.collect())),
-            ("observability", self.snapshot.to_json_value()),
-        ])
-    }
-}
-
-/// Runs the GBA-vs-PBA study. Enables tc-obs (with memory telemetry)
-/// and resets it before the measured runs, so the snapshot holds
-/// exactly one `sta.gba` propagation and one `sta.pba` overlay; nothing
-/// else in the process may record meanwhile.
-///
-/// # Panics
-///
-/// Panics if the generated design fails to time (harness misuse).
-pub fn gba_pba() -> GbaPba {
-    let (lib, stack) = standard_env();
-    let nl = bench_netlist(&lib, "c5315", 2015);
-    // Constrain near the design's nominal capability so GBA-vs-PBA
-    // decides real violations, not an absurdly overconstrained mode.
-    let probe = Constraints::single_clock(5_000.0).with_derate(DerateModel::None);
-    let wns = Sta::new(&nl, &lib, &stack, &probe)
-        .run()
-        .expect("probe")
-        .wns()
-        .value();
-    let cons = Constraints::single_clock(5_000.0 - wns + 50.0)
-        .with_derate(DerateModel::Aocv(AocvTable::from_stage_sigma(0.06)));
-    let sta = Sta::new(&nl, &lib, &stack, &cons);
-
-    // Only the measured runs below should appear in the snapshot.
-    tc_obs::enable();
-    tc_obs::enable_memory();
-    tc_obs::reset();
-
-    let gba = sta.run().expect("gba");
-    let endpoints = pba_worst_endpoints(&sta, 50).expect("pba");
-    let snapshot = tc_obs::snapshot();
-    GbaPba {
-        gba_summary: gba.summary(),
-        endpoints,
-        snapshot,
-    }
 }
 
 /// The directory generated sidecars land in: `$TC_BENCH_OUT`, default

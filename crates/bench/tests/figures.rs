@@ -2,8 +2,8 @@
 //! figure in [`tc_bench::figures::FIGURES`] asserts its claims, then
 //! diffs its document against its entry in the committed
 //! `BENCH_figures.json`. Exact rows gate; wall-clock cells are timing
-//! deltas. `tbl_gba_pba` carries the process-global tc-obs counters, so
-//! it has its own binary and baseline (`gba_pba_baseline.rs`).
+//! deltas. A document never reads tc-obs state, so these tests share one
+//! process, and `documents_do_not_depend_on_tc_obs_state` holds them to it.
 //!
 //! To re-baseline after a deliberate change, run all figures and copy
 //! the `BENCH_figures.json` they leave in `artifacts/` to the repo root.
@@ -42,6 +42,23 @@ fn check(name: &str) {
     assert!(report.ok(), "{}", report.render(false));
 }
 
+/// A figure's document is the same bytes with tc-obs off and with
+/// tc-obs, memory counting and the flight recorder on, as the runner
+/// arms them. `tbl_gba_pba` stands for every figure: its study records
+/// spans and counters, and its run artifact reads them.
+#[test]
+fn documents_do_not_depend_on_tc_obs_state() {
+    let off = tc_bench::figures::tbl_gba_pba().doc().render();
+    tc_obs::enable();
+    tc_obs::enable_memory();
+    tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
+    let on = tc_bench::figures::tbl_gba_pba().doc().render();
+    tc_obs::disable_trace();
+    tc_obs::disable_memory();
+    tc_obs::disable();
+    assert_eq!(off, on);
+}
+
 macro_rules! figure_tests {
     ($($name:ident),* $(,)?) => {
         $(
@@ -51,15 +68,11 @@ macro_rules! figure_tests {
             }
         )*
 
-        /// Every figure but `tbl_gba_pba` has a test here and an entry
-        /// in the baseline, in list order, and nothing else does.
+        /// Every figure has a test here and an entry in the baseline, in
+        /// list order, and nothing else does.
         #[test]
         fn every_figure_is_gated() {
-            let listed: Vec<&str> = FIGURES
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| *n != "tbl_gba_pba")
-                .collect();
+            let listed: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
             assert_eq!([$(stringify!($name)),*].to_vec(), listed);
             let entries = baseline();
             let committed: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
@@ -85,6 +98,7 @@ figure_tests!(
     tbl_etm_hierarchy,
     tbl_fix_ordering,
     tbl_gate_wire_balance,
+    tbl_gba_pba,
     tbl_ir_dynamic,
     tbl_margin_recovery,
     tbl_model_accuracy,

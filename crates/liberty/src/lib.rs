@@ -12,7 +12,9 @@
 //!   temperature inversion (§2.3) falls out naturally.
 //! * [`nldm`] — closed-form NLDM table generation: per-arc
 //!   delay(slew, load) and output-slew tables built on a logical-effort
-//!   style cell model calibrated against `tc-sim` characterization.
+//!   style cell model over the `tc-device` drive resistance, with
+//!   hand-set intrinsic and slew constants. It is not fitted to `tc-sim`
+//!   characterization; the two share only the device model.
 //! * [`cell`] — library cells ([`LibCell`]) with pins, arcs, area,
 //!   leakage and dynamic power; multi-Vt, multi-drive variants.
 //! * [`flop`] — sequential timing: setup/hold constraint tables, c2q

@@ -786,9 +786,10 @@ impl<'a> Sta<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates levelization failures (combinational loops) and
-    /// interconnect estimation errors.
+    /// Fails on constraints without a clock; propagates levelization
+    /// failures (combinational loops) and interconnect estimation errors.
     pub fn propagate(&self) -> Result<&TimingState> {
+        self.cons.checked_clock()?;
         if let Some(st) = self.propagated.get() {
             return Ok(st);
         }
@@ -925,8 +926,7 @@ impl<'a> Sta<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates levelization failures (combinational loops) and
-    /// interconnect estimation errors.
+    /// Fails as [`Sta::propagate`] does.
     pub fn run(&self) -> Result<TimingReport> {
         Ok(self.propagate()?.report(self.cons.default_clock().period))
     }
@@ -982,6 +982,31 @@ mod tests {
         assert!((d - 1_800.0).abs() < 1.0, "slack delta {d}");
         // Relaxed clock meets timing.
         assert!(r_fast.wns().value() > 0.0);
+    }
+
+    /// A constraint set without a clock (lint's TCL0201) is an error from
+    /// every timing entry, never an out-of-bounds panic.
+    #[test]
+    fn constraints_without_a_clock_are_an_error_not_a_panic() {
+        let (lib, stack) = env();
+        let nl = generate(&lib, BenchProfile::tiny(), 11).unwrap();
+        let mut cons = Constraints::single_clock(900.0);
+        cons.clocks.clear();
+        let sta = Sta::new(&nl, &lib, &stack, &cons);
+        let no_clock = |e: Error| assert!(e.to_string().contains("no clock"), "{e}");
+        no_clock(sta.propagate().unwrap_err());
+        no_clock(sta.run().unwrap_err());
+        no_clock(crate::pba::pba_worst_endpoints(&sta, 10).unwrap_err());
+        no_clock(crate::pba::worst_paths(&sta, 10).unwrap_err());
+        no_clock(crate::etm::Etm::extract(&sta, "tiny").err().unwrap());
+        no_clock(
+            crate::Timer::new(&nl, &lib, &stack, cons.clone())
+                .err()
+                .unwrap(),
+        );
+        let corner = BeolCorner::Typical;
+        let timer = crate::Timer::with_corner(&nl, &lib, &stack, cons, corner);
+        no_clock(timer.err().unwrap());
     }
 
     #[test]

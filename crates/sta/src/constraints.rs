@@ -6,6 +6,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use tc_core::error::{Error, Result};
 use tc_core::ids::CellId;
 use tc_core::units::Ps;
 use tc_liberty::DerateModel;
@@ -183,6 +184,16 @@ impl Constraints {
     /// explicitly; the default clock is index 0).
     pub fn default_clock(&self) -> &Clock {
         &self.clocks[0]
+    }
+
+    /// The default clock, or an error on a set that defines none (lint's
+    /// TCL0201): every timing entry checks this before it reads a period.
+    pub(crate) fn checked_clock(&self) -> Result<&Clock> {
+        self.clocks.first().ok_or_else(|| {
+            Error::invalid_input(
+                "constraints define no clock: timing needs the default clock (clocks[0])",
+            )
+        })
     }
 }
 

@@ -67,9 +67,9 @@ impl Etm {
     ///
     /// # Errors
     ///
-    /// Propagates STA failures.
+    /// Fails on constraints without a clock; propagates STA failures.
     pub fn extract(sta: &Sta<'_>, name: impl Into<String>) -> Result<Etm> {
-        let period = sta.cons.default_clock().period;
+        let period = sta.cons.checked_clock()?.period;
 
         // Input requirements need *input-launched* path visibility, but
         // GBA keeps only the single worst arrival per node — usually a

@@ -760,7 +760,8 @@ impl<'a> Timer<'a> {
     ///
     /// # Errors
     ///
-    /// Fails on combinational loops or interconnect estimation errors.
+    /// Fails on constraints without a clock, combinational loops or
+    /// interconnect estimation errors.
     pub fn new(
         nl: &Netlist,
         lib: &'a Library,
@@ -774,7 +775,8 @@ impl<'a> Timer<'a> {
     ///
     /// # Errors
     ///
-    /// Fails on combinational loops or interconnect estimation errors.
+    /// Fails on constraints without a clock, combinational loops or
+    /// interconnect estimation errors.
     pub fn with_corner(
         nl: &Netlist,
         lib: &'a Library,

@@ -1,14 +1,15 @@
 //! One `Sta` answers its report, PBA and worst-path queries from a single
-//! timing state: one propagation and one check per endpoint, and a full
-//! propagation's allocator calls do not grow with the design, and a warmed
-//! parametric trial on a `Timer` makes none at all, on a small cone and
-//! on one that crosses many wide levels. Span counts,
+//! timing state: one propagation and one check per endpoint, with the
+//! exact work counts of the §1.3 GBA-vs-PBA study (`tbl_gba_pba`), and a
+//! full propagation's allocator calls do not grow with the design, and a
+//! warmed parametric trial on a `Timer` makes none at all, on a small
+//! cone and on one that crosses many wide levels. Span counts,
 //! counters and the allocator's totals live in tc-obs's process-global
 //! state, so this is the only test in its process.
 
 use tc_core::ids::NetId;
 use tc_interconnect::BeolStack;
-use tc_liberty::{LibConfig, Library, PvtCorner};
+use tc_liberty::{AocvTable, DerateModel, LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
 use tc_netlist::Netlist;
 use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Sta, Timer};
@@ -66,6 +67,36 @@ fn report_pba_and_worst_paths_share_one_propagation() {
     assert_eq!(count("sta.worst_paths"), 1);
     assert_eq!(snap.counter("sta.pba.paths"), pba.len() as u64);
     assert_eq!(snap.counter("sta.paths.extracted"), paths.len() as u64);
+
+    // The work of the GBA-vs-PBA study (`tbl_gba_pba`), exactly: c5315
+    // (seed 2015) clocked 50 ps past its underated WNS under AOCV, one
+    // propagation and one PBA overlay over the 50 worst endpoints.
+    let nl = generate(&lib, BenchProfile::c5315(), 2015).unwrap();
+    let probe = Constraints::single_clock(5_000.0).with_derate(DerateModel::None);
+    let wns = Sta::new(&nl, &lib, &stack, &probe).run().unwrap().wns();
+    let cons = Constraints::single_clock(5_000.0 - wns.value() + 50.0)
+        .with_derate(DerateModel::Aocv(AocvTable::from_stage_sigma(0.06)));
+    let sta = Sta::new(&nl, &lib, &stack, &cons);
+    tc_obs::enable();
+    tc_obs::reset();
+    sta.run().unwrap();
+    pba_worst_endpoints(&sta, 50).unwrap();
+    let snap = tc_obs::snapshot();
+    tc_obs::disable();
+    let count = |span: &str| snap.span(span).map_or(0, |s| s.count);
+    assert_eq!((count("sta.gba"), count("sta.pba")), (1, 1));
+    let counters = [
+        "sta.arcs_evaluated",
+        "sta.nets_propagated",
+        "sta.endpoint_checks",
+        "sta.pba.paths",
+        "sta.pba.stages",
+    ];
+    assert_eq!(
+        counters.map(|c| snap.counter(c)),
+        [4579, 2480, 303, 50, 1322],
+        "{counters:?}"
+    );
 
     // The allocation canary: the full run's allocator calls are a few
     // buffers per propagation (plus their doubling growth), not a few

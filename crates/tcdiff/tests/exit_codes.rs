@@ -1,5 +1,5 @@
 //! End-to-end exit-code contract for the `tcdiff` binary, exercised
-//! against the committed `BENCH_gba_pba.json` sidecar and inline
+//! against the committed `BENCH_figures.json` baseline and inline
 //! fixtures: self-compare must be clean (exit 0), a perturbed
 //! fingerprint must gate (exit 1), and broken input or an unknown flag
 //! must be a usage error (exit 2).
@@ -27,7 +27,7 @@ fn tmp_file(name: &str, contents: &str) -> PathBuf {
 
 #[test]
 fn self_compare_of_committed_bench_passes() {
-    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_gba_pba.json");
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_figures.json");
     let fixture = tmp_file("corner_sweep.json", CORNER_SWEEP);
     for p in [&committed, &fixture] {
         let p = p.to_str().unwrap();

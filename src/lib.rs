@@ -90,8 +90,6 @@ pub struct FlowOutcome {
     pub iterations: usize,
     /// Leakage saved by post-closure recovery (fraction).
     pub leakage_saving: f64,
-    /// Final constraints (clock tree with CTS latencies + useful skew).
-    pub constraints: Constraints,
 }
 
 impl SignoffFlow {
@@ -144,7 +142,6 @@ impl SignoffFlow {
             iterations: outcome.iterations.len(),
             leakage_saving: recovery.saving(),
             final_report,
-            constraints: timer.constraints().clone(),
         })
     }
 }
