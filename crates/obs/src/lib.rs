@@ -67,6 +67,7 @@
 //! | `sta.gba` | span | one graph propagation (at most one per [`Sta`]) |
 //! | `sta.pba` | span | one PBA re-derating pass over it |
 //! | `sta.worst_paths` | span | one worst-path extraction (an `Sta` or the timer) |
+//! | `sta.required` | span | one backward pass of late required times over a propagation |
 //! | `sta.arcs_evaluated` | counter | timing arcs evaluated in GBA |
 //! | `sta.nets_propagated` | counter | nets levelized + propagated |
 //! | `sta.pba.paths` / `sta.pba.stages` | counter | PBA path/stage volume |

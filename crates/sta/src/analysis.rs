@@ -45,6 +45,14 @@ impl Arr {
     }
 }
 
+/// The slew at an input pin: its net's slew degraded by a quarter of the
+/// wire delay into the pin. An arc's tables and a flop's setup and hold
+/// tables are read at it.
+#[inline]
+pub(crate) fn pin_slew(net_slew: f64, wire: Ps) -> f64 {
+    net_slew + 0.25 * wire.value()
+}
+
 /// Which arrival bound a stage is derated for.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Bound {
@@ -577,15 +585,17 @@ impl<'a> Sta<'a> {
         })
     }
 
+    /// The primary inputs that carry data: every one but the clock roots.
+    pub(crate) fn data_inputs(&self) -> impl Iterator<Item = NetId> + '_ {
+        let (nl, clocks) = (self.nl, &self.cons.clocks);
+        let inputs = nl.primary_inputs().iter().copied();
+        inputs.filter(move |&pi| clocks.iter().all(|c| c.name != nl.net(pi).name))
+    }
+
     /// Seeds primary-input arrivals. Clock roots are excluded from data
     /// propagation.
     pub(crate) fn seed_primary_inputs(&self, state: &mut [NetState]) {
-        let clock_names: Vec<&str> = self.cons.clocks.iter().map(|c| c.name.as_str()).collect();
-        for &pi in self.nl.primary_inputs() {
-            let net = self.nl.net(pi);
-            if clock_names.contains(&net.name) {
-                continue;
-            }
+        for pi in self.data_inputs() {
             let base = Arr {
                 t: self.cons.input_delay.value(),
                 var: 0.0,
@@ -630,7 +640,7 @@ impl<'a> Sta<'a> {
 
             // Each bound's (pin slew, load) is located once; its delay,
             // output slew and sigma tables share the axes.
-            let at_late = arc.delay.locate(ns.late.slew + 0.25 * wire.value(), load);
+            let at_late = arc.delay.locate(pin_slew(ns.late.slew, wire), load);
             let (dl, vl) = self.stage(Bound::Late, cid, arc, &at_late, 1);
             let late = Arr {
                 t: ns.late.t + wl + si_delta + dl,
@@ -646,7 +656,7 @@ impl<'a> Sta<'a> {
                     .map_err(|_| Error::internal("cell input pin past u16::MAX"))?;
             }
 
-            let at_early = arc.delay.locate(ns.early.slew + 0.25 * wire.value(), load);
+            let at_early = arc.delay.locate(pin_slew(ns.early.slew, wire), load);
             let (de, ve) = self.stage(Bound::Early, cid, arc, &at_early, 1);
             let early = Arr {
                 t: ns.early.t + we - si_delta + de,
@@ -780,6 +790,73 @@ impl<'a> Sta<'a> {
         Ok(counts)
     }
 
+    /// The late required time at every net of the propagated state `st`
+    /// that honours the endpoint `rows` given, by net id: the latest late
+    /// arrival at the net that still meets every one of those rows it
+    /// reaches, `f64::INFINITY` where it reaches none.
+    ///
+    /// A flop row seeds its D net at `required − (wire + SI delta)`, an
+    /// output row its net at `required`. The graph's levels are then
+    /// visited highest first, and each arc of a combinational cell into a
+    /// reached input net min-combines `req(out) − (wire + SI delta +
+    /// arc)` into that net. Every term is recomputed as the forward
+    /// sweep computed it, at the forward state's slews. A flop passes
+    /// nothing back: its row is where a path ends.
+    ///
+    /// Under no derate, flat and AOCV, where GBA derates every stage at
+    /// depth 1, this is the exact GBA required time: `req − late.t` at a
+    /// net is the worst setup slack over the given rows' paths through
+    /// it. CPPR does not change that here, because its credit is per
+    /// flop, not per launch–capture pair. Under POCV and LVF it carries
+    /// the mean alone, no variance: a ranking estimate, not a signoff
+    /// number.
+    pub(crate) fn required<'r>(
+        &self,
+        st: &TimingState,
+        rows: impl IntoIterator<Item = &'r EndpointTiming>,
+    ) -> Result<Vec<f64>> {
+        let _span = tc_obs::span("sta.required");
+        let (nl, wires) = (self.nl, &st.wires);
+        let mut req = vec![f64::INFINITY; st.nets.len()];
+        for row in rows {
+            let (net, r) = match row.endpoint {
+                Endpoint::FlopD(fid) => {
+                    let d = nl.cell_inputs(fid)[0];
+                    let (wl, ..) = self.wire_terms(wires.delay(nl.pin_base(fid)));
+                    (d, row.required.value() - (wl + wires.si_delta(d.index())))
+                }
+                Endpoint::Output(net) => (net, row.required.value()),
+            };
+            req[net.index()] = req[net.index()].min(r);
+        }
+        let levels = Frontier::full(&st.graph.level).into_levels();
+        for &id in levels.iter().rev().flatten() {
+            let cell = CellId::new(id as usize);
+            let master = self.lib.cell(nl.cell_master(cell));
+            let out = nl.cell_output(cell).index();
+            if master.kind == CellKind::Flop || req[out] == f64::INFINITY {
+                continue;
+            }
+            let load = wires.driver_load(out).value();
+            for (pin, &net) in nl.cell_inputs(cell).iter().enumerate() {
+                let ns = &st.nets[net.index()];
+                if !ns.reached {
+                    continue;
+                }
+                let wire = wires.delay(nl.pin_base(cell) + pin);
+                let (wl, ..) = self.wire_terms(wire);
+                let arc = master
+                    .arc_of_pin(pin)
+                    .ok_or_else(|| Error::internal("missing arc"))?;
+                let at = arc.delay.locate(pin_slew(ns.late.slew, wire), load);
+                let (dl, _) = self.stage(Bound::Late, cell, arc, &at, 1);
+                let r = req[out] - (wl + wires.si_delta(net.index()) + dl);
+                req[net.index()] = req[net.index()].min(r);
+            }
+        }
+        Ok(req)
+    }
+
     /// The analysis' timing state (the raw material for reports, PBA and
     /// path extraction): the sweep and one check per graph endpoint on
     /// the first call, borrowed on every later one.
@@ -892,7 +969,7 @@ impl<'a> Sta<'a> {
             var: ns.early.var + wve,
             ..ns.early
         };
-        let data_slew = ns.late.slew + 0.25 * wire.value();
+        let data_slew = pin_slew(ns.late.slew, wire);
         let cs = self.cons.clock_tree.clock_slew;
         let setup_req = flop_t.setup_at(data_slew, cs).value();
         let hold_req = flop_t.hold_at(data_slew, cs).value();

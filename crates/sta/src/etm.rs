@@ -3,10 +3,15 @@
 //! §4 Comment 3: "flat vs ETM-based/hierarchical analysis and
 //! optimization … affect design schedule and QOR". A block owner closes
 //! the block flat, then hands the integrator a *boundary model*: worst
-//! input-to-register setup requirements, register-to-output delays, and
-//! feedthrough arcs — so top-level analysis never re-traverses the
-//! block's interior. The price is boundary pessimism: the ETM keeps one
-//! worst number per boundary pin, where flat analysis sees each path.
+//! input-to-register setup requirements and register-to-output delays,
+//! so top-level analysis never re-traverses the block's interior. The
+//! price is boundary pessimism: the ETM keeps one worst number per
+//! boundary pin, where flat analysis sees each path.
+//!
+//! An input requirement is read off the block's own analysis: the late
+//! required time at each data input, from one backward pass over the
+//! block's flop checks. Every interior arc is timed at the slew that
+//! analysis propagated, the standard required time at a boundary pin.
 
 // Cold boundary-model path: ETMs are extracted once per block and keyed
 // by a handful of boundary nets, not per-arc hot state.
@@ -14,9 +19,10 @@
 
 use std::collections::HashMap;
 
-use tc_core::error::Result;
+use tc_core::error::{Error, Result};
 use tc_core::ids::NetId;
 use tc_core::units::Ps;
+use tc_liberty::DerateModel;
 
 use crate::analysis::Sta;
 use crate::report::Endpoint;
@@ -28,8 +34,6 @@ pub struct InputRequirement {
     /// Worst interior setup requirement referenced to the clock edge, ps
     /// (i.e. required arrival = period − this).
     pub setup_to_clock: Ps,
-    /// Depth of the interior path behind the requirement.
-    pub depth: usize,
 }
 
 /// The timing an ETM publishes for one block output: valid
@@ -56,75 +60,44 @@ pub struct Etm {
 }
 
 impl Etm {
-    /// Extracts an ETM from a block by running its STA and folding the
-    /// *input-launched* interior endpoints to the boundary.
+    /// Extracts an ETM from a block by running its STA and folding its
+    /// flop checks back to the boundary.
     ///
-    /// Only endpoints whose worst path starts at a primary input
-    /// constrain the boundary; purely internal register-to-register
-    /// paths are the block owner's problem and do not leak into the
-    /// model. The extraction publishes one worst requirement per input
-    /// (the standard single-number ETM pessimism).
+    /// Only flop endpoints that a data input reaches constrain the
+    /// boundary; purely internal register-to-register paths are the
+    /// block owner's problem and do not leak into the model. The
+    /// requirement is `period − min(required time at a data input)`,
+    /// the required times from one backward pass seeded by the flop
+    /// rows alone, and every data input publishes it (the standard
+    /// single-number ETM pessimism).
     ///
     /// # Errors
     ///
-    /// Fails on constraints without a clock; propagates STA failures.
+    /// Fails on constraints without a clock, and under POCV or LVF,
+    /// where a required time is a mean-only estimate; propagates STA
+    /// failures.
     pub fn extract(sta: &Sta<'_>, name: impl Into<String>) -> Result<Etm> {
         let period = sta.cons.checked_clock()?.period;
-
-        // Input requirements need *input-launched* path visibility, but
-        // GBA keeps only the single worst arrival per node — usually a
-        // register-launched one. Re-run with the input arrival inflated
-        // to the full period so input paths dominate wherever they
-        // reach; the assumed arrival cancels out of the published
-        // requirement (slack = required − (input_delay + interior), so
-        // requirement = period − slack − input_delay is
-        // arrival-independent). The boosted analysis is a clone: it
-        // shares the graph and propagates its own arrivals.
-        let mut boosted = sta.cons.clone();
-        boosted.input_delay = period;
-        sta.graph()?;
-        let sta_boost = Sta {
-            cons: &boosted,
-            ..sta.clone()
-        };
-        let boost = sta_boost.propagate()?;
-        let paths = crate::pba::worst_paths(&sta_boost, usize::MAX)?;
-        let mut worst_req: Option<InputRequirement> = None;
-        for p in &paths {
-            if p.launch_flop.is_some() {
-                continue; // internal reg-to-reg: not a boundary constraint
-            }
-            let Endpoint::FlopD(_) = p.endpoint else {
-                continue;
-            };
-            let ep = boost.row(p.endpoint).expect("a path ends at a row");
-            let cand = InputRequirement {
-                setup_to_clock: Ps::new(
-                    period.value() - (boosted.input_delay.value() + ep.setup_slack.value()),
-                ),
-                depth: ep.depth,
-            };
-            if worst_req
-                .map(|w| cand.setup_to_clock > w.setup_to_clock)
-                .unwrap_or(true)
-            {
-                worst_req = Some(cand);
-            }
+        if let model @ (DerateModel::Pocv { .. } | DerateModel::Lvf { .. }) = &sta.cons.derate {
+            let why = "a mean-only required time is a ranking estimate, not a signoff number";
+            return Err(Error::invalid_input(format!("ETM under {model:?}: {why}")));
         }
 
+        let st = sta.propagate()?;
+        let flop_rows = st.rows().iter();
+        let flop_rows = flop_rows.filter(|r| matches!(r.endpoint, Endpoint::FlopD(_)));
+        let req = sta.required(st, flop_rows)?;
         let mut inputs = HashMap::new();
-        if let Some(req) = worst_req {
-            for &pi in sta.nl.primary_inputs() {
-                let net = sta.nl.net(pi);
-                if sta.cons.clocks.iter().any(|c| c.name == net.name) {
-                    continue;
-                }
-                inputs.insert(pi, req);
-            }
+        let worst = sta.data_inputs().map(|pi| req[pi.index()]);
+        let worst = worst.fold(f64::INFINITY, f64::min);
+        if worst < f64::INFINITY {
+            let setup_to_clock = Ps::new(period.value() - worst);
+            let published = InputRequirement { setup_to_clock };
+            inputs.extend(sta.data_inputs().map(|pi| (pi, published)));
         }
 
         let mut outputs = HashMap::new();
-        for e in sta.propagate()?.rows() {
+        for e in st.rows() {
             let Endpoint::Output(net) = e.endpoint else {
                 continue;
             };
@@ -194,7 +167,7 @@ pub fn interface_slack(
 mod tests {
     use super::*;
     use tc_interconnect::BeolStack;
-    use tc_liberty::{LibConfig, Library, PvtCorner};
+    use tc_liberty::{AocvTable, LibConfig, Library, PocvSigma, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
 
     use crate::constraints::Constraints;
@@ -223,9 +196,10 @@ mod tests {
         // The ETM folds every input-launched endpoint to one number per
         // input: its slack at a given boundary arrival must not be more
         // optimistic than the flat slack of the worst *input-launched*
-        // endpoint at the same arrival. Identify those endpoints the way
-        // the extractor does (boosted input delay) and compare in the
-        // boosted run itself, where attribution is exact.
+        // endpoint at the same arrival. Identify those endpoints with the
+        // input delay boosted to a full period, so input-launched paths
+        // win wherever they reach, and compare in that run itself, where
+        // attribution is exact.
         let (lib, stack, nl) = block(5);
         let mut cons = Constraints::single_clock(1_200.0);
         cons.input_delay = Ps::new(1_200.0);
@@ -260,8 +234,8 @@ mod tests {
 
     #[test]
     fn extraction_after_run_equals_extraction_on_a_fresh_analysis() {
-        // The boosted analysis is derived from one that has already
-        // propagated: it must recompute, not inherit un-boosted arrivals.
+        // Extraction reads the analysis' one propagation: it must give
+        // the same model whether or not the analysis has already run.
         let (lib, stack, nl) = block(5);
         let cons = Constraints::single_clock(1_200.0);
         let fresh = Etm::extract(&Sta::new(&nl, &lib, &stack, &cons), "blk").unwrap();
@@ -272,6 +246,35 @@ mod tests {
         assert_eq!(after_run.period, fresh.period);
         assert_eq!(after_run.inputs, fresh.inputs);
         assert_eq!(after_run.outputs, fresh.outputs);
+    }
+
+    #[test]
+    fn extraction_refuses_the_mean_only_models() {
+        let (lib, stack, nl) = block(5);
+        let models = [
+            DerateModel::None,
+            DerateModel::classic_flat(),
+            DerateModel::Aocv(AocvTable::from_stage_sigma(0.06)),
+            DerateModel::Pocv {
+                sigma: PocvSigma::standard(),
+                k: 3.0,
+            },
+            DerateModel::Lvf { k: 3.0 },
+        ];
+        for derate in models {
+            let mean_only = match derate {
+                DerateModel::Pocv { .. } => Some("Pocv"),
+                DerateModel::Lvf { .. } => Some("Lvf"),
+                _ => None,
+            };
+            let cons = Constraints::single_clock(1_200.0).with_derate(derate);
+            let etm = Etm::extract(&Sta::new(&nl, &lib, &stack, &cons), "blk");
+            match (mean_only, etm) {
+                (None, Ok(etm)) => assert!(etm.worst_input_requirement().is_some()),
+                (Some(model), Err(e)) => assert!(e.to_string().contains(model), "{e}"),
+                (model, etm) => panic!("{model:?}: {etm:?}"),
+            }
+        }
     }
 
     #[test]

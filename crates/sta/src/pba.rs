@@ -20,7 +20,7 @@ use tc_core::ids::{CellId, NetId};
 use tc_core::units::Ps;
 use tc_liberty::CellKind;
 
-use crate::analysis::{Bound, Sta, TimingState};
+use crate::analysis::{pin_slew, Bound, Sta, TimingState};
 use crate::report::{k_worst, Endpoint, EndpointTiming};
 
 /// One extracted path stage (endpoint side first).
@@ -170,20 +170,20 @@ fn backtrack(sta: &Sta<'_>, st: &TimingState, ep: &EndpointTiming) -> Result<Cri
         // Reconstruct the GBA evaluation of this stage, at the point the
         // sweep located.
         let load = wires.driver_load(nl.cell_output(driver).index()).value();
-        let wire = wires.delay(nl.pin_base(driver) + pred).value();
+        let wire = wires.delay(nl.pin_base(driver) + pred);
         let arc = master
             .arc_of_pin(pred)
             .ok_or_else(|| Error::internal("missing arc on critical path"))?;
         let at = arc
             .delay
-            .locate(state[in_net.index()].late.slew + 0.25 * wire, load);
+            .locate(pin_slew(state[in_net.index()].late.slew, wire), load);
         let gate_delay = arc.delay.at(&at);
         let sigma = sta.stage_sigma(Bound::Late, driver, arc, &at, gate_delay);
         path.stages.push(PathStage {
             cell: driver,
             gate_delay,
             sigma,
-            wire_delay: wire,
+            wire_delay: wire.value(),
         });
         path.nets.push(in_net);
         net = in_net;

@@ -215,6 +215,12 @@ impl Frontier {
         }
     }
 
+    /// The buckets, lowest level first. Of a [`full`](Self::full)
+    /// frontier: every cell of the graph by level, each level in id order.
+    pub(crate) fn into_levels(self) -> Vec<Vec<u32>> {
+        self.buckets
+    }
+
     /// Starts a new round, dropping anything a failed round left behind.
     fn begin(&mut self) {
         self.buckets[self.lo..self.hi]

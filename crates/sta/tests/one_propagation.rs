@@ -1,6 +1,7 @@
 //! One `Sta` answers its report, PBA and worst-path queries from a single
 //! timing state: one propagation and one check per endpoint, with the
-//! exact work counts of the §1.3 GBA-vs-PBA study (`tbl_gba_pba`), and a
+//! exact work counts of the §1.3 GBA-vs-PBA study (`tbl_gba_pba`), ETM
+//! extraction adds one backward pass and no second propagation, a
 //! full propagation's allocator calls do not grow with the design, and a
 //! warmed parametric trial on a `Timer` makes none at all, on a small
 //! cone and on one that crosses many wide levels. Span counts,
@@ -12,7 +13,7 @@ use tc_interconnect::BeolStack;
 use tc_liberty::{AocvTable, DerateModel, LibConfig, Library, PvtCorner};
 use tc_netlist::gen::{generate, BenchProfile};
 use tc_netlist::Netlist;
-use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Sta, Timer};
+use tc_sta::{pba_worst_endpoints, worst_paths, Constraints, Etm, Sta, Timer};
 
 /// Allocator calls of one full `Sta::run` (graph build included) on a
 /// generated design.
@@ -97,6 +98,21 @@ fn report_pba_and_worst_paths_share_one_propagation() {
         [4579, 2480, 303, 50, 1322],
         "{counters:?}"
     );
+
+    // ETM extraction reads the block's one propagation and one backward
+    // pass: no second propagation, no path extraction, and the arcs of
+    // one GBA (the backward pass counts none).
+    let cons = Constraints::single_clock(3_000.0);
+    let sta = Sta::new(&nl, &lib, &stack, &cons);
+    tc_obs::enable();
+    tc_obs::reset();
+    Etm::extract(&sta, "c5315").unwrap();
+    let snap = tc_obs::snapshot();
+    tc_obs::disable();
+    let count = |span: &str| snap.span(span).map_or(0, |s| s.count);
+    let spans = ["sta.gba", "sta.required", "sta.worst_paths"];
+    assert_eq!(spans.map(count), [1, 1, 0], "{spans:?}");
+    assert_eq!(snap.counter("sta.arcs_evaluated"), 4579);
 
     // The allocation canary: the full run's allocator calls are a few
     // buffers per propagation (plus their doubling growth), not a few
