@@ -1,15 +1,15 @@
 //! Runs the paper's figures: `figures [name…]`, all of them by default.
 //! For each it prints the tables, notes and claims and leaves its
-//! sidecars through [`tc_bench::emit`], with the span profile and trace
-//! of the figure's own run; a run of all figures also
-//! writes `BENCH_figures.json`, the document the committed baseline of
-//! the same name is copied from. Exits 1 if any claim fails, 2 on an
+//! sidecars through [`tc_bench::emit`], with the span profile, trace
+//! and heap totals of the figure's own run ([`tc_bench::run_figure`]);
+//! a run of all figures also writes `BENCH_figures.json`, the document
+//! the committed baseline of the same name is copied from. Exits 1 if any claim fails, 2 on an
 //! unknown figure name.
 
 use std::process::ExitCode;
 
 use tc_bench::figures::FIGURES;
-use tc_bench::{emit, write_sidecar};
+use tc_bench::{emit, run_figure, write_sidecar};
 
 fn main() -> std::io::Result<ExitCode> {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -23,15 +23,8 @@ fn main() -> std::io::Result<ExitCode> {
         .filter(|(f, _)| names.is_empty() || names.iter().any(|n| n == f));
     let (mut failed, mut docs) = (Vec::new(), Vec::new());
     for (name, run) in selected {
-        // Each figure runs under tc-obs, memory counting and the flight
-        // recorder from a clean state, so its sidecars hold only its own
-        // spans; its document does not depend on any of them.
-        tc_obs::enable();
-        tc_obs::enable_memory();
-        tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
-        tc_obs::reset();
         println!("\n##### {name}");
-        let fig = run();
+        let fig = run_figure(*run);
         print!("{}", fig.render());
         emit(name, &fig.doc(), &fig.artifact)?;
         if !fig.holds() {

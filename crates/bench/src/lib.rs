@@ -295,6 +295,20 @@ pub fn bench_netlist(lib: &Library, profile: &str, seed: u64) -> Netlist {
     generate(lib, p, seed).expect("generator is total")
 }
 
+/// Runs one figure's study the way the `figures` binary does: under
+/// tc-obs, memory counting and the flight recorder, from a reset registry
+/// and a fresh memory mark ([`tc_obs::mark_memory`]), so its sidecars
+/// hold only its own spans and its own allocations, whatever ran before
+/// it in the process. Its document depends on none of them.
+pub fn run_figure(study: figures::Study) -> Figure {
+    tc_obs::enable();
+    tc_obs::enable_memory();
+    tc_obs::enable_trace(tc_obs::DEFAULT_TRACE_CAPACITY);
+    tc_obs::reset();
+    tc_obs::mark_memory();
+    study()
+}
+
 /// The directory generated sidecars land in: `$TC_BENCH_OUT`, default
 /// `artifacts/`. Harness output never scatters at the repo root —
 /// committed baselines are *copied* to their gated locations, the

@@ -17,6 +17,11 @@
 //! * [`heap_mark`] / [`HeapMark::delta`] give scoped attribution:
 //!   [`crate::span()`] captures a mark on open and records the net live
 //!   bytes and peak growth on close, next to the span's duration.
+//! * [`mark_memory`] / [`memory_since_mark`] give a run its own totals:
+//!   a snapshot's `mem.*` counters and a run artifact's `memory` section
+//!   count from the last mark, and its peak is the high-water mark since
+//!   then, so one process that runs several studies reports each study's
+//!   heap, not the sum of all before it.
 //! * [`vm_hwm_bytes`] / [`vm_rss_bytes`] sample the kernel's view
 //!   (`/proc/self/status` `VmHWM:` / `VmRSS:` on Linux) behind a
 //!   portable fallback that returns `None` elsewhere — the allocator
@@ -43,6 +48,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 static MEM_ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -53,6 +59,9 @@ static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 /// Monotonic high-water mark of `LIVE_BYTES` (clamped at zero).
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of `LIVE_BYTES` since the last [`mark_memory`]; never
+/// above `PEAK_BYTES`.
+static MARK_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Turns heap counting on. Until this is called every allocation is a
 /// single relaxed load plus an untaken branch.
@@ -77,11 +86,15 @@ fn on_alloc(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     ALLOCATED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    // Common case: we are below the high-water mark, and a relaxed load
-    // is far cheaper than the `fetch_max` CAS loop. Racing writers can
-    // both pass the check; `fetch_max` still keeps the peak monotonic.
-    if live > 0 && live as u64 > PEAK_BYTES.load(Ordering::Relaxed) {
-        PEAK_BYTES.fetch_max(live as u64, Ordering::Relaxed);
+    // Common case: we are below the mark's high-water mark, which is
+    // never above the process's, and a relaxed load is far cheaper than
+    // the `fetch_max` CAS loop. Racing writers can both pass a check;
+    // `fetch_max` still keeps each peak monotonic between marks.
+    if live > 0 && live as u64 > MARK_PEAK_BYTES.load(Ordering::Relaxed) {
+        MARK_PEAK_BYTES.fetch_max(live as u64, Ordering::Relaxed);
+        if live as u64 > PEAK_BYTES.load(Ordering::Relaxed) {
+            PEAK_BYTES.fetch_max(live as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -153,6 +166,48 @@ pub struct MemStats {
     pub live_bytes: u64,
     /// Monotonic peak of tracked live bytes.
     pub peak_bytes: u64,
+}
+
+/// The reading [`memory_since_mark`] counts from; all zero until the
+/// first [`mark_memory`].
+static MARK: Mutex<MemStats> = Mutex::new(MemStats {
+    allocs: 0,
+    frees: 0,
+    allocated_bytes: 0,
+    freed_bytes: 0,
+    live_bytes: 0,
+    peak_bytes: 0,
+});
+
+/// Makes the allocator's current reading the origin of reported memory:
+/// from here on a snapshot's `mem.*` counters and
+/// [`crate::RunArtifact::capture_memory`] count from it
+/// ([`memory_since_mark`]). Take it where a run begins, next to
+/// [`crate::reset`]. [`memory_stats`] stays process-cumulative.
+pub fn mark_memory() {
+    let mut mark = MARK.lock().unwrap_or_else(|e| e.into_inner());
+    *mark = memory_stats();
+    MARK_PEAK_BYTES.store(mark.live_bytes, Ordering::Relaxed);
+}
+
+/// The allocator's counters since the last [`mark_memory`]: allocation
+/// and free events and bytes since it, live bytes grown past the live
+/// bytes at the mark (0 if fewer), and the high-water mark of live bytes
+/// since it, above the live bytes at the mark. Before the first mark,
+/// [`memory_stats`].
+pub fn memory_since_mark() -> MemStats {
+    let mark = *MARK.lock().unwrap_or_else(|e| e.into_inner());
+    let now = memory_stats();
+    MemStats {
+        allocs: now.allocs - mark.allocs,
+        frees: now.frees - mark.frees,
+        allocated_bytes: now.allocated_bytes - mark.allocated_bytes,
+        freed_bytes: now.freed_bytes - mark.freed_bytes,
+        live_bytes: now.live_bytes.saturating_sub(mark.live_bytes),
+        peak_bytes: MARK_PEAK_BYTES
+            .load(Ordering::Relaxed)
+            .saturating_sub(mark.live_bytes),
+    }
 }
 
 /// Reads the allocator's counters. Cheap (six relaxed loads); valid

@@ -114,13 +114,14 @@ impl RunArtifact {
         self
     }
 
-    /// Embeds a memory section sampled right now, if memory counting is
-    /// on ([`crate::enable_memory`]); a no-op otherwise, so callers can
+    /// Embeds a memory section sampled right now and counted from the
+    /// last [`crate::mark_memory`], if memory counting is on
+    /// ([`crate::enable_memory`]); a no-op otherwise, so callers can
     /// chain it unconditionally.
     #[must_use]
     pub fn capture_memory(self) -> Self {
         if alloc::memory_enabled() {
-            self.memory(alloc::memory_stats())
+            self.memory(alloc::memory_since_mark())
         } else {
             self
         }

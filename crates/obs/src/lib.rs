@@ -93,14 +93,16 @@
 //! | `sim.newton.iters_per_step` | histogram | convergence profile, one sample per step (flushed once per transient) |
 //! | `par.task` | trace scope | one pool work item (timeline only, no span path) |
 //! | `obs.trace.dropped` | counter | trace events lost to full rings |
-//! | `mem.allocs` / `mem.frees` | counter | allocator events since [`enable_memory`] |
-//! | `mem.live_bytes` | counter | tracked live heap bytes at snapshot time |
-//! | `mem.peak_heap_bytes` | counter | monotonic peak of tracked live bytes |
-//! | `mem.vm_hwm_bytes` | counter | kernel peak RSS (Linux; absent elsewhere) |
+//! | `mem.allocs` / `mem.frees` | counter | allocator events since the last [`mark_memory`] (since [`enable_memory`] before any mark) |
+//! | `mem.live_bytes` | counter | tracked live heap bytes grown past the mark, at snapshot time |
+//! | `mem.peak_heap_bytes` | counter | peak of tracked live bytes since the mark, above the live bytes at the mark |
+//! | `mem.vm_hwm_bytes` | counter | kernel peak RSS, process-wide (Linux; absent elsewhere) |
 //!
 //! The `mem.*` counters appear in snapshots only while memory counting
-//! is enabled; they are process-cumulative gauges sampled at snapshot
-//! time, not resettable event counts.
+//! is enabled; they are gauges sampled at snapshot time and counted from
+//! the last [`mark_memory`] ([`memory_since_mark`]), which [`reset`]
+//! does not move. Before the first mark they are the process-cumulative
+//! totals.
 //!
 //! [`ClosureFlow::run`]: ../tc_closure/flow/struct.ClosureFlow.html
 //! [`Sta`]: ../tc_sta/struct.Sta.html
@@ -132,8 +134,8 @@ pub mod span;
 pub mod trace;
 
 pub use alloc::{
-    disable_memory, enable_memory, heap_mark, memory_enabled, memory_stats, vm_hwm_bytes,
-    vm_rss_bytes, CountingAlloc, HeapDelta, HeapMark, MemStats,
+    disable_memory, enable_memory, heap_mark, mark_memory, memory_enabled, memory_since_mark,
+    memory_stats, vm_hwm_bytes, vm_rss_bytes, CountingAlloc, HeapDelta, HeapMark, MemStats,
 };
 pub use artifact::{RunArtifact, RUN_ARTIFACT_KIND, RUN_ARTIFACT_SCHEMA_VERSION};
 pub use export::{fmt_bytes, HistogramSnapshot, Snapshot, SpanSnapshot};

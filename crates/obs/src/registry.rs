@@ -175,10 +175,11 @@ pub fn snapshot() -> Snapshot {
         .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
         .collect();
     // Memory telemetry joins the counter namespace while counting is
-    // on: cumulative allocator totals plus live/peak/VmHWM gauges
-    // sampled at snapshot time (see the crate-root taxonomy).
+    // on: allocator totals and live/peak gauges counted from the last
+    // `mark_memory`, plus the kernel's VmHWM, sampled at snapshot time
+    // (see the crate-root taxonomy).
     if alloc::memory_enabled() {
-        let m = alloc::memory_stats();
+        let m = alloc::memory_since_mark();
         counters.insert("mem.allocs".to_string(), m.allocs);
         counters.insert("mem.frees".to_string(), m.frees);
         counters.insert("mem.live_bytes".to_string(), m.live_bytes);

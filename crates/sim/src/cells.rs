@@ -11,7 +11,7 @@ use tc_device::{MosDevice, MosKind, Technology, VtClass};
 
 use crate::circuit::{Circuit, NodeId, Pwl};
 use crate::measure::{delay_between, Edge};
-use crate::solver::{transient, TranOptions};
+use crate::solver::{Testbench, TranOptions, TranResult};
 
 /// Relative PMOS upsizing for balanced drive.
 const BETA: f64 = 1.8;
@@ -146,6 +146,19 @@ pub fn inverter_chain_delay(
     vdd_v: Volt,
     temp: Celsius,
 ) -> Result<Ps> {
+    chain_bench(vt, vdd_v, temp)
+        .run(tech)?
+        .0
+        .ok_or_else(|| tc_core::Error::internal("inverter chain produced no output transition"))
+}
+
+/// The testbench of [`inverter_chain_delay`]: three inverters from a ramp
+/// at 50 ps, measured from `n1` falling to `n2` rising over 400 ps.
+pub(crate) fn chain_bench(
+    vt: VtClass,
+    vdd_v: Volt,
+    temp: Celsius,
+) -> Testbench<impl Fn(&TranResult) -> Option<Ps>> {
     let mut ckt = Circuit::new();
     let vdd = ckt.rail("vdd", vdd_v);
     let input = ckt.node("in");
@@ -158,22 +171,27 @@ pub fn inverter_chain_delay(
     ckt.cap_to_ground(n3, Ff::new(2.0));
     ckt.source(input, Pwl::ramp(50.0, 20.0, Volt::ZERO, vdd_v));
 
-    let opts = TranOptions {
-        t_stop: 400.0,
-        dt: 0.25,
-        temp,
-        ..Default::default()
-    };
-    let res = transient(&ckt, tech, &opts)?;
-    let w_in = res.waveform(n1);
-    let w_out = res.waveform(n2);
-    delay_between(&w_in, Edge::Fall, &w_out, Edge::Rise, vdd_v.value(), 0.0)
-        .ok_or_else(|| tc_core::Error::internal("inverter chain produced no output transition"))
+    let half = 0.5 * vdd_v.value();
+    Testbench {
+        circuit: ckt,
+        opts: TranOptions {
+            t_stop: 400.0,
+            dt: 0.25,
+            temp,
+            ..Default::default()
+        },
+        reads: vec![(n1, half, Edge::Fall), (n2, half, Edge::Rise)],
+        measure: move |res: &TranResult| {
+            let (w_in, w_out) = (res.waveform(n1), res.waveform(n2));
+            delay_between(&w_in, Edge::Fall, &w_out, Edge::Rise, vdd_v.value(), 0.0)
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::transient;
 
     #[test]
     fn inverter_inverts() {

@@ -14,8 +14,8 @@ use tc_device::{Technology, VtClass};
 
 use crate::cells::{inverter, nand2};
 use crate::circuit::{Circuit, NodeId, Pwl};
-use crate::measure::{delay_between, slew_10_90, Edge};
-use crate::solver::{transient, TranOptions};
+use crate::measure::{delay_between, slew_10_90, slew_thresholds, Edge};
+use crate::solver::{Testbench, TranOptions, TranResult};
 
 /// Which cell template to characterize.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,33 +86,55 @@ pub fn measure_arc(
     load: Ff,
     in_edge: Edge,
 ) -> Result<ArcSample> {
-    let tech = Technology::planar_28nm();
+    arc_bench(kind, cond, input_slew, load, in_edge)
+        .run(&Technology::planar_28nm())?
+        .0
+        .ok_or_else(|| Error::internal("arc did not switch, or its output slew is unmeasurable"))
+}
+
+/// The testbench of [`measure_arc`]: the cell driving `load` from a ramp
+/// at 80 ps, measured over a 500 ps window.
+pub(crate) fn arc_bench(
+    kind: CellKind,
+    cond: &CharConditions,
+    input_slew: f64,
+    load: Ff,
+    in_edge: Edge,
+) -> Testbench<impl Fn(&TranResult) -> Option<ArcSample>> {
     let mut ckt = Circuit::new();
     let (input, out) = build_cell(kind, cond, &mut ckt);
     ckt.cap_to_ground(out, load);
 
+    let vdd = cond.vdd.value();
     let (v0, v1, out_edge) = match in_edge {
         Edge::Rise => (Volt::ZERO, cond.vdd, Edge::Fall),
         _ => (cond.vdd, Volt::ZERO, Edge::Rise),
     };
     ckt.source(input, Pwl::ramp(80.0, input_slew, v0, v1));
-    let opts = TranOptions {
-        t_stop: 500.0,
-        dt: 0.25,
-        temp: cond.temp,
-        ..Default::default()
-    };
-    let res = transient(&ckt, &tech, &opts)?;
-    let w_in = res.waveform(input);
-    let w_out = res.waveform(out);
-    let delay = delay_between(&w_in, in_edge, &w_out, out_edge, cond.vdd.value(), 0.0)
-        .ok_or_else(|| Error::internal("arc did not switch"))?;
-    let out_slew = slew_10_90(&w_out, out_edge, cond.vdd.value(), 0.0)
-        .ok_or_else(|| Error::internal("output slew unmeasurable"))?;
-    Ok(ArcSample {
-        delay: delay.value(),
-        out_slew: out_slew.value(),
-    })
+    let [slew_from, slew_to] = slew_thresholds(out_edge, vdd).expect("a rise or a fall");
+    Testbench {
+        circuit: ckt,
+        opts: TranOptions {
+            t_stop: 500.0,
+            dt: 0.25,
+            temp: cond.temp,
+            ..Default::default()
+        },
+        reads: vec![
+            (input, 0.5 * vdd, in_edge),
+            (out, 0.5 * vdd, out_edge),
+            (out, slew_from, out_edge),
+            (out, slew_to, out_edge),
+        ],
+        measure: move |res: &TranResult| {
+            let w_in = res.waveform(input);
+            let w_out = res.waveform(out);
+            Some(ArcSample {
+                delay: delay_between(&w_in, in_edge, &w_out, out_edge, vdd, 0.0)?.value(),
+                out_slew: slew_10_90(&w_out, out_edge, vdd, 0.0)?.value(),
+            })
+        },
+    }
 }
 
 /// A characterized NLDM table pair (delay and output slew) for one arc

@@ -39,6 +39,8 @@
 pub mod cells;
 pub mod char_cell;
 pub mod circuit;
+#[cfg(test)]
+mod early_stop_exactness;
 pub mod ff_char;
 pub mod measure;
 pub mod mis;

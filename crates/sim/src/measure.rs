@@ -25,6 +25,21 @@ pub enum Edge {
     Any,
 }
 
+impl Edge {
+    /// Whether the sample pair `v0 → v1` crosses `thresh` in this
+    /// direction: the test [`Waveform::crossing`] applies to each pair,
+    /// and the one the solver's early stop watches with.
+    pub(crate) fn crosses(self, v0: f64, v1: f64, thresh: f64) -> bool {
+        let rises = v0 < thresh && v1 >= thresh;
+        let falls = v0 > thresh && v1 <= thresh;
+        match self {
+            Edge::Rise => rises,
+            Edge::Fall => falls,
+            Edge::Any => rises || falls,
+        }
+    }
+}
+
 impl Waveform {
     /// Wraps sampled data.
     ///
@@ -77,14 +92,7 @@ impl Waveform {
                 continue;
             }
             let (v0, v1) = (self.values[i - 1], self.values[i]);
-            let rises = v0 < thresh && v1 >= thresh;
-            let falls = v0 > thresh && v1 <= thresh;
-            let hit = match edge {
-                Edge::Rise => rises,
-                Edge::Fall => falls,
-                Edge::Any => rises || falls,
-            };
-            if hit {
+            if edge.crosses(v0, v1, thresh) {
                 let (t0, t1) = (self.times[i - 1], self.times[i]);
                 let t = if (v1 - v0).abs() < 1e-15 {
                     t1
@@ -123,18 +131,20 @@ pub fn delay_between(
 /// 10%–90% transition time of the first output edge at/after `t_from`,
 /// scaled by 1/0.8 to full-swing equivalent.
 pub fn slew_10_90(w: &Waveform, edge: Edge, vdd: f64, t_from: f64) -> Option<Ps> {
-    let (first, second) = match edge {
-        Edge::Rise => (0.1 * vdd, 0.9 * vdd),
-        Edge::Fall => (0.9 * vdd, 0.1 * vdd),
-        Edge::Any => return None,
-    };
-    let e = match edge {
-        Edge::Rise => Edge::Rise,
-        _ => Edge::Fall,
-    };
-    let t1 = w.crossing(first, e, t_from)?;
-    let t2 = w.crossing(second, e, t1)?;
+    let [first, second] = slew_thresholds(edge, vdd)?;
+    let t1 = w.crossing(first, edge, t_from)?;
+    let t2 = w.crossing(second, edge, t1)?;
     Some(Ps::new((t2 - t1) / 0.8))
+}
+
+/// The two thresholds [`slew_10_90`] crosses on an `edge`, in the order
+/// it crosses them; `None` for [`Edge::Any`].
+pub(crate) fn slew_thresholds(edge: Edge, vdd: f64) -> Option<[f64; 2]> {
+    match edge {
+        Edge::Rise => Some([0.1 * vdd, 0.9 * vdd]),
+        Edge::Fall => Some([0.9 * vdd, 0.1 * vdd]),
+        Edge::Any => None,
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use tc_device::{Technology, VtClass};
 use crate::cells::{inverter, nand2};
 use crate::circuit::{Circuit, Pwl};
 use crate::measure::Edge;
-use crate::solver::{transient, TranOptions};
+use crate::solver::{Testbench, TranOptions, TranResult};
 
 /// Direction of the *input* transition being swept (the paper plots both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,15 +85,15 @@ impl MisResult {
     }
 }
 
-fn arc_delay(
-    tech: &Technology,
-    vdd_v: Volt,
-    temp: Celsius,
-    input_slew: f64,
+/// The testbench of one arc of the study: IN ramps at 100 ps; IN1 is
+/// parked at VDD (`offset` = `None`, SIS) or ramps `offset` ps after IN
+/// (MIS). Measured over a 350 ps window.
+pub(crate) fn arc_bench(
+    study: &MisStudy,
     dir: InputDir,
-    in1_wave: Pwl,
-    in1_switches: bool,
-) -> Result<Ps> {
+    offset: Option<f64>,
+) -> Testbench<impl Fn(&TranResult) -> Option<Ps>> {
+    let vdd_v = study.vdd;
     let mut ckt = Circuit::new();
     let vdd = ckt.rail("vdd", vdd_v);
     let input = ckt.node("in");
@@ -112,43 +112,49 @@ fn arc_delay(
         InputDir::Rising => (Volt::ZERO, vdd_v, Edge::Rise, Edge::Fall),
         InputDir::Falling => (vdd_v, Volt::ZERO, Edge::Fall, Edge::Rise),
     };
-    ckt.source(input, Pwl::ramp(t_edge, input_slew, v0, v1));
+    ckt.source(input, Pwl::ramp(t_edge, study.input_slew, v0, v1));
+    let in1_wave = match offset {
+        None => Pwl::constant(vdd_v),
+        Some(off) => Pwl::ramp(t_edge + off, study.input_slew, v0, v1),
+    };
     ckt.source(in1, in1_wave);
 
-    let opts = TranOptions {
-        t_stop: 350.0,
-        dt: 0.25,
-        temp,
-        ..Default::default()
-    };
-    let res = transient(&ckt, tech, &opts)?;
-    let w_in = res.waveform(input);
-    let w_out = res.waveform(out);
-    // The arc is referenced to the input that *causes* the output edge:
-    // with rising inputs the NAND output falls on the LAST input (series
-    // stack, AND), with falling inputs it rises on the FIRST (parallel
-    // pull-up, OR). This is how MIS characterization isolates the
-    // multi-input effect from trivial arrival-time bookkeeping.
     let half = 0.5 * vdd_v.value();
-    let t_in = w_in
-        .crossing(half, in_edge, 0.0)
-        .ok_or_else(|| Error::internal("nand2 input never crossed 50%"))?;
-    let t_cause = if in1_switches {
-        let w_in1 = res.waveform(in1);
-        let t_in1 = w_in1
-            .crossing(half, in_edge, 0.0)
-            .ok_or_else(|| Error::internal("nand2 IN1 never crossed 50%"))?;
-        match dir {
-            InputDir::Rising => t_in.max(t_in1),
-            InputDir::Falling => t_in.min(t_in1),
-        }
-    } else {
-        t_in
-    };
-    let t_out = w_out
-        .crossing(half, out_edge, 0.0)
-        .ok_or_else(|| Error::internal("nand2 arc produced no output transition"))?;
-    Ok(Ps::new(t_out - t_cause))
+    let mut reads = vec![(input, half, in_edge), (out, half, out_edge)];
+    if offset.is_some() {
+        reads.push((in1, half, in_edge));
+    }
+    Testbench {
+        circuit: ckt,
+        opts: TranOptions {
+            t_stop: 350.0,
+            dt: 0.25,
+            temp: study.temp,
+            ..Default::default()
+        },
+        reads,
+        measure: move |res: &TranResult| {
+            // The arc is referenced to the input that *causes* the output
+            // edge: with rising inputs the NAND output falls on the LAST
+            // input (series stack, AND), with falling inputs it rises on
+            // the FIRST (parallel pull-up, OR). This is how MIS
+            // characterization isolates the multi-input effect from
+            // trivial arrival-time bookkeeping.
+            let t_in = res.waveform(input).crossing(half, in_edge, 0.0)?;
+            let t_cause = match offset {
+                None => t_in,
+                Some(_) => {
+                    let t_in1 = res.waveform(in1).crossing(half, in_edge, 0.0)?;
+                    match dir {
+                        InputDir::Rising => t_in.max(t_in1),
+                        InputDir::Falling => t_in.min(t_in1),
+                    }
+                }
+            };
+            let t_out = res.waveform(out).crossing(half, out_edge, 0.0)?;
+            Some(Ps::new(t_out - t_cause))
+        },
+    }
 }
 
 /// Runs the MIS/SIS comparison for one input direction.
@@ -157,35 +163,19 @@ fn arc_delay(
 ///
 /// Propagates simulator convergence failures and missing transitions.
 pub fn run_mis_study(tech: &Technology, study: &MisStudy, dir: InputDir) -> Result<MisResult> {
-    let t_edge = 100.0;
+    let arc = |offset| {
+        arc_bench(study, dir, offset)
+            .run(tech)?
+            .0
+            .ok_or_else(|| Error::internal("nand2 arc produced no complete transition"))
+    };
     // SIS: IN1 parked at VDD (NAND2 sensitized).
-    let sis_delay = arc_delay(
-        tech,
-        study.vdd,
-        study.temp,
-        study.input_slew,
-        dir,
-        Pwl::constant(study.vdd),
-        false,
-    )?;
-
-    let mut sweep = Vec::with_capacity(study.offsets.len());
-    for &off in &study.offsets {
-        let (v0, v1) = match dir {
-            InputDir::Rising => (Volt::ZERO, study.vdd),
-            InputDir::Falling => (study.vdd, Volt::ZERO),
-        };
-        let in1_wave = Pwl::ramp(t_edge + off, study.input_slew, v0, v1);
-        sweep.push(arc_delay(
-            tech,
-            study.vdd,
-            study.temp,
-            study.input_slew,
-            dir,
-            in1_wave,
-            true,
-        )?);
-    }
+    let sis_delay = arc(None)?;
+    let sweep = study
+        .offsets
+        .iter()
+        .map(|&off| arc(Some(off)))
+        .collect::<Result<Vec<_>>>()?;
 
     // The signoff-relevant extreme: fastest arc for the rising output
     // (hold risk), slowest for the falling output (setup risk).

@@ -33,13 +33,38 @@
 //!   `sim.newton.iters` and the `sim.newton.iters_per_step` histogram are
 //!   tallied locally and flushed when the transient returns, `Err`
 //!   included.
+//!
+//! # Steps a run can skip, exactly
+//!
+//! The one integration loop (`integrate`) takes two exits that leave
+//! every value a caller reads bit-identical:
+//!
+//! * **Settle fixed point.** The settle ends at its first bitwise fixed
+//!   point (`v == v_prev` after a step) when every settle step left would
+//!   have the same `dt` and the same source values. A step is a pure
+//!   function of those, `v_prev` and the starting guess, which is
+//!   `v_prev` too; so each skipped step would have returned `v` again,
+//!   and `v` at `t = 0` is the one the full settle reaches.
+//! * **Early stop** (`Testbench::run`), the way HSPICE's
+//!   `.option autostop` ends a run once its `.measure` statements are
+//!   decided. The caller names the first crossings its measurement reads;
+//!   once all have fired, each step that crosses one of them runs the
+//!   measurement on the recorded prefix, and a `Some` ends the run.
+//!   Integration is causal, so the prefix is the full run's first
+//!   samples, and a first-crossing scan that finds its crossing in a
+//!   prefix finds the same one in the whole window.
+//!
+//! [`transient`] passes no crossings and keeps its full window.
+//! `char_cell::measure_arc`, the MIS arcs and `cells::inverter_chain_delay`
+//! stop early; `ff_char::c2q_at` stays on [`transient`], because it also
+//! reads `q.last()` at the end of the window, which no prefix decides.
 
 use tc_core::error::{Error, Result};
 use tc_core::units::{Celsius, Volt};
 use tc_device::{FoldedMos, MosKind, Technology};
 
 use crate::circuit::{Circuit, Element, NodeId};
-use crate::measure::Waveform;
+use crate::measure::{Edge, Waveform};
 
 /// Transient-analysis options.
 #[derive(Clone, Debug)]
@@ -101,6 +126,44 @@ impl TranResult {
     /// Final voltage of a node.
     pub fn final_voltage(&self, node: NodeId) -> f64 {
         *self.volts[node.index()].last().expect("non-empty result")
+    }
+
+    fn record(&mut self, t: f64, v: &[f64]) {
+        self.times.push(t);
+        for (w, &x) in self.volts.iter_mut().zip(v) {
+            w.push(x);
+        }
+    }
+
+    /// The first `len` samples.
+    #[cfg(test)]
+    pub(crate) fn prefix(&self, len: usize) -> TranResult {
+        TranResult {
+            times: self.times[..len].to_vec(),
+            volts: self.volts.iter().map(|w| w[..len].to_vec()).collect(),
+        }
+    }
+}
+
+/// A threshold crossing a measurement reads: the node, the threshold in
+/// volts and the direction, as [`Waveform::crossing`] scans for it.
+pub(crate) type Crossing = (NodeId, f64, Edge);
+
+/// A testbench whose measurement reads only first crossings: the circuit,
+/// its options, the crossings the measurement reads and the measurement,
+/// `None` while the samples it is given do not decide it.
+pub(crate) struct Testbench<M> {
+    pub(crate) circuit: Circuit,
+    pub(crate) opts: TranOptions,
+    pub(crate) reads: Vec<Crossing>,
+    pub(crate) measure: M,
+}
+
+impl<T, M: Fn(&TranResult) -> Option<T>> Testbench<M> {
+    /// Simulates until the measurement is decided: its value (`None` if
+    /// the window ends first) and the samples recorded.
+    pub(crate) fn run(&self, tech: &Technology) -> Result<(Option<T>, TranResult)> {
+        transient_until(&self.circuit, tech, &self.opts, &self.reads, &self.measure)
     }
 }
 
@@ -231,6 +294,25 @@ impl System {
         for (node, wave) in &self.sources {
             v[node.index()] = wave.at(t);
         }
+    }
+
+    /// Whether every settle step after the one that ended at `t_done`
+    /// would repeat it: the same step `dt` and every source at its value
+    /// at `t_done`, bit for bit.
+    fn settle_repeats(&self, t_done: f64, settle_dt: f64, dt: f64) -> bool {
+        let mut t = t_done;
+        while t < 0.0 {
+            let t_next = (t + settle_dt).min(0.0);
+            let same_sources = self
+                .sources
+                .iter()
+                .all(|(_, w)| w.at(t_next).to_bits() == w.at(t_done).to_bits());
+            if (t_next - t).to_bits() != dt.to_bits() || !same_sources {
+                return false;
+            }
+            t = t_next;
+        }
+        true
     }
 
     /// Accumulates the residual `f[i]` = net current *leaving* each free
@@ -450,7 +532,7 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Result<()> {
 }
 
 /// Runs a transient analysis of `circuit` under `tech` at the given
-/// options.
+/// options, over the whole window.
 ///
 /// # Errors
 ///
@@ -458,23 +540,58 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Result<()> {
 /// [`Error::InvalidInput`] for malformed circuits (duplicate sources,
 /// non-positive timestep).
 pub fn transient(circuit: &Circuit, tech: &Technology, opts: &TranOptions) -> Result<TranResult> {
+    let (_, res) = transient_until(circuit, tech, opts, &[], |_| None::<()>)?;
+    Ok(res)
+}
+
+/// Runs a transient until `measure` is decided: once every crossing in
+/// `reads` has fired, each step that crosses one of them runs `measure`
+/// on the samples so far, and a `Some` ends the run (see the module
+/// notes for why the value is the full window's). If the window ends
+/// first, `measure` runs once on the whole result. Returns the value and
+/// the samples recorded.
+///
+/// # Errors
+///
+/// As [`transient`].
+fn transient_until<T>(
+    circuit: &Circuit,
+    tech: &Technology,
+    opts: &TranOptions,
+    reads: &[Crossing],
+    measure: impl Fn(&TranResult) -> Option<T>,
+) -> Result<(Option<T>, TranResult)> {
     if opts.dt <= 0.0 || opts.t_stop <= 0.0 {
         return Err(Error::invalid_input("dt and t_stop must be positive"));
     }
     let _span = tc_obs::span("sim.transient");
     let sys = System::build(circuit, tech, opts)?;
     let mut effort = [0; MAX_NEWTON + 1];
-    let result = integrate(&sys, circuit.node_count(), opts, &mut effort);
+    let mut value = None;
+    let mut decided = |res: &TranResult| {
+        value = measure(res);
+        value.is_some()
+    };
+    let n = circuit.node_count();
+    let result = integrate(&sys, n, opts, reads, &mut decided, &mut effort);
     flush_effort(&effort);
-    result
+    let res = result?;
+    if value.is_none() {
+        value = measure(&res);
+    }
+    Ok((value, res))
 }
 
-/// Settles the circuit, then steps it to `opts.t_stop`. `effort[k]`
-/// counts the accepted steps that took `k` Newton iterations.
+/// Settles the circuit, then steps it to `opts.t_stop` or until
+/// `decided` holds on a step that crosses one of `reads` after all of
+/// them have fired. `effort[k]` counts the accepted steps that took `k`
+/// Newton iterations.
 fn integrate(
     sys: &System,
     n: usize,
     opts: &TranOptions,
+    reads: &[Crossing],
+    decided: &mut dyn FnMut(&TranResult) -> bool,
     effort: &mut [u64; MAX_NEWTON + 1],
 ) -> Result<TranResult> {
     let mut ws = Workspace::new(sys.free.len());
@@ -490,36 +607,52 @@ fn integrate(
         v[node] = 0.5 * vmax;
     }
 
-    // Pseudo-transient settling with a coarse step, sources frozen at t≤0.
+    // Pseudo-transient settling with a coarse step, sources frozen at t≤0,
+    // ended at its fixed point when the rest would repeat the last step.
     let settle_dt = (opts.dt * 4.0).max(1.0);
     let mut v_prev = v.clone();
     let mut t = -opts.settle;
     while t < 0.0 {
         let t_next = (t + settle_dt).min(0.0);
-        effort[sys.step(&mut ws, t_next.min(0.0), t_next - t, &v_prev, &mut v)?] += 1;
-        v_prev.copy_from_slice(&v);
+        let dt = t_next - t;
+        effort[sys.step(&mut ws, t_next, dt, &v_prev, &mut v)?] += 1;
         t = t_next;
+        let fixed = v
+            .iter()
+            .zip(&v_prev)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        if fixed && sys.settle_repeats(t, settle_dt, dt) {
+            break;
+        }
+        v_prev.copy_from_slice(&v);
     }
 
     let steps = (opts.t_stop / opts.dt).ceil() as usize;
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut volts = vec![Vec::with_capacity(steps + 1); n];
-    let record = |times: &mut Vec<f64>, volts: &mut Vec<Vec<f64>>, t: f64, v: &[f64]| {
-        times.push(t);
-        for (i, w) in volts.iter_mut().enumerate() {
-            w.push(v[i]);
-        }
+    let mut res = TranResult {
+        times: Vec::with_capacity(steps + 1),
+        volts: vec![Vec::with_capacity(steps + 1); n],
     };
-    record(&mut times, &mut volts, 0.0, &v);
+    res.record(0.0, &v);
+    let mut fired = vec![false; reads.len()];
     let mut t = 0.0;
     for _ in 0..steps {
         let t_next = t + opts.dt;
         effort[sys.step(&mut ws, t_next, opts.dt, &v_prev, &mut v)?] += 1;
-        v_prev.copy_from_slice(&v);
         t = t_next;
-        record(&mut times, &mut volts, t, &v);
+        res.record(t, &v);
+        let mut crossed = false;
+        for (fired, &(node, thresh, edge)) in fired.iter_mut().zip(reads) {
+            if edge.crosses(v_prev[node.index()], v[node.index()], thresh) {
+                *fired = true;
+                crossed = true;
+            }
+        }
+        v_prev.copy_from_slice(&v);
+        if crossed && fired.iter().all(|&f| f) && decided(&res) {
+            break;
+        }
     }
-    Ok(TranResult { times, volts })
+    Ok(res)
 }
 
 /// Flushes one transient's Newton effort to tc-obs: two counter adds and

@@ -238,6 +238,54 @@ fn transient_solver_records_newton_effort() {
     assert!(span.count >= 1);
 }
 
+/// Exact Newton work of two characterization jobs: a 3×3 inverter rise
+/// table and one direction of the Fig 4 MIS study. Every transient there
+/// stops once its measurement is decided and ends its settle at the
+/// fixed point; a run that integrates its whole window or settle again
+/// moves these counts, as a second propagation moves the arc counts in
+/// `crates/sta/tests/one_propagation.rs`. Over the full window and
+/// settle the same two jobs took 21,600 steps / 27,890 iterations and
+/// 32,400 steps / 54,486 iterations.
+#[test]
+fn characterization_stops_each_transient_once_decided() {
+    use timing_closure::device::Technology;
+    use timing_closure::sim::char_cell::{characterize, CellKind as SimCell, CharConditions};
+    use timing_closure::sim::measure::Edge;
+    use timing_closure::sim::mis::{run_mis_study, InputDir, MisStudy};
+
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    tc_obs::enable();
+    let work = |job: &dyn Fn()| {
+        let before = tc_obs::snapshot();
+        job();
+        let deltas = tc_obs::snapshot().counter_deltas(&before);
+        let delta = |name: &str| {
+            deltas
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        (delta("sim.newton.steps"), delta("sim.newton.iters"))
+    };
+    let table = work(&|| {
+        let cond = CharConditions::nominal_28nm();
+        let (slews, loads) = ([10.0, 30.0, 60.0], [1.0, 3.0, 8.0]);
+        characterize(SimCell::Inv, &cond, &slews, &loads, Edge::Rise).unwrap();
+    });
+    let mis = work(&|| {
+        let tech = Technology::planar_28nm();
+        let study = MisStudy::paper_default(timing_closure::core::units::Volt::new(0.9));
+        run_mis_study(&tech, &study, InputDir::Falling).unwrap();
+    });
+    tc_obs::disable();
+    assert_eq!(table, (5_852, 9_446), "3x3 INV rise table: (steps, iters)");
+    assert_eq!(
+        mis,
+        (10_568, 16_003),
+        "MIS study, falling inputs: (steps, iters)"
+    );
+}
+
 #[test]
 fn disabled_instrumentation_records_nothing() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
