@@ -1,7 +1,8 @@
 //! Golden transient fingerprints: every sample of every node of a full
 //! `TranResult`, for an inverter, a NAND2, the master–slave DFF and one
 //! multi-input-switching pulse on a loaded NAND2, each at 25 °C and at a
-//! hot and a cold corner, plus one `characterize` table.
+//! hot and a cold corner, plus one `characterize` table and the
+//! `characterize_ff` triple at three temperatures.
 //!
 //! Each fingerprint is FNV-1a over the sample times and every node's
 //! voltage bit patterns. Away from 25 °C the mobility factor is not 1.0,
@@ -15,6 +16,7 @@ use tc_device::{Technology, VtClass};
 use tc_sim::cells::{dff, inverter, nand2};
 use tc_sim::char_cell::{characterize, CellKind, CharConditions};
 use tc_sim::circuit::Element;
+use tc_sim::ff_char::{characterize_ff, FfBench};
 use tc_sim::measure::Edge;
 use tc_sim::solver::transient;
 use tc_sim::{Circuit, NodeId, Pwl, TranOptions, TranResult};
@@ -37,6 +39,37 @@ const GOLDEN: [(&str, f64, u64); 12] = [
 
 /// NAND2 fall-arc table at 125 °C over a 3×3 (slew × load) grid.
 const GOLDEN_TABLE: u64 = 0x5063_55ed_4f0a_cc96;
+
+/// `characterize_ff` at the paper's bench and 10% pushout:
+/// `(temperature °C, [setup, hold, c2q_nominal] bits)`. Recorded while
+/// every step of every transient was still solved, so they pin the flop's
+/// 31 transients per call, captures, pushouts and failures alike.
+const GOLDEN_FF: [(f64, [u64; 3]); 3] = [
+    (
+        25.0,
+        [
+            0x3fb3_1000_0000_0000,
+            0xbfe2_2000_0000_0000,
+            0x4026_4fc8_3512_3f60,
+        ],
+    ),
+    (
+        125.0,
+        [
+            0xbf79_0000_0000_0000,
+            0x3fae_0000_0000_0000,
+            0x4026_a87c_9ec6_d280,
+        ],
+    ),
+    (
+        -40.0,
+        [
+            0x3fb6_8000_0000_0000,
+            0xbfe7_c000_0000_0000,
+            0x4026_76cf_b145_8b80,
+        ],
+    ),
+];
 
 const VDD: f64 = 0.9;
 
@@ -180,4 +213,28 @@ fn characterized_table_fingerprint_holds() {
         }
     }
     assert_eq!(h.0, GOLDEN_TABLE, "table fingerprint {:#018x}", h.0);
+}
+
+#[test]
+fn flop_characterization_triple_holds() {
+    let tech = Technology::planar_28nm();
+    let mut diffs = Vec::new();
+    for (temp, want) in GOLDEN_FF {
+        let bench = FfBench {
+            temp: Celsius::new(temp),
+            ..FfBench::paper_default()
+        };
+        let t = characterize_ff(&bench, &tech, 1.10).expect("flop characterizes");
+        let got = [t.setup, t.hold, t.c2q_nominal].map(|x| x.value().to_bits());
+        if got != want {
+            diffs.push(format!(
+                "{temp} °C: got {got:#018x?}, want {want:#018x?} ({t:?})"
+            ));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "flop triples moved:\n{}",
+        diffs.join("\n")
+    );
 }
