@@ -17,7 +17,8 @@
 //! * **Counters and histograms** — [`counter`] / [`histogram`] handles
 //!   backed by atomics in a global registry: Newton iterations per
 //!   transient step, arcs evaluated per STA propagation, edits per fix
-//!   pass, corners per signoff run.
+//!   pass, corners per signoff run. A [`snapshot`] lists only the
+//!   counters and histograms touched since the last [`reset`].
 //! * **Exporters** — a flame-style text report and JSON
 //!   ([`Snapshot::render_text`], [`Snapshot::to_json`]), plus the tiny
 //!   [`json`] builder (and parser, [`JsonValue::parse`]) the figure
@@ -88,7 +89,8 @@
 //! | `par.tasks` | counter | work items executed on `tc-par` pools |
 //! | `par.steal_idle_ms` | counter | summed worker idle ms per pool scope |
 //! | `sim.transient` | span | one transient circuit simulation |
-//! | `sim.newton.steps` | counter | accepted backward-Euler steps (flushed once per transient) |
+//! | `sim.newton.steps` | counter | solved backward-Euler steps (flushed once per transient) |
+//! | `sim.quiet_steps` | counter | steps not solved because their inputs repeat the last solved step's (flushed once per transient) |
 //! | `sim.newton.iters` | counter | Newton iterations across steps (flushed once per transient) |
 //! | `sim.newton.iters_per_step` | histogram | convergence profile, one sample per step (flushed once per transient) |
 //! | `par.task` | trace scope | one pool work item (timeline only, no span path) |

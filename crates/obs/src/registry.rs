@@ -153,7 +153,11 @@ pub fn reset() {
     crate::trace::clear_trace();
 }
 
-/// Takes a consistent snapshot of everything recorded so far.
+/// Takes a consistent snapshot of everything recorded since the last
+/// [`reset`]: counters at 0 and histograms without a sample are left out,
+/// so a name a snapshot lists is one the run touched, not one an earlier
+/// run in the process registered ([`Snapshot::counter`] reads a missing
+/// counter as 0).
 pub fn snapshot() -> Snapshot {
     let inner = global().inner.lock().expect("obs registry poisoned");
     let spans = inner
@@ -173,6 +177,7 @@ pub fn snapshot() -> Snapshot {
         .counters
         .iter()
         .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
+        .filter(|&(_, v)| v > 0)
         .collect();
     // Memory telemetry joins the counter namespace while counting is
     // on: allocator totals and live/peak gauges counted from the last
@@ -196,6 +201,7 @@ pub fn snapshot() -> Snapshot {
             let d = v.lock().expect("obs histogram poisoned");
             HistogramSnapshot::from_data(k.clone(), &d)
         })
+        .filter(|h| h.count > 0)
         .collect();
     Snapshot {
         spans,

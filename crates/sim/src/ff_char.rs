@@ -20,10 +20,10 @@ use tc_core::error::{Error, Result};
 use tc_core::units::{Celsius, Ff, Ps, Volt};
 use tc_device::{Technology, VtClass};
 
-use crate::cells::dff;
+use crate::cells::{dff, DffNodes};
 use crate::circuit::{Circuit, Pwl};
 use crate::measure::Edge;
-use crate::solver::{transient, TranOptions};
+use crate::solver::{transient, TranOptions, TranResult};
 
 /// Testbench configuration for FF characterization.
 #[derive(Clone, Debug)]
@@ -65,6 +65,14 @@ const T_STOP: f64 = 800.0;
 ///
 /// Propagates simulator convergence failures.
 pub fn c2q_at(bench: &FfBench, tech: &Technology, setup: Ps, hold: Ps) -> Result<Option<Ps>> {
+    let (ckt, opts, ff) = c2q_bench(bench, setup, hold);
+    c2q_of(&transient(&ckt, tech, &opts)?, &ff, bench.vdd)
+}
+
+/// The [`c2q_at`] testbench: the flop with its Q load and the D and
+/// clock sources of one (setup, hold) point, the options and the flop's
+/// nodes.
+pub(crate) fn c2q_bench(bench: &FfBench, setup: Ps, hold: Ps) -> (Circuit, TranOptions, DffNodes) {
     let mut ckt = Circuit::new();
     let vdd = ckt.rail("vdd", bench.vdd);
     let ff = dff(&mut ckt, vdd, bench.vt);
@@ -86,10 +94,14 @@ pub fn c2q_at(bench: &FfBench, tech: &Technology, setup: Ps, hold: Ps) -> Result
         temp: bench.temp,
         ..Default::default()
     };
-    let res = transient(&ckt, tech, &opts)?;
+    (ckt, opts, ff)
+}
+
+/// [`c2q_at`]'s measurement on its testbench's result.
+pub(crate) fn c2q_of(res: &TranResult, ff: &DffNodes, vdd: Volt) -> Result<Option<Ps>> {
     let q = res.waveform(ff.q);
     let ck = res.waveform(ff.ck);
-    let vdd_v = bench.vdd.value();
+    let vdd_v = vdd.value();
 
     let t_ck50 = ck
         .crossing(0.5 * vdd_v, Edge::Rise, 0.0)

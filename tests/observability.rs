@@ -238,18 +238,25 @@ fn transient_solver_records_newton_effort() {
     assert!(span.count >= 1);
 }
 
-/// Exact Newton work of two characterization jobs: a 3×3 inverter rise
-/// table and one direction of the Fig 4 MIS study. Every transient there
-/// stops once its measurement is decided and ends its settle at the
-/// fixed point; a run that integrates its whole window or settle again
+/// Exact step work of three characterization jobs: a 3×3 inverter rise
+/// table, one direction of the Fig 4 MIS study and the flop's
+/// (setup, hold, c2q) triple, each as (solved steps, Newton iterations,
+/// quiet steps). Every arc transient stops once its measurement is
+/// decided, and no transient solves a step whose inputs repeat the last
+/// solved one's; a run that solves its whole window or settle again
 /// moves these counts, as a second propagation moves the arc counts in
-/// `crates/sta/tests/one_propagation.rs`. Over the full window and
-/// settle the same two jobs took 21,600 steps / 27,890 iterations and
-/// 32,400 steps / 54,486 iterations.
+/// `crates/sta/tests/one_propagation.rs`. Before quiet steps were
+/// skipped, with the settle ending at its fixed point, the table and the
+/// MIS direction took 5,852 steps / 9,446 iterations and 10,568 steps /
+/// 16,003 iterations, and the flop 51,770 / 63,193; over the full window
+/// and settle the table and the MIS direction took 21,600 / 27,890 and
+/// 32,400 / 54,486.
 #[test]
 fn characterization_stops_each_transient_once_decided() {
+    use timing_closure::core::units::{Ps, Volt};
     use timing_closure::device::Technology;
     use timing_closure::sim::char_cell::{characterize, CellKind as SimCell, CharConditions};
+    use timing_closure::sim::ff_char::{c2q_at, characterize_ff, FfBench};
     use timing_closure::sim::measure::Edge;
     use timing_closure::sim::mis::{run_mis_study, InputDir, MisStudy};
 
@@ -258,32 +265,50 @@ fn characterization_stops_each_transient_once_decided() {
     let work = |job: &dyn Fn()| {
         let before = tc_obs::snapshot();
         job();
-        let deltas = tc_obs::snapshot().counter_deltas(&before);
-        let delta = |name: &str| {
-            deltas
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        (delta("sim.newton.steps"), delta("sim.newton.iters"))
+        let after = tc_obs::snapshot();
+        let delta = |name: &str| after.counter(name) - before.counter(name);
+        (
+            delta("sim.newton.steps"),
+            delta("sim.newton.iters"),
+            delta("sim.quiet_steps"),
+        )
     };
+    let tech = Technology::planar_28nm();
     let table = work(&|| {
         let cond = CharConditions::nominal_28nm();
         let (slews, loads) = ([10.0, 30.0, 60.0], [1.0, 3.0, 8.0]);
         characterize(SimCell::Inv, &cond, &slews, &loads, Edge::Rise).unwrap();
     });
     let mis = work(&|| {
-        let tech = Technology::planar_28nm();
-        let study = MisStudy::paper_default(timing_closure::core::units::Volt::new(0.9));
+        let study = MisStudy::paper_default(Volt::new(0.9));
         run_mis_study(&tech, &study, InputDir::Falling).unwrap();
     });
+    let ff = FfBench::paper_default();
+    let flop = work(&|| {
+        characterize_ff(&ff, &tech, 1.10).unwrap();
+    });
+    // One full-window transient: c2q_at's 400 ps settle at 2 ps and its
+    // 800 ps window at 0.5 ps are 200 + 1,600 steps, solved or quiet.
+    let c2q = work(&|| {
+        c2q_at(&ff, &tech, Ps::new(150.0), Ps::new(300.0)).unwrap();
+    });
     tc_obs::disable();
-    assert_eq!(table, (5_852, 9_446), "3x3 INV rise table: (steps, iters)");
+    assert_eq!(
+        table,
+        (2_981, 6_575, 5_016),
+        "3x3 INV rise table: (steps, iters, quiet)"
+    );
     assert_eq!(
         mis,
-        (10_568, 16_003),
-        "MIS study, falling inputs: (steps, iters)"
+        (4_106, 9_541, 12_168),
+        "MIS study, falling inputs: (steps, iters, quiet)"
     );
+    assert_eq!(
+        flop,
+        (11_740, 23_163, 44_060),
+        "characterize_ff: (steps, iters, quiet)"
+    );
+    assert_eq!(c2q.0 + c2q.2, 200 + 1_600, "c2q_at: solved + quiet steps");
 }
 
 #[test]
